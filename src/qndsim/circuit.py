@@ -12,14 +12,16 @@ lossless compiled circuit reproduces ``quadexpr.finite_squeezing_map``
 coefficient-by-coefficient; this equivalence is checked at build time and
 construction fails loudly if it does not hold.
 
-Circuits can be executed three ways:
+Each ``Circuit`` is lowered once, at construction, into a Heisenberg-picture
+coefficient matrix: every output quadrature, and the optical quadrature seen
+by every homodyne, as a linear combination of the input quadratures, a
+``unit`` column for displacements and labelled unit-variance noise sources.
+The executors read that matrix:
 
-* ``run_covariance`` - deterministic ensemble-average propagation of
-  mean/covariance (homodyne feedforward becomes a linear map, no randomness);
-* ``run_trajectory`` - one stochastic shot with sampled homodyne outcomes
-  and conditional state updates;
-* ``circuit_quadrature_map`` - propagate symbolic quadrature expressions to
-  obtain the circuit's exact input-output coefficient map.
+* ``run_covariance`` - ensemble average, ``X m + u`` and ``X V X^T + N N^T``;
+* ``compile_trajectory`` / ``run_trajectory`` - the outputs conditioned on
+  each homodyne's optical draw and dark draw, affine in the draws;
+* ``circuit_quadrature_map`` - the output rows as labelled coefficients.
 """
 
 from __future__ import annotations
@@ -30,8 +32,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import gaussian
-from .gaussian import GaussianState, SymplecticMatrix
+from .gaussian import GaussianState
 from .quadexpr import (
+    OUTPUT_ORDER,
     LinearQuadExpr,
     QuadratureMap,
     finite_squeezing_map,
@@ -222,47 +225,15 @@ class Circuit:
 
     def __post_init__(self):
         object.__setattr__(self, "elements", tuple(self.elements))
-        self.validate()
-
-    def validate(self) -> None:
-        """Check that mode indices are valid at each step."""
-        n = self.n_input_modes
-        for k, el in enumerate(self.elements):
-            if isinstance(el, AncillaInjection):
-                n += 1
-            elif isinstance(el, BeamSplitter):
-                _require(el.i != el.j and 0 <= el.i < n and 0 <= el.j < n, k, el)
-                _require(0.0 <= el.reflectivity <= 1.0, k, el)
-            elif isinstance(el, Loss):
-                _require(0 <= el.mode < n and 0.0 < el.eta <= 1.0, k, el)
-            elif isinstance(el, HomodyneFeedforward):
-                _require(
-                    0 <= el.measured_mode < n
-                    and 0 <= el.target_mode < n
-                    and el.target_mode != el.measured_mode
-                    and el.target_quadrature in ("x", "p")
-                    and math.isfinite(el.gain),
-                    k,
-                    el,
-                )
-                n -= 1
-            elif isinstance(el, Displacement):
-                _require(0 <= el.mode < n, k, el)
-            else:
-                raise TypeError(f"unknown circuit element {el!r}")
+        # validated and lowered once; every executor reads the lowering
+        object.__setattr__(self, "_lowered", _lower(self.elements, self.n_input_modes))
 
     @property
     def n_output_modes(self) -> int:
-        n = self.n_input_modes
-        for el in self.elements:
-            if isinstance(el, AncillaInjection):
-                n += 1
-            elif isinstance(el, HomodyneFeedforward):
-                n -= 1
-        return n
+        return len(self._lowered.snapshots[-1])
 
     def homodyne_count(self) -> int:
-        return sum(1 for el in self.elements if isinstance(el, HomodyneFeedforward))
+        return len(self._lowered.dark)
 
     def to_text(self) -> str:
         """Stable one-line-per-element dump for reproducibility checks."""
@@ -296,6 +267,129 @@ class Circuit:
 def _require(ok: bool, position: int, element) -> None:
     if not ok:
         raise ValueError(f"invalid circuit element at position {position}: {element!r}")
+
+
+# --------------------------------------------------------------------------
+# lowering
+
+
+@dataclass(frozen=True)
+class _Lowering:
+    """A circuit as one Heisenberg-picture coefficient matrix.
+
+    Each row of ``matrix`` is a quadrature written as a linear combination of
+    ``columns``: the input quadratures ``x1_in, p1_in, ...``, the constant
+    ``unit`` (displacements) and independent unit-variance sources (ancilla
+    vacua ``xA0, pA0``, impurity ``excessA``, loss vacua ``xv_<tag>,
+    pv_<tag>``, dark noise ``dark<k>``).  The first ``2*n_output_modes`` rows
+    are the output quadratures; then comes one row per homodyne, in element
+    order, holding the optical quadrature it measures.
+    """
+
+    columns: tuple
+    matrix: np.ndarray
+    dark: tuple       # per homodyne: (dark column, readout-noise std) or None
+    snapshots: tuple  # per-mode (2, width) rows of the input, then after each element
+
+
+def _lower(elements: tuple, n_input_modes: int) -> _Lowering:
+    """Validate the element list and lower it in one walk."""
+    # every element adds at most three source columns
+    width = 2 * n_input_modes + 1 + 3 * len(elements)
+    columns = [f"{q}{k + 1}_in" for k in range(n_input_modes) for q in "xp"] + ["unit"]
+    eye = np.eye(2 * n_input_modes, width)
+    modes = [eye[2 * k : 2 * k + 2] for k in range(n_input_modes)]
+    snapshots = [tuple(modes)]
+    homodynes, dark = [], []
+    losses = darks = 0
+
+    def sources(*labels) -> int:
+        columns.extend(labels)
+        return len(columns) - len(labels)
+
+    def lossy(rows, eta, tag):
+        nonlocal losses
+        losses += 1
+        suffix = tag or str(losses)
+        k = sources(f"xv_{suffix}", f"pv_{suffix}")
+        out = math.sqrt(eta) * rows
+        out[0, k] = out[1, k + 1] = math.sqrt(1.0 - eta)
+        return out
+
+    for pos, el in enumerate(elements):
+        n = len(modes)
+        if isinstance(el, AncillaInjection):
+            c, s = math.cos(el.angle), math.sin(el.angle)
+            rot = np.array([[c, s], [-s, c]])
+            rows = np.zeros((2, width))
+            k = sources(f"x{el.label}0", f"p{el.label}0")
+            rows[:, k : k + 2] = rot.T @ np.diag([math.exp(-el.r), math.exp(el.r)]) @ rot
+            if el.antisqueeze_excess > 1.0:
+                # impurity: classical noise along the anti-squeezed axis
+                extra = math.sqrt(el.antisqueeze_excess - 1.0) * math.exp(el.r)
+                rows[:, sources(f"excess{el.label}")] = (-s * extra, c * extra)
+            modes.append(rows)
+        elif isinstance(el, BeamSplitter):
+            s1, s2, s3, s4 = el.signs
+            _require(el.i != el.j and 0 <= el.i < n and 0 <= el.j < n, pos, el)
+            _require(0.0 <= el.reflectivity <= 1.0, pos, el)
+            _require(set(el.signs) <= {-1, 1} and s1 * s2 == -s3 * s4, pos, el)
+            t, r = math.sqrt(1.0 - el.reflectivity), math.sqrt(el.reflectivity)
+            a, b = modes[el.i], modes[el.j]
+            modes[el.i] = s1 * t * a + s2 * r * b
+            modes[el.j] = s3 * r * a + s4 * t * b
+        elif isinstance(el, Loss):
+            _require(0 <= el.mode < n and 0.0 < el.eta <= 1.0, pos, el)
+            modes[el.mode] = lossy(modes[el.mode], el.eta, el.tag)
+        elif isinstance(el, HomodyneFeedforward):
+            _require(0 <= el.measured_mode < n and 0 <= el.target_mode < n, pos, el)
+            _require(el.target_mode != el.measured_mode, pos, el)
+            _require(el.target_quadrature in ("x", "p") and math.isfinite(el.gain), pos, el)
+            _require(0.0 <= el.efficiency <= 1.0 and el.dark_variance >= 0.0, pos, el)
+            if el.efficiency < 1.0:
+                modes[el.measured_mode] = lossy(
+                    modes[el.measured_mode], el.efficiency, f"det{losses}"
+                )
+            x, p = modes[el.measured_mode]
+            optical = math.cos(el.angle) * x + math.sin(el.angle) * p
+            readout, noise = optical, None
+            if el.dark_variance > 0.0:
+                darks += 1
+                noise = (sources(f"dark{darks}"), math.sqrt(el.dark_variance))
+                readout = optical.copy()
+                readout[noise[0]] = noise[1]
+            target = modes[el.target_mode].copy()
+            target[0 if el.target_quadrature == "x" else 1] += el.gain * readout
+            modes[el.target_mode] = target
+            del modes[el.measured_mode]
+            homodynes.append(optical)
+            dark.append(noise)
+        elif isinstance(el, Displacement):
+            _require(0 <= el.mode < n, pos, el)
+            rows = modes[el.mode].copy()
+            rows[:, 2 * n_input_modes] += (el.dx, el.dp)
+            modes[el.mode] = rows
+        else:
+            raise TypeError(f"unknown circuit element {el!r}")
+        snapshots.append(tuple(modes))
+
+    matrix = np.vstack([np.zeros((0, width)), *modes, *homodynes])
+    return _Lowering(tuple(columns), matrix[:, : len(columns)], tuple(dark), tuple(snapshots))
+
+
+def _moments(rows: np.ndarray, state: GaussianState):
+    """Mean and covariance of lowered ``rows`` evaluated on an input ``state``."""
+    k = 2 * state.n_modes
+    x, noise = rows[:, :k], rows[:, k + 1 :]
+    return x @ state.mean + rows[:, k], x @ state.cov @ x.T + noise @ noise.T
+
+
+def _lowering_for(circuit: "Circuit", state: GaussianState) -> _Lowering:
+    if state.n_modes != circuit.n_input_modes:
+        raise ValueError(
+            f"circuit expects {circuit.n_input_modes} input modes, got {state.n_modes}"
+        )
+    return circuit._lowered
 
 
 class CircuitConstructionError(RuntimeError):
@@ -423,67 +517,19 @@ def run_covariance(
 ) -> GaussianState:
     """Execute a circuit on the ensemble level; consumes no randomness.
 
-    Homodyne feedforward is applied as the outcome-average Gaussian map: the
-    target quadrature gains ``gain`` times the measured quadrature (readout
-    noise included) and the measured mode is traced out.  With ``validate``
-    every intermediate state is checked for physicality.
+    The lowered outputs give ``mean = X m + u`` and ``cov = X V X^T + N N^T``:
+    homodyne feedforward enters as its outcome average, the target quadrature
+    gaining ``gain`` times the measured quadrature with readout noise.  With
+    ``validate`` the state after every element is evaluated and checked for
+    physicality.
     """
-    if state.n_modes != circuit.n_input_modes:
-        raise ValueError(
-            f"circuit expects {circuit.n_input_modes} input modes, got {state.n_modes}"
-        )
-    state = state.copy()
-    if validate:
-        gaussian.assert_physical(state)
-    for el in circuit.elements:
-        if isinstance(el, AncillaInjection):
-            state = _inject_ancilla(state, el)
-        elif isinstance(el, BeamSplitter):
-            state = gaussian.beam_splitter(state, el.i, el.j, el.reflectivity, el.signs)
-        elif isinstance(el, Loss):
-            state = gaussian.loss_channel(state, el.mode, el.eta)
-        elif isinstance(el, Displacement):
-            state = gaussian.displace(state, el.mode, el.dx, el.dp)
-        elif isinstance(el, HomodyneFeedforward):
-            state = _feedforward_average(state, el)
+    lowered = _lowering_for(circuit, state)
+    snapshots = lowered.snapshots if validate else lowered.snapshots[-1:]
+    for modes in snapshots:
+        out = GaussianState(len(modes), *_moments(np.vstack(modes), state))
         if validate:
-            gaussian.assert_physical(state)
-    return state
-
-
-def _inject_ancilla(state: GaussianState, el: AncillaInjection) -> GaussianState:
-    n = state.n_modes + 1
-    mean = np.concatenate([state.mean, [0.0, 0.0]])
-    cov = np.eye(2 * n)
-    cov[: 2 * n - 2, : 2 * n - 2] = state.cov
-    out = GaussianState(n, mean, cov)
-    out = gaussian.squeeze(out, n - 1, el.r, el.angle)
-    if el.antisqueeze_excess > 1.0:
-        # impurity: classical noise added along the anti-squeezed axis
-        extra = (el.antisqueeze_excess - 1.0) * math.exp(2.0 * el.r)
-        direction = np.array([-math.sin(el.angle), math.cos(el.angle)])
-        block = extra * np.outer(direction, direction)
-        out.cov[2 * n - 2 :, 2 * n - 2 :] += block
+            gaussian.assert_physical(out)
     return out
-
-
-def _feedforward_average(state: GaussianState, el: HomodyneFeedforward) -> GaussianState:
-    if el.efficiency < 1.0:
-        state = gaussian.loss_channel(state, el.measured_mode, el.efficiency)
-    dim = 2 * state.n_modes
-    e = np.zeros(dim)
-    e[2 * el.measured_mode] = math.cos(el.angle)
-    e[2 * el.measured_mode + 1] = math.sin(el.angle)
-    t = 2 * el.target_mode + (0 if el.target_quadrature == "x" else 1)
-
-    amp = np.eye(dim)
-    amp[t, :] += el.gain * e
-    mean = amp @ state.mean
-    cov = amp @ state.cov @ amp.T
-    if el.dark_variance > 0.0:
-        cov[t, t] += el.gain**2 * el.dark_variance
-    out = GaussianState(state.n_modes, mean, cov)
-    return gaussian.remove_mode(out, el.measured_mode)
 
 
 # --------------------------------------------------------------------------
@@ -491,28 +537,18 @@ def _feedforward_average(state: GaussianState, el: HomodyneFeedforward) -> Gauss
 
 
 @dataclass
-class _HomodyneStep:
-    e: np.ndarray          # measured quadrature row (current dimension)
-    sigma_optical: float   # sqrt of the measured optical variance
-    update: np.ndarray     # conditional-mean column V e / denom
-    target: int            # flat index of the feedforward target
-    gain: float
-    sigma_dark: float
-    keep: np.ndarray       # indices kept after removing the measured mode
-
-
-@dataclass
 class TrajectoryProgram:
     """Pre-compiled stochastic execution plan for one circuit and input.
 
-    The conditional covariance sequence is outcome-independent, so it is
-    computed once; only the means evolve stochastically.  ``draws_per_shot``
-    standard-normal draws are consumed per trajectory, in element order
-    (optical draw, then dark draw when dark noise is configured).
+    The conditional covariance is outcome-independent, so it is computed once;
+    each shot's output means and readouts are affine in its standard-normal
+    draws, ``mean0 + gains @ draws``.  ``draws_per_shot`` draws are consumed
+    per trajectory, in element order (optical draw, then dark draw when dark
+    noise is configured).
     """
 
-    steps: list
-    initial_mean: np.ndarray
+    mean0: np.ndarray  # output means, then the readouts, at zero draws
+    gains: np.ndarray  # (len(mean0), draws_per_shot)
     final_cov: np.ndarray
     n_output_modes: int
     draws_per_shot: int
@@ -529,126 +565,44 @@ class TrajectoryProgram:
             raise ValueError(
                 f"need {self.draws_per_shot} draws per shot, got {draws.shape[1]}"
             )
-        n = draws.shape[0]
-        means = np.tile(self.initial_mean, (n, 1))
-        outcomes = np.empty((n, self.n_outcomes))
-        col = 0
-        out_idx = 0
-        for kind, payload in self.steps:
-            if kind == "linear":
-                means = means @ payload.T
-            elif kind == "extend":
-                means = np.hstack([means, np.zeros((n, 2))])
-            elif kind == "scale":
-                idx, factor = payload
-                means[:, idx] *= factor
-            elif kind == "shift":
-                means = means + payload
-            elif kind == "homodyne":
-                step: _HomodyneStep = payload
-                mq = means @ step.e
-                optical = mq + step.sigma_optical * draws[:, col]
-                col += 1
-                readout = optical
-                if step.sigma_dark > 0.0:
-                    readout = optical + step.sigma_dark * draws[:, col]
-                    col += 1
-                means = means + np.outer(optical - mq, step.update)
-                means[:, step.target] += step.gain * readout
-                means = means[:, step.keep]
-                outcomes[:, out_idx] = readout
-                out_idx += 1
-        return means, outcomes
+        # mean0 + draws @ gains.T, one draw column at a time so that a row's
+        # arithmetic does not depend on how many rows share the batch
+        values = np.tile(self.mean0, (draws.shape[0], 1))
+        for j in range(self.draws_per_shot):
+            values += np.outer(draws[:, j], self.gains[:, j])
+        return values[:, : 2 * self.n_output_modes], values[:, 2 * self.n_output_modes :]
 
 
 def compile_trajectory(circuit: Circuit, state: GaussianState) -> TrajectoryProgram:
-    """Build the stochastic execution plan for ``circuit`` on ``state``."""
-    if state.n_modes != circuit.n_input_modes:
-        raise ValueError(
-            f"circuit expects {circuit.n_input_modes} input modes, got {state.n_modes}"
-        )
-    steps = []
-    cov = state.cov.copy()
-    draws = 0
-    outcomes = 0
+    """Build the stochastic execution plan for ``circuit`` on ``state``.
 
-    def linear(matrix):
-        nonlocal cov
-        steps.append(("linear", matrix))
-        cov = matrix @ cov @ matrix.T
-
-    for el in circuit.elements:
-        n = cov.shape[0] // 2
-        if isinstance(el, AncillaInjection):
-            anc = _inject_ancilla(GaussianState(1, np.zeros(2), np.eye(2)), el)
-            grown = np.eye(2 * n + 2)
-            grown[: 2 * n, : 2 * n] = cov
-            grown[2 * n :, 2 * n :] = anc.cov[2:, 2:]
-            cov = grown
-            steps.append(("extend", None))
-        elif isinstance(el, BeamSplitter):
-            linear(
-                SymplecticMatrix.beam_splitter(
-                    n, el.i, el.j, el.reflectivity, el.signs
-                ).matrix
-            )
-        elif isinstance(el, Loss):
-            idx = np.array([2 * el.mode, 2 * el.mode + 1])
-            root = math.sqrt(el.eta)
-            steps.append(("scale", (idx, root)))
-            cov[idx, :] *= root
-            cov[:, idx] *= root
-            cov[np.ix_(idx, idx)] += (1.0 - el.eta) * np.eye(2)
-        elif isinstance(el, Displacement):
-            shift = np.zeros(2 * n)
-            shift[2 * el.mode] = el.dx
-            shift[2 * el.mode + 1] = el.dp
-            steps.append(("shift", shift))
-        elif isinstance(el, HomodyneFeedforward):
-            if el.efficiency < 1.0:
-                idx = np.array([2 * el.measured_mode, 2 * el.measured_mode + 1])
-                root = math.sqrt(el.efficiency)
-                steps.append(("scale", (idx, root)))
-                cov[idx, :] *= root
-                cov[:, idx] *= root
-                cov[np.ix_(idx, idx)] += (1.0 - el.efficiency) * np.eye(2)
-            e = np.zeros(2 * n)
-            e[2 * el.measured_mode] = math.cos(el.angle)
-            e[2 * el.measured_mode + 1] = math.sin(el.angle)
-            var_q = float(e @ cov @ e)
-            denom = max(var_q, el.dark_variance, gaussian.VARIANCE_FLOOR)
-            column = cov @ e
-            target = 2 * el.target_mode + (0 if el.target_quadrature == "x" else 1)
-            keep = np.array(
-                [k for k in range(2 * n) if k // 2 != el.measured_mode]
-            )
-            sigma_dark = math.sqrt(el.dark_variance) if el.dark_variance > 0.0 else 0.0
-            steps.append(
-                (
-                    "homodyne",
-                    _HomodyneStep(
-                        e=e,
-                        sigma_optical=math.sqrt(max(var_q, 0.0)),
-                        update=column / denom,
-                        target=target,
-                        gain=el.gain,
-                        sigma_dark=sigma_dark,
-                        keep=keep,
-                    ),
-                )
-            )
-            cov = cov - np.outer(column, column) / denom
-            cov = cov[np.ix_(keep, keep)]
-            draws += 1 + (1 if sigma_dark > 0.0 else 0)
-            outcomes += 1
-
+    The output and readout rows are conditioned, in element order, on each
+    homodyne's optical quadrature and then on its dark noise.  The readout
+    noise therefore reaches the means through the feedforward but never the
+    conditional covariance, and ``final_cov + gains @ gains.T`` restricted to
+    the outputs equals the ``run_covariance`` covariance.
+    """
+    lowered = _lowering_for(circuit, state)
+    n_out = 2 * circuit.n_output_modes
+    readouts, observed = [], []
+    for optical, noise in zip(lowered.matrix[n_out:], lowered.dark):
+        observed.append(optical)
+        if noise is not None:
+            source = np.zeros_like(optical)
+            source[noise[0]] = 1.0
+            observed.append(source)
+            optical = optical + noise[1] * source
+        readouts.append(optical)
+    kept = n_out + len(readouts)
+    mean, cov = _moments(np.vstack([lowered.matrix[:n_out], *readouts, *observed]), state)
+    gains = np.zeros((kept, len(observed)))
+    for j in range(len(observed)):
+        e = np.zeros(len(mean))
+        e[kept + j] = 1.0
+        var, gain, cov = gaussian._condition(cov, e)
+        gains[:, j] = math.sqrt(max(var, 0.0)) * gain[:kept]
     return TrajectoryProgram(
-        steps=steps,
-        initial_mean=state.mean.copy(),
-        final_cov=cov,
-        n_output_modes=cov.shape[0] // 2,
-        draws_per_shot=draws,
-        n_outcomes=outcomes,
+        mean[:kept], gains, cov[:n_out, :n_out], n_out // 2, len(observed), len(readouts)
     )
 
 
@@ -679,90 +633,27 @@ def run_trajectory(
 
 
 def circuit_quadrature_map(circuit: Circuit, include_means: bool = False) -> QuadratureMap:
-    """Propagate quadrature expressions through the circuit.
+    """The circuit's exact input-output coefficients, read off its lowering.
 
     The two input modes carry labels ``x1_in, p1_in, x2_in, p2_in``; ancilla
     injections contribute pre-squeezing vacuum labels such as ``xA0``, loss
     channels add fresh vacuum labels and dark noise adds classical labels.
+    Displacements appear as ``unit`` terms when ``include_means`` is set.
     The circuit must end with exactly two modes.
     """
     if circuit.n_input_modes != 2:
         raise ValueError("coefficient extraction is defined for two-mode circuits")
-    modes = [
-        (LinearQuadExpr({"x1_in": 1.0}), LinearQuadExpr({"p1_in": 1.0})),
-        (LinearQuadExpr({"x2_in": 1.0}), LinearQuadExpr({"p2_in": 1.0})),
-    ]
-    counters = {"loss": 0, "dark": 0}
-
-    def lossy(pair, eta, tag):
-        counters["loss"] += 1
-        suffix = tag or str(counters["loss"])
-        root, add = math.sqrt(eta), math.sqrt(1.0 - eta)
-        x = pair[0].scaled(root).plus(LinearQuadExpr({f"xv_{suffix}": add}))
-        p = pair[1].scaled(root).plus(LinearQuadExpr({f"pv_{suffix}": add}))
-        return (x, p)
-
-    for el in circuit.elements:
-        if isinstance(el, AncillaInjection):
-            c, s = math.cos(el.angle), math.sin(el.angle)
-            rot = np.array([[c, s], [-s, c]])
-            block = rot.T @ np.diag([math.exp(-el.r), math.exp(el.r)]) @ rot
-            base_x = LinearQuadExpr({f"x{el.label}0": 1.0})
-            base_p = LinearQuadExpr({f"p{el.label}0": 1.0})
-            x = base_x.scaled(block[0, 0]).plus(base_p, block[0, 1])
-            p = base_x.scaled(block[1, 0]).plus(base_p, block[1, 1])
-            if el.antisqueeze_excess > 1.0:
-                extra = math.sqrt(el.antisqueeze_excess - 1.0) * math.exp(el.r)
-                noise = LinearQuadExpr({f"excess{el.label}": extra})
-                x = x.plus(noise, -s)
-                p = p.plus(noise, c)
-            modes.append((x, p))
-        elif isinstance(el, BeamSplitter):
-            s1, s2, s3, s4 = el.signs
-            t = math.sqrt(1.0 - el.reflectivity)
-            r = math.sqrt(el.reflectivity)
-            xi, pi = modes[el.i]
-            xj, pj = modes[el.j]
-            modes[el.i] = (xi.scaled(s1 * t).plus(xj, s2 * r), pi.scaled(s1 * t).plus(pj, s2 * r))
-            modes[el.j] = (xi.scaled(s3 * r).plus(xj, s4 * t), pi.scaled(s3 * r).plus(pj, s4 * t))
-        elif isinstance(el, Loss):
-            modes[el.mode] = lossy(modes[el.mode], el.eta, el.tag)
-        elif isinstance(el, Displacement):
-            if include_means:
-                x, p = modes[el.mode]
-                modes[el.mode] = (
-                    x.plus(LinearQuadExpr({"unit": el.dx})),
-                    p.plus(LinearQuadExpr({"unit": el.dp})),
-                )
-        elif isinstance(el, HomodyneFeedforward):
-            if el.efficiency < 1.0:
-                modes[el.measured_mode] = lossy(
-                    modes[el.measured_mode], el.efficiency, f"det{counters['loss']}"
-                )
-            xm, pm = modes[el.measured_mode]
-            readout = xm.scaled(math.cos(el.angle)).plus(pm, math.sin(el.angle))
-            if el.dark_variance > 0.0:
-                counters["dark"] += 1
-                readout = readout.plus(
-                    LinearQuadExpr({f"dark{counters['dark']}": math.sqrt(el.dark_variance)})
-                )
-            xt, pt = modes[el.target_mode]
-            if el.target_quadrature == "x":
-                modes[el.target_mode] = (xt.plus(readout, el.gain), pt)
-            else:
-                modes[el.target_mode] = (xt, pt.plus(readout, el.gain))
-            del modes[el.measured_mode]
-
-    if len(modes) != 2:
+    if circuit.n_output_modes != 2:
         raise ValueError("circuit does not end with two modes")
-    return QuadratureMap(
-        {
-            "x1_out": modes[0][0],
-            "p1_out": modes[0][1],
-            "x2_out": modes[1][0],
-            "p2_out": modes[1][1],
-        }
-    )
+    lowered = circuit._lowered
+    exprs = {}
+    for key, row in zip(OUTPUT_ORDER, lowered.matrix.tolist()):
+        terms = {}
+        for label, c in zip(lowered.columns, row):
+            if include_means or label != "unit":
+                terms[label] = terms.get(label, 0.0) + c
+        exprs[key] = LinearQuadExpr(terms)
+    return QuadratureMap(exprs)
 
 
 def with_imperfections(

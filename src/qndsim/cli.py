@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -25,6 +26,7 @@ from .circuit import (
     ImperfectionModel,
     build_qnd_gate,
     circuit_quadrature_map,
+    run_covariance,
 )
 from .ensemble import run_ensemble
 from .quadexpr import finite_squeezing_map, max_coefficient_difference
@@ -46,8 +48,6 @@ def _output_moments(config: ScenarioConfig, circuit, state):
     if config.run.mode == "trajectories":
         result = run_ensemble(circuit, state, config.run.n, config.run.master_seed)
         return result.mean, result.cov
-    from .circuit import run_covariance
-
     out = run_covariance(circuit, state)
     return out.mean, out.cov
 
@@ -320,27 +320,9 @@ def _config_from_args(args) -> ScenarioConfig:
     else:
         config = ScenarioConfig()
     if args.reflectivity is not None:
-        config = ScenarioConfig(
-            gate_R=args.reflectivity,
-            gate_G=None,
-            squeezing_dB_A=config.squeezing_dB_A,
-            squeezing_dB_B=config.squeezing_dB_B,
-            imperfections=config.imperfections,
-            inputs=config.inputs,
-            run=config.run,
-            output=config.output,
-        )
+        config = replace(config, gate_R=args.reflectivity, gate_G=None)
     elif args.gain is not None:
-        config = ScenarioConfig(
-            gate_R=None,
-            gate_G=args.gain,
-            squeezing_dB_A=config.squeezing_dB_A,
-            squeezing_dB_B=config.squeezing_dB_B,
-            imperfections=config.imperfections,
-            inputs=config.inputs,
-            run=config.run,
-            output=config.output,
-        )
+        config = replace(config, gate_R=None, gate_G=args.gain)
     if args.squeezing_db is not None:
         config.squeezing_dB_A = args.squeezing_db
         config.squeezing_dB_B = args.squeezing_db

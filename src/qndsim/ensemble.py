@@ -79,7 +79,6 @@ def run_ensemble(
         )
     means, outcomes = program.run_means(draws)
 
-    dim = means.shape[1]
     mean = pairwise_tree_sum(means) / n
     centered = means - mean
     outer = centered[:, :, np.newaxis] * centered[:, np.newaxis, :]
@@ -128,33 +127,23 @@ def z_score_report(
     analytic_cov = np.asarray(analytic_cov, dtype=float)
 
     def z_of(delta, se):
-        if se < 1e-15:
-            return 0.0 if abs(delta) < 1e-12 else np.inf
-        return abs(delta) / se
+        delta = np.abs(delta)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            z = delta / se
+        return np.where(se < 1e-15, np.where(delta < 1e-12, 0.0, np.inf), z)
 
+    z_mean = z_of(result.mean - analytic_mean, result.se_mean)
+    z_cov = z_of(result.cov - analytic_cov, result.se_cov)
+
+    # candidates in report order: means, then the upper triangle row by row
     dim = result.mean.shape[0]
-    z_mean = np.array(
-        [z_of(result.mean[i] - analytic_mean[i], result.se_mean[i]) for i in range(dim)]
-    )
-    z_cov = np.zeros((dim, dim))
-    for i in range(dim):
-        for j in range(dim):
-            z_cov[i, j] = z_of(
-                result.cov[i, j] - analytic_cov[i, j], result.se_cov[i, j]
-            )
-
     labels = [f"{q}{k + 1}" for k in range(dim // 2) for q in ("x", "p")]
-    max_z = 0.0
-    worst = "none"
-    for i in range(dim):
-        if z_mean[i] > max_z:
-            max_z = float(z_mean[i])
-            worst = f"mean[{labels[i]}]"
-    for i in range(dim):
-        for j in range(i, dim):
-            if z_cov[i, j] > max_z:
-                max_z = float(z_cov[i, j])
-                worst = f"cov[{labels[i]},{labels[j]}]"
+    rows, cols = np.triu_indices(dim)
+    z_all = np.concatenate([z_mean, z_cov[rows, cols]])
+    names = [f"mean[{l}]" for l in labels]
+    names += [f"cov[{labels[i]},{labels[j]}]" for i, j in zip(rows, cols)]
+    best = int(np.argmax(z_all))
+    max_z, worst = (float(z_all[best]), names[best]) if z_all[best] > 0.0 else (0.0, "none")
     return ZScoreReport(max_z=max_z, worst_entry=worst, z_mean=z_mean, z_cov=z_cov)
 
 

@@ -106,11 +106,11 @@ def min_uncertainty_eigenvalue(state: GaussianState) -> float:
 
 
 def is_physical(state: GaussianState, tol: float = PHYSICALITY_TOL) -> bool:
-    asym = np.abs(state.cov - state.cov.T).max()
-    scale = max(1.0, np.abs(state.cov).max())
-    if asym > 1e-12 * scale:
+    try:
+        assert_physical(state, tol)
+    except ValueError:
         return False
-    return min_uncertainty_eigenvalue(state) >= -tol
+    return True
 
 
 def assert_physical(state: GaussianState, tol: float = PHYSICALITY_TOL) -> None:
@@ -316,28 +316,32 @@ def homodyne(
     if efficiency < 1.0:
         state = loss_channel(state, mode, efficiency)
 
-    dim = 2 * state.n_modes
-    e = np.zeros(dim)
+    e = np.zeros(2 * state.n_modes)
     e[2 * mode] = np.cos(angle)
     e[2 * mode + 1] = np.sin(angle)
-
-    var_q = float(e @ state.cov @ e)
+    var_q, gain, cov = _condition(state.cov, e)
     mean_q = float(e @ state.mean)
     optical = mean_q + np.sqrt(max(var_q, 0.0)) * rng.standard_normal()
     value = optical
     if dark_variance > 0.0:
         value = optical + np.sqrt(dark_variance) * rng.standard_normal()
+    mean = state.mean + gain * (optical - mean_q)
+    conditioned = GaussianState(state.n_modes, mean, cov)
+    return HomodyneOutcome(float(value), mode, angle, remove_mode(conditioned, mode))
 
-    # conditional update; the denominator is floored so a perfectly squeezed
-    # quadrature never divides by zero
-    denom = max(var_q, dark_variance, VARIANCE_FLOOR)
-    col = state.cov @ e
-    mean_new = state.mean + col * (optical - mean_q) / denom
-    cov_new = state.cov - np.outer(col, col) / denom
 
-    keep = [k for k in range(dim) if k not in (2 * mode, 2 * mode + 1)]
-    reduced = GaussianState(state.n_modes - 1, mean_new[keep], cov_new[np.ix_(keep, keep)])
-    return HomodyneOutcome(float(value), mode, angle, reduced)
+def _condition(cov: np.ndarray, e: np.ndarray):
+    """Condition a Gaussian on the value of the linear functional ``e . q``.
+
+    Returns ``(var, gain, cov_given)``: the prior variance of ``e . q``, the
+    column mapping its observed deviation onto the mean, and the Schur
+    complement.  Dividing by ``max(var, VARIANCE_FLOOR)`` keeps a perfectly
+    squeezed quadrature finite.
+    """
+    col = cov @ e
+    var = float(e @ col)
+    denom = max(var, VARIANCE_FLOOR)
+    return var, col / denom, cov - np.outer(col, col) / denom
 
 
 def remove_mode(state: GaussianState, mode: int) -> GaussianState:

@@ -31,6 +31,7 @@ from .circuit import (
     ImperfectionModel,
     build_qnd_gate,
     run_covariance,
+    with_imperfections,
 )
 from .quadexpr import finite_squeezing_map, ideal_qnd_map, moments_from_map
 
@@ -181,7 +182,7 @@ def duan_simon(cov: np.ndarray, g: float, g_grid=None) -> DuanResult:
     grid = np.asarray(DEFAULT_G_GRID if g_grid is None else g_grid, dtype=float)
     value = duan_sum(cov, g)
     bound = 4.0 * abs(g)
-    sums = np.array([duan_sum(cov, gv) for gv in grid])
+    sums = cv_sweep(cov, "x", grid) + cv_sweep(cov, "p", grid)
     margins = sums - 4.0 * np.abs(grid)
     best = int(np.argmin(margins))
     return DuanResult(
@@ -455,8 +456,6 @@ def fit_extra_in_loop_loss(
     metrics over both gains.  The fitted knob value is carried in the result
     so every downstream report can state it explicitly.
     """
-    from .circuit import with_imperfections
-
     base = imperfections or ImperfectionModel()
     grid = np.arange(0.0, 0.1001, 0.0025) if grid is None else np.asarray(grid)
     best = None

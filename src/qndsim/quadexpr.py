@@ -32,7 +32,6 @@ import numpy as np
 
 CANONICAL_COMMUTATOR = 2.0  # value of [x, p] in units of i
 
-OUTPUT_KEYS = ("x1_out", "p1_out", "x2_out", "p2_out")
 # interleaved (x1, p1, x2, p2) ordering used for moment matrices
 OUTPUT_ORDER = ("x1_out", "p1_out", "x2_out", "p2_out")
 
@@ -56,15 +55,6 @@ class LinearQuadExpr:
 
     def coefficient(self, label: str) -> float:
         return self.terms.get(label, 0.0)
-
-    def scaled(self, factor: float) -> "LinearQuadExpr":
-        return LinearQuadExpr({k: factor * v for k, v in self.terms.items()})
-
-    def plus(self, other: "LinearQuadExpr", factor: float = 1.0) -> "LinearQuadExpr":
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            out[k] = out.get(k, 0.0) + factor * v
-        return LinearQuadExpr(out)
 
     def labels(self):
         return set(self.terms)
@@ -110,7 +100,7 @@ class QuadratureMap:
     exprs: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        missing = [k for k in OUTPUT_KEYS if k not in self.exprs]
+        missing = [k for k in OUTPUT_ORDER if k not in self.exprs]
         if missing:
             raise ValueError(f"quadrature map missing outputs: {missing}")
 
@@ -136,7 +126,7 @@ class QuadratureMap:
 def max_coefficient_difference(a: QuadratureMap, b: QuadratureMap) -> float:
     """Largest |coefficient difference| over all outputs and labels."""
     worst = 0.0
-    for key in OUTPUT_KEYS:
+    for key in OUTPUT_ORDER:
         for label in a[key].labels() | b[key].labels():
             worst = max(worst, abs(a[key].coefficient(label) - b[key].coefficient(label)))
     return worst

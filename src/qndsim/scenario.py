@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from . import gaussian
-from .circuit import GateParams, ImperfectionModel
+from .circuit import GateParams, ImperfectionModel, reflectivity_from_gain
 
 
 @dataclass
@@ -82,16 +82,9 @@ class ScenarioConfig:
             raise ValueError("a scenario has exactly two input modes")
 
     def gate_params(self) -> GateParams:
-        if self.gate_R is not None:
-            return GateParams(
-                self.gate_R,
-                squeezing_db_a=self.squeezing_dB_A,
-                squeezing_db_b=self.squeezing_dB_B,
-            )
-        return GateParams.from_gain(
-            self.gate_G,
-            squeezing_db_a=self.squeezing_dB_A,
-            squeezing_db_b=self.squeezing_dB_B,
+        R = self.gate_R if self.gate_R is not None else reflectivity_from_gain(self.gate_G)
+        return GateParams(
+            R, squeezing_db_a=self.squeezing_dB_A, squeezing_db_b=self.squeezing_dB_B
         )
 
     def input_state(self) -> gaussian.GaussianState:

@@ -1,7 +1,11 @@
 """Tests for gate compilation and circuit execution."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qndsim import gaussian
 from qndsim.circuit import (
@@ -14,6 +18,7 @@ from qndsim.circuit import (
     Loss,
     build_qnd_gate,
     circuit_quadrature_map,
+    compile_trajectory,
     gain_from_reflectivity,
     reflectivity_from_gain,
     run_covariance,
@@ -208,6 +213,16 @@ class TestRunCovariance:
         out = run_covariance(circuit, gaussian.vacuum_state(2), validate=True)
         gaussian.assert_physical(out)
 
+    def test_validate_evaluates_every_intermediate_state(self, monkeypatch):
+        circuit = build_qnd_gate(GateParams.from_gain(1.0), ImperfectionModel())
+        checked = []
+        monkeypatch.setattr(gaussian, "assert_physical", lambda s: checked.append(s.n_modes))
+        run_covariance(circuit, gaussian.vacuum_state(2), validate=True)
+        # the input, then one state per element; ancillas show as a third mode
+        assert len(checked) == len(circuit.elements) + 1
+        assert checked[0] == checked[-1] == 2
+        assert max(checked) == 3
+
 
 def _added_noise(circuit):
     """Output variance beyond what the system-input coefficients account for."""
@@ -307,6 +322,16 @@ class TestCircuitValidation:
                 )
             )
 
+    def test_bad_beam_splitter_signs_rejected(self):
+        with pytest.raises(ValueError):
+            Circuit(elements=(BeamSplitter(0, 1, 0.5, signs=(1, 1, 1, 1)),))
+
+    @pytest.mark.parametrize("field,value", [("efficiency", 1.5), ("dark_variance", -0.1)])
+    def test_bad_detector_rejected(self, field, value):
+        kwargs = {"efficiency": 1.0, "dark_variance": 0.0, field: value}
+        with pytest.raises(ValueError):
+            Circuit(elements=(HomodyneFeedforward(0, 0.0, 1, "x", 1.0, **kwargs),))
+
     def test_output_mode_count(self):
         circuit = build_qnd_gate(GateParams.from_gain(1.0), ImperfectionModel())
         assert circuit.n_output_modes == 2
@@ -387,3 +412,57 @@ class TestLossPlacement:
             circuit = build_qnd_gate(GateParams.from_gain(1.0), imp)
             covs.append(run_covariance(circuit, gaussian.vacuum_state(2)).cov)
         assert not np.allclose(covs[0], covs[1], atol=1e-6)
+
+
+_LOSS = st.floats(0.0, 1.0, exclude_max=True)
+_EFFICIENCY = st.floats(0.0, 1.0, exclude_min=True)
+_BUDGETS = st.just(ImperfectionModel.ideal()) | st.builds(
+    ImperfectionModel,
+    propagation_loss_per_main_mode=_LOSS,
+    detector_quantum_efficiency=_EFFICIENCY,
+    visibility=_EFFICIENCY,
+    dark_noise_dB_below_shot=st.floats(0.0, 60.0) | st.just(math.inf),
+    displacement_coupler_loss=_LOSS,
+    feedforward_electronic_gain_error=st.floats(-1.0, 1.0),
+    extra_in_loop_loss=_LOSS,
+    loss_placement=st.sampled_from(["post_exit", "pre_entry", "in_arms"]),
+)
+_GATES = st.builds(
+    GateParams,
+    R=st.floats(0.05, 1.0),
+    squeezing_db_a=st.floats(-15.0, 10.0),
+    squeezing_db_b=st.floats(-15.0, 10.0),
+    ancilla_excess=st.floats(1.0, 2.0),
+)
+
+
+class TestExecutorsAgree:
+    """The covariance, trajectory and coefficient executors, without sampling."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(params=_GATES, imp=_BUDGETS, dx=st.floats(-5.0, 5.0), dp=st.floats(-5.0, 5.0))
+    # readout noise above the measured quadrature's variance
+    @example(
+        params=GateParams(0.95, squeezing_db_a=10.0, squeezing_db_b=10.0),
+        imp=ImperfectionModel(dark_noise_dB_below_shot=0.0),
+        dx=1.0,
+        dp=-2.0,
+    )
+    def test_three_executors_agree(self, params, imp, dx, dp):
+        circuit = build_qnd_gate(params, imp)
+        state = gaussian.displace(gaussian.vacuum_state(2), 0, dx, 0.0)
+        state = gaussian.displace(state, 1, 0.0, dp)
+        out = run_covariance(circuit, state)
+        tol = 1e-9 * np.abs(out.cov).max()
+
+        # law of total covariance: conditional covariance plus mean scatter
+        program = compile_trajectory(circuit, state)
+        gains = program.gains[:4]
+        assert np.abs(program.final_cov + gains @ gains.T - out.cov).max() <= tol
+        assert np.allclose(program.mean0[:4], out.mean, rtol=0.0, atol=1e-9)
+
+        qmap = circuit_quadrature_map(circuit)
+        mean, cov = moments_from_map(qmap, means={"x1_in": dx, "p2_in": dp})
+        assert np.abs(cov - out.cov).max() <= tol
+        assert np.allclose(mean, out.mean, rtol=0.0, atol=1e-9)
+        assert commutator_check(qmap).passed

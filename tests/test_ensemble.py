@@ -9,10 +9,12 @@ from qndsim.circuit import (
     GateParams,
     ImperfectionModel,
     build_qnd_gate,
+    compile_trajectory,
     run_covariance,
     run_trajectory,
 )
 from qndsim.ensemble import (
+    EnsembleResult,
     outcome_log_csv,
     pairwise_tree_sum,
     run_ensemble,
@@ -23,6 +25,32 @@ from qndsim.ensemble import (
 
 def default_gate():
     return build_qnd_gate(GateParams.from_gain(1.0), ImperfectionModel.ideal())
+
+
+def _z_report_loop(result, analytic_mean, analytic_cov):
+    """Entry-by-entry reference for ``z_score_report``: (max_z, worst, z_mean, z_cov)."""
+
+    def z_of(delta, se):
+        if se < 1e-15:
+            return 0.0 if abs(delta) < 1e-12 else np.inf
+        return abs(delta) / se
+
+    dim = len(result.mean)
+    labels = [f"{q}{k + 1}" for k in range(dim // 2) for q in ("x", "p")]
+    z_mean = [z_of(result.mean[i] - analytic_mean[i], result.se_mean[i]) for i in range(dim)]
+    z_cov = [
+        [z_of(result.cov[i, j] - analytic_cov[i, j], result.se_cov[i, j]) for j in range(dim)]
+        for i in range(dim)
+    ]
+    max_z, worst = 0.0, "none"
+    for i in range(dim):
+        if z_mean[i] > max_z:
+            max_z, worst = z_mean[i], f"mean[{labels[i]}]"
+    for i in range(dim):
+        for j in range(i, dim):
+            if z_cov[i][j] > max_z:
+                max_z, worst = z_cov[i][j], f"cov[{labels[i]},{labels[j]}]"
+    return max_z, worst, np.array(z_mean), np.array(z_cov)
 
 
 class TestPairwiseTreeSum:
@@ -80,6 +108,29 @@ class TestRunEnsemble:
             _, log = run_trajectory(circuit, state, trajectory_generator(314, i))
             assert np.array_equal(result.outcomes[i], log)
 
+    def test_batch_rows_equal_single_rows(self):
+        # a shot's means and readouts do not depend on the batch it runs in
+        circuit = build_qnd_gate(GateParams.from_gain(1.5), ImperfectionModel())
+        state = gaussian.displace(gaussian.vacuum_state(2), 0, 2.0, 0.0)
+        program = compile_trajectory(circuit, state)
+        draws = np.random.default_rng(0).standard_normal((1000, program.draws_per_shot))
+        means, outcomes = program.run_means(draws)
+        for i in (0, 1, 500, 999):
+            mean, outcome = program.run_means(draws[i])
+            assert np.array_equal(mean[0], means[i])
+            assert np.array_equal(outcome[0], outcomes[i])
+
+    def test_dark_noise_at_shot_level_matches_covariance(self):
+        # anti-squeezed ancillas leave the measured quadratures below the
+        # readout noise; conditioning on the optical value must still give
+        # the ensemble-average covariance
+        params = GateParams(0.95, squeezing_db_a=10, squeezing_db_b=10)
+        circuit = build_qnd_gate(params, ImperfectionModel(dark_noise_dB_below_shot=0))
+        state = gaussian.vacuum_state(2)
+        result = run_ensemble(circuit, state, n=20_000, master_seed=3)
+        target = run_covariance(circuit, state)
+        assert z_score_report(result, target.mean, target.cov).max_z < 5.0
+
     def test_se_scaling_with_n(self):
         circuit = default_gate()
         state = gaussian.vacuum_state(2)
@@ -121,6 +172,32 @@ class TestZScoreReport:
         # a genuine deviation with zero scatter is flagged as infinite
         report = z_score_report(result, np.ones(4), np.eye(4))
         assert report.max_z == np.inf
+
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_entry_by_entry_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        dim = 2 * int(rng.integers(1, 4))
+        # some standard errors vanish, some analytic entries match exactly
+        result = EnsembleResult(
+            n_trajectories=2,
+            master_seed=seed,
+            mean=rng.standard_normal(dim),
+            cov=rng.standard_normal((dim, dim)),
+            mean_scatter=np.zeros((dim, dim)),
+            conditional_cov=np.zeros((dim, dim)),
+            se_mean=np.abs(rng.standard_normal(dim)) * (rng.random(dim) < 0.7),
+            se_cov=np.abs(rng.standard_normal((dim, dim))) * (rng.random((dim, dim)) < 0.7),
+        )
+        mean = result.mean + rng.standard_normal(dim) * (rng.random(dim) < 0.5)
+        cov = result.cov + rng.standard_normal((dim, dim)) * (rng.random((dim, dim)) < 0.5)
+        if seed % 4 == 0:
+            mean, cov = result.mean.copy(), result.cov.copy()
+        report = z_score_report(result, mean, cov)
+        max_z, worst, z_mean, z_cov = _z_report_loop(result, mean, cov)
+        assert (report.max_z, report.worst_entry) == (max_z, worst)
+        assert np.array_equal(report.z_mean, z_mean)
+        assert np.array_equal(report.z_cov, z_cov)
 
 
 class TestOutcomeLog:

@@ -219,6 +219,19 @@ class TestDuanSimon:
         cov = run_covariance(circuit, vacuum_state(2)).cov
         assert duan_simon(cov, 0.4443).scan_entangled
 
+    @pytest.mark.parametrize("gain", [0.3, 1.0, 2.2])
+    def test_scan_equals_per_point_loop(self, gain):
+        # the vectorised scan does each grid point's float operations in the
+        # same order as duan_sum, so it must agree bit for bit
+        params = GateParams.from_gain(gain, squeezing_db_a=-7.0, squeezing_db_b=-3.0)
+        cov = run_covariance(build_qnd_gate(params, ImperfectionModel()), vacuum_state(2)).cov
+        grid = metrics.DEFAULT_G_GRID
+        margins = [duan_sum(cov, g) - 4.0 * abs(g) for g in grid]
+        best = int(np.argmin(margins))
+        result = duan_simon(cov, 0.5)
+        assert result.scan_best_margin == margins[best]
+        assert result.scan_best_g == grid[best]
+
 
 class TestVacuumNoiseReport:
     def test_ideal_rows(self):
