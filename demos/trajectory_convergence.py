@@ -10,9 +10,11 @@ expected 1/sqrt(n) rate, bit-reproducibly.
 import numpy as np
 
 from qndsim import (
+    SHOTS_PER_BLOCK,
     GateParams,
     ImperfectionModel,
     build_qnd_gate,
+    compile_trajectory,
     displace,
     run_covariance,
     run_ensemble,
@@ -53,7 +55,11 @@ b = run_ensemble(circuit, state, 5000, master_seed=99)
 print(f"  bit-identical means: {np.array_equal(a.mean, b.mean)}")
 print(f"  bit-identical covs:  {np.array_equal(a.cov, b.cov)}")
 
-print("\ntrajectory 17 of the ensemble equals a standalone run with its substream:")
-solo, solo_log = run_trajectory(circuit, state, trajectory_generator(99, 17))
+print("\ntrajectory 17 of the ensemble equals a standalone run on its block's substream:")
+# shot i draws row i % SHOTS_PER_BLOCK of block i // SHOTS_PER_BLOCK, so the
+# standalone run skips the draws of the 17 shots before it in block 0
+rng = trajectory_generator(99, 17 // SHOTS_PER_BLOCK)
+rng.standard_normal((17 % SHOTS_PER_BLOCK) * compile_trajectory(circuit, state).draws_per_shot)
+solo, solo_log = run_trajectory(circuit, state, rng)
 batch = run_ensemble(circuit, state, 20, master_seed=99, keep_outcomes=True)
 print(f"  readouts equal: {np.array_equal(batch.outcomes[17], solo_log)}")

@@ -72,6 +72,7 @@ from .metrics import (
     vacuum_noise_report,
 )
 from .ensemble import (
+    SHOTS_PER_BLOCK,
     EnsembleResult,
     ZScoreReport,
     outcome_log_csv,

@@ -84,6 +84,28 @@ _EXCITATION_CASES = (
 )
 
 
+def _excitation_means(config: ScenarioConfig, circuit, amplitude: float) -> list:
+    """Output means of the ``_EXCITATION_CASES``, in order.
+
+    In trajectory mode one vacuum-input ensemble serves all four cases: a
+    shot's means are affine in the input mean and every case uses the same
+    seed, so each case's ensemble mean is its exact mean plus the vacuum
+    ensemble's deviation from its own exact mean.
+    """
+    vacuum = gaussian.vacuum_state(2)
+    deviation = np.zeros(4)
+    if config.run.mode == "trajectories":
+        ensemble = run_ensemble(circuit, vacuum, config.run.n, config.run.master_seed)
+        deviation = ensemble.mean - run_covariance(circuit, vacuum).mean
+    means = []
+    for _, mode, quad, _ in _EXCITATION_CASES:
+        dx = amplitude if quad == "x" else 0.0
+        dp = amplitude if quad == "p" else 0.0
+        state = gaussian.displace(vacuum, mode, dx, dp)
+        means.append(run_covariance(circuit, state).mean + deviation)
+    return means
+
+
 def cmd_transfer(config: ScenarioConfig, csv_path: str | None = None) -> str:
     params = config.gate_params()
     circuit = build_qnd_gate(params, config.imperfections)
@@ -94,12 +116,8 @@ def cmd_transfer(config: ScenarioConfig, csv_path: str | None = None) -> str:
         f"input amplitude {amplitude:g} (mean^2 = {amplitude**2:g} x shot)"
     ]
     csv_rows = []
-    for case, mode, quad, label in _EXCITATION_CASES:
-        state = gaussian.vacuum_state(2)
-        dx = amplitude if quad == "x" else 0.0
-        dp = amplitude if quad == "p" else 0.0
-        state = gaussian.displace(state, mode, dx, dp)
-        mean, _ = _output_moments(config, circuit, state)
+    means = _excitation_means(config, circuit, amplitude)
+    for (case, _, _, label), mean in zip(_EXCITATION_CASES, means):
         # snap float noise to zero so reports are stable across R/G round trips
         mean = np.where(np.abs(mean) < 1e-12, 0.0, mean)
         # covariance mode is exact; trajectory mode carries Monte Carlo noise
@@ -328,11 +346,11 @@ def _config_from_args(args) -> ScenarioConfig:
         config.squeezing_dB_B = args.squeezing_db
     if args.no_imperfections:
         config.imperfections = ImperfectionModel.ideal()
+    # replace() re-runs RunSpec's checks on the values taken from the flags
     if args.trajectories is not None:
-        config.run.mode = "trajectories"
-        config.run.n = args.trajectories
+        config.run = replace(config.run, mode="trajectories", n=args.trajectories)
     if args.seed is not None:
-        config.run.master_seed = args.seed
+        config.run = replace(config.run, master_seed=args.seed)
     return config
 
 

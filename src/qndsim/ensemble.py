@@ -1,15 +1,21 @@
 """Seeded Monte Carlo ensembles of homodyne-feedforward trajectories.
 
 Validates the deterministic covariance propagation against sampled shots.
-Per-trajectory randomness comes from counter-based substreams keyed on
-``(master_seed, trajectory_index)``, so the ensemble is bit-reproducible and
-independent of scheduling; aggregates use a fixed pairwise-tree reduction by
-index so the summation order is part of the contract.
+Shots are grouped into blocks of ``SHOTS_PER_BLOCK``; block ``b`` draws from
+the counter-based Philox substream keyed on ``(master_seed, b)``, one row of
+``draws_per_shot`` standard normals per shot, filled in shot order.  Shot
+``i`` is therefore row ``i % SHOTS_PER_BLOCK`` of block
+``i // SHOTS_PER_BLOCK``, and its numbers depend only on ``(master_seed, i,
+draws_per_shot)``: an ensemble of ``n`` shots is the first ``n`` shots of any
+larger one with the same seed, and the result does not depend on scheduling.
+Aggregates use a fixed pairwise-tree reduction by index so the summation
+order is part of the contract.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -17,9 +23,22 @@ from .circuit import Circuit, compile_trajectory
 from .gaussian import GaussianState
 
 
-def trajectory_generator(master_seed: int, index: int) -> np.random.Generator:
-    """The substream assigned to one trajectory of one ensemble."""
-    return np.random.Generator(np.random.Philox(key=[master_seed, index]))
+SHOTS_PER_BLOCK = 4096
+
+
+def trajectory_generator(master_seed: int, block: int) -> np.random.Generator:
+    """The substream that draws the shots of one block of one ensemble."""
+    # an explicit uint64 key: a list holding a seed >= 2**63 would go through float64
+    key = np.array([master_seed, block], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+def check_master_seed(master_seed) -> None:
+    """Reject seeds that are not an integer in [0, 2**64), the Philox key word."""
+    if isinstance(master_seed, bool) or not isinstance(master_seed, Integral):
+        raise ValueError(f"master seed must be an integer, got {master_seed!r}")
+    if not 0 <= master_seed < 2**64:
+        raise ValueError(f"master seed must lie in [0, 2**64), got {master_seed}")
 
 
 def pairwise_tree_sum(values: np.ndarray) -> np.ndarray:
@@ -68,15 +87,17 @@ def run_ensemble(
     keep_outcomes: bool = False,
 ) -> EnsembleResult:
     """Run ``n`` independent trajectories and aggregate their statistics."""
+    check_master_seed(master_seed)
     if n < 2:
         raise ValueError("an ensemble needs at least two trajectories")
     program = compile_trajectory(circuit, state)
 
+    # only the rows this ensemble needs are drawn: a generator fills its
+    # block in shot order, so a partial last block is a prefix of the full one
     draws = np.empty((n, program.draws_per_shot))
-    for i in range(n):
-        draws[i] = trajectory_generator(master_seed, i).standard_normal(
-            program.draws_per_shot
-        )
+    for start in range(0, n, SHOTS_PER_BLOCK):
+        block = trajectory_generator(master_seed, start // SHOTS_PER_BLOCK)
+        block.standard_normal(out=draws[start : start + SHOTS_PER_BLOCK])
     means, outcomes = program.run_means(draws)
 
     mean = pairwise_tree_sum(means) / n

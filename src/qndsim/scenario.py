@@ -16,6 +16,7 @@ import numpy as np
 
 from . import gaussian
 from .circuit import GateParams, ImperfectionModel, reflectivity_from_gain
+from .ensemble import check_master_seed
 
 
 @dataclass
@@ -49,6 +50,7 @@ class RunSpec:
             raise ValueError(f"unknown run mode {self.mode!r}")
         if self.g_step <= 0.0:
             raise ValueError("g_grid step must be positive")
+        check_master_seed(self.master_seed)
 
     def g_grid(self) -> np.ndarray:
         return np.round(np.arange(self.g_min, self.g_max + 1e-9, self.g_step), 10)
@@ -119,40 +121,46 @@ class ScenarioConfig:
         return json.dumps(doc, indent=2)
 
 
-def _imperfections_from_dict(doc: dict) -> ImperfectionModel:
-    known = {f.name for f in fields(ImperfectionModel)}
-    unknown = set(doc) - known
+def _reject_unknown(section: str, doc: dict, known) -> None:
+    unknown = set(doc) - set(known)
     if unknown:
-        raise ValueError(f"unknown imperfection keys: {sorted(unknown)}")
-    return ImperfectionModel(**doc)
+        raise ValueError(f"unknown {section} keys: {sorted(unknown)}")
 
 
 def scenario_from_dict(doc: dict) -> ScenarioConfig:
-    gate = dict(doc.get("gate", {}))
+    _reject_unknown("scenario", doc, ("gate", "imperfections", "inputs", "run", "output"))
+    gate = doc.get("gate", {})
+    _reject_unknown("gate", gate, ("R", "G", "squeezing_dB_A", "squeezing_dB_B"))
     if "R" in gate and "G" in gate:
         raise ValueError("specify exactly one of gate R and gate G")
-    run_doc = dict(doc.get("run", {}))
-    grid = run_doc.pop("g_grid", {})
+    imperfections = doc.get("imperfections", {})
+    _reject_unknown("imperfection", imperfections, (f.name for f in fields(ImperfectionModel)))
+    run_doc = doc.get("run", {})
+    _reject_unknown("run", run_doc, ("mode", "n", "master_seed", "g_grid"))
+    grid = run_doc.get("g_grid", {})
+    _reject_unknown("g_grid", grid, ("min", "max", "step"))
     run = RunSpec(
         mode=run_doc.get("mode", "covariance"),
         n=int(run_doc.get("n", 100000)),
-        master_seed=int(run_doc.get("master_seed", 20080901)),
+        master_seed=run_doc.get("master_seed", 20080901),
         g_min=float(grid.get("min", -2.0)),
         g_max=float(grid.get("max", 2.0)),
         g_step=float(grid.get("step", 0.01)),
     )
-    inputs = tuple(
-        InputSpec(**spec) for spec in doc.get("inputs", [{"kind": "vacuum"}] * 2)
-    )
+    inputs = doc.get("inputs", [{"kind": "vacuum"}] * 2)
+    for spec in inputs:
+        _reject_unknown("input", spec, (f.name for f in fields(InputSpec)))
+    output = doc.get("output", {})
+    _reject_unknown("output", output, (f.name for f in fields(OutputSpec)))
     return ScenarioConfig(
         gate_R=gate.get("R"),
         gate_G=gate.get("G", 1.0 if "R" not in gate else None),
         squeezing_dB_A=float(gate.get("squeezing_dB_A", -5.0)),
         squeezing_dB_B=float(gate.get("squeezing_dB_B", -5.0)),
-        imperfections=_imperfections_from_dict(doc.get("imperfections", {})),
-        inputs=inputs,
+        imperfections=ImperfectionModel(**imperfections),
+        inputs=tuple(InputSpec(**spec) for spec in inputs),
         run=run,
-        output=OutputSpec(**doc.get("output", {})),
+        output=OutputSpec(**output),
     )
 
 

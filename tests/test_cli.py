@@ -5,8 +5,11 @@ import json
 import numpy as np
 import pytest
 
-from qndsim.circuit import ImperfectionModel
+from qndsim import gaussian, metrics
+from qndsim.circuit import Circuit, Displacement, ImperfectionModel, build_qnd_gate
 from qndsim.cli import (
+    _EXCITATION_CASES,
+    _excitation_means,
     cmd_conditional,
     cmd_oracle_check,
     cmd_reproduce_table,
@@ -14,6 +17,7 @@ from qndsim.cli import (
     cmd_vacuum_spectra,
     main,
 )
+from qndsim.ensemble import run_ensemble
 from qndsim.scenario import (
     InputSpec,
     RunSpec,
@@ -63,6 +67,28 @@ class TestScenarioConfig:
     def test_unknown_imperfection_key_rejected(self):
         with pytest.raises(ValueError):
             scenario_from_dict({"imperfections": {"sideband_loss": 0.1}})
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"bogus": 1},
+            {"gate": {"squeezing_db_A": -9}},
+            {"run": {"modee": "trajectories"}},
+            {"run": {"g_grid": {"stop": 1.0}}},
+            {"inputs": [{"kind": "vacuum", "phase": 0.0}, {}]},
+            {"output": {"fmt": "csv"}},
+        ],
+    )
+    def test_unknown_keys_rejected(self, doc):
+        with pytest.raises(ValueError, match="unknown"):
+            scenario_from_dict(doc)
+
+    @pytest.mark.parametrize("seed", [1.5, 2**64, -1, True])
+    def test_invalid_master_seed_rejected(self, seed):
+        with pytest.raises(ValueError):
+            RunSpec(master_seed=seed)
+        with pytest.raises(ValueError):
+            scenario_from_dict({"run": {"master_seed": seed}})
 
     def test_both_r_and_g_rejected(self):
         with pytest.raises(ValueError):
@@ -115,6 +141,23 @@ class TestTransfer:
         row = next(l for l in text.splitlines() if l.startswith("sector x"))
         assert "T_S=0.87610" in row
         assert "T_P=0.48685" in row
+
+    @pytest.mark.parametrize("offset", [False, True])
+    def test_one_ensemble_serves_every_excitation(self, offset):
+        # each case mean equals the separate ensemble at that excitation,
+        # also when the circuit shifts the vacuum's output mean
+        config = ScenarioConfig(run=RunSpec(mode="trajectories", n=3000, master_seed=11))
+        circuit = build_qnd_gate(config.gate_params(), config.imperfections)
+        if offset:
+            circuit = Circuit(circuit.elements + (Displacement(0, 0.3, -0.7),))
+        amplitude = metrics.DEFAULT_PROBE_AMPLITUDE
+        means = _excitation_means(config, circuit, amplitude)
+        assert len(means) == len(_EXCITATION_CASES)
+        for (_, mode, quad, _), mean in zip(_EXCITATION_CASES, means):
+            dx, dp = (amplitude, 0.0) if quad == "x" else (0.0, amplitude)
+            state = gaussian.displace(gaussian.vacuum_state(2), mode, dx, dp)
+            separate = run_ensemble(circuit, state, 3000, 11).mean
+            assert np.max(np.abs(mean - separate)) <= 1e-12
 
 
 class TestConditional:
@@ -222,6 +265,11 @@ class TestMainEntry:
         ) == 0
         second = capsys.readouterr().out
         assert first == second
+
+    @pytest.mark.parametrize("command", ["vacuum-spectra", "transfer"])
+    def test_invalid_seed_flag_rejected(self, command):
+        with pytest.raises(ValueError):
+            main([command, "--seed", "-1"])
 
     def test_trajectories_flag(self, capsys):
         assert main(

@@ -5,7 +5,8 @@ import runpy
 
 import pytest
 
-DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+DEMO_DIR = Path(__file__).resolve().parent.parent / "demos"
+DEMOS = sorted(DEMO_DIR.glob("*.py"))
 
 
 def test_all_demos_collected():
@@ -16,3 +17,8 @@ def test_all_demos_collected():
 def test_demo_runs(path, capsys):
     runpy.run_path(str(path), run_name="__main__")
     assert capsys.readouterr().out.strip()
+
+
+def test_trajectory_demo_reproduces_a_shot(capsys):
+    runpy.run_path(str(DEMO_DIR / "trajectory_convergence.py"), run_name="__main__")
+    assert "readouts equal: True" in capsys.readouterr().out

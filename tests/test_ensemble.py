@@ -14,6 +14,7 @@ from qndsim.circuit import (
     run_trajectory,
 )
 from qndsim.ensemble import (
+    SHOTS_PER_BLOCK,
     EnsembleResult,
     outcome_log_csv,
     pairwise_tree_sum,
@@ -100,13 +101,43 @@ class TestRunEnsemble:
         assert not np.array_equal(a.mean, b.mean)
 
     def test_rows_match_single_trajectories(self):
-        # the ensemble is exactly n independent run_trajectory executions
+        # shot i is a run_trajectory on block i // SHOTS_PER_BLOCK's
+        # substream after the rows of the shots before it in that block
         circuit = build_qnd_gate(GateParams.from_gain(1.5), ImperfectionModel())
         state = gaussian.vacuum_state(2)
-        result = run_ensemble(circuit, state, 8, 314, keep_outcomes=True)
-        for i in (0, 3, 7):
-            _, log = run_trajectory(circuit, state, trajectory_generator(314, i))
+        draws_per_shot = compile_trajectory(circuit, state).draws_per_shot
+        n = 2 * SHOTS_PER_BLOCK + 9
+        result = run_ensemble(circuit, state, n, 314, keep_outcomes=True)
+        for i in (0, 3, SHOTS_PER_BLOCK - 1, SHOTS_PER_BLOCK, n - 1):
+            rng = trajectory_generator(314, i // SHOTS_PER_BLOCK)
+            rng.standard_normal((i % SHOTS_PER_BLOCK) * draws_per_shot)
+            _, log = run_trajectory(circuit, state, rng)
             assert np.array_equal(result.outcomes[i], log)
+
+    def test_ensemble_is_prefix_of_larger_ensemble(self):
+        # a shot's draws depend on its index, not on the ensemble size
+        circuit = build_qnd_gate(GateParams.from_gain(1.5), ImperfectionModel())
+        state = gaussian.vacuum_state(2)
+        small = run_ensemble(circuit, state, SHOTS_PER_BLOCK + 5, 8, keep_outcomes=True)
+        large = run_ensemble(circuit, state, 3 * SHOTS_PER_BLOCK + 1, 8, keep_outcomes=True)
+        assert np.array_equal(small.outcomes, large.outcomes[: SHOTS_PER_BLOCK + 5])
+
+    @pytest.mark.parametrize("seed", [1.5, 2**64, -1, True, "7"])
+    def test_invalid_master_seed_rejected(self, seed):
+        with pytest.raises(ValueError):
+            run_ensemble(default_gate(), gaussian.vacuum_state(2), 10, seed)
+
+    def test_seed_range_limits_accepted(self):
+        state = gaussian.vacuum_state(2)
+        for seed in (0, 2**64 - 1, np.uint64(2**64 - 1)):
+            assert run_ensemble(default_gate(), state, 10, seed).n_trajectories == 10
+
+    def test_high_seeds_keep_every_bit(self):
+        # neighbouring seeds above 2**63 are distinct Philox keys
+        state = gaussian.vacuum_state(2)
+        a = run_ensemble(default_gate(), state, 10, 2**63)
+        b = run_ensemble(default_gate(), state, 10, 2**63 + 1)
+        assert not np.array_equal(a.mean, b.mean)
 
     def test_batch_rows_equal_single_rows(self):
         # a shot's means and readouts do not depend on the batch it runs in
