@@ -17,7 +17,6 @@ from .gaussian import (
     db_to_variance,
     displace,
     homodyne,
-    is_physical,
     loss_channel,
     min_uncertainty_eigenvalue,
     omega,
@@ -28,7 +27,6 @@ from .gaussian import (
     variance_to_db,
 )
 from .quadexpr import (
-    LinearQuadExpr,
     QuadratureMap,
     commutator_check,
     finite_squeezing_map,
@@ -53,7 +51,6 @@ from .circuit import (
     reflectivity_from_gain,
     run_covariance,
     run_trajectory,
-    with_imperfections,
 )
 from .metrics import (
     DuanResult,

@@ -27,19 +27,13 @@ The executors read that matrix:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import gaussian
 from .gaussian import GaussianState
-from .quadexpr import (
-    OUTPUT_ORDER,
-    LinearQuadExpr,
-    QuadratureMap,
-    finite_squeezing_map,
-    max_coefficient_difference,
-)
+from .quadexpr import QuadratureMap, finite_squeezing_map, max_coefficient_difference
 
 ORACLE_MATCH_TOL = 1e-9
 
@@ -423,34 +417,19 @@ def build_qnd_gate(
     ``CircuitConstructionError`` is raised beyond 1e-9 coefficient error.
     """
     imp = imperfections or ImperfectionModel.ideal()
-    elements = _gate_elements(params, imp)
-    circuit = Circuit(elements)
-
+    circuit = Circuit(_gate_elements(params, imp))
     lossless = Circuit(_gate_elements(params, ImperfectionModel.ideal()))
     oracle = finite_squeezing_map(params.R, params.r_a, params.r_b)
     err = max_coefficient_difference(circuit_quadrature_map(lossless), oracle)
     if err > ORACLE_MATCH_TOL:
-        # the reflectivity list fixes values but not positions; try the
-        # swapped entry/exit assignment before giving up
-        swapped = Circuit(_gate_elements(params, imp, swap_entry_exit=True))
-        lossless = Circuit(
-            _gate_elements(params, ImperfectionModel.ideal(), swap_entry_exit=True)
+        raise CircuitConstructionError(
+            f"compiled gate deviates from the input-output relations: "
+            f"coefficient error {err:.3e}"
         )
-        err_swapped = max_coefficient_difference(circuit_quadrature_map(lossless), oracle)
-        if err_swapped > ORACLE_MATCH_TOL:
-            raise CircuitConstructionError(
-                f"compiled gate deviates from the input-output relations: "
-                f"coefficient error {err:.3e} (swapped layout {err_swapped:.3e})"
-            )
-        circuit = swapped
     return circuit
 
 
-def _gate_elements(
-    params: GateParams,
-    imp: ImperfectionModel,
-    swap_entry_exit: bool = False,
-) -> list:
+def _gate_elements(params: GateParams, imp: ImperfectionModel) -> list:
     R = params.R
     if R == 1.0:
         # G = 0: the gate is the identity; only passive losses remain
@@ -462,8 +441,6 @@ def _gate_elements(
 
     entry_r = 1.0 / (1.0 + R)
     exit_r = R / (1.0 + R)
-    if swap_entry_exit:
-        entry_r, exit_r = exit_r, entry_r
     ff_gain = math.sqrt((1.0 - R) / R) * (1.0 + imp.feedforward_electronic_gain_error)
     eta_det = imp.homodyne_efficiency
     dark = imp.dark_variance
@@ -632,32 +609,22 @@ def run_trajectory(
 # symbolic coefficient extraction
 
 
-def circuit_quadrature_map(circuit: Circuit, include_means: bool = False) -> QuadratureMap:
-    """The circuit's exact input-output coefficients, read off its lowering.
+def circuit_quadrature_map(circuit: Circuit) -> QuadratureMap:
+    """The circuit's exact input-output coefficients: its lowered output rows.
 
     The two input modes carry labels ``x1_in, p1_in, x2_in, p2_in``; ancilla
     injections contribute pre-squeezing vacuum labels such as ``xA0``, loss
     channels add fresh vacuum labels and dark noise adds classical labels.
-    Displacements appear as ``unit`` terms when ``include_means`` is set.
-    The circuit must end with exactly two modes.
+    The ``unit`` column of displacements is dropped.  The circuit must end
+    with exactly two modes.
     """
     if circuit.n_input_modes != 2:
         raise ValueError("coefficient extraction is defined for two-mode circuits")
     if circuit.n_output_modes != 2:
         raise ValueError("circuit does not end with two modes")
     lowered = circuit._lowered
-    exprs = {}
-    for key, row in zip(OUTPUT_ORDER, lowered.matrix.tolist()):
-        terms = {}
-        for label, c in zip(lowered.columns, row):
-            if include_means or label != "unit":
-                terms[label] = terms.get(label, 0.0) + c
-        exprs[key] = LinearQuadExpr(terms)
-    return QuadratureMap(exprs)
-
-
-def with_imperfections(
-    imperfections: ImperfectionModel, **overrides
-) -> ImperfectionModel:
-    """Copy an imperfection model with some fields replaced."""
-    return replace(imperfections, **overrides)
+    unit = lowered.columns.index("unit")
+    return QuadratureMap(
+        lowered.columns[:unit] + lowered.columns[unit + 1 :],
+        np.delete(lowered.matrix[:4], unit, axis=1),
+    )

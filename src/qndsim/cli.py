@@ -278,7 +278,7 @@ def cmd_reproduce_table(
     return "\n".join(lines)
 
 
-def cmd_oracle_check(config: ScenarioConfig) -> str:
+def cmd_oracle_check() -> str:
     """Equivalence of the compiled lossless circuit and the analytic relations."""
     worst = 0.0
     worst_case = None
@@ -306,29 +306,35 @@ def build_parser() -> argparse.ArgumentParser:
         description="Simulate and characterize the offline-squeezed QND sum gate.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("vacuum-spectra", "transfer", "conditional", "reproduce-table", "oracle-check"):
+    for name in ("vacuum-spectra", "transfer", "conditional", "reproduce-table"):
         p = sub.add_parser(name)
+        # flags a subcommand does not declare read as unset
+        p.set_defaults(gain=None, reflectivity=None, trajectories=None, seed=None)
         p.add_argument("--config", help="scenario JSON file")
-        group = p.add_mutually_exclusive_group()
-        group.add_argument("--gain", type=float, help="interaction gain G")
-        group.add_argument("--reflectivity", type=float, help="beam-splitter parameter R")
+        # reproduce-table always runs the two reference gains
+        if name != "reproduce-table":
+            group = p.add_mutually_exclusive_group()
+            group.add_argument("--gain", type=float, help="interaction gain G")
+            group.add_argument("--reflectivity", type=float, help="beam-splitter parameter R")
         p.add_argument(
             "--squeezing-db", type=float, help="ancilla squeezing in dB (both ancillas)"
         )
         p.add_argument(
             "--no-imperfections", action="store_true", help="disable every imperfection"
         )
-        p.add_argument(
-            "--trajectories", type=int, metavar="N",
-            help="run N stochastic trajectories instead of covariance propagation",
-        )
-        p.add_argument("--seed", type=int, help="master seed for trajectory mode")
+        if name in ("transfer", "conditional"):
+            p.add_argument(
+                "--trajectories", type=int, metavar="N",
+                help="run N stochastic trajectories instead of covariance propagation",
+            )
+            p.add_argument("--seed", type=int, help="master seed for trajectory mode")
         p.add_argument("--csv", metavar="PATH", help="also write CSV output to PATH")
         if name == "reproduce-table":
             p.add_argument(
                 "--no-fit", action="store_true",
                 help="skip the single-knob in-loop loss calibration",
             )
+    sub.add_parser("oracle-check")
     return parser
 
 
@@ -356,6 +362,10 @@ def _config_from_args(args) -> ScenarioConfig:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if args.command == "oracle-check":
+        text = cmd_oracle_check()
+        print(text)
+        return 0 if text.endswith("PASS") else 1
     config = _config_from_args(args)
     csv_path = args.csv
     if csv_path is None and config.output.format == "csv" and config.output.path:
@@ -368,10 +378,6 @@ def main(argv=None) -> int:
         print(cmd_conditional(config, csv_path))
     elif args.command == "reproduce-table":
         print(cmd_reproduce_table(config, fit=not args.no_fit, csv_path=csv_path))
-    elif args.command == "oracle-check":
-        text = cmd_oracle_check(config)
-        print(text)
-        return 0 if text.endswith("PASS") else 1
     return 0
 
 

@@ -105,14 +105,6 @@ def min_uncertainty_eigenvalue(state: GaussianState) -> float:
     return float(np.linalg.eigvalsh(herm)[0].real)
 
 
-def is_physical(state: GaussianState, tol: float = PHYSICALITY_TOL) -> bool:
-    try:
-        assert_physical(state, tol)
-    except ValueError:
-        return False
-    return True
-
-
 def assert_physical(state: GaussianState, tol: float = PHYSICALITY_TOL) -> None:
     asym = np.abs(state.cov - state.cov.T).max()
     scale = max(1.0, np.abs(state.cov).max())

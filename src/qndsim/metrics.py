@@ -20,7 +20,7 @@ Sector conventions (covariances in interleaved (x1, p1, x2, p2) order):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -31,7 +31,6 @@ from .circuit import (
     ImperfectionModel,
     build_qnd_gate,
     run_covariance,
-    with_imperfections,
 )
 from .quadexpr import finite_squeezing_map, ideal_qnd_map, moments_from_map
 
@@ -461,7 +460,7 @@ def fit_extra_in_loop_loss(
     best = None
     for knob in grid:
         candidate = compare_to_reference(
-            with_imperfections(base, extra_in_loop_loss=float(knob)),
+            replace(base, extra_in_loop_loss=float(knob)),
             squeezing_db=squeezing_db,
             fitted=True,
             verification_efficiency=verification_efficiency,

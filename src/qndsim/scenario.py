@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field, fields
+from numbers import Integral
 
 import numpy as np
 
@@ -48,6 +49,8 @@ class RunSpec:
     def __post_init__(self):
         if self.mode not in ("covariance", "trajectories"):
             raise ValueError(f"unknown run mode {self.mode!r}")
+        if isinstance(self.n, bool) or not isinstance(self.n, Integral) or self.n < 2:
+            raise ValueError(f"run n must be an integer of at least 2, got {self.n!r}")
         if self.g_step <= 0.0:
             raise ValueError("g_grid step must be positive")
         check_master_seed(self.master_seed)
@@ -108,8 +111,8 @@ class ScenarioConfig:
             "inputs": [asdict(s) for s in self.inputs],
             "run": {
                 "mode": self.run.mode,
-                "n": self.run.n,
-                "master_seed": self.run.master_seed,
+                "n": int(self.run.n),
+                "master_seed": int(self.run.master_seed),
                 "g_grid": {"min": self.run.g_min, "max": self.run.g_max, "step": self.run.g_step},
             },
             "output": asdict(self.output),
@@ -141,7 +144,7 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
     _reject_unknown("g_grid", grid, ("min", "max", "step"))
     run = RunSpec(
         mode=run_doc.get("mode", "covariance"),
-        n=int(run_doc.get("n", 100000)),
+        n=run_doc.get("n", 100000),
         master_seed=run_doc.get("master_seed", 20080901),
         g_min=float(grid.get("min", -2.0)),
         g_max=float(grid.get("max", 2.0)),

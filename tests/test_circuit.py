@@ -1,16 +1,19 @@
 """Tests for gate compilation and circuit execution."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qndsim import circuit as circuit_module
 from qndsim import gaussian
 from qndsim.circuit import (
     BeamSplitter,
     Circuit,
+    CircuitConstructionError,
     Displacement,
     GateParams,
     HomodyneFeedforward,
@@ -23,10 +26,10 @@ from qndsim.circuit import (
     reflectivity_from_gain,
     run_covariance,
     run_trajectory,
-    with_imperfections,
 )
 from qndsim.ensemble import trajectory_generator
 from qndsim.quadexpr import (
+    QuadratureMap,
     commutator_check,
     finite_squeezing_map,
     max_coefficient_difference,
@@ -152,6 +155,23 @@ class TestBuilderOracleEquivalence:
         report = commutator_check(circuit_quadrature_map(circuit))
         assert report.passed, report.details
 
+    def test_repeated_source_labels_rejected(self):
+        # two independent loss vacua under one tag would merge into one label
+        circuit = Circuit(elements=(Loss(0, 0.9, "a"), Loss(1, 0.9, "a")))
+        with pytest.raises(ValueError, match="repeated columns"):
+            circuit_quadrature_map(circuit)
+
+    def test_oracle_mismatch_raises(self, monkeypatch):
+        def skewed(R, r_a, r_b):
+            qmap = finite_squeezing_map(R, r_a, r_b)
+            matrix = qmap.matrix.copy()
+            matrix[2, qmap.columns.index("x1_in")] += 1e-6
+            return QuadratureMap(qmap.columns, matrix)
+
+        monkeypatch.setattr(circuit_module, "finite_squeezing_map", skewed)
+        with pytest.raises(CircuitConstructionError, match=r"coefficient error 1\.000e-06"):
+            build_qnd_gate(GateParams(0.25), ImperfectionModel())
+
 
 class TestRunCovariance:
     def test_empty_circuit(self):
@@ -229,10 +249,9 @@ def _added_noise(circuit):
     qmap = circuit_quadrature_map(circuit)
     system = ("x1_in", "p1_in", "x2_in", "p2_in")
     noise = {}
-    for key in ("x1_out", "p1_out", "x2_out", "p2_out"):
-        expr = qmap[key]
-        total = expr.variance()
-        carried = sum(expr.coefficient(s) ** 2 for s in system)
+    for key, row in zip(("x1_out", "p1_out", "x2_out", "p2_out"), qmap.matrix):
+        total = float(row @ row)
+        carried = sum(row[qmap.columns.index(s)] ** 2 for s in system)
         noise[key] = total - carried
     return noise
 
@@ -253,7 +272,7 @@ class TestImperfectionsOnlyDegrade:
     def test_single_imperfection_adds_noise(self, override):
         params = GateParams.from_gain(1.0)
         baseline = _added_noise(build_qnd_gate(params, ImperfectionModel.ideal()))
-        imp = with_imperfections(ImperfectionModel.ideal(), **override)
+        imp = replace(ImperfectionModel.ideal(), **override)
         degraded = _added_noise(build_qnd_gate(params, imp))
         for key in baseline:
             assert degraded[key] >= baseline[key] - 1e-12
@@ -378,7 +397,7 @@ class TestAncillaImpurity:
         assert np.allclose(out_pure.cov, out_impure.cov, atol=1e-10)
 
     def test_impurity_visible_with_imperfect_detection(self):
-        imp = with_imperfections(ImperfectionModel.ideal(), detector_quantum_efficiency=0.9)
+        imp = replace(ImperfectionModel.ideal(), detector_quantum_efficiency=0.9)
         pure = run_covariance(
             build_qnd_gate(GateParams.from_gain(1.0), imp), gaussian.vacuum_state(2)
         )
@@ -390,7 +409,7 @@ class TestAncillaImpurity:
 
     def test_map_and_state_routes_agree_for_impure_ancillas(self):
         params = GateParams.from_gain(1.0, ancilla_excess=2.5)
-        imp = with_imperfections(ImperfectionModel.ideal(), visibility=0.95)
+        imp = replace(ImperfectionModel.ideal(), visibility=0.95)
         circuit = build_qnd_gate(params, imp)
         out = run_covariance(circuit, gaussian.vacuum_state(2))
         _, cov = moments_from_map(circuit_quadrature_map(circuit))
@@ -400,7 +419,7 @@ class TestAncillaImpurity:
 class TestLossPlacement:
     @pytest.mark.parametrize("placement", ["post_exit", "pre_entry", "in_arms"])
     def test_placements_execute(self, placement):
-        imp = with_imperfections(ImperfectionModel(), loss_placement=placement)
+        imp = replace(ImperfectionModel(), loss_placement=placement)
         circuit = build_qnd_gate(GateParams.from_gain(1.0), imp)
         out = run_covariance(circuit, gaussian.vacuum_state(2), validate=True)
         assert out.n_modes == 2
@@ -408,7 +427,7 @@ class TestLossPlacement:
     def test_placements_differ(self):
         covs = []
         for placement in ("post_exit", "pre_entry"):
-            imp = with_imperfections(ImperfectionModel(), loss_placement=placement)
+            imp = replace(ImperfectionModel(), loss_placement=placement)
             circuit = build_qnd_gate(GateParams.from_gain(1.0), imp)
             covs.append(run_covariance(circuit, gaussian.vacuum_state(2)).cov)
         assert not np.allclose(covs[0], covs[1], atol=1e-6)

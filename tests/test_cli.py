@@ -60,6 +60,19 @@ class TestScenarioConfig:
         assert loaded.run.n == 500
         assert loaded.run.master_seed == 7
 
+    def test_numpy_integer_seed_round_trips(self):
+        config = ScenarioConfig(run=RunSpec(n=np.int64(500), master_seed=np.uint64(5)))
+        loaded = scenario_from_dict(json.loads(config.to_json()))
+        assert loaded.run.n == 500 and type(loaded.run.n) is int
+        assert loaded.run.master_seed == 5 and type(loaded.run.master_seed) is int
+
+    @pytest.mark.parametrize("n", [2.7, 2.0, 0, 1, -5, True, "100"])
+    def test_invalid_shot_count_rejected(self, n):
+        with pytest.raises(ValueError, match="at least 2"):
+            RunSpec(n=n)
+        with pytest.raises(ValueError, match="at least 2"):
+            scenario_from_dict({"run": {"n": n}})
+
     def test_bad_step_rejected(self):
         with pytest.raises(ValueError):
             scenario_from_dict({"run": {"g_grid": {"step": 0.0}}})
@@ -213,7 +226,7 @@ class TestReproduceTable:
 
 class TestOracleCheckCommand:
     def test_passes(self):
-        text = cmd_oracle_check(ScenarioConfig())
+        text = cmd_oracle_check()
         assert text.endswith("PASS")
         assert "max coefficient error" in text
 
@@ -268,8 +281,38 @@ class TestMainEntry:
 
     @pytest.mark.parametrize("command", ["vacuum-spectra", "transfer"])
     def test_invalid_seed_flag_rejected(self, command):
-        with pytest.raises(ValueError):
+        # vacuum-spectra runs no ensemble, so it does not declare --seed
+        error = SystemExit if command == "vacuum-spectra" else ValueError
+        with pytest.raises(error):
             main([command, "--seed", "-1"])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["vacuum-spectra", "--trajectories", "10"],
+            ["vacuum-spectra", "--seed", "1"],
+            ["reproduce-table", "--gain", "1.0"],
+            ["reproduce-table", "--reflectivity", "0.25"],
+            ["reproduce-table", "--trajectories", "10"],
+            ["reproduce-table", "--seed", "1"],
+            ["oracle-check", "--gain", "7"],
+            ["oracle-check", "--squeezing-db", "3"],
+            ["oracle-check", "--csv", "x.csv"],
+            ["oracle-check", "--config", "x.json"],
+            ["oracle-check", "--no-imperfections"],
+        ],
+        ids=lambda argv: argv[0] + argv[1],
+    )
+    def test_undeclared_flag_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["transfer", "conditional"])
+    def test_single_trajectory_rejected_at_the_flag(self, command):
+        with pytest.raises(ValueError, match="at least 2"):
+            main([command, "--trajectories", "1"])
 
     def test_trajectories_flag(self, capsys):
         assert main(
