@@ -45,14 +45,14 @@ for label, mode, quad in cases:
 
 print("\ntransfer coefficients (lossless, -5 dB ancillas):")
 for sector in ("x", "p"):
-    t_s, t_p = transfer_coefficients(circuit, sector, amplitude)
+    t_s, t_p = transfer_coefficients(circuit, sector)
     print(f"  sector {sector}: T_S = {t_s:.5f}, T_P = {t_p:.5f}, sum = {t_s + t_p:.5f}")
 
 print("\nfull QND benchmark (T_S + T_P > 1 together with V_SP < 1):")
 for db in (0.0, -5.0, -60.0):
     p = GateParams.from_gain(1.0, squeezing_db_a=db, squeezing_db_b=db)
     c = build_qnd_gate(p, ImperfectionModel.ideal())
-    t_s, t_p = transfer_coefficients(c, "x", amplitude)
+    t_s, t_p = transfer_coefficients(c, "x")
     cov = run_covariance(c, vacuum_state(2)).cov
     v, _ = conditional_variance(cov, "x")
     verdict = "QND" if (t_s + t_p > 1.0 and v < 1.0) else "fails"

@@ -1,18 +1,23 @@
 """The Gaussian toolbox behind the gate, piece by piece.
 
-Walks through the primitive operations: squeezed-state preparation, beam
-splitters, homodyne conditioning, and a single measurement-induced squeezing
-stage assembled by hand from those primitives -- the building block that the
-gate uses once per interferometer arm.
+Walks through the primitive operations: squeezed-state preparation, loss,
+homodyne conditioning, and a single measurement-induced squeezing stage --
+the building block that the gate uses once per interferometer arm.  Every
+measurement runs as a ``HomodyneFeedforward`` circuit element, the same
+conditioning the gate executes; a pure measurement is one with gain 0.
 """
 
 import numpy as np
 
 from qndsim import (
+    AncillaInjection,
+    BeamSplitter,
+    Circuit,
+    HomodyneFeedforward,
     beam_splitter,
     displace,
-    homodyne,
     loss_channel,
+    run_trajectory,
     squeeze,
     vacuum_state,
     variance_to_db,
@@ -36,28 +41,29 @@ pair = squeeze(vacuum_state(2), 0, 0.5756, angle=0.0)
 pair = squeeze(pair, 1, 0.5756, angle=np.pi / 2)
 pair = beam_splitter(pair, 0, 1, 0.5)
 print(f"joint Var(x of kept mode) before measuring: {pair.cov[2, 2]:.5f}")
-outcome = homodyne(pair, 0, 0.0, rng)
-print(f"measured x = {outcome.value:+.4f}; conditional Var(x) = "
-      f"{outcome.reduced_state.cov[0, 0]:.5f} (< 1: quadratures were correlated)")
+# measure x of mode 0 and feed nothing forward
+measure = Circuit([HomodyneFeedforward(0, 0.0, 1, "x", 0.0)])
+kept, readouts = run_trajectory(measure, pair, rng)
+print(f"measured x = {readouts[0]:+.4f}; conditional Var(x) = "
+      f"{kept.cov[0, 0]:.5f} (< 1: quadratures were correlated)")
 
 print("\n== one measurement-induced squeezing stage ==")
 # Squeeze an arbitrary input in x by sqrt(R) without any in-line nonlinearity:
 # mix with an x-squeezed ancilla, homodyne the p quadrature of one port and
-# displace the other port's p by a scaled copy of the outcome.
+# displace the other port's p by a scaled copy of the outcome.  This is the
+# gate's arm A acting on one input mode.
 R = 0.25
 gain = -np.sqrt((1.0 - R) / R)
 signal = displace(vacuum_state(1), 0, 2.0, 1.0)
-
-# attach the ancilla as mode 1
-stage = vacuum_state(2)
-stage.mean[:2] = signal.mean
-stage.cov[:2, :2] = signal.cov
-stage = squeeze(stage, 1, 0.5756462732485114, angle=0.0)
-
-# ancilla-reflecting beam splitter of reflectivity R, then measure + feed forward
-stage = beam_splitter(stage, 1, 0, R, signs=(1, -1, 1, 1))
-outcome = homodyne(stage, 0, np.pi / 2, rng)
-kept = displace(outcome.reduced_state, 0, 0.0, gain * outcome.value)
+stage = Circuit(
+    [
+        AncillaInjection(0.5756462732485114, 0.0, "A"),  # appended as mode 1
+        BeamSplitter(1, 0, R, signs=(1, -1, 1, 1)),
+        HomodyneFeedforward(0, np.pi / 2, 1, "p", gain),
+    ],
+    n_input_modes=1,
+)
+kept, _ = run_trajectory(stage, signal, rng)
 
 print(f"input:  mean = (2.000, 1.000), Var(x) = 1.000")
 print(f"output: mean = ({kept.mean[0]:+.4f}, {kept.mean[1]:+.4f}),"

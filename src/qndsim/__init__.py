@@ -10,13 +10,11 @@ witness.
 
 from .gaussian import (
     GaussianState,
-    HomodyneOutcome,
     SymplecticMatrix,
     assert_physical,
     beam_splitter,
     db_to_variance,
     displace,
-    homodyne,
     loss_channel,
     min_uncertainty_eigenvalue,
     omega,

@@ -191,7 +191,8 @@ class HomodyneFeedforward:
 
     The measured mode is removed; ``target_mode`` is indexed before removal.
     ``efficiency`` acts as loss on the measured mode before projection and
-    ``dark_variance`` is classical noise on the electronic readout.
+    ``dark_variance`` is classical noise on the electronic readout.  With
+    ``gain = 0`` the element is a pure measurement.
     """
 
     measured_mode: int
@@ -298,7 +299,10 @@ def _lower(elements: tuple, n_input_modes: int) -> _Lowering:
     losses = darks = 0
 
     def sources(*labels) -> int:
-        columns.extend(labels)
+        for label in labels:
+            if label in columns:
+                raise ValueError(f"repeated source label {label!r}")
+            columns.append(label)
         return len(columns) - len(labels)
 
     def lossy(rows, eta, tag):
@@ -413,20 +417,30 @@ def build_qnd_gate(
     A single beam-splitter stage can only cancel the ancilla's anti-squeezed
     quadrature by measuring the quadrature conjugate to the squeezed one, so
     the x-sector arm homodynes p and vice versa.  The lossless element list
-    is checked against ``finite_squeezing_map`` at build time and a
-    ``CircuitConstructionError`` is raised beyond 1e-9 coefficient error.
+    is checked against ``finite_squeezing_map`` at build time by
+    ``oracle_error`` and a ``CircuitConstructionError`` is raised beyond
+    1e-9 coefficient error.
     """
     imp = imperfections or ImperfectionModel.ideal()
     circuit = Circuit(_gate_elements(params, imp))
-    lossless = Circuit(_gate_elements(params, ImperfectionModel.ideal()))
-    oracle = finite_squeezing_map(params.R, params.r_a, params.r_b)
-    err = max_coefficient_difference(circuit_quadrature_map(lossless), oracle)
+    err = oracle_error(params)
     if err > ORACLE_MATCH_TOL:
         raise CircuitConstructionError(
             f"compiled gate deviates from the input-output relations: "
             f"coefficient error {err:.3e}"
         )
     return circuit
+
+
+def oracle_error(params: GateParams) -> float:
+    """Largest coefficient error of the lossless compiled gate.
+
+    The gate lowered without imperfections is compared, coefficient by
+    coefficient, with ``finite_squeezing_map`` at the same working point.
+    """
+    lossless = Circuit(_gate_elements(params, ImperfectionModel.ideal()))
+    oracle = finite_squeezing_map(params.R, params.r_a, params.r_b)
+    return max_coefficient_difference(circuit_quadrature_map(lossless), oracle)
 
 
 def _gate_elements(params: GateParams, imp: ImperfectionModel) -> list:

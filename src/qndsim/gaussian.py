@@ -10,8 +10,8 @@ Conventions used throughout the package:
   ``cov + i*Omega >= 0``.
 
 All operations are pure: they take a state and return a new state, never
-mutating their inputs.  Randomness (homodyne sampling) always comes from an
-explicit ``numpy.random.Generator`` supplied by the caller.
+mutating their inputs.  Homodyne measurement is a circuit element
+(``circuit.HomodyneFeedforward``); ``_condition`` is its conditioning rule.
 """
 
 from __future__ import annotations
@@ -74,18 +74,6 @@ class GaussianState:
 
     def copy(self) -> "GaussianState":
         return GaussianState(self.n_modes, self.mean.copy(), self.cov.copy())
-
-    def quadrature_variance(self, mode: int, angle: float = 0.0) -> float:
-        """Variance of ``cos(angle)*x + sin(angle)*p`` of one mode."""
-        e = np.zeros(2 * self.n_modes)
-        e[2 * mode] = np.cos(angle)
-        e[2 * mode + 1] = np.sin(angle)
-        return float(e @ self.cov @ e)
-
-    def quadrature_mean(self, mode: int, angle: float = 0.0) -> float:
-        return float(
-            np.cos(angle) * self.mean[2 * mode] + np.sin(angle) * self.mean[2 * mode + 1]
-        )
 
 
 def vacuum_state(n_modes: int) -> GaussianState:
@@ -266,60 +254,6 @@ def loss_channel(state: GaussianState, mode: int, eta: float) -> GaussianState:
     # the diagonal block got eta*V; add the vacuum admixture
     out.cov[np.ix_(idx, idx)] += (1.0 - eta) * np.eye(2)
     return out
-
-
-@dataclass
-class HomodyneOutcome:
-    """Result of a homodyne detection.
-
-    ``value`` is the electronic readout (optical quadrature plus dark noise
-    when configured); ``reduced_state`` is the conditional state of the
-    remaining modes with the measured mode removed.
-    """
-
-    value: float
-    mode: int
-    angle: float
-    reduced_state: GaussianState
-
-
-def homodyne(
-    state: GaussianState,
-    mode: int,
-    angle: float,
-    rng: np.random.Generator,
-    efficiency: float = 1.0,
-    dark_variance: float = 0.0,
-) -> HomodyneOutcome:
-    """Measure ``cos(angle)*x + sin(angle)*p`` of one mode.
-
-    ``efficiency`` (detector quantum efficiency times fringe-visibility
-    squared) is applied as a loss channel on the measured mode before
-    projection.  The returned ``value`` is drawn from the Gaussian marginal of
-    the rotated quadrature with ``dark_variance`` of classical readout noise
-    added on top.  The remaining modes are conditioned on the optical
-    quadrature by the standard Gaussian rule (Schur complement on the
-    measured row/column); dark noise rides on the readout only, so the
-    conditional covariance never sees it.
-    """
-    _check_mode(state, mode)
-    if state.n_modes < 2:
-        raise ValueError("homodyne removes the measured mode; need at least two modes")
-    if efficiency < 1.0:
-        state = loss_channel(state, mode, efficiency)
-
-    e = np.zeros(2 * state.n_modes)
-    e[2 * mode] = np.cos(angle)
-    e[2 * mode + 1] = np.sin(angle)
-    var_q, gain, cov = _condition(state.cov, e)
-    mean_q = float(e @ state.mean)
-    optical = mean_q + np.sqrt(max(var_q, 0.0)) * rng.standard_normal()
-    value = optical
-    if dark_variance > 0.0:
-        value = optical + np.sqrt(dark_variance) * rng.standard_normal()
-    mean = state.mean + gain * (optical - mean_q)
-    conditioned = GaussianState(state.n_modes, mean, cov)
-    return HomodyneOutcome(float(value), mode, angle, remove_mode(conditioned, mode))
 
 
 def _condition(cov: np.ndarray, e: np.ndarray):

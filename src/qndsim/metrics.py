@@ -30,14 +30,22 @@ from .circuit import (
     GateParams,
     ImperfectionModel,
     build_qnd_gate,
+    circuit_quadrature_map,
     run_covariance,
 )
-from .quadexpr import finite_squeezing_map, ideal_qnd_map, moments_from_map
+from .quadexpr import (
+    INPUT_COLUMNS,
+    QuadratureMap,
+    finite_squeezing_map,
+    ideal_qnd_map,
+    moments_from_map,
+)
 
-# flat covariance indices in (x1, p1, x2, p2) ordering
+# flat covariance indices in (x1, p1, x2, p2) ordering; a sector's signal
+# input is the quadrature ``INPUT_COLUMNS[signal]``
 _SECTOR = {
-    "x": {"signal": 0, "probe": 2, "sign": -1.0, "input_mode": 0, "input_quad": "x"},
-    "p": {"signal": 3, "probe": 1, "sign": +1.0, "input_mode": 1, "input_quad": "p"},
+    "x": {"signal": 0, "probe": 2, "sign": -1.0},
+    "p": {"signal": 3, "probe": 1, "sign": +1.0},
 }
 
 DEFAULT_PROBE_AMPLITUDE = 10.0  # mean**2 = 100 x shot noise (20 dB)
@@ -50,52 +58,30 @@ def _check_sector(sector: str) -> dict:
     return _SECTOR[sector]
 
 
-def _input_with_excitation(sector: str, amplitude: float) -> gaussian.GaussianState:
-    spec = _SECTOR[sector]
-    state = gaussian.vacuum_state(2)
-    dx, dp = (amplitude, 0.0) if spec["input_quad"] == "x" else (0.0, amplitude)
-    return gaussian.displace(state, spec["input_mode"], dx, dp)
-
-
-def transfer_coefficients(
-    circuit: Circuit,
-    sector: str,
-    probe_amplitude: float = DEFAULT_PROBE_AMPLITUDE,
-    verification_efficiency: float = 1.0,
-):
+def transfer_coefficients(circuit: Circuit, sector: str):
     """Signal-to-noise transfer coefficients ``(T_S, T_P)`` of one sector.
 
-    A coherent amplitude is injected into the sector's signal input and the
-    SNR (squared mean over variance, shot-noise units) of the signal and
-    probe outputs are referred to the input SNR.  The result is independent
-    of ``probe_amplitude`` by linearity.
-
-    ``verification_efficiency`` < 1 reports the coefficients as a detector of
-    that efficiency would measure them ("as measured"); the default 1.0
-    evaluates them at the gate output.
+    A coherent excitation of the sector's signal input quadrature ``j``
+    moves output ``i``'s mean by ``amplitude * X[i, j]``, with ``X`` the
+    circuit's quadrature map, and leaves the covariance alone.  Referred to
+    the input SNR ``amplitude**2`` (shot-noise units), the output SNR of
+    quadrature ``i`` is therefore ``X[i, j]**2 / cov[i, i]`` with ``cov`` the
+    vacuum-input output covariance, for every amplitude.
     """
+    out = run_covariance(circuit, gaussian.vacuum_state(2))
+    return _transfer(circuit_quadrature_map(circuit), out.cov, sector)
+
+
+def _transfer(qmap: QuadratureMap, cov: np.ndarray, sector: str):
     spec = _check_sector(sector)
-    if probe_amplitude <= 0.0:
-        raise ValueError("probe amplitude must be positive")
-    state = _input_with_excitation(sector, probe_amplitude)
-    out = run_covariance(circuit, state)
-    if out.n_modes != 2:
-        raise ValueError("transfer coefficients need a two-mode output")
+    column = qmap.matrix[:, qmap.columns.index(INPUT_COLUMNS[spec["signal"]])]
 
-    # vacuum is a fixed point of loss, so the measured input variance is 1
-    # and detector loss enters only through the output variances
-    penalty = (1.0 - verification_efficiency) / verification_efficiency
-    snr_in = probe_amplitude**2
-
-    def snr_out(idx: int) -> float:
-        var = out.cov[idx, idx] + penalty
-        if var <= 0.0:
+    def snr_ratio(idx: int) -> float:
+        if cov[idx, idx] <= 0.0:
             raise ValueError("non-positive output variance")
-        return out.mean[idx] ** 2 / var
+        return column[idx] ** 2 / cov[idx, idx]
 
-    t_signal = snr_out(spec["signal"]) / snr_in
-    t_probe = snr_out(spec["probe"]) / snr_in
-    return t_signal, t_probe
+    return snr_ratio(spec["signal"]), snr_ratio(spec["probe"])
 
 
 def conditional_variance(cov: np.ndarray, sector: str):
@@ -289,24 +275,17 @@ CSV_COLUMNS = [
 ]
 
 
-def evaluate_gate(
-    circuit: Circuit,
-    params: GateParams,
-    probe_amplitude: float = DEFAULT_PROBE_AMPLITUDE,
-    verification_efficiency: float = 1.0,
-    g_grid=None,
-) -> QndReport:
+def evaluate_gate(circuit: Circuit, params: GateParams, g_grid=None) -> QndReport:
     """Run the standard characterization of a compiled gate circuit."""
-    out = run_covariance(circuit, gaussian.vacuum_state(2))
-    report = QndReport(params=params, output_cov=out.cov)
+    cov = run_covariance(circuit, gaussian.vacuum_state(2)).cov
+    qmap = circuit_quadrature_map(circuit)
+    report = QndReport(params=params, output_cov=cov)
     for sector in ("x", "p"):
-        t_s, t_p = transfer_coefficients(
-            circuit, sector, probe_amplitude, verification_efficiency
-        )
-        v, g_opt = conditional_variance(out.cov, sector)
+        t_s, t_p = _transfer(qmap, cov, sector)
+        v, g_opt = conditional_variance(cov, sector)
         report.sectors[sector] = SectorMetrics(t_s, t_p, v, g_opt)
     g_witness = report.sectors["x"].g_opt
-    report.duan = duan_simon(out.cov, g_witness, g_grid)
+    report.duan = duan_simon(cov, g_witness, g_grid)
     return report
 
 
@@ -409,7 +388,6 @@ def compare_to_reference(
     imperfections: ImperfectionModel,
     squeezing_db: float = -5.0,
     fitted: bool = False,
-    verification_efficiency: float = 1.0,
 ) -> TableComparison:
     """Evaluate both published gains under one imperfection model."""
     reports = {}
@@ -420,9 +398,7 @@ def compare_to_reference(
             gain, squeezing_db_a=squeezing_db, squeezing_db_b=squeezing_db
         )
         circuit = build_qnd_gate(params, imperfections)
-        report = evaluate_gate(
-            circuit, params, verification_efficiency=verification_efficiency
-        )
+        report = evaluate_gate(circuit, params)
         reports[gain] = report
         simulated = _simulated_metrics(report)
         for metric in BAND_METRICS:
@@ -447,7 +423,6 @@ def fit_extra_in_loop_loss(
     imperfections: ImperfectionModel | None = None,
     squeezing_db: float = -5.0,
     grid=None,
-    verification_efficiency: float = 1.0,
 ) -> TableComparison:
     """Grid-fit the single in-loop loss knob against the reference table.
 
@@ -463,7 +438,6 @@ def fit_extra_in_loop_loss(
             replace(base, extra_in_loop_loss=float(knob)),
             squeezing_db=squeezing_db,
             fitted=True,
-            verification_efficiency=verification_efficiency,
         )
         if best is None or candidate.objective < best.objective:
             best = candidate

@@ -156,10 +156,13 @@ class TestBuilderOracleEquivalence:
         assert report.passed, report.details
 
     def test_repeated_source_labels_rejected(self):
-        # two independent loss vacua under one tag would merge into one label
-        circuit = Circuit(elements=(Loss(0, 0.9, "a"), Loss(1, 0.9, "a")))
-        with pytest.raises(ValueError, match="repeated columns"):
-            circuit_quadrature_map(circuit)
+        # two independent loss vacua under one tag would merge into one label,
+        # so no executor may accept the circuit
+        with pytest.raises(ValueError, match="repeated source label 'xv_a'"):
+            Circuit(elements=(Loss(0, 0.9, "a"), Loss(1, 0.9, "a")))
+        # the first loss's automatic tag is its count, "1"
+        with pytest.raises(ValueError, match="repeated source label 'xv_1'"):
+            Circuit(elements=(Loss(0, 0.9), Loss(1, 0.9, "1")))
 
     def test_oracle_mismatch_raises(self, monkeypatch):
         def skewed(R, r_a, r_b):

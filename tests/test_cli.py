@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 
 from qndsim import gaussian, metrics
-from qndsim.circuit import Circuit, Displacement, ImperfectionModel, build_qnd_gate
+from qndsim import circuit as circuit_module
+from qndsim.circuit import (
+    Circuit,
+    Displacement,
+    ImperfectionModel,
+    build_qnd_gate,
+    run_covariance,
+)
 from qndsim.cli import (
     _EXCITATION_CASES,
     _excitation_means,
@@ -18,6 +25,7 @@ from qndsim.cli import (
     main,
 )
 from qndsim.ensemble import run_ensemble
+from qndsim.quadexpr import QuadratureMap
 from qndsim.scenario import (
     InputSpec,
     RunSpec,
@@ -155,11 +163,13 @@ class TestTransfer:
         assert "T_S=0.87610" in row
         assert "T_P=0.48685" in row
 
-    @pytest.mark.parametrize("offset", [False, True])
+    @pytest.mark.parametrize("offset", [False, True, "covariance"])
     def test_one_ensemble_serves_every_excitation(self, offset):
         # each case mean equals the separate ensemble at that excitation,
-        # also when the circuit shifts the vacuum's output mean
-        config = ScenarioConfig(run=RunSpec(mode="trajectories", n=3000, master_seed=11))
+        # also when the circuit shifts the vacuum's output mean; in
+        # covariance mode it equals the propagated excitation bit for bit
+        mode_name = "covariance" if offset == "covariance" else "trajectories"
+        config = ScenarioConfig(run=RunSpec(mode=mode_name, n=3000, master_seed=11))
         circuit = build_qnd_gate(config.gate_params(), config.imperfections)
         if offset:
             circuit = Circuit(circuit.elements + (Displacement(0, 0.3, -0.7),))
@@ -169,8 +179,11 @@ class TestTransfer:
         for (_, mode, quad, _), mean in zip(_EXCITATION_CASES, means):
             dx, dp = (amplitude, 0.0) if quad == "x" else (0.0, amplitude)
             state = gaussian.displace(gaussian.vacuum_state(2), mode, dx, dp)
-            separate = run_ensemble(circuit, state, 3000, 11).mean
-            assert np.max(np.abs(mean - separate)) <= 1e-12
+            if mode_name == "covariance":
+                assert np.array_equal(mean, run_covariance(circuit, state).mean)
+            else:
+                separate = run_ensemble(circuit, state, 3000, 11).mean
+                assert np.max(np.abs(mean - separate)) <= 1e-12
 
 
 class TestConditional:
@@ -229,6 +242,17 @@ class TestOracleCheckCommand:
         text = cmd_oracle_check()
         assert text.endswith("PASS")
         assert "max coefficient error" in text
+
+    def test_skewed_oracle_fails(self, monkeypatch, capsys):
+        real = circuit_module.finite_squeezing_map
+
+        def skewed(R, r_a, r_b):
+            qmap = real(R, r_a, r_b)
+            return QuadratureMap(qmap.columns, qmap.matrix + 1e-6)
+
+        monkeypatch.setattr(circuit_module, "finite_squeezing_map", skewed)
+        assert main(["oracle-check"]) == 1
+        assert capsys.readouterr().out.rstrip().endswith("FAIL")
 
 
 class TestMainEntry:
@@ -320,3 +344,66 @@ class TestMainEntry:
         ) == 0
         out = capsys.readouterr().out
         assert "carried by" in out
+
+
+class TestScenarioFileHonoured:
+    COHERENT = {"inputs": [{"kind": "coherent", "amplitude": 3.0}, {"kind": "vacuum"}]}
+    TRAJECTORIES = {"run": {"mode": "trajectories", "n": 500}}
+
+    @staticmethod
+    def run(tmp_path, command, doc):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        return main([command, "--config", str(path)])
+
+    @pytest.mark.parametrize(
+        "command, doc, section",
+        [
+            ("vacuum-spectra", TRAJECTORIES, "run"),
+            ("reproduce-table", TRAJECTORIES, "run"),
+            ("reproduce-table", {"gate": {"G": 2.0}}, "gate"),
+            ("reproduce-table", {"gate": {"R": 0.25}}, "gate"),
+            ("reproduce-table", {"gate": {"squeezing_dB_A": -5.0, "squeezing_dB_B": -3.0}}, "gate"),
+            ("vacuum-spectra", COHERENT, "inputs"),
+            ("transfer", COHERENT, "inputs"),
+            ("reproduce-table", COHERENT, "inputs"),
+        ],
+        ids=[
+            "vacuum-spectra-trajectories",
+            "reproduce-table-trajectories",
+            "reproduce-table-G",
+            "reproduce-table-R",
+            "reproduce-table-unequal-squeezing",
+            "vacuum-spectra-coherent",
+            "transfer-coherent",
+            "reproduce-table-coherent",
+        ],
+    )
+    def test_ignored_value_rejected(self, tmp_path, command, doc, section):
+        with pytest.raises(ValueError, match=f"{command} ignores the scenario's {section} section"):
+            self.run(tmp_path, command, doc)
+
+    @pytest.mark.parametrize(
+        "command, doc",
+        [
+            ("conditional", COHERENT),
+            ("transfer", TRAJECTORIES),
+            ("conditional", TRAJECTORIES),
+            ("reproduce-table", {"gate": {"G": 1.0, "squeezing_dB_A": -4.0, "squeezing_dB_B": -4.0}}),
+        ],
+        ids=[
+            "conditional-coherent",
+            "transfer-trajectories",
+            "conditional-trajectories",
+            "reproduce-table-default-gate",
+        ],
+    )
+    def test_honoured_file_runs(self, tmp_path, capsys, command, doc):
+        assert self.run(tmp_path, command, doc) == 0
+        assert capsys.readouterr().out.strip()
+
+    def test_squeezing_flag_overrides_unequal_file_values(self, tmp_path, capsys):
+        doc = {"gate": {"squeezing_dB_A": -5.0, "squeezing_dB_B": -3.0}}
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        assert main(["reproduce-table", "--no-fit", "--config", str(path), "--squeezing-db", "-4"]) == 0

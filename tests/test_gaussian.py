@@ -1,14 +1,16 @@
 """Tests for the Gaussian-state core: states, unitaries, channels, homodyne."""
 
+from collections import namedtuple
+
 import numpy as np
 import pytest
 
 from qndsim import gaussian
+from qndsim.circuit import Circuit, HomodyneFeedforward, run_trajectory
 from qndsim.gaussian import (
     SymplecticMatrix,
     beam_splitter,
     displace,
-    homodyne,
     loss_channel,
     min_uncertainty_eigenvalue,
     omega,
@@ -209,6 +211,17 @@ def _epr_pair(r):
     state = squeeze(vacuum_state(2), 0, r, angle=0.0)
     state = squeeze(state, 1, r, angle=np.pi / 2)
     return beam_splitter(state, 0, 1, 0.5)
+
+
+Outcome = namedtuple("Outcome", "value reduced_state")
+
+
+def homodyne(state, mode, angle, rng, efficiency=1.0, dark_variance=0.0):
+    """Measure one mode with the circuit's homodyne element at gain 0."""
+    target = 1 if mode == 0 else 0
+    element = HomodyneFeedforward(mode, angle, target, "x", 0.0, efficiency, dark_variance)
+    reduced, readouts = run_trajectory(Circuit([element], state.n_modes), state, rng)
+    return Outcome(readouts[0], reduced)
 
 
 class TestHomodyne:
