@@ -13,12 +13,10 @@ from .gaussian import (
     SymplecticMatrix,
     assert_physical,
     beam_splitter,
-    db_to_variance,
     displace,
     loss_channel,
     min_uncertainty_eigenvalue,
     omega,
-    phase_rotate,
     squeeze,
     squeeze_parameter_from_db,
     vacuum_state,
@@ -70,7 +68,6 @@ from .ensemble import (
     SHOTS_PER_BLOCK,
     EnsembleResult,
     ZScoreReport,
-    outcome_log_csv,
     pairwise_tree_sum,
     run_ensemble,
     trajectory_generator,

@@ -13,14 +13,15 @@ coefficient-by-coefficient; this equivalence is checked at build time and
 construction fails loudly if it does not hold.
 
 Each ``Circuit`` is lowered once, at construction, into a Heisenberg-picture
-coefficient matrix: every output quadrature, and the optical quadrature seen
-by every homodyne, as a linear combination of the input quadratures, a
-``unit`` column for displacements and labelled unit-variance noise sources.
-The executors read that matrix:
+coefficient matrix: every output quadrature, and the electronic readout of
+every homodyne, as a linear combination of the input quadratures, a ``unit``
+column for displacements and labelled unit-variance noise sources.  The
+executors read that matrix:
 
 * ``run_covariance`` - ensemble average, ``X m + u`` and ``X V X^T + N N^T``;
-* ``compile_trajectory`` / ``run_trajectory`` - the outputs conditioned on
-  each homodyne's optical draw and dark draw, affine in the draws;
+* ``compile_trajectory`` / ``run_trajectory`` - the outputs and readouts
+  conditioned on the lowering's observed rows (each homodyne's optical
+  quadrature, then its dark noise), affine in the draws;
 * ``circuit_quadrature_map`` - the output rows as labelled coefficients.
 """
 
@@ -227,9 +228,6 @@ class Circuit:
     def n_output_modes(self) -> int:
         return len(self._lowered.snapshots[-1])
 
-    def homodyne_count(self) -> int:
-        return len(self._lowered.dark)
-
     def to_text(self) -> str:
         """Stable one-line-per-element dump for reproducibility checks."""
         lines = [f"circuit modes={self.n_input_modes}"]
@@ -278,12 +276,17 @@ class _Lowering:
     vacua ``xA0, pA0``, impurity ``excessA``, loss vacua ``xv_<tag>,
     pv_<tag>``, dark noise ``dark<k>``).  The first ``2*n_output_modes`` rows
     are the output quadratures; then comes one row per homodyne, in element
-    order, holding the optical quadrature it measures.
+    order, holding its electronic readout: the optical quadrature it measures
+    plus its dark noise, the value it feeds forward.
+
+    ``observed`` lists the rows a shot is conditioned on, in draw order: per
+    homodyne its optical quadrature, then the unit row of its ``dark<k>``
+    source when it has dark noise.
     """
 
     columns: tuple
     matrix: np.ndarray
-    dark: tuple       # per homodyne: (dark column, readout-noise std) or None
+    observed: tuple   # rows over ``columns``, one per standard-normal draw
     snapshots: tuple  # per-mode (2, width) rows of the input, then after each element
 
 
@@ -295,7 +298,7 @@ def _lower(elements: tuple, n_input_modes: int) -> _Lowering:
     eye = np.eye(2 * n_input_modes, width)
     modes = [eye[2 * k : 2 * k + 2] for k in range(n_input_modes)]
     snapshots = [tuple(modes)]
-    homodynes, dark = [], []
+    readouts, observed = [], []
     losses = darks = 0
 
     def sources(*labels) -> int:
@@ -350,18 +353,21 @@ def _lower(elements: tuple, n_input_modes: int) -> _Lowering:
                 )
             x, p = modes[el.measured_mode]
             optical = math.cos(el.angle) * x + math.sin(el.angle) * p
-            readout, noise = optical, None
+            readout = optical
+            observed.append(optical)
             if el.dark_variance > 0.0:
                 darks += 1
-                noise = (sources(f"dark{darks}"), math.sqrt(el.dark_variance))
+                k = sources(f"dark{darks}")
                 readout = optical.copy()
-                readout[noise[0]] = noise[1]
+                readout[k] = math.sqrt(el.dark_variance)
+                source = np.zeros(width)
+                source[k] = 1.0
+                observed.append(source)
             target = modes[el.target_mode].copy()
             target[0 if el.target_quadrature == "x" else 1] += el.gain * readout
             modes[el.target_mode] = target
             del modes[el.measured_mode]
-            homodynes.append(optical)
-            dark.append(noise)
+            readouts.append(readout)
         elif isinstance(el, Displacement):
             _require(0 <= el.mode < n, pos, el)
             rows = modes[el.mode].copy()
@@ -371,8 +377,9 @@ def _lower(elements: tuple, n_input_modes: int) -> _Lowering:
             raise TypeError(f"unknown circuit element {el!r}")
         snapshots.append(tuple(modes))
 
-    matrix = np.vstack([np.zeros((0, width)), *modes, *homodynes])
-    return _Lowering(tuple(columns), matrix[:, : len(columns)], tuple(dark), tuple(snapshots))
+    matrix = np.vstack([np.zeros((0, width)), *modes, *readouts])[:, : len(columns)]
+    observed = tuple(row[: len(columns)] for row in observed)
+    return _Lowering(tuple(columns), matrix, observed, tuple(snapshots))
 
 
 def _moments(rows: np.ndarray, state: GaussianState):
@@ -453,8 +460,7 @@ def _gate_elements(params: GateParams, imp: ImperfectionModel) -> list:
             elements += [Loss(0, eta, "main1"), Loss(1, eta, "main2")]
         return elements
 
-    entry_r = 1.0 / (1.0 + R)
-    exit_r = R / (1.0 + R)
+    entry_r, arm_r, _, exit_r = params.reflectivities
     ff_gain = math.sqrt((1.0 - R) / R) * (1.0 + imp.feedforward_electronic_gain_error)
     eta_det = imp.homodyne_efficiency
     dark = imp.dark_variance
@@ -470,7 +476,7 @@ def _gate_elements(params: GateParams, imp: ImperfectionModel) -> list:
 
     # arm A: measurement-induced x squeezer on the mode-0 path
     elements.append(AncillaInjection(params.r_a, 0.0, "A", params.ancilla_excess))
-    elements.append(BeamSplitter(2, 0, R, signs=(1, -1, 1, 1)))
+    elements.append(BeamSplitter(2, 0, arm_r, signs=(1, -1, 1, 1)))
     if eta_coupler < 1.0:
         elements.append(Loss(2, eta_coupler, "couplerA"))
     elements.append(
@@ -479,7 +485,7 @@ def _gate_elements(params: GateParams, imp: ImperfectionModel) -> list:
 
     # arm B: the p-sector mirror on the mode-1 path
     elements.append(AncillaInjection(params.r_b, math.pi / 2, "B", params.ancilla_excess))
-    elements.append(BeamSplitter(2, 0, R, signs=(-1, -1, 1, -1)))
+    elements.append(BeamSplitter(2, 0, arm_r, signs=(-1, -1, 1, -1)))
     if eta_coupler < 1.0:
         elements.append(Loss(2, eta_coupler, "couplerB"))
     elements.append(HomodyneFeedforward(0, 0.0, 2, "x", ff_gain, eta_det, dark))
@@ -543,13 +549,12 @@ class TrajectoryProgram:
     final_cov: np.ndarray
     n_output_modes: int
     draws_per_shot: int
-    n_outcomes: int
 
     def run_means(self, draws: np.ndarray):
         """Propagate trajectory means for ``draws`` of shape (n, draws_per_shot).
 
         Returns ``(means, outcomes)`` where ``means`` is (n, 2*n_output_modes)
-        and ``outcomes`` the electronic readouts, shape (n, n_outcomes).
+        and ``outcomes`` the electronic readouts, one column per homodyne.
         """
         draws = np.atleast_2d(np.asarray(draws, dtype=float))
         if draws.shape[1] != self.draws_per_shot:
@@ -567,34 +572,24 @@ class TrajectoryProgram:
 def compile_trajectory(circuit: Circuit, state: GaussianState) -> TrajectoryProgram:
     """Build the stochastic execution plan for ``circuit`` on ``state``.
 
-    The output and readout rows are conditioned, in element order, on each
-    homodyne's optical quadrature and then on its dark noise.  The readout
-    noise therefore reaches the means through the feedforward but never the
-    conditional covariance, and ``final_cov + gains @ gains.T`` restricted to
-    the outputs equals the ``run_covariance`` covariance.
+    The output and readout rows are conditioned on the lowering's observed
+    rows: in element order, each homodyne's optical quadrature and then its
+    dark noise.  The readout noise therefore reaches the means through the
+    feedforward but never the conditional covariance, and ``final_cov +
+    gains @ gains.T`` restricted to the outputs equals the ``run_covariance``
+    covariance.
     """
     lowered = _lowering_for(circuit, state)
     n_out = 2 * circuit.n_output_modes
-    readouts, observed = [], []
-    for optical, noise in zip(lowered.matrix[n_out:], lowered.dark):
-        observed.append(optical)
-        if noise is not None:
-            source = np.zeros_like(optical)
-            source[noise[0]] = 1.0
-            observed.append(source)
-            optical = optical + noise[1] * source
-        readouts.append(optical)
-    kept = n_out + len(readouts)
-    mean, cov = _moments(np.vstack([lowered.matrix[:n_out], *readouts, *observed]), state)
-    gains = np.zeros((kept, len(observed)))
-    for j in range(len(observed)):
+    kept, draws = len(lowered.matrix), len(lowered.observed)
+    mean, cov = _moments(np.vstack([lowered.matrix, *lowered.observed]), state)
+    gains = np.zeros((kept, draws))
+    for j in range(draws):
         e = np.zeros(len(mean))
         e[kept + j] = 1.0
         var, gain, cov = gaussian._condition(cov, e)
         gains[:, j] = math.sqrt(max(var, 0.0)) * gain[:kept]
-    return TrajectoryProgram(
-        mean[:kept], gains, cov[:n_out, :n_out], n_out // 2, len(observed), len(readouts)
-    )
+    return TrajectoryProgram(mean[:kept], gains, cov[:n_out, :n_out], n_out // 2, draws)
 
 
 def run_trajectory(

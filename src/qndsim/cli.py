@@ -32,7 +32,7 @@ from .circuit import (
 )
 from .ensemble import run_ensemble
 from .quadexpr import INPUT_COLUMNS
-from .scenario import ScenarioConfig, load_scenario
+from .scenario import RunSpec, ScenarioConfig, load_scenario
 
 ORACLE_R_GRID = (0.1, 0.25, 0.381966011250105, 0.5, 0.75, 1.0)
 ORACLE_DB_GRID = (0.0, -3.0, -5.0, -10.0, -60.0)
@@ -86,23 +86,22 @@ _EXCITATION_CASES = (
 )
 
 
-def _excitation_means(config: ScenarioConfig, circuit, amplitude: float) -> list:
+def _excitation_means(config: ScenarioConfig, circuit, mean, qmap, amplitude: float) -> list:
     """Output means of the ``_EXCITATION_CASES``, in order.
 
-    Exciting input quadrature ``j`` by ``amplitude`` adds ``amplitude`` times
-    column ``j`` of the circuit's quadrature map to the vacuum output mean.
+    ``mean`` is the circuit's vacuum-input output mean and ``qmap`` its
+    quadrature map.  Exciting input quadrature ``j`` by ``amplitude`` adds
+    ``amplitude`` times column ``j`` of the map to the vacuum output mean.
     In trajectory mode one vacuum-input ensemble serves all four cases: a
     shot's means are affine in the input mean and every case uses the same
     seed, so each case's ensemble mean is its exact mean plus the vacuum
     ensemble's deviation from its own exact mean.
     """
-    vacuum = gaussian.vacuum_state(2)
-    mean = run_covariance(circuit, vacuum).mean
     deviation = np.zeros(4)
     if config.run.mode == "trajectories":
+        vacuum = gaussian.vacuum_state(2)
         ensemble = run_ensemble(circuit, vacuum, config.run.n, config.run.master_seed)
         deviation = ensemble.mean - mean
-    qmap = circuit_quadrature_map(circuit)
     means = []
     for _, mode, quad, _ in _EXCITATION_CASES:
         column = qmap.columns.index(INPUT_COLUMNS[2 * mode + "xp".index(quad)])
@@ -120,7 +119,10 @@ def cmd_transfer(config: ScenarioConfig, csv_path: str | None = None) -> str:
         f"input amplitude {amplitude:g} (mean^2 = {amplitude**2:g} x shot)"
     ]
     csv_rows = []
-    means = _excitation_means(config, circuit, amplitude)
+    # one vacuum propagation and one map serve the four cases and both sectors
+    out = run_covariance(circuit, gaussian.vacuum_state(2))
+    qmap = circuit_quadrature_map(circuit)
+    means = _excitation_means(config, circuit, out.mean, qmap, amplitude)
     for (case, _, _, label), mean in zip(_EXCITATION_CASES, means):
         # snap float noise to zero so reports are stable across R/G round trips
         mean = np.where(np.abs(mean) < 1e-12, 0.0, mean)
@@ -134,7 +136,7 @@ def cmd_transfer(config: ScenarioConfig, csv_path: str | None = None) -> str:
         )
         csv_rows.append([case, label] + [f"{m:.9f}" for m in mean])
     for sector in ("x", "p"):
-        t_s, t_p = metrics.transfer_coefficients(circuit, sector)
+        t_s, t_p = metrics._transfer(qmap, out.cov, sector)
         lines.append(
             f"sector {sector}: T_S={t_s:.5f} T_P={t_p:.5f} T_sum={t_s + t_p:.5f}"
         )
@@ -157,10 +159,11 @@ def cmd_conditional(config: ScenarioConfig, csv_path: str | None = None) -> str:
 
     lines = [f"conditional-variance sweep, G={params.gain:.4f}"]
     csv_rows = []
+    optima = {}
     for sector in ("x", "p"):
         refs = metrics.reference_sweeps(params, sector, grid)
         measured = metrics.cv_sweep(cov, sector, grid)
-        v, g_opt = metrics.conditional_variance(cov, sector)
+        v, g_opt = optima[sector] = metrics.conditional_variance(cov, sector)
         lines.append(f"sector {sector}: V_SP={v:.5f} at g_opt={g_opt:.5f}")
         for g, m, ci, cii, ciii, bound in zip(
             grid, measured, refs.ideal, refs.finite_squeezing, refs.vacuum_ancilla,
@@ -178,8 +181,7 @@ def cmd_conditional(config: ScenarioConfig, csv_path: str | None = None) -> str:
                     f"{bound:.9f}",
                 ]
             )
-    g_witness = metrics.conditional_variance(cov, "x")[1]
-    duan = metrics.duan_simon(cov, g_witness, grid)
+    duan = metrics.duan_simon(cov, optima["x"][1], grid)
     lines.append(
         f"witness at g={duan.g:.5f}: sum={duan.combined_sum:.5f} vs bound={duan.bound:.5f}"
         f" -> {'entangled' if duan.entangled else 'not certified'}"
@@ -370,6 +372,8 @@ def _reject_ignored(command: str, config: ScenarioConfig) -> None:
 
     if command in ("vacuum-spectra", "reproduce-table") and config.run.mode != "covariance":
         reject("run", "it propagates covariances, not trajectories")
+    if command != "conditional" and not np.array_equal(config.run.g_grid(), RunSpec().g_grid()):
+        reject("run", "only conditional sweeps the rescaling gain g")
     if command == "reproduce-table":
         if config.gate_R is not None or config.gate_G != 1.0:
             reject("gate", "it always runs the reference gains 1.0 and 1.5")

@@ -166,15 +166,3 @@ def z_score_report(
     best = int(np.argmax(z_all))
     max_z, worst = (float(z_all[best]), names[best]) if z_all[best] > 0.0 else (0.0, "none")
     return ZScoreReport(max_z=max_z, worst_entry=worst, z_mean=z_mean, z_cov=z_cov)
-
-
-def outcome_log_csv(result: EnsembleResult) -> str:
-    """CSV dump of the per-trajectory homodyne readouts (debugging aid)."""
-    if result.outcomes is None:
-        raise ValueError("ensemble was run without keep_outcomes")
-    n_events = result.outcomes.shape[1]
-    header = "trajectory," + ",".join(f"readout{k}" for k in range(n_events))
-    lines = [header]
-    for i, row in enumerate(result.outcomes):
-        lines.append(f"{i}," + ",".join(f"{v:.12g}" for v in row))
-    return "\n".join(lines)

@@ -40,11 +40,6 @@ def variance_to_db(variance: float) -> float:
     return 10.0 * np.log10(variance)
 
 
-def db_to_variance(db: float) -> float:
-    """dB relative to shot noise to variance in shot-noise units."""
-    return 10.0 ** (db / 10.0)
-
-
 def squeeze_parameter_from_db(db: float) -> float:
     """Squeeze parameter r such that the squeezed variance is ``10**(db/10)``.
 
@@ -139,13 +134,6 @@ class SymplecticMatrix:
         return full
 
     @classmethod
-    def rotation(cls, n_modes: int, mode: int, angle: float) -> "SymplecticMatrix":
-        """Phase rotation; ``angle = pi/2`` maps x -> p and p -> -x."""
-        c, s = np.cos(angle), np.sin(angle)
-        block = np.array([[c, s], [-s, c]])
-        return cls(cls._embed(n_modes, block, (mode,)))
-
-    @classmethod
     def squeezer(cls, n_modes: int, mode: int, r: float, angle: float = 0.0) -> "SymplecticMatrix":
         """Single-mode squeezer; ``angle = 0`` squeezes x by ``e**(-r)``."""
         c, s = np.cos(angle), np.sin(angle)
@@ -186,22 +174,6 @@ class SymplecticMatrix:
         mix = np.array([[s1 * t, s2 * r], [s3 * r, s4 * t]])
         block = np.kron(mix, np.eye(2))
         return cls(cls._embed(n_modes, block, (i, j)))
-
-    @classmethod
-    def sum_gate(cls, gain: float) -> "SymplecticMatrix":
-        """Two-mode QND sum gate: x2 -> x2 + G*x1, p1 -> p1 - G*p2."""
-        if gain < 0:
-            raise ValueError("gain must be non-negative")
-        s = np.eye(4)
-        s[2, 0] = gain
-        s[1, 3] = -gain
-        return cls(s)
-
-
-def phase_rotate(state: GaussianState, mode: int, angle: float) -> GaussianState:
-    """Rotate one mode's quadratures; pi/2 maps x -> p, p -> -x."""
-    _check_mode(state, mode)
-    return SymplecticMatrix.rotation(state.n_modes, mode, angle).apply(state)
 
 
 def squeeze(state: GaussianState, mode: int, r: float, angle: float = 0.0) -> GaussianState:

@@ -205,7 +205,6 @@ class QndReport:
     params: GateParams
     sectors: dict = field(default_factory=dict)  # "x"/"p" -> SectorMetrics
     duan: DuanResult | None = None
-    output_cov: np.ndarray | None = None
 
     @property
     def entangled(self) -> bool:
@@ -236,56 +235,18 @@ class QndReport:
             )
         return "\n".join(lines)
 
-    def csv_rows(self):
-        """Stable CSV rows; see ``CSV_COLUMNS`` for the column contract."""
-        rows = []
-        d = self.duan
-        for name in ("x", "p"):
-            m = self.sectors[name]
-            rows.append(
-                [
-                    name,
-                    f"{m.t_signal:.9f}",
-                    f"{m.t_probe:.9f}",
-                    f"{m.t_sum:.9f}",
-                    f"{m.v_conditional:.9f}",
-                    f"{gaussian.variance_to_db(m.v_conditional):.9f}",
-                    f"{m.g_opt:.9f}",
-                    f"{d.scan_best_margin + 4.0 * abs(d.scan_best_g):.9f}" if d else "",
-                    f"{4.0 * abs(d.scan_best_g):.9f}" if d else "",
-                    "PASS" if m.qnd_criteria_pass else "FAIL",
-                    ("YES" if d.scan_entangled else "NO") if d else "",
-                ]
-            )
-        return rows
 
-
-CSV_COLUMNS = [
-    "sector",
-    "T_S",
-    "T_P",
-    "T_sum",
-    "V_SP",
-    "V_SP_dB",
-    "g_opt",
-    "duan_sum_min",
-    "bound",
-    "qnd_pass",
-    "entangled",
-]
-
-
-def evaluate_gate(circuit: Circuit, params: GateParams, g_grid=None) -> QndReport:
+def evaluate_gate(circuit: Circuit, params: GateParams) -> QndReport:
     """Run the standard characterization of a compiled gate circuit."""
     cov = run_covariance(circuit, gaussian.vacuum_state(2)).cov
     qmap = circuit_quadrature_map(circuit)
-    report = QndReport(params=params, output_cov=cov)
+    report = QndReport(params=params)
     for sector in ("x", "p"):
         t_s, t_p = _transfer(qmap, cov, sector)
         v, g_opt = conditional_variance(cov, sector)
         report.sectors[sector] = SectorMetrics(t_s, t_p, v, g_opt)
     g_witness = report.sectors["x"].g_opt
-    report.duan = duan_simon(cov, g_witness, g_grid)
+    report.duan = duan_simon(cov, g_witness)
     return report
 
 

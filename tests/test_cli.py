@@ -5,13 +5,14 @@ import json
 import numpy as np
 import pytest
 
-from qndsim import gaussian, metrics
+from qndsim import cli, gaussian, metrics
 from qndsim import circuit as circuit_module
 from qndsim.circuit import (
     Circuit,
     Displacement,
     ImperfectionModel,
     build_qnd_gate,
+    circuit_quadrature_map,
     run_covariance,
 )
 from qndsim.cli import (
@@ -163,6 +164,24 @@ class TestTransfer:
         assert "T_S=0.87610" in row
         assert "T_P=0.48685" in row
 
+    def test_one_propagation_and_one_map(self, monkeypatch):
+        # the four excitation cases and both sectors' T share one vacuum
+        # propagation and one quadrature map
+        calls = {"run_covariance": 0, "circuit_quadrature_map": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for module in (cli, metrics):
+            for name, fn in (("run_covariance", run_covariance),
+                             ("circuit_quadrature_map", circuit_quadrature_map)):
+                monkeypatch.setattr(module, name, counted(name, fn))
+        cmd_transfer(ScenarioConfig())
+        assert calls == {"run_covariance": 1, "circuit_quadrature_map": 1}
+
     @pytest.mark.parametrize("offset", [False, True, "covariance"])
     def test_one_ensemble_serves_every_excitation(self, offset):
         # each case mean equals the separate ensemble at that excitation,
@@ -174,7 +193,9 @@ class TestTransfer:
         if offset:
             circuit = Circuit(circuit.elements + (Displacement(0, 0.3, -0.7),))
         amplitude = metrics.DEFAULT_PROBE_AMPLITUDE
-        means = _excitation_means(config, circuit, amplitude)
+        vacuum_mean = run_covariance(circuit, gaussian.vacuum_state(2)).mean
+        qmap = circuit_quadrature_map(circuit)
+        means = _excitation_means(config, circuit, vacuum_mean, qmap, amplitude)
         assert len(means) == len(_EXCITATION_CASES)
         for (_, mode, quad, _), mean in zip(_EXCITATION_CASES, means):
             dx, dp = (amplitude, 0.0) if quad == "x" else (0.0, amplitude)
@@ -349,6 +370,7 @@ class TestMainEntry:
 class TestScenarioFileHonoured:
     COHERENT = {"inputs": [{"kind": "coherent", "amplitude": 3.0}, {"kind": "vacuum"}]}
     TRAJECTORIES = {"run": {"mode": "trajectories", "n": 500}}
+    G_GRID = {"run": {"g_grid": {"min": -0.5, "max": 0.5, "step": 0.25}}}
 
     @staticmethod
     def run(tmp_path, command, doc):
@@ -367,6 +389,9 @@ class TestScenarioFileHonoured:
             ("vacuum-spectra", COHERENT, "inputs"),
             ("transfer", COHERENT, "inputs"),
             ("reproduce-table", COHERENT, "inputs"),
+            ("vacuum-spectra", G_GRID, "run"),
+            ("transfer", G_GRID, "run"),
+            ("reproduce-table", G_GRID, "run"),
         ],
         ids=[
             "vacuum-spectra-trajectories",
@@ -377,6 +402,9 @@ class TestScenarioFileHonoured:
             "vacuum-spectra-coherent",
             "transfer-coherent",
             "reproduce-table-coherent",
+            "vacuum-spectra-g-grid",
+            "transfer-g-grid",
+            "reproduce-table-g-grid",
         ],
     )
     def test_ignored_value_rejected(self, tmp_path, command, doc, section):
@@ -389,12 +417,14 @@ class TestScenarioFileHonoured:
             ("conditional", COHERENT),
             ("transfer", TRAJECTORIES),
             ("conditional", TRAJECTORIES),
+            ("conditional", G_GRID),
             ("reproduce-table", {"gate": {"G": 1.0, "squeezing_dB_A": -4.0, "squeezing_dB_B": -4.0}}),
         ],
         ids=[
             "conditional-coherent",
             "transfer-trajectories",
             "conditional-trajectories",
+            "conditional-g-grid",
             "reproduce-table-default-gate",
         ],
     )

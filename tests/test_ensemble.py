@@ -16,7 +16,6 @@ from qndsim.circuit import (
 from qndsim.ensemble import (
     SHOTS_PER_BLOCK,
     EnsembleResult,
-    outcome_log_csv,
     pairwise_tree_sum,
     run_ensemble,
     trajectory_generator,
@@ -229,21 +228,6 @@ class TestZScoreReport:
         assert (report.max_z, report.worst_entry) == (max_z, worst)
         assert np.array_equal(report.z_mean, z_mean)
         assert np.array_equal(report.z_cov, z_cov)
-
-
-class TestOutcomeLog:
-    def test_csv_dump(self):
-        circuit = default_gate()
-        result = run_ensemble(circuit, gaussian.vacuum_state(2), 5, 11, keep_outcomes=True)
-        text = outcome_log_csv(result)
-        lines = text.splitlines()
-        assert lines[0] == "trajectory,readout0,readout1"
-        assert len(lines) == 6
-
-    def test_requires_flag(self):
-        result = run_ensemble(default_gate(), gaussian.vacuum_state(2), 5, 11)
-        with pytest.raises(ValueError):
-            outcome_log_csv(result)
 
 
 class TestSubstreams:

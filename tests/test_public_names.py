@@ -1,0 +1,35 @@
+"""Every exported name has a reader besides its own definition and the tests.
+
+A name in ``qndsim.__all__`` counts as read when it occurs in the package
+modules, the demos, the benchmark harness or the README more often than it
+is defined there with ``def`` or ``class``.
+"""
+
+import re
+import types
+from pathlib import Path
+
+import qndsim
+
+ROOT = Path(__file__).resolve().parent.parent
+MODULES = [p for p in sorted((ROOT / "src" / "qndsim").glob("*.py")) if p.name != "__init__.py"]
+READERS = sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+
+
+def _text(paths) -> str:
+    return "\n".join(p.read_text(encoding="utf-8") for p in paths)
+
+
+def test_every_export_has_a_reader():
+    package = _text(MODULES)
+    text = package + "\n" + _text(READERS + [ROOT / "README.md"])
+    unread = []
+    for name in qndsim.__all__:
+        if isinstance(getattr(qndsim, name), types.ModuleType):
+            continue
+        word = re.escape(name)
+        uses = len(re.findall(rf"\b{word}\b", text))
+        definitions = len(re.findall(rf"^\s*(?:def|class)\s+{word}\b", package, re.MULTILINE))
+        if uses <= definitions:
+            unread.append(name)
+    assert unread == []
