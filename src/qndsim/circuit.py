@@ -72,7 +72,11 @@ class GateParams:
     def __post_init__(self):
         if not 0.0 < self.R <= 1.0:
             raise ValueError(f"R = {self.R} outside (0, 1]")
-        if self.ancilla_excess < 1.0:
+        for name in ("squeezing_db_a", "squeezing_db_b"):
+            db = getattr(self, name)
+            if not math.isfinite(db):
+                raise ValueError(f"{name} = {db} is not finite")
+        if not self.ancilla_excess >= 1.0:
             raise ValueError("ancilla_excess must be >= 1")
 
     @classmethod
@@ -431,7 +435,8 @@ def build_qnd_gate(
     imp = imperfections or ImperfectionModel.ideal()
     circuit = Circuit(_gate_elements(params, imp))
     err = oracle_error(params)
-    if err > ORACLE_MATCH_TOL:
+    # written so that a NaN error fails too
+    if not err <= ORACLE_MATCH_TOL:
         raise CircuitConstructionError(
             f"compiled gate deviates from the input-output relations: "
             f"coefficient error {err:.3e}"

@@ -158,29 +158,10 @@ def cmd_conditional(config: ScenarioConfig, csv_path: str | None = None) -> str:
     grid = config.run.g_grid()
 
     lines = [f"conditional-variance sweep, G={params.gain:.4f}"]
-    csv_rows = []
     optima = {}
     for sector in ("x", "p"):
-        refs = metrics.reference_sweeps(params, sector, grid)
-        measured = metrics.cv_sweep(cov, sector, grid)
         v, g_opt = optima[sector] = metrics.conditional_variance(cov, sector)
         lines.append(f"sector {sector}: V_SP={v:.5f} at g_opt={g_opt:.5f}")
-        for g, m, ci, cii, ciii, bound in zip(
-            grid, measured, refs.ideal, refs.finite_squeezing, refs.vacuum_ancilla,
-            refs.witness_bound,
-        ):
-            csv_rows.append(
-                [
-                    sector,
-                    f"{g:.4f}",
-                    f"{m:.9f}",
-                    f"{gaussian.variance_to_db(m):.9f}",
-                    f"{ci:.9f}",
-                    f"{cii:.9f}",
-                    f"{ciii:.9f}",
-                    f"{bound:.9f}",
-                ]
-            )
     duan = metrics.duan_simon(cov, optima["x"][1], grid)
     lines.append(
         f"witness at g={duan.g:.5f}: sum={duan.combined_sum:.5f} vs bound={duan.bound:.5f}"
@@ -190,7 +171,28 @@ def cmd_conditional(config: ScenarioConfig, csv_path: str | None = None) -> str:
         f"scan over g: best margin {duan.scan_best_margin:+.5f} at g={duan.scan_best_g:.4f}"
         f" -> {'entangled' if duan.scan_entangled else 'not certified'}"
     )
+    # the reference curves and the measured sweep go only into the CSV
     if csv_path:
+        csv_rows = []
+        for sector in ("x", "p"):
+            refs = metrics.reference_sweeps(params, sector, grid)
+            measured = metrics.cv_sweep(cov, sector, grid)
+            for g, m, ci, cii, ciii, bound in zip(
+                grid, measured, refs.ideal, refs.finite_squeezing, refs.vacuum_ancilla,
+                refs.witness_bound,
+            ):
+                csv_rows.append(
+                    [
+                        sector,
+                        f"{g:.4f}",
+                        f"{m:.9f}",
+                        f"{gaussian.variance_to_db(m):.9f}",
+                        f"{ci:.9f}",
+                        f"{cii:.9f}",
+                        f"{ciii:.9f}",
+                        f"{bound:.9f}",
+                    ]
+                )
         _write_csv(
             csv_path,
             ["sector", "g", "simulated", "simulated_dB", "ideal", "finite_squeezing",
@@ -347,16 +349,17 @@ def _config_from_args(args) -> ScenarioConfig:
         config = load_scenario(args.config)
     else:
         config = ScenarioConfig()
+    # replace() re-runs the scenario's and RunSpec's checks on the flag values
     if args.reflectivity is not None:
         config = replace(config, gate_R=args.reflectivity, gate_G=None)
     elif args.gain is not None:
         config = replace(config, gate_R=None, gate_G=args.gain)
     if args.squeezing_db is not None:
-        config.squeezing_dB_A = args.squeezing_db
-        config.squeezing_dB_B = args.squeezing_db
+        config = replace(
+            config, squeezing_dB_A=args.squeezing_db, squeezing_dB_B=args.squeezing_db
+        )
     if args.no_imperfections:
         config.imperfections = ImperfectionModel.ideal()
-    # replace() re-runs RunSpec's checks on the values taken from the flags
     if args.trajectories is not None:
         config.run = replace(config.run, mode="trajectories", n=args.trajectories)
     if args.seed is not None:

@@ -85,6 +85,11 @@ class ScenarioConfig:
             raise ValueError("specify exactly one of gate R and gate G")
         if len(self.inputs) != 2:
             raise ValueError("a scenario has exactly two input modes")
+        # the gate's measurement-induced squeezing needs squeezed (or vacuum) ancillas
+        for name in ("squeezing_dB_A", "squeezing_dB_B"):
+            db = getattr(self, name)
+            if not (np.isfinite(db) and db <= 0.0):
+                raise ValueError(f"{name} = {db} must be finite and at most 0 dB")
 
     def gate_params(self) -> GateParams:
         R = self.gate_R if self.gate_R is not None else reflectivity_from_gain(self.gate_G)

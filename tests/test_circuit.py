@@ -27,7 +27,7 @@ from qndsim.circuit import (
     run_covariance,
     run_trajectory,
 )
-from qndsim.ensemble import trajectory_generator
+from qndsim.ensemble import run_ensemble, trajectory_generator, z_score_report
 from qndsim.quadexpr import (
     QuadratureMap,
     commutator_check,
@@ -89,6 +89,16 @@ class TestGateParams:
         params = GateParams(0.5, squeezing_db_a=-5.0, squeezing_db_b=-10.0)
         assert np.exp(-2 * params.r_a) == pytest.approx(10**-0.5, abs=1e-12)
         assert np.exp(-2 * params.r_b) == pytest.approx(0.1, abs=1e-12)
+
+    @pytest.mark.parametrize("name", ["squeezing_db_a", "squeezing_db_b"])
+    @pytest.mark.parametrize("db", [math.nan, math.inf, -math.inf])
+    def test_non_finite_squeezing_rejected(self, name, db):
+        with pytest.raises(ValueError, match=f"{name} = {db} is not finite"):
+            GateParams(0.5, **{name: db})
+
+    def test_nan_ancilla_excess_rejected(self):
+        with pytest.raises(ValueError, match="ancilla_excess"):
+            GateParams(0.5, ancilla_excess=math.nan)
 
 
 class TestImperfectionModel:
@@ -173,6 +183,13 @@ class TestBuilderOracleEquivalence:
 
         monkeypatch.setattr(circuit_module, "finite_squeezing_map", skewed)
         with pytest.raises(CircuitConstructionError, match=r"coefficient error 1\.000e-06"):
+            build_qnd_gate(GateParams(0.25), ImperfectionModel())
+
+    def test_nan_oracle_error_raises(self, monkeypatch):
+        # a NaN coefficient error compares false against the tolerance, so
+        # the gate must fail unless the error is known to be within it
+        monkeypatch.setattr(circuit_module, "oracle_error", lambda params: math.nan)
+        with pytest.raises(CircuitConstructionError, match="coefficient error nan"):
             build_qnd_gate(GateParams(0.25), ImperfectionModel())
 
 
@@ -490,3 +507,17 @@ class TestExecutorsAgree:
         assert np.abs(cov - out.cov).max() <= tol
         assert np.allclose(mean, out.mean, rtol=0.0, atol=1e-9)
         assert commutator_check(qmap).passed
+
+    @settings(max_examples=8, deadline=None, derandomize=True)
+    @given(params=_GATES, imp=_BUDGETS, seed=st.integers(0, 2**32 - 1))
+    @example(
+        params=GateParams(0.95, squeezing_db_a=10.0, squeezing_db_b=10.0),
+        imp=ImperfectionModel(dark_noise_dB_below_shot=0.0),
+        seed=7,
+    )
+    def test_sampled_ensemble_agrees_with_covariance(self, params, imp, seed):
+        circuit = build_qnd_gate(params, imp)
+        state = gaussian.displace(gaussian.vacuum_state(2), 0, 1.0, -0.5)
+        result = run_ensemble(circuit, state, 20_000, seed)
+        target = run_covariance(circuit, state)
+        assert z_score_report(result, target.mean, target.cov).max_z < 5.0

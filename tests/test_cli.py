@@ -116,6 +116,21 @@ class TestScenarioConfig:
         with pytest.raises(ValueError):
             scenario_from_dict({"gate": {"R": 0.25, "G": 1.0}})
 
+    @pytest.mark.parametrize("name", ["squeezing_dB_A", "squeezing_dB_B"])
+    @pytest.mark.parametrize("db", [6.0, 1e-9, float("nan"), float("inf"), float("-inf")])
+    def test_positive_or_non_finite_squeezing_rejected(self, name, db):
+        with pytest.raises(ValueError, match=f"{name} = {db} must be finite and at most 0 dB"):
+            ScenarioConfig(**{name: db})
+
+    def test_vacuum_ancillas_accepted(self):
+        assert ScenarioConfig(squeezing_dB_A=0.0, squeezing_dB_B=-0.0).gate_params().r_a == 0.0
+
+    def test_positive_squeezing_in_file_rejected(self, tmp_path):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({"gate": {"squeezing_dB_B": 3.0}}))
+        with pytest.raises(ValueError, match="squeezing_dB_B = 3.0 must be finite"):
+            main(["conditional", "--config", str(path)])
+
     def test_input_state_construction(self):
         config = ScenarioConfig(inputs=(InputSpec("coherent", 3.0, "p"), InputSpec()))
         state = config.input_state()
@@ -232,6 +247,42 @@ class TestConditional:
         ]
         assert len(lines) == 1 + 2 * 5  # both sectors, five grid points
 
+    def test_reference_curves_only_for_csv(self, monkeypatch, tmp_path):
+        # the lossless reference maps feed only the CSV rows
+        calls = []
+        reference_sweeps = metrics.reference_sweeps
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return reference_sweeps(*args, **kwargs)
+
+        monkeypatch.setattr(metrics, "reference_sweeps", counted)
+        cmd_conditional(ScenarioConfig())
+        assert len(calls) == 0
+        cmd_conditional(ScenarioConfig(), csv_path=str(tmp_path / "sweep.csv"))
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("mode", ["covariance", "trajectories"])
+    def test_csv_leaves_text_unchanged(self, tmp_path, mode):
+        config = ScenarioConfig(run=RunSpec(mode=mode, n=2000, master_seed=17))
+        path = tmp_path / "sweep.csv"
+        assert cmd_conditional(config) == cmd_conditional(config, csv_path=str(path))
+
+        circuit = build_qnd_gate(config.gate_params(), config.imperfections)
+        state = config.input_state()
+        if mode == "covariance":
+            cov = run_covariance(circuit, state).cov
+        else:
+            cov = run_ensemble(circuit, state, 2000, 17).cov
+        grid = config.run.g_grid()
+        rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+        assert len(rows) == 2 * len(grid)
+        for k, sector in enumerate(("x", "p")):
+            simulated = metrics.cv_sweep(cov, sector, grid)
+            sector_rows = rows[k * len(grid):(k + 1) * len(grid)]
+            assert [row[0] for row in sector_rows] == [sector] * len(grid)
+            assert [row[2] for row in sector_rows] == [f"{v:.9f}" for v in simulated]
+
 
 class TestReproduceTable:
     def test_fit_reported_and_honest(self):
@@ -285,6 +336,12 @@ class TestMainEntry:
         assert main(["vacuum-spectra", "--gain", "1.0", "--no-imperfections"]) == 0
         out = capsys.readouterr().out
         assert "0.5745" in out
+
+    @pytest.mark.parametrize("db", ["6", "nan", "-inf"])
+    def test_squeezing_flag_outside_physics_rejected(self, db, capsys):
+        with pytest.raises(ValueError, match="squeezing_dB_A = .* must be finite and at most 0 dB"):
+            main(["vacuum-spectra", f"--squeezing-db={db}"])
+        assert capsys.readouterr().out == ""
 
     def test_reflectivity_flag(self, capsys):
         assert main(["vacuum-spectra", "--reflectivity", "1.0"]) == 0
