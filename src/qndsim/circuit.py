@@ -457,25 +457,22 @@ def oracle_error(params: GateParams) -> float:
 
 def _gate_elements(params: GateParams, imp: ImperfectionModel) -> list:
     R = params.R
+    eta_prop = 1.0 - imp.propagation_loss_per_main_mode
+    main_losses = [Loss(0, eta_prop, "main1"), Loss(1, eta_prop, "main2")] if eta_prop < 1.0 else []
     if R == 1.0:
         # G = 0: the gate is the identity; only passive losses remain
-        elements = []
-        if imp.propagation_loss_per_main_mode > 0.0:
-            eta = 1.0 - imp.propagation_loss_per_main_mode
-            elements += [Loss(0, eta, "main1"), Loss(1, eta, "main2")]
-        return elements
+        return main_losses
 
     entry_r, arm_r, _, exit_r = params.reflectivities
     ff_gain = math.sqrt((1.0 - R) / R) * (1.0 + imp.feedforward_electronic_gain_error)
     eta_det = imp.homodyne_efficiency
     dark = imp.dark_variance
-    eta_prop = 1.0 - imp.propagation_loss_per_main_mode
     eta_coupler = 1.0 - imp.displacement_coupler_loss
     eta_extra = 1.0 - imp.extra_in_loop_loss
 
     elements = []
-    if imp.loss_placement == "pre_entry" and eta_prop < 1.0:
-        elements += [Loss(0, eta_prop, "main1"), Loss(1, eta_prop, "main2")]
+    if imp.loss_placement == "pre_entry":
+        elements += main_losses
 
     elements.append(BeamSplitter(0, 1, entry_r, signs=(1, -1, 1, 1)))
 
@@ -498,13 +495,13 @@ def _gate_elements(params: GateParams, imp: ImperfectionModel) -> list:
     # after the two stages the arm outputs sit in slots (0, 1) again
     if eta_extra < 1.0:
         elements += [Loss(0, eta_extra, "armA"), Loss(1, eta_extra, "armB")]
-    if imp.loss_placement == "in_arms" and eta_prop < 1.0:
-        elements += [Loss(0, eta_prop, "main1"), Loss(1, eta_prop, "main2")]
+    if imp.loss_placement == "in_arms":
+        elements += main_losses
 
     elements.append(BeamSplitter(0, 1, exit_r, signs=(-1, -1, 1, -1)))
 
-    if imp.loss_placement == "post_exit" and eta_prop < 1.0:
-        elements += [Loss(0, eta_prop, "main1"), Loss(1, eta_prop, "main2")]
+    if imp.loss_placement == "post_exit":
+        elements += main_losses
     return elements
 
 

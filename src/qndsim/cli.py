@@ -31,8 +31,7 @@ from .circuit import (
     run_covariance,
 )
 from .ensemble import run_ensemble
-from .quadexpr import INPUT_COLUMNS
-from .scenario import RunSpec, ScenarioConfig, load_scenario
+from .scenario import ScenarioConfig, load_scenario
 
 ORACLE_R_GRID = (0.1, 0.25, 0.381966011250105, 0.5, 0.75, 1.0)
 ORACLE_DB_GRID = (0.0, -3.0, -5.0, -10.0, -60.0)
@@ -78,12 +77,8 @@ def cmd_vacuum_spectra(config: ScenarioConfig, csv_path: str | None = None) -> s
     return "\n".join(lines)
 
 
-_EXCITATION_CASES = (
-    ("a", 0, "x", "x1"),
-    ("b", 1, "x", "x2"),
-    ("c", 0, "p", "p1"),
-    ("d", 1, "p", "p2"),
-)
+# (case, excited input quadrature)
+_EXCITATION_CASES = (("a", "x1"), ("b", "x2"), ("c", "p1"), ("d", "p2"))
 
 
 def _excitation_means(config: ScenarioConfig, circuit, mean, qmap, amplitude: float) -> list:
@@ -103,8 +98,8 @@ def _excitation_means(config: ScenarioConfig, circuit, mean, qmap, amplitude: fl
         ensemble = run_ensemble(circuit, vacuum, config.run.n, config.run.master_seed)
         deviation = ensemble.mean - mean
     means = []
-    for _, mode, quad, _ in _EXCITATION_CASES:
-        column = qmap.columns.index(INPUT_COLUMNS[2 * mode + "xp".index(quad)])
+    for _, label in _EXCITATION_CASES:
+        column = qmap.columns.index(f"{label}_in")
         means.append(mean + amplitude * qmap.matrix[:, column] + deviation)
     return means
 
@@ -123,7 +118,7 @@ def cmd_transfer(config: ScenarioConfig, csv_path: str | None = None) -> str:
     out = run_covariance(circuit, gaussian.vacuum_state(2))
     qmap = circuit_quadrature_map(circuit)
     means = _excitation_means(config, circuit, out.mean, qmap, amplitude)
-    for (case, _, _, label), mean in zip(_EXCITATION_CASES, means):
+    for (case, label), mean in zip(_EXCITATION_CASES, means):
         # snap float noise to zero so reports are stable across R/G round trips
         mean = np.where(np.abs(mean) < 1e-12, 0.0, mean)
         # covariance mode is exact; trajectory mode carries Monte Carlo noise
@@ -259,8 +254,8 @@ def cmd_reproduce_table(
                 f"T_P={m.t_probe:.5f} (pub {targets['T_P'][sector][0]:.2f}) "
                 f"T_sum={m.t_sum:.5f} V_SP={m.v_conditional:.5f}"
             )
-    if not comparison.all_within_band:
-        misses = comparison.out_of_band()
+    misses = comparison.out_of_band()
+    if misses:
         lines.append(
             f"{len(misses)}/{len(comparison.checks)} banded values outside 2x bars; "
             "residuals are reported above (a symmetric model cannot reproduce the "
@@ -368,21 +363,26 @@ def _config_from_args(args) -> ScenarioConfig:
 
 
 def _reject_ignored(command: str, config: ScenarioConfig) -> None:
-    """Raise for scenario values that ``command`` would otherwise ignore."""
+    """Raise for scenario values that ``command`` would otherwise ignore.
+
+    A part of the scenario the command does not read must equal that part
+    of ``ScenarioConfig()``.
+    """
+    default = ScenarioConfig()
 
     def reject(section: str, why: str):
         raise ValueError(f"{command} ignores the scenario's {section} section: {why}")
 
-    if command in ("vacuum-spectra", "reproduce-table") and config.run.mode != "covariance":
-        reject("run", "it propagates covariances, not trajectories")
-    if command != "conditional" and not np.array_equal(config.run.g_grid(), RunSpec().g_grid()):
+    if command in ("vacuum-spectra", "reproduce-table") and config.run != default.run:
+        reject("run", "it propagates covariances once and sweeps no rescaling gain g")
+    if command == "transfer" and not np.array_equal(config.run.g_grid(), default.run.g_grid()):
         reject("run", "only conditional sweeps the rescaling gain g")
     if command == "reproduce-table":
-        if config.gate_R is not None or config.gate_G != 1.0:
+        if (config.gate_R, config.gate_G) != (default.gate_R, default.gate_G):
             reject("gate", "it always runs the reference gains 1.0 and 1.5")
         if config.squeezing_dB_B != config.squeezing_dB_A:
             reject("gate", "it gives both ancillas squeezing_dB_A")
-    if command != "conditional" and any(spec.kind != "vacuum" for spec in config.inputs):
+    if command != "conditional" and tuple(config.inputs) != default.inputs:
         reject("inputs", "it drives vacuum inputs")
 
 
@@ -394,9 +394,7 @@ def main(argv=None) -> int:
         return 0 if text.endswith("PASS") else 1
     config = _config_from_args(args)
     _reject_ignored(args.command, config)
-    csv_path = args.csv
-    if csv_path is None and config.output.format == "csv" and config.output.path:
-        csv_path = config.output.path
+    csv_path = args.csv if args.csv is not None else config.output.path
     if args.command == "vacuum-spectra":
         print(cmd_vacuum_spectra(config, csv_path))
     elif args.command == "transfer":

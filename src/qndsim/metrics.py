@@ -40,6 +40,7 @@ from .quadexpr import (
     ideal_qnd_map,
     moments_from_map,
 )
+from .scenario import RunSpec
 
 # flat covariance indices in (x1, p1, x2, p2) ordering; a sector's signal
 # input is the quadrature ``INPUT_COLUMNS[signal]``
@@ -49,7 +50,7 @@ _SECTOR = {
 }
 
 DEFAULT_PROBE_AMPLITUDE = 10.0  # mean**2 = 100 x shot noise (20 dB)
-DEFAULT_G_GRID = np.round(np.arange(-2.0, 2.0 + 1e-9, 0.01), 10)
+DEFAULT_G_GRID = RunSpec().g_grid()
 
 
 def _check_sector(sector: str) -> dict:
@@ -117,7 +118,6 @@ def cv_sweep(cov: np.ndarray, sector: str, g_grid=None) -> np.ndarray:
 class ReferenceSweeps:
     """Lossless theory parabolas for a conditional-variance plot."""
 
-    g_grid: np.ndarray
     ideal: np.ndarray            # infinite squeezing
     finite_squeezing: np.ndarray  # configured ancilla squeezing
     vacuum_ancilla: np.ndarray    # no squeezing
@@ -133,7 +133,7 @@ def reference_sweeps(params: GateParams, sector: str, g_grid=None) -> ReferenceS
         finite_squeezing_map(params.R, 0.0, 0.0),
     )
     curves = [cv_sweep(moments_from_map(m)[1], sector, g) for m in maps]
-    return ReferenceSweeps(g, curves[0], curves[1], curves[2], 2.0 * np.abs(g))
+    return ReferenceSweeps(*curves, 2.0 * np.abs(g))
 
 
 @dataclass
@@ -297,8 +297,9 @@ REFERENCE_TABLE = {
     },
 }
 
-# acceptance bands are checked on these metrics at twice the quoted bars
-BAND_METRICS = ("T_sum", "V_SP")
+# acceptance bands are checked on these metrics at twice the quoted bars;
+# each maps to the SectorMetrics attribute that holds its simulated value
+BAND_METRICS = {"T_sum": "t_sum", "V_SP": "v_conditional"}
 BAND_WIDTH_FACTOR = 2.0
 
 
@@ -328,21 +329,8 @@ class TableComparison:
     checks: list           # BandCheck entries for the banded metrics
     objective: float       # sum of squared residuals in bar units
 
-    @property
-    def all_within_band(self) -> bool:
-        return all(c.within for c in self.checks)
-
     def out_of_band(self):
         return [c for c in self.checks if not c.within]
-
-
-def _simulated_metrics(report: QndReport) -> dict:
-    return {
-        "T_S": {s: report.sectors[s].t_signal for s in ("x", "p")},
-        "T_P": {s: report.sectors[s].t_probe for s in ("x", "p")},
-        "T_sum": {s: report.sectors[s].t_sum for s in ("x", "p")},
-        "V_SP": {s: report.sectors[s].v_conditional for s in ("x", "p")},
-    }
 
 
 def compare_to_reference(
@@ -361,11 +349,10 @@ def compare_to_reference(
         circuit = build_qnd_gate(params, imperfections)
         report = evaluate_gate(circuit, params)
         reports[gain] = report
-        simulated = _simulated_metrics(report)
-        for metric in BAND_METRICS:
+        for metric, attribute in BAND_METRICS.items():
             for sector in ("x", "p"):
                 ref, bar = targets[metric][sector]
-                sim = simulated[metric][sector]
+                sim = getattr(report.sectors[sector], attribute)
                 within = abs(sim - ref) <= BAND_WIDTH_FACTOR * bar
                 checks.append(
                     BandCheck(gain, metric, sector, sim, ref, bar, within)

@@ -35,6 +35,8 @@ class InputSpec:
             raise ValueError(f"unknown quadrature {self.quadrature!r}")
         if not np.isfinite(self.amplitude):
             raise ValueError("amplitude must be finite")
+        if self.kind == "vacuum" and (self.amplitude != 0.0 or self.quadrature != "x"):
+            raise ValueError("a vacuum input takes no amplitude or quadrature")
 
 
 @dataclass
@@ -51,8 +53,12 @@ class RunSpec:
             raise ValueError(f"unknown run mode {self.mode!r}")
         if isinstance(self.n, bool) or not isinstance(self.n, Integral) or self.n < 2:
             raise ValueError(f"run n must be an integer of at least 2, got {self.n!r}")
+        if not np.all(np.isfinite((self.g_min, self.g_max, self.g_step))):
+            raise ValueError("g_grid min, max and step must be finite")
         if self.g_step <= 0.0:
             raise ValueError("g_grid step must be positive")
+        if self.g_min > self.g_max:
+            raise ValueError(f"g_grid min {self.g_min} exceeds max {self.g_max}")
         check_master_seed(self.master_seed)
 
     def g_grid(self) -> np.ndarray:
@@ -67,6 +73,10 @@ class OutputSpec:
     def __post_init__(self):
         if self.format not in ("table", "csv"):
             raise ValueError(f"unknown output format {self.format!r}")
+        if self.format == "csv" and not self.path:
+            raise ValueError("csv output needs a path")
+        if self.format == "table" and self.path is not None:
+            raise ValueError("table output is printed and takes no path")
 
 
 @dataclass
@@ -135,41 +145,35 @@ def _reject_unknown(section: str, doc: dict, known) -> None:
         raise ValueError(f"unknown {section} keys: {sorted(unknown)}")
 
 
+def _section(cls, section: str, doc: dict):
+    _reject_unknown(section, doc, (f.name for f in fields(cls)))
+    return cls(**doc)
+
+
 def scenario_from_dict(doc: dict) -> ScenarioConfig:
+    """Build a scenario from the keys ``doc`` gives; the rest keep their defaults."""
     _reject_unknown("scenario", doc, ("gate", "imperfections", "inputs", "run", "output"))
     gate = doc.get("gate", {})
     _reject_unknown("gate", gate, ("R", "G", "squeezing_dB_A", "squeezing_dB_B"))
-    if "R" in gate and "G" in gate:
-        raise ValueError("specify exactly one of gate R and gate G")
-    imperfections = doc.get("imperfections", {})
-    _reject_unknown("imperfection", imperfections, (f.name for f in fields(ImperfectionModel)))
-    run_doc = doc.get("run", {})
-    _reject_unknown("run", run_doc, ("mode", "n", "master_seed", "g_grid"))
-    grid = run_doc.get("g_grid", {})
-    _reject_unknown("g_grid", grid, ("min", "max", "step"))
-    run = RunSpec(
-        mode=run_doc.get("mode", "covariance"),
-        n=run_doc.get("n", 100000),
-        master_seed=run_doc.get("master_seed", 20080901),
-        g_min=float(grid.get("min", -2.0)),
-        g_max=float(grid.get("max", 2.0)),
-        g_step=float(grid.get("step", 0.01)),
-    )
-    inputs = doc.get("inputs", [{"kind": "vacuum"}] * 2)
-    for spec in inputs:
-        _reject_unknown("input", spec, (f.name for f in fields(InputSpec)))
-    output = doc.get("output", {})
-    _reject_unknown("output", output, (f.name for f in fields(OutputSpec)))
-    return ScenarioConfig(
-        gate_R=gate.get("R"),
-        gate_G=gate.get("G", 1.0 if "R" not in gate else None),
-        squeezing_dB_A=float(gate.get("squeezing_dB_A", -5.0)),
-        squeezing_dB_B=float(gate.get("squeezing_dB_B", -5.0)),
-        imperfections=ImperfectionModel(**imperfections),
-        inputs=tuple(InputSpec(**spec) for spec in inputs),
-        run=run,
-        output=OutputSpec(**output),
-    )
+    squeezings = ("squeezing_dB_A", "squeezing_dB_B")
+    given = {name: float(gate[name]) for name in squeezings if name in gate}
+    if "R" in gate:
+        given.update(gate_R=gate["R"], gate_G=gate.get("G"))
+    elif "G" in gate:
+        given["gate_G"] = gate["G"]
+    if "imperfections" in doc:
+        given["imperfections"] = _section(ImperfectionModel, "imperfection", doc["imperfections"])
+    if "inputs" in doc:
+        given["inputs"] = tuple(_section(InputSpec, "input", spec) for spec in doc["inputs"])
+    if "run" in doc:
+        run = dict(doc["run"])
+        _reject_unknown("run", run, ("mode", "n", "master_seed", "g_grid"))
+        grid = run.pop("g_grid", {})
+        _reject_unknown("g_grid", grid, ("min", "max", "step"))
+        given["run"] = RunSpec(**run, **{f"g_{key}": float(value) for key, value in grid.items()})
+    if "output" in doc:
+        given["output"] = _section(OutputSpec, "output", doc["output"])
+    return ScenarioConfig(**given)
 
 
 def load_scenario(path: str) -> ScenarioConfig:

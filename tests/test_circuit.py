@@ -391,10 +391,72 @@ homodyne_feedforward measured=0 angle=0 target=2 quadrature=x gain=1.73205080757
 beam_splitter i=0 j=1 reflectivity=0.2 signs=--+-"""
 
 
+# the default budget with each main-mode loss placement, and the R = 1
+# identity gate, where only the main-mode losses remain
+GOLDEN_BUDGET_TEXT = {
+    "pre_entry": """\
+circuit modes=2
+loss mode=0 eta=0.93 tag=main1
+loss mode=1 eta=0.93 tag=main2
+beam_splitter i=0 j=1 reflectivity=0.8 signs=+-++
+ancilla label=A r=0.575646273249 angle=0 excess=1
+beam_splitter i=2 j=0 reflectivity=0.25 signs=+-++
+loss mode=2 eta=0.99 tag=couplerA
+homodyne_feedforward measured=0 angle=1.57079632679 target=2 quadrature=p gain=-1.73205080757 efficiency=0.950796 dark=0.0199526231497
+ancilla label=B r=0.575646273249 angle=1.57079632679 excess=1
+beam_splitter i=2 j=0 reflectivity=0.25 signs=--+-
+loss mode=2 eta=0.99 tag=couplerB
+homodyne_feedforward measured=0 angle=0 target=2 quadrature=x gain=1.73205080757 efficiency=0.950796 dark=0.0199526231497
+beam_splitter i=0 j=1 reflectivity=0.2 signs=--+-""",
+    "in_arms": """\
+circuit modes=2
+beam_splitter i=0 j=1 reflectivity=0.8 signs=+-++
+ancilla label=A r=0.575646273249 angle=0 excess=1
+beam_splitter i=2 j=0 reflectivity=0.25 signs=+-++
+loss mode=2 eta=0.99 tag=couplerA
+homodyne_feedforward measured=0 angle=1.57079632679 target=2 quadrature=p gain=-1.73205080757 efficiency=0.950796 dark=0.0199526231497
+ancilla label=B r=0.575646273249 angle=1.57079632679 excess=1
+beam_splitter i=2 j=0 reflectivity=0.25 signs=--+-
+loss mode=2 eta=0.99 tag=couplerB
+homodyne_feedforward measured=0 angle=0 target=2 quadrature=x gain=1.73205080757 efficiency=0.950796 dark=0.0199526231497
+loss mode=0 eta=0.93 tag=main1
+loss mode=1 eta=0.93 tag=main2
+beam_splitter i=0 j=1 reflectivity=0.2 signs=--+-""",
+    "post_exit": """\
+circuit modes=2
+beam_splitter i=0 j=1 reflectivity=0.8 signs=+-++
+ancilla label=A r=0.575646273249 angle=0 excess=1
+beam_splitter i=2 j=0 reflectivity=0.25 signs=+-++
+loss mode=2 eta=0.99 tag=couplerA
+homodyne_feedforward measured=0 angle=1.57079632679 target=2 quadrature=p gain=-1.73205080757 efficiency=0.950796 dark=0.0199526231497
+ancilla label=B r=0.575646273249 angle=1.57079632679 excess=1
+beam_splitter i=2 j=0 reflectivity=0.25 signs=--+-
+loss mode=2 eta=0.99 tag=couplerB
+homodyne_feedforward measured=0 angle=0 target=2 quadrature=x gain=1.73205080757 efficiency=0.950796 dark=0.0199526231497
+beam_splitter i=0 j=1 reflectivity=0.2 signs=--+-
+loss mode=0 eta=0.93 tag=main1
+loss mode=1 eta=0.93 tag=main2""",
+}
+
+GOLDEN_IDENTITY_TEXT = """\
+circuit modes=2
+loss mode=0 eta=0.93 tag=main1
+loss mode=1 eta=0.93 tag=main2"""
+
+
 class TestSerialization:
     def test_golden_text(self):
         circuit = build_qnd_gate(GateParams(0.25), ImperfectionModel.ideal())
         assert circuit.to_text() == GOLDEN_TEXT
+
+    @pytest.mark.parametrize("placement", sorted(GOLDEN_BUDGET_TEXT))
+    def test_golden_text_per_loss_placement(self, placement):
+        circuit = build_qnd_gate(GateParams(0.25), ImperfectionModel(loss_placement=placement))
+        assert circuit.to_text() == GOLDEN_BUDGET_TEXT[placement]
+
+    def test_golden_text_identity_gate(self):
+        circuit = build_qnd_gate(GateParams(1.0), ImperfectionModel())
+        assert circuit.to_text() == GOLDEN_IDENTITY_TEXT
 
     def test_reflectivities_appear_in_caption_order(self):
         circuit = build_qnd_gate(GateParams(0.25), ImperfectionModel.ideal())

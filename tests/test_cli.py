@@ -1,6 +1,7 @@
 """Tests for the command-line front end and scenario configuration."""
 
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from qndsim.ensemble import run_ensemble
 from qndsim.quadexpr import QuadratureMap
 from qndsim.scenario import (
     InputSpec,
+    OutputSpec,
     RunSpec,
     ScenarioConfig,
     load_scenario,
@@ -81,6 +83,89 @@ class TestScenarioConfig:
             RunSpec(n=n)
         with pytest.raises(ValueError, match="at least 2"):
             scenario_from_dict({"run": {"n": n}})
+
+    def test_empty_document_is_the_default_scenario(self):
+        assert scenario_from_dict({}) == ScenarioConfig()
+
+    @pytest.mark.parametrize(
+        "doc, expected",
+        [
+            ({"gate": {"R": 0.25}}, ScenarioConfig(gate_R=0.25, gate_G=None)),
+            ({"gate": {"G": 1.5}}, ScenarioConfig(gate_G=1.5)),
+            ({"gate": {"squeezing_dB_B": -3}}, ScenarioConfig(squeezing_dB_B=-3.0)),
+            ({"imperfections": {"visibility": 0.9}},
+             ScenarioConfig(imperfections=ImperfectionModel(visibility=0.9))),
+            ({"inputs": [{"kind": "coherent"}, {}]},
+             ScenarioConfig(inputs=(InputSpec("coherent"), InputSpec()))),
+            ({"run": {"n": 500}}, ScenarioConfig(run=RunSpec(n=500))),
+            ({"run": {"g_grid": {"max": 1}}}, ScenarioConfig(run=RunSpec(g_max=1.0))),
+            ({"output": {"format": "csv", "path": "out.csv"}},
+             ScenarioConfig(output=OutputSpec("csv", "out.csv"))),
+        ],
+        ids=["R", "G", "squeezing", "imperfection", "inputs", "n", "g_grid", "output"],
+    )
+    def test_one_key_keeps_every_other_default(self, doc, expected):
+        assert scenario_from_dict(doc) == expected
+
+    def test_given_squeezing_and_grid_values_become_floats(self):
+        config = scenario_from_dict({"gate": {"squeezing_dB_A": -3}, "run": {"g_grid": {"step": 1}}})
+        assert type(config.squeezing_dB_A) is float and type(config.run.g_step) is float
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            {"min": 1.0, "max": -1.0},
+            {"max": float("nan")},
+            {"min": float("-inf")},
+            {"step": float("nan")},
+            {"step": float("inf")},
+        ],
+        ids=["min-above-max", "nan-max", "infinite-min", "nan-step", "infinite-step"],
+    )
+    def test_bad_g_grid_rejected(self, tmp_path, grid):
+        with pytest.raises(ValueError, match="g_grid"):
+            scenario_from_dict({"run": {"g_grid": grid}})
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({"run": {"g_grid": grid}}))
+        with pytest.raises(ValueError, match="g_grid"):
+            main(["conditional", "--config", str(path)])
+
+    def test_one_point_g_grid_accepted(self, capsys, tmp_path):
+        assert np.array_equal(RunSpec(g_min=0.5, g_max=0.5).g_grid(), [0.5])
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({"run": {"g_grid": {"min": 0.5, "max": 0.5}}}))
+        assert main(["conditional", "--config", str(path)]) == 0
+        assert "scan over g: best margin" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "spec", [{"kind": "vacuum", "amplitude": 3.0}, {"quadrature": "p"}], ids=["amplitude", "p"]
+    )
+    def test_vacuum_input_with_amplitude_or_quadrature_rejected(self, tmp_path, spec):
+        with pytest.raises(ValueError, match="vacuum input takes no amplitude or quadrature"):
+            InputSpec(**spec)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({"inputs": [spec, {"kind": "vacuum"}]}))
+        with pytest.raises(ValueError, match="vacuum input takes no amplitude or quadrature"):
+            main(["conditional", "--config", str(path)])
+
+    @pytest.mark.parametrize(
+        "output, message",
+        [
+            ({"format": "csv"}, "csv output needs a path"),
+            ({"format": "table", "path": "out.csv"}, "table output is printed and takes no path"),
+        ],
+        ids=["csv-without-path", "table-with-path"],
+    )
+    def test_unwritten_or_unused_output_path_rejected(self, output, message):
+        with pytest.raises(ValueError, match=message):
+            scenario_from_dict({"output": output})
+
+    def test_csv_output_section_writes_the_csv(self, tmp_path, capsys):
+        csv = tmp_path / "out.csv"
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({"output": {"format": "csv", "path": str(csv)}}))
+        assert main(["transfer", "--config", str(path)]) == 0
+        assert csv.read_text().startswith("case,excited,")
 
     def test_bad_step_rejected(self):
         with pytest.raises(ValueError):
@@ -212,7 +297,8 @@ class TestTransfer:
         qmap = circuit_quadrature_map(circuit)
         means = _excitation_means(config, circuit, vacuum_mean, qmap, amplitude)
         assert len(means) == len(_EXCITATION_CASES)
-        for (_, mode, quad, _), mean in zip(_EXCITATION_CASES, means):
+        for (_, label), mean in zip(_EXCITATION_CASES, means):
+            quad, mode = label[0], int(label[1]) - 1
             dx, dp = (amplitude, 0.0) if quad == "x" else (0.0, amplitude)
             state = gaussian.displace(gaussian.vacuum_state(2), mode, dx, dp)
             if mode_name == "covariance":
@@ -488,6 +574,47 @@ class TestScenarioFileHonoured:
     def test_honoured_file_runs(self, tmp_path, capsys, command, doc):
         assert self.run(tmp_path, command, doc) == 0
         assert capsys.readouterr().out.strip()
+
+    # one valid non-default value per scenario field that some subcommand does not read
+    NON_DEFAULT = {
+        "mode": "trajectories", "n": 500, "master_seed": 3,
+        "g_min": -1.0, "g_max": 1.0, "g_step": 0.1,
+        "kind": "coherent", "amplitude": 3.0, "quadrature": "p",
+        "gate_R": 0.25, "gate_G": 1.5, "squeezing_dB_B": -3.0,
+    }
+    RUN_FIELDS = tuple(f.name for f in fields(RunSpec))
+    INPUT_FIELDS = tuple(f.name for f in fields(InputSpec))
+    UNREAD = (
+        [("vacuum-spectra", "run", name) for name in RUN_FIELDS]
+        + [("reproduce-table", "run", name) for name in RUN_FIELDS]
+        + [("transfer", "run", name) for name in ("g_min", "g_max", "g_step")]
+        + [("vacuum-spectra", "inputs", name) for name in INPUT_FIELDS]
+        + [("transfer", "inputs", name) for name in INPUT_FIELDS]
+        + [("reproduce-table", "inputs", name) for name in INPUT_FIELDS]
+        + [("reproduce-table", "gate", name) for name in ("gate_R", "gate_G", "squeezing_dB_B")]
+    )
+
+    @classmethod
+    def non_default(cls, name):
+        """The default scenario with field ``name`` set to its ``NON_DEFAULT`` value."""
+        value = cls.NON_DEFAULT[name]
+        if name in cls.RUN_FIELDS:
+            return ScenarioConfig(run=RunSpec(**{name: value}))
+        if name in cls.INPUT_FIELDS:
+            # a vacuum input has no amplitude or quadrature, so these excite a coherent one
+            return ScenarioConfig(inputs=(InputSpec(**{"kind": "coherent", name: value}), InputSpec()))
+        if name == "gate_R":
+            return ScenarioConfig(gate_R=value, gate_G=None)
+        return ScenarioConfig(**{name: value})
+
+    @pytest.mark.parametrize(
+        "command, section, name", UNREAD, ids=[f"{c}-{n}" for c, _, n in UNREAD]
+    )
+    def test_every_unread_field_rejected(self, tmp_path, command, section, name):
+        path = tmp_path / "scenario.json"
+        path.write_text(self.non_default(name).to_json())
+        with pytest.raises(ValueError, match=f"{command} ignores the scenario's {section} section"):
+            main([command, "--config", str(path)])
 
     def test_squeezing_flag_overrides_unequal_file_values(self, tmp_path, capsys):
         doc = {"gate": {"squeezing_dB_A": -5.0, "squeezing_dB_B": -3.0}}
