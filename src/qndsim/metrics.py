@@ -74,13 +74,16 @@ def transfer_coefficients(circuit: Circuit, sector: str):
 
 
 def _transfer(qmap: QuadratureMap, cov: np.ndarray, sector: str):
+    """``(T_S, T_P)`` of one sector; a stack ``cov`` of shape (n, 4, 4) gives arrays."""
     spec = _check_sector(sector)
     column = qmap.matrix[:, qmap.columns.index(INPUT_COLUMNS[spec["signal"]])]
+    moments = cov.T  # moments[j, i] is cov[..., i, j]: a scalar, or one per stacked cov
 
-    def snr_ratio(idx: int) -> float:
-        if cov[idx, idx] <= 0.0:
+    def snr_ratio(idx: int):
+        variance = moments[idx, idx]
+        if any((variance <= 0.0).flat):
             raise ValueError("non-positive output variance")
-        return column[idx] ** 2 / cov[idx, idx]
+        return column[idx] ** 2 / variance
 
     return snr_ratio(spec["signal"]), snr_ratio(spec["probe"])
 
@@ -90,19 +93,23 @@ def conditional_variance(cov: np.ndarray, sector: str):
 
     Returns ``(V_SP, g_opt)``; closed form ``V_S * (1 - C**2)`` with
     ``g_opt`` the minimizing rescaling gain of ``Var(x1 - g*x2)`` (x sector)
-    or ``Var(p2 + g*p1)`` (p sector).
+    or ``Var(p2 + g*p1)`` (p sector).  A (4, 4) covariance gives two floats,
+    a stack of shape (n, 4, 4) two arrays of length n.
     """
     spec = _check_sector(sector)
     cov = np.asarray(cov, dtype=float)
     s, p, sign = spec["signal"], spec["probe"], spec["sign"]
-    var_s = cov[s, s]
-    var_p = cov[p, p]
-    c = cov[s, p]
-    if var_p <= gaussian.VARIANCE_FLOOR:
-        return float(var_s), 0.0
+    moments = cov.T  # moments[j, i] is cov[..., i, j]: a scalar, or one per stacked cov
+    var_s, var_p, c = moments[s, s], moments[p, p], moments[p, s]
+    floor = var_p <= gaussian.VARIANCE_FLOOR
+    if any(floor.flat):
+        # a noiseless probe carries no information: V_SP = V_S at g = 0
+        var_p = np.where(floor, np.inf, var_p)
     g_opt = -sign * c / var_p
     value = var_s - c * c / var_p
-    return float(value), float(g_opt)
+    if cov.ndim == 2:
+        return float(value), float(g_opt)
+    return value, g_opt
 
 
 def cv_sweep(cov: np.ndarray, sector: str, g_grid=None) -> np.ndarray:
@@ -342,22 +349,17 @@ def compare_to_reference(
     reports = {}
     checks = []
     objective = 0.0
-    for gain, targets in REFERENCE_TABLE.items():
+    for gain in REFERENCE_TABLE:
         params = GateParams.from_gain(
             gain, squeezing_db_a=squeezing_db, squeezing_db_b=squeezing_db
         )
         circuit = build_qnd_gate(params, imperfections)
         report = evaluate_gate(circuit, params)
         reports[gain] = report
-        for metric, attribute in BAND_METRICS.items():
-            for sector in ("x", "p"):
-                ref, bar = targets[metric][sector]
-                sim = getattr(report.sectors[sector], attribute)
-                within = abs(sim - ref) <= BAND_WIDTH_FACTOR * bar
-                checks.append(
-                    BandCheck(gain, metric, sector, sim, ref, bar, within)
-                )
-                objective += ((sim - ref) / bar) ** 2
+        for metric, sector, sim, ref, bar in _banded(gain, report.sectors):
+            within = abs(sim - ref) <= BAND_WIDTH_FACTOR * bar
+            checks.append(BandCheck(gain, metric, sector, sim, ref, bar, within))
+            objective += ((sim - ref) / bar) ** 2
     return TableComparison(
         extra_in_loop_loss=imperfections.extra_in_loop_loss,
         fitted=fitted,
@@ -365,6 +367,47 @@ def compare_to_reference(
         checks=checks,
         objective=objective,
     )
+
+
+def _banded(gain: float, sectors: dict):
+    """``(metric, sector, simulated, reference, bar)`` for each banded value at one gain."""
+    targets = REFERENCE_TABLE[gain]
+    for metric, attribute in BAND_METRICS.items():
+        for sector in ("x", "p"):
+            ref, bar = targets[metric][sector]
+            yield metric, sector, getattr(sectors[sector], attribute), ref, bar
+
+
+DEFAULT_KNOB_GRID = np.arange(0.0, 0.1001, 0.0025)
+# the second knob each gain is built at; any value in (0, 1) spans the line
+_ANCHOR_KNOB = 0.5
+
+
+def _knob_objectives(base: ImperfectionModel, squeezing_db: float, knobs: np.ndarray) -> np.ndarray:
+    """The fit objective at every knob in ``knobs``, from two builds per gain.
+
+    Both reference gains have ``R < 1``, so the knob's two arm losses are in
+    the circuit; ``fit_extra_in_loop_loss`` states why two builds suffice.
+    """
+    objective = np.zeros(len(knobs))
+    for gain in REFERENCE_TABLE:
+        params = GateParams.from_gain(
+            gain, squeezing_db_a=squeezing_db, squeezing_db_b=squeezing_db
+        )
+        circuit = build_qnd_gate(params, replace(base, extra_in_loop_loss=0.0))
+        anchor = build_qnd_gate(params, replace(base, extra_in_loop_loss=_ANCHOR_KNOB))
+        cov0, cov1 = (run_covariance(c, gaussian.vacuum_state(2)).cov for c in (circuit, anchor))
+        cov = cov0 + (knobs / _ANCHOR_KNOB)[:, None, None] * (cov1 - cov0)
+        qmap = circuit_quadrature_map(circuit)
+        sectors = {}
+        for sector in ("x", "p"):
+            t_s, t_p = _transfer(qmap, cov, sector)
+            v, g_opt = conditional_variance(cov, sector)
+            # the signal coefficients at knob k are sqrt(1 - k) times knob 0's
+            sectors[sector] = SectorMetrics((1.0 - knobs) * t_s, (1.0 - knobs) * t_p, v, g_opt)
+        for _, _, sim, ref, bar in _banded(gain, sectors):
+            objective += ((sim - ref) / bar) ** 2
+    return objective
 
 
 def fit_extra_in_loop_loss(
@@ -375,18 +418,31 @@ def fit_extra_in_loop_loss(
     """Grid-fit the single in-loop loss knob against the reference table.
 
     Minimizes the summed squared deviation (in error-bar units) of the banded
-    metrics over both gains.  The fitted knob value is carried in the result
-    so every downstream report can state it explicitly.
+    metrics over both gains, and returns ``compare_to_reference`` at the
+    first knob of ``grid`` that attains the minimum.  The fitted knob value is
+    carried in the result so every downstream report can state it explicitly.
+
+    The grid is scanned in closed form.  The knob sets a pure loss
+    ``eta = 1 - k`` on both arms, and a pure loss is a Gaussian channel
+    affine in ``eta`` (Weedbrook et al., Rev. Mod. Phys. 84, 621 (2012),
+    Sec. II): every source column that passes through the two arm losses is
+    scaled by ``sqrt(eta)``, their vacua enter with ``sqrt(1 - eta)``, and
+    columns that enter after them do not depend on ``k``.  So the vacuum-input
+    output covariance is affine in ``k``, ``cov(k) = cov(0) + (k / k1) *
+    (cov(k1) - cov(0))``, and the signal coefficients are ``sqrt(1 - k)``
+    times those at ``k = 0``.  Two builds per gain, at ``k = 0`` and at an
+    anchor ``k1``, give the objective at every grid knob.
     """
     base = imperfections or ImperfectionModel()
-    grid = np.arange(0.0, 0.1001, 0.0025) if grid is None else np.asarray(grid)
-    best = None
-    for knob in grid:
-        candidate = compare_to_reference(
-            replace(base, extra_in_loop_loss=float(knob)),
-            squeezing_db=squeezing_db,
-            fitted=True,
-        )
-        if best is None or candidate.objective < best.objective:
-            best = candidate
-    return best
+    knobs = DEFAULT_KNOB_GRID if grid is None else np.asarray(grid, dtype=float)
+    if knobs.ndim != 1 or len(knobs) == 0:
+        raise ValueError(f"grid must be a non-empty 1-D sequence of knobs, got shape {knobs.shape}")
+    # every grid knob must be a valid budget, as if each were built
+    for knob in knobs:
+        replace(base, extra_in_loop_loss=float(knob))
+    best = int(np.argmin(_knob_objectives(base, squeezing_db, knobs)))
+    return compare_to_reference(
+        replace(base, extra_in_loop_loss=float(knobs[best])),
+        squeezing_db=squeezing_db,
+        fitted=True,
+    )

@@ -387,6 +387,17 @@ class TestReproduceTable:
         text = cmd_reproduce_table(ScenarioConfig(), fit=False)
         assert "no calibration fit applied" in text
 
+    def test_fit_builds_few_gates(self, monkeypatch):
+        # the fit scans its knob grid in closed form: two builds per gain, two
+        # at the fitted knob and two for the lossless row
+        builds = []
+        original = metrics.build_qnd_gate
+        monkeypatch.setattr(
+            metrics, "build_qnd_gate", lambda *args: builds.append(args) or original(*args)
+        )
+        cmd_reproduce_table(ScenarioConfig())
+        assert len(builds) <= 8
+
     def test_csv_written(self, tmp_path):
         path = tmp_path / "table.csv"
         cmd_reproduce_table(ScenarioConfig(), fit=False, csv_path=str(path))

@@ -1,7 +1,12 @@
 """Tests for transfer coefficients, conditional variance and the witness."""
 
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qndsim import gaussian
 from qndsim.circuit import (
@@ -12,6 +17,7 @@ from qndsim.circuit import (
     build_qnd_gate,
     run_covariance,
 )
+from qndsim.cli import cmd_reproduce_table
 from qndsim.gaussian import vacuum_state
 from qndsim import metrics
 from qndsim.metrics import (
@@ -26,6 +32,7 @@ from qndsim.metrics import (
     transfer_coefficients,
     vacuum_noise_report,
 )
+from qndsim.scenario import ScenarioConfig
 
 
 def lossless_gate(gain=1.0, db=-5.0):
@@ -73,6 +80,21 @@ class TestTransferCoefficients:
         _, circuit = lossless_gate()
         with pytest.raises(ValueError):
             transfer_coefficients(circuit, "y")
+
+    def test_stacked_covariances(self):
+        # a leading axis of covariances gives one coefficient pair per entry;
+        # any non-positive variance in the stack raises
+        _, circuit = lossless_gate()
+        qmap = metrics.circuit_quadrature_map(circuit)
+        cov = run_covariance(circuit, vacuum_state(2)).cov
+        stack = np.stack([cov, 2.0 * cov])
+        t_s, t_p = metrics._transfer(qmap, stack, "x")
+        want = transfer_coefficients(circuit, "x")
+        assert t_s.tolist() == [want[0], want[0] / 2.0]
+        assert t_p.tolist() == [want[1], want[1] / 2.0]
+        stack[1, 2, 2] = 0.0
+        with pytest.raises(ValueError, match="non-positive output variance"):
+            metrics._transfer(qmap, stack, "x")
 
     @pytest.mark.parametrize("placement", ["post_exit", "pre_entry", "in_arms"])
     @pytest.mark.parametrize("gain", [0.0, 0.3, 1.0, 2.4])
@@ -138,6 +160,18 @@ class TestConditionalVariance:
         v, g_opt = conditional_variance(cov, "x")
         assert v == 1.3
         assert g_opt == 0.0
+
+    def test_stacked_covariances(self):
+        # each entry of a stack, the degenerate probe included, equals its own call
+        _, circuit = lossless_gate()
+        stack = np.stack(
+            [run_covariance(circuit, vacuum_state(2)).cov, np.diag([1.3, 1.0, 0.0, 1.0])]
+        )
+        for sector in ("x", "p"):
+            v, g_opt = conditional_variance(stack, sector)
+            want = [conditional_variance(cov, sector) for cov in stack]
+            assert v.tolist() == [w[0] for w in want]
+            assert g_opt.tolist() == [w[1] for w in want]
 
     def test_closed_form_equals_sweep_minimum(self):
         _, circuit = lossless_gate()
@@ -335,3 +369,87 @@ class TestReferenceComparison:
         comp = compare_to_reference(ImperfectionModel())
         for check in comp.out_of_band():
             assert check.residual_bars > metrics.BAND_WIDTH_FACTOR
+
+
+def per_knob_fit(base, squeezing_db, grid):
+    """The knob fit as a loop: ``compare_to_reference`` at every grid knob.
+
+    Returns the first strict minimum and the objective at every knob; the
+    reference the closed-form scan is checked against.
+    """
+    best, objectives = None, []
+    for knob in grid:
+        candidate = compare_to_reference(
+            replace(base, extra_in_loop_loss=float(knob)), squeezing_db=squeezing_db, fitted=True
+        )
+        objectives.append(candidate.objective)
+        if best is None or candidate.objective < best.objective:
+            best = candidate
+    return best, np.array(objectives)
+
+
+_FIT_BUDGETS = st.just(ImperfectionModel.ideal()) | st.builds(
+    ImperfectionModel,
+    propagation_loss_per_main_mode=st.floats(0.0, 0.3),
+    detector_quantum_efficiency=st.floats(0.8, 1.0),
+    visibility=st.floats(0.8, 1.0),
+    dark_noise_dB_below_shot=st.floats(0.0, 40.0) | st.just(math.inf),
+    displacement_coupler_loss=st.floats(0.0, 0.1),
+    feedforward_electronic_gain_error=st.floats(-0.1, 0.1),
+    loss_placement=st.sampled_from(["post_exit", "pre_entry", "in_arms"]),
+)
+
+# two budgets drawn once from the benchmark's ranges whose fits land inside
+# the default grid (knobs 0.0350 and 0.0125)
+_INTERIOR_FIT_BUDGETS = [
+    (-4.91, ImperfectionModel(0.083, 0.9655, 0.9859, 12.9882, 0.0054, -0.0185, 0.0, "pre_entry")),
+    (-5.54, ImperfectionModel(0.102, 0.9975, 0.9976, 18.2924, 0.0046, -0.0258, 0.0, "post_exit")),
+]
+
+
+class TestKnobFit:
+    """The closed-form knob scan against the per-knob loop it replaces."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        base=_FIT_BUDGETS,
+        squeezing_db=st.floats(-10.0, 0.0),
+        extra_knobs=st.lists(st.floats(0.0, 0.95), max_size=3),
+    )
+    def test_objective_matches_per_knob_loop(self, base, squeezing_db, extra_knobs):
+        grid = np.append(metrics.DEFAULT_KNOB_GRID, extra_knobs)
+        best, objectives = per_knob_fit(base, squeezing_db, grid)
+        batched = metrics._knob_objectives(base, squeezing_db, grid)
+        np.testing.assert_allclose(batched, objectives, rtol=1e-12, atol=0.0)
+        assert np.argmin(batched) == np.argmin(objectives)
+        fit = fit_extra_in_loop_loss(base, squeezing_db, grid)
+        assert fit.extra_in_loop_loss == best.extra_in_loop_loss
+        assert fit.objective == best.objective
+
+    @pytest.mark.parametrize(
+        "squeezing_db, budget",
+        [(-5.0, ImperfectionModel.ideal()), (-5.0, ImperfectionModel()), *_INTERIOR_FIT_BUDGETS],
+    )
+    def test_reproduce_table_matches_per_knob_fit(self, squeezing_db, budget, tmp_path, monkeypatch):
+        config = ScenarioConfig(
+            squeezing_dB_A=squeezing_db, squeezing_dB_B=squeezing_db, imperfections=budget
+        )
+        text = cmd_reproduce_table(config, csv_path=str(tmp_path / "closed_form.csv"))
+        monkeypatch.setattr(
+            metrics,
+            "fit_extra_in_loop_loss",
+            lambda base, squeezing_db: per_knob_fit(base, squeezing_db, metrics.DEFAULT_KNOB_GRID)[0],
+        )
+        loop_text = cmd_reproduce_table(config, csv_path=str(tmp_path / "loop.csv"))
+        assert text == loop_text
+        assert (tmp_path / "closed_form.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()
+
+    @pytest.mark.parametrize("grid", [[], [[0.0, 0.02]], 0.02])
+    def test_rejects_grid_that_is_not_a_knob_list(self, grid):
+        with pytest.raises(ValueError, match="non-empty 1-D"):
+            fit_extra_in_loop_loss(grid=grid)
+
+    @pytest.mark.parametrize("knob", [1.0, math.nan, -0.01])
+    def test_rejects_knob_outside_the_budget(self, knob):
+        with pytest.raises(ValueError, match="extra_in_loop_loss"):
+            fit_extra_in_loop_loss(grid=[0.0, 0.02, knob])
