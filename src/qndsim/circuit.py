@@ -556,7 +556,9 @@ class TrajectoryProgram:
         """Propagate trajectory means for ``draws`` of shape (n, draws_per_shot).
 
         Returns ``(means, outcomes)`` where ``means`` is (n, 2*n_output_modes)
-        and ``outcomes`` the electronic readouts, one column per homodyne.
+        and ``outcomes`` the electronic readouts, one column per homodyne;
+        both are column-major.  A row does not depend on the batch it runs
+        in, which is what lets ``run_ensemble`` call this once per block.
         """
         draws = np.atleast_2d(np.asarray(draws, dtype=float))
         if draws.shape[1] != self.draws_per_shot:
@@ -564,11 +566,12 @@ class TrajectoryProgram:
                 f"need {self.draws_per_shot} draws per shot, got {draws.shape[1]}"
             )
         # mean0 + draws @ gains.T, one draw column at a time so that a row's
-        # arithmetic does not depend on how many rows share the batch
-        values = np.tile(self.mean0, (draws.shape[0], 1))
+        # arithmetic does not depend on how many rows share the batch; the
+        # shots run along the contiguous axis
+        values = np.repeat(self.mean0[:, np.newaxis], draws.shape[0], axis=1)
         for j in range(self.draws_per_shot):
-            values += np.outer(draws[:, j], self.gains[:, j])
-        return values[:, : 2 * self.n_output_modes], values[:, 2 * self.n_output_modes :]
+            values += self.gains[:, j, np.newaxis] * draws[:, j]
+        return values[: 2 * self.n_output_modes].T, values[2 * self.n_output_modes :].T
 
 
 def compile_trajectory(circuit: Circuit, state: GaussianState) -> TrajectoryProgram:

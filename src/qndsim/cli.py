@@ -377,6 +377,9 @@ def _reject_ignored(command: str, config: ScenarioConfig) -> None:
         reject("run", "it propagates covariances once and sweeps no rescaling gain g")
     if command == "transfer" and not np.array_equal(config.run.g_grid(), default.run.g_grid()):
         reject("run", "only conditional sweeps the rescaling gain g")
+    ensemble = (config.run.n, config.run.master_seed)
+    if config.run.mode == "covariance" and ensemble != (default.run.n, default.run.master_seed):
+        reject("run", "in covariance mode it runs no ensemble, so n and master_seed go unread")
     if command == "reproduce-table":
         if (config.gate_R, config.gate_G) != (default.gate_R, default.gate_G):
             reject("gate", "it always runs the reference gains 1.0 and 1.5")

@@ -10,6 +10,10 @@ draws_per_shot)``: an ensemble of ``n`` shots is the first ``n`` shots of any
 larger one with the same seed, and the result does not depend on scheduling.
 Aggregates use a fixed pairwise-tree reduction by index so the summation
 order is part of the contract.
+
+An ensemble makes two passes over its blocks, one for the means and one for
+their scatter.  The block size is a power of two, so the tree over the block
+trees is the tree over all shots, bit for bit.
 """
 
 from __future__ import annotations
@@ -86,24 +90,41 @@ def run_ensemble(
     master_seed: int,
     keep_outcomes: bool = False,
 ) -> EnsembleResult:
-    """Run ``n`` independent trajectories and aggregate their statistics."""
+    """Run ``n`` independent trajectories and aggregate their statistics.
+
+    Pass 1 draws each block, runs it through ``run_means`` once and
+    tree-sums its means; pass 2 tree-sums each block's outer products about
+    the ensemble mean.  Memory is the (n, 2*modes) means plus one block, and
+    the readouts only with ``keep_outcomes``.
+    """
     check_master_seed(master_seed)
     if n < 2:
         raise ValueError("an ensemble needs at least two trajectories")
     program = compile_trajectory(circuit, state)
+    blocks = [slice(s, min(s + SHOTS_PER_BLOCK, n)) for s in range(0, n, SHOTS_PER_BLOCK)]
 
-    # only the rows this ensemble needs are drawn: a generator fills its
-    # block in shot order, so a partial last block is a prefix of the full one
-    draws = np.empty((n, program.draws_per_shot))
-    for start in range(0, n, SHOTS_PER_BLOCK):
-        block = trajectory_generator(master_seed, start // SHOTS_PER_BLOCK)
-        block.standard_normal(out=draws[start : start + SHOTS_PER_BLOCK])
-    means, outcomes = program.run_means(draws)
+    # a generator fills its block in shot order, so a partial last block
+    # draws a prefix of the full one; the means are column-major, as
+    # run_means returns them, so tree levels and outer products run along
+    # the shots
+    means = np.empty((n, 2 * program.n_output_modes), order="F")
+    block_sums, outcomes = [], []
+    for b, rows in enumerate(blocks):
+        draws = trajectory_generator(master_seed, b).standard_normal(
+            (rows.stop - rows.start, program.draws_per_shot)
+        )
+        means[rows], readouts = program.run_means(draws)
+        block_sums.append(pairwise_tree_sum(means[rows]))
+        if keep_outcomes:
+            outcomes.append(readouts)
+    mean = pairwise_tree_sum(np.array(block_sums)) / n
 
-    mean = pairwise_tree_sum(means) / n
-    centered = means - mean
-    outer = centered[:, :, np.newaxis] * centered[:, np.newaxis, :]
-    scatter = pairwise_tree_sum(outer) / (n - 1)
+    block_scatters = []
+    for rows in blocks:
+        centered = means[rows] - mean
+        outer = centered[:, :, np.newaxis] * centered[:, np.newaxis, :]
+        block_scatters.append(pairwise_tree_sum(outer))
+    scatter = pairwise_tree_sum(np.array(block_scatters)) / (n - 1)
 
     cov = program.final_cov + scatter
     se_mean = np.sqrt(np.diag(scatter) / n)
@@ -118,7 +139,7 @@ def run_ensemble(
         conditional_cov=program.final_cov.copy(),
         se_mean=se_mean,
         se_cov=se_cov,
-        outcomes=outcomes if keep_outcomes else None,
+        outcomes=np.concatenate(outcomes) if keep_outcomes else None,
     )
 
 

@@ -457,7 +457,7 @@ class TestMainEntry:
                               "dark_noise_dB_below_shot": 170.0,
                               "displacement_coupler_loss": 0.0},
             "inputs": [{"kind": "vacuum"}, {"kind": "vacuum"}],
-            "run": {"mode": "covariance", "master_seed": 1,
+            "run": {"mode": "covariance",
                     "g_grid": {"min": -2.0, "max": 2.0, "step": 0.01}},
             "output": {"format": "table"},
         }
@@ -509,6 +509,13 @@ class TestMainEntry:
         assert "unrecognized arguments" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["transfer", "conditional"])
+    def test_seed_without_trajectories_rejected(self, command, capsys):
+        # a covariance-mode run draws no shots, so a seed would go unread
+        with pytest.raises(ValueError, match=f"{command} ignores the scenario's run section"):
+            main([command, "--seed", "3"])
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("command", ["transfer", "conditional"])
     def test_single_trajectory_rejected_at_the_flag(self, command):
         with pytest.raises(ValueError, match="at least 2"):
             main([command, "--trajectories", "1"])
@@ -546,6 +553,8 @@ class TestScenarioFileHonoured:
             ("vacuum-spectra", G_GRID, "run"),
             ("transfer", G_GRID, "run"),
             ("reproduce-table", G_GRID, "run"),
+            ("transfer", {"run": {"master_seed": 1}}, "run"),
+            ("conditional", {"run": {"n": 500}}, "run"),
         ],
         ids=[
             "vacuum-spectra-trajectories",
@@ -559,6 +568,8 @@ class TestScenarioFileHonoured:
             "vacuum-spectra-g-grid",
             "transfer-g-grid",
             "reproduce-table-g-grid",
+            "transfer-covariance-seed",
+            "conditional-covariance-n",
         ],
     )
     def test_ignored_value_rejected(self, tmp_path, command, doc, section):
@@ -598,7 +609,8 @@ class TestScenarioFileHonoured:
     UNREAD = (
         [("vacuum-spectra", "run", name) for name in RUN_FIELDS]
         + [("reproduce-table", "run", name) for name in RUN_FIELDS]
-        + [("transfer", "run", name) for name in ("g_min", "g_max", "g_step")]
+        + [("transfer", "run", name) for name in ("n", "master_seed", "g_min", "g_max", "g_step")]
+        + [("conditional", "run", name) for name in ("n", "master_seed")]
         + [("vacuum-spectra", "inputs", name) for name in INPUT_FIELDS]
         + [("transfer", "inputs", name) for name in INPUT_FIELDS]
         + [("reproduce-table", "inputs", name) for name in INPUT_FIELDS]

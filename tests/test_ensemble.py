@@ -1,7 +1,12 @@
 """Tests for the seeded Monte Carlo ensemble runner."""
 
+import tracemalloc
+from dataclasses import fields
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qndsim import gaussian
 from qndsim.circuit import (
@@ -53,6 +58,39 @@ def _z_report_loop(result, analytic_mean, analytic_cov):
     return max_z, worst, np.array(z_mean), np.array(z_cov)
 
 
+def _materialised_ensemble(circuit, state, n, master_seed):
+    """Reference ensemble: every draw, mean and outer product held at once.
+
+    One affine propagation and one tree over all ``n`` rows; the block-wise
+    ``run_ensemble`` must reproduce it bit for bit.
+    """
+    program = compile_trajectory(circuit, state)
+    draws = np.empty((n, program.draws_per_shot))
+    for start in range(0, n, SHOTS_PER_BLOCK):
+        block = trajectory_generator(master_seed, start // SHOTS_PER_BLOCK)
+        block.standard_normal(out=draws[start : start + SHOTS_PER_BLOCK])
+    values = np.tile(program.mean0, (n, 1))
+    for j in range(program.draws_per_shot):
+        values += np.outer(draws[:, j], program.gains[:, j])
+    means, outcomes = np.split(values, [2 * program.n_output_modes], axis=1)
+
+    mean = pairwise_tree_sum(means) / n
+    centered = means - mean
+    scatter = pairwise_tree_sum(centered[:, :, np.newaxis] * centered[:, np.newaxis, :]) / (n - 1)
+    diag = np.diag(scatter)
+    return EnsembleResult(
+        n_trajectories=n,
+        master_seed=master_seed,
+        mean=mean,
+        cov=program.final_cov + scatter,
+        mean_scatter=scatter,
+        conditional_cov=program.final_cov.copy(),
+        se_mean=np.sqrt(diag / n),
+        se_cov=np.sqrt((np.outer(diag, diag) + scatter**2) / (n - 1)),
+        outcomes=outcomes,
+    )
+
+
 class TestPairwiseTreeSum:
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 100, 1001])
     def test_matches_plain_sum(self, n):
@@ -63,6 +101,25 @@ class TestPairwiseTreeSum:
     def test_deterministic(self):
         values = np.random.default_rng(0).standard_normal((999, 2, 2))
         assert np.array_equal(pairwise_tree_sum(values), pairwise_tree_sum(values.copy()))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(n=st.integers(2, 3 * SHOTS_PER_BLOCK + 7), seed=st.integers(0, 2**32 - 1))
+    @example(n=SHOTS_PER_BLOCK, seed=0)
+    @example(n=SHOTS_PER_BLOCK + 1, seed=1)
+    @example(n=2 * SHOTS_PER_BLOCK - 1, seed=2)
+    @example(n=3 * SHOTS_PER_BLOCK + 7, seed=3)
+    def test_tree_of_block_trees_is_tree_of_rows(self, n, seed):
+        # the identity run_ensemble streams on; with another block size a
+        # block boundary would cut a pair of some tree level
+        assert SHOTS_PER_BLOCK & (SHOTS_PER_BLOCK - 1) == 0 < SHOTS_PER_BLOCK
+        rng = np.random.default_rng(seed)
+        # both signs over 60 decades, so any regrouping of the sum shows
+        values = rng.standard_normal((n, 3)) * 10.0 ** rng.uniform(-30.0, 30.0, (n, 3))
+        block_sums = [
+            pairwise_tree_sum(values[start : start + SHOTS_PER_BLOCK])
+            for start in range(0, n, SHOTS_PER_BLOCK)
+        ]
+        assert np.array_equal(pairwise_tree_sum(np.array(block_sums)), pairwise_tree_sum(values))
 
 
 class TestRunEnsemble:
@@ -160,6 +217,38 @@ class TestRunEnsemble:
         result = run_ensemble(circuit, state, n=20_000, master_seed=3)
         target = run_covariance(circuit, state)
         assert z_score_report(result, target.mean, target.cov).max_z < 5.0
+
+    @pytest.mark.parametrize(
+        "n", [2, 3, 4095, 4096, 4097, 8191, 8193, 12289, 12293, 100_000, 100_001]
+    )
+    def test_bit_identical_to_materialised_ensemble(self, n):
+        displaced = gaussian.displace(gaussian.vacuum_state(2), 0, 2.0, -1.0)
+        cases = [
+            (default_gate(), gaussian.vacuum_state(2), 7),
+            (build_qnd_gate(GateParams.from_gain(1.5), ImperfectionModel()), displaced, 2**63 + 5),
+        ]
+        for circuit, state, seed in cases:
+            reference = _materialised_ensemble(circuit, state, n, seed)
+            for keep_outcomes in (False, True):
+                result = run_ensemble(circuit, state, n, seed, keep_outcomes=keep_outcomes)
+                for field in fields(EnsembleResult):
+                    got, want = getattr(result, field.name), getattr(reference, field.name)
+                    if field.name == "outcomes" and not keep_outcomes:
+                        assert got is None
+                    else:
+                        assert np.array_equal(got, want), (field.name, seed, keep_outcomes)
+
+    def test_peak_memory_is_the_means_plus_one_block(self):
+        # the (n, 4) means take 3.2 MB; holding every (4, 4) outer product
+        # as well would take 12.8 MB more
+        circuit, state = default_gate(), gaussian.vacuum_state(2)
+        tracemalloc.start()
+        try:
+            run_ensemble(circuit, state, 100_000, 5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 12e6
 
     def test_se_scaling_with_n(self):
         circuit = default_gate()
