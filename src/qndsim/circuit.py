@@ -108,7 +108,9 @@ class ImperfectionModel:
 
     Field names match the scenario-file keys.  ``extra_in_loop_loss`` is the
     single calibration knob: additional loss on each interferometer arm just
-    before the exit beam splitter, zero unless a fit sets it.
+    before the exit beam splitter, zero unless a fit sets it.  Equal losses
+    on both modes commute with a beam splitter, so ``loss_placement``
+    ``"in_arms"`` is the same channel as ``"post_exit"``.
     """
 
     propagation_loss_per_main_mode: float = 0.07
@@ -459,10 +461,6 @@ def _gate_elements(params: GateParams, imp: ImperfectionModel) -> list:
     R = params.R
     eta_prop = 1.0 - imp.propagation_loss_per_main_mode
     main_losses = [Loss(0, eta_prop, "main1"), Loss(1, eta_prop, "main2")] if eta_prop < 1.0 else []
-    if R == 1.0:
-        # G = 0: the gate is the identity; only passive losses remain
-        return main_losses
-
     entry_r, arm_r, _, exit_r = params.reflectivities
     ff_gain = math.sqrt((1.0 - R) / R) * (1.0 + imp.feedforward_electronic_gain_error)
     eta_det = imp.homodyne_efficiency

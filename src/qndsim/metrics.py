@@ -243,15 +243,20 @@ class QndReport:
         return "\n".join(lines)
 
 
-def evaluate_gate(circuit: Circuit, params: GateParams) -> QndReport:
-    """Run the standard characterization of a compiled gate circuit."""
-    cov = run_covariance(circuit, gaussian.vacuum_state(2)).cov
-    qmap = circuit_quadrature_map(circuit)
-    report = QndReport(params=params)
+def _sector_metrics(qmap: QuadratureMap, cov: np.ndarray, signal_scale=1.0) -> dict:
+    """Both sectors' metrics, T scaled by ``signal_scale``; a stack ``cov`` gives arrays."""
+    sectors = {}
     for sector in ("x", "p"):
         t_s, t_p = _transfer(qmap, cov, sector)
         v, g_opt = conditional_variance(cov, sector)
-        report.sectors[sector] = SectorMetrics(t_s, t_p, v, g_opt)
+        sectors[sector] = SectorMetrics(signal_scale * t_s, signal_scale * t_p, v, g_opt)
+    return sectors
+
+
+def evaluate_gate(circuit: Circuit, params: GateParams) -> QndReport:
+    """Run the standard characterization of a compiled gate circuit."""
+    cov = run_covariance(circuit, gaussian.vacuum_state(2)).cov
+    report = QndReport(params, _sector_metrics(circuit_quadrature_map(circuit), cov))
     g_witness = report.sectors["x"].g_opt
     report.duan = duan_simon(cov, g_witness)
     return report
@@ -312,18 +317,31 @@ BAND_WIDTH_FACTOR = 2.0
 
 @dataclass
 class BandCheck:
+    """A banded value and its rule, ``|simulated - reference| <= BAND_WIDTH_FACTOR * bar``."""
+
     gain: float
     metric: str
     sector: str
     simulated: float
     reference: float
     bar: float
-    within: bool
 
     @property
     def residual_bars(self) -> float:
         """Deviation in units of the quoted error bar."""
         return abs(self.simulated - self.reference) / self.bar
+
+    @property
+    def low(self) -> float:
+        return self.reference - BAND_WIDTH_FACTOR * self.bar
+
+    @property
+    def high(self) -> float:
+        return self.reference + BAND_WIDTH_FACTOR * self.bar
+
+    @property
+    def within(self) -> bool:
+        return abs(self.simulated - self.reference) <= BAND_WIDTH_FACTOR * self.bar
 
 
 @dataclass
@@ -347,35 +365,26 @@ def compare_to_reference(
 ) -> TableComparison:
     """Evaluate both published gains under one imperfection model."""
     reports = {}
-    checks = []
-    objective = 0.0
     for gain in REFERENCE_TABLE:
-        params = GateParams.from_gain(
-            gain, squeezing_db_a=squeezing_db, squeezing_db_b=squeezing_db
-        )
-        circuit = build_qnd_gate(params, imperfections)
-        report = evaluate_gate(circuit, params)
-        reports[gain] = report
-        for metric, sector, sim, ref, bar in _banded(gain, report.sectors):
-            within = abs(sim - ref) <= BAND_WIDTH_FACTOR * bar
-            checks.append(BandCheck(gain, metric, sector, sim, ref, bar, within))
-            objective += ((sim - ref) / bar) ** 2
-    return TableComparison(
-        extra_in_loop_loss=imperfections.extra_in_loop_loss,
-        fitted=fitted,
-        reports=reports,
-        checks=checks,
-        objective=objective,
-    )
+        params = _reference_params(gain, squeezing_db)
+        reports[gain] = evaluate_gate(build_qnd_gate(params, imperfections), params)
+    checks = [check for gain, report in reports.items() for check in _banded(gain, report.sectors)]
+    objective = sum(check.residual_bars**2 for check in checks)
+    return TableComparison(imperfections.extra_in_loop_loss, fitted, reports, checks, objective)
+
+
+def _reference_params(gain: float, squeezing_db: float) -> GateParams:
+    """A reference-table working point: both ancillas at ``squeezing_db``."""
+    return GateParams.from_gain(gain, squeezing_db_a=squeezing_db, squeezing_db_b=squeezing_db)
 
 
 def _banded(gain: float, sectors: dict):
-    """``(metric, sector, simulated, reference, bar)`` for each banded value at one gain."""
+    """A ``BandCheck`` for each banded value at one gain."""
     targets = REFERENCE_TABLE[gain]
     for metric, attribute in BAND_METRICS.items():
         for sector in ("x", "p"):
             ref, bar = targets[metric][sector]
-            yield metric, sector, getattr(sectors[sector], attribute), ref, bar
+            yield BandCheck(gain, metric, sector, getattr(sectors[sector], attribute), ref, bar)
 
 
 DEFAULT_KNOB_GRID = np.arange(0.0, 0.1001, 0.0025)
@@ -384,29 +393,18 @@ _ANCHOR_KNOB = 0.5
 
 
 def _knob_objectives(base: ImperfectionModel, squeezing_db: float, knobs: np.ndarray) -> np.ndarray:
-    """The fit objective at every knob in ``knobs``, from two builds per gain.
-
-    Both reference gains have ``R < 1``, so the knob's two arm losses are in
-    the circuit; ``fit_extra_in_loop_loss`` states why two builds suffice.
-    """
+    """The fit objective at every knob, from two builds per gain (see ``fit_extra_in_loop_loss``)."""
     objective = np.zeros(len(knobs))
     for gain in REFERENCE_TABLE:
-        params = GateParams.from_gain(
-            gain, squeezing_db_a=squeezing_db, squeezing_db_b=squeezing_db
-        )
+        params = _reference_params(gain, squeezing_db)
         circuit = build_qnd_gate(params, replace(base, extra_in_loop_loss=0.0))
         anchor = build_qnd_gate(params, replace(base, extra_in_loop_loss=_ANCHOR_KNOB))
         cov0, cov1 = (run_covariance(c, gaussian.vacuum_state(2)).cov for c in (circuit, anchor))
         cov = cov0 + (knobs / _ANCHOR_KNOB)[:, None, None] * (cov1 - cov0)
-        qmap = circuit_quadrature_map(circuit)
-        sectors = {}
-        for sector in ("x", "p"):
-            t_s, t_p = _transfer(qmap, cov, sector)
-            v, g_opt = conditional_variance(cov, sector)
-            # the signal coefficients at knob k are sqrt(1 - k) times knob 0's
-            sectors[sector] = SectorMetrics((1.0 - knobs) * t_s, (1.0 - knobs) * t_p, v, g_opt)
-        for _, _, sim, ref, bar in _banded(gain, sectors):
-            objective += ((sim - ref) / bar) ** 2
+        # the signal coefficients at knob k are sqrt(1 - k) times knob 0's
+        sectors = _sector_metrics(circuit_quadrature_map(circuit), cov, 1.0 - knobs)
+        for check in _banded(gain, sectors):
+            objective += check.residual_bars**2
     return objective
 
 
@@ -437,8 +435,9 @@ def fit_extra_in_loop_loss(
     knobs = DEFAULT_KNOB_GRID if grid is None else np.asarray(grid, dtype=float)
     if knobs.ndim != 1 or len(knobs) == 0:
         raise ValueError(f"grid must be a non-empty 1-D sequence of knobs, got shape {knobs.shape}")
-    # every grid knob must be a valid budget, as if each were built
-    for knob in knobs:
+    # every grid knob must be a valid budget, as if each were built; the
+    # valid knobs form an interval, and min and max are NaN if any knob is
+    for knob in (knobs.min(), knobs.max()):
         replace(base, extra_in_loop_loss=float(knob))
     best = int(np.argmin(_knob_objectives(base, squeezing_db, knobs)))
     return compare_to_reference(

@@ -111,9 +111,7 @@ class ScenarioConfig:
         state = gaussian.vacuum_state(2)
         for mode, spec in enumerate(self.inputs):
             if spec.kind == "coherent":
-                dx = spec.amplitude if spec.quadrature == "x" else 0.0
-                dp = spec.amplitude if spec.quadrature == "p" else 0.0
-                state = gaussian.displace(state, mode, dx, dp)
+                state.mean[2 * mode + (spec.quadrature == "p")] += spec.amplitude
         return state
 
     def to_json(self) -> str:

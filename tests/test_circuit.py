@@ -151,12 +151,14 @@ class TestBuilderOracleEquivalence:
         ) < 1e-9
 
     def test_r_one_identity_circuit(self):
+        # G = 0 builds the whole apparatus: fully reflective arm beam
+        # splitters and zero feedforward, which together act as the identity
         circuit = build_qnd_gate(GateParams(1.0), ImperfectionModel.ideal())
-        assert len(circuit.elements) == 0
+        assert len(circuit.elements) == 8
         state = gaussian.displace(gaussian.vacuum_state(2), 0, 1.0, -2.0)
         out = run_covariance(circuit, state)
-        assert np.allclose(out.mean, state.mean)
-        assert np.allclose(out.cov, state.cov)
+        np.testing.assert_allclose(out.mean, state.mean, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(out.cov, state.cov, rtol=0.0, atol=1e-12)
 
     def test_commutators_preserved_with_imperfections(self):
         # loss channels and dark noise are tracked with their own labels, so
@@ -392,7 +394,7 @@ beam_splitter i=0 j=1 reflectivity=0.2 signs=--+-"""
 
 
 # the default budget with each main-mode loss placement, and the R = 1
-# identity gate, where only the main-mode losses remain
+# identity gate, which keeps the whole apparatus and its budget
 GOLDEN_BUDGET_TEXT = {
     "pre_entry": """\
 circuit modes=2
@@ -440,6 +442,16 @@ loss mode=1 eta=0.93 tag=main2""",
 
 GOLDEN_IDENTITY_TEXT = """\
 circuit modes=2
+beam_splitter i=0 j=1 reflectivity=0.5 signs=+-++
+ancilla label=A r=0.575646273249 angle=0 excess=1
+beam_splitter i=2 j=0 reflectivity=1 signs=+-++
+loss mode=2 eta=0.99 tag=couplerA
+homodyne_feedforward measured=0 angle=1.57079632679 target=2 quadrature=p gain=-0 efficiency=0.950796 dark=0.0199526231497
+ancilla label=B r=0.575646273249 angle=1.57079632679 excess=1
+beam_splitter i=2 j=0 reflectivity=1 signs=--+-
+loss mode=2 eta=0.99 tag=couplerB
+homodyne_feedforward measured=0 angle=0 target=2 quadrature=x gain=0 efficiency=0.950796 dark=0.0199526231497
+beam_splitter i=0 j=1 reflectivity=0.5 signs=--+-
 loss mode=0 eta=0.93 tag=main1
 loss mode=1 eta=0.93 tag=main2"""
 
@@ -500,6 +512,14 @@ class TestAncillaImpurity:
         assert np.allclose(out.cov, cov, atol=1e-10)
 
 
+# the default budget and two budgets away from it, one with the calibration knob set
+_PLACEMENT_BUDGETS = [
+    ImperfectionModel(),
+    ImperfectionModel(0.12, 0.95, 0.96, 12.0, 0.03, -0.03, 0.05),
+    ImperfectionModel(0.02, 1.0, 1.0, math.inf, 0.0, 0.02, 0.01),
+]
+
+
 class TestLossPlacement:
     @pytest.mark.parametrize("placement", ["post_exit", "pre_entry", "in_arms"])
     def test_placements_execute(self, placement):
@@ -515,6 +535,23 @@ class TestLossPlacement:
             circuit = build_qnd_gate(GateParams.from_gain(1.0), imp)
             covs.append(run_covariance(circuit, gaussian.vacuum_state(2)).cov)
         assert not np.allclose(covs[0], covs[1], atol=1e-6)
+
+    @pytest.mark.parametrize("budget", _PLACEMENT_BUDGETS)
+    @pytest.mark.parametrize("gain", [0.0, 0.2, 1.0, 2.5])
+    def test_in_arms_is_the_post_exit_channel(self, budget, gain):
+        # equal losses on both modes commute with the exit beam splitter
+        params = GateParams.from_gain(gain, squeezing_db_a=-7.0, squeezing_db_b=-3.0)
+        state = gaussian.displace(gaussian.vacuum_state(2), 1, 0.5, -1.5)
+        in_arms, post_exit = (
+            build_qnd_gate(params, replace(budget, loss_placement=placement))
+            for placement in ("in_arms", "post_exit")
+        )
+        a, b = run_covariance(in_arms, state), run_covariance(post_exit, state)
+        np.testing.assert_allclose(a.mean, b.mean, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(a.cov, b.cov, rtol=0.0, atol=1e-12)
+        a, b = compile_trajectory(in_arms, state), compile_trajectory(post_exit, state)
+        for field in ("mean0", "gains", "final_cov"):
+            np.testing.assert_allclose(getattr(a, field), getattr(b, field), rtol=0.0, atol=1e-12)
 
 
 _LOSS = st.floats(0.0, 1.0, exclude_max=True)

@@ -221,6 +221,19 @@ class TestScenarioConfig:
         state = config.input_state()
         assert np.allclose(state.mean, [0.0, 3.0, 0.0, 0.0])
 
+    @pytest.mark.parametrize(
+        "spec", [InputSpec(), InputSpec("coherent", 3.0, "x"), InputSpec("coherent", -2.5, "p")]
+    )
+    @pytest.mark.parametrize("mode", [0, 1])
+    def test_input_state_is_the_displaced_vacuum(self, spec, mode):
+        inputs = [InputSpec(), InputSpec()]
+        inputs[mode] = spec
+        state = ScenarioConfig(inputs=tuple(inputs)).input_state()
+        dx, dp = (spec.amplitude, 0.0) if spec.quadrature == "x" else (0.0, spec.amplitude)
+        want = gaussian.displace(gaussian.vacuum_state(2), mode, dx, dp)
+        assert np.array_equal(state.mean, want.mean)
+        assert np.array_equal(state.cov, want.cov)
+
 
 class TestVacuumSpectra:
     def test_ideal_values_in_table(self):
@@ -397,6 +410,25 @@ class TestReproduceTable:
         )
         cmd_reproduce_table(ScenarioConfig())
         assert len(builds) <= 8
+
+    @pytest.mark.parametrize("fit, builds, evaluations", [(True, 7, 3), (False, 3, 3)])
+    def test_one_evaluation_per_reported_gate(self, fit, builds, evaluations, monkeypatch):
+        # the fit builds each gain at two knobs; then the fitted knob's two
+        # gains and the lossless row are each built and evaluated once
+        calls = {"build_qnd_gate": 0, "evaluate_gate": 0}
+
+        def counted(name, function):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return function(*args, **kwargs)
+
+            return wrapper
+
+        for module in (metrics, cli):
+            monkeypatch.setattr(module, "build_qnd_gate", counted("build_qnd_gate", build_qnd_gate))
+        monkeypatch.setattr(metrics, "evaluate_gate", counted("evaluate_gate", metrics.evaluate_gate))
+        cmd_reproduce_table(ScenarioConfig(), fit=fit)
+        assert calls == {"build_qnd_gate": builds, "evaluate_gate": evaluations}
 
     def test_csv_written(self, tmp_path):
         path = tmp_path / "table.csv"

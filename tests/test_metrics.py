@@ -338,6 +338,21 @@ class TestEvaluateGate:
         text = report.to_text()
         assert "sector x" in text and "sector p" in text
 
+    @pytest.mark.parametrize("knob", [0.0, 0.05])
+    def test_zero_gain_is_the_small_gain_limit(self, knob):
+        # the budget, the calibration knob included, acts on G = 0 as on
+        # any small gain
+        budget = ImperfectionModel(extra_in_loop_loss=knob)
+        zero, small = (
+            evaluate_gate(build_qnd_gate(params, budget), params)
+            for params in (GateParams.from_gain(0.0), GateParams.from_gain(1e-9))
+        )
+        for sector in ("x", "p"):
+            for name in ("t_signal", "t_probe", "v_conditional"):
+                assert getattr(zero.sectors[sector], name) == pytest.approx(
+                    getattr(small.sectors[sector], name), rel=0.0, abs=1e-8
+                )
+
 
 class TestReferenceComparison:
     def test_comparison_structure(self):
@@ -369,6 +384,15 @@ class TestReferenceComparison:
         comp = compare_to_reference(ImperfectionModel())
         for check in comp.out_of_band():
             assert check.residual_bars > metrics.BAND_WIDTH_FACTOR
+
+    def test_verdict_edges_and_residual_share_one_rule(self):
+        comp = compare_to_reference(ImperfectionModel())
+        assert comp.objective == sum(c.residual_bars**2 for c in comp.checks)
+        for check in comp.checks:
+            assert check.within == (check.low <= check.simulated <= check.high)
+            assert check.high - check.low == pytest.approx(
+                2.0 * metrics.BAND_WIDTH_FACTOR * check.bar
+            )
 
 
 def per_knob_fit(base, squeezing_db, grid):
