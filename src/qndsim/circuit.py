@@ -12,23 +12,26 @@ lossless compiled circuit reproduces ``quadexpr.finite_squeezing_map``
 coefficient-by-coefficient; this equivalence is checked at build time and
 construction fails loudly if it does not hold.
 
-Each ``Circuit`` is lowered once, at construction, into a Heisenberg-picture
-coefficient matrix: every output quadrature, and the electronic readout of
-every homodyne, as a linear combination of the input quadratures, a ``unit``
-column for displacements and labelled unit-variance noise sources.  The
-executors read that matrix:
+Each ``Circuit`` is lowered once, at construction, by ``_lower``, the only
+reader of element kinds, into one Heisenberg-picture row stack: every output
+quadrature, every homodyne's electronic readout and the rows a shot is
+conditioned on, as linear combinations of the input quadratures, a ``unit``
+column for displacements and labelled unit-variance noise sources.  No
+per-element state is kept.  The executors read that matrix:
 
 * ``run_covariance`` - ensemble average, ``X m + u`` and ``X V X^T + N N^T``;
+  ``validate=True`` checks the output of every prefix of the element list;
 * ``compile_trajectory`` / ``run_trajectory`` - the outputs and readouts
-  conditioned on the lowering's observed rows (each homodyne's optical
-  quadrature, then its dark noise), affine in the draws;
+  conditioned on the observed rows (each homodyne's optical quadrature, then
+  its dark noise), affine in the draws;
 * ``circuit_quadrature_map`` - the output rows as labelled coefficients.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from numbers import Integral
 
 import numpy as np
 
@@ -76,8 +79,8 @@ class GateParams:
             db = getattr(self, name)
             if not math.isfinite(db):
                 raise ValueError(f"{name} = {db} is not finite")
-        if not self.ancilla_excess >= 1.0:
-            raise ValueError("ancilla_excess must be >= 1")
+        if not 1.0 <= self.ancilla_excess < math.inf:
+            raise ValueError(f"ancilla_excess = {self.ancilla_excess} outside [1, inf)")
 
     @classmethod
     def from_gain(cls, gain: float, **kwargs) -> "GateParams":
@@ -135,8 +138,11 @@ class ImperfectionModel:
             v = getattr(self, name)
             if not 0.0 < v <= 1.0:
                 raise ValueError(f"{name} = {v} outside (0, 1]")
-        if self.dark_noise_dB_below_shot < 0.0:
-            raise ValueError("dark noise must be at or below shot noise")
+        # inf dB is no dark noise at all; NaN fails
+        if not self.dark_noise_dB_below_shot >= 0.0:
+            raise ValueError(f"dark_noise_dB_below_shot = {self.dark_noise_dB_below_shot} below 0")
+        if not math.isfinite(self.feedforward_electronic_gain_error):
+            raise ValueError("feedforward_electronic_gain_error is not finite")
         if self.loss_placement not in ("post_exit", "pre_entry", "in_arms"):
             raise ValueError(f"unknown loss placement {self.loss_placement!r}")
 
@@ -232,34 +238,19 @@ class Circuit:
 
     @property
     def n_output_modes(self) -> int:
-        return len(self._lowered.snapshots[-1])
+        return self._lowered.n_output_modes
 
     def to_text(self) -> str:
-        """Stable one-line-per-element dump for reproducibility checks."""
-        lines = [f"circuit modes={self.n_input_modes}"]
+        """Stable dump: ``ClassName field=value ...`` per element, floats at 12 digits."""
+
+        def value(v) -> str:
+            text = f"{v:.12g}" if isinstance(v, float) else str(v)
+            return text.replace(" ", "") if isinstance(v, tuple) else text
+
+        lines = [f"Circuit n_input_modes={self.n_input_modes}"]
         for el in self.elements:
-            if isinstance(el, AncillaInjection):
-                lines.append(
-                    f"ancilla label={el.label} r={el.r:.12g} angle={el.angle:.12g}"
-                    f" excess={el.antisqueeze_excess:.12g}"
-                )
-            elif isinstance(el, BeamSplitter):
-                signs = "".join("+" if s > 0 else "-" for s in el.signs)
-                lines.append(
-                    f"beam_splitter i={el.i} j={el.j} reflectivity={el.reflectivity:.12g}"
-                    f" signs={signs}"
-                )
-            elif isinstance(el, Loss):
-                lines.append(f"loss mode={el.mode} eta={el.eta:.12g} tag={el.tag}")
-            elif isinstance(el, HomodyneFeedforward):
-                lines.append(
-                    f"homodyne_feedforward measured={el.measured_mode} angle={el.angle:.12g}"
-                    f" target={el.target_mode} quadrature={el.target_quadrature}"
-                    f" gain={el.gain:.12g} efficiency={el.efficiency:.12g}"
-                    f" dark={el.dark_variance:.12g}"
-                )
-            elif isinstance(el, Displacement):
-                lines.append(f"displacement mode={el.mode} dx={el.dx:.12g} dp={el.dp:.12g}")
+            items = (f"{f.name}={value(getattr(el, f.name))}" for f in fields(el))
+            lines.append(" ".join((type(el).__name__, *items)))
         return "\n".join(lines)
 
 
@@ -280,30 +271,30 @@ class _Lowering:
     ``columns``: the input quadratures ``x1_in, p1_in, ...``, the constant
     ``unit`` (displacements) and independent unit-variance sources (ancilla
     vacua ``xA0, pA0``, impurity ``excessA``, loss vacua ``xv_<tag>,
-    pv_<tag>``, dark noise ``dark<k>``).  The first ``2*n_output_modes`` rows
-    are the output quadratures; then comes one row per homodyne, in element
-    order, holding its electronic readout: the optical quadrature it measures
-    plus its dark noise, the value it feeds forward.
-
-    ``observed`` lists the rows a shot is conditioned on, in draw order: per
-    homodyne its optical quadrature, then the unit row of its ``dark<k>``
-    source when it has dark noise.
+    pv_<tag>``, dark noise ``dark<k>``).  The rows are stacked in three
+    blocks: the ``2*n_output_modes`` output quadratures; ``n_readouts`` rows,
+    one per homodyne in element order, holding its electronic readout (the
+    optical quadrature it measures plus its dark noise, the value it feeds
+    forward); then the observed rows a shot is conditioned on, in draw
+    order: per homodyne its optical quadrature, then the unit row of its
+    ``dark<k>`` source when it has dark noise.  No per-element state is kept.
     """
 
     columns: tuple
     matrix: np.ndarray
-    observed: tuple   # rows over ``columns``, one per standard-normal draw
-    snapshots: tuple  # per-mode (2, width) rows of the input, then after each element
+    n_output_modes: int
+    n_readouts: int
 
 
 def _lower(elements: tuple, n_input_modes: int) -> _Lowering:
-    """Validate the element list and lower it in one walk."""
+    """Validate the element list and lower it in one walk: the one reader of element kinds."""
+    if isinstance(n_input_modes, bool) or not isinstance(n_input_modes, Integral) or n_input_modes < 1:
+        raise ValueError(f"n_input_modes must be a positive integer, got {n_input_modes!r}")
     # every element adds at most three source columns
     width = 2 * n_input_modes + 1 + 3 * len(elements)
     columns = [f"{q}{k + 1}_in" for k in range(n_input_modes) for q in "xp"] + ["unit"]
     eye = np.eye(2 * n_input_modes, width)
     modes = [eye[2 * k : 2 * k + 2] for k in range(n_input_modes)]
-    snapshots = [tuple(modes)]
     readouts, observed = [], []
     losses = darks = 0
 
@@ -326,6 +317,8 @@ def _lower(elements: tuple, n_input_modes: int) -> _Lowering:
     for pos, el in enumerate(elements):
         n = len(modes)
         if isinstance(el, AncillaInjection):
+            _require(math.isfinite(el.r) and math.isfinite(el.angle), pos, el)
+            _require(1.0 <= el.antisqueeze_excess < math.inf, pos, el)
             c, s = math.cos(el.angle), math.sin(el.angle)
             rot = np.array([[c, s], [-s, c]])
             rows = np.zeros((2, width))
@@ -352,7 +345,8 @@ def _lower(elements: tuple, n_input_modes: int) -> _Lowering:
             _require(0 <= el.measured_mode < n and 0 <= el.target_mode < n, pos, el)
             _require(el.target_mode != el.measured_mode, pos, el)
             _require(el.target_quadrature in ("x", "p") and math.isfinite(el.gain), pos, el)
-            _require(0.0 <= el.efficiency <= 1.0 and el.dark_variance >= 0.0, pos, el)
+            _require(math.isfinite(el.angle) and 0.0 <= el.efficiency <= 1.0, pos, el)
+            _require(0.0 <= el.dark_variance < math.inf, pos, el)
             if el.efficiency < 1.0:
                 modes[el.measured_mode] = lossy(
                     modes[el.measured_mode], el.efficiency, f"det{losses}"
@@ -364,43 +358,33 @@ def _lower(elements: tuple, n_input_modes: int) -> _Lowering:
             if el.dark_variance > 0.0:
                 darks += 1
                 k = sources(f"dark{darks}")
+                # the observed optical row stays free of dark noise
                 readout = optical.copy()
                 readout[k] = math.sqrt(el.dark_variance)
                 source = np.zeros(width)
                 source[k] = 1.0
                 observed.append(source)
-            target = modes[el.target_mode].copy()
-            target[0 if el.target_quadrature == "x" else 1] += el.gain * readout
-            modes[el.target_mode] = target
+            modes[el.target_mode][0 if el.target_quadrature == "x" else 1] += el.gain * readout
             del modes[el.measured_mode]
             readouts.append(readout)
         elif isinstance(el, Displacement):
-            _require(0 <= el.mode < n, pos, el)
-            rows = modes[el.mode].copy()
-            rows[:, 2 * n_input_modes] += (el.dx, el.dp)
-            modes[el.mode] = rows
+            _require(0 <= el.mode < n and math.isfinite(el.dx) and math.isfinite(el.dp), pos, el)
+            modes[el.mode][:, 2 * n_input_modes] += (el.dx, el.dp)
         else:
             raise TypeError(f"unknown circuit element {el!r}")
-        snapshots.append(tuple(modes))
 
-    matrix = np.vstack([np.zeros((0, width)), *modes, *readouts])[:, : len(columns)]
-    observed = tuple(row[: len(columns)] for row in observed)
-    return _Lowering(tuple(columns), matrix, observed, tuple(snapshots))
+    matrix = np.vstack([*modes, *readouts, *observed])
+    return _Lowering(tuple(columns), matrix[:, : len(columns)], len(modes), len(readouts))
 
 
-def _moments(rows: np.ndarray, state: GaussianState):
-    """Mean and covariance of lowered ``rows`` evaluated on an input ``state``."""
+def _moments(circuit: "Circuit", state: GaussianState, n_rows: int | None = None):
+    """Mean and covariance of the first ``n_rows`` lowered rows on an input ``state``."""
+    if state.n_modes != circuit.n_input_modes:
+        raise ValueError(f"circuit expects {circuit.n_input_modes} input modes, got {state.n_modes}")
+    rows = circuit._lowered.matrix[:n_rows]
     k = 2 * state.n_modes
     x, noise = rows[:, :k], rows[:, k + 1 :]
     return x @ state.mean + rows[:, k], x @ state.cov @ x.T + noise @ noise.T
-
-
-def _lowering_for(circuit: "Circuit", state: GaussianState) -> _Lowering:
-    if state.n_modes != circuit.n_input_modes:
-        raise ValueError(
-            f"circuit expects {circuit.n_input_modes} input modes, got {state.n_modes}"
-        )
-    return circuit._lowered
 
 
 class CircuitConstructionError(RuntimeError):
@@ -479,9 +463,7 @@ def _gate_elements(params: GateParams, imp: ImperfectionModel) -> list:
     elements.append(BeamSplitter(2, 0, arm_r, signs=(1, -1, 1, 1)))
     if eta_coupler < 1.0:
         elements.append(Loss(2, eta_coupler, "couplerA"))
-    elements.append(
-        HomodyneFeedforward(0, math.pi / 2, 2, "p", -ff_gain, eta_det, dark)
-    )
+    elements.append(HomodyneFeedforward(0, math.pi / 2, 2, "p", -ff_gain, eta_det, dark))
 
     # arm B: the p-sector mirror on the mode-1 path
     elements.append(AncillaInjection(params.r_b, math.pi / 2, "B", params.ancilla_excess))
@@ -517,15 +499,17 @@ def run_covariance(
     The lowered outputs give ``mean = X m + u`` and ``cov = X V X^T + N N^T``:
     homodyne feedforward enters as its outcome average, the target quadrature
     gaining ``gain`` times the measured quadrature with readout noise.  With
-    ``validate`` the state after every element is evaluated and checked for
-    physicality.
+    ``validate`` the input and the state after every element are checked for
+    physicality; the state after element ``k`` is the output of the prefix
+    circuit ``elements[:k]``.
     """
-    lowered = _lowering_for(circuit, state)
-    snapshots = lowered.snapshots if validate else lowered.snapshots[-1:]
-    for modes in snapshots:
-        out = GaussianState(len(modes), *_moments(np.vstack(modes), state))
-        if validate:
-            gaussian.assert_physical(out)
+    n = circuit.n_output_modes
+    out = GaussianState(n, *_moments(circuit, state, 2 * n))
+    if validate:
+        for k in range(len(circuit.elements)):
+            prefix = Circuit(circuit.elements[:k], circuit.n_input_modes)
+            gaussian.assert_physical(run_covariance(prefix, state))
+        gaussian.assert_physical(out)
     return out
 
 
@@ -575,17 +559,17 @@ class TrajectoryProgram:
 def compile_trajectory(circuit: Circuit, state: GaussianState) -> TrajectoryProgram:
     """Build the stochastic execution plan for ``circuit`` on ``state``.
 
-    The output and readout rows are conditioned on the lowering's observed
-    rows: in element order, each homodyne's optical quadrature and then its
-    dark noise.  The readout noise therefore reaches the means through the
-    feedforward but never the conditional covariance, and ``final_cov +
-    gains @ gains.T`` restricted to the outputs equals the ``run_covariance``
-    covariance.
+    The output and readout rows are conditioned on the observed rows, the
+    last block of the lowering's matrix: in element order, each homodyne's
+    optical quadrature and then its dark noise.  The readout noise therefore
+    reaches the means through the feedforward but never the conditional
+    covariance, and ``final_cov + gains @ gains.T`` restricted to the outputs
+    equals the ``run_covariance`` covariance.
     """
-    lowered = _lowering_for(circuit, state)
     n_out = 2 * circuit.n_output_modes
-    kept, draws = len(lowered.matrix), len(lowered.observed)
-    mean, cov = _moments(np.vstack([lowered.matrix, *lowered.observed]), state)
+    kept = n_out + circuit._lowered.n_readouts
+    mean, cov = _moments(circuit, state)
+    draws = len(mean) - kept
     gains = np.zeros((kept, draws))
     for j in range(draws):
         e = np.zeros(len(mean))

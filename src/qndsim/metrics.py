@@ -158,10 +158,7 @@ class DuanResult:
 
 def duan_sum(cov: np.ndarray, g: float) -> float:
     """``Var(x1 - g*x2) + Var(p2 + g*p1)`` from an output covariance."""
-    cov = np.asarray(cov, dtype=float)
-    vx = cov[0, 0] - 2.0 * g * cov[0, 2] + g * g * cov[2, 2]
-    vp = cov[3, 3] + 2.0 * g * cov[3, 1] + g * g * cov[1, 1]
-    return float(vx + vp)
+    return float(cv_sweep(cov, "x", g) + cv_sweep(cov, "p", g))
 
 
 def duan_simon(cov: np.ndarray, g: float, g_grid=None) -> DuanResult:

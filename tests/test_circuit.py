@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from qndsim import circuit as circuit_module
 from qndsim import gaussian
 from qndsim.circuit import (
+    AncillaInjection,
     BeamSplitter,
     Circuit,
     CircuitConstructionError,
@@ -99,6 +100,11 @@ class TestGateParams:
     def test_nan_ancilla_excess_rejected(self):
         with pytest.raises(ValueError, match="ancilla_excess"):
             GateParams(0.5, ancilla_excess=math.nan)
+
+    @pytest.mark.parametrize("excess", [math.inf, 0.5])
+    def test_infinite_or_small_ancilla_excess_rejected(self, excess):
+        with pytest.raises(ValueError, match=f"ancilla_excess = {excess}"):
+            GateParams(0.5, ancilla_excess=excess)
 
 
 class TestImperfectionModel:
@@ -373,6 +379,33 @@ class TestCircuitValidation:
         with pytest.raises(ValueError):
             Circuit(elements=(HomodyneFeedforward(0, 0.0, 1, "x", 1.0, **kwargs),))
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [("r", math.nan), ("angle", math.nan), ("antisqueeze_excess", math.nan),
+         ("antisqueeze_excess", 0.5)],
+    )
+    def test_bad_ancilla_rejected(self, field, value):
+        kwargs = {"r": 0.3, "angle": 0.0, "label": "A", field: value}
+        with pytest.raises(ValueError, match="position 0"):
+            Circuit(elements=(AncillaInjection(**kwargs),))
+
+    @pytest.mark.parametrize("field,value", [("angle", math.nan), ("dark_variance", math.inf)])
+    def test_non_finite_homodyne_rejected(self, field, value):
+        kwargs = {"angle": 0.0, "dark_variance": 0.0, field: value}
+        with pytest.raises(ValueError, match="position 0"):
+            Circuit(elements=(HomodyneFeedforward(0, target_mode=1, target_quadrature="x",
+                                                  gain=1.0, **kwargs),))
+
+    @pytest.mark.parametrize("dx,dp", [(math.nan, 0.0), (0.0, math.inf)])
+    def test_non_finite_displacement_rejected(self, dx, dp):
+        with pytest.raises(ValueError, match="position 0"):
+            Circuit(elements=(Displacement(0, dx, dp),))
+
+    @pytest.mark.parametrize("n", [0, -1, True, 2.0])
+    def test_bad_input_mode_count_rejected(self, n):
+        with pytest.raises(ValueError, match="n_input_modes"):
+            Circuit((), n_input_modes=n)
+
     def test_output_mode_count(self):
         circuit = build_qnd_gate(GateParams.from_gain(1.0), ImperfectionModel())
         assert circuit.n_output_modes == 2
@@ -382,78 +415,95 @@ class TestCircuitValidation:
 
 
 GOLDEN_TEXT = """\
-circuit modes=2
-beam_splitter i=0 j=1 reflectivity=0.8 signs=+-++
-ancilla label=A r=0.575646273249 angle=0 excess=1
-beam_splitter i=2 j=0 reflectivity=0.25 signs=+-++
-homodyne_feedforward measured=0 angle=1.57079632679 target=2 quadrature=p gain=-1.73205080757 efficiency=1 dark=0
-ancilla label=B r=0.575646273249 angle=1.57079632679 excess=1
-beam_splitter i=2 j=0 reflectivity=0.25 signs=--+-
-homodyne_feedforward measured=0 angle=0 target=2 quadrature=x gain=1.73205080757 efficiency=1 dark=0
-beam_splitter i=0 j=1 reflectivity=0.2 signs=--+-"""
+Circuit n_input_modes=2
+BeamSplitter i=0 j=1 reflectivity=0.8 signs=(1,-1,1,1)
+AncillaInjection r=0.575646273249 angle=0 label=A antisqueeze_excess=1
+BeamSplitter i=2 j=0 reflectivity=0.25 signs=(1,-1,1,1)
+HomodyneFeedforward measured_mode=0 angle=1.57079632679 target_mode=2 target_quadrature=p gain=-1.73205080757 efficiency=1 dark_variance=0
+AncillaInjection r=0.575646273249 angle=1.57079632679 label=B antisqueeze_excess=1
+BeamSplitter i=2 j=0 reflectivity=0.25 signs=(-1,-1,1,-1)
+HomodyneFeedforward measured_mode=0 angle=0 target_mode=2 target_quadrature=x gain=1.73205080757 efficiency=1 dark_variance=0
+BeamSplitter i=0 j=1 reflectivity=0.2 signs=(-1,-1,1,-1)"""
 
 
 # the default budget with each main-mode loss placement, and the R = 1
 # identity gate, which keeps the whole apparatus and its budget
 GOLDEN_BUDGET_TEXT = {
     "pre_entry": """\
-circuit modes=2
-loss mode=0 eta=0.93 tag=main1
-loss mode=1 eta=0.93 tag=main2
-beam_splitter i=0 j=1 reflectivity=0.8 signs=+-++
-ancilla label=A r=0.575646273249 angle=0 excess=1
-beam_splitter i=2 j=0 reflectivity=0.25 signs=+-++
-loss mode=2 eta=0.99 tag=couplerA
-homodyne_feedforward measured=0 angle=1.57079632679 target=2 quadrature=p gain=-1.73205080757 efficiency=0.950796 dark=0.0199526231497
-ancilla label=B r=0.575646273249 angle=1.57079632679 excess=1
-beam_splitter i=2 j=0 reflectivity=0.25 signs=--+-
-loss mode=2 eta=0.99 tag=couplerB
-homodyne_feedforward measured=0 angle=0 target=2 quadrature=x gain=1.73205080757 efficiency=0.950796 dark=0.0199526231497
-beam_splitter i=0 j=1 reflectivity=0.2 signs=--+-""",
+Circuit n_input_modes=2
+Loss mode=0 eta=0.93 tag=main1
+Loss mode=1 eta=0.93 tag=main2
+BeamSplitter i=0 j=1 reflectivity=0.8 signs=(1,-1,1,1)
+AncillaInjection r=0.575646273249 angle=0 label=A antisqueeze_excess=1
+BeamSplitter i=2 j=0 reflectivity=0.25 signs=(1,-1,1,1)
+Loss mode=2 eta=0.99 tag=couplerA
+HomodyneFeedforward measured_mode=0 angle=1.57079632679 target_mode=2 target_quadrature=p gain=-1.73205080757 efficiency=0.950796 dark_variance=0.0199526231497
+AncillaInjection r=0.575646273249 angle=1.57079632679 label=B antisqueeze_excess=1
+BeamSplitter i=2 j=0 reflectivity=0.25 signs=(-1,-1,1,-1)
+Loss mode=2 eta=0.99 tag=couplerB
+HomodyneFeedforward measured_mode=0 angle=0 target_mode=2 target_quadrature=x gain=1.73205080757 efficiency=0.950796 dark_variance=0.0199526231497
+BeamSplitter i=0 j=1 reflectivity=0.2 signs=(-1,-1,1,-1)""",
     "in_arms": """\
-circuit modes=2
-beam_splitter i=0 j=1 reflectivity=0.8 signs=+-++
-ancilla label=A r=0.575646273249 angle=0 excess=1
-beam_splitter i=2 j=0 reflectivity=0.25 signs=+-++
-loss mode=2 eta=0.99 tag=couplerA
-homodyne_feedforward measured=0 angle=1.57079632679 target=2 quadrature=p gain=-1.73205080757 efficiency=0.950796 dark=0.0199526231497
-ancilla label=B r=0.575646273249 angle=1.57079632679 excess=1
-beam_splitter i=2 j=0 reflectivity=0.25 signs=--+-
-loss mode=2 eta=0.99 tag=couplerB
-homodyne_feedforward measured=0 angle=0 target=2 quadrature=x gain=1.73205080757 efficiency=0.950796 dark=0.0199526231497
-loss mode=0 eta=0.93 tag=main1
-loss mode=1 eta=0.93 tag=main2
-beam_splitter i=0 j=1 reflectivity=0.2 signs=--+-""",
+Circuit n_input_modes=2
+BeamSplitter i=0 j=1 reflectivity=0.8 signs=(1,-1,1,1)
+AncillaInjection r=0.575646273249 angle=0 label=A antisqueeze_excess=1
+BeamSplitter i=2 j=0 reflectivity=0.25 signs=(1,-1,1,1)
+Loss mode=2 eta=0.99 tag=couplerA
+HomodyneFeedforward measured_mode=0 angle=1.57079632679 target_mode=2 target_quadrature=p gain=-1.73205080757 efficiency=0.950796 dark_variance=0.0199526231497
+AncillaInjection r=0.575646273249 angle=1.57079632679 label=B antisqueeze_excess=1
+BeamSplitter i=2 j=0 reflectivity=0.25 signs=(-1,-1,1,-1)
+Loss mode=2 eta=0.99 tag=couplerB
+HomodyneFeedforward measured_mode=0 angle=0 target_mode=2 target_quadrature=x gain=1.73205080757 efficiency=0.950796 dark_variance=0.0199526231497
+Loss mode=0 eta=0.93 tag=main1
+Loss mode=1 eta=0.93 tag=main2
+BeamSplitter i=0 j=1 reflectivity=0.2 signs=(-1,-1,1,-1)""",
     "post_exit": """\
-circuit modes=2
-beam_splitter i=0 j=1 reflectivity=0.8 signs=+-++
-ancilla label=A r=0.575646273249 angle=0 excess=1
-beam_splitter i=2 j=0 reflectivity=0.25 signs=+-++
-loss mode=2 eta=0.99 tag=couplerA
-homodyne_feedforward measured=0 angle=1.57079632679 target=2 quadrature=p gain=-1.73205080757 efficiency=0.950796 dark=0.0199526231497
-ancilla label=B r=0.575646273249 angle=1.57079632679 excess=1
-beam_splitter i=2 j=0 reflectivity=0.25 signs=--+-
-loss mode=2 eta=0.99 tag=couplerB
-homodyne_feedforward measured=0 angle=0 target=2 quadrature=x gain=1.73205080757 efficiency=0.950796 dark=0.0199526231497
-beam_splitter i=0 j=1 reflectivity=0.2 signs=--+-
-loss mode=0 eta=0.93 tag=main1
-loss mode=1 eta=0.93 tag=main2""",
+Circuit n_input_modes=2
+BeamSplitter i=0 j=1 reflectivity=0.8 signs=(1,-1,1,1)
+AncillaInjection r=0.575646273249 angle=0 label=A antisqueeze_excess=1
+BeamSplitter i=2 j=0 reflectivity=0.25 signs=(1,-1,1,1)
+Loss mode=2 eta=0.99 tag=couplerA
+HomodyneFeedforward measured_mode=0 angle=1.57079632679 target_mode=2 target_quadrature=p gain=-1.73205080757 efficiency=0.950796 dark_variance=0.0199526231497
+AncillaInjection r=0.575646273249 angle=1.57079632679 label=B antisqueeze_excess=1
+BeamSplitter i=2 j=0 reflectivity=0.25 signs=(-1,-1,1,-1)
+Loss mode=2 eta=0.99 tag=couplerB
+HomodyneFeedforward measured_mode=0 angle=0 target_mode=2 target_quadrature=x gain=1.73205080757 efficiency=0.950796 dark_variance=0.0199526231497
+BeamSplitter i=0 j=1 reflectivity=0.2 signs=(-1,-1,1,-1)
+Loss mode=0 eta=0.93 tag=main1
+Loss mode=1 eta=0.93 tag=main2""",
 }
 
 GOLDEN_IDENTITY_TEXT = """\
-circuit modes=2
-beam_splitter i=0 j=1 reflectivity=0.5 signs=+-++
-ancilla label=A r=0.575646273249 angle=0 excess=1
-beam_splitter i=2 j=0 reflectivity=1 signs=+-++
-loss mode=2 eta=0.99 tag=couplerA
-homodyne_feedforward measured=0 angle=1.57079632679 target=2 quadrature=p gain=-0 efficiency=0.950796 dark=0.0199526231497
-ancilla label=B r=0.575646273249 angle=1.57079632679 excess=1
-beam_splitter i=2 j=0 reflectivity=1 signs=--+-
-loss mode=2 eta=0.99 tag=couplerB
-homodyne_feedforward measured=0 angle=0 target=2 quadrature=x gain=0 efficiency=0.950796 dark=0.0199526231497
-beam_splitter i=0 j=1 reflectivity=0.5 signs=--+-
-loss mode=0 eta=0.93 tag=main1
-loss mode=1 eta=0.93 tag=main2"""
+Circuit n_input_modes=2
+BeamSplitter i=0 j=1 reflectivity=0.5 signs=(1,-1,1,1)
+AncillaInjection r=0.575646273249 angle=0 label=A antisqueeze_excess=1
+BeamSplitter i=2 j=0 reflectivity=1 signs=(1,-1,1,1)
+Loss mode=2 eta=0.99 tag=couplerA
+HomodyneFeedforward measured_mode=0 angle=1.57079632679 target_mode=2 target_quadrature=p gain=-0 efficiency=0.950796 dark_variance=0.0199526231497
+AncillaInjection r=0.575646273249 angle=1.57079632679 label=B antisqueeze_excess=1
+BeamSplitter i=2 j=0 reflectivity=1 signs=(-1,-1,1,-1)
+Loss mode=2 eta=0.99 tag=couplerB
+HomodyneFeedforward measured_mode=0 angle=0 target_mode=2 target_quadrature=x gain=0 efficiency=0.950796 dark_variance=0.0199526231497
+BeamSplitter i=0 j=1 reflectivity=0.5 signs=(-1,-1,1,-1)
+Loss mode=0 eta=0.93 tag=main1
+Loss mode=1 eta=0.93 tag=main2"""
+
+# all five element kinds, an impure ancilla and an auto-tagged loss
+EVERY_KIND = (
+    Displacement(0, 1.5, -0.25),
+    AncillaInjection(0.3, 0.25, "C", 2.5),
+    BeamSplitter(0, 2, 0.4),
+    Loss(1, 0.9),
+    HomodyneFeedforward(2, 0.5, 1, "p", -0.75, 0.95, 0.01),
+)
+
+GOLDEN_EVERY_KIND_TEXT = """\
+Circuit n_input_modes=2
+Displacement mode=0 dx=1.5 dp=-0.25
+AncillaInjection r=0.3 angle=0.25 label=C antisqueeze_excess=2.5
+BeamSplitter i=0 j=2 reflectivity=0.4 signs=(1,1,-1,1)
+Loss mode=1 eta=0.9 tag=
+HomodyneFeedforward measured_mode=2 angle=0.5 target_mode=1 target_quadrature=p gain=-0.75 efficiency=0.95 dark_variance=0.01"""
 
 
 class TestSerialization:
@@ -470,11 +520,12 @@ class TestSerialization:
         circuit = build_qnd_gate(GateParams(1.0), ImperfectionModel())
         assert circuit.to_text() == GOLDEN_IDENTITY_TEXT
 
+    def test_golden_text_every_element_kind(self):
+        assert Circuit(EVERY_KIND).to_text() == GOLDEN_EVERY_KIND_TEXT
+
     def test_reflectivities_appear_in_caption_order(self):
         circuit = build_qnd_gate(GateParams(0.25), ImperfectionModel.ideal())
-        text = circuit.to_text()
-        bs_lines = [l for l in text.splitlines() if l.startswith("beam_splitter")]
-        values = [float(l.split("reflectivity=")[1].split()[0]) for l in bs_lines]
+        values = [el.reflectivity for el in circuit.elements if isinstance(el, BeamSplitter)]
         assert values == [0.8, 0.25, 0.25, 0.2]  # 1/(1+R), R, R, R/(1+R)
 
 

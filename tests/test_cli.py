@@ -176,6 +176,25 @@ class TestScenarioConfig:
             scenario_from_dict({"imperfections": {"sideband_loss": 0.1}})
 
     @pytest.mark.parametrize(
+        "name,value",
+        [
+            ("feedforward_electronic_gain_error", "NaN"),
+            ("feedforward_electronic_gain_error", "Infinity"),
+            ("dark_noise_dB_below_shot", "NaN"),
+        ],
+    )
+    def test_non_finite_budget_rejected(self, name, value):
+        # JSON NaN and Infinity load as floats and stop at the budget boundary
+        doc = json.loads(f'{{"imperfections": {{"{name}": {value}}}}}')
+        with pytest.raises(ValueError, match=name):
+            scenario_from_dict(doc)
+
+    def test_infinite_dark_noise_is_no_dark_noise(self):
+        doc = json.loads('{"imperfections": {"dark_noise_dB_below_shot": Infinity}}')
+        config = scenario_from_dict(doc)
+        assert config.imperfections.dark_variance == 0.0
+
+    @pytest.mark.parametrize(
         "doc",
         [
             {"bogus": 1},
