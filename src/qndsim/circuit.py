@@ -29,6 +29,7 @@ per-element state is kept.  The executors read that matrix:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields
 from numbers import Integral
@@ -373,8 +374,10 @@ def _lower(elements: tuple, n_input_modes: int) -> _Lowering:
         else:
             raise TypeError(f"unknown circuit element {el!r}")
 
-    matrix = np.vstack([*modes, *readouts, *observed])
-    return _Lowering(tuple(columns), matrix[:, : len(columns)], len(modes), len(readouts))
+    matrix = np.vstack([*modes, *readouts, *observed])[:, : len(columns)]
+    # equal gate builds share one lowering, so it must not change under them
+    matrix.flags.writeable = False
+    return _Lowering(tuple(columns), matrix, len(modes), len(readouts))
 
 
 def _moments(circuit: "Circuit", state: GaussianState, n_rows: int | None = None):
@@ -413,13 +416,15 @@ def build_qnd_gate(
 
     A single beam-splitter stage can only cancel the ancilla's anti-squeezed
     quadrature by measuring the quadrature conjugate to the squeezed one, so
-    the x-sector arm homodynes p and vice versa.  The lossless element list
-    is checked against ``finite_squeezing_map`` at build time by
-    ``oracle_error`` and a ``CircuitConstructionError`` is raised beyond
-    1e-9 coefficient error.
+    the x-sector arm homodynes p and vice versa.  Every build checks the
+    lossless element list against ``finite_squeezing_map`` by
+    ``oracle_error`` and raises a ``CircuitConstructionError`` beyond 1e-9
+    coefficient error.  Lowerings, not verdicts, are memoised in a bounded
+    cache keyed on the frozen ``(params, imperfections)``, so equal inputs
+    return the same read-only ``Circuit``, and an ideal budget reuses the
+    oracle's lossless lowering.
     """
     imp = imperfections or ImperfectionModel.ideal()
-    circuit = Circuit(_gate_elements(params, imp))
     err = oracle_error(params)
     # written so that a NaN error fails too
     if not err <= ORACLE_MATCH_TOL:
@@ -427,7 +432,7 @@ def build_qnd_gate(
             f"compiled gate deviates from the input-output relations: "
             f"coefficient error {err:.3e}"
         )
-    return circuit
+    return _gate(params, imp)
 
 
 def oracle_error(params: GateParams) -> float:
@@ -435,10 +440,18 @@ def oracle_error(params: GateParams) -> float:
 
     The gate lowered without imperfections is compared, coefficient by
     coefficient, with ``finite_squeezing_map`` at the same working point.
+    The lowering comes from the bounded memo that ``build_qnd_gate`` shares;
+    the comparison itself runs on every call and is never cached.
     """
-    lossless = Circuit(_gate_elements(params, ImperfectionModel.ideal()))
+    lossless = _gate(params, ImperfectionModel.ideal())
     oracle = finite_squeezing_map(params.R, params.r_a, params.r_b)
     return max_coefficient_difference(circuit_quadrature_map(lossless), oracle)
+
+
+@functools.lru_cache
+def _gate(params: GateParams, imp: ImperfectionModel) -> Circuit:
+    """The lowered gate circuit, memoised on its frozen inputs; never a verdict."""
+    return Circuit(_gate_elements(params, imp))
 
 
 def _gate_elements(params: GateParams, imp: ImperfectionModel) -> list:

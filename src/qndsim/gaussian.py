@@ -44,9 +44,10 @@ def squeeze_parameter_from_db(db: float) -> float:
     """Squeeze parameter r such that the squeezed variance is ``10**(db/10)``.
 
     Negative dB means squeezing below shot noise; e.g. -5 dB gives
-    ``e**(-2r) = 0.31623``.
+    ``e**(-2r) = 0.31623``.  Both zeros give ``+0.0``: ``-0.0`` and ``0.0``
+    are equal keys, so they must not print differently.
     """
-    return -db * np.log(10.0) / 20.0
+    return 0.0 - db * np.log(10.0) / 20.0
 
 
 @dataclass

@@ -72,10 +72,13 @@ class QuadratureMap:
 
 def max_coefficient_difference(a: QuadratureMap, b: QuadratureMap) -> float:
     """Largest |coefficient difference| over all outputs and labels."""
-    columns = list(dict.fromkeys(a.columns + b.columns))
-    diff = np.zeros((len(OUTPUT_ORDER), len(columns)))
-    diff[:, [columns.index(c) for c in a.columns]] = a.matrix
-    diff[:, [columns.index(c) for c in b.columns]] -= b.matrix
+    # a's labels in order, then those only b has
+    index = dict(zip(a.columns, range(len(a.columns))))
+    for label in b.columns:
+        index.setdefault(label, len(index))
+    diff = np.zeros((len(OUTPUT_ORDER), len(index)))
+    diff[:, : len(a.columns)] = a.matrix
+    diff[:, [index[label] for label in b.columns]] -= b.matrix
     return float(np.abs(diff).max())
 
 

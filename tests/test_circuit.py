@@ -182,13 +182,18 @@ class TestBuilderOracleEquivalence:
         with pytest.raises(ValueError, match="repeated source label 'xv_1'"):
             Circuit(elements=(Loss(0, 0.9), Loss(1, 0.9, "1")))
 
-    def test_oracle_mismatch_raises(self, monkeypatch):
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    def test_oracle_mismatch_raises(self, warm, monkeypatch):
         def skewed(R, r_a, r_b):
             qmap = finite_squeezing_map(R, r_a, r_b)
             matrix = qmap.matrix.copy()
             matrix[2, qmap.columns.index("x1_in")] += 1e-6
             return QuadratureMap(qmap.columns, matrix)
 
+        if warm:
+            # the memo holds lowerings, not verdicts: an earlier passing
+            # build of the same gate must not excuse the next one's check
+            build_qnd_gate(GateParams(0.25), ImperfectionModel())
         monkeypatch.setattr(circuit_module, "finite_squeezing_map", skewed)
         with pytest.raises(CircuitConstructionError, match=r"coefficient error 1\.000e-06"):
             build_qnd_gate(GateParams(0.25), ImperfectionModel())
@@ -199,6 +204,26 @@ class TestBuilderOracleEquivalence:
         monkeypatch.setattr(circuit_module, "oracle_error", lambda params: math.nan)
         with pytest.raises(CircuitConstructionError, match="coefficient error nan"):
             build_qnd_gate(GateParams(0.25), ImperfectionModel())
+
+
+class TestGateMemo:
+    def test_equal_builds_share_one_read_only_circuit(self):
+        params, imp = GateParams.from_gain(1.3, squeezing_db_a=-4.0), ImperfectionModel()
+        circuit = build_qnd_gate(params, imp)
+        assert build_qnd_gate(params, imp) is circuit
+        with pytest.raises(ValueError, match="read-only"):
+            circuit._lowered.matrix[0, 0] = 1.0
+
+    @pytest.mark.parametrize("first, second", [(0.0, -0.0), (-0.0, 0.0)])
+    def test_zero_db_ancilla_text_does_not_depend_on_build_order(self, first, second):
+        # GateParams(R, 0.0) == GateParams(R, -0.0), so both share one memo entry
+        circuit_module._gate.cache_clear()
+        imp = ImperfectionModel()
+        for db in (first, second):
+            params = GateParams(0.25, squeezing_db_a=db, squeezing_db_b=db)
+            text = build_qnd_gate(params, imp).to_text()
+            assert "AncillaInjection r=0 " in text and "r=-0" not in text
+            assert text == Circuit(circuit_module._gate_elements(params, imp)).to_text()
 
 
 class TestRunCovariance:

@@ -430,11 +430,18 @@ class TestReproduceTable:
         cmd_reproduce_table(ScenarioConfig())
         assert len(builds) <= 8
 
-    @pytest.mark.parametrize("fit, builds, evaluations", [(True, 7, 3), (False, 3, 3)])
-    def test_one_evaluation_per_reported_gate(self, fit, builds, evaluations, monkeypatch):
+    @pytest.mark.parametrize(
+        "fit, builds, evaluations, lowerings", [(True, 7, 3, 6), (False, 3, 3, 4)]
+    )
+    def test_one_evaluation_per_reported_gate(
+        self, fit, builds, evaluations, lowerings, monkeypatch
+    ):
         # the fit builds each gain at two knobs; then the fitted knob's two
-        # gains and the lossless row are each built and evaluated once
-        calls = {"build_qnd_gate": 0, "evaluate_gate": 0}
+        # gains and the lossless row are each built and evaluated once.  Each
+        # distinct gate is lowered once: both gains at knob 0, at the anchor
+        # knob and lossless make 6 circuits; the default fit lands on knob 0,
+        # and the lossless row reuses the oracle's lowering
+        calls = {"build_qnd_gate": 0, "evaluate_gate": 0, "_lower": 0}
 
         def counted(name, function):
             def wrapper(*args, **kwargs):
@@ -446,8 +453,14 @@ class TestReproduceTable:
         for module in (metrics, cli):
             monkeypatch.setattr(module, "build_qnd_gate", counted("build_qnd_gate", build_qnd_gate))
         monkeypatch.setattr(metrics, "evaluate_gate", counted("evaluate_gate", metrics.evaluate_gate))
+        monkeypatch.setattr(circuit_module, "_lower", counted("_lower", circuit_module._lower))
+        circuit_module._gate.cache_clear()
         cmd_reproduce_table(ScenarioConfig(), fit=fit)
-        assert calls == {"build_qnd_gate": builds, "evaluate_gate": evaluations}
+        assert calls == {
+            "build_qnd_gate": builds,
+            "evaluate_gate": evaluations,
+            "_lower": lowerings,
+        }
 
     def test_csv_written(self, tmp_path):
         path = tmp_path / "table.csv"
@@ -463,13 +476,18 @@ class TestOracleCheckCommand:
         assert text.endswith("PASS")
         assert "max coefficient error" in text
 
-    def test_skewed_oracle_fails(self, monkeypatch, capsys):
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    def test_skewed_oracle_fails(self, warm, monkeypatch, capsys):
         real = circuit_module.finite_squeezing_map
 
         def skewed(R, r_a, r_b):
             qmap = real(R, r_a, r_b)
             return QuadratureMap(qmap.columns, qmap.matrix + 1e-6)
 
+        if warm:
+            # a passing run first fills the lowering memo; the verdict is not kept
+            assert main(["oracle-check"]) == 0
+            capsys.readouterr()
         monkeypatch.setattr(circuit_module, "finite_squeezing_map", skewed)
         assert main(["oracle-check"]) == 1
         assert capsys.readouterr().out.rstrip().endswith("FAIL")
