@@ -38,7 +38,7 @@ import numpy as np
 
 from . import gaussian
 from .gaussian import GaussianState
-from .quadexpr import QuadratureMap, finite_squeezing_map, max_coefficient_difference
+from .quadexpr import QuadratureMap, finite_squeezing_map
 
 ORACLE_MATCH_TOL = 1e-9
 
@@ -170,6 +170,10 @@ class ImperfectionModel:
         return 10.0 ** (-self.dark_noise_dB_below_shot / 10.0)
 
 
+# built and checked once; equal to every ``ideal()``, so memo keys do not change
+_IDEAL = ImperfectionModel.ideal()
+
+
 # --------------------------------------------------------------------------
 # circuit elements
 
@@ -288,22 +292,26 @@ class _Lowering:
 
 
 def _lower(elements: tuple, n_input_modes: int) -> _Lowering:
-    """Validate the element list and lower it in one walk: the one reader of element kinds."""
+    """Validate the element list and lower it in one walk: the one reader of element kinds.
+
+    The cost is numpy's per-call floor on ``(2, width)`` rows, not arithmetic, so
+    each element makes few calls; every float operation and its order is kept.
+    """
     if isinstance(n_input_modes, bool) or not isinstance(n_input_modes, Integral) or n_input_modes < 1:
         raise ValueError(f"n_input_modes must be a positive integer, got {n_input_modes!r}")
     # every element adds at most three source columns
     width = 2 * n_input_modes + 1 + 3 * len(elements)
-    columns = [f"{q}{k + 1}_in" for k in range(n_input_modes) for q in "xp"] + ["unit"]
-    eye = np.eye(2 * n_input_modes, width)
-    modes = [eye[2 * k : 2 * k + 2] for k in range(n_input_modes)]
-    readouts, observed = [], []
+    columns = dict.fromkeys([f"{q}{k + 1}_in" for k in range(n_input_modes) for q in "xp"] + ["unit"])
+    modes = list(np.eye(2 * n_input_modes, width).reshape(n_input_modes, 2, width))
+    readouts, observed = [], []  # (1, width) rows, stacked by one concatenate
     losses = darks = 0
 
     def sources(*labels) -> int:
+        # ``columns`` is an ordered dict: a repeated label is one lookup
         for label in labels:
             if label in columns:
                 raise ValueError(f"repeated source label {label!r}")
-            columns.append(label)
+            columns[label] = None
         return len(columns) - len(labels)
 
     def lossy(rows, eta, tag):
@@ -317,20 +325,23 @@ def _lower(elements: tuple, n_input_modes: int) -> _Lowering:
 
     for pos, el in enumerate(elements):
         n = len(modes)
-        if isinstance(el, AncillaInjection):
+        kind = type(el)
+        if kind is AncillaInjection:
             _require(math.isfinite(el.r) and math.isfinite(el.angle), pos, el)
             _require(1.0 <= el.antisqueeze_excess < math.inf, pos, el)
             c, s = math.cos(el.angle), math.sin(el.angle)
-            rot = np.array([[c, s], [-s, c]])
+            squeezed, anti = math.exp(-el.r), math.exp(el.r)
             rows = np.zeros((2, width))
             k = sources(f"x{el.label}0", f"p{el.label}0")
-            rows[:, k : k + 2] = rot.T @ np.diag([math.exp(-el.r), math.exp(el.r)]) @ rot
+            # rot.T @ diag(e^-r, e^r) @ rot, the first product written out
+            scaled = np.array([[c * squeezed, -s * anti], [s * squeezed, c * anti]])
+            rows[:, k : k + 2] = scaled @ np.array([[c, s], [-s, c]])
             if el.antisqueeze_excess > 1.0:
                 # impurity: classical noise along the anti-squeezed axis
-                extra = math.sqrt(el.antisqueeze_excess - 1.0) * math.exp(el.r)
+                extra = math.sqrt(el.antisqueeze_excess - 1.0) * anti
                 rows[:, sources(f"excess{el.label}")] = (-s * extra, c * extra)
             modes.append(rows)
-        elif isinstance(el, BeamSplitter):
+        elif kind is BeamSplitter:
             s1, s2, s3, s4 = el.signs
             _require(el.i != el.j and 0 <= el.i < n and 0 <= el.j < n, pos, el)
             _require(0.0 <= el.reflectivity <= 1.0, pos, el)
@@ -339,10 +350,10 @@ def _lower(elements: tuple, n_input_modes: int) -> _Lowering:
             a, b = modes[el.i], modes[el.j]
             modes[el.i] = s1 * t * a + s2 * r * b
             modes[el.j] = s3 * r * a + s4 * t * b
-        elif isinstance(el, Loss):
+        elif kind is Loss:
             _require(0 <= el.mode < n and 0.0 < el.eta <= 1.0, pos, el)
             modes[el.mode] = lossy(modes[el.mode], el.eta, el.tag)
-        elif isinstance(el, HomodyneFeedforward):
+        elif kind is HomodyneFeedforward:
             _require(0 <= el.measured_mode < n and 0 <= el.target_mode < n, pos, el)
             _require(el.target_mode != el.measured_mode, pos, el)
             _require(el.target_quadrature in ("x", "p") and math.isfinite(el.gain), pos, el)
@@ -352,8 +363,8 @@ def _lower(elements: tuple, n_input_modes: int) -> _Lowering:
                 modes[el.measured_mode] = lossy(
                     modes[el.measured_mode], el.efficiency, f"det{losses}"
                 )
-            x, p = modes[el.measured_mode]
-            optical = math.cos(el.angle) * x + math.sin(el.angle) * p
+            measured = modes[el.measured_mode]
+            optical = math.cos(el.angle) * measured[0:1] + math.sin(el.angle) * measured[1:2]
             readout = optical
             observed.append(optical)
             if el.dark_variance > 0.0:
@@ -361,20 +372,20 @@ def _lower(elements: tuple, n_input_modes: int) -> _Lowering:
                 k = sources(f"dark{darks}")
                 # the observed optical row stays free of dark noise
                 readout = optical.copy()
-                readout[k] = math.sqrt(el.dark_variance)
-                source = np.zeros(width)
-                source[k] = 1.0
+                readout[0, k] = math.sqrt(el.dark_variance)
+                source = np.zeros((1, width))
+                source[0, k] = 1.0
                 observed.append(source)
-            modes[el.target_mode][0 if el.target_quadrature == "x" else 1] += el.gain * readout
+            modes[el.target_mode][0 if el.target_quadrature == "x" else 1] += el.gain * readout[0]
             del modes[el.measured_mode]
             readouts.append(readout)
-        elif isinstance(el, Displacement):
+        elif kind is Displacement:
             _require(0 <= el.mode < n and math.isfinite(el.dx) and math.isfinite(el.dp), pos, el)
             modes[el.mode][:, 2 * n_input_modes] += (el.dx, el.dp)
         else:
             raise TypeError(f"unknown circuit element {el!r}")
 
-    matrix = np.vstack([*modes, *readouts, *observed])[:, : len(columns)]
+    matrix = np.concatenate([*modes, *readouts, *observed])[:, : len(columns)]
     # equal gate builds share one lowering, so it must not change under them
     matrix.flags.writeable = False
     return _Lowering(tuple(columns), matrix, len(modes), len(readouts))
@@ -424,7 +435,7 @@ def build_qnd_gate(
     return the same read-only ``Circuit``, and an ideal budget reuses the
     oracle's lossless lowering.
     """
-    imp = imperfections or ImperfectionModel.ideal()
+    imp = imperfections or _IDEAL
     err = oracle_error(params)
     # written so that a NaN error fails too
     if not err <= ORACLE_MATCH_TOL:
@@ -438,14 +449,22 @@ def build_qnd_gate(
 def oracle_error(params: GateParams) -> float:
     """Largest coefficient error of the lossless compiled gate.
 
-    The gate lowered without imperfections is compared, coefficient by
-    coefficient, with ``finite_squeezing_map`` at the same working point.
+    The first four rows of the gate lowered without imperfections are compared
+    with ``finite_squeezing_map`` by column index: ``unit`` is ignored, a label
+    only one side has counts as its |coefficient|, and a NaN anywhere gives NaN.
     The lowering comes from the bounded memo that ``build_qnd_gate`` shares;
     the comparison itself runs on every call and is never cached.
     """
-    lossless = _gate(params, ImperfectionModel.ideal())
+    lowered = _gate(params, _IDEAL)._lowered
     oracle = finite_squeezing_map(params.R, params.r_a, params.r_b)
-    return max_coefficient_difference(circuit_quadrature_map(lossless), oracle)
+    index = dict(zip(lowered.columns, range(width := len(lowered.columns))))
+    # the lowering's columns, ``unit`` zeroed, then one per oracle label it lacks
+    diff = np.zeros((4, width + len(oracle.columns)))
+    diff[:, :width] = lowered.matrix[:4]
+    diff[:, index.pop("unit")] = 0.0
+    diff[:, [index.get(label, width + j) for j, label in enumerate(oracle.columns)]] -= oracle.matrix
+    # numpy's max, not Python's: max(1.0, nan) is 1.0
+    return float(np.abs(diff).max())
 
 
 @functools.lru_cache

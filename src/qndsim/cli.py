@@ -63,16 +63,15 @@ def cmd_vacuum_spectra(config: ScenarioConfig, csv_path: str | None = None) -> s
         f"squeezing {config.squeezing_dB_A:g}/{config.squeezing_dB_B:g} dB",
         f"{'family':>26} " + " ".join(f"{q + ' [dB]':>12}" for q in quads),
     ]
-    csv_rows = []
     for family, row in rows.items():
         lines.append(
             f"{family:>26} " + " ".join(f"{row[q]['dB']:>12.4f}" for q in quads)
         )
-        for q in quads:
-            csv_rows.append(
-                [family, q, f"{row[q]['variance']:.9f}", f"{row[q]['dB']:.9f}"]
-            )
     if csv_path:
+        csv_rows = [
+            [family, q, f"{row[q]['variance']:.9f}", f"{row[q]['dB']:.9f}"]
+            for family, row in rows.items() for q in quads
+        ]
         _write_csv(csv_path, ["family", "quadrature", "variance", "dB"], csv_rows)
     return "\n".join(lines)
 
@@ -113,7 +112,7 @@ def cmd_transfer(config: ScenarioConfig, csv_path: str | None = None) -> str:
         f"coherent-excitation routing, G={params.gain:.4f}, "
         f"input amplitude {amplitude:g} (mean^2 = {amplitude**2:g} x shot)"
     ]
-    csv_rows = []
+    csv_rows = []  # filled only when a CSV is written
     # one vacuum propagation and one map serve the four cases and both sectors
     out = run_covariance(circuit, gaussian.vacuum_state(2))
     qmap = circuit_quadrature_map(circuit)
@@ -129,13 +128,15 @@ def cmd_transfer(config: ScenarioConfig, csv_path: str | None = None) -> str:
             + " ".join(f"{q}={m:+.4f}" for q, m in zip(quads, mean))
             + f"  -> carried by {', '.join(carried) if carried else 'none'}"
         )
-        csv_rows.append([case, label] + [f"{m:.9f}" for m in mean])
+        if csv_path:
+            csv_rows.append([case, label] + [f"{m:.9f}" for m in mean])
     for sector in ("x", "p"):
         t_s, t_p = metrics._transfer(qmap, out.cov, sector)
         lines.append(
             f"sector {sector}: T_S={t_s:.5f} T_P={t_p:.5f} T_sum={t_s + t_p:.5f}"
         )
-        csv_rows.append([f"T_{sector}", "", f"{t_s:.9f}", f"{t_p:.9f}", f"{t_s + t_p:.9f}", ""])
+        if csv_path:
+            csv_rows.append([f"T_{sector}", "", f"{t_s:.9f}", f"{t_p:.9f}", f"{t_s + t_p:.9f}", ""])
     if csv_path:
         _write_csv(
             csv_path,
@@ -222,25 +223,12 @@ def cmd_reproduce_table(
 
     header = f"{'G':>4} {'metric':>6} {'sector':>6} {'simulated':>10} {'published':>12} {'band(2x)':>16} {'verdict':>8} {'resid/bar':>10}"
     lines.append(header)
-    csv_rows = []
-    for check in comparison.checks:
-        verdict = "PASS" if check.within else "FAIL"
+    verdicts = ["PASS" if check.within else "FAIL" for check in comparison.checks]
+    for check, verdict in zip(comparison.checks, verdicts):
         lines.append(
             f"{check.gain:>4.1f} {check.metric:>6} {check.sector:>6} "
             f"{check.simulated:>10.5f} {check.reference:>7.2f}±{check.bar:<4.2f}"
             f" [{check.low:>6.3f},{check.high:>6.3f}] {verdict:>8} {check.residual_bars:>10.2f}"
-        )
-        csv_rows.append(
-            [
-                f"{check.gain:.1f}",
-                check.metric,
-                check.sector,
-                f"{check.simulated:.9f}",
-                f"{check.reference:.2f}",
-                f"{check.bar:.2f}",
-                verdict,
-                f"{check.residual_bars:.4f}",
-            ]
         )
     # full per-sector metric listing, including the non-banded T_S and T_P
     for gain, report in comparison.reports.items():
@@ -271,6 +259,11 @@ def cmd_reproduce_table(
         "imperfections are required to match)"
     )
     if csv_path:
+        csv_rows = [
+            [f"{c.gain:.1f}", c.metric, c.sector, f"{c.simulated:.9f}", f"{c.reference:.2f}",
+             f"{c.bar:.2f}", verdict, f"{c.residual_bars:.4f}"]
+            for c, verdict in zip(comparison.checks, verdicts)
+        ]
         _write_csv(
             csv_path,
             ["G", "metric", "sector", "simulated", "published", "bar", "verdict",

@@ -24,6 +24,7 @@ SYMPLECTIC_TOL = 1e-12
 PHYSICALITY_TOL = 1e-9
 # smallest admissible variance in a conditional-update denominator
 VARIANCE_FLOOR = 1e-12
+_LN10 = float(np.log(10.0))  # scalar arithmetic on it makes no numpy call
 
 
 def omega(n_modes: int) -> np.ndarray:
@@ -45,9 +46,10 @@ def squeeze_parameter_from_db(db: float) -> float:
 
     Negative dB means squeezing below shot noise; e.g. -5 dB gives
     ``e**(-2r) = 0.31623``.  Both zeros give ``+0.0``: ``-0.0`` and ``0.0``
-    are equal keys, so they must not print differently.
+    are equal keys, so they must not print differently.  A Python float, so
+    reprs read ``r=0.57...``, by the same float64 arithmetic as numpy's.
     """
-    return 0.0 - db * np.log(10.0) / 20.0
+    return float(0.0 - db * _LN10 / 20.0)
 
 
 @dataclass

@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import replace
+from numbers import Integral
 
 import numpy as np
 import pytest
@@ -20,6 +21,8 @@ from qndsim.circuit import (
     HomodyneFeedforward,
     ImperfectionModel,
     Loss,
+    _Lowering,
+    _require,
     build_qnd_gate,
     circuit_quadrature_map,
     compile_trajectory,
@@ -90,6 +93,24 @@ class TestGateParams:
         params = GateParams(0.5, squeezing_db_a=-5.0, squeezing_db_b=-10.0)
         assert np.exp(-2 * params.r_a) == pytest.approx(10**-0.5, abs=1e-12)
         assert np.exp(-2 * params.r_b) == pytest.approx(0.1, abs=1e-12)
+
+    @pytest.mark.parametrize("db", [-5.0, -10.0, -3.7, 0.0, -0.0, -60, np.float64(-2.5)])
+    def test_squeeze_parameter_is_a_python_float(self, db):
+        # the float64 arithmetic, bit for bit, returned as a plain float
+        r = gaussian.squeeze_parameter_from_db(db)
+        assert type(r) is float
+        assert r.hex() == float(0.0 - db * np.log(10.0) / 20.0).hex()
+        assert math.copysign(1.0, gaussian.squeeze_parameter_from_db(0.0 * db)) == 1.0
+
+    def test_ancilla_squeezing_prints_as_a_float(self):
+        params = GateParams(0.25)
+        assert type(params.r_a) is float and type(params.r_b) is float
+        ancilla = AncillaInjection(params.r_a, math.nan, "A")
+        text = "AncillaInjection(r=0.5756462732485115, angle=nan, label='A', antisqueeze_excess=1.0)"
+        assert repr(ancilla) == text
+        with pytest.raises(ValueError) as raised:
+            Circuit((ancilla,))
+        assert str(raised.value) == f"invalid circuit element at position 0: {text}"
 
     @pytest.mark.parametrize("name", ["squeezing_db_a", "squeezing_db_b"])
     @pytest.mark.parametrize("db", [math.nan, math.inf, -math.inf])
@@ -696,3 +717,285 @@ class TestExecutorsAgree:
         result = run_ensemble(circuit, state, 20_000, seed)
         target = run_covariance(circuit, state)
         assert z_score_report(result, target.mean, target.cov).max_z < 5.0
+
+
+def _oracle_with(label, value, drop=None):
+    """``finite_squeezing_map`` with one label added (coefficient in x2_out) or dropped."""
+
+    def skewed(R, r_a, r_b):
+        qmap = finite_squeezing_map(R, r_a, r_b)
+        keep = [j for j, c in enumerate(qmap.columns) if c != drop]
+        column = np.zeros((4, 1))
+        column[2, 0] = value
+        return QuadratureMap(
+            tuple(qmap.columns[j] for j in keep) + (label,),
+            np.hstack([qmap.matrix[:, keep], column]),
+        )
+
+    return skewed
+
+
+_ORACLE_SKEWS = {
+    "none": finite_squeezing_map,
+    "extra label": _oracle_with("xZ0", 0.25),
+    "dropped label": _oracle_with("xZ0", 0.0, drop="pB0"),
+    "unit label": _oracle_with("unit", -0.5),
+    "nan label": _oracle_with("xZ0", math.nan),
+}
+
+
+class TestOracleComparison:
+    """``oracle_error`` compares rows by column index; the map route is the reference."""
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    def test_label_only_the_oracle_has_counts_in_full(self, warm, monkeypatch):
+        params, imp = GateParams(0.25), ImperfectionModel()
+        circuit_module._gate.cache_clear()
+        if warm:
+            build_qnd_gate(params, imp)
+        monkeypatch.setattr(circuit_module, "finite_squeezing_map", _ORACLE_SKEWS["extra label"])
+        assert circuit_module.oracle_error(params) == 0.25
+        with pytest.raises(CircuitConstructionError, match=r"coefficient error 2\.500e-01"):
+            build_qnd_gate(params, imp)
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    def test_nan_in_a_label_only_the_oracle_has_fails(self, warm, monkeypatch):
+        # Python's max(1.0, nan) is 1.0, so the maximum must propagate NaN
+        params, imp = GateParams(0.25), ImperfectionModel()
+        circuit_module._gate.cache_clear()
+        if warm:
+            build_qnd_gate(params, imp)
+        monkeypatch.setattr(circuit_module, "finite_squeezing_map", _ORACLE_SKEWS["nan label"])
+        assert math.isnan(circuit_module.oracle_error(params))
+        with pytest.raises(CircuitConstructionError, match="coefficient error nan"):
+            build_qnd_gate(params, imp)
+
+    def test_unit_column_is_ignored(self, monkeypatch):
+        # a displacement moves only the unit column, which the oracle lacks
+        elements = circuit_module._gate_elements
+        monkeypatch.setattr(
+            circuit_module, "_gate_elements",
+            lambda params, imp: elements(params, imp) + [Displacement(0, 3.0, -2.0)],
+        )
+        circuit_module._gate.cache_clear()
+        try:
+            assert circuit_module.oracle_error(GateParams(0.25)) < 1e-12
+        finally:
+            circuit_module._gate.cache_clear()
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(params=_GATES, skew=st.sampled_from(sorted(_ORACLE_SKEWS)))
+    def test_matches_the_map_route_bit_for_bit(self, params, skew):
+        oracle = _ORACLE_SKEWS[skew]
+        lossless = Circuit(circuit_module._gate_elements(params, ImperfectionModel.ideal()))
+        want = max_coefficient_difference(
+            circuit_quadrature_map(lossless), oracle(params.R, params.r_a, params.r_b)
+        )
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(circuit_module, "finite_squeezing_map", oracle)
+            got = circuit_module.oracle_error(params)
+        assert type(got) is float
+        assert got.hex() == want.hex()
+
+
+# --------------------------------------------------------------------------
+# the lowering before its per-call trimming: the trimmed ``_lower`` must give
+# the same columns, counts and matrix bytes, or raise the same error
+
+
+def _reference_lower(elements: tuple, n_input_modes: int) -> _Lowering:
+    """``circuit._lower`` before its per-call trimming, kept verbatim as the reference."""
+    if isinstance(n_input_modes, bool) or not isinstance(n_input_modes, Integral) or n_input_modes < 1:
+        raise ValueError(f"n_input_modes must be a positive integer, got {n_input_modes!r}")
+    # every element adds at most three source columns
+    width = 2 * n_input_modes + 1 + 3 * len(elements)
+    columns = [f"{q}{k + 1}_in" for k in range(n_input_modes) for q in "xp"] + ["unit"]
+    eye = np.eye(2 * n_input_modes, width)
+    modes = [eye[2 * k : 2 * k + 2] for k in range(n_input_modes)]
+    readouts, observed = [], []
+    losses = darks = 0
+
+    def sources(*labels) -> int:
+        for label in labels:
+            if label in columns:
+                raise ValueError(f"repeated source label {label!r}")
+            columns.append(label)
+        return len(columns) - len(labels)
+
+    def lossy(rows, eta, tag):
+        nonlocal losses
+        losses += 1
+        suffix = tag or str(losses)
+        k = sources(f"xv_{suffix}", f"pv_{suffix}")
+        out = math.sqrt(eta) * rows
+        out[0, k] = out[1, k + 1] = math.sqrt(1.0 - eta)
+        return out
+
+    for pos, el in enumerate(elements):
+        n = len(modes)
+        if isinstance(el, AncillaInjection):
+            _require(math.isfinite(el.r) and math.isfinite(el.angle), pos, el)
+            _require(1.0 <= el.antisqueeze_excess < math.inf, pos, el)
+            c, s = math.cos(el.angle), math.sin(el.angle)
+            rot = np.array([[c, s], [-s, c]])
+            rows = np.zeros((2, width))
+            k = sources(f"x{el.label}0", f"p{el.label}0")
+            rows[:, k : k + 2] = rot.T @ np.diag([math.exp(-el.r), math.exp(el.r)]) @ rot
+            if el.antisqueeze_excess > 1.0:
+                # impurity: classical noise along the anti-squeezed axis
+                extra = math.sqrt(el.antisqueeze_excess - 1.0) * math.exp(el.r)
+                rows[:, sources(f"excess{el.label}")] = (-s * extra, c * extra)
+            modes.append(rows)
+        elif isinstance(el, BeamSplitter):
+            s1, s2, s3, s4 = el.signs
+            _require(el.i != el.j and 0 <= el.i < n and 0 <= el.j < n, pos, el)
+            _require(0.0 <= el.reflectivity <= 1.0, pos, el)
+            _require(set(el.signs) <= {-1, 1} and s1 * s2 == -s3 * s4, pos, el)
+            t, r = math.sqrt(1.0 - el.reflectivity), math.sqrt(el.reflectivity)
+            a, b = modes[el.i], modes[el.j]
+            modes[el.i] = s1 * t * a + s2 * r * b
+            modes[el.j] = s3 * r * a + s4 * t * b
+        elif isinstance(el, Loss):
+            _require(0 <= el.mode < n and 0.0 < el.eta <= 1.0, pos, el)
+            modes[el.mode] = lossy(modes[el.mode], el.eta, el.tag)
+        elif isinstance(el, HomodyneFeedforward):
+            _require(0 <= el.measured_mode < n and 0 <= el.target_mode < n, pos, el)
+            _require(el.target_mode != el.measured_mode, pos, el)
+            _require(el.target_quadrature in ("x", "p") and math.isfinite(el.gain), pos, el)
+            _require(math.isfinite(el.angle) and 0.0 <= el.efficiency <= 1.0, pos, el)
+            _require(0.0 <= el.dark_variance < math.inf, pos, el)
+            if el.efficiency < 1.0:
+                modes[el.measured_mode] = lossy(
+                    modes[el.measured_mode], el.efficiency, f"det{losses}"
+                )
+            x, p = modes[el.measured_mode]
+            optical = math.cos(el.angle) * x + math.sin(el.angle) * p
+            readout = optical
+            observed.append(optical)
+            if el.dark_variance > 0.0:
+                darks += 1
+                k = sources(f"dark{darks}")
+                # the observed optical row stays free of dark noise
+                readout = optical.copy()
+                readout[k] = math.sqrt(el.dark_variance)
+                source = np.zeros(width)
+                source[k] = 1.0
+                observed.append(source)
+            modes[el.target_mode][0 if el.target_quadrature == "x" else 1] += el.gain * readout
+            del modes[el.measured_mode]
+            readouts.append(readout)
+        elif isinstance(el, Displacement):
+            _require(0 <= el.mode < n and math.isfinite(el.dx) and math.isfinite(el.dp), pos, el)
+            modes[el.mode][:, 2 * n_input_modes] += (el.dx, el.dp)
+        else:
+            raise TypeError(f"unknown circuit element {el!r}")
+
+    matrix = np.vstack([*modes, *readouts, *observed])[:, : len(columns)]
+    # equal gate builds share one lowering, so it must not change under them
+    matrix.flags.writeable = False
+    return _Lowering(tuple(columns), matrix, len(modes), len(readouts))
+
+
+_ANGLES = st.sampled_from([0.0, -0.0, math.pi / 2, -math.pi / 2, math.pi]) | st.floats(-7.0, 7.0)
+_SIGN = st.sampled_from([-1, 1])
+# elements that fail validation or overflow, placed at a drawn position
+_BAD_ELEMENTS = st.sampled_from(
+    [
+        AncillaInjection(800.0, 0.0, "Z"),
+        AncillaInjection(0.3, math.inf, "Z"),
+        AncillaInjection(0.3, 0.0, "Z", 0.5),
+        BeamSplitter(0, 0, 0.5),
+        BeamSplitter(0, 1, 1.5),
+        BeamSplitter(0, 1, 0.5, signs=(1, 1, 1, 1)),
+        BeamSplitter(0, 1, 0.5, signs=(1, 1)),
+        Loss(0, 0.0),
+        Loss(7, 0.5),
+        HomodyneFeedforward(0, 0.0, 0, "x", 1.0),
+        HomodyneFeedforward(0, 0.0, 1, "q", 1.0),
+        HomodyneFeedforward(0, 0.0, 1, "x", 1.0, dark_variance=math.inf),
+        Displacement(0, math.nan, 0.0),
+        "not an element",
+    ]
+)
+
+
+@st.composite
+def _element_lists(draw):
+    """1-4 input modes and up to 12 elements of all five kinds, mostly valid."""
+    n_input_modes = draw(st.integers(1, 4))
+    n = n_input_modes
+    bad_at = draw(st.none() | st.integers(0, 11))
+    elements = []
+    for position in range(draw(st.integers(0, 12))):
+        if position == bad_at:
+            elements.append(draw(_BAD_ELEMENTS))
+            continue
+        mode = st.integers(0, n - 1)
+        pair = st.lists(mode, min_size=2, max_size=2, unique=True)
+        kinds = ["ancilla", "loss", "displacement"] + (["beam splitter", "homodyne"] if n > 1 else [])
+        kind = draw(st.sampled_from(kinds))
+        if kind == "ancilla":
+            # labels repeat only through the loss tags and the examples
+            excess = st.just(1.0) | st.floats(1.0, 3.0)
+            elements.append(AncillaInjection(
+                draw(st.floats(-3.0, 3.0)), draw(_ANGLES), "ABCDEFGHIJKL"[position], draw(excess)
+            ))
+            n += 1
+        elif kind == "beam splitter":
+            i, j = draw(pair)
+            s1, s2, s3 = draw(_SIGN), draw(_SIGN), draw(_SIGN)
+            elements.append(BeamSplitter(i, j, draw(st.floats(0.0, 1.0)), (s1, s2, s3, -s1 * s2 * s3)))
+        elif kind == "loss":
+            tag = st.sampled_from(["", "", "", "", "", "a", "2", "det1"])
+            elements.append(Loss(draw(mode), draw(st.floats(0.0, 1.0, exclude_min=True)), draw(tag)))
+        elif kind == "homodyne":
+            measured, target = draw(pair)
+            efficiency = st.just(1.0) | st.floats(0.0, 1.0)
+            dark = st.just(0.0) | st.floats(0.0, 2.0)
+            elements.append(HomodyneFeedforward(
+                measured, draw(_ANGLES), target, draw(st.sampled_from("xp")),
+                draw(st.floats(-3.0, 3.0)), draw(efficiency), draw(dark),
+            ))
+            n -= 1
+        else:
+            elements.append(Displacement(draw(mode), draw(st.floats(-5.0, 5.0)), draw(st.floats(-5.0, 5.0))))
+    return tuple(elements), n_input_modes
+
+
+class TestLoweringBitIdentity:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(case=_element_lists())
+    @example(case=(EVERY_KIND, 2))
+    # i > j, angles off 0 and pi/2, dark noise, efficiency < 1, an impure
+    # ancilla and displacements after the feedforward, on three input modes
+    @example(case=(
+        (
+            AncillaInjection(0.7, 2.0, "A", 1.8),
+            BeamSplitter(3, 1, 0.3, (-1, 1, 1, 1)),
+            HomodyneFeedforward(1, -0.4, 3, "x", 1.25, 0.8, 0.05),
+            Displacement(2, -1.0, 0.5),
+            Loss(0, 0.6, "arm"),
+            HomodyneFeedforward(2, math.pi, 0, "p", -0.5, 0.9, 0.0),
+            Displacement(0, 0.25, 3.0),
+        ),
+        3,
+    ))
+    # a repeated label: the detector loss takes the automatic tag "det1"
+    @example(case=((Loss(0, 0.9, "det1"), HomodyneFeedforward(0, 0.0, 1, "x", 1.0, 0.5)), 2))
+    @example(case=((AncillaInjection(0.2, 0.0, "A"), AncillaInjection(0.2, 1.0, "A")), 1))
+    def test_lowering_matches_reference_bit_for_bit(self, case):
+        elements, n_input_modes = case
+        try:
+            want = _reference_lower(elements, n_input_modes)
+        except (ValueError, TypeError, OverflowError) as error:
+            with pytest.raises(type(error)) as raised:
+                circuit_module._lower(elements, n_input_modes)
+            assert type(raised.value) is type(error) and str(raised.value) == str(error)
+            return
+        got = circuit_module._lower(elements, n_input_modes)
+        assert got.columns == want.columns
+        assert (got.n_output_modes, got.n_readouts) == (want.n_output_modes, want.n_readouts)
+        assert got.matrix.shape == want.matrix.shape
+        # bytes compare the sign of zero too
+        assert got.matrix.tobytes() == want.matrix.tobytes()
+        assert not got.matrix.flags.writeable

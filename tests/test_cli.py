@@ -340,6 +340,105 @@ class TestTransfer:
                 assert np.max(np.abs(mean - separate)) <= 1e-12
 
 
+
+# a pre-entry budget with more dark noise, in-loop loss and a gain error
+_CSV_BUDGET = ImperfectionModel(
+    loss_placement="pre_entry",
+    dark_noise_dB_below_shot=12.0,
+    extra_in_loop_loss=0.03,
+    feedforward_electronic_gain_error=-0.02,
+)
+_CSV_SCENARIOS = {
+    "default": ScenarioConfig(),
+    "gain-1.5-budget": ScenarioConfig(gate_R=None, gate_G=1.5, imperfections=_CSV_BUDGET),
+}
+GOLDEN_CSV = {
+    ("vacuum-spectra", "default"): """\
+family,quadrature,variance,dB
+input,x1,1.000000000,0.000000000
+input,p1,1.000000000,0.000000000
+input,x2,1.000000000,0.000000000
+input,p2,1.000000000,0.000000000
+infinite_squeezing,x1,1.000000000,0.000000000
+infinite_squeezing,p1,2.000000000,3.010299957
+infinite_squeezing,x2,2.000000000,3.010299957
+infinite_squeezing,p2,1.000000000,0.000000000
+configured,x1,1.142800226,0.579703175
+configured,p1,2.003404941,3.017687405
+configured,x2,2.003404941,3.017687405
+configured,p2,1.142800226,0.579703175
+vacuum_ancilla_reference,x1,1.447213595,1.605326337
+vacuum_ancilla_reference,p1,2.170820393,3.366238928
+vacuum_ancilla_reference,x2,2.170820393,3.366238928
+vacuum_ancilla_reference,p2,1.447213595,1.605326337
+""",
+    ("transfer", "default"): """\
+case,excited,mean_x1,mean_p1,mean_x2,mean_p2
+a,x1,9.509488281,0.000000000,9.456446705,0.000000000
+b,x2,-0.053041577,0.000000000,9.509488281,0.000000000
+c,p1,0.000000000,9.509488281,0.000000000,0.053041577
+d,p2,0.000000000,-9.456446705,0.000000000,9.509488281
+T_x,,0.791305123,0.446362003,1.237667127,
+T_p,,0.791305123,0.446362003,1.237667127,
+""",
+    ("vacuum-spectra", "gain-1.5-budget"): """\
+family,quadrature,variance,dB
+input,x1,1.000000000,0.000000000
+input,p1,1.000000000,0.000000000
+input,x2,1.000000000,0.000000000
+input,p2,1.000000000,0.000000000
+infinite_squeezing,x1,1.000000000,0.000000000
+infinite_squeezing,p1,3.250000000,5.118833610
+infinite_squeezing,x2,3.250000000,5.118833610
+infinite_squeezing,p2,1.000000000,0.000000000
+configured,x1,1.200732879,0.794464029
+configured,p1,3.280341088,5.159190037
+configured,x2,3.280341088,5.159190037
+configured,p2,1.200732879,0.794464029
+vacuum_ancilla_reference,x1,1.600000000,2.041199827
+vacuum_ancilla_reference,p1,3.400000000,5.314789170
+vacuum_ancilla_reference,x2,3.400000000,5.314789170
+vacuum_ancilla_reference,p2,1.600000000,2.041199827
+""",
+    ("transfer", "gain-1.5-budget"): """\
+case,excited,mean_x1,mean_p1,mean_x2,mean_p2
+a,x1,9.225746921,0.000000000,13.726350988,0.000000000
+b,x2,-0.112269394,0.000000000,9.225746921,0.000000000
+c,p1,0.000000000,9.225746921,0.000000000,0.112269394
+d,p2,0.000000000,-13.726350988,0.000000000,9.225746921
+T_x,,0.708853799,0.574369270,1.283223068,
+T_p,,0.708853799,0.574369270,1.283223068,
+""",
+    ("reproduce-table", "default"): """\
+G,metric,sector,simulated,published,bar,verdict,residual_bars
+1.0,T_sum,x,1.237667127,1.20,0.05,PASS,0.7533
+1.0,T_sum,p,1.237667127,1.10,0.05,FAIL,2.7533
+1.0,V_SP,x,0.773109376,0.75,0.01,FAIL,2.3109
+1.0,V_SP,p,0.773109376,0.78,0.01,PASS,0.6891
+1.5,T_sum,x,1.384522595,1.42,0.06,PASS,0.5913
+1.5,T_sum,p,1.384522595,1.27,0.05,FAIL,2.2905
+1.5,V_SP,x,0.637911928,0.61,0.01,FAIL,2.7912
+1.5,V_SP,p,0.637911928,0.63,0.01,PASS,0.7912
+""",
+}
+
+
+class TestCsvBytes:
+    """The full CSV of the commands that build their rows only when a CSV is written."""
+
+    @pytest.mark.parametrize("command, scenario", sorted(GOLDEN_CSV))
+    def test_csv_bytes(self, command, scenario, tmp_path):
+        run = {
+            "vacuum-spectra": cmd_vacuum_spectra,
+            "transfer": cmd_transfer,
+            "reproduce-table": cmd_reproduce_table,
+        }[command]
+        config = _CSV_SCENARIOS[scenario]
+        path = tmp_path / "out.csv"
+        text = run(config, csv_path=str(path))
+        assert path.read_bytes() == GOLDEN_CSV[command, scenario].encode("utf-8")
+        assert run(config) == text
+
 class TestConditional:
     def test_verdicts_and_minima(self):
         text = cmd_conditional(lossless_config())
