@@ -8,13 +8,12 @@ amplitude shows up, then computes the transfer coefficients.
 """
 
 from qndsim import (
-    conditional_variance,
     GateParams,
     ImperfectionModel,
     build_qnd_gate,
     displace,
+    evaluate_gate,
     run_covariance,
-    transfer_coefficients,
     vacuum_state,
 )
 
@@ -44,21 +43,17 @@ for label, mode, quad in cases:
 # The copy coefficient is exactly G, so the x1 row shows x2 = G * 10.
 
 print("\ntransfer coefficients (lossless, -5 dB ancillas):")
-for sector in ("x", "p"):
-    t_s, t_p = transfer_coefficients(circuit, sector)
-    print(f"  sector {sector}: T_S = {t_s:.5f}, T_P = {t_p:.5f}, sum = {t_s + t_p:.5f}")
+for sector, m in evaluate_gate(circuit, params).sectors.items():
+    print(f"  sector {sector}: T_S = {m.t_signal:.5f}, T_P = {m.t_probe:.5f}, sum = {m.t_sum:.5f}")
 
 print("\nfull QND benchmark (T_S + T_P > 1 together with V_SP < 1):")
 for db in (0.0, -5.0, -60.0):
     p = GateParams.from_gain(1.0, squeezing_db_a=db, squeezing_db_b=db)
-    c = build_qnd_gate(p, ImperfectionModel.ideal())
-    t_s, t_p = transfer_coefficients(c, "x")
-    cov = run_covariance(c, vacuum_state(2)).cov
-    v, _ = conditional_variance(cov, "x")
-    verdict = "QND" if (t_s + t_p > 1.0 and v < 1.0) else "fails"
+    m = evaluate_gate(build_qnd_gate(p, ImperfectionModel.ideal()), p).sectors["x"]
+    verdict = "QND" if (m.t_sum > 1.0 and m.v_conditional < 1.0) else "fails"
     print(
-        f"  ancillas {db:>6.1f} dB: T_S + T_P = {t_s + t_p:.5f}, "
-        f"V_SP = {v:.5f}  ({verdict})"
+        f"  ancillas {db:>6.1f} dB: T_S + T_P = {m.t_sum:.5f}, "
+        f"V_SP = {m.v_conditional:.5f}  ({verdict})"
     )
 # Information gain alone survives without squeezing (the sum stays above 1),
 # but the conditional variance does not: quantum state preparation is what

@@ -114,7 +114,7 @@ class ImperfectionModel:
     single calibration knob: additional loss on each interferometer arm just
     before the exit beam splitter, zero unless a fit sets it.  Equal losses
     on both modes commute with a beam splitter, so ``loss_placement``
-    ``"in_arms"`` is the same channel as ``"post_exit"``.
+    ``"in_arms"`` is the ``"post_exit"`` channel and builds its circuit.
     """
 
     propagation_loss_per_main_mode: float = 0.07
@@ -507,12 +507,10 @@ def _gate_elements(params: GateParams, imp: ImperfectionModel) -> list:
     # after the two stages the arm outputs sit in slots (0, 1) again
     if eta_extra < 1.0:
         elements += [Loss(0, eta_extra, "armA"), Loss(1, eta_extra, "armB")]
-    if imp.loss_placement == "in_arms":
-        elements += main_losses
 
     elements.append(BeamSplitter(0, 1, exit_r, signs=(-1, -1, 1, -1)))
 
-    if imp.loss_placement == "post_exit":
+    if imp.loss_placement != "pre_entry":
         elements += main_losses
     return elements
 

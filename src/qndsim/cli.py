@@ -131,10 +131,8 @@ def cmd_transfer(config: ScenarioConfig, csv_path: str | None = None) -> str:
         if csv_path:
             csv_rows.append([case, label] + [f"{m:.9f}" for m in mean])
     for sector in ("x", "p"):
-        t_s, t_p = metrics._transfer(qmap, out.cov, sector)
-        lines.append(
-            f"sector {sector}: T_S={t_s:.5f} T_P={t_p:.5f} T_sum={t_s + t_p:.5f}"
-        )
+        t_s, t_p = metrics.transfer_coefficients(qmap, out.cov, sector)
+        lines.append(f"sector {sector}: T_S={t_s:.5f} T_P={t_p:.5f} T_sum={t_s + t_p:.5f}")
         if csv_path:
             csv_rows.append([f"T_{sector}", "", f"{t_s:.9f}", f"{t_p:.9f}", f"{t_s + t_p:.9f}", ""])
     if csv_path:

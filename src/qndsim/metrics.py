@@ -59,22 +59,15 @@ def _check_sector(sector: str) -> dict:
     return _SECTOR[sector]
 
 
-def transfer_coefficients(circuit: Circuit, sector: str):
+def transfer_coefficients(qmap: QuadratureMap, cov: np.ndarray, sector: str):
     """Signal-to-noise transfer coefficients ``(T_S, T_P)`` of one sector.
 
-    A coherent excitation of the sector's signal input quadrature ``j``
-    moves output ``i``'s mean by ``amplitude * X[i, j]``, with ``X`` the
-    circuit's quadrature map, and leaves the covariance alone.  Referred to
-    the input SNR ``amplitude**2`` (shot-noise units), the output SNR of
-    quadrature ``i`` is therefore ``X[i, j]**2 / cov[i, i]`` with ``cov`` the
-    vacuum-input output covariance, for every amplitude.
+    Exciting the sector's signal input ``j`` by ``amplitude`` moves output
+    ``i``'s mean by ``amplitude * X[i, j]``, ``X`` the map ``qmap``, and leaves
+    the vacuum-input output covariance ``cov`` alone; so the SNR ratio is
+    ``X[i, j]**2 / cov[i, i]`` at every amplitude.  A (4, 4) ``cov`` gives
+    floats, a stack of shape (n, 4, 4) arrays.
     """
-    out = run_covariance(circuit, gaussian.vacuum_state(2))
-    return _transfer(circuit_quadrature_map(circuit), out.cov, sector)
-
-
-def _transfer(qmap: QuadratureMap, cov: np.ndarray, sector: str):
-    """``(T_S, T_P)`` of one sector; a stack ``cov`` of shape (n, 4, 4) gives arrays."""
     spec = _check_sector(sector)
     column = qmap.matrix[:, qmap.columns.index(INPUT_COLUMNS[spec["signal"]])]
     moments = cov.T  # moments[j, i] is cov[..., i, j]: a scalar, or one per stacked cov
@@ -83,7 +76,8 @@ def _transfer(qmap: QuadratureMap, cov: np.ndarray, sector: str):
         variance = moments[idx, idx]
         if any((variance <= 0.0).flat):
             raise ValueError("non-positive output variance")
-        return column[idx] ** 2 / variance
+        ratio = column[idx] ** 2 / variance
+        return float(ratio) if cov.ndim == 2 else ratio
 
     return snr_ratio(spec["signal"]), snr_ratio(spec["probe"])
 
@@ -244,7 +238,7 @@ def _sector_metrics(qmap: QuadratureMap, cov: np.ndarray, signal_scale=1.0) -> d
     """Both sectors' metrics, T scaled by ``signal_scale``; a stack ``cov`` gives arrays."""
     sectors = {}
     for sector in ("x", "p"):
-        t_s, t_p = _transfer(qmap, cov, sector)
+        t_s, t_p = transfer_coefficients(qmap, cov, sector)
         v, g_opt = conditional_variance(cov, sector)
         sectors[sector] = SectorMetrics(signal_scale * t_s, signal_scale * t_p, v, g_opt)
     return sectors
@@ -408,14 +402,13 @@ def _knob_objectives(base: ImperfectionModel, squeezing_db: float, knobs: np.nda
 def fit_extra_in_loop_loss(
     imperfections: ImperfectionModel | None = None,
     squeezing_db: float = -5.0,
-    grid=None,
 ) -> TableComparison:
     """Grid-fit the single in-loop loss knob against the reference table.
 
     Minimizes the summed squared deviation (in error-bar units) of the banded
     metrics over both gains, and returns ``compare_to_reference`` at the
-    first knob of ``grid`` that attains the minimum.  The fitted knob value is
-    carried in the result so every downstream report can state it explicitly.
+    first ``DEFAULT_KNOB_GRID`` knob that attains the minimum.  The fitted knob
+    value is carried in the result so every downstream report can state it.
 
     The grid is scanned in closed form.  The knob sets a pure loss
     ``eta = 1 - k`` on both arms, and a pure loss is a Gaussian channel
@@ -429,16 +422,9 @@ def fit_extra_in_loop_loss(
     anchor ``k1``, give the objective at every grid knob.
     """
     base = imperfections or ImperfectionModel()
-    knobs = DEFAULT_KNOB_GRID if grid is None else np.asarray(grid, dtype=float)
-    if knobs.ndim != 1 or len(knobs) == 0:
-        raise ValueError(f"grid must be a non-empty 1-D sequence of knobs, got shape {knobs.shape}")
-    # every grid knob must be a valid budget, as if each were built; the
-    # valid knobs form an interval, and min and max are NaN if any knob is
-    for knob in (knobs.min(), knobs.max()):
-        replace(base, extra_in_loop_loss=float(knob))
-    best = int(np.argmin(_knob_objectives(base, squeezing_db, knobs)))
+    best = int(np.argmin(_knob_objectives(base, squeezing_db, DEFAULT_KNOB_GRID)))
     return compare_to_reference(
-        replace(base, extra_in_loop_loss=float(knobs[best])),
+        replace(base, extra_in_loop_loss=float(DEFAULT_KNOB_GRID[best])),
         squeezing_db=squeezing_db,
         fitted=True,
     )

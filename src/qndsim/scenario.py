@@ -10,8 +10,9 @@ noise.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from numbers import Integral
+from typing import get_type_hints
 
 import numpy as np
 
@@ -67,16 +68,7 @@ class RunSpec:
 
 @dataclass
 class OutputSpec:
-    format: str = "table"      # "table" or "csv"
-    path: str | None = None
-
-    def __post_init__(self):
-        if self.format not in ("table", "csv"):
-            raise ValueError(f"unknown output format {self.format!r}")
-        if self.format == "csv" and not self.path:
-            raise ValueError("csv output needs a path")
-        if self.format == "table" and self.path is not None:
-            raise ValueError("table output is printed and takes no path")
+    path: str | None = None    # also write the CSV here
 
 
 @dataclass
@@ -137,37 +129,47 @@ class ScenarioConfig:
         return json.dumps(doc, indent=2)
 
 
-def _reject_unknown(section: str, doc: dict, known) -> None:
-    unknown = set(doc) - set(known)
-    if unknown:
+# the JSON values a key of each declared type takes, and how an error names them
+_JSON_TYPES = {float: ((int, float), "a number"), str: (str, "a string"), list: (list, "a list"),
+               dict: (dict, "an object"), str | None: ((str, type(None)), "a string or null")}
+_SCENARIO_KEYS = {"gate": dict, "imperfections": dict, "inputs": list, "run": dict, "output": dict}
+_GATE_KEYS = dict.fromkeys(("R", "G", "squeezing_dB_A", "squeezing_dB_B"), float)
+# a key typed ``object`` is left to the constructor: RunSpec checks n and master_seed
+_RUN_KEYS = {"mode": str, "n": object, "master_seed": object, "g_grid": dict}
+
+
+def _checked(section: str, doc, types: dict) -> dict:
+    """``doc``, once it is an object with only ``types``' keys, each of its type; never a bool."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{section} must be a JSON object, got {doc!r}")
+    if unknown := set(doc) - set(types):
         raise ValueError(f"unknown {section} keys: {sorted(unknown)}")
+    for key, value in doc.items():
+        if types[key] is not object:
+            accepted, name = _JSON_TYPES[types[key]]
+            if isinstance(value, bool) or not isinstance(value, accepted):
+                raise ValueError(f"{section} key {key!r} must be {name}, got {value!r}")
+    return doc
 
 
-def _section(cls, section: str, doc: dict):
-    _reject_unknown(section, doc, (f.name for f in fields(cls)))
-    return cls(**doc)
+def _section(cls, section: str, doc):
+    return cls(**_checked(section, doc, get_type_hints(cls)))
 
 
 def scenario_from_dict(doc: dict) -> ScenarioConfig:
     """Build a scenario from the keys ``doc`` gives; the rest keep their defaults."""
-    _reject_unknown("scenario", doc, ("gate", "imperfections", "inputs", "run", "output"))
-    gate = doc.get("gate", {})
-    _reject_unknown("gate", gate, ("R", "G", "squeezing_dB_A", "squeezing_dB_B"))
-    squeezings = ("squeezing_dB_A", "squeezing_dB_B")
-    given = {name: float(gate[name]) for name in squeezings if name in gate}
-    if "R" in gate:
-        given.update(gate_R=gate["R"], gate_G=gate.get("G"))
-    elif "G" in gate:
-        given["gate_G"] = gate["G"]
+    _checked("scenario", doc, _SCENARIO_KEYS)
+    gate = _checked("gate", doc.get("gate", {}), _GATE_KEYS)
+    given = {name: float(gate[name]) for name in gate.keys() & {"squeezing_dB_A", "squeezing_dB_B"}}
+    if gate.keys() & {"R", "G"}:
+        given.update(gate_R=gate.get("R"), gate_G=gate.get("G"))
     if "imperfections" in doc:
         given["imperfections"] = _section(ImperfectionModel, "imperfection", doc["imperfections"])
     if "inputs" in doc:
         given["inputs"] = tuple(_section(InputSpec, "input", spec) for spec in doc["inputs"])
     if "run" in doc:
-        run = dict(doc["run"])
-        _reject_unknown("run", run, ("mode", "n", "master_seed", "g_grid"))
-        grid = run.pop("g_grid", {})
-        _reject_unknown("g_grid", grid, ("min", "max", "step"))
+        run = dict(_checked("run", doc["run"], _RUN_KEYS))
+        grid = _checked("g_grid", run.pop("g_grid", {}), dict.fromkeys(("min", "max", "step"), float))
         given["run"] = RunSpec(**run, **{f"g_{key}": float(value) for key, value in grid.items()})
     if "output" in doc:
         given["output"] = _section(OutputSpec, "output", doc["output"])

@@ -96,7 +96,7 @@ def test_criterion_4_lossless_benchmarks():
     params = GateParams.from_gain(1.0)
     circuit = build_qnd_gate(params, ImperfectionModel.ideal())
     out = run_covariance(circuit, vacuum_state(2))
-    t_s, t_p = metrics.transfer_coefficients(circuit, "x")
+    t_s, t_p = metrics.transfer_coefficients(circuit_quadrature_map(circuit), out.cov, "x")
     v, g_opt = metrics.conditional_variance(out.cov, "x")
 
     params_15 = GateParams.from_gain(1.5)

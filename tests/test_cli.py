@@ -99,8 +99,7 @@ class TestScenarioConfig:
              ScenarioConfig(inputs=(InputSpec("coherent"), InputSpec()))),
             ({"run": {"n": 500}}, ScenarioConfig(run=RunSpec(n=500))),
             ({"run": {"g_grid": {"max": 1}}}, ScenarioConfig(run=RunSpec(g_max=1.0))),
-            ({"output": {"format": "csv", "path": "out.csv"}},
-             ScenarioConfig(output=OutputSpec("csv", "out.csv"))),
+            ({"output": {"path": "out.csv"}}, ScenarioConfig(output=OutputSpec("out.csv"))),
         ],
         ids=["R", "G", "squeezing", "imperfection", "inputs", "n", "g_grid", "output"],
     )
@@ -148,22 +147,10 @@ class TestScenarioConfig:
         with pytest.raises(ValueError, match="vacuum input takes no amplitude or quadrature"):
             main(["conditional", "--config", str(path)])
 
-    @pytest.mark.parametrize(
-        "output, message",
-        [
-            ({"format": "csv"}, "csv output needs a path"),
-            ({"format": "table", "path": "out.csv"}, "table output is printed and takes no path"),
-        ],
-        ids=["csv-without-path", "table-with-path"],
-    )
-    def test_unwritten_or_unused_output_path_rejected(self, output, message):
-        with pytest.raises(ValueError, match=message):
-            scenario_from_dict({"output": output})
-
     def test_csv_output_section_writes_the_csv(self, tmp_path, capsys):
         csv = tmp_path / "out.csv"
         path = tmp_path / "scenario.json"
-        path.write_text(json.dumps({"output": {"format": "csv", "path": str(csv)}}))
+        path.write_text(json.dumps({"output": {"path": str(csv)}}))
         assert main(["transfer", "--config", str(path)]) == 0
         assert csv.read_text().startswith("case,excited,")
 
@@ -203,10 +190,43 @@ class TestScenarioConfig:
             {"run": {"g_grid": {"stop": 1.0}}},
             {"inputs": [{"kind": "vacuum", "phase": 0.0}, {}]},
             {"output": {"fmt": "csv"}},
+            {"output": {"format": "csv", "path": "out.csv"}},
         ],
     )
     def test_unknown_keys_rejected(self, doc):
         with pytest.raises(ValueError, match="unknown"):
+            scenario_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            # JSON booleans and numeric strings are not numbers
+            ({"gate": {"R": True}}, "gate key 'R' must be a number, got True"),
+            ({"gate": {"G": True}}, "gate key 'G' must be a number, got True"),
+            ({"gate": {"squeezing_dB_A": "-3"}}, "gate key 'squeezing_dB_A' must be a number, got '-3'"),
+            ({"imperfections": {"visibility": True}}, "imperfection key 'visibility' must be a number"),
+            ({"imperfections": {"feedforward_electronic_gain_error": False}},
+             "imperfection key 'feedforward_electronic_gain_error' must be a number, got False"),
+            ({"inputs": [{"kind": "coherent", "amplitude": True}, {}]},
+             "input key 'amplitude' must be a number, got True"),
+            ({"inputs": [{"kind": "coherent", "amplitude": "3"}, {}]},
+             "input key 'amplitude' must be a number, got '3'"),
+            ({"run": {"g_grid": {"max": True}}}, "g_grid key 'max' must be a number, got True"),
+            ({"run": {"g_grid": {"min": "-1"}}}, "g_grid key 'min' must be a number, got '-1'"),
+            ({"output": {"path": 7}}, "output key 'path' must be a string or null, got 7"),
+            # a document and each section are objects, the inputs a list of objects
+            ([], "scenario must be a JSON object"),
+            ({"gate": 5}, "scenario key 'gate' must be an object, got 5"),
+            ({"gate": "R"}, "scenario key 'gate' must be an object, got 'R'"),
+            ({"imperfections": []}, "scenario key 'imperfections' must be an object"),
+            ({"run": {"g_grid": 5}}, "run key 'g_grid' must be an object, got 5"),
+            ({"inputs": {"kind": "vacuum"}}, "scenario key 'inputs' must be a list"),
+            ({"inputs": [5, {}]}, "input must be a JSON object, got 5"),
+            ({"run": {"mode": 1}}, "run key 'mode' must be a string, got 1"),
+        ],
+    )
+    def test_wrong_json_type_names_section_and_key(self, doc, message):
+        with pytest.raises(ValueError, match=message):
             scenario_from_dict(doc)
 
     @pytest.mark.parametrize("seed", [1.5, 2**64, -1, True])
@@ -627,7 +647,7 @@ class TestMainEntry:
             "inputs": [{"kind": "vacuum"}, {"kind": "vacuum"}],
             "run": {"mode": "covariance",
                     "g_grid": {"min": -2.0, "max": 2.0, "step": 0.01}},
-            "output": {"format": "table"},
+            "output": {"path": None},
         }
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(doc))

@@ -15,9 +15,10 @@ from qndsim.circuit import (
     GateParams,
     ImperfectionModel,
     build_qnd_gate,
+    circuit_quadrature_map,
     run_covariance,
 )
-from qndsim.cli import cmd_reproduce_table
+from qndsim.cli import cmd_reproduce_table, cmd_transfer
 from qndsim.gaussian import vacuum_state
 from qndsim import metrics
 from qndsim.metrics import (
@@ -40,6 +41,12 @@ def lossless_gate(gain=1.0, db=-5.0):
     return params, build_qnd_gate(params, ImperfectionModel.ideal())
 
 
+def propagated_transfer(circuit, sector):
+    """``(T_S, T_P)`` of ``circuit`` from its map and its vacuum-input covariance."""
+    cov = run_covariance(circuit, vacuum_state(2)).cov
+    return transfer_coefficients(circuit_quadrature_map(circuit), cov, sector)
+
+
 def ideal_output_cov(gain=1.0):
     # the ideal sum gate x2 -> x2 + G*x1, p1 -> p1 - G*p2 on vacuum: S S^T
     s = np.eye(4)
@@ -52,34 +59,34 @@ class TestTransferCoefficients:
     def test_near_ideal_values(self):
         # -60 dB ancillas approximate the ideal gate: T_S -> 1, T_P -> G**2/(1+G**2)
         _, circuit = lossless_gate(db=-60.0)
-        t_s, t_p = transfer_coefficients(circuit, "x")
+        t_s, t_p = propagated_transfer(circuit, "x")
         assert t_s == pytest.approx(1.0, abs=1e-5)
         assert t_p == pytest.approx(0.5, abs=1e-5)
 
     def test_lossless_minus5db(self):
         _, circuit = lossless_gate()
-        t_s, t_p = transfer_coefficients(circuit, "x")
+        t_s, t_p = propagated_transfer(circuit, "x")
         assert t_s == pytest.approx(0.87611, abs=1e-5)
         assert t_p == pytest.approx(0.48685, abs=1e-5)
         assert t_s + t_p == pytest.approx(1.36296, abs=2e-5)
 
     def test_vacuum_ancillas(self):
         _, circuit = lossless_gate(db=0.0)
-        t_s, t_p = transfer_coefficients(circuit, "x")
+        t_s, t_p = propagated_transfer(circuit, "x")
         assert t_s == pytest.approx(0.69098, abs=1e-5)
         assert t_p == pytest.approx(0.46066, abs=1e-5)
 
     def test_p_sector_symmetric(self):
         _, circuit = lossless_gate()
-        x = transfer_coefficients(circuit, "x")
-        p = transfer_coefficients(circuit, "p")
+        x = propagated_transfer(circuit, "x")
+        p = propagated_transfer(circuit, "p")
         assert x[0] == pytest.approx(p[0], abs=1e-9)
         assert x[1] == pytest.approx(p[1], abs=1e-9)
 
     def test_rejects_bad_sector(self):
         _, circuit = lossless_gate()
         with pytest.raises(ValueError):
-            transfer_coefficients(circuit, "y")
+            propagated_transfer(circuit, "y")
 
     def test_stacked_covariances(self):
         # a leading axis of covariances gives one coefficient pair per entry;
@@ -88,13 +95,13 @@ class TestTransferCoefficients:
         qmap = metrics.circuit_quadrature_map(circuit)
         cov = run_covariance(circuit, vacuum_state(2)).cov
         stack = np.stack([cov, 2.0 * cov])
-        t_s, t_p = metrics._transfer(qmap, stack, "x")
-        want = transfer_coefficients(circuit, "x")
+        t_s, t_p = transfer_coefficients(qmap, stack, "x")
+        want = propagated_transfer(circuit, "x")
         assert t_s.tolist() == [want[0], want[0] / 2.0]
         assert t_p.tolist() == [want[1], want[1] / 2.0]
         stack[1, 2, 2] = 0.0
         with pytest.raises(ValueError, match="non-positive output variance"):
-            metrics._transfer(qmap, stack, "x")
+            transfer_coefficients(qmap, stack, "x")
 
     @pytest.mark.parametrize("placement", ["post_exit", "pre_entry", "in_arms"])
     @pytest.mark.parametrize("gain", [0.0, 0.3, 1.0, 2.4])
@@ -112,15 +119,42 @@ class TestTransferCoefficients:
             ):
                 out = run_covariance(circuit, gaussian.displace(vacuum_state(2), mode, dx, dp))
                 want = [out.mean[i] ** 2 / out.cov[i, i] / amplitude**2 for i in outputs]
-                got = transfer_coefficients(circuit, sector)
+                got = propagated_transfer(circuit, sector)
                 assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_one_covariance_gives_python_floats(self):
+        params, circuit = lossless_gate()
+        assert all(type(t) is float for t in propagated_transfer(circuit, "x"))
+        report = evaluate_gate(circuit, params)
+        for m in report.sectors.values():
+            assert {type(v) for v in vars(m).values()} == {float}
+            assert "np." not in repr(m)
+
+    @pytest.mark.parametrize(
+        "command, kwargs, count",
+        [(cmd_transfer, {}, 2), (cmd_reproduce_table, {}, 10), (cmd_reproduce_table, {"fit": False}, 6)],
+        ids=["transfer", "reproduce-table", "reproduce-table-no-fit"],
+    )
+    def test_every_t_computation_is_one_call(self, monkeypatch, command, kwargs, count):
+        # one call per sector; reproduce-table computes T for the knob scan
+        # at both gains (when it fits), the printed table at both gains and
+        # the lossless row at G = 1
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return transfer_coefficients(*args)
+
+        monkeypatch.setattr(metrics, "transfer_coefficients", counted)
+        command(ScenarioConfig(), **kwargs)
+        assert len(calls) == count
 
     def test_displacement_offset_is_not_signal(self):
         # a constant output offset carries no information about the input
         _, circuit = lossless_gate()
         shifted = Circuit(circuit.elements + (Displacement(0, 3.0, -2.0),))
         for sector in ("x", "p"):
-            assert transfer_coefficients(shifted, sector) == transfer_coefficients(circuit, sector)
+            assert propagated_transfer(shifted, sector) == propagated_transfer(circuit, sector)
 
 
 class TestConditionalVariance:
@@ -191,7 +225,7 @@ class TestConditionalVariance:
             _, circuit = lossless_gate(db=db)
             cov = run_covariance(circuit, vacuum_state(2)).cov
             values.append(conditional_variance(cov, "x")[0])
-            t_s, t_p = transfer_coefficients(circuit, "x")
+            t_s, t_p = propagated_transfer(circuit, "x")
             sums.append(t_s + t_p)
         assert all(a > b for a, b in zip(values, values[1:]))
         assert all(a < b for a, b in zip(sums, sums[1:]))
@@ -368,15 +402,15 @@ class TestReferenceComparison:
         assert t_sum > 1.20 + 2 * 0.05
 
     def test_fit_reports_knob(self):
-        comp = fit_extra_in_loop_loss(grid=np.array([0.0, 0.02]))
+        comp = fit_extra_in_loop_loss()
         assert comp.fitted
-        assert comp.extra_in_loop_loss in (0.0, 0.02)
+        assert comp.extra_in_loop_loss in metrics.DEFAULT_KNOB_GRID
         # the fit minimizes the stated objective over the grid
         others = [
             compare_to_reference(
-                metrics.ImperfectionModel(extra_in_loop_loss=k), fitted=True
+                metrics.ImperfectionModel(extra_in_loop_loss=float(k)), fitted=True
             ).objective
-            for k in (0.0, 0.02)
+            for k in metrics.DEFAULT_KNOB_GRID
         ]
         assert comp.objective == pytest.approx(min(others), abs=1e-9)
 
@@ -446,9 +480,11 @@ class TestKnobFit:
         batched = metrics._knob_objectives(base, squeezing_db, grid)
         np.testing.assert_allclose(batched, objectives, rtol=1e-12, atol=0.0)
         assert np.argmin(batched) == np.argmin(objectives)
-        fit = fit_extra_in_loop_loss(base, squeezing_db, grid)
-        assert fit.extra_in_loop_loss == best.extra_in_loop_loss
-        assert fit.objective == best.objective
+        # the fit scans the default grid, the head of ``grid``
+        k = int(np.argmin(objectives[: len(metrics.DEFAULT_KNOB_GRID)]))
+        fit = fit_extra_in_loop_loss(base, squeezing_db)
+        assert fit.extra_in_loop_loss == metrics.DEFAULT_KNOB_GRID[k]
+        assert fit.objective == objectives[k]
 
     @pytest.mark.parametrize(
         "squeezing_db, budget",
@@ -467,13 +503,3 @@ class TestKnobFit:
         loop_text = cmd_reproduce_table(config, csv_path=str(tmp_path / "loop.csv"))
         assert text == loop_text
         assert (tmp_path / "closed_form.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()
-
-    @pytest.mark.parametrize("grid", [[], [[0.0, 0.02]], 0.02])
-    def test_rejects_grid_that_is_not_a_knob_list(self, grid):
-        with pytest.raises(ValueError, match="non-empty 1-D"):
-            fit_extra_in_loop_loss(grid=grid)
-
-    @pytest.mark.parametrize("knob", [1.0, math.nan, -0.01])
-    def test_rejects_knob_outside_the_budget(self, knob):
-        with pytest.raises(ValueError, match="extra_in_loop_loss"):
-            fit_extra_in_loop_loss(grid=[0.0, 0.02, knob])
