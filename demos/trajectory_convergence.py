@@ -51,7 +51,9 @@ for n in (100, 1000, 10000, 100000):
 
 print("\nreproducibility: same seed, same aggregate")
 a = run_ensemble(circuit, state, 5000, master_seed=99)
-b = run_ensemble(circuit, state, 5000, master_seed=99)
+# an equal request would return the memoised result; keeping the readouts
+# makes another request, so the same shots are drawn and summed again
+b = run_ensemble(circuit, state, 5000, master_seed=99, keep_outcomes=True)
 print(f"  bit-identical means: {np.array_equal(a.mean, b.mean)}")
 print(f"  bit-identical covs:  {np.array_equal(a.cov, b.cov)}")
 

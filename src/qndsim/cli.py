@@ -89,7 +89,9 @@ def _excitation_means(config: ScenarioConfig, circuit, mean, qmap, amplitude: fl
     In trajectory mode one vacuum-input ensemble serves all four cases: a
     shot's means are affine in the input mean and every case uses the same
     seed, so each case's ensemble mean is its exact mean plus the vacuum
-    ensemble's deviation from its own exact mean.
+    ensemble's deviation from its own exact mean.  With vacuum inputs,
+    ``conditional`` on the same scenario makes the same request, and
+    ``run_ensemble`` returns this ensemble to it from its memo.
     """
     deviation = np.zeros(4)
     if config.run.mode == "trajectories":

@@ -14,11 +14,18 @@ order is part of the contract.
 An ensemble makes two passes over its blocks, one for the means and one for
 their scatter.  The block size is a power of two, so the tree over the block
 trees is the tree over all shots, bit for bit.
+
+A result is a pure function of the circuit's lowering, the input state, the
+shot count, the seed and ``keep_outcomes``, so equal requests share one
+read-only result from a bounded memo keyed on those inputs' bytes: the
+vacuum-input ensemble that ``transfer`` draws also serves ``conditional``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+import operator
+from dataclasses import dataclass, field, fields
 from numbers import Integral
 
 import numpy as np
@@ -28,6 +35,8 @@ from .gaussian import GaussianState
 
 
 SHOTS_PER_BLOCK = 4096
+# results the memo holds; transfer then conditional on one working point needs one
+MEMO_ENTRIES = 4
 
 
 def trajectory_generator(master_seed: int, block: int) -> np.random.Generator:
@@ -62,14 +71,15 @@ def pairwise_tree_sum(values: np.ndarray) -> np.ndarray:
     return values[0]
 
 
-@dataclass
+@dataclass(frozen=True)
 class EnsembleResult:
     """Empirical ensemble statistics with standard errors.
 
     ``cov`` estimates the ensemble-average state's covariance: the common
     conditional covariance of the shots plus the scatter of the conditional
     means.  Standard errors come from the mean scatter, which is the only
-    stochastic ingredient.
+    stochastic ingredient.  ``run_ensemble`` returns its arrays read-only,
+    since equal requests share one result.
     """
 
     n_trajectories: int
@@ -96,10 +106,53 @@ def run_ensemble(
     tree-sums its means; pass 2 tree-sums each block's outer products about
     the ensemble mean.  Memory is the (n, 2*modes) means plus one block, and
     the readouts only with ``keep_outcomes``.
+
+    The seed, ``n`` and the input-mode count are checked on every call.  The
+    last ``MEMO_ENTRIES`` results are memoised on the bytes of the lowering
+    matrix, the state's mean and covariance, the lowering's columns and
+    counts, ``n``, the seed and ``keep_outcomes``: bytes, not float equality,
+    so states or lowerings differing only in the sign of a zero never share
+    a result.  An equal request returns the same read-only result without
+    drawing again.  The memo holds a few kB per result, plus the readouts
+    (``n`` times 8 bytes per homodyne) of results kept with ``keep_outcomes``.
     """
     check_master_seed(master_seed)
     if n < 2:
         raise ValueError("an ensemble needs at least two trajectories")
+    if state.n_modes != circuit.n_input_modes:
+        raise ValueError(f"circuit expects {circuit.n_input_modes} input modes, got {state.n_modes}")
+    n, master_seed, keep_outcomes = operator.index(n), int(master_seed), bool(keep_outcomes)
+    lowered = circuit._lowered
+    key = (
+        *map(_bits, (lowered.matrix, state.mean, state.cov)),
+        lowered.columns, lowered.n_output_modes, lowered.n_readouts, n, master_seed, keep_outcomes,
+    )
+    return _memoised(_Request(key, (circuit, state, n, master_seed, keep_outcomes)))
+
+
+def _bits(array) -> tuple:
+    """An array's dtype, shape and bytes: equal only when every bit is."""
+    array = np.asarray(array)
+    return array.dtype.str, array.shape, array.tobytes()
+
+
+@dataclass(frozen=True)
+class _Request:
+    """A checked ``run_ensemble`` call, equal to another when its ``key`` is."""
+
+    key: tuple
+    args: tuple = field(compare=False)
+
+
+@functools.lru_cache(maxsize=MEMO_ENTRIES)
+def _memoised(request: _Request) -> EnsembleResult:
+    return _sample(*request.args)
+
+
+def _sample(
+    circuit: Circuit, state: GaussianState, n: int, master_seed: int, keep_outcomes: bool
+) -> EnsembleResult:
+    """The two passes of ``run_ensemble``, on arguments it has checked."""
     program = compile_trajectory(circuit, state)
     blocks = [slice(s, min(s + SHOTS_PER_BLOCK, n)) for s in range(0, n, SHOTS_PER_BLOCK)]
 
@@ -130,7 +183,7 @@ def run_ensemble(
     se_mean = np.sqrt(np.diag(scatter) / n)
     diag = np.diag(scatter)
     se_cov = np.sqrt((np.outer(diag, diag) + scatter**2) / (n - 1))
-    return EnsembleResult(
+    result = EnsembleResult(
         n_trajectories=n,
         master_seed=master_seed,
         mean=mean,
@@ -141,6 +194,11 @@ def run_ensemble(
         se_cov=se_cov,
         outcomes=np.concatenate(outcomes) if keep_outcomes else None,
     )
+    # every caller of an equal request shares these arrays
+    for f in fields(result):
+        if isinstance(value := getattr(result, f.name), np.ndarray):
+            value.flags.writeable = False
+    return result
 
 
 @dataclass

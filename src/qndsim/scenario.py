@@ -10,6 +10,7 @@ noise.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from numbers import Integral
 from typing import get_type_hints
@@ -107,12 +108,16 @@ class ScenarioConfig:
         return state
 
     def to_json(self) -> str:
+        """The scenario as strict JSON: no dark noise (inf dB) is written as null."""
+        imperfections = asdict(self.imperfections)
+        if math.isinf(imperfections[_DARK_NOISE]):
+            imperfections[_DARK_NOISE] = None
         doc = {
             "gate": {
                 "squeezing_dB_A": self.squeezing_dB_A,
                 "squeezing_dB_B": self.squeezing_dB_B,
             },
-            "imperfections": asdict(self.imperfections),
+            "imperfections": imperfections,
             "inputs": [asdict(s) for s in self.inputs],
             "run": {
                 "mode": self.run.mode,
@@ -126,9 +131,11 @@ class ScenarioConfig:
             doc["gate"]["R"] = self.gate_R
         else:
             doc["gate"]["G"] = self.gate_G
-        return json.dumps(doc, indent=2)
+        return json.dumps(doc, indent=2, allow_nan=False)
 
 
+# the one key where null has a meaning: no dark noise, the inf dB that strict JSON cannot write
+_DARK_NOISE = "dark_noise_dB_below_shot"
 # the JSON values a key of each declared type takes, and how an error names them
 _JSON_TYPES = {float: ((int, float), "a number"), str: (str, "a string"), list: (list, "a list"),
                dict: (dict, "an object"), str | None: ((str, type(None)), "a string or null")}
@@ -164,7 +171,10 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
     if gate.keys() & {"R", "G"}:
         given.update(gate_R=gate.get("R"), gate_G=gate.get("G"))
     if "imperfections" in doc:
-        given["imperfections"] = _section(ImperfectionModel, "imperfection", doc["imperfections"])
+        imperfections = doc["imperfections"]
+        if isinstance(imperfections, dict) and imperfections.get(_DARK_NOISE, 0.0) is None:
+            imperfections = {**imperfections, _DARK_NOISE: math.inf}
+        given["imperfections"] = _section(ImperfectionModel, "imperfection", imperfections)
     if "inputs" in doc:
         given["inputs"] = tuple(_section(InputSpec, "input", spec) for spec in doc["inputs"])
     if "run" in doc:

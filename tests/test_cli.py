@@ -1,12 +1,14 @@
 """Tests for the command-line front end and scenario configuration."""
 
+import hashlib
 import json
-from dataclasses import fields
+import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from qndsim import cli, gaussian, metrics
+from qndsim import cli, ensemble, gaussian, metrics
 from qndsim import circuit as circuit_module
 from qndsim.circuit import (
     Circuit,
@@ -26,7 +28,7 @@ from qndsim.cli import (
     cmd_vacuum_spectra,
     main,
 )
-from qndsim.ensemble import run_ensemble
+from qndsim.ensemble import SHOTS_PER_BLOCK, run_ensemble
 from qndsim.quadexpr import QuadratureMap
 from qndsim.scenario import (
     InputSpec,
@@ -175,6 +177,26 @@ class TestScenarioConfig:
         doc = json.loads(f'{{"imperfections": {{"{name}": {value}}}}}')
         with pytest.raises(ValueError, match=name):
             scenario_from_dict(doc)
+
+    def test_ideal_budget_is_strict_json(self):
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        config = ScenarioConfig(imperfections=ImperfectionModel.ideal())
+        doc = json.loads(config.to_json(), parse_constant=refuse)
+        assert doc["imperfections"]["dark_noise_dB_below_shot"] is None
+        assert scenario_from_dict(doc) == config
+        assert scenario_from_dict(doc).imperfections.dark_variance == 0.0
+
+    @pytest.mark.parametrize(
+        "section, key",
+        [("imperfections", f.name) for f in fields(ImperfectionModel)
+         if f.name != "dark_noise_dB_below_shot"]
+        + [("gate", "squeezing_dB_A")],
+    )
+    def test_null_is_no_dark_noise_only(self, section, key):
+        with pytest.raises(ValueError, match=key):
+            scenario_from_dict({section: {key: None}})
 
     def test_infinite_dark_noise_is_no_dark_noise(self):
         doc = json.loads('{"imperfections": {"dark_noise_dB_below_shot": Infinity}}')
@@ -503,13 +525,17 @@ class TestConditional:
     def test_csv_leaves_text_unchanged(self, tmp_path, mode):
         config = ScenarioConfig(run=RunSpec(mode=mode, n=2000, master_seed=17))
         path = tmp_path / "sweep.csv"
-        assert cmd_conditional(config) == cmd_conditional(config, csv_path=str(path))
+        text = cmd_conditional(config)
+        # each run samples its own ensemble rather than reading the memo
+        ensemble._memoised.cache_clear()
+        assert text == cmd_conditional(config, csv_path=str(path))
 
         circuit = build_qnd_gate(config.gate_params(), config.imperfections)
         state = config.input_state()
         if mode == "covariance":
             cov = run_covariance(circuit, state).cov
         else:
+            ensemble._memoised.cache_clear()
             cov = run_ensemble(circuit, state, 2000, 17).cov
         grid = config.run.g_grid()
         rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
@@ -519,6 +545,89 @@ class TestConditional:
             sector_rows = rows[k * len(grid):(k + 1) * len(grid)]
             assert [row[0] for row in sector_rows] == [sector] * len(grid)
             assert [row[2] for row in sector_rows] == [f"{v:.9f}" for v in simulated]
+
+
+class TestSharedEnsemble:
+    def test_transfer_and_conditional_draw_each_block_once(self, monkeypatch):
+        # on vacuum inputs conditional reads transfer's ensemble back; a
+        # coherent input is another request and draws its own
+        drawn = []
+        generator = ensemble.trajectory_generator
+
+        def counted(master_seed, block):
+            drawn.append((master_seed, block))
+            return generator(master_seed, block)
+
+        monkeypatch.setattr(ensemble, "trajectory_generator", counted)
+        ensemble._memoised.cache_clear()
+        n = 3 * SHOTS_PER_BLOCK + 5
+        config = ScenarioConfig(run=RunSpec(mode="trajectories", n=n, master_seed=23))
+        cmd_transfer(config)
+        cmd_conditional(config)
+        blocks = [(23, b) for b in range(math.ceil(n / SHOTS_PER_BLOCK))]
+        assert drawn == blocks
+        cmd_conditional(replace(config, inputs=(InputSpec("coherent", 3.0, "x"), InputSpec())))
+        assert drawn == blocks * 2
+
+
+# sha256 of (stdout, CSV) per trajectory-mode (command, case), recorded before
+# ensembles were memoised; transfer refuses the coherent-input scenario
+TRAJECTORY_SHA256 = {
+    ("transfer", "seed-3"): (
+        "b8ef6ff9caeefd23104848de4b0b2e8e988f7880135279cc208b37eccd64ab6f",
+        "2ffe05970dce790ff7f6d5a55df4b9d8267a6dd42f34a13b8619a5e7b7c16c07",
+    ),
+    ("conditional", "seed-3"): (
+        "710f79213aa3c9ac87cd776ec13a4ffc19fd23a04981f5ad4be2d073277a254b",
+        "8c1947617e24e15fc2e8831c4e9dc15a648e64a09ccd97dafec9768de0bbbacc",
+    ),
+    ("transfer", "gain-1.5"): (
+        "97c8a8ee9ad9bb3200c29adf22bcf6a17a178d34f2c5dca3bfa5795a787e1597",
+        "9ae794ff16b212c800f54b07310f902096f8640e0e2be1248c724047a271a546",
+    ),
+    ("conditional", "gain-1.5"): (
+        "90bdcc8688c092a70f34dcf2571c6f0dcbfdcc2a9b622c91df168a8908df3d1c",
+        "388ab293def6978216cdda2a66489b0bfcb9b7b839a26bf19a22a12de19851d8",
+    ),
+    ("conditional", "coherent"): (
+        "9263121daedd78c4a5c2356c42b6ec21c49f6dd49703fd3e3c6b1b7b43d64d4a",
+        "ea6f6fff7e9f4987873e4d8b4e895c530a019a0fd3d116a75918fee27c36ef16",
+    ),
+}
+
+
+class TestTrajectoryOutputPinned:
+    COHERENT = {
+        "inputs": [{"kind": "coherent", "amplitude": 3.0, "quadrature": "x"},
+                   {"kind": "coherent", "amplitude": -1.5, "quadrature": "p"}],
+        "run": {"mode": "trajectories", "n": 100000, "master_seed": 11},
+    }
+
+    @pytest.mark.parametrize(
+        "order", [("transfer", "conditional"), ("conditional", "transfer")], ids="-".join
+    )
+    def test_stdout_and_csv_digests(self, order, tmp_path, capsys):
+        # each command runs twice in one process, so the second run of every
+        # request reads the memoised ensemble
+        ensemble._memoised.cache_clear()
+        scenario = tmp_path / "coherent.json"
+        scenario.write_text(json.dumps(self.COHERENT))
+        cases = {
+            "seed-3": ["--trajectories", "100000", "--seed", "3"],
+            "gain-1.5": ["--trajectories", "100001", "--gain", "1.5"],
+            "coherent": ["--config", str(scenario)],
+        }
+        csv = tmp_path / "out.csv"
+        for case, argv in cases.items():
+            for command in order * 2:
+                if (command, case) not in TRAJECTORY_SHA256:
+                    continue
+                assert main([command, *argv, "--csv", str(csv)]) == 0
+                digests = tuple(
+                    hashlib.sha256(data).hexdigest()
+                    for data in (capsys.readouterr().out.encode("utf-8"), csv.read_bytes())
+                )
+                assert digests == TRAJECTORY_SHA256[command, case], (command, case)
 
 
 class TestReproduceTable:

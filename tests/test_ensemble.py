@@ -1,15 +1,16 @@
 """Tests for the seeded Monte Carlo ensemble runner."""
 
 import tracemalloc
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qndsim import gaussian
+from qndsim import ensemble, gaussian
 from qndsim.circuit import (
+    AncillaInjection,
     Circuit,
     GateParams,
     ImperfectionModel,
@@ -19,6 +20,7 @@ from qndsim.circuit import (
     run_trajectory,
 )
 from qndsim.ensemble import (
+    MEMO_ENTRIES,
     SHOTS_PER_BLOCK,
     EnsembleResult,
     pairwise_tree_sum,
@@ -26,6 +28,12 @@ from qndsim.ensemble import (
     trajectory_generator,
     z_score_report,
 )
+
+
+@pytest.fixture(autouse=True)
+def fresh_memo():
+    # a test that compares two runs must compute both, not read one back
+    ensemble._memoised.cache_clear()
 
 
 def default_gate():
@@ -145,7 +153,9 @@ class TestRunEnsemble:
         circuit = build_qnd_gate(GateParams.from_gain(1.0), ImperfectionModel())
         state = gaussian.displace(gaussian.vacuum_state(2), 0, 1.0, 0.0)
         a = run_ensemble(circuit, state, 500, 42, keep_outcomes=True)
+        ensemble._memoised.cache_clear()
         b = run_ensemble(circuit, state, 500, 42, keep_outcomes=True)
+        assert b is not a
         assert np.array_equal(a.mean, b.mean)
         assert np.array_equal(a.cov, b.cov)
         assert np.array_equal(a.outcomes, b.outcomes)
@@ -257,6 +267,114 @@ class TestRunEnsemble:
         large = run_ensemble(circuit, state, 8000, 5)
         ratio = np.median(small.se_mean / large.se_mean)
         assert np.sqrt(2.0) * 0.85 < ratio < np.sqrt(2.0) * 1.15
+
+
+def _same_bits(a, b) -> bool:
+    """Every field equal bit for bit, the sign of a zero included."""
+    for field in fields(EnsembleResult):
+        got, want = getattr(a, field.name), getattr(b, field.name)
+        if isinstance(want, np.ndarray):
+            if not (isinstance(got, np.ndarray) and got.shape == want.shape
+                    and got.tobytes() == want.tobytes()):
+                return False
+        elif got != want or type(got) is not type(want):
+            return False
+    return True
+
+
+class TestMemo:
+    @pytest.mark.parametrize("n", [2, SHOTS_PER_BLOCK + 1, 100_001])
+    @pytest.mark.parametrize("keep_outcomes", [False, True])
+    def test_hit_equals_fresh_computation(self, n, keep_outcomes):
+        displaced = gaussian.displace(gaussian.vacuum_state(2), 0, 2.0, -1.0)
+        measured = build_qnd_gate(GateParams.from_gain(1.5), ImperfectionModel())
+        for circuit, state in ((default_gate(), gaussian.vacuum_state(2)), (measured, displaced)):
+            first = run_ensemble(circuit, state, n, 3, keep_outcomes=keep_outcomes)
+            hit = run_ensemble(circuit, state.copy(), n, 3, keep_outcomes=keep_outcomes)
+            assert hit is first
+            ensemble._memoised.cache_clear()
+            fresh = run_ensemble(circuit, state, n, 3, keep_outcomes=keep_outcomes)
+            assert fresh is not hit
+            assert _same_bits(hit, fresh)
+            assert (hit.outcomes is None) is not keep_outcomes
+
+    def test_numpy_scalars_share_the_python_integer_request(self):
+        state = gaussian.vacuum_state(2)
+        first = run_ensemble(default_gate(), state, 10, 2**64 - 1)
+        assert run_ensemble(default_gate(), state, np.int64(10), np.uint64(2**64 - 1)) is first
+        assert type(first.n_trajectories) is int and type(first.master_seed) is int
+
+    def test_zero_signs_are_not_shared(self):
+        # equal in value, not in bits: each gets its own result, the one a
+        # fresh computation gives
+        plus = gaussian.vacuum_state(2)
+        minus = gaussian.vacuum_state(2)
+        minus.mean[:] = -0.0
+        gate = build_qnd_gate(GateParams.from_gain(1.0), ImperfectionModel())
+        # with excess noise, angle 0.0 writes -0.0 into the x row's excess
+        # column and angle -0.0 writes +0.0
+        ancilla = [
+            Circuit((AncillaInjection(0.5, angle, "A", antisqueeze_excess=1.2),))
+            for angle in (0.0, -0.0)
+        ]
+        assert ancilla[0] == ancilla[1]
+        assert ancilla[0]._lowered.matrix.tobytes() != ancilla[1]._lowered.matrix.tobytes()
+        for pairs in (((gate, plus), (gate, minus)), ((ancilla[0], plus), (ancilla[1], plus))):
+            ensemble._memoised.cache_clear()
+            shared = [run_ensemble(c, s, 5000, 8, keep_outcomes=True) for c, s in pairs]
+            assert shared[0] is not shared[1]
+            for (circuit, state), result in zip(pairs, shared):
+                ensemble._memoised.cache_clear()
+                assert _same_bits(result, run_ensemble(circuit, state, 5000, 8, keep_outcomes=True))
+
+    def test_results_cannot_change(self):
+        result = run_ensemble(default_gate(), gaussian.vacuum_state(2), 100, 4, keep_outcomes=True)
+        for field in fields(EnsembleResult):
+            value = getattr(result, field.name)
+            if isinstance(value, np.ndarray):
+                assert not value.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    value[...] = 0.0
+            with pytest.raises(FrozenInstanceError):
+                setattr(result, field.name, value)
+
+    @pytest.mark.parametrize(
+        "n, seed, modes, error",
+        [
+            (10, 5.0, 2, ValueError),
+            (10, True, 2, ValueError),
+            (10, -1, 2, ValueError),
+            (1, 1, 2, ValueError),
+            (10.0, 1, 2, TypeError),
+            (10, 1, 3, ValueError),
+        ],
+    )
+    def test_checks_run_before_the_lookup(self, n, seed, modes, error):
+        # an equal valid request is memoised first: seed True and 5.0 equal
+        # the valid seeds 1 and 5 as Python values, and a state whose mode
+        # count disagrees with its arrays has the vacuum's bytes
+        circuit = default_gate()
+        for valid_seed in (1, 5):
+            run_ensemble(circuit, gaussian.vacuum_state(2), 10, valid_seed)
+        state = gaussian.vacuum_state(2)
+        state.n_modes = modes
+        before = ensemble._memoised.cache_info()
+        with pytest.raises(error):
+            run_ensemble(circuit, state, n, seed)
+        after = ensemble._memoised.cache_info()
+        assert (after.hits, after.currsize) == (before.hits, before.currsize)
+
+    def test_memo_is_bounded(self):
+        circuit, state = default_gate(), gaussian.vacuum_state(2)
+        results = []
+        for seed in range(MEMO_ENTRIES + 3):
+            results.append(run_ensemble(circuit, state, 10, seed))
+            assert ensemble._memoised.cache_info().currsize == min(seed + 1, MEMO_ENTRIES)
+        # the newest requests are held, the oldest recomputed
+        assert run_ensemble(circuit, state, 10, MEMO_ENTRIES + 2) is results[-1]
+        again = run_ensemble(circuit, state, 10, 0)
+        assert again is not results[0] and _same_bits(again, results[0])
+        assert ensemble._memoised.cache_info().currsize == MEMO_ENTRIES
 
 
 class TestZScoreReport:
