@@ -570,19 +570,23 @@ class TrajectoryProgram:
         Returns ``(means, outcomes)`` where ``means`` is (n, 2*n_output_modes)
         and ``outcomes`` the electronic readouts, one column per homodyne;
         both are column-major.  A row does not depend on the batch it runs
-        in, which is what lets ``run_ensemble`` call this once per block.
+        in, which is what lets ``run_ensemble`` call this once per block.  A
+        program cut to its first ``2*n_output_modes`` rows propagates the
+        means alone and returns no readout columns.
         """
         draws = np.atleast_2d(np.asarray(draws, dtype=float))
         if draws.shape[1] != self.draws_per_shot:
             raise ValueError(
                 f"need {self.draws_per_shot} draws per shot, got {draws.shape[1]}"
             )
-        # mean0 + draws @ gains.T, one draw column at a time so that a row's
-        # arithmetic does not depend on how many rows share the batch; the
-        # shots run along the contiguous axis
-        values = np.repeat(self.mean0[:, np.newaxis], draws.shape[0], axis=1)
-        for j in range(self.draws_per_shot):
-            values += self.gains[:, j, np.newaxis] * draws[:, j]
+        # ((mean0 + g0 d0) + g1 d1) + ..., one draw column at a time so that
+        # a row's arithmetic does not depend on how many rows share the
+        # batch; the shots run along the contiguous axis of the values and
+        # of the transposed draws
+        values, step = np.empty((2, len(self.mean0), draws.shape[0]))
+        values[...] = self.mean0[:, np.newaxis]
+        for gain, column in zip(self.gains.T, draws.T.copy()):
+            values += np.multiply(gain[:, np.newaxis], column, out=step)
         return values[: 2 * self.n_output_modes].T, values[2 * self.n_output_modes :].T
 
 

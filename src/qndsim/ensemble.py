@@ -13,7 +13,12 @@ order is part of the contract.
 
 An ensemble makes two passes over its blocks, one for the means and one for
 their scatter.  The block size is a power of two, so the tree over the block
-trees is the tree over all shots, bit for bit.
+trees is the tree over all shots, bit for bit, and so is the tree over the
+trees of any power-of-two chunk of blocks.  Only the rows a result reads
+are computed: the readout rows are propagated only when the outcomes are
+kept, and the scatter is formed from the upper triangle of each shot's outer
+product and mirrored, the same bits as the full product since an IEEE
+product does not depend on the order of its factors.
 
 A result is a pure function of the circuit's lowering, the input state, the
 shot count, the seed and ``keep_outcomes``, so equal requests share one
@@ -25,7 +30,7 @@ from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from numbers import Integral
 
 import numpy as np
@@ -35,6 +40,10 @@ from .gaussian import GaussianState
 
 
 SHOTS_PER_BLOCK = 4096
+# rows per tree of the means: a power of two, so the tree over the chunk
+# trees is the tree over all shots; longer than a block, so fewer short tree
+# levels, and its temporaries stay below the scatter pass's block buffers
+_MEAN_CHUNK = 4 * SHOTS_PER_BLOCK
 # results the memo holds; transfer then conditional on one working point needs one
 MEMO_ENTRIES = 4
 
@@ -102,10 +111,11 @@ def run_ensemble(
 ) -> EnsembleResult:
     """Run ``n`` independent trajectories and aggregate their statistics.
 
-    Pass 1 draws each block, runs it through ``run_means`` once and
-    tree-sums its means; pass 2 tree-sums each block's outer products about
-    the ensemble mean.  Memory is the (n, 2*modes) means plus one block, and
-    the readouts only with ``keep_outcomes``.
+    Pass 1 draws each block and runs it through ``run_means`` once, then
+    tree-sums the means in chunks of four blocks; pass 2 tree-sums the upper
+    triangle of each block's outer products about the ensemble mean.  Memory is the (n, 2*modes)
+    means plus one block, and the (n, homodynes) readouts only with
+    ``keep_outcomes``, which must be a ``bool`` or ``numpy.bool_``.
 
     The seed, ``n`` and the input-mode count are checked on every call.  The
     last ``MEMO_ENTRIES`` results are memoised on the bytes of the lowering
@@ -121,6 +131,8 @@ def run_ensemble(
         raise ValueError("an ensemble needs at least two trajectories")
     if state.n_modes != circuit.n_input_modes:
         raise ValueError(f"circuit expects {circuit.n_input_modes} input modes, got {state.n_modes}")
+    if not isinstance(keep_outcomes, (bool, np.bool_)):
+        raise TypeError(f"keep_outcomes must be a bool, got {keep_outcomes!r}")
     n, master_seed, keep_outcomes = operator.index(n), int(master_seed), bool(keep_outcomes)
     lowered = circuit._lowered
     key = (
@@ -154,30 +166,45 @@ def _sample(
 ) -> EnsembleResult:
     """The two passes of ``run_ensemble``, on arguments it has checked."""
     program = compile_trajectory(circuit, state)
+    n_out = 2 * program.n_output_modes
+    if keep_outcomes:
+        outcomes = np.empty((n, len(program.mean0) - n_out), order="F")
+    else:
+        # nothing reads the readout rows: propagate the output rows only
+        outcomes = None
+        program = replace(program, mean0=program.mean0[:n_out], gains=program.gains[:n_out])
     blocks = [slice(s, min(s + SHOTS_PER_BLOCK, n)) for s in range(0, n, SHOTS_PER_BLOCK)]
 
     # a generator fills its block in shot order, so a partial last block
     # draws a prefix of the full one; the means are column-major, as
-    # run_means returns them, so tree levels and outer products run along
-    # the shots
-    means = np.empty((n, 2 * program.n_output_modes), order="F")
-    block_sums, outcomes = [], []
+    # run_means returns them, so tree levels and products run along the shots
+    means = np.empty((n, n_out), order="F")
     for b, rows in enumerate(blocks):
         draws = trajectory_generator(master_seed, b).standard_normal(
             (rows.stop - rows.start, program.draws_per_shot)
         )
         means[rows], readouts = program.run_means(draws)
-        block_sums.append(pairwise_tree_sum(means[rows]))
         if keep_outcomes:
-            outcomes.append(readouts)
-    mean = pairwise_tree_sum(np.array(block_sums)) / n
+            outcomes[rows] = readouts
+    chunk_sums = [pairwise_tree_sum(means[s : s + _MEAN_CHUNK]) for s in range(0, n, _MEAN_CHUNK)]
+    mean = pairwise_tree_sum(np.array(chunk_sums)) / n
 
+    # c_i c_j and c_j c_i are the same IEEE product, so the upper triangle
+    # of the outer products, mirrored, has the bits of the full one
+    upper = np.triu_indices(n_out)
+    centered = np.empty((min(n, SHOTS_PER_BLOCK), n_out), order="F")
+    products = np.empty((len(centered), len(upper[0])), order="F")
     block_scatters = []
     for rows in blocks:
-        centered = means[rows] - mean
-        outer = centered[:, :, np.newaxis] * centered[:, np.newaxis, :]
-        block_scatters.append(pairwise_tree_sum(outer))
-    scatter = pairwise_tree_sum(np.array(block_scatters)) / (n - 1)
+        c, p = centered[: rows.stop - rows.start], products[: rows.stop - rows.start]
+        np.subtract(means[rows], mean, out=c)
+        start = 0
+        for i in range(n_out):  # row i of the upper triangle: c_i c_j for j >= i
+            np.multiply(c[:, i, np.newaxis], c[:, i:], out=p[:, start : start + n_out - i])
+            start += n_out - i
+        block_scatters.append(pairwise_tree_sum(p))
+    scatter = np.empty((n_out, n_out))
+    scatter[upper] = scatter.T[upper] = pairwise_tree_sum(np.array(block_scatters)) / (n - 1)
 
     cov = program.final_cov + scatter
     se_mean = np.sqrt(np.diag(scatter) / n)
@@ -192,7 +219,7 @@ def _sample(
         conditional_cov=program.final_cov.copy(),
         se_mean=se_mean,
         se_cov=se_cov,
-        outcomes=np.concatenate(outcomes) if keep_outcomes else None,
+        outcomes=outcomes,
     )
     # every caller of an equal request shares these arrays
     for f in fields(result):

@@ -1,5 +1,6 @@
 """Tests for the seeded Monte Carlo ensemble runner."""
 
+import hashlib
 import tracemalloc
 from dataclasses import FrozenInstanceError, fields
 
@@ -11,9 +12,13 @@ from hypothesis import strategies as st
 from qndsim import ensemble, gaussian
 from qndsim.circuit import (
     AncillaInjection,
+    BeamSplitter,
     Circuit,
+    Displacement,
     GateParams,
+    HomodyneFeedforward,
     ImperfectionModel,
+    Loss,
     build_qnd_gate,
     compile_trajectory,
     run_covariance,
@@ -38,6 +43,64 @@ def fresh_memo():
 
 def default_gate():
     return build_qnd_gate(GateParams.from_gain(1.0), ImperfectionModel.ideal())
+
+
+# named requests: (circuit, input state) builders
+CASES = {
+    "ideal": lambda: (default_gate(), gaussian.vacuum_state(2)),
+    "measured": lambda: (
+        build_qnd_gate(GateParams.from_gain(1.5), ImperfectionModel()),
+        gaussian.displace(gaussian.vacuum_state(2), 0, 2.0, -1.0),
+    ),
+    "empty": lambda: (Circuit(elements=()), gaussian.vacuum_state(2)),
+    # 1 input and 1 output mode: 3 upper-triangle pairs, 1 draw per shot
+    "one_mode": lambda: (
+        Circuit(
+            (AncillaInjection(0.5, 0.0, "A"), BeamSplitter(0, 1, 0.3),
+             HomodyneFeedforward(1, 0.0, 0, "p", 0.7)),
+            n_input_modes=1,
+        ),
+        gaussian.displace(gaussian.vacuum_state(1), 0, 0.5, 1.0),
+    ),
+    # ends with 3 modes: 21 pairs
+    "three_modes": lambda: (
+        Circuit(
+            (AncillaInjection(0.4, 0.0, "A"), AncillaInjection(0.6, np.pi / 2, "B"),
+             BeamSplitter(0, 2, 0.4), BeamSplitter(1, 3, 0.25),
+             HomodyneFeedforward(3, 0.0, 1, "x", 0.5)),
+        ),
+        gaussian.displace(gaussian.vacuum_state(2), 0, 2.0, -1.0),
+    ),
+    # an inefficient homodyne with dark noise: 2 draws per shot
+    "lossy_homodyne": lambda: (
+        Circuit(
+            (AncillaInjection(0.5, 0.0, "A"), BeamSplitter(0, 2, 0.35),
+             HomodyneFeedforward(2, 0.0, 1, "p", -0.8, efficiency=0.8, dark_variance=0.3)),
+        ),
+        gaussian.displace(gaussian.vacuum_state(2), 0, 2.0, -1.0),
+    ),
+    # no homodyne: 0 draws per shot
+    "no_homodyne": lambda: (
+        Circuit((BeamSplitter(0, 1, 0.3), Loss(0, 0.9, "l"), Displacement(1, 0.5, -0.25))),
+        gaussian.displace(gaussian.vacuum_state(2), 0, 2.0, -1.0),
+    ),
+}
+# shapes the ensemble kernel branches on, beside the two-mode gates with 2
+# or 4 draws per shot
+SHAPES = ("one_mode", "three_modes", "lossy_homodyne", "no_homodyne")
+
+
+def _digest(result) -> str:
+    """sha256 over every field: name, dtype, shape and bytes of each array."""
+    digest = hashlib.sha256()
+    for field in fields(EnsembleResult):
+        value = getattr(result, field.name)
+        if isinstance(value, np.ndarray):
+            digest.update(f"{field.name} {value.dtype.str} {value.shape}\n".encode())
+            digest.update(value.tobytes())
+        else:
+            digest.update(f"{field.name} {value!r}\n".encode())
+    return digest.hexdigest()
 
 
 def _z_report_loop(result, analytic_mean, analytic_cov):
@@ -117,9 +180,10 @@ class TestPairwiseTreeSum:
     @example(n=2 * SHOTS_PER_BLOCK - 1, seed=2)
     @example(n=3 * SHOTS_PER_BLOCK + 7, seed=3)
     def test_tree_of_block_trees_is_tree_of_rows(self, n, seed):
-        # the identity run_ensemble streams on; with another block size a
-        # block boundary would cut a pair of some tree level
-        assert SHOTS_PER_BLOCK & (SHOTS_PER_BLOCK - 1) == 0 < SHOTS_PER_BLOCK
+        # the identity run_ensemble streams on; with another block or chunk
+        # size a boundary would cut a pair of some tree level
+        for size in (SHOTS_PER_BLOCK, ensemble._MEAN_CHUNK):
+            assert size & (size - 1) == 0 < size
         rng = np.random.default_rng(seed)
         # both signs over 60 decades, so any regrouping of the sum shows
         values = rng.standard_normal((n, 3)) * 10.0 ** rng.uniform(-30.0, 30.0, (n, 3))
@@ -232,33 +296,40 @@ class TestRunEnsemble:
         "n", [2, 3, 4095, 4096, 4097, 8191, 8193, 12289, 12293, 100_000, 100_001]
     )
     def test_bit_identical_to_materialised_ensemble(self, n):
-        displaced = gaussian.displace(gaussian.vacuum_state(2), 0, 2.0, -1.0)
         cases = [
-            (default_gate(), gaussian.vacuum_state(2), 7),
-            (build_qnd_gate(GateParams.from_gain(1.5), ImperfectionModel()), displaced, 2**63 + 5),
+            (*CASES["ideal"](), 7),
+            (*CASES["measured"](), 2**63 + 5),
+            *((*CASES[name](), 21) for name in SHAPES),
         ]
         for circuit, state, seed in cases:
             reference = _materialised_ensemble(circuit, state, n, seed)
-            for keep_outcomes in (False, True):
-                result = run_ensemble(circuit, state, n, seed, keep_outcomes=keep_outcomes)
+            results = [run_ensemble(circuit, state, n, seed, keep_outcomes=keep) for keep in (False, True)]
+            for keep_outcomes, result in zip((False, True), results):
                 for field in fields(EnsembleResult):
                     got, want = getattr(result, field.name), getattr(reference, field.name)
                     if field.name == "outcomes" and not keep_outcomes:
                         assert got is None
                     else:
-                        assert np.array_equal(got, want), (field.name, seed, keep_outcomes)
+                        got, want = np.asarray(got), np.asarray(want)
+                        assert (got.shape, got.tobytes()) == (want.shape, want.tobytes()), (
+                            field.name, seed, keep_outcomes
+                        )
+            # the output rows alone give the moments of the run that also
+            # propagates the readouts
+            lean, full = results
+            for name in ("mean", "cov", "mean_scatter"):
+                assert getattr(lean, name).tobytes() == getattr(full, name).tobytes(), name
 
     def test_peak_memory_is_the_means_plus_one_block(self):
-        # the (n, 4) means take 3.2 MB; holding every (4, 4) outer product
-        # as well would take 12.8 MB more
-        circuit, state = default_gate(), gaussian.vacuum_state(2)
-        tracemalloc.start()
-        try:
-            run_ensemble(circuit, state, 100_000, 5)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 12e6
+        # the (n, 4) means take 3.2 MB; the peak measures at most 4.83 MB and
+        # the bound leaves over 10% above it.  Every (4, 4) outer product
+        # held at once would add 12.8 MB
+        assert _ensemble_peak_bytes(keep_outcomes=False) < 5.4e6
+
+    def test_peak_memory_with_kept_outcomes(self):
+        # the (n, 2) readouts add 1.6 MB, written in place: the peak
+        # measures 5.73 MB, and holding them twice would add 1.6 MB
+        assert _ensemble_peak_bytes(keep_outcomes=True) < 6.4e6
 
     def test_se_scaling_with_n(self):
         circuit = default_gate()
@@ -267,6 +338,55 @@ class TestRunEnsemble:
         large = run_ensemble(circuit, state, 8000, 5)
         ratio = np.median(small.se_mean / large.se_mean)
         assert np.sqrt(2.0) * 0.85 < ratio < np.sqrt(2.0) * 1.15
+
+
+# sha256 of ``_digest`` for (case, n, seed, keep_outcomes), recorded with the
+# block-wise kernel that propagated every row and formed all (2m)**2 outer
+# products per shot; ``_materialised_ensemble`` shares the generator and tree
+# with ``run_ensemble``, so these pin the contract from outside both
+RECORDED_DIGESTS = {
+    ("measured", 100_001, 2**64 - 1, False):
+        "151c5a020b8c819e90664fe3fd37eacfc0f09f44748a0913c5c9d43e15243e03",
+    ("measured", 100_001, 2**64 - 1, True):
+        "36d1ee736e2b61b7ca898ad2f78eaeb2b6f858438ff2ba0d194561e14cbe7608",
+    ("ideal", 4097, 7, False): "422989bdc6d85e0e16922056db5b8bc9bde0467d121511f3cfb8b4c45272da8a",
+    ("ideal", 4097, 7, True): "7dff7646e44b4c5c5c9986c03c7e77f6d837e96ef752f4431bfdcb894a9bc42c",
+    ("empty", 100, 7, False): "bc832337a1262e992528ea0df6a18c6cdb4973a181f8a58d41f8192361fe9cb6",
+    ("empty", 100, 7, True): "6b985a334b18090982d9b1c2a01325b3251717364d233b070b57a237e7bbdc42",
+    ("one_mode", 8193, 11, False): "3d135c26585f0fe132f51af57401c0a6f678046568f037f53f15e0b70a07d68f",
+    ("one_mode", 8193, 11, True): "29a39fa631e1b6946027e90d284d3684d71dfe0d57c3eaeecf5ac39ae0e1be70",
+    ("three_modes", 8193, 12, False):
+        "bd556a95c2d02f5591b50889c4df32ab7e7f4a1f9b167b9fbab33d142853d265",
+    ("three_modes", 8193, 12, True):
+        "def9be456875e9c711cc0544ca7dfdb60963dae198cf84eda10e2130bebbd8b0",
+    ("lossy_homodyne", 8193, 13, False):
+        "52d32197e0254fb5ca58647b8d9ba22a17dded8b0e693c12244608402653c5f1",
+    ("lossy_homodyne", 8193, 13, True):
+        "0a64da10ff5ec893fc47b0266d5392e5db6f4b6b30e2704b0d417d17da5388d8",
+    ("no_homodyne", 8193, 14, False):
+        "beea674db342ed013771f6941648e1aaf63abfcdec04ffd1a57db9e2b0749607",
+    ("no_homodyne", 8193, 14, True):
+        "feea43326df2d450363f2e676b6470de9c9cd499f2ddfa8964d4e076e95d100a",
+}
+
+
+class TestRecordedDigests:
+    @pytest.mark.parametrize("case, n, seed, keep_outcomes", sorted(RECORDED_DIGESTS))
+    def test_result_matches_recorded_digest(self, case, n, seed, keep_outcomes):
+        circuit, state = CASES[case]()
+        result = run_ensemble(circuit, state, n, seed, keep_outcomes=keep_outcomes)
+        assert _digest(result) == RECORDED_DIGESTS[case, n, seed, keep_outcomes]
+
+
+def _ensemble_peak_bytes(keep_outcomes):
+    """tracemalloc peak of a 100k-shot ensemble of the ideal gate."""
+    circuit, state = default_gate(), gaussian.vacuum_state(2)
+    tracemalloc.start()
+    try:
+        run_ensemble(circuit, state, 100_000, 5, keep_outcomes=keep_outcomes)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def _same_bits(a, b) -> bool:
@@ -280,6 +400,26 @@ def _same_bits(a, b) -> bool:
         elif got != want or type(got) is not type(want):
             return False
     return True
+
+
+def _assert_rejected_before_lookup(n, seed, modes, keep_outcomes, error):
+    """The call raises ``error`` and neither reads nor changes the memo.
+
+    An equal valid request is memoised first: seed True and 5.0 equal the
+    valid seeds 1 and 5 as Python values, keep_outcomes 0 and 1 equal False
+    and True, and a state whose mode count disagrees with its arrays has the
+    vacuum's bytes.
+    """
+    circuit = default_gate()
+    for valid_seed, valid_keep in ((1, False), (5, False), (1, True)):
+        run_ensemble(circuit, gaussian.vacuum_state(2), 10, valid_seed, keep_outcomes=valid_keep)
+    state = gaussian.vacuum_state(2)
+    state.n_modes = modes
+    before = ensemble._memoised.cache_info()
+    with pytest.raises(error):
+        run_ensemble(circuit, state, n, seed, keep_outcomes=keep_outcomes)
+    after = ensemble._memoised.cache_info()
+    assert (after.hits, after.currsize) == (before.hits, before.currsize)
 
 
 class TestMemo:
@@ -350,19 +490,19 @@ class TestMemo:
         ],
     )
     def test_checks_run_before_the_lookup(self, n, seed, modes, error):
-        # an equal valid request is memoised first: seed True and 5.0 equal
-        # the valid seeds 1 and 5 as Python values, and a state whose mode
-        # count disagrees with its arrays has the vacuum's bytes
-        circuit = default_gate()
-        for valid_seed in (1, 5):
-            run_ensemble(circuit, gaussian.vacuum_state(2), 10, valid_seed)
+        _assert_rejected_before_lookup(n, seed, modes, False, error)
+
+    @pytest.mark.parametrize("keep_outcomes", ["no", 0, 1, None])
+    def test_keep_outcomes_checked_before_the_lookup(self, keep_outcomes):
+        # bool("no") and bool(None) are an equal valid request's True and False
+        _assert_rejected_before_lookup(10, 1, 2, keep_outcomes, TypeError)
+
+    def test_numpy_bool_shares_the_python_bool_request(self):
         state = gaussian.vacuum_state(2)
-        state.n_modes = modes
-        before = ensemble._memoised.cache_info()
-        with pytest.raises(error):
-            run_ensemble(circuit, state, n, seed)
-        after = ensemble._memoised.cache_info()
-        assert (after.hits, after.currsize) == (before.hits, before.currsize)
+        for keep_outcomes in (False, True):
+            first = run_ensemble(default_gate(), state, 10, 3, keep_outcomes=keep_outcomes)
+            again = run_ensemble(default_gate(), state, 10, 3, keep_outcomes=np.bool_(keep_outcomes))
+            assert again is first
 
     def test_memo_is_bounded(self):
         circuit, state = default_gate(), gaussian.vacuum_state(2)
