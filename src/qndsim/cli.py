@@ -15,6 +15,7 @@ Covariance-mode output is deterministic and byte-identical across runs.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 
@@ -352,11 +353,12 @@ def _config_from_args(args) -> ScenarioConfig:
     return config
 
 
-def _reject_ignored(command: str, config: ScenarioConfig) -> None:
+def _reject_ignored(command: str, config: ScenarioConfig, fit: bool) -> None:
     """Raise for scenario values that ``command`` would otherwise ignore.
 
     A part of the scenario the command does not read must equal that part
-    of ``ScenarioConfig()``.
+    of ``ScenarioConfig()``.  ``fit`` says that ``reproduce-table`` fits the
+    calibration knob, and so overwrites the scenario's.
     """
     default = ScenarioConfig()
 
@@ -375,18 +377,20 @@ def _reject_ignored(command: str, config: ScenarioConfig) -> None:
             reject("gate", "it always runs the reference gains 1.0 and 1.5")
         if config.squeezing_dB_B != config.squeezing_dB_A:
             reject("gate", "it gives both ancillas squeezing_dB_A")
+        if fit and config.imperfections.extra_in_loop_loss != 0.0:
+            reject("imperfections", "the fit overwrites extra_in_loop_loss; --no-fit runs it")
     if command != "conditional" and tuple(config.inputs) != default.inputs:
         reject("inputs", "it drives vacuum inputs")
 
 
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+def _run(args) -> int:
     if args.command == "oracle-check":
         text = cmd_oracle_check()
         print(text)
         return 0 if text.endswith("PASS") else 1
     config = _config_from_args(args)
-    _reject_ignored(args.command, config)
+    fit = args.command == "reproduce-table" and not args.no_fit
+    _reject_ignored(args.command, config, fit)
     csv_path = args.csv if args.csv is not None else config.output.path
     if args.command == "vacuum-spectra":
         print(cmd_vacuum_spectra(config, csv_path))
@@ -395,8 +399,22 @@ def main(argv=None) -> int:
     elif args.command == "conditional":
         print(cmd_conditional(config, csv_path))
     elif args.command == "reproduce-table":
-        print(cmd_reproduce_table(config, fit=not args.no_fit, csv_path=csv_path))
+        print(cmd_reproduce_table(config, fit=fit, csv_path=csv_path))
     return 0
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    try:
+        code = _run(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe (``qndsim ... | head``): point stdout at
+        # devnull so the interpreter's final flush does not raise again
+        # (the SIGPIPE note in the Python docs of the ``signal`` module)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -379,19 +379,16 @@ def _banded(gain: float, sectors: dict):
 
 
 DEFAULT_KNOB_GRID = np.arange(0.0, 0.1001, 0.0025)
-# the second knob each gain is built at; any value in (0, 1) spans the line
-_ANCHOR_KNOB = 0.5
 
 
 def _knob_objectives(base: ImperfectionModel, squeezing_db: float, knobs: np.ndarray) -> np.ndarray:
-    """The fit objective at every knob, from two builds per gain (see ``fit_extra_in_loop_loss``)."""
+    """The fit objective at every knob, from one build per gain (see ``fit_extra_in_loop_loss``)."""
     objective = np.zeros(len(knobs))
     for gain in REFERENCE_TABLE:
         params = _reference_params(gain, squeezing_db)
         circuit = build_qnd_gate(params, replace(base, extra_in_loop_loss=0.0))
-        anchor = build_qnd_gate(params, replace(base, extra_in_loop_loss=_ANCHOR_KNOB))
-        cov0, cov1 = (run_covariance(c, gaussian.vacuum_state(2)).cov for c in (circuit, anchor))
-        cov = cov0 + (knobs / _ANCHOR_KNOB)[:, None, None] * (cov1 - cov0)
+        cov0 = run_covariance(circuit, gaussian.vacuum_state(2)).cov
+        cov = cov0 + knobs[:, None, None] * (np.eye(4) - cov0)
         # the signal coefficients at knob k are sqrt(1 - k) times knob 0's
         sectors = _sector_metrics(circuit_quadrature_map(circuit), cov, 1.0 - knobs)
         for check in _banded(gain, sectors):
@@ -411,15 +408,14 @@ def fit_extra_in_loop_loss(
     value is carried in the result so every downstream report can state it.
 
     The grid is scanned in closed form.  The knob sets a pure loss
-    ``eta = 1 - k`` on both arms, and a pure loss is a Gaussian channel
-    affine in ``eta`` (Weedbrook et al., Rev. Mod. Phys. 84, 621 (2012),
-    Sec. II): every source column that passes through the two arm losses is
-    scaled by ``sqrt(eta)``, their vacua enter with ``sqrt(1 - eta)``, and
-    columns that enter after them do not depend on ``k``.  So the vacuum-input
-    output covariance is affine in ``k``, ``cov(k) = cov(0) + (k / k1) *
-    (cov(k1) - cov(0))``, and the signal coefficients are ``sqrt(1 - k)``
-    times those at ``k = 0``.  Two builds per gain, at ``k = 0`` and at an
-    anchor ``k1``, give the objective at every grid knob.
+    ``eta = 1 - k`` on both arms after both feedforward stages.  Equal losses
+    on two modes commute with the exit beam splitter and with the main-mode
+    losses, so the output at knob ``k`` is the knob-0 output sent through a
+    pure loss ``eta`` on both modes (Weedbrook et al., Rev. Mod. Phys. 84, 621
+    (2012), Sec. II): ``cov(k) = eta * cov(0) + (1 - eta) * I``, that is
+    ``cov(0) + k * (I - cov(0))``, and the signal coefficients are
+    ``sqrt(eta)`` times those at ``k = 0``.  One build per gain, at ``k = 0``,
+    gives the objective at every grid knob.
     """
     base = imperfections or ImperfectionModel()
     best = int(np.argmin(_knob_objectives(base, squeezing_db, DEFAULT_KNOB_GRID)))

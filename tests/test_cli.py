@@ -3,7 +3,11 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -648,27 +652,27 @@ class TestReproduceTable:
         assert "no calibration fit applied" in text
 
     def test_fit_builds_few_gates(self, monkeypatch):
-        # the fit scans its knob grid in closed form: two builds per gain, two
-        # at the fitted knob and two for the lossless row
+        # the fit scans its knob grid in closed form: one build per gain, then
+        # two at the fitted knob (the lossless row is built in the command)
         builds = []
         original = metrics.build_qnd_gate
         monkeypatch.setattr(
             metrics, "build_qnd_gate", lambda *args: builds.append(args) or original(*args)
         )
         cmd_reproduce_table(ScenarioConfig())
-        assert len(builds) <= 8
+        assert len(builds) <= 4
 
     @pytest.mark.parametrize(
-        "fit, builds, evaluations, lowerings", [(True, 7, 3, 6), (False, 3, 3, 4)]
+        "fit, builds, evaluations, lowerings", [(True, 5, 3, 4), (False, 3, 3, 4)]
     )
     def test_one_evaluation_per_reported_gate(
         self, fit, builds, evaluations, lowerings, monkeypatch
     ):
-        # the fit builds each gain at two knobs; then the fitted knob's two
+        # the fit builds each gain once, at knob 0; then the fitted knob's two
         # gains and the lossless row are each built and evaluated once.  Each
-        # distinct gate is lowered once: both gains at knob 0, at the anchor
-        # knob and lossless make 6 circuits; the default fit lands on knob 0,
-        # and the lossless row reuses the oracle's lowering
+        # distinct gate is lowered once: both gains at knob 0 and lossless make
+        # 4 circuits; the default fit lands on knob 0, and the lossless row
+        # reuses the oracle's lowering
         calls = {"build_qnd_gate": 0, "evaluate_gate": 0, "_lower": 0}
 
         def counted(name, function):
@@ -825,16 +829,37 @@ class TestMainEntry:
         assert "carried by" in out
 
 
+class TestClosedPipe:
+    @pytest.mark.parametrize("command", ["reproduce-table", "oracle-check"])
+    def test_closed_reader_gets_no_traceback(self, command):
+        # the reader is gone before the command writes, as with ``| head``
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "qndsim.cli", command],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        proc.stdout.close()
+        stderr = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert stderr == ""
+
+
 class TestScenarioFileHonoured:
     COHERENT = {"inputs": [{"kind": "coherent", "amplitude": 3.0}, {"kind": "vacuum"}]}
     TRAJECTORIES = {"run": {"mode": "trajectories", "n": 500}}
     G_GRID = {"run": {"g_grid": {"min": -0.5, "max": 0.5, "step": 0.25}}}
 
+    KNOB = {"imperfections": {"extra_in_loop_loss": 0.05}}
+
     @staticmethod
-    def run(tmp_path, command, doc):
+    def run(tmp_path, command, doc, flags=()):
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(doc))
-        return main([command, "--config", str(path)])
+        return main([command, *flags, "--config", str(path)])
 
     @pytest.mark.parametrize(
         "command, doc, section",
@@ -852,6 +877,7 @@ class TestScenarioFileHonoured:
             ("reproduce-table", G_GRID, "run"),
             ("transfer", {"run": {"master_seed": 1}}, "run"),
             ("conditional", {"run": {"n": 500}}, "run"),
+            ("reproduce-table", KNOB, "imperfections"),
         ],
         ids=[
             "vacuum-spectra-trajectories",
@@ -867,6 +893,7 @@ class TestScenarioFileHonoured:
             "reproduce-table-g-grid",
             "transfer-covariance-seed",
             "conditional-covariance-n",
+            "reproduce-table-fitted-knob",
         ],
     )
     def test_ignored_value_rejected(self, tmp_path, command, doc, section):
@@ -874,13 +901,18 @@ class TestScenarioFileHonoured:
             self.run(tmp_path, command, doc)
 
     @pytest.mark.parametrize(
-        "command, doc",
+        "command, doc, flags",
         [
-            ("conditional", COHERENT),
-            ("transfer", TRAJECTORIES),
-            ("conditional", TRAJECTORIES),
-            ("conditional", G_GRID),
-            ("reproduce-table", {"gate": {"G": 1.0, "squeezing_dB_A": -4.0, "squeezing_dB_B": -4.0}}),
+            ("conditional", COHERENT, ()),
+            ("transfer", TRAJECTORIES, ()),
+            ("conditional", TRAJECTORIES, ()),
+            ("conditional", G_GRID, ()),
+            (
+                "reproduce-table",
+                {"gate": {"G": 1.0, "squeezing_dB_A": -4.0, "squeezing_dB_B": -4.0}},
+                (),
+            ),
+            ("reproduce-table", KNOB, ("--no-fit",)),
         ],
         ids=[
             "conditional-coherent",
@@ -888,11 +920,18 @@ class TestScenarioFileHonoured:
             "conditional-trajectories",
             "conditional-g-grid",
             "reproduce-table-default-gate",
+            "reproduce-table-unfitted-knob",
         ],
     )
-    def test_honoured_file_runs(self, tmp_path, capsys, command, doc):
-        assert self.run(tmp_path, command, doc) == 0
+    def test_honoured_file_runs(self, tmp_path, capsys, command, doc, flags):
+        assert self.run(tmp_path, command, doc, flags) == 0
         assert capsys.readouterr().out.strip()
+
+    def test_unfitted_knob_is_run(self, tmp_path, capsys):
+        self.run(tmp_path, "reproduce-table", self.KNOB, ("--no-fit",))
+        knob = capsys.readouterr().out
+        self.run(tmp_path, "reproduce-table", {}, ("--no-fit",))
+        assert knob != capsys.readouterr().out
 
     # one valid non-default value per scenario field that some subcommand does not read
     NON_DEFAULT = {

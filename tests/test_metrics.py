@@ -20,6 +20,7 @@ from qndsim.circuit import (
 )
 from qndsim.cli import cmd_reproduce_table, cmd_transfer
 from qndsim.gaussian import vacuum_state
+from qndsim.quadexpr import INPUT_COLUMNS
 from qndsim import metrics
 from qndsim.metrics import (
     compare_to_reference,
@@ -463,6 +464,41 @@ _INTERIOR_FIT_BUDGETS = [
     (-4.91, ImperfectionModel(0.083, 0.9655, 0.9859, 12.9882, 0.0054, -0.0185, 0.0, "pre_entry")),
     (-5.54, ImperfectionModel(0.102, 0.9975, 0.9976, 18.2924, 0.0046, -0.0258, 0.0, "post_exit")),
 ]
+
+
+class TestKnobIsAnOutputLoss:
+    """The arm loss acts on the knob-0 output as a pure loss of ``1 - k`` on both modes."""
+
+    KNOBS = np.append(metrics.DEFAULT_KNOB_GRID, [0.3, 0.7, 0.95])
+
+    @staticmethod
+    def assert_close(actual, expected):
+        scale = np.max(np.abs(expected))
+        assert np.max(np.abs(actual - expected)) <= 1e-12 * scale
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        base=_FIT_BUDGETS,
+        gain=st.floats(0.0, 2.5),
+        squeezing=st.tuples(st.floats(-10.0, 0.0), st.floats(-10.0, 0.0)),
+        excess=st.just(1.0) | st.floats(1.0, 3.0),
+    )
+    def test_covariance_and_signal_columns(self, base, gain, squeezing, excess):
+        params = GateParams.from_gain(
+            gain, squeezing_db_a=squeezing[0], squeezing_db_b=squeezing[1], ancilla_excess=excess
+        )
+
+        def outputs(knob):
+            circuit = build_qnd_gate(params, replace(base, extra_in_loop_loss=float(knob)))
+            qmap = circuit_quadrature_map(circuit)
+            signal = qmap.matrix[:, [qmap.columns.index(c) for c in INPUT_COLUMNS]]
+            return run_covariance(circuit, vacuum_state(2)).cov, signal
+
+        cov0, signal0 = outputs(0.0)
+        for knob in self.KNOBS:
+            cov, signal = outputs(knob)
+            self.assert_close(cov, cov0 + knob * (np.eye(4) - cov0))
+            self.assert_close(signal, math.sqrt(1.0 - knob) * signal0)
 
 
 class TestKnobFit:
