@@ -383,38 +383,35 @@ def _reject_ignored(command: str, config: ScenarioConfig, fit: bool) -> None:
         reject("inputs", "it drives vacuum inputs")
 
 
-def _run(args) -> int:
+def _command_output(args) -> tuple:
+    """The subcommand's stdout text and exit status."""
     if args.command == "oracle-check":
         text = cmd_oracle_check()
-        print(text)
-        return 0 if text.endswith("PASS") else 1
+        return text, 0 if text.endswith("PASS") else 1
     config = _config_from_args(args)
     fit = args.command == "reproduce-table" and not args.no_fit
     _reject_ignored(args.command, config, fit)
     csv_path = args.csv if args.csv is not None else config.output.path
     if args.command == "vacuum-spectra":
-        print(cmd_vacuum_spectra(config, csv_path))
-    elif args.command == "transfer":
-        print(cmd_transfer(config, csv_path))
-    elif args.command == "conditional":
-        print(cmd_conditional(config, csv_path))
-    elif args.command == "reproduce-table":
-        print(cmd_reproduce_table(config, fit=fit, csv_path=csv_path))
-    return 0
+        return cmd_vacuum_spectra(config, csv_path), 0
+    if args.command == "transfer":
+        return cmd_transfer(config, csv_path), 0
+    if args.command == "conditional":
+        return cmd_conditional(config, csv_path), 0
+    return cmd_reproduce_table(config, fit=fit, csv_path=csv_path), 0
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    text, status = _command_output(build_parser().parse_args(argv))
     try:
-        code = _run(args)
-        sys.stdout.flush()
+        print(text, flush=True)
     except BrokenPipeError:
         # the reader closed the pipe (``qndsim ... | head``): point stdout at
         # devnull so the interpreter's final flush does not raise again
         # (the SIGPIPE note in the Python docs of the ``signal`` module)
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    return code
+    return status
 
 
 if __name__ == "__main__":
