@@ -21,6 +21,7 @@ Sector conventions (covariances in interleaved (x1, p1, x2, p2) order):
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -198,15 +199,26 @@ class SectorMetrics:
 
 @dataclass
 class QndReport:
-    """Full characterization of one gate working point."""
+    """Full characterization of one gate working point.
+
+    ``cov`` is the vacuum-input output covariance the sector metrics were
+    read from.  The witness ``duan`` is evaluated from it the first time it
+    is read, so a caller that prints only the sector metrics scans no gain
+    grid.
+    """
 
     params: GateParams
-    sectors: dict = field(default_factory=dict)  # "x"/"p" -> SectorMetrics
-    duan: DuanResult | None = None
+    sectors: dict  # "x"/"p" -> SectorMetrics
+    cov: np.ndarray = field(repr=False, compare=False)
+
+    @cached_property
+    def duan(self) -> DuanResult:
+        """The witness at the x sector's ``g_opt``, scanned over ``DEFAULT_G_GRID``."""
+        return duan_simon(self.cov, self.sectors["x"].g_opt)
 
     @property
     def entangled(self) -> bool:
-        return self.duan is not None and self.duan.scan_entangled
+        return self.duan.scan_entangled
 
     @property
     def qnd_criteria_pass(self) -> bool:
@@ -224,13 +236,12 @@ class QndReport:
                 f"T_sum={m.t_sum:.5f} V_SP={m.v_conditional:.5f} g_opt={m.g_opt:.5f} "
                 f"qnd={'PASS' if m.qnd_criteria_pass else 'FAIL'}"
             )
-        if self.duan is not None:
-            d = self.duan
-            lines.append(
-                f"witness: sum={d.combined_sum:.5f} bound={d.bound:.5f} at g={d.g:.5f}; "
-                f"scan min margin={d.scan_best_margin:.5f} at g={d.scan_best_g:.5f} "
-                f"entangled={'YES' if d.scan_entangled else 'NO'}"
-            )
+        d = self.duan
+        lines.append(
+            f"witness: sum={d.combined_sum:.5f} bound={d.bound:.5f} at g={d.g:.5f}; "
+            f"scan min margin={d.scan_best_margin:.5f} at g={d.scan_best_g:.5f} "
+            f"entangled={'YES' if d.scan_entangled else 'NO'}"
+        )
         return "\n".join(lines)
 
 
@@ -245,12 +256,13 @@ def _sector_metrics(qmap: QuadratureMap, cov: np.ndarray, signal_scale=1.0) -> d
 
 
 def evaluate_gate(circuit: Circuit, params: GateParams) -> QndReport:
-    """Run the standard characterization of a compiled gate circuit."""
+    """Run the standard characterization of a compiled gate circuit.
+
+    One vacuum-input propagation and one quadrature map give both sectors'
+    metrics; the report's witness is scanned only when ``duan`` is read.
+    """
     cov = run_covariance(circuit, gaussian.vacuum_state(2)).cov
-    report = QndReport(params, _sector_metrics(circuit_quadrature_map(circuit), cov))
-    g_witness = report.sectors["x"].g_opt
-    report.duan = duan_simon(cov, g_witness)
-    return report
+    return QndReport(params, _sector_metrics(circuit_quadrature_map(circuit), cov), cov)
 
 
 def vacuum_noise_report(circuit: Circuit, params: GateParams) -> dict:
@@ -381,9 +393,16 @@ def _banded(gain: float, sectors: dict):
 DEFAULT_KNOB_GRID = np.arange(0.0, 0.1001, 0.0025)
 
 
-def _knob_objectives(base: ImperfectionModel, squeezing_db: float, knobs: np.ndarray) -> np.ndarray:
-    """The fit objective at every knob, from one build per gain (see ``fit_extra_in_loop_loss``)."""
+def _knob_scan(base: ImperfectionModel, squeezing_db: float, knobs: np.ndarray):
+    """The fit objective and every banded input at every knob, from one build per gain.
+
+    Returns ``(objective, rows)``: ``objective`` holds one value per knob, and
+    ``rows[gain]`` is ``(params, sectors, cov)``, the gain's ``GateParams``,
+    its ``SectorMetrics`` of arrays (one entry per knob) and its (n, 4, 4)
+    vacuum-input output covariances.  See ``fit_extra_in_loop_loss``.
+    """
     objective = np.zeros(len(knobs))
+    rows = {}
     for gain in REFERENCE_TABLE:
         params = _reference_params(gain, squeezing_db)
         circuit = build_qnd_gate(params, replace(base, extra_in_loop_loss=0.0))
@@ -393,7 +412,8 @@ def _knob_objectives(base: ImperfectionModel, squeezing_db: float, knobs: np.nda
         sectors = _sector_metrics(circuit_quadrature_map(circuit), cov, 1.0 - knobs)
         for check in _banded(gain, sectors):
             objective += check.residual_bars**2
-    return objective
+        rows[gain] = params, sectors, cov
+    return objective, rows
 
 
 def fit_extra_in_loop_loss(
@@ -403,8 +423,8 @@ def fit_extra_in_loop_loss(
     """Grid-fit the single in-loop loss knob against the reference table.
 
     Minimizes the summed squared deviation (in error-bar units) of the banded
-    metrics over both gains, and returns ``compare_to_reference`` at the
-    first ``DEFAULT_KNOB_GRID`` knob that attains the minimum.  The fitted knob
+    metrics over both gains, and returns the comparison at the first
+    ``DEFAULT_KNOB_GRID`` knob that attains the minimum.  The fitted knob
     value is carried in the result so every downstream report can state it.
 
     The grid is scanned in closed form.  The knob sets a pure loss
@@ -416,11 +436,32 @@ def fit_extra_in_loop_loss(
     ``cov(0) + k * (I - cov(0))``, and the signal coefficients are
     ``sqrt(eta)`` times those at ``k = 0``.  One build per gain, at ``k = 0``,
     gives the objective at every grid knob.
+
+    The returned comparison is the scan's row at the fitted knob, not a
+    second build: its reports hold that row's metrics as Python floats and
+    its covariances, its checks are the row's ``BandCheck``s and its
+    objective is the scan's.  At knob 0 the metrics are bit-identical to
+    ``compare_to_reference``; at other knobs they agree to 1e-12 relative.
     """
     base = imperfections or ImperfectionModel()
-    best = int(np.argmin(_knob_objectives(base, squeezing_db, DEFAULT_KNOB_GRID)))
-    return compare_to_reference(
-        replace(base, extra_in_loop_loss=float(DEFAULT_KNOB_GRID[best])),
-        squeezing_db=squeezing_db,
-        fitted=True,
-    )
+    objective, rows = _knob_scan(base, squeezing_db, DEFAULT_KNOB_GRID)
+    best = int(np.argmin(objective))
+    reports = _scan_reports(rows, best)
+    checks = [check for gain, report in reports.items() for check in _banded(gain, report.sectors)]
+    knob = float(DEFAULT_KNOB_GRID[best])
+    return TableComparison(knob, True, reports, checks, float(objective[best]))
+
+
+def _scan_reports(rows: dict, i: int) -> dict:
+    """Each gain's ``QndReport`` at knob index ``i`` of ``_knob_scan`` rows, in Python floats."""
+    return {
+        gain: QndReport(
+            params,
+            {
+                name: SectorMetrics(**{key: float(values[i]) for key, values in vars(m).items()})
+                for name, m in sectors.items()
+            },
+            cov[i],
+        )
+        for gain, (params, sectors, cov) in rows.items()
+    }

@@ -652,28 +652,29 @@ class TestReproduceTable:
         assert "no calibration fit applied" in text
 
     def test_fit_builds_few_gates(self, monkeypatch):
-        # the fit scans its knob grid in closed form: one build per gain, then
-        # two at the fitted knob (the lossless row is built in the command)
+        # the fit scans its knob grid in closed form from one build per gain
+        # and prints the scan's row (the lossless row is built in the command)
         builds = []
         original = metrics.build_qnd_gate
         monkeypatch.setattr(
             metrics, "build_qnd_gate", lambda *args: builds.append(args) or original(*args)
         )
         cmd_reproduce_table(ScenarioConfig())
-        assert len(builds) <= 4
+        assert len(builds) == 2
 
     @pytest.mark.parametrize(
-        "fit, builds, evaluations, lowerings", [(True, 5, 3, 4), (False, 3, 3, 4)]
+        "fit, builds, evaluations, lowerings", [(True, 3, 1, 4), (False, 3, 3, 4)]
     )
     def test_one_evaluation_per_reported_gate(
         self, fit, builds, evaluations, lowerings, monkeypatch
     ):
-        # the fit builds each gain once, at knob 0; then the fitted knob's two
-        # gains and the lossless row are each built and evaluated once.  Each
+        # the fit builds each gain once, at knob 0, and reads the fitted
+        # knob's table off that scan; without it both gains are built and
+        # evaluated once.  The lossless row is built and evaluated once.  Each
         # distinct gate is lowered once: both gains at knob 0 and lossless make
-        # 4 circuits; the default fit lands on knob 0, and the lossless row
-        # reuses the oracle's lowering
-        calls = {"build_qnd_gate": 0, "evaluate_gate": 0, "_lower": 0}
+        # 4 circuits, and the lossless row reuses the oracle's lowering.  No
+        # report's witness is read, so no gain grid is scanned
+        calls = {"build_qnd_gate": 0, "evaluate_gate": 0, "_lower": 0, "duan_simon": 0}
 
         def counted(name, function):
             def wrapper(*args, **kwargs):
@@ -685,6 +686,7 @@ class TestReproduceTable:
         for module in (metrics, cli):
             monkeypatch.setattr(module, "build_qnd_gate", counted("build_qnd_gate", build_qnd_gate))
         monkeypatch.setattr(metrics, "evaluate_gate", counted("evaluate_gate", metrics.evaluate_gate))
+        monkeypatch.setattr(metrics, "duan_simon", counted("duan_simon", metrics.duan_simon))
         monkeypatch.setattr(circuit_module, "_lower", counted("_lower", circuit_module._lower))
         circuit_module._gate.cache_clear()
         cmd_reproduce_table(ScenarioConfig(), fit=fit)
@@ -692,6 +694,7 @@ class TestReproduceTable:
             "build_qnd_gate": builds,
             "evaluate_gate": evaluations,
             "_lower": lowerings,
+            "duan_simon": 0,
         }
 
     def test_csv_written(self, tmp_path):
