@@ -394,7 +394,7 @@ DEFAULT_KNOB_GRID = np.arange(0.0, 0.1001, 0.0025)
 
 
 def _knob_scan(base: ImperfectionModel, squeezing_db: float, knobs: np.ndarray):
-    """The fit objective and every banded input at every knob, from one build per gain.
+    """The fit objective and both sectors' metrics at every knob, from one build per gain.
 
     Returns ``(objective, rows)``: ``objective`` holds one value per knob, and
     ``rows[gain]`` is ``(params, sectors, cov)``, the gain's ``GateParams``,
