@@ -73,7 +73,7 @@ from .ensemble import (
     trajectory_generator,
     z_score_report,
 )
-from .scenario import InputSpec, OutputSpec, RunSpec, ScenarioConfig, load_scenario
+from .scenario import OutputSpec, RunSpec, ScenarioConfig, load_scenario
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

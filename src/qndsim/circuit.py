@@ -56,8 +56,8 @@ def reflectivity_from_gain(gain: float) -> float:
     Solves ``u**2 + G*u - 1 = 0`` for ``u = sqrt(R)``, taking the positive
     root, which lies in (0, 1] for any ``G >= 0``.
     """
-    if gain < 0.0:
-        raise ValueError("gain must be non-negative")
+    if not 0.0 <= gain < math.inf:
+        raise ValueError(f"gain G = {gain} must be finite and non-negative")
     u = (-gain + math.sqrt(gain * gain + 4.0)) / 2.0
     return u * u
 

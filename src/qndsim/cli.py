@@ -90,9 +90,9 @@ def _excitation_means(config: ScenarioConfig, circuit, mean, qmap, amplitude: fl
     In trajectory mode one vacuum-input ensemble serves all four cases: a
     shot's means are affine in the input mean and every case uses the same
     seed, so each case's ensemble mean is its exact mean plus the vacuum
-    ensemble's deviation from its own exact mean.  With vacuum inputs,
-    ``conditional`` on the same scenario makes the same request, and
-    ``run_ensemble`` returns this ensemble to it from its memo.
+    ensemble's deviation from its own exact mean.  ``conditional`` on the
+    same scenario makes the same request, and ``run_ensemble`` returns this
+    ensemble to it from its memo.
     """
     deviation = np.zeros(4)
     if config.run.mode == "trajectories":
@@ -379,8 +379,6 @@ def _reject_ignored(command: str, config: ScenarioConfig, fit: bool) -> None:
             reject("gate", "it gives both ancillas squeezing_dB_A")
         if fit and config.imperfections.extra_in_loop_loss != 0.0:
             reject("imperfections", "the fit overwrites extra_in_loop_loss; --no-fit runs it")
-    if command != "conditional" and tuple(config.inputs) != default.inputs:
-        reject("inputs", "it drives vacuum inputs")
 
 
 def _command_output(args) -> tuple:

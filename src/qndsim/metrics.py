@@ -366,14 +366,13 @@ def compare_to_reference(
     squeezing_db: float = -5.0,
     fitted: bool = False,
 ) -> TableComparison:
-    """Evaluate both published gains under one imperfection model."""
-    reports = {}
-    for gain in REFERENCE_TABLE:
-        params = _reference_params(gain, squeezing_db)
-        reports[gain] = evaluate_gate(build_qnd_gate(params, imperfections), params)
-    checks = [check for gain, report in reports.items() for check in _banded(gain, report.sectors)]
-    objective = sum(check.residual_bars**2 for check in checks)
-    return TableComparison(imperfections.extra_in_loop_loss, fitted, reports, checks, objective)
+    """Evaluate both published gains under one imperfection model.
+
+    One real build per gain at the budget's own knob: the knob scan at the
+    single further knob 0, the path every table takes.
+    """
+    objective, rows = _knob_scan(imperfections, squeezing_db, np.zeros(1))
+    return _comparison(rows, 0, imperfections.extra_in_loop_loss, fitted, objective[0])
 
 
 def _reference_params(gain: float, squeezing_db: float) -> GateParams:
@@ -396,7 +395,9 @@ DEFAULT_KNOB_GRID = np.arange(0.0, 0.1001, 0.0025)
 def _knob_scan(base: ImperfectionModel, squeezing_db: float, knobs: np.ndarray):
     """The fit objective and both sectors' metrics at every knob, from one build per gain.
 
-    Returns ``(objective, rows)``: ``objective`` holds one value per knob, and
+    Each gain is built once under ``base`` as given, and a knob ``k`` is a
+    further pure loss of ``1 - k`` on both outputs of that build.  Returns
+    ``(objective, rows)``: ``objective`` holds one value per knob, and
     ``rows[gain]`` is ``(params, sectors, cov)``, the gain's ``GateParams``,
     its ``SectorMetrics`` of arrays (one entry per knob) and its (n, 4, 4)
     vacuum-input output covariances.  See ``fit_extra_in_loop_loss``.
@@ -405,7 +406,7 @@ def _knob_scan(base: ImperfectionModel, squeezing_db: float, knobs: np.ndarray):
     rows = {}
     for gain in REFERENCE_TABLE:
         params = _reference_params(gain, squeezing_db)
-        circuit = build_qnd_gate(params, replace(base, extra_in_loop_loss=0.0))
+        circuit = build_qnd_gate(params, base)
         cov0 = run_covariance(circuit, gaussian.vacuum_state(2)).cov
         cov = cov0 + knobs[:, None, None] * (np.eye(4) - cov0)
         # the signal coefficients at knob k are sqrt(1 - k) times knob 0's
@@ -443,18 +444,15 @@ def fit_extra_in_loop_loss(
     objective is the scan's.  At knob 0 the metrics are bit-identical to
     ``compare_to_reference``; at other knobs they agree to 1e-12 relative.
     """
-    base = imperfections or ImperfectionModel()
+    base = replace(imperfections or ImperfectionModel(), extra_in_loop_loss=0.0)
     objective, rows = _knob_scan(base, squeezing_db, DEFAULT_KNOB_GRID)
     best = int(np.argmin(objective))
-    reports = _scan_reports(rows, best)
-    checks = [check for gain, report in reports.items() for check in _banded(gain, report.sectors)]
-    knob = float(DEFAULT_KNOB_GRID[best])
-    return TableComparison(knob, True, reports, checks, float(objective[best]))
+    return _comparison(rows, best, float(DEFAULT_KNOB_GRID[best]), True, objective[best])
 
 
-def _scan_reports(rows: dict, i: int) -> dict:
-    """Each gain's ``QndReport`` at knob index ``i`` of ``_knob_scan`` rows, in Python floats."""
-    return {
+def _comparison(rows: dict, i: int, knob: float, fitted: bool, objective) -> TableComparison:
+    """The ``TableComparison`` at knob index ``i`` of ``_knob_scan`` rows, in Python floats."""
+    reports = {
         gain: QndReport(
             params,
             {
@@ -465,3 +463,5 @@ def _scan_reports(rows: dict, i: int) -> dict:
         )
         for gain, (params, sectors, cov) in rows.items()
     }
+    checks = [check for gain, report in reports.items() for check in _banded(gain, report.sectors)]
+    return TableComparison(knob, fitted, reports, checks, float(objective))

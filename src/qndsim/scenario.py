@@ -1,10 +1,13 @@
 """Scenario configuration for experiment runs.
 
 A scenario is a JSON document with the sections ``gate``, ``imperfections``,
-``inputs``, ``run`` and ``output``.  All physical defaults are the reference
-experiment's values: -5 dB ancilla squeezing, 7% propagation loss, 0.99
-detector quantum efficiency, 0.98 visibility and dark noise 17 dB below shot
-noise.
+``run`` and ``output``.  All physical defaults are the reference experiment's
+values: -5 dB ancilla squeezing, 7% propagation loss, 0.99 detector quantum
+efficiency, 0.98 visibility and dark noise 17 dB below shot noise.
+
+A scenario names no input state: every subcommand drives the gate with the
+two-mode vacuum, as no second moment of a linear Gaussian gate depends on
+the input mean.
 """
 
 from __future__ import annotations
@@ -20,25 +23,6 @@ import numpy as np
 from . import gaussian
 from .circuit import GateParams, ImperfectionModel, reflectivity_from_gain
 from .ensemble import check_master_seed
-
-
-@dataclass
-class InputSpec:
-    """One gate input mode: vacuum or a coherent excitation."""
-
-    kind: str = "vacuum"       # "vacuum" or "coherent"
-    amplitude: float = 0.0
-    quadrature: str = "x"      # "x" or "p"
-
-    def __post_init__(self):
-        if self.kind not in ("vacuum", "coherent"):
-            raise ValueError(f"unknown input kind {self.kind!r}")
-        if self.quadrature not in ("x", "p"):
-            raise ValueError(f"unknown quadrature {self.quadrature!r}")
-        if not np.isfinite(self.amplitude):
-            raise ValueError("amplitude must be finite")
-        if self.kind == "vacuum" and (self.amplitude != 0.0 or self.quadrature != "x"):
-            raise ValueError("a vacuum input takes no amplitude or quadrature")
 
 
 @dataclass
@@ -79,15 +63,12 @@ class ScenarioConfig:
     squeezing_dB_A: float = -5.0
     squeezing_dB_B: float = -5.0
     imperfections: ImperfectionModel = field(default_factory=ImperfectionModel)
-    inputs: tuple = (InputSpec(), InputSpec())
     run: RunSpec = field(default_factory=RunSpec)
     output: OutputSpec = field(default_factory=OutputSpec)
 
     def __post_init__(self):
         if (self.gate_R is None) == (self.gate_G is None):
             raise ValueError("specify exactly one of gate R and gate G")
-        if len(self.inputs) != 2:
-            raise ValueError("a scenario has exactly two input modes")
         # the gate's measurement-induced squeezing needs squeezed (or vacuum) ancillas
         for name in ("squeezing_dB_A", "squeezing_dB_B"):
             db = getattr(self, name)
@@ -101,11 +82,8 @@ class ScenarioConfig:
         )
 
     def input_state(self) -> gaussian.GaussianState:
-        state = gaussian.vacuum_state(2)
-        for mode, spec in enumerate(self.inputs):
-            if spec.kind == "coherent":
-                state.mean[2 * mode + (spec.quadrature == "p")] += spec.amplitude
-        return state
+        """The gate's input: the two-mode vacuum."""
+        return gaussian.vacuum_state(2)
 
     def to_json(self) -> str:
         """The scenario as strict JSON: no dark noise (inf dB) is written as null."""
@@ -118,7 +96,6 @@ class ScenarioConfig:
                 "squeezing_dB_B": self.squeezing_dB_B,
             },
             "imperfections": imperfections,
-            "inputs": [asdict(s) for s in self.inputs],
             "run": {
                 "mode": self.run.mode,
                 "n": int(self.run.n),
@@ -137,9 +114,9 @@ class ScenarioConfig:
 # the one key where null has a meaning: no dark noise, the inf dB that strict JSON cannot write
 _DARK_NOISE = "dark_noise_dB_below_shot"
 # the JSON values a key of each declared type takes, and how an error names them
-_JSON_TYPES = {float: ((int, float), "a number"), str: (str, "a string"), list: (list, "a list"),
-               dict: (dict, "an object"), str | None: ((str, type(None)), "a string or null")}
-_SCENARIO_KEYS = {"gate": dict, "imperfections": dict, "inputs": list, "run": dict, "output": dict}
+_JSON_TYPES = {float: ((int, float), "a number"), str: (str, "a string"), dict: (dict, "an object"),
+               str | None: ((str, type(None)), "a string or null")}
+_SCENARIO_KEYS = {"gate": dict, "imperfections": dict, "run": dict, "output": dict}
 _GATE_KEYS = dict.fromkeys(("R", "G", "squeezing_dB_A", "squeezing_dB_B"), float)
 # a key typed ``object`` is left to the constructor: RunSpec checks n and master_seed
 _RUN_KEYS = {"mode": str, "n": object, "master_seed": object, "g_grid": dict}
@@ -175,8 +152,6 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
         if isinstance(imperfections, dict) and imperfections.get(_DARK_NOISE, 0.0) is None:
             imperfections = {**imperfections, _DARK_NOISE: math.inf}
         given["imperfections"] = _section(ImperfectionModel, "imperfection", imperfections)
-    if "inputs" in doc:
-        given["inputs"] = tuple(_section(InputSpec, "input", spec) for spec in doc["inputs"])
     if "run" in doc:
         run = dict(_checked("run", doc["run"], _RUN_KEYS))
         grid = _checked("g_grid", run.pop("g_grid", {}), dict.fromkeys(("min", "max", "step"), float))

@@ -72,6 +72,12 @@ class TestGainParametrization:
         with pytest.raises(ValueError):
             reflectivity_from_gain(-0.1)
 
+    @pytest.mark.parametrize("gain", [math.inf, math.nan, -math.inf])
+    def test_rejects_non_finite_gain_by_name(self, gain):
+        # NaN compares false with 0 and inf maps to R = nan; the error names the gain
+        with pytest.raises(ValueError, match=f"gain G = {gain} must be finite and non-negative"):
+            reflectivity_from_gain(gain)
+
 
 class TestGateParams:
     def test_reflectivities_layout(self):

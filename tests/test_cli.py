@@ -6,7 +6,7 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +35,6 @@ from qndsim.cli import (
 from qndsim.ensemble import SHOTS_PER_BLOCK, run_ensemble
 from qndsim.quadexpr import QuadratureMap
 from qndsim.scenario import (
-    InputSpec,
     OutputSpec,
     RunSpec,
     ScenarioConfig,
@@ -66,14 +65,12 @@ class TestScenarioConfig:
         config = ScenarioConfig(
             gate_R=0.25,
             gate_G=None,
-            inputs=(InputSpec("coherent", 10.0, "x"), InputSpec()),
             run=RunSpec(mode="trajectories", n=500, master_seed=7),
         )
         path = tmp_path / "scenario.json"
         path.write_text(config.to_json())
         loaded = load_scenario(str(path))
         assert loaded.gate_R == 0.25
-        assert loaded.inputs[0].amplitude == 10.0
         assert loaded.run.n == 500
         assert loaded.run.master_seed == 7
 
@@ -101,13 +98,11 @@ class TestScenarioConfig:
             ({"gate": {"squeezing_dB_B": -3}}, ScenarioConfig(squeezing_dB_B=-3.0)),
             ({"imperfections": {"visibility": 0.9}},
              ScenarioConfig(imperfections=ImperfectionModel(visibility=0.9))),
-            ({"inputs": [{"kind": "coherent"}, {}]},
-             ScenarioConfig(inputs=(InputSpec("coherent"), InputSpec()))),
             ({"run": {"n": 500}}, ScenarioConfig(run=RunSpec(n=500))),
             ({"run": {"g_grid": {"max": 1}}}, ScenarioConfig(run=RunSpec(g_max=1.0))),
             ({"output": {"path": "out.csv"}}, ScenarioConfig(output=OutputSpec("out.csv"))),
         ],
-        ids=["R", "G", "squeezing", "imperfection", "inputs", "n", "g_grid", "output"],
+        ids=["R", "G", "squeezing", "imperfection", "n", "g_grid", "output"],
     )
     def test_one_key_keeps_every_other_default(self, doc, expected):
         assert scenario_from_dict(doc) == expected
@@ -142,16 +137,15 @@ class TestScenarioConfig:
         assert main(["conditional", "--config", str(path)]) == 0
         assert "scan over g: best margin" in capsys.readouterr().out
 
-    @pytest.mark.parametrize(
-        "spec", [{"kind": "vacuum", "amplitude": 3.0}, {"quadrature": "p"}], ids=["amplitude", "p"]
-    )
-    def test_vacuum_input_with_amplitude_or_quadrature_rejected(self, tmp_path, spec):
-        with pytest.raises(ValueError, match="vacuum input takes no amplitude or quadrature"):
-            InputSpec(**spec)
+    @pytest.mark.parametrize("command", ["vacuum-spectra", "transfer", "conditional", "reproduce-table"])
+    def test_inputs_section_rejected(self, tmp_path, command):
+        # every subcommand drives the vacuum, and no output reads an input mean
         path = tmp_path / "scenario.json"
-        path.write_text(json.dumps({"inputs": [spec, {"kind": "vacuum"}]}))
-        with pytest.raises(ValueError, match="vacuum input takes no amplitude or quadrature"):
-            main(["conditional", "--config", str(path)])
+        path.write_text(json.dumps({"inputs": [{"kind": "coherent", "amplitude": 3.0}, {}]}))
+        with pytest.raises(ValueError, match=r"unknown scenario keys: \['inputs'\]"):
+            main([command, "--config", str(path)])
+        with pytest.raises(TypeError):
+            ScenarioConfig(inputs=())
 
     def test_csv_output_section_writes_the_csv(self, tmp_path, capsys):
         csv = tmp_path / "out.csv"
@@ -233,21 +227,20 @@ class TestScenarioConfig:
             ({"imperfections": {"visibility": True}}, "imperfection key 'visibility' must be a number"),
             ({"imperfections": {"feedforward_electronic_gain_error": False}},
              "imperfection key 'feedforward_electronic_gain_error' must be a number, got False"),
-            ({"inputs": [{"kind": "coherent", "amplitude": True}, {}]},
-             "input key 'amplitude' must be a number, got True"),
-            ({"inputs": [{"kind": "coherent", "amplitude": "3"}, {}]},
-             "input key 'amplitude' must be a number, got '3'"),
+            ({"gate": {"squeezing_dB_B": True}}, "gate key 'squeezing_dB_B' must be a number, got True"),
+            ({"imperfections": {"loss_placement": 3}},
+             "imperfection key 'loss_placement' must be a string, got 3"),
             ({"run": {"g_grid": {"max": True}}}, "g_grid key 'max' must be a number, got True"),
             ({"run": {"g_grid": {"min": "-1"}}}, "g_grid key 'min' must be a number, got '-1'"),
             ({"output": {"path": 7}}, "output key 'path' must be a string or null, got 7"),
-            # a document and each section are objects, the inputs a list of objects
+            # a document and each section are objects
             ([], "scenario must be a JSON object"),
             ({"gate": 5}, "scenario key 'gate' must be an object, got 5"),
             ({"gate": "R"}, "scenario key 'gate' must be an object, got 'R'"),
             ({"imperfections": []}, "scenario key 'imperfections' must be an object"),
             ({"run": {"g_grid": 5}}, "run key 'g_grid' must be an object, got 5"),
-            ({"inputs": {"kind": "vacuum"}}, "scenario key 'inputs' must be a list"),
-            ({"inputs": [5, {}]}, "input must be a JSON object, got 5"),
+            ({"run": []}, "scenario key 'run' must be an object, got \\[\\]"),
+            ({"output": "out.csv"}, "scenario key 'output' must be an object, got 'out.csv'"),
             ({"run": {"mode": 1}}, "run key 'mode' must be a string, got 1"),
         ],
     )
@@ -282,20 +275,9 @@ class TestScenarioConfig:
             main(["conditional", "--config", str(path)])
 
     def test_input_state_construction(self):
-        config = ScenarioConfig(inputs=(InputSpec("coherent", 3.0, "p"), InputSpec()))
-        state = config.input_state()
-        assert np.allclose(state.mean, [0.0, 3.0, 0.0, 0.0])
-
-    @pytest.mark.parametrize(
-        "spec", [InputSpec(), InputSpec("coherent", 3.0, "x"), InputSpec("coherent", -2.5, "p")]
-    )
-    @pytest.mark.parametrize("mode", [0, 1])
-    def test_input_state_is_the_displaced_vacuum(self, spec, mode):
-        inputs = [InputSpec(), InputSpec()]
-        inputs[mode] = spec
-        state = ScenarioConfig(inputs=tuple(inputs)).input_state()
-        dx, dp = (spec.amplitude, 0.0) if spec.quadrature == "x" else (0.0, spec.amplitude)
-        want = gaussian.displace(gaussian.vacuum_state(2), mode, dx, dp)
+        # the input state is the two-mode vacuum, which the benchmark's check reads
+        state = ScenarioConfig().input_state()
+        want = gaussian.vacuum_state(2)
         assert np.array_equal(state.mean, want.mean)
         assert np.array_equal(state.cov, want.cov)
 
@@ -553,8 +535,7 @@ class TestConditional:
 
 class TestSharedEnsemble:
     def test_transfer_and_conditional_draw_each_block_once(self, monkeypatch):
-        # on vacuum inputs conditional reads transfer's ensemble back; a
-        # coherent input is another request and draws its own
+        # conditional makes transfer's request and reads its ensemble back
         drawn = []
         generator = ensemble.trajectory_generator
 
@@ -570,12 +551,10 @@ class TestSharedEnsemble:
         cmd_conditional(config)
         blocks = [(23, b) for b in range(math.ceil(n / SHOTS_PER_BLOCK))]
         assert drawn == blocks
-        cmd_conditional(replace(config, inputs=(InputSpec("coherent", 3.0, "x"), InputSpec())))
-        assert drawn == blocks * 2
 
 
 # sha256 of (stdout, CSV) per trajectory-mode (command, case), recorded before
-# ensembles were memoised; transfer refuses the coherent-input scenario
+# ensembles were memoised
 TRAJECTORY_SHA256 = {
     ("transfer", "seed-3"): (
         "b8ef6ff9caeefd23104848de4b0b2e8e988f7880135279cc208b37eccd64ab6f",
@@ -593,7 +572,7 @@ TRAJECTORY_SHA256 = {
         "90bdcc8688c092a70f34dcf2571c6f0dcbfdcc2a9b622c91df168a8908df3d1c",
         "388ab293def6978216cdda2a66489b0bfcb9b7b839a26bf19a22a12de19851d8",
     ),
-    ("conditional", "coherent"): (
+    ("conditional", "config"): (
         "9263121daedd78c4a5c2356c42b6ec21c49f6dd49703fd3e3c6b1b7b43d64d4a",
         "ea6f6fff7e9f4987873e4d8b4e895c530a019a0fd3d116a75918fee27c36ef16",
     ),
@@ -601,11 +580,7 @@ TRAJECTORY_SHA256 = {
 
 
 class TestTrajectoryOutputPinned:
-    COHERENT = {
-        "inputs": [{"kind": "coherent", "amplitude": 3.0, "quadrature": "x"},
-                   {"kind": "coherent", "amplitude": -1.5, "quadrature": "p"}],
-        "run": {"mode": "trajectories", "n": 100000, "master_seed": 11},
-    }
+    SCENARIO = {"run": {"mode": "trajectories", "n": 100000, "master_seed": 11}}
 
     @pytest.mark.parametrize(
         "order", [("transfer", "conditional"), ("conditional", "transfer")], ids="-".join
@@ -614,12 +589,12 @@ class TestTrajectoryOutputPinned:
         # each command runs twice in one process, so the second run of every
         # request reads the memoised ensemble
         ensemble._memoised.cache_clear()
-        scenario = tmp_path / "coherent.json"
-        scenario.write_text(json.dumps(self.COHERENT))
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(self.SCENARIO))
         cases = {
             "seed-3": ["--trajectories", "100000", "--seed", "3"],
             "gain-1.5": ["--trajectories", "100001", "--gain", "1.5"],
-            "coherent": ["--config", str(scenario)],
+            "config": ["--config", str(scenario)],
         }
         csv = tmp_path / "out.csv"
         for case, argv in cases.items():
@@ -663,14 +638,14 @@ class TestReproduceTable:
         assert len(builds) == 2
 
     @pytest.mark.parametrize(
-        "fit, builds, evaluations, lowerings", [(True, 3, 1, 4), (False, 3, 3, 4)]
+        "fit, builds, evaluations, lowerings", [(True, 3, 1, 4), (False, 3, 1, 4)]
     )
     def test_one_evaluation_per_reported_gate(
         self, fit, builds, evaluations, lowerings, monkeypatch
     ):
         # the fit builds each gain once, at knob 0, and reads the fitted
-        # knob's table off that scan; without it both gains are built and
-        # evaluated once.  The lossless row is built and evaluated once.  Each
+        # knob's table off that scan; without it the same scan runs at the
+        # budget's own knob alone.  Only the lossless row is evaluated.  Each
         # distinct gate is lowered once: both gains at knob 0 and lossless make
         # 4 circuits, and the lossless row reuses the oracle's lowering.  No
         # report's witness is read, so no gain grid is scanned
@@ -744,6 +719,18 @@ class TestMainEntry:
             main(["vacuum-spectra", f"--squeezing-db={db}"])
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("source", ["flag-inf", "flag-nan", "file-infinity"])
+    def test_non_finite_gain_named(self, source, tmp_path, capsys):
+        # the gain the user gave is named, not the R = nan it would map to
+        argv = {"flag-inf": ["--gain", "inf"], "flag-nan": ["--gain", "nan"]}.get(source)
+        if argv is None:
+            path = tmp_path / "scenario.json"
+            path.write_text('{"gate": {"G": Infinity}}')
+            argv = ["--config", str(path)]
+        with pytest.raises(ValueError, match=r"gain G = (inf|nan) must be finite and non-negative"):
+            main(["transfer", *argv])
+        assert capsys.readouterr().out == ""
+
     def test_reflectivity_flag(self, capsys):
         assert main(["vacuum-spectra", "--reflectivity", "1.0"]) == 0
         assert "R=1.000000" in capsys.readouterr().out
@@ -760,7 +747,6 @@ class TestMainEntry:
                               "visibility": 1.0,
                               "dark_noise_dB_below_shot": 170.0,
                               "displacement_coupler_loss": 0.0},
-            "inputs": [{"kind": "vacuum"}, {"kind": "vacuum"}],
             "run": {"mode": "covariance",
                     "g_grid": {"min": -2.0, "max": 2.0, "step": 0.01}},
             "output": {"path": None},
@@ -852,7 +838,6 @@ class TestClosedPipe:
 
 
 class TestScenarioFileHonoured:
-    COHERENT = {"inputs": [{"kind": "coherent", "amplitude": 3.0}, {"kind": "vacuum"}]}
     TRAJECTORIES = {"run": {"mode": "trajectories", "n": 500}}
     G_GRID = {"run": {"g_grid": {"min": -0.5, "max": 0.5, "step": 0.25}}}
 
@@ -872,9 +857,6 @@ class TestScenarioFileHonoured:
             ("reproduce-table", {"gate": {"G": 2.0}}, "gate"),
             ("reproduce-table", {"gate": {"R": 0.25}}, "gate"),
             ("reproduce-table", {"gate": {"squeezing_dB_A": -5.0, "squeezing_dB_B": -3.0}}, "gate"),
-            ("vacuum-spectra", COHERENT, "inputs"),
-            ("transfer", COHERENT, "inputs"),
-            ("reproduce-table", COHERENT, "inputs"),
             ("vacuum-spectra", G_GRID, "run"),
             ("transfer", G_GRID, "run"),
             ("reproduce-table", G_GRID, "run"),
@@ -888,9 +870,6 @@ class TestScenarioFileHonoured:
             "reproduce-table-G",
             "reproduce-table-R",
             "reproduce-table-unequal-squeezing",
-            "vacuum-spectra-coherent",
-            "transfer-coherent",
-            "reproduce-table-coherent",
             "vacuum-spectra-g-grid",
             "transfer-g-grid",
             "reproduce-table-g-grid",
@@ -906,7 +885,6 @@ class TestScenarioFileHonoured:
     @pytest.mark.parametrize(
         "command, doc, flags",
         [
-            ("conditional", COHERENT, ()),
             ("transfer", TRAJECTORIES, ()),
             ("conditional", TRAJECTORIES, ()),
             ("conditional", G_GRID, ()),
@@ -918,7 +896,6 @@ class TestScenarioFileHonoured:
             ("reproduce-table", KNOB, ("--no-fit",)),
         ],
         ids=[
-            "conditional-coherent",
             "transfer-trajectories",
             "conditional-trajectories",
             "conditional-g-grid",
@@ -940,19 +917,14 @@ class TestScenarioFileHonoured:
     NON_DEFAULT = {
         "mode": "trajectories", "n": 500, "master_seed": 3,
         "g_min": -1.0, "g_max": 1.0, "g_step": 0.1,
-        "kind": "coherent", "amplitude": 3.0, "quadrature": "p",
         "gate_R": 0.25, "gate_G": 1.5, "squeezing_dB_B": -3.0,
     }
     RUN_FIELDS = tuple(f.name for f in fields(RunSpec))
-    INPUT_FIELDS = tuple(f.name for f in fields(InputSpec))
     UNREAD = (
         [("vacuum-spectra", "run", name) for name in RUN_FIELDS]
         + [("reproduce-table", "run", name) for name in RUN_FIELDS]
         + [("transfer", "run", name) for name in ("n", "master_seed", "g_min", "g_max", "g_step")]
         + [("conditional", "run", name) for name in ("n", "master_seed")]
-        + [("vacuum-spectra", "inputs", name) for name in INPUT_FIELDS]
-        + [("transfer", "inputs", name) for name in INPUT_FIELDS]
-        + [("reproduce-table", "inputs", name) for name in INPUT_FIELDS]
         + [("reproduce-table", "gate", name) for name in ("gate_R", "gate_G", "squeezing_dB_B")]
     )
 
@@ -962,9 +934,6 @@ class TestScenarioFileHonoured:
         value = cls.NON_DEFAULT[name]
         if name in cls.RUN_FIELDS:
             return ScenarioConfig(run=RunSpec(**{name: value}))
-        if name in cls.INPUT_FIELDS:
-            # a vacuum input has no amplitude or quadrature, so these excite a coherent one
-            return ScenarioConfig(inputs=(InputSpec(**{"kind": "coherent", name: value}), InputSpec()))
         if name == "gate_R":
             return ScenarioConfig(gate_R=value, gate_G=None)
         return ScenarioConfig(**{name: value})
@@ -977,6 +946,82 @@ class TestScenarioFileHonoured:
         path.write_text(self.non_default(name).to_json())
         with pytest.raises(ValueError, match=f"{command} ignores the scenario's {section} section"):
             main([command, "--config", str(path)])
+
+    # one valid non-default value per key of the scenario document
+    DOCUMENT_VALUES = {
+        ("gate", "R"): NON_DEFAULT["gate_R"],
+        ("gate", "G"): NON_DEFAULT["gate_G"],
+        ("gate", "squeezing_dB_A"): NON_DEFAULT["squeezing_dB_B"],
+        ("gate", "squeezing_dB_B"): NON_DEFAULT["squeezing_dB_B"],
+        ("imperfections", "propagation_loss_per_main_mode"): 0.1,
+        ("imperfections", "detector_quantum_efficiency"): 0.9,
+        ("imperfections", "visibility"): 0.9,
+        ("imperfections", "dark_noise_dB_below_shot"): 10.0,
+        ("imperfections", "displacement_coupler_loss"): 0.05,
+        ("imperfections", "feedforward_electronic_gain_error"): 0.05,
+        ("imperfections", "extra_in_loop_loss"): 0.05,
+        ("imperfections", "loss_placement"): "pre_entry",
+        ("run", "mode"): NON_DEFAULT["mode"],
+        ("run", "n"): NON_DEFAULT["n"],
+        ("run", "master_seed"): NON_DEFAULT["master_seed"],
+        ("run", "g_grid", "min"): NON_DEFAULT["g_min"],
+        ("run", "g_grid", "max"): NON_DEFAULT["g_max"],
+        ("run", "g_grid", "step"): NON_DEFAULT["g_step"],
+        ("output", "path"): "out.csv",
+    }
+    COMMANDS = {
+        "vacuum-spectra": ["vacuum-spectra"],
+        "transfer": ["transfer"],
+        "conditional": ["conditional"],
+        "reproduce-table": ["reproduce-table"],
+        "reproduce-table-no-fit": ["reproduce-table", "--no-fit"],
+    }
+
+    def test_every_document_key_has_a_value(self):
+        def keys(doc, prefix=()):
+            for key, value in doc.items():
+                if isinstance(value, dict):
+                    yield from keys(value, prefix + (key,))
+                else:
+                    yield prefix + (key,)
+
+        # the default document gives the gain as G, so R is added by hand
+        document = set(keys(json.loads(ScenarioConfig().to_json()))) | {("gate", "R")}
+        assert document == set(self.DOCUMENT_VALUES)
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("key", DOCUMENT_VALUES, ids=".".join)
+    def test_every_scenario_key_has_a_reader(self, tmp_path, monkeypatch, capsys, key, command):
+        """A non-default value of any scenario key fails or changes stdout or the CSV.
+
+        Each run writes its CSV to the scenario's ``output.path`` (relative,
+        so into the run's own directory), except when that key is the one
+        under test.  ``loss_placement`` ``"in_arms"`` is a value, not a key:
+        it builds the ``"post_exit"`` circuit, and stays until the benchmark's
+        pools are re-recorded without it (ROADMAP item 8).
+        """
+        base = {} if key == ("output", "path") else {"output": {"path": "out.csv"}}
+        doc = dict(base)
+        section = doc
+        for name in key[:-1]:
+            section = section.setdefault(name, {})
+        section[key[-1]] = self.DOCUMENT_VALUES[key]
+        argv = self.COMMANDS[command]
+
+        def outputs(name, doc):
+            """stdout and the bytes of the scenario's CSV, if it names one, run in ``name``."""
+            (tmp_path / name).mkdir()
+            monkeypatch.chdir(tmp_path / name)
+            (tmp_path / name / "scenario.json").write_text(json.dumps(doc))
+            main([*argv, "--config", "scenario.json"])
+            csv = tmp_path / name / "out.csv"
+            return capsys.readouterr().out, csv.read_bytes() if csv.exists() else None
+
+        try:
+            changed = outputs("changed", doc)
+        except ValueError:
+            return
+        assert changed != outputs("default", base)
 
     def test_squeezing_flag_overrides_unequal_file_values(self, tmp_path, capsys):
         doc = {"gate": {"squeezing_dB_A": -5.0, "squeezing_dB_B": -3.0}}

@@ -545,9 +545,9 @@ class TestKnobFit:
         # the fitted table is the scan's row, not a second build: at every
         # grid knob that row matches compare_to_reference to 1e-12, and at
         # knob 0 bit for bit (a zero's sign included), witness too
-        _, rows = metrics._knob_scan(base, squeezing_db, metrics.DEFAULT_KNOB_GRID)
+        objective, rows = metrics._knob_scan(base, squeezing_db, metrics.DEFAULT_KNOB_GRID)
         for i, knob in enumerate(metrics.DEFAULT_KNOB_GRID):
-            scanned = metrics._scan_reports(rows, i)
+            scanned = metrics._comparison(rows, i, float(knob), True, objective[i]).reports
             built = compare_to_reference(
                 replace(base, extra_in_loop_loss=float(knob)), squeezing_db=squeezing_db
             ).reports
@@ -565,6 +565,29 @@ class TestKnobFit:
                         )
                 if knob == 0.0:
                     assert report.duan == built[gain].duan
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(base=_FIT_BUDGETS, squeezing_db=st.floats(-10.0, 0.0), knob=st.floats(0.001, 0.5))
+    def test_compare_to_reference_is_a_real_build(self, base, squeezing_db, knob):
+        # the reference the scan rows are checked against, checked in turn
+        # against a real build and evaluate_gate, which share no code with
+        # _comparison: equal bit for bit at nonzero knobs, witness too
+        budget = replace(base, extra_in_loop_loss=knob)
+        comparison = compare_to_reference(budget, squeezing_db=squeezing_db)
+        assert comparison.extra_in_loop_loss == knob
+        checks = []
+        for gain, report in comparison.reports.items():
+            params = metrics._reference_params(gain, squeezing_db)
+            built = evaluate_gate(build_qnd_gate(params, budget), params)
+            assert report.params == built.params
+            assert report.cov.tobytes() == built.cov.tobytes()
+            for sector, m in report.sectors.items():
+                got, want = vars(m), vars(built.sectors[sector])
+                assert [v.hex() for v in got.values()] == [float(v).hex() for v in want.values()]
+            assert report.duan == built.duan
+            checks += metrics._banded(gain, built.sectors)
+        assert comparison.checks == checks
+        assert comparison.objective == sum(c.residual_bars**2 for c in checks)
 
     @pytest.mark.parametrize(
         "squeezing_db, budget",
