@@ -13,11 +13,12 @@ coefficient-by-coefficient; this equivalence is checked at build time and
 construction fails loudly if it does not hold.
 
 Each ``Circuit`` is lowered once, at construction, by ``_lower``, the only
-reader of element kinds, into one Heisenberg-picture row stack: every output
-quadrature, every homodyne's electronic readout and the rows a shot is
-conditioned on, as linear combinations of the input quadratures, a ``unit``
-column for displacements and labelled unit-variance noise sources.  No
-per-element state is kept.  The executors read that matrix:
+reader of element kinds, and holds the one Heisenberg-picture row stack that
+results: every output quadrature, every homodyne's electronic readout and the
+rows a shot is conditioned on, as linear combinations of the input
+quadratures, a ``unit`` column for displacements and labelled unit-variance
+noise sources.  No per-element state is kept.  The executors read the
+circuit's ``matrix``:
 
 * ``run_covariance`` - ensemble average, ``X m + u`` and ``X V X^T + N N^T``;
   ``validate=True`` checks the output of every prefix of the element list;
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from numbers import Integral
 
 import numpy as np
@@ -231,19 +232,37 @@ class Displacement:
 
 @dataclass(frozen=True)
 class Circuit:
-    """Ordered element list acting on ``n_input_modes`` initial modes."""
+    """Ordered element list acting on ``n_input_modes`` initial modes, and its lowering.
+
+    ``_lower`` runs once, at construction, and the circuit holds one
+    Heisenberg-picture coefficient matrix.  Each row of ``matrix`` is a
+    quadrature written as a linear combination of ``columns``: the input
+    quadratures ``x1_in, p1_in, ...``, the constant ``unit`` (displacements)
+    and independent unit-variance sources (ancilla vacua ``xA0, pA0``,
+    impurity ``excessA``, loss vacua ``xv_<tag>, pv_<tag>``, dark noise
+    ``dark<k>``).  The rows are stacked in three blocks: the
+    ``2*n_output_modes`` output quadratures; ``n_readouts`` rows, one per
+    homodyne in element order, holding its electronic readout (the optical
+    quadrature it measures plus its dark noise, the value it feeds forward);
+    then the observed rows a shot is conditioned on, in draw order: per
+    homodyne its optical quadrature, then the unit row of its ``dark<k>``
+    source when it has dark noise.  No per-element state is kept.  Equality,
+    hashing and ``repr`` cover ``elements`` and ``n_input_modes`` only.
+    """
 
     elements: tuple
     n_input_modes: int = 2
+    columns: tuple = field(init=False, compare=False, repr=False)
+    matrix: np.ndarray = field(init=False, compare=False, repr=False)
+    n_output_modes: int = field(init=False, compare=False, repr=False)
+    n_readouts: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "elements", tuple(self.elements))
-        # validated and lowered once; every executor reads the lowering
-        object.__setattr__(self, "_lowered", _lower(self.elements, self.n_input_modes))
-
-    @property
-    def n_output_modes(self) -> int:
-        return self._lowered.n_output_modes
+        # validated and lowered once; every executor reads these four values
+        lowered = _lower(self.elements, self.n_input_modes)
+        for name, value in zip(("columns", "matrix", "n_output_modes", "n_readouts"), lowered):
+            object.__setattr__(self, name, value)
 
     def to_text(self) -> str:
         """Stable dump: ``ClassName field=value ...`` per element, floats at 12 digits."""
@@ -268,31 +287,10 @@ def _require(ok: bool, position: int, element) -> None:
 # lowering
 
 
-@dataclass(frozen=True)
-class _Lowering:
-    """A circuit as one Heisenberg-picture coefficient matrix.
-
-    Each row of ``matrix`` is a quadrature written as a linear combination of
-    ``columns``: the input quadratures ``x1_in, p1_in, ...``, the constant
-    ``unit`` (displacements) and independent unit-variance sources (ancilla
-    vacua ``xA0, pA0``, impurity ``excessA``, loss vacua ``xv_<tag>,
-    pv_<tag>``, dark noise ``dark<k>``).  The rows are stacked in three
-    blocks: the ``2*n_output_modes`` output quadratures; ``n_readouts`` rows,
-    one per homodyne in element order, holding its electronic readout (the
-    optical quadrature it measures plus its dark noise, the value it feeds
-    forward); then the observed rows a shot is conditioned on, in draw
-    order: per homodyne its optical quadrature, then the unit row of its
-    ``dark<k>`` source when it has dark noise.  No per-element state is kept.
-    """
-
-    columns: tuple
-    matrix: np.ndarray
-    n_output_modes: int
-    n_readouts: int
-
-
-def _lower(elements: tuple, n_input_modes: int) -> _Lowering:
+def _lower(elements: tuple, n_input_modes: int) -> tuple:
     """Validate the element list and lower it in one walk: the one reader of element kinds.
+
+    Returns the ``Circuit`` layout ``(columns, matrix, n_output_modes, n_readouts)``.
 
     The cost is numpy's per-call floor on ``(2, width)`` rows, not arithmetic, so
     each element makes few calls; every float operation and its order is kept.
@@ -386,16 +384,16 @@ def _lower(elements: tuple, n_input_modes: int) -> _Lowering:
             raise TypeError(f"unknown circuit element {el!r}")
 
     matrix = np.concatenate([*modes, *readouts, *observed])[:, : len(columns)]
-    # equal gate builds share one lowering, so it must not change under them
+    # equal gate builds share one circuit, so its matrix must not change under them
     matrix.flags.writeable = False
-    return _Lowering(tuple(columns), matrix, len(modes), len(readouts))
+    return tuple(columns), matrix, len(modes), len(readouts)
 
 
 def _moments(circuit: "Circuit", state: GaussianState, n_rows: int | None = None):
     """Mean and covariance of the first ``n_rows`` lowered rows on an input ``state``."""
     if state.n_modes != circuit.n_input_modes:
         raise ValueError(f"circuit expects {circuit.n_input_modes} input modes, got {state.n_modes}")
-    rows = circuit._lowered.matrix[:n_rows]
+    rows = circuit.matrix[:n_rows]
     k = 2 * state.n_modes
     x, noise = rows[:, :k], rows[:, k + 1 :]
     return x @ state.mean + rows[:, k], x @ state.cov @ x.T + noise @ noise.T
@@ -430,10 +428,10 @@ def build_qnd_gate(
     the x-sector arm homodynes p and vice versa.  Every build checks the
     lossless element list against ``finite_squeezing_map`` by
     ``oracle_error`` and raises a ``CircuitConstructionError`` beyond 1e-9
-    coefficient error.  Lowerings, not verdicts, are memoised in a bounded
+    coefficient error.  Circuits, not verdicts, are memoised in a bounded
     cache keyed on the frozen ``(params, imperfections)``, so equal inputs
-    return the same read-only ``Circuit``, and an ideal budget reuses the
-    oracle's lossless lowering.
+    return the same ``Circuit`` with its read-only matrix, and an ideal
+    budget reuses the oracle's lossless circuit.
     """
     imp = imperfections or _IDEAL
     err = oracle_error(params)
@@ -452,15 +450,15 @@ def oracle_error(params: GateParams) -> float:
     The first four rows of the gate lowered without imperfections are compared
     with ``finite_squeezing_map`` by column index: ``unit`` is ignored, a label
     only one side has counts as its |coefficient|, and a NaN anywhere gives NaN.
-    The lowering comes from the bounded memo that ``build_qnd_gate`` shares;
-    the comparison itself runs on every call and is never cached.
+    The lossless circuit comes from the bounded memo that ``build_qnd_gate``
+    shares; the comparison itself runs on every call and is never cached.
     """
-    lowered = _gate(params, _IDEAL)._lowered
+    lossless = _gate(params, _IDEAL)
     oracle = finite_squeezing_map(params.R, params.r_a, params.r_b)
-    index = dict(zip(lowered.columns, range(width := len(lowered.columns))))
-    # the lowering's columns, ``unit`` zeroed, then one per oracle label it lacks
+    index = dict(zip(lossless.columns, range(width := len(lossless.columns))))
+    # the circuit's columns, ``unit`` zeroed, then one per oracle label it lacks
     diff = np.zeros((4, width + len(oracle.columns)))
-    diff[:, :width] = lowered.matrix[:4]
+    diff[:, :width] = lossless.matrix[:4]
     diff[:, index.pop("unit")] = 0.0
     diff[:, [index.get(label, width + j) for j, label in enumerate(oracle.columns)]] -= oracle.matrix
     # numpy's max, not Python's: max(1.0, nan) is 1.0
@@ -469,7 +467,7 @@ def oracle_error(params: GateParams) -> float:
 
 @functools.lru_cache
 def _gate(params: GateParams, imp: ImperfectionModel) -> Circuit:
-    """The lowered gate circuit, memoised on its frozen inputs; never a verdict."""
+    """The gate circuit, memoised on its frozen inputs; never a verdict."""
     return Circuit(_gate_elements(params, imp))
 
 
@@ -594,14 +592,14 @@ def compile_trajectory(circuit: Circuit, state: GaussianState) -> TrajectoryProg
     """Build the stochastic execution plan for ``circuit`` on ``state``.
 
     The output and readout rows are conditioned on the observed rows, the
-    last block of the lowering's matrix: in element order, each homodyne's
+    last block of the circuit's matrix: in element order, each homodyne's
     optical quadrature and then its dark noise.  The readout noise therefore
     reaches the means through the feedforward but never the conditional
     covariance, and ``final_cov + gains @ gains.T`` restricted to the outputs
     equals the ``run_covariance`` covariance.
     """
     n_out = 2 * circuit.n_output_modes
-    kept = n_out + circuit._lowered.n_readouts
+    kept = n_out + circuit.n_readouts
     mean, cov = _moments(circuit, state)
     draws = len(mean) - kept
     gains = np.zeros((kept, draws))
@@ -652,9 +650,8 @@ def circuit_quadrature_map(circuit: Circuit) -> QuadratureMap:
         raise ValueError("coefficient extraction is defined for two-mode circuits")
     if circuit.n_output_modes != 2:
         raise ValueError("circuit does not end with two modes")
-    lowered = circuit._lowered
-    unit = lowered.columns.index("unit")
+    unit = circuit.columns.index("unit")
     return QuadratureMap(
-        lowered.columns[:unit] + lowered.columns[unit + 1 :],
-        np.delete(lowered.matrix[:4], unit, axis=1),
+        circuit.columns[:unit] + circuit.columns[unit + 1 :],
+        np.delete(circuit.matrix[:4], unit, axis=1),
     )

@@ -20,7 +20,7 @@ kept, and the scatter is formed from the upper triangle of each shot's outer
 product and mirrored, the same bits as the full product since an IEEE
 product does not depend on the order of its factors.
 
-A result is a pure function of the circuit's lowering, the input state, the
+A result is a pure function of the circuit's row stack, the input state, the
 shot count, the seed and ``keep_outcomes``, so equal requests share one
 read-only result from a bounded memo keyed on those inputs' bytes: the
 vacuum-input ensemble that ``transfer`` draws also serves ``conditional``.
@@ -118,10 +118,10 @@ def run_ensemble(
     ``keep_outcomes``, which must be a ``bool`` or ``numpy.bool_``.
 
     The seed, ``n`` and the input-mode count are checked on every call.  The
-    last ``MEMO_ENTRIES`` results are memoised on the bytes of the lowering
-    matrix, the state's mean and covariance, the lowering's columns and
+    last ``MEMO_ENTRIES`` results are memoised on the bytes of the circuit's
+    matrix, the state's mean and covariance, the circuit's columns and
     counts, ``n``, the seed and ``keep_outcomes``: bytes, not float equality,
-    so states or lowerings differing only in the sign of a zero never share
+    so states or circuits differing only in the sign of a zero never share
     a result.  An equal request returns the same read-only result without
     drawing again.  The memo holds a few kB per result, plus the readouts
     (``n`` times 8 bytes per homodyne) of results kept with ``keep_outcomes``.
@@ -134,10 +134,9 @@ def run_ensemble(
     if not isinstance(keep_outcomes, (bool, np.bool_)):
         raise TypeError(f"keep_outcomes must be a bool, got {keep_outcomes!r}")
     n, master_seed, keep_outcomes = operator.index(n), int(master_seed), bool(keep_outcomes)
-    lowered = circuit._lowered
     key = (
-        *map(_bits, (lowered.matrix, state.mean, state.cov)),
-        lowered.columns, lowered.n_output_modes, lowered.n_readouts, n, master_seed, keep_outcomes,
+        *map(_bits, (circuit.matrix, state.mean, state.cov)),
+        circuit.columns, circuit.n_output_modes, circuit.n_readouts, n, master_seed, keep_outcomes,
     )
     return _memoised(_Request(key, (circuit, state, n, master_seed, keep_outcomes)))
 

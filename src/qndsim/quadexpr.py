@@ -84,8 +84,9 @@ def max_coefficient_difference(a: QuadratureMap, b: QuadratureMap) -> float:
 
 def ideal_qnd_map(gain: float) -> QuadratureMap:
     """Ideal sum-gate relations: x2 gains G*x1, p1 gains -G*p2."""
-    if gain < 0:
-        raise ValueError("gain must be non-negative")
+    # written so that a NaN gain fails too
+    if not 0.0 <= gain < np.inf:
+        raise ValueError(f"gain G = {gain} must be finite and non-negative")
     #   x1_in  p1_in  x2_in  p2_in
     matrix = [
         [1.0, 0.0, 0.0, 0.0],    # x1_out

@@ -74,6 +74,8 @@ class ScenarioConfig:
             db = getattr(self, name)
             if not (np.isfinite(db) and db <= 0.0):
                 raise ValueError(f"{name} = {db} must be finite and at most 0 dB")
+        # the gate is checked at load too, not first when a command builds it
+        self.gate_params()
 
     def gate_params(self) -> GateParams:
         R = self.gate_R if self.gate_R is not None else reflectivity_from_gain(self.gate_G)

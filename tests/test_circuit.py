@@ -21,7 +21,6 @@ from qndsim.circuit import (
     HomodyneFeedforward,
     ImperfectionModel,
     Loss,
-    _Lowering,
     _require,
     build_qnd_gate,
     circuit_quadrature_map,
@@ -239,7 +238,7 @@ class TestGateMemo:
         circuit = build_qnd_gate(params, imp)
         assert build_qnd_gate(params, imp) is circuit
         with pytest.raises(ValueError, match="read-only"):
-            circuit._lowered.matrix[0, 0] = 1.0
+            circuit.matrix[0, 0] = 1.0
 
     @pytest.mark.parametrize("first, second", [(0.0, -0.0), (-0.0, 0.0)])
     def test_zero_db_ancilla_text_does_not_depend_on_build_order(self, first, second):
@@ -458,6 +457,16 @@ class TestCircuitValidation:
         with pytest.raises(ValueError, match="n_input_modes"):
             Circuit((), n_input_modes=n)
 
+    def test_lowering_is_outside_equality_hash_and_repr(self):
+        first, second = Circuit(EVERY_KIND), Circuit(list(EVERY_KIND))
+        assert first is not second and first == second and hash(first) == hash(second)
+        assert repr(first) == f"Circuit(elements={EVERY_KIND!r}, n_input_modes=2)"
+        columns, matrix, n_output_modes, n_readouts = circuit_module._lower(EVERY_KIND, 2)
+        assert (first.columns, first.n_output_modes, first.n_readouts) == (
+            columns, n_output_modes, n_readouts
+        )
+        assert first.matrix.tobytes() == matrix.tobytes() and not first.matrix.flags.writeable
+
     def test_output_mode_count(self):
         circuit = build_qnd_gate(GateParams.from_gain(1.0), ImperfectionModel())
         assert circuit.n_output_modes == 2
@@ -654,7 +663,7 @@ class TestLossPlacement:
         # equal losses on both modes commute with the exit beam splitter, so
         # "in_arms" builds the post-exit circuit itself
         in_arms, post_exit = (
-            build_qnd_gate(params, replace(budget, loss_placement=placement))._lowered
+            build_qnd_gate(params, replace(budget, loss_placement=placement))
             for placement in ("in_arms", "post_exit")
         )
         assert in_arms.columns == post_exit.columns
@@ -804,7 +813,7 @@ class TestOracleComparison:
 # the same columns, counts and matrix bytes, or raise the same error
 
 
-def _reference_lower(elements: tuple, n_input_modes: int) -> _Lowering:
+def _reference_lower(elements: tuple, n_input_modes: int) -> tuple:
     """``circuit._lower`` before its per-call trimming, kept verbatim as the reference."""
     if isinstance(n_input_modes, bool) or not isinstance(n_input_modes, Integral) or n_input_modes < 1:
         raise ValueError(f"n_input_modes must be a positive integer, got {n_input_modes!r}")
@@ -894,7 +903,7 @@ def _reference_lower(elements: tuple, n_input_modes: int) -> _Lowering:
     matrix = np.vstack([*modes, *readouts, *observed])[:, : len(columns)]
     # equal gate builds share one lowering, so it must not change under them
     matrix.flags.writeable = False
-    return _Lowering(tuple(columns), matrix, len(modes), len(readouts))
+    return tuple(columns), matrix, len(modes), len(readouts)
 
 
 _ANGLES = st.sampled_from([0.0, -0.0, math.pi / 2, -math.pi / 2, math.pi]) | st.floats(-7.0, 7.0)
@@ -993,10 +1002,11 @@ class TestLoweringBitIdentity:
                 circuit_module._lower(elements, n_input_modes)
             assert type(raised.value) is type(error) and str(raised.value) == str(error)
             return
-        got = circuit_module._lower(elements, n_input_modes)
-        assert got.columns == want.columns
-        assert (got.n_output_modes, got.n_readouts) == (want.n_output_modes, want.n_readouts)
-        assert got.matrix.shape == want.matrix.shape
+        columns, matrix, *counts = circuit_module._lower(elements, n_input_modes)
+        want_columns, want_matrix, *want_counts = want
+        assert columns == want_columns
+        assert counts == want_counts
+        assert matrix.shape == want_matrix.shape
         # bytes compare the sign of zero too
-        assert got.matrix.tobytes() == want.matrix.tobytes()
-        assert not got.matrix.flags.writeable
+        assert matrix.tobytes() == want_matrix.tobytes()
+        assert not matrix.flags.writeable

@@ -265,6 +265,29 @@ class TestScenarioConfig:
         with pytest.raises(ValueError, match=f"{name} = {db} must be finite and at most 0 dB"):
             ScenarioConfig(**{name: db})
 
+    @pytest.mark.parametrize(
+        "gate, message",
+        [
+            ({"G": -1.0}, "gain G = -1.0 must be finite and non-negative"),
+            ({"G": math.nan}, "gain G = nan must be finite and non-negative"),
+            ({"R": 1.5}, r"R = 1.5 outside \(0, 1\]"),
+        ],
+        ids=["negative-G", "nan-G", "R-above-1"],
+    )
+    def test_bad_gate_fails_at_load(self, gate, message, tmp_path, monkeypatch, capsys):
+        with pytest.raises(ValueError, match=message):
+            scenario_from_dict({"gate": gate})
+        # main must stop while loading, before it checks or runs the command
+        def loaded(*args):
+            raise AssertionError("the scenario loaded")
+
+        monkeypatch.setattr(cli, "_reject_ignored", loaded)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({"gate": gate}))
+        with pytest.raises(ValueError, match=message):
+            main(["vacuum-spectra", "--config", str(path)])
+        assert capsys.readouterr().out == ""
+
     def test_vacuum_ancillas_accepted(self):
         assert ScenarioConfig(squeezing_dB_A=0.0, squeezing_dB_B=-0.0).gate_params().r_a == 0.0
 

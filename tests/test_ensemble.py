@@ -458,7 +458,7 @@ class TestMemo:
             for angle in (0.0, -0.0)
         ]
         assert ancilla[0] == ancilla[1]
-        assert ancilla[0]._lowered.matrix.tobytes() != ancilla[1]._lowered.matrix.tobytes()
+        assert ancilla[0].matrix.tobytes() != ancilla[1].matrix.tobytes()
         for pairs in (((gate, plus), (gate, minus)), ((ancilla[0], plus), (ancilla[1], plus))):
             ensemble._memoised.cache_clear()
             shared = [run_ensemble(c, s, 5000, 8, keep_outcomes=True) for c, s in pairs]

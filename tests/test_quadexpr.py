@@ -1,5 +1,7 @@
 """Tests for the analytic input-output relations and moment computation."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -43,9 +45,10 @@ class TestIdealMap:
     def test_gain_15_back_action(self):
         assert coefficient(ideal_qnd_map(1.5), "p1_out", "p2_in") == -1.5
 
-    def test_rejects_negative_gain(self):
-        with pytest.raises(ValueError):
-            ideal_qnd_map(-1.0)
+    @pytest.mark.parametrize("gain", [-1.0, math.nan, math.inf, -math.inf])
+    def test_rejects_negative_gain(self, gain):
+        with pytest.raises(ValueError, match=f"gain G = {gain} must be finite and non-negative"):
+            ideal_qnd_map(gain)
 
 
 class TestFiniteSqueezingMap:
