@@ -10,6 +10,10 @@ gate plus the reference-table comparison and the oracle self-check:
 * ``oracle-check``     compiled-circuit vs analytic-relation equivalence
 
 Covariance-mode output is deterministic and byte-identical across runs.
+In trajectory mode ``transfer`` and ``conditional`` read every figure they
+print, means, T_S and T_P, V_SP and the witness, from one seeded
+vacuum-input ensemble; only the quadrature-map column that an excitation
+adds to the means is exact.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from .circuit import (
     run_covariance,
 )
 from .ensemble import run_ensemble
-from .scenario import ScenarioConfig, load_scenario
+from .scenario import OutputSpec, ScenarioConfig, load_scenario
 
 ORACLE_R_GRID = (0.1, 0.25, 0.381966011250105, 0.5, 0.75, 1.0)
 ORACLE_DB_GRID = (0.0, -3.0, -5.0, -10.0, -60.0)
@@ -45,12 +49,19 @@ def _write_csv(path: str, header, rows) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _output_moments(config: ScenarioConfig, circuit, state):
-    """Output mean/cov in covariance or trajectory mode per the scenario."""
+def _vacuum_output(config: ScenarioConfig, circuit) -> tuple:
+    """The circuit's output mean and covariance for the two-mode vacuum input.
+
+    Covariance mode propagates them; trajectory mode reads both from the
+    ``run.n``-shot ensemble.  ``transfer`` and ``conditional`` on one
+    scenario make the same request, so ``run_ensemble``'s memo serves the
+    second.
+    """
+    vacuum = gaussian.vacuum_state(2)
     if config.run.mode == "trajectories":
-        result = run_ensemble(circuit, state, config.run.n, config.run.master_seed)
-        return result.mean, result.cov
-    out = run_covariance(circuit, state)
+        out = run_ensemble(circuit, vacuum, config.run.n, config.run.master_seed)
+    else:
+        out = run_covariance(circuit, vacuum)
     return out.mean, out.cov
 
 
@@ -81,31 +92,6 @@ def cmd_vacuum_spectra(config: ScenarioConfig, csv_path: str | None = None) -> s
 _EXCITATION_CASES = (("a", "x1"), ("b", "x2"), ("c", "p1"), ("d", "p2"))
 
 
-def _excitation_means(config: ScenarioConfig, circuit, mean, qmap, amplitude: float) -> list:
-    """Output means of the ``_EXCITATION_CASES``, in order.
-
-    ``mean`` is the circuit's vacuum-input output mean and ``qmap`` its
-    quadrature map.  Exciting input quadrature ``j`` by ``amplitude`` adds
-    ``amplitude`` times column ``j`` of the map to the vacuum output mean.
-    In trajectory mode one vacuum-input ensemble serves all four cases: a
-    shot's means are affine in the input mean and every case uses the same
-    seed, so each case's ensemble mean is its exact mean plus the vacuum
-    ensemble's deviation from its own exact mean.  ``conditional`` on the
-    same scenario makes the same request, and ``run_ensemble`` returns this
-    ensemble to it from its memo.
-    """
-    deviation = np.zeros(4)
-    if config.run.mode == "trajectories":
-        vacuum = gaussian.vacuum_state(2)
-        ensemble = run_ensemble(circuit, vacuum, config.run.n, config.run.master_seed)
-        deviation = ensemble.mean - mean
-    means = []
-    for _, label in _EXCITATION_CASES:
-        column = qmap.columns.index(f"{label}_in")
-        means.append(mean + amplitude * qmap.matrix[:, column] + deviation)
-    return means
-
-
 def cmd_transfer(config: ScenarioConfig, csv_path: str | None = None) -> str:
     params = config.gate_params()
     circuit = build_qnd_gate(params, config.imperfections)
@@ -116,11 +102,13 @@ def cmd_transfer(config: ScenarioConfig, csv_path: str | None = None) -> str:
         f"input amplitude {amplitude:g} (mean^2 = {amplitude**2:g} x shot)"
     ]
     csv_rows = []  # filled only when a CSV is written
-    # one vacuum propagation and one map serve the four cases and both sectors
-    out = run_covariance(circuit, gaussian.vacuum_state(2))
+    # one vacuum output and one map serve the four cases and both sectors:
+    # exciting input quadrature j by amplitude adds amplitude times the map's
+    # column j to the vacuum output mean and leaves the covariance alone
+    vacuum_mean, cov = _vacuum_output(config, circuit)
     qmap = circuit_quadrature_map(circuit)
-    means = _excitation_means(config, circuit, out.mean, qmap, amplitude)
-    for (case, label), mean in zip(_EXCITATION_CASES, means):
+    for case, label in _EXCITATION_CASES:
+        mean = vacuum_mean + amplitude * qmap.matrix[:, qmap.columns.index(f"{label}_in")]
         # snap float noise to zero so reports are stable across R/G round trips
         mean = np.where(np.abs(mean) < 1e-12, 0.0, mean)
         # covariance mode is exact; trajectory mode carries Monte Carlo noise
@@ -134,7 +122,7 @@ def cmd_transfer(config: ScenarioConfig, csv_path: str | None = None) -> str:
         if csv_path:
             csv_rows.append([case, label] + [f"{m:.9f}" for m in mean])
     for sector in ("x", "p"):
-        t_s, t_p = metrics.transfer_coefficients(qmap, out.cov, sector)
+        t_s, t_p = metrics.transfer_coefficients(qmap, cov, sector)
         lines.append(f"sector {sector}: T_S={t_s:.5f} T_P={t_p:.5f} T_sum={t_s + t_p:.5f}")
         if csv_path:
             csv_rows.append([f"T_{sector}", "", f"{t_s:.9f}", f"{t_p:.9f}", f"{t_s + t_p:.9f}", ""])
@@ -150,8 +138,7 @@ def cmd_transfer(config: ScenarioConfig, csv_path: str | None = None) -> str:
 def cmd_conditional(config: ScenarioConfig, csv_path: str | None = None) -> str:
     params = config.gate_params()
     circuit = build_qnd_gate(params, config.imperfections)
-    state = config.input_state()
-    _, cov = _output_moments(config, circuit, state)
+    _, cov = _vacuum_output(config, circuit)
     grid = config.run.g_grid()
 
     lines = [f"conditional-variance sweep, G={params.gain:.4f}"]
@@ -350,6 +337,8 @@ def _config_from_args(args) -> ScenarioConfig:
         config.run = replace(config.run, mode="trajectories", n=args.trajectories)
     if args.seed is not None:
         config.run = replace(config.run, master_seed=args.seed)
+    if args.csv is not None:
+        config.output = OutputSpec(args.csv)
     return config
 
 
@@ -389,7 +378,7 @@ def _command_output(args) -> tuple:
     config = _config_from_args(args)
     fit = args.command == "reproduce-table" and not args.no_fit
     _reject_ignored(args.command, config, fit)
-    csv_path = args.csv if args.csv is not None else config.output.path
+    csv_path = config.output.path
     if args.command == "vacuum-spectra":
         return cmd_vacuum_spectra(config, csv_path), 0
     if args.command == "transfer":

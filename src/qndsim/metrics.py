@@ -107,11 +107,11 @@ def conditional_variance(cov: np.ndarray, sector: str):
     return value, g_opt
 
 
-def cv_sweep(cov: np.ndarray, sector: str, g_grid=None) -> np.ndarray:
+def cv_sweep(cov: np.ndarray, sector: str, g_grid) -> np.ndarray:
     """Combined-quadrature variance along a grid of rescaling gains."""
     spec = _check_sector(sector)
     cov = np.asarray(cov, dtype=float)
-    g = np.asarray(DEFAULT_G_GRID if g_grid is None else g_grid, dtype=float)
+    g = np.asarray(g_grid, dtype=float)
     s, p, sign = spec["signal"], spec["probe"], spec["sign"]
     return cov[s, s] + 2.0 * sign * g * cov[s, p] + g * g * cov[p, p]
 
@@ -126,9 +126,9 @@ class ReferenceSweeps:
     witness_bound: np.ndarray     # 2*|g| per sector (both sectors sum to 4|g|)
 
 
-def reference_sweeps(params: GateParams, sector: str, g_grid=None) -> ReferenceSweeps:
+def reference_sweeps(params: GateParams, sector: str, g_grid) -> ReferenceSweeps:
     """The three lossless reference curves against which runs are plotted."""
-    g = np.asarray(DEFAULT_G_GRID if g_grid is None else g_grid, dtype=float)
+    g = np.asarray(g_grid, dtype=float)
     maps = (
         ideal_qnd_map(params.gain),
         finite_squeezing_map(params.R, params.r_a, params.r_b),

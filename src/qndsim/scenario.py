@@ -55,6 +55,10 @@ class RunSpec:
 class OutputSpec:
     path: str | None = None    # also write the CSV here
 
+    def __post_init__(self):
+        if self.path == "":
+            raise ValueError("output.path must not be empty: give a file path, or null for no CSV")
+
 
 @dataclass
 class ScenarioConfig:

@@ -24,7 +24,7 @@ from qndsim.circuit import (
 )
 from qndsim.cli import (
     _EXCITATION_CASES,
-    _excitation_means,
+    _vacuum_output,
     cmd_conditional,
     cmd_oracle_check,
     cmd_reproduce_table,
@@ -146,6 +146,20 @@ class TestScenarioConfig:
             main([command, "--config", str(path)])
         with pytest.raises(TypeError):
             ScenarioConfig(inputs=())
+
+    @pytest.mark.parametrize("command", ["vacuum-spectra", "transfer", "conditional", "reproduce-table"])
+    @pytest.mark.parametrize("route", ["flag", "file"])
+    def test_empty_csv_path_rejected(self, tmp_path, monkeypatch, capsys, route, command):
+        # an empty path is not "no path": it fails before anything runs
+        monkeypatch.chdir(tmp_path)
+        if route == "flag":
+            argv = [command, "--csv", ""]
+        else:
+            Path("scenario.json").write_text(json.dumps({"output": {"path": ""}}))
+            argv = [command, "--config", "scenario.json"]
+        with pytest.raises(ValueError, match="output.path must not be empty"):
+            main(argv)
+        assert capsys.readouterr().out == ""
 
     def test_csv_output_section_writes_the_csv(self, tmp_path, capsys):
         csv = tmp_path / "out.csv"
@@ -347,10 +361,11 @@ class TestTransfer:
         assert "T_S=0.87610" in row
         assert "T_P=0.48685" in row
 
-    def test_one_propagation_and_one_map(self, monkeypatch):
+    @pytest.mark.parametrize("mode", ["covariance", "trajectories"])
+    def test_one_propagation_and_one_map(self, monkeypatch, mode):
         # the four excitation cases and both sectors' T share one vacuum
-        # propagation and one quadrature map
-        calls = {"run_covariance": 0, "circuit_quadrature_map": 0}
+        # output, propagated or sampled, and one quadrature map
+        calls = dict.fromkeys(("run_covariance", "run_ensemble", "circuit_quadrature_map"), 0)
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -360,27 +375,63 @@ class TestTransfer:
 
         for module in (cli, metrics):
             for name, fn in (("run_covariance", run_covariance),
+                             ("run_ensemble", run_ensemble),
                              ("circuit_quadrature_map", circuit_quadrature_map)):
-                monkeypatch.setattr(module, name, counted(name, fn))
-        cmd_transfer(ScenarioConfig())
-        assert calls == {"run_covariance": 1, "circuit_quadrature_map": 1}
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted(name, fn))
+        run = RunSpec(mode="trajectories", n=2000, master_seed=5) if mode == "trajectories" else RunSpec()
+        cmd_transfer(ScenarioConfig(run=run))
+        propagated = mode == "covariance"
+        assert calls == {
+            "run_covariance": int(propagated),
+            "run_ensemble": int(not propagated),
+            "circuit_quadrature_map": 1,
+        }
+
+    @pytest.mark.parametrize("gain", [1.0, 1.5])
+    def test_trajectory_t_is_sampled(self, gain):
+        # trajectory mode prints T from the ensemble covariance: it differs
+        # from the exact T, by less than 5 standard errors T * sqrt(2 / (n - 1))
+        n = 20000
+
+        def printed(config):
+            text = cmd_transfer(config)
+            return {
+                sector: tuple(float(line.split(f"{name}=")[1].split()[0]) for name in ("T_S", "T_P"))
+                for sector in ("x", "p")
+                for line in text.splitlines()
+                if line.startswith(f"sector {sector}:")
+            }
+
+        exact = printed(ScenarioConfig(gate_G=gain))
+        config = ScenarioConfig(gate_G=gain, run=RunSpec(mode="trajectories", n=n, master_seed=7))
+        sampled = printed(config)
+        circuit = build_qnd_gate(config.gate_params(), config.imperfections)
+        cov = run_ensemble(circuit, gaussian.vacuum_state(2), n, 7).cov
+        qmap = circuit_quadrature_map(circuit)
+        for sector in ("x", "p"):
+            want = metrics.transfer_coefficients(qmap, cov, sector)
+            assert sampled[sector] == tuple(round(t, 5) for t in want)
+            for t_exact, t_sampled in zip(exact[sector], sampled[sector]):
+                assert t_sampled != t_exact
+                assert abs(t_sampled - t_exact) < 5 * t_exact * math.sqrt(2 / (n - 1))
 
     @pytest.mark.parametrize("offset", [False, True, "covariance"])
     def test_one_ensemble_serves_every_excitation(self, offset):
-        # each case mean equals the separate ensemble at that excitation,
-        # also when the circuit shifts the vacuum's output mean; in
-        # covariance mode it equals the propagated excitation bit for bit
+        # the vacuum output mean plus the map column equals the separate
+        # ensemble at each excitation, also when the circuit shifts the
+        # vacuum's output mean; in covariance mode it equals the propagated
+        # excitation bit for bit
         mode_name = "covariance" if offset == "covariance" else "trajectories"
         config = ScenarioConfig(run=RunSpec(mode=mode_name, n=3000, master_seed=11))
         circuit = build_qnd_gate(config.gate_params(), config.imperfections)
         if offset:
             circuit = Circuit(circuit.elements + (Displacement(0, 0.3, -0.7),))
         amplitude = metrics.DEFAULT_PROBE_AMPLITUDE
-        vacuum_mean = run_covariance(circuit, gaussian.vacuum_state(2)).mean
+        vacuum_mean, _ = _vacuum_output(config, circuit)
         qmap = circuit_quadrature_map(circuit)
-        means = _excitation_means(config, circuit, vacuum_mean, qmap, amplitude)
-        assert len(means) == len(_EXCITATION_CASES)
-        for (_, label), mean in zip(_EXCITATION_CASES, means):
+        for _, label in _EXCITATION_CASES:
+            mean = vacuum_mean + amplitude * qmap.matrix[:, qmap.columns.index(f"{label}_in")]
             quad, mode = label[0], int(label[1]) - 1
             dx, dp = (amplitude, 0.0) if quad == "x" else (0.0, amplitude)
             state = gaussian.displace(gaussian.vacuum_state(2), mode, dx, dp)
@@ -389,7 +440,6 @@ class TestTransfer:
             else:
                 separate = run_ensemble(circuit, state, 3000, 11).mean
                 assert np.max(np.abs(mean - separate)) <= 1e-12
-
 
 
 # a pre-entry budget with more dark noise, in-loop loss and a gain error
@@ -576,20 +626,22 @@ class TestSharedEnsemble:
         assert drawn == blocks
 
 
-# sha256 of (stdout, CSV) per trajectory-mode (command, case), recorded before
-# ensembles were memoised
+# sha256 of (stdout, CSV) per trajectory-mode (command, case).  The
+# conditional entries were recorded before ensembles were memoised; the
+# transfer entries when its T_S and T_P came to be read from the ensemble
+# covariance, which left its means lines and rows unchanged
 TRAJECTORY_SHA256 = {
     ("transfer", "seed-3"): (
-        "b8ef6ff9caeefd23104848de4b0b2e8e988f7880135279cc208b37eccd64ab6f",
-        "2ffe05970dce790ff7f6d5a55df4b9d8267a6dd42f34a13b8619a5e7b7c16c07",
+        "fc146a3c14e44476d8b40d1d77918b36f4db0aa86e6daef8d73d18ff7ec95e1f",
+        "9ceacdbe9bca18729471c215fcd4493dd5bdf925ee6bf8da48fa8a99f8051f8b",
     ),
     ("conditional", "seed-3"): (
         "710f79213aa3c9ac87cd776ec13a4ffc19fd23a04981f5ad4be2d073277a254b",
         "8c1947617e24e15fc2e8831c4e9dc15a648e64a09ccd97dafec9768de0bbbacc",
     ),
     ("transfer", "gain-1.5"): (
-        "97c8a8ee9ad9bb3200c29adf22bcf6a17a178d34f2c5dca3bfa5795a787e1597",
-        "9ae794ff16b212c800f54b07310f902096f8640e0e2be1248c724047a271a546",
+        "69dd0bacfeb2a21f0b30f7c28ecf3d90f4b94d9b0a0d43dd51e287d65261f6c7",
+        "1aaeea732d710d583906611eaf09491b8edb588ae946b8863b552b01495b7e08",
     ),
     ("conditional", "gain-1.5"): (
         "90bdcc8688c092a70f34dcf2571c6f0dcbfdcc2a9b622c91df168a8908df3d1c",

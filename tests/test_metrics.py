@@ -250,13 +250,13 @@ class TestCvSweep:
 
     def test_vacuum_ancilla_curve_stays_above_one(self):
         params, _ = lossless_gate()
-        refs = reference_sweeps(params, "x")
+        refs = reference_sweeps(params, "x", metrics.DEFAULT_G_GRID)
         assert refs.vacuum_ancilla.min() > 1.0
 
     def test_reference_curves_order(self):
         # more squeezing means lower parabola, pointwise
         params, _ = lossless_gate()
-        refs = reference_sweeps(params, "x")
+        refs = reference_sweeps(params, "x", metrics.DEFAULT_G_GRID)
         assert np.all(refs.ideal <= refs.finite_squeezing + 1e-12)
         assert np.all(refs.finite_squeezing <= refs.vacuum_ancilla + 1e-12)
 
