@@ -65,7 +65,8 @@ def _vacuum_output(config: ScenarioConfig, circuit) -> tuple:
     return out.mean, out.cov
 
 
-def cmd_vacuum_spectra(config: ScenarioConfig, csv_path: str | None = None) -> str:
+def cmd_vacuum_spectra(config: ScenarioConfig) -> str:
+    csv_path = config.output.path  # checked non-empty by OutputSpec
     params = config.gate_params()
     circuit = build_qnd_gate(params, config.imperfections)
     rows = metrics.vacuum_noise_report(circuit, params)
@@ -79,7 +80,7 @@ def cmd_vacuum_spectra(config: ScenarioConfig, csv_path: str | None = None) -> s
         lines.append(
             f"{family:>26} " + " ".join(f"{row[q]['dB']:>12.4f}" for q in quads)
         )
-    if csv_path:
+    if csv_path is not None:
         csv_rows = [
             [family, q, f"{row[q]['variance']:.9f}", f"{row[q]['dB']:.9f}"]
             for family, row in rows.items() for q in quads
@@ -92,7 +93,8 @@ def cmd_vacuum_spectra(config: ScenarioConfig, csv_path: str | None = None) -> s
 _EXCITATION_CASES = (("a", "x1"), ("b", "x2"), ("c", "p1"), ("d", "p2"))
 
 
-def cmd_transfer(config: ScenarioConfig, csv_path: str | None = None) -> str:
+def cmd_transfer(config: ScenarioConfig) -> str:
+    csv_path = config.output.path  # checked non-empty by OutputSpec
     params = config.gate_params()
     circuit = build_qnd_gate(params, config.imperfections)
     amplitude = metrics.DEFAULT_PROBE_AMPLITUDE
@@ -119,14 +121,14 @@ def cmd_transfer(config: ScenarioConfig, csv_path: str | None = None) -> str:
             + " ".join(f"{q}={m:+.4f}" for q, m in zip(quads, mean))
             + f"  -> carried by {', '.join(carried) if carried else 'none'}"
         )
-        if csv_path:
+        if csv_path is not None:
             csv_rows.append([case, label] + [f"{m:.9f}" for m in mean])
     for sector in ("x", "p"):
         t_s, t_p = metrics.transfer_coefficients(qmap, cov, sector)
         lines.append(f"sector {sector}: T_S={t_s:.5f} T_P={t_p:.5f} T_sum={t_s + t_p:.5f}")
-        if csv_path:
+        if csv_path is not None:
             csv_rows.append([f"T_{sector}", "", f"{t_s:.9f}", f"{t_p:.9f}", f"{t_s + t_p:.9f}", ""])
-    if csv_path:
+    if csv_path is not None:
         _write_csv(
             csv_path,
             ["case", "excited", "mean_x1", "mean_p1", "mean_x2", "mean_p2"],
@@ -135,7 +137,8 @@ def cmd_transfer(config: ScenarioConfig, csv_path: str | None = None) -> str:
     return "\n".join(lines)
 
 
-def cmd_conditional(config: ScenarioConfig, csv_path: str | None = None) -> str:
+def cmd_conditional(config: ScenarioConfig) -> str:
+    csv_path = config.output.path  # checked non-empty by OutputSpec
     params = config.gate_params()
     circuit = build_qnd_gate(params, config.imperfections)
     _, cov = _vacuum_output(config, circuit)
@@ -156,7 +159,7 @@ def cmd_conditional(config: ScenarioConfig, csv_path: str | None = None) -> str:
         f" -> {'entangled' if duan.scan_entangled else 'not certified'}"
     )
     # the reference curves and the measured sweep go only into the CSV
-    if csv_path:
+    if csv_path is not None:
         csv_rows = []
         for sector in ("x", "p"):
             refs = metrics.reference_sweeps(params, sector, grid)
@@ -186,11 +189,8 @@ def cmd_conditional(config: ScenarioConfig, csv_path: str | None = None) -> str:
     return "\n".join(lines)
 
 
-def cmd_reproduce_table(
-    config: ScenarioConfig,
-    fit: bool = True,
-    csv_path: str | None = None,
-) -> str:
+def cmd_reproduce_table(config: ScenarioConfig, fit: bool = True) -> str:
+    csv_path = config.output.path  # checked non-empty by OutputSpec
     base = config.imperfections
     if fit:
         comparison = metrics.fit_extra_in_loop_loss(base, squeezing_db=config.squeezing_dB_A)
@@ -246,7 +246,7 @@ def cmd_reproduce_table(
         f"({'out-of-band high' if t_sum.simulated > t_sum.high else 'in band'}; "
         "imperfections are required to match)"
     )
-    if csv_path:
+    if csv_path is not None:
         csv_rows = [
             [f"{c.gain:.1f}", c.metric, c.sector, f"{c.simulated:.9f}", f"{c.reference:.2f}",
              f"{c.bar:.2f}", verdict, f"{c.residual_bars:.4f}"]
@@ -378,14 +378,13 @@ def _command_output(args) -> tuple:
     config = _config_from_args(args)
     fit = args.command == "reproduce-table" and not args.no_fit
     _reject_ignored(args.command, config, fit)
-    csv_path = config.output.path
     if args.command == "vacuum-spectra":
-        return cmd_vacuum_spectra(config, csv_path), 0
+        return cmd_vacuum_spectra(config), 0
     if args.command == "transfer":
-        return cmd_transfer(config, csv_path), 0
+        return cmd_transfer(config), 0
     if args.command == "conditional":
-        return cmd_conditional(config, csv_path), 0
-    return cmd_reproduce_table(config, fit=fit, csv_path=csv_path), 0
+        return cmd_conditional(config), 0
+    return cmd_reproduce_table(config, fit=fit), 0
 
 
 def main(argv=None) -> int:

@@ -11,14 +11,19 @@ larger one with the same seed, and the result does not depend on scheduling.
 Aggregates use a fixed pairwise-tree reduction by index so the summation
 order is part of the contract.
 
-An ensemble makes two passes over its blocks, one for the means and one for
-their scatter.  The block size is a power of two, so the tree over the block
-trees is the tree over all shots, bit for bit, and so is the tree over the
-trees of any power-of-two chunk of blocks.  Only the rows a result reads
-are computed: the readout rows are propagated only when the outcomes are
-kept, and the scatter is formed from the upper triangle of each shot's outer
-product and mirrored, the same bits as the full product since an IEEE
-product does not depend on the order of its factors.
+Each shot's output means are affine in its draws, ``mean0 + G d`` with the
+program's output gains ``G``, so the sample mean and covariance of the
+per-shot means are exactly ``mean0 + G m`` and ``G S G^T``, where ``m`` and
+``S`` are the sample mean and covariance of the draws (the linear-Gaussian
+map of Weedbrook et al., Rev. Mod. Phys. 84, 621 (2012)).  An ensemble
+therefore aggregates its draws, never its shots' means, and the draws'
+moments depend only on the seed, ``n`` and ``draws_per_shot``.  One pass
+tree-sums the draws and a second the upper triangle of their centred outer
+products, mirrored, the same bits as the full product since an IEEE product
+does not depend on the order of its factors.  The chunk size of both trees
+is a power of two, so the tree over the chunk trees is the tree over all
+shots, bit for bit.  The shots' readouts are propagated only when the
+outcomes are kept.
 
 A result is a pure function of the circuit's row stack, the input state, the
 shot count, the seed and ``keep_outcomes``, so equal requests share one
@@ -30,7 +35,7 @@ from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from numbers import Integral
 
 import numpy as np
@@ -40,10 +45,10 @@ from .gaussian import GaussianState
 
 
 SHOTS_PER_BLOCK = 4096
-# rows per tree of the means: a power of two, so the tree over the chunk
-# trees is the tree over all shots; longer than a block, so fewer short tree
-# levels, and its temporaries stay below the scatter pass's block buffers
-_MEAN_CHUNK = 4 * SHOTS_PER_BLOCK
+# rows per tree in both passes: a power of two, so the tree over the chunk
+# trees is the tree over all shots; two blocks, so fewer short tree levels
+# than per block while the products of a chunk stay in cache
+_CHUNK = 2 * SHOTS_PER_BLOCK
 # results the memo holds; transfer then conditional on one working point needs one
 MEMO_ENTRIES = 4
 
@@ -95,7 +100,7 @@ class EnsembleResult:
     master_seed: int
     mean: np.ndarray
     cov: np.ndarray
-    mean_scatter: np.ndarray     # sample covariance of the per-shot means
+    mean_scatter: np.ndarray     # sample covariance of the per-shot means, G S G^T
     conditional_cov: np.ndarray  # outcome-independent final covariance
     se_mean: np.ndarray
     se_cov: np.ndarray
@@ -111,11 +116,13 @@ def run_ensemble(
 ) -> EnsembleResult:
     """Run ``n`` independent trajectories and aggregate their statistics.
 
-    Pass 1 draws each block and runs it through ``run_means`` once, then
-    tree-sums the means in chunks of four blocks; pass 2 tree-sums the upper
-    triangle of each block's outer products about the ensemble mean.  Memory is the (n, 2*modes)
-    means plus one block, and the (n, homodynes) readouts only with
-    ``keep_outcomes``, which must be a ``bool`` or ``numpy.bool_``.
+    Pass 1 draws each block into the (n, draws_per_shot) draws and
+    tree-sums them in chunks of two blocks; pass 2 tree-sums the upper
+    triangle of each chunk's outer products about the draws' mean.  The
+    output means and their scatter are those moments mapped through the
+    output gains.  Memory is the draws plus one chunk, and the (n, homodynes)
+    readouts only with ``keep_outcomes``, which must be a ``bool`` or
+    ``numpy.bool_``; only then does ``run_means`` propagate any shot.
 
     The seed, ``n`` and the input-mode count are checked on every call.  The
     last ``MEMO_ENTRIES`` results are memoised on the bytes of the circuit's
@@ -165,45 +172,48 @@ def _sample(
 ) -> EnsembleResult:
     """The two passes of ``run_ensemble``, on arguments it has checked."""
     program = compile_trajectory(circuit, state)
-    n_out = 2 * program.n_output_modes
-    if keep_outcomes:
-        outcomes = np.empty((n, len(program.mean0) - n_out), order="F")
-    else:
-        # nothing reads the readout rows: propagate the output rows only
-        outcomes = None
-        program = replace(program, mean0=program.mean0[:n_out], gains=program.gains[:n_out])
-    blocks = [slice(s, min(s + SHOTS_PER_BLOCK, n)) for s in range(0, n, SHOTS_PER_BLOCK)]
+    n_out, d = 2 * program.n_output_modes, program.draws_per_shot
+    outcomes = np.empty((n, len(program.mean0) - n_out), order="F") if keep_outcomes else None
 
     # a generator fills its block in shot order, so a partial last block
-    # draws a prefix of the full one; the means are column-major, as
-    # run_means returns them, so tree levels and products run along the shots
-    means = np.empty((n, n_out), order="F")
-    for b, rows in enumerate(blocks):
-        draws = trajectory_generator(master_seed, b).standard_normal(
-            (rows.stop - rows.start, program.draws_per_shot)
-        )
-        means[rows], readouts = program.run_means(draws)
+    # draws a prefix of the full one; the draws are column-major, so tree
+    # levels and products run along the shots
+    draws = np.empty((n, d), order="F")
+    block = np.empty((min(n, SHOTS_PER_BLOCK), d))
+    for b, start in enumerate(range(0, n, SHOTS_PER_BLOCK)):
+        drawn = block[: n - start]
+        trajectory_generator(master_seed, b).standard_normal(out=drawn)
+        draws[start : start + len(drawn)] = drawn
         if keep_outcomes:
-            outcomes[rows] = readouts
-    chunk_sums = [pairwise_tree_sum(means[s : s + _MEAN_CHUNK]) for s in range(0, n, _MEAN_CHUNK)]
-    mean = pairwise_tree_sum(np.array(chunk_sums)) / n
+            outcomes[start : start + len(drawn)] = program.run_means(drawn)[1]
+    chunks = [slice(s, s + _CHUNK) for s in range(0, n, _CHUNK)]
+    draw_mean = pairwise_tree_sum(np.array([pairwise_tree_sum(draws[c]) for c in chunks])) / n
 
     # c_i c_j and c_j c_i are the same IEEE product, so the upper triangle
     # of the outer products, mirrored, has the bits of the full one
-    upper = np.triu_indices(n_out)
-    centered = np.empty((min(n, SHOTS_PER_BLOCK), n_out), order="F")
-    products = np.empty((len(centered), len(upper[0])), order="F")
-    block_scatters = []
-    for rows in blocks:
-        c, p = centered[: rows.stop - rows.start], products[: rows.stop - rows.start]
-        np.subtract(means[rows], mean, out=c)
+    upper = np.triu_indices(d)
+    products = np.empty((min(n, _CHUNK), len(upper[0])), order="F")
+    chunk_sums = []
+    for chunk in chunks:
+        # centred in place: nothing reads the draws after this pass
+        c = np.subtract(draws[chunk], draw_mean, out=draws[chunk])
+        p = products[: len(c)]
         start = 0
-        for i in range(n_out):  # row i of the upper triangle: c_i c_j for j >= i
-            np.multiply(c[:, i, np.newaxis], c[:, i:], out=p[:, start : start + n_out - i])
-            start += n_out - i
-        block_scatters.append(pairwise_tree_sum(p))
-    scatter = np.empty((n_out, n_out))
-    scatter[upper] = scatter.T[upper] = pairwise_tree_sum(np.array(block_scatters)) / (n - 1)
+        for i in range(d):  # row i of the upper triangle: c_i c_j for j >= i
+            np.multiply(c[:, i, np.newaxis], c[:, i:], out=p[:, start : start + d - i])
+            start += d - i
+        chunk_sums.append(pairwise_tree_sum(p))
+    draw_cov = np.empty((d, d))
+    draw_cov[upper] = draw_cov.T[upper] = pairwise_tree_sum(np.array(chunk_sums)) / (n - 1)
+
+    # each shot's output means are mean0 + G draws, so their sample mean and
+    # covariance are the draws' through G; the lower triangle is mirrored,
+    # so the scatter is exactly symmetric
+    gains = program.gains[:n_out]
+    mean = program.mean0[:n_out] + gains @ draw_mean
+    scatter = gains @ draw_cov @ gains.T
+    lower = np.tril_indices(n_out, -1)
+    scatter[lower] = scatter.T[lower]
 
     cov = program.final_cov + scatter
     se_mean = np.sqrt(np.diag(scatter) / n)

@@ -6,7 +6,7 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -160,6 +160,26 @@ class TestScenarioConfig:
         with pytest.raises(ValueError, match="output.path must not be empty"):
             main(argv)
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize(
+        "command", [cmd_vacuum_spectra, cmd_transfer, cmd_conditional, cmd_reproduce_table]
+    )
+    def test_library_route_reads_the_checked_output_path(self, tmp_path, monkeypatch, command):
+        # a command has no path argument of its own: it writes to the
+        # scenario's output path, which cannot be empty, and an empty path
+        # set past that check fails instead of writing nothing
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(TypeError):
+            command(ScenarioConfig(), csv_path="")
+        with pytest.raises(ValueError, match="output.path must not be empty"):
+            replace(ScenarioConfig(), output=OutputSpec(""))
+        config = ScenarioConfig()
+        config.output.path = ""
+        with pytest.raises(FileNotFoundError):
+            command(config)
+        assert list(tmp_path.iterdir()) == []
+        command(replace(config, output=OutputSpec("out.csv")))
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
     def test_csv_output_section_writes_the_csv(self, tmp_path, capsys):
         csv = tmp_path / "out.csv"
@@ -340,7 +360,7 @@ class TestVacuumSpectra:
 
     def test_csv_written(self, tmp_path):
         path = tmp_path / "spectra.csv"
-        cmd_vacuum_spectra(ScenarioConfig(), csv_path=str(path))
+        cmd_vacuum_spectra(replace(ScenarioConfig(), output=OutputSpec(str(path))))
         lines = path.read_text().splitlines()
         assert lines[0] == "family,quadrature,variance,dB"
         assert len(lines) == 17  # 4 families x 4 quadratures + header
@@ -536,7 +556,7 @@ class TestCsvBytes:
         }[command]
         config = _CSV_SCENARIOS[scenario]
         path = tmp_path / "out.csv"
-        text = run(config, csv_path=str(path))
+        text = run(replace(config, output=OutputSpec(str(path))))
         assert path.read_bytes() == GOLDEN_CSV[command, scenario].encode("utf-8")
         assert run(config) == text
 
@@ -557,7 +577,7 @@ class TestConditional:
         path = tmp_path / "sweep.csv"
         config = ScenarioConfig()
         config.run.g_min, config.run.g_max, config.run.g_step = -1.0, 1.0, 0.5
-        cmd_conditional(config, csv_path=str(path))
+        cmd_conditional(replace(config, output=OutputSpec(str(path))))
         lines = path.read_text().splitlines()
         assert lines[0].split(",") == [
             "sector", "g", "simulated", "simulated_dB", "ideal", "finite_squeezing",
@@ -577,7 +597,7 @@ class TestConditional:
         monkeypatch.setattr(metrics, "reference_sweeps", counted)
         cmd_conditional(ScenarioConfig())
         assert len(calls) == 0
-        cmd_conditional(ScenarioConfig(), csv_path=str(tmp_path / "sweep.csv"))
+        cmd_conditional(replace(ScenarioConfig(), output=OutputSpec(str(tmp_path / "sweep.csv"))))
         assert len(calls) == 2
 
     @pytest.mark.parametrize("mode", ["covariance", "trajectories"])
@@ -587,7 +607,7 @@ class TestConditional:
         text = cmd_conditional(config)
         # each run samples its own ensemble rather than reading the memo
         ensemble._memoised.cache_clear()
-        assert text == cmd_conditional(config, csv_path=str(path))
+        assert text == cmd_conditional(replace(config, output=OutputSpec(str(path))))
 
         circuit = build_qnd_gate(config.gate_params(), config.imperfections)
         state = config.input_state()
@@ -749,7 +769,7 @@ class TestReproduceTable:
 
     def test_csv_written(self, tmp_path):
         path = tmp_path / "table.csv"
-        cmd_reproduce_table(ScenarioConfig(), fit=False, csv_path=str(path))
+        cmd_reproduce_table(replace(ScenarioConfig(), output=OutputSpec(str(path))), fit=False)
         lines = path.read_text().splitlines()
         assert lines[0].startswith("G,metric,sector,simulated")
         assert len(lines) == 9  # 8 banded checks + header

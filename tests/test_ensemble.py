@@ -84,10 +84,22 @@ CASES = {
         Circuit((BeamSplitter(0, 1, 0.3), Loss(0, 0.9, "l"), Displacement(1, 0.5, -0.25))),
         gaussian.displace(gaussian.vacuum_state(2), 0, 2.0, -1.0),
     ),
+    # 1 output mode and two homodynes with dark noise: 4 draws per shot, more
+    # than the 2 output quadratures they scatter
+    "more_draws_than_outputs": lambda: (
+        Circuit(
+            (AncillaInjection(0.5, 0.0, "A"), AncillaInjection(0.6, np.pi / 2, "B"),
+             BeamSplitter(0, 1, 0.3), BeamSplitter(0, 2, 0.4),
+             HomodyneFeedforward(2, 0.0, 0, "p", 0.5, efficiency=0.9, dark_variance=0.2),
+             HomodyneFeedforward(1, np.pi / 2, 0, "x", -0.4, efficiency=0.8, dark_variance=0.3)),
+            n_input_modes=1,
+        ),
+        gaussian.displace(gaussian.vacuum_state(1), 0, 0.5, 1.0),
+    ),
 }
 # shapes the ensemble kernel branches on, beside the two-mode gates with 2
 # or 4 draws per shot
-SHAPES = ("one_mode", "three_modes", "lossy_homodyne", "no_homodyne")
+SHAPES = ("one_mode", "three_modes", "lossy_homodyne", "no_homodyne", "more_draws_than_outputs")
 
 
 def _digest(result) -> str:
@@ -129,25 +141,24 @@ def _z_report_loop(result, analytic_mean, analytic_cov):
     return max_z, worst, np.array(z_mean), np.array(z_cov)
 
 
-def _materialised_ensemble(circuit, state, n, master_seed):
-    """Reference ensemble: every draw, mean and outer product held at once.
-
-    One affine propagation and one tree over all ``n`` rows; the block-wise
-    ``run_ensemble`` must reproduce it bit for bit.
-    """
-    program = compile_trajectory(circuit, state)
+def _draws(program, n, master_seed):
+    """Every shot's draws at once, from the same block substreams as ``run_ensemble``."""
     draws = np.empty((n, program.draws_per_shot))
     for start in range(0, n, SHOTS_PER_BLOCK):
         block = trajectory_generator(master_seed, start // SHOTS_PER_BLOCK)
         block.standard_normal(out=draws[start : start + SHOTS_PER_BLOCK])
-    values = np.tile(program.mean0, (n, 1))
+    return draws
+
+
+def _propagate(program, draws):
+    """Every shot's output means and readouts: one affine propagation of all rows."""
+    values = np.tile(program.mean0, (len(draws), 1))
     for j in range(program.draws_per_shot):
         values += np.outer(draws[:, j], program.gains[:, j])
-    means, outcomes = np.split(values, [2 * program.n_output_modes], axis=1)
+    return np.split(values, [2 * program.n_output_modes], axis=1)
 
-    mean = pairwise_tree_sum(means) / n
-    centered = means - mean
-    scatter = pairwise_tree_sum(centered[:, :, np.newaxis] * centered[:, np.newaxis, :]) / (n - 1)
+
+def _result(n, master_seed, program, mean, scatter, outcomes):
     diag = np.diag(scatter)
     return EnsembleResult(
         n_trajectories=n,
@@ -160,6 +171,47 @@ def _materialised_ensemble(circuit, state, n, master_seed):
         se_cov=np.sqrt((np.outer(diag, diag) + scatter**2) / (n - 1)),
         outcomes=outcomes,
     )
+
+
+def _draw_moment_ensemble(circuit, state, n, master_seed):
+    """Reference ensemble: every draw and outer product held at once.
+
+    One tree over all ``n`` rows of the draws and of their centred outer
+    products, mapped through the output gains; the block-wise
+    ``run_ensemble`` must reproduce it bit for bit.
+    """
+    program = compile_trajectory(circuit, state)
+    draws = _draws(program, n, master_seed)
+    draw_mean = pairwise_tree_sum(draws) / n
+    centered = draws - draw_mean
+    draw_cov = pairwise_tree_sum(centered[:, :, np.newaxis] * centered[:, np.newaxis, :]) / (n - 1)
+    gains = program.gains[: 2 * program.n_output_modes]
+    scatter = gains @ draw_cov @ gains.T
+    lower = np.tril_indices(len(scatter), -1)
+    scatter[lower] = scatter.T[lower]
+    mean = program.mean0[: len(gains)] + gains @ draw_mean
+    return _result(n, master_seed, program, mean, scatter, _propagate(program, draws)[1])
+
+
+def _per_shot_ensemble(circuit, state, n, master_seed):
+    """Independent reference: every shot's means propagated, then their moments.
+
+    One tree over all ``n`` rows of the means and of their centred outer
+    products.  It sums in another order than the draw moments do, so
+    ``run_ensemble`` agrees with it to rounding, not bit for bit.
+    """
+    program = compile_trajectory(circuit, state)
+    means, outcomes = _propagate(program, _draws(program, n, master_seed))
+    mean = pairwise_tree_sum(means) / n
+    centered = means - mean
+    scatter = pairwise_tree_sum(centered[:, :, np.newaxis] * centered[:, np.newaxis, :]) / (n - 1)
+    return _result(n, master_seed, program, mean, scatter, outcomes)
+
+
+# (case, seed) of the reference checks: the two gates, then every other shape
+REFERENCE_REQUESTS = [("ideal", 7), ("measured", 2**63 + 5)]
+REFERENCE_REQUESTS += [(name, 21) for name in CASES if name not in ("ideal", "measured")]
+ENSEMBLE_SIZES = [2, 3, 4095, 4096, 4097, 8191, 8193, 12289, 12293, 100_000, 100_001]
 
 
 class TestPairwiseTreeSum:
@@ -182,7 +234,7 @@ class TestPairwiseTreeSum:
     def test_tree_of_block_trees_is_tree_of_rows(self, n, seed):
         # the identity run_ensemble streams on; with another block or chunk
         # size a boundary would cut a pair of some tree level
-        for size in (SHOTS_PER_BLOCK, ensemble._MEAN_CHUNK):
+        for size in (SHOTS_PER_BLOCK, ensemble._CHUNK):
             assert size & (size - 1) == 0 < size
         rng = np.random.default_rng(seed)
         # both signs over 60 decades, so any regrouping of the sum shows
@@ -292,17 +344,11 @@ class TestRunEnsemble:
         target = run_covariance(circuit, state)
         assert z_score_report(result, target.mean, target.cov).max_z < 5.0
 
-    @pytest.mark.parametrize(
-        "n", [2, 3, 4095, 4096, 4097, 8191, 8193, 12289, 12293, 100_000, 100_001]
-    )
-    def test_bit_identical_to_materialised_ensemble(self, n):
-        cases = [
-            (*CASES["ideal"](), 7),
-            (*CASES["measured"](), 2**63 + 5),
-            *((*CASES[name](), 21) for name in SHAPES),
-        ]
-        for circuit, state, seed in cases:
-            reference = _materialised_ensemble(circuit, state, n, seed)
+    @pytest.mark.parametrize("n", ENSEMBLE_SIZES)
+    def test_bit_identical_to_draw_moment_ensemble(self, n):
+        for case, seed in REFERENCE_REQUESTS:
+            circuit, state = CASES[case]()
+            reference = _draw_moment_ensemble(circuit, state, n, seed)
             results = [run_ensemble(circuit, state, n, seed, keep_outcomes=keep) for keep in (False, True)]
             for keep_outcomes, result in zip((False, True), results):
                 for field in fields(EnsembleResult):
@@ -312,24 +358,43 @@ class TestRunEnsemble:
                     else:
                         got, want = np.asarray(got), np.asarray(want)
                         assert (got.shape, got.tobytes()) == (want.shape, want.tobytes()), (
-                            field.name, seed, keep_outcomes
+                            field.name, case, keep_outcomes
                         )
-            # the output rows alone give the moments of the run that also
-            # propagates the readouts
+            # propagating the readouts leaves the moments' bits alone
             lean, full = results
             for name in ("mean", "cov", "mean_scatter"):
                 assert getattr(lean, name).tobytes() == getattr(full, name).tobytes(), name
 
-    def test_peak_memory_is_the_means_plus_one_block(self):
-        # the (n, 4) means take 3.2 MB; the peak measures at most 4.83 MB and
-        # the bound leaves over 10% above it.  Every (4, 4) outer product
-        # held at once would add 12.8 MB
-        assert _ensemble_peak_bytes(keep_outcomes=False) < 5.4e6
+    @pytest.mark.parametrize("n", ENSEMBLE_SIZES)
+    def test_agrees_with_per_shot_ensemble(self, n):
+        # the two sum in different orders, so they agree to rounding: the
+        # worst deviation over these requests and fields measures 2.78e-16
+        # of the largest |cov| entry (1.25 eps), in measured's cov at
+        # n = 4097, and the bound of 4 eps leaves 3.2x above it.  The
+        # readouts are the same run_means rows, so they and the conditional
+        # covariance match bit for bit
+        for case, seed in REFERENCE_REQUESTS:
+            circuit, state = CASES[case]()
+            reference = _per_shot_ensemble(circuit, state, n, seed)
+            result = run_ensemble(circuit, state, n, seed, keep_outcomes=True)
+            bound = 4 * np.finfo(float).eps * np.max(np.abs(reference.cov))
+            for name in ("mean", "cov", "mean_scatter", "se_mean", "se_cov"):
+                got, want = getattr(result, name), getattr(reference, name)
+                assert np.max(np.abs(got - want), initial=0.0) <= bound, (name, case)
+            for name in ("outcomes", "conditional_cov"):
+                assert getattr(result, name).tobytes() == getattr(reference, name).tobytes(), name
+
+    def test_peak_memory_is_the_draws_plus_one_chunk(self):
+        # the ideal gate draws 2 numbers per shot, so the (n, 2) draws take
+        # 1.6 MB; the peak measures at most 2.67 MB and the bound leaves over
+        # 10% above it.  Holding the (n, 4) per-shot means as well would add
+        # 3.2 MB
+        assert _ensemble_peak_bytes(keep_outcomes=False) < 3.0e6
 
     def test_peak_memory_with_kept_outcomes(self):
         # the (n, 2) readouts add 1.6 MB, written in place: the peak
-        # measures 5.73 MB, and holding them twice would add 1.6 MB
-        assert _ensemble_peak_bytes(keep_outcomes=True) < 6.4e6
+        # measures 3.73 MB, and holding them twice would add 1.6 MB
+        assert _ensemble_peak_bytes(keep_outcomes=True) < 4.1e6
 
     def test_se_scaling_with_n(self):
         circuit = default_gate()
@@ -341,28 +406,31 @@ class TestRunEnsemble:
 
 
 # sha256 of ``_digest`` for (case, n, seed, keep_outcomes), recorded with the
-# block-wise kernel that propagated every row and formed all (2m)**2 outer
-# products per shot; ``_materialised_ensemble`` shares the generator and tree
-# with ``run_ensemble``, so these pin the contract from outside both
+# kernel that aggregates the draws' moments and maps them through the output
+# gains.  The two cases without draws kept the digests of the kernel that
+# propagated every shot's means; the other ten were re-recorded when the
+# aggregation moved to the draws.  ``_draw_moment_ensemble`` shares the
+# generator and tree with ``run_ensemble``, so these pin the contract from
+# outside both
 RECORDED_DIGESTS = {
     ("measured", 100_001, 2**64 - 1, False):
-        "151c5a020b8c819e90664fe3fd37eacfc0f09f44748a0913c5c9d43e15243e03",
+        "dcce6772d82eda50424f2b604f85801fa2ff7bb17e1016ed44331d1368d54635",
     ("measured", 100_001, 2**64 - 1, True):
-        "36d1ee736e2b61b7ca898ad2f78eaeb2b6f858438ff2ba0d194561e14cbe7608",
-    ("ideal", 4097, 7, False): "422989bdc6d85e0e16922056db5b8bc9bde0467d121511f3cfb8b4c45272da8a",
-    ("ideal", 4097, 7, True): "7dff7646e44b4c5c5c9986c03c7e77f6d837e96ef752f4431bfdcb894a9bc42c",
+        "2bd3f71130edfb88273d04407196f285d78086681573eaaebbff5e310bd5f742",
+    ("ideal", 4097, 7, False): "f75254065fb15fe02fe15b6a8285d2d3563635ed8580d054fc55c1cf409c3984",
+    ("ideal", 4097, 7, True): "45184ed9849bcf189335cc1e5ba09406f8d32a07c7e9402b9a1ee2be1d7a53fd",
     ("empty", 100, 7, False): "bc832337a1262e992528ea0df6a18c6cdb4973a181f8a58d41f8192361fe9cb6",
     ("empty", 100, 7, True): "6b985a334b18090982d9b1c2a01325b3251717364d233b070b57a237e7bbdc42",
-    ("one_mode", 8193, 11, False): "3d135c26585f0fe132f51af57401c0a6f678046568f037f53f15e0b70a07d68f",
-    ("one_mode", 8193, 11, True): "29a39fa631e1b6946027e90d284d3684d71dfe0d57c3eaeecf5ac39ae0e1be70",
+    ("one_mode", 8193, 11, False): "93e6050c446a8b3ec0456a7d9964627dd5fea00301289219c06075a296d38e7e",
+    ("one_mode", 8193, 11, True): "e485acc2a0506e1f5509393c5932f09d340007d9acefa2518cd26277c9263cfd",
     ("three_modes", 8193, 12, False):
-        "bd556a95c2d02f5591b50889c4df32ab7e7f4a1f9b167b9fbab33d142853d265",
+        "b463c01a0b805001f467d65ded81cb26fec123e5cefae6eb593fc2ffa4a0183f",
     ("three_modes", 8193, 12, True):
-        "def9be456875e9c711cc0544ca7dfdb60963dae198cf84eda10e2130bebbd8b0",
+        "5ab63ca11e238d7f0e720cb61910fed9b11b0cc0c282970d4a47c9741ddd09e2",
     ("lossy_homodyne", 8193, 13, False):
-        "52d32197e0254fb5ca58647b8d9ba22a17dded8b0e693c12244608402653c5f1",
+        "bc289feeb0a387b6d1dbb34c32f28387a9203d18cc25f90bea07279a8ad79caf",
     ("lossy_homodyne", 8193, 13, True):
-        "0a64da10ff5ec893fc47b0266d5392e5db6f4b6b30e2704b0d417d17da5388d8",
+        "bc27a0f8f4259930c207c4a9e49f1a0ad86eeb586d5d01d5d6f2fb3bb516eeb9",
     ("no_homodyne", 8193, 14, False):
         "beea674db342ed013771f6941648e1aaf63abfcdec04ffd1a57db9e2b0749607",
     ("no_homodyne", 8193, 14, True):

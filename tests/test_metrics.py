@@ -34,7 +34,7 @@ from qndsim.metrics import (
     transfer_coefficients,
     vacuum_noise_report,
 )
-from qndsim.scenario import ScenarioConfig
+from qndsim.scenario import OutputSpec, ScenarioConfig
 
 
 def lossless_gate(gain=1.0, db=-5.0):
@@ -597,12 +597,13 @@ class TestKnobFit:
         config = ScenarioConfig(
             squeezing_dB_A=squeezing_db, squeezing_dB_B=squeezing_db, imperfections=budget
         )
-        text = cmd_reproduce_table(config, csv_path=str(tmp_path / "closed_form.csv"))
+        closed_form, loop = tmp_path / "closed_form.csv", tmp_path / "loop.csv"
+        text = cmd_reproduce_table(replace(config, output=OutputSpec(str(closed_form))))
         monkeypatch.setattr(
             metrics,
             "fit_extra_in_loop_loss",
             lambda base, squeezing_db: per_knob_fit(base, squeezing_db, metrics.DEFAULT_KNOB_GRID)[0],
         )
-        loop_text = cmd_reproduce_table(config, csv_path=str(tmp_path / "loop.csv"))
+        loop_text = cmd_reproduce_table(replace(config, output=OutputSpec(str(loop))))
         assert text == loop_text
-        assert (tmp_path / "closed_form.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()
+        assert closed_form.read_bytes() == loop.read_bytes()
