@@ -97,9 +97,6 @@ CASES = {
         gaussian.displace(gaussian.vacuum_state(1), 0, 0.5, 1.0),
     ),
 }
-# shapes the ensemble kernel branches on, beside the two-mode gates with 2
-# or 4 draws per shot
-SHAPES = ("one_mode", "three_modes", "lossy_homodyne", "no_homodyne", "more_draws_than_outputs")
 
 
 def _digest(result) -> str:
@@ -208,7 +205,8 @@ def _per_shot_ensemble(circuit, state, n, master_seed):
     return _result(n, master_seed, program, mean, scatter, outcomes)
 
 
-# (case, seed) of the reference checks: the two gates, then every other shape
+# (case, seed) of the reference checks: the two-mode gates with 4 or 2 draws
+# per shot, then every other shape the kernel branches on
 REFERENCE_REQUESTS = [("ideal", 7), ("measured", 2**63 + 5)]
 REFERENCE_REQUESTS += [(name, 21) for name in CASES if name not in ("ideal", "measured")]
 ENSEMBLE_SIZES = [2, 3, 4095, 4096, 4097, 8191, 8193, 12289, 12293, 100_000, 100_001]
