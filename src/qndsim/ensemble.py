@@ -8,22 +8,19 @@ the counter-based Philox substream keyed on ``(master_seed, b)``, one row of
 ``i // SHOTS_PER_BLOCK``, and its numbers depend only on ``(master_seed, i,
 draws_per_shot)``: an ensemble of ``n`` shots is the first ``n`` shots of any
 larger one with the same seed, and the result does not depend on scheduling.
-Aggregates use a fixed pairwise-tree reduction by index so the summation
-order is part of the contract.
 
 Each shot's output means are affine in its draws, ``mean0 + G d`` with the
 program's output gains ``G``, so the sample mean and covariance of the
 per-shot means are exactly ``mean0 + G m`` and ``G S G^T``, where ``m`` and
 ``S`` are the sample mean and covariance of the draws (the linear-Gaussian
 map of Weedbrook et al., Rev. Mod. Phys. 84, 621 (2012)).  An ensemble
-therefore aggregates its draws, never its shots' means, and the draws'
-moments depend only on the seed, ``n`` and ``draws_per_shot``.  One pass
-tree-sums the draws and a second the upper triangle of their centred outer
-products, mirrored, the same bits as the full product since an IEEE product
-does not depend on the order of its factors.  The chunk size of both trees
-is a power of two, so the tree over the chunk trees is the tree over all
-shots, bit for bit.  The shots' readouts are propagated only when the
-outcomes are kept.
+therefore aggregates its draws, never its shots' means.  Each block is
+reduced to its shot count, its draws' mean and the upper triangle of their
+centred scatter, each a fixed pairwise tree over the block's shots, and the
+blocks' moments merge in the same tree by the pairwise update of Chan, Golub
+and LeVeque (Am. Stat. 37, 242 (1983)).  The summation order is thus part of
+the contract, and memory is one block whatever the shot count.  The shots'
+readouts are propagated only when the outcomes are kept.
 
 A result is a pure function of the circuit's row stack, the input state, the
 shot count, the seed and ``keep_outcomes``, so equal requests share one
@@ -45,10 +42,6 @@ from .gaussian import GaussianState
 
 
 SHOTS_PER_BLOCK = 4096
-# rows per tree in both passes: a power of two, so the tree over the chunk
-# trees is the tree over all shots; two blocks, so fewer short tree levels
-# than per block while the products of a chunk stay in cache
-_CHUNK = 2 * SHOTS_PER_BLOCK
 # results the memo holds; transfer then conditional on one working point needs one
 MEMO_ENTRIES = 4
 
@@ -58,6 +51,20 @@ def trajectory_generator(master_seed: int, block: int) -> np.random.Generator:
     # an explicit uint64 key: a list holding a seed >= 2**63 would go through float64
     key = np.array([master_seed, block], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def _rekey(generator: np.random.Generator, master_seed: int, block: int) -> np.random.Generator:
+    """Restart a Philox ``generator`` on ``trajectory_generator(master_seed, block)``'s stream.
+
+    Unlike a new Philox, which seeds itself from OS entropy before its key
+    replaces it, this reads none.  An empty buffer: the next draw runs counter 0.
+    """
+    key = np.array([master_seed, block], dtype=np.uint64)
+    generator.bit_generator.state = {
+        "bit_generator": "Philox", "state": {"counter": np.zeros(4, np.uint64), "key": key},
+        "buffer": np.zeros(4, np.uint64), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+    }
+    return generator
 
 
 def check_master_seed(master_seed) -> None:
@@ -75,14 +82,17 @@ def pairwise_tree_sum(values: np.ndarray) -> np.ndarray:
     bit-identical no matter how the rows were produced or scheduled.
     """
     values = np.asarray(values)
-    while values.shape[0] > 1:
-        n = values.shape[0]
-        half = n // 2
-        paired = values[0 : 2 * half : 2] + values[1 : 2 * half : 2]
-        if n % 2:
-            paired = np.concatenate([paired, values[-1:]], axis=0)
-        values = paired
-    return values[0]
+    shape, width = values.shape[1:], len(values)
+    # each sum's terms contiguous: a copy unless axis 0 already was
+    flat = values.reshape(width, -1).T.reshape(-1)
+    while width > 1:
+        if width % 2:  # the odd last term of each sum is carried up
+            rows = flat.reshape(-1, width)
+            flat = np.concatenate([rows[:, :-1:2] + rows[:, 1::2], rows[:, -1:]], axis=1).ravel()
+        else:  # no pair straddles two sums, so the level runs on the flat array
+            flat = flat[0::2] + flat[1::2]
+        width = -(-width // 2)
+    return flat.reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -108,21 +118,16 @@ class EnsembleResult:
 
 
 def run_ensemble(
-    circuit: Circuit,
-    state: GaussianState,
-    n: int,
-    master_seed: int,
-    keep_outcomes: bool = False,
+    circuit: Circuit, state: GaussianState, n: int, master_seed: int, keep_outcomes: bool = False
 ) -> EnsembleResult:
     """Run ``n`` independent trajectories and aggregate their statistics.
 
-    Pass 1 draws each block into the (n, draws_per_shot) draws and
-    tree-sums them in chunks of two blocks; pass 2 tree-sums the upper
-    triangle of each chunk's outer products about the draws' mean.  The
-    output means and their scatter are those moments mapped through the
-    output gains.  Memory is the draws plus one chunk, and the (n, homodynes)
-    readouts only with ``keep_outcomes``, which must be a ``bool`` or
-    ``numpy.bool_``; only then does ``run_means`` propagate any shot.
+    Each block's draws are reduced to their count, mean and scatter, and
+    the blocks' moments merged; the output means and their scatter are the
+    merged moments mapped through the output gains.  Memory is one block,
+    and the (n, homodynes) readouts only with ``keep_outcomes``, which must
+    be a ``bool`` or ``numpy.bool_``; only then does ``run_means`` propagate
+    any shot.
 
     The seed, ``n`` and the input-mode count are checked on every call.  The
     last ``MEMO_ENTRIES`` results are memoised on the bytes of the circuit's
@@ -170,65 +175,62 @@ def _memoised(request: _Request) -> EnsembleResult:
 def _sample(
     circuit: Circuit, state: GaussianState, n: int, master_seed: int, keep_outcomes: bool
 ) -> EnsembleResult:
-    """The two passes of ``run_ensemble``, on arguments it has checked."""
+    """The one pass of ``run_ensemble``, on arguments it has checked."""
     program = compile_trajectory(circuit, state)
     n_out, d = 2 * program.n_output_modes, program.draws_per_shot
     outcomes = np.empty((n, len(program.mean0) - n_out), order="F") if keep_outcomes else None
-
-    # a generator fills its block in shot order, so a partial last block
-    # draws a prefix of the full one; the draws are column-major, so tree
-    # levels and products run along the shots
-    draws = np.empty((n, d), order="F")
-    block = np.empty((min(n, SHOTS_PER_BLOCK), d))
-    for b, start in enumerate(range(0, n, SHOTS_PER_BLOCK)):
-        drawn = block[: n - start]
-        trajectory_generator(master_seed, b).standard_normal(out=drawn)
-        draws[start : start + len(drawn)] = drawn
-        if keep_outcomes:
-            outcomes[start : start + len(drawn)] = program.run_means(drawn)[1]
-    chunks = [slice(s, s + _CHUNK) for s in range(0, n, _CHUNK)]
-    draw_mean = pairwise_tree_sum(np.array([pairwise_tree_sum(draws[c]) for c in chunks])) / n
-
-    # c_i c_j and c_j c_i are the same IEEE product, so the upper triangle
-    # of the outer products, mirrored, has the bits of the full one
     upper = np.triu_indices(d)
-    products = np.empty((min(n, _CHUNK), len(upper[0])), order="F")
-    chunk_sums = []
-    for chunk in chunks:
-        # centred in place: nothing reads the draws after this pass
-        c = np.subtract(draws[chunk], draw_mean, out=draws[chunk])
-        p = products[: len(c)]
-        start = 0
+
+    # one block's draws, then their transpose and the upper triangle of their
+    # products, contiguous for a block of any length: the trees run along shots
+    generator = np.random.Generator(np.random.Philox(0))  # _rekey keys each block
+    block = np.empty((min(n, SHOTS_PER_BLOCK), d))
+    shots, products = np.empty(block.size), np.empty(len(upper[0]) * len(block))
+    # a row per block: its shot count, draw mean and the upper triangle of its scatter
+    moments = np.empty((-(-n // SHOTS_PER_BLOCK), 1 + d + len(upper[0])))
+    for b, row in enumerate(moments):
+        # filled in shot order: a partial last block draws a prefix of the full one
+        drawn = block[: n - b * SHOTS_PER_BLOCK]
+        _rekey(generator, master_seed, b).standard_normal(out=drawn)
+        if keep_outcomes:
+            outcomes[b * SHOTS_PER_BLOCK : (b + 1) * SHOTS_PER_BLOCK] = program.run_means(drawn)[1]
+        c = shots[: drawn.size].reshape(-1, len(drawn))
+        c[...] = drawn.T
+        row[0], row[1 : 1 + d] = len(drawn), pairwise_tree_sum(c.T) / len(drawn)
+        c -= row[1 : 1 + d, np.newaxis]
+        p, start = products[: len(upper[0]) * len(drawn)].reshape(-1, len(drawn)), 0
         for i in range(d):  # row i of the upper triangle: c_i c_j for j >= i
-            np.multiply(c[:, i, np.newaxis], c[:, i:], out=p[:, start : start + d - i])
+            np.multiply(c[i], c[i:], out=p[start : start + d - i])
             start += d - i
-        chunk_sums.append(pairwise_tree_sum(p))
+        # c_i c_j and c_j c_i are one IEEE product: the upper triangle, mirrored, is the full one
+        row[1 + d :] = pairwise_tree_sum(p.T)
+
+    # merge neighbouring blocks as pairwise_tree_sum pairs rows (Chan, Golub and LeVeque)
+    while len(moments) > 1:
+        half = len(moments) // 2
+        pairs = moments[: 2 * half].reshape(half, 2, -1)
+        (na, ma, sa), (nb, mb, sb) = (np.split(pairs[:, k], [1, 1 + d], axis=1) for k in (0, 1))
+        count, delta = na + nb, mb - ma
+        scatter_ab = sa + sb + delta[:, upper[0]] * delta[:, upper[1]] * (na * nb / count)
+        merged = np.hstack([count, ma + delta * (nb / count), scatter_ab])
+        moments = np.concatenate([merged, moments[2 * half :]])
     draw_cov = np.empty((d, d))
-    draw_cov[upper] = draw_cov.T[upper] = pairwise_tree_sum(np.array(chunk_sums)) / (n - 1)
+    draw_cov[upper] = draw_cov.T[upper] = moments[0, 1 + d :] / (n - 1)
 
     # each shot's output means are mean0 + G draws, so their sample mean and
     # covariance are the draws' through G; the lower triangle is mirrored,
     # so the scatter is exactly symmetric
     gains = program.gains[:n_out]
-    mean = program.mean0[:n_out] + gains @ draw_mean
+    mean = program.mean0[:n_out] + gains @ moments[0, 1 : 1 + d]
     scatter = gains @ draw_cov @ gains.T
     lower = np.tril_indices(n_out, -1)
     scatter[lower] = scatter.T[lower]
 
-    cov = program.final_cov + scatter
-    se_mean = np.sqrt(np.diag(scatter) / n)
     diag = np.diag(scatter)
-    se_cov = np.sqrt((np.outer(diag, diag) + scatter**2) / (n - 1))
     result = EnsembleResult(
-        n_trajectories=n,
-        master_seed=master_seed,
-        mean=mean,
-        cov=cov,
-        mean_scatter=scatter,
-        conditional_cov=program.final_cov.copy(),
-        se_mean=se_mean,
-        se_cov=se_cov,
-        outcomes=outcomes,
+        n_trajectories=n, master_seed=master_seed, mean=mean, cov=program.final_cov + scatter,
+        mean_scatter=scatter, conditional_cov=program.final_cov.copy(), se_mean=np.sqrt(diag / n),
+        se_cov=np.sqrt((np.outer(diag, diag) + scatter**2) / (n - 1)), outcomes=outcomes,
     )
     # every caller of an equal request shares these arrays
     for f in fields(result):
@@ -249,9 +251,7 @@ class ZScoreReport:
 
 
 def z_score_report(
-    result: EnsembleResult,
-    analytic_mean: np.ndarray,
-    analytic_cov: np.ndarray,
+    result: EnsembleResult, analytic_mean: np.ndarray, analytic_cov: np.ndarray
 ) -> ZScoreReport:
     """Worst-case standardized deviation of empirical vs analytic moments.
 

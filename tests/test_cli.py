@@ -628,15 +628,16 @@ class TestConditional:
 
 class TestSharedEnsemble:
     def test_transfer_and_conditional_draw_each_block_once(self, monkeypatch):
-        # conditional makes transfer's request and reads its ensemble back
+        # conditional makes transfer's request and reads its ensemble back;
+        # an ensemble starts each block by re-keying its generator
         drawn = []
-        generator = ensemble.trajectory_generator
+        rekey = ensemble._rekey
 
-        def counted(master_seed, block):
+        def counted(generator, master_seed, block):
             drawn.append((master_seed, block))
-            return generator(master_seed, block)
+            return rekey(generator, master_seed, block)
 
-        monkeypatch.setattr(ensemble, "trajectory_generator", counted)
+        monkeypatch.setattr(ensemble, "_rekey", counted)
         ensemble._memoised.cache_clear()
         n = 3 * SHOTS_PER_BLOCK + 5
         config = ScenarioConfig(run=RunSpec(mode="trajectories", n=n, master_seed=23))

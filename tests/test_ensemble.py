@@ -170,18 +170,36 @@ def _result(n, master_seed, program, mean, scatter, outcomes):
     )
 
 
-def _draw_moment_ensemble(circuit, state, n, master_seed):
-    """Reference ensemble: every draw and outer product held at once.
+def _merge(a, b):
+    """Chan, Golub and LeVeque's update of two blocks' (count, mean, scatter)."""
+    (na, ma, sa), (nb, mb, sb) = a, b
+    n, delta = na + nb, mb - ma
+    return n, ma + delta * (nb / n), sa + sb + np.outer(delta, delta) * (na * nb / n)
 
-    One tree over all ``n`` rows of the draws and of their centred outer
-    products, mapped through the output gains; the block-wise
-    ``run_ensemble`` must reproduce it bit for bit.
+
+def _block_moment_ensemble(circuit, state, n, master_seed):
+    """Reference ensemble: every draw and full outer product held at once.
+
+    Each block of the draws gives its count, its tree-summed mean and the
+    tree sum of the full outer products about that mean; the blocks merge
+    pairwise, neighbour with neighbour and the last of an odd count carried
+    up, and the merged moments are mapped through the output gains.  The
+    streaming ``run_ensemble`` must reproduce it bit for bit.
     """
     program = compile_trajectory(circuit, state)
     draws = _draws(program, n, master_seed)
-    draw_mean = pairwise_tree_sum(draws) / n
-    centered = draws - draw_mean
-    draw_cov = pairwise_tree_sum(centered[:, :, np.newaxis] * centered[:, np.newaxis, :]) / (n - 1)
+    moments = []
+    for start in range(0, n, SHOTS_PER_BLOCK):
+        block = draws[start : start + SHOTS_PER_BLOCK]
+        block_mean = pairwise_tree_sum(block) / len(block)
+        centered = block - block_mean
+        outer = centered[:, :, np.newaxis] * centered[:, np.newaxis, :]
+        moments.append((len(block), block_mean, pairwise_tree_sum(outer)))
+    while len(moments) > 1:
+        moments = [_merge(*moments[k : k + 2]) if k + 1 < len(moments) else moments[k]
+                   for k in range(0, len(moments), 2)]
+    _, draw_mean, draw_scatter = moments[0]
+    draw_cov = draw_scatter / (n - 1)
     gains = program.gains[: 2 * program.n_output_modes]
     scatter = gains @ draw_cov @ gains.T
     lower = np.tril_indices(len(scatter), -1)
@@ -194,8 +212,8 @@ def _per_shot_ensemble(circuit, state, n, master_seed):
     """Independent reference: every shot's means propagated, then their moments.
 
     One tree over all ``n`` rows of the means and of their centred outer
-    products.  It sums in another order than the draw moments do, so
-    ``run_ensemble`` agrees with it to rounding, not bit for bit.
+    products.  It sums in another order than the merged block moments do,
+    so ``run_ensemble`` agrees with it to rounding, not bit for bit.
     """
     program = compile_trajectory(circuit, state)
     means, outcomes = _propagate(program, _draws(program, n, master_seed))
@@ -209,7 +227,7 @@ def _per_shot_ensemble(circuit, state, n, master_seed):
 # per shot, then every other shape the kernel branches on
 REFERENCE_REQUESTS = [("ideal", 7), ("measured", 2**63 + 5)]
 REFERENCE_REQUESTS += [(name, 21) for name in CASES if name not in ("ideal", "measured")]
-ENSEMBLE_SIZES = [2, 3, 4095, 4096, 4097, 8191, 8193, 12289, 12293, 100_000, 100_001]
+ENSEMBLE_SIZES = [2, 3, 4095, 4096, 4097, 8191, 8193, 12289, 12293, 20480, 100_000, 100_001]
 
 
 class TestPairwiseTreeSum:
@@ -230,10 +248,10 @@ class TestPairwiseTreeSum:
     @example(n=2 * SHOTS_PER_BLOCK - 1, seed=2)
     @example(n=3 * SHOTS_PER_BLOCK + 7, seed=3)
     def test_tree_of_block_trees_is_tree_of_rows(self, n, seed):
-        # the identity run_ensemble streams on; with another block or chunk
-        # size a boundary would cut a pair of some tree level
-        for size in (SHOTS_PER_BLOCK, ensemble._CHUNK):
-            assert size & (size - 1) == 0 < size
+        # run_ensemble merges its blocks in the pairs in which the tree over
+        # all shots joins its block-sized subtrees; with a block size that is
+        # not a power of two a block boundary would cut a pair of some level
+        assert SHOTS_PER_BLOCK & (SHOTS_PER_BLOCK - 1) == 0 < SHOTS_PER_BLOCK
         rng = np.random.default_rng(seed)
         # both signs over 60 decades, so any regrouping of the sum shows
         values = rng.standard_normal((n, 3)) * 10.0 ** rng.uniform(-30.0, 30.0, (n, 3))
@@ -242,6 +260,33 @@ class TestPairwiseTreeSum:
             for start in range(0, n, SHOTS_PER_BLOCK)
         ]
         assert np.array_equal(pairwise_tree_sum(np.array(block_sums)), pairwise_tree_sum(values))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(1, 300),
+        trailing=st.lists(st.integers(1, 4), max_size=2),
+        layout=st.sampled_from(["C", "F", "transposed", "strided"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=SHOTS_PER_BLOCK + 3, trailing=[10], layout="transposed", seed=0)
+    def test_same_bits_as_row_pairs(self, n, trailing, layout, seed):
+        # whatever the layout of the rows, each sum pairs them as the plain
+        # loop over axis 0 does
+        rng = np.random.default_rng(seed)
+        shape = (n, *trailing)
+        values = rng.standard_normal(shape) * 10.0 ** rng.uniform(-30.0, 30.0, shape)
+        if layout == "F":
+            values = np.asfortranarray(values)
+        elif layout == "transposed":
+            values = np.ascontiguousarray(values.T).T
+        elif layout == "strided":
+            values = np.repeat(values, 2, axis=-1)[..., ::2]
+        rows = list(values)
+        while len(rows) > 1:
+            rows = [rows[k] + rows[k + 1] if k + 1 < len(rows) else rows[k]
+                    for k in range(0, len(rows), 2)]
+        got = pairwise_tree_sum(values)
+        assert (got.shape, got.tobytes()) == (rows[0].shape, rows[0].tobytes())
 
 
 class TestRunEnsemble:
@@ -343,10 +388,10 @@ class TestRunEnsemble:
         assert z_score_report(result, target.mean, target.cov).max_z < 5.0
 
     @pytest.mark.parametrize("n", ENSEMBLE_SIZES)
-    def test_bit_identical_to_draw_moment_ensemble(self, n):
+    def test_bit_identical_to_block_moment_ensemble(self, n):
         for case, seed in REFERENCE_REQUESTS:
             circuit, state = CASES[case]()
-            reference = _draw_moment_ensemble(circuit, state, n, seed)
+            reference = _block_moment_ensemble(circuit, state, n, seed)
             results = [run_ensemble(circuit, state, n, seed, keep_outcomes=keep) for keep in (False, True)]
             for keep_outcomes, result in zip((False, True), results):
                 for field in fields(EnsembleResult):
@@ -363,12 +408,23 @@ class TestRunEnsemble:
             for name in ("mean", "cov", "mean_scatter"):
                 assert getattr(lean, name).tobytes() == getattr(full, name).tobytes(), name
 
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(n=st.integers(2, 12 * SHOTS_PER_BLOCK), case=st.sampled_from(["measured", "one_mode"]))
+    def test_bit_identical_to_block_moment_ensemble_at_any_size(self, n, case):
+        circuit, state = CASES[case]()
+        reference = _block_moment_ensemble(circuit, state, n, 5)
+        for keep_outcomes in (False, True):
+            ensemble._memoised.cache_clear()
+            result = run_ensemble(circuit, state, n, 5, keep_outcomes=keep_outcomes)
+            for name in ("mean", "cov", "mean_scatter", "se_mean", "se_cov"):
+                assert getattr(result, name).tobytes() == getattr(reference, name).tobytes(), name
+
     @pytest.mark.parametrize("n", ENSEMBLE_SIZES)
     def test_agrees_with_per_shot_ensemble(self, n):
         # the two sum in different orders, so they agree to rounding: the
-        # worst deviation over these requests and fields measures 2.78e-16
-        # of the largest |cov| entry (1.25 eps), in measured's cov at
-        # n = 4097, and the bound of 4 eps leaves 3.2x above it.  The
+        # worst deviation over these requests and fields measures 2.71e-16
+        # of the largest |cov| entry (1.22 eps), in three_modes' cov at
+        # n = 4096, and the bound of 4 eps leaves 3.3x above it.  The
         # readouts are the same run_means rows, so they and the conditional
         # covariance match bit for bit
         for case, seed in REFERENCE_REQUESTS:
@@ -382,17 +438,19 @@ class TestRunEnsemble:
             for name in ("outcomes", "conditional_cov"):
                 assert getattr(result, name).tobytes() == getattr(reference, name).tobytes(), name
 
-    def test_peak_memory_is_the_draws_plus_one_chunk(self):
-        # the ideal gate draws 2 numbers per shot, so the (n, 2) draws take
-        # 1.6 MB; the peak measures at most 2.67 MB and the bound leaves over
-        # 10% above it.  Holding the (n, 4) per-shot means as well would add
-        # 3.2 MB
-        assert _ensemble_peak_bytes(keep_outcomes=False) < 3.0e6
+    def test_peak_memory_is_one_block_whatever_the_shot_count(self):
+        # the measured gate draws 4 numbers per shot: one block's draws,
+        # their transpose, the 10 products per shot and the tree's first
+        # levels, about 0.85 MB at either size.  Holding the (n, 4) draws
+        # would add 3.2 MB at n = 1e5 and 32 MB at n = 1e6
+        peaks = [_ensemble_peak_bytes(*CASES["measured"](), n, False) for n in (100_000, 1_000_000)]
+        assert max(peaks) < 1.0e6
+        assert max(peaks) < 1.1 * min(peaks)
 
     def test_peak_memory_with_kept_outcomes(self):
-        # the (n, 2) readouts add 1.6 MB, written in place: the peak
-        # measures 3.73 MB, and holding them twice would add 1.6 MB
-        assert _ensemble_peak_bytes(keep_outcomes=True) < 4.1e6
+        # the ideal gate's (n, 2) readouts add 1.6 MB, written in place: the
+        # peak measures 2.30 MB, and holding them twice would add 1.6 MB
+        assert _ensemble_peak_bytes(default_gate(), gaussian.vacuum_state(2), 100_000, True) < 2.6e6
 
     def test_se_scaling_with_n(self):
         circuit = default_gate()
@@ -404,31 +462,32 @@ class TestRunEnsemble:
 
 
 # sha256 of ``_digest`` for (case, n, seed, keep_outcomes), recorded with the
-# kernel that aggregates the draws' moments and maps them through the output
-# gains.  The two cases without draws kept the digests of the kernel that
-# propagated every shot's means; the other ten were re-recorded when the
-# aggregation moved to the draws.  ``_draw_moment_ensemble`` shares the
-# generator and tree with ``run_ensemble``, so these pin the contract from
-# outside both
+# kernel that reduces each block to its draws' moments, merges the blocks'
+# moments and maps them through the output gains.  The two cases without
+# draws kept the digests of the kernel that propagated every shot's means;
+# the other ten were re-recorded when the blocks' moments came to be merged
+# instead of summed over all shots at once.  ``_block_moment_ensemble``
+# shares the generator and tree with ``run_ensemble``, so these pin the
+# contract from outside both
 RECORDED_DIGESTS = {
     ("measured", 100_001, 2**64 - 1, False):
-        "dcce6772d82eda50424f2b604f85801fa2ff7bb17e1016ed44331d1368d54635",
+        "bc20134760bf7a8d083fa7aa5544e6aebed8841aaf4ff2343085eba1802ba91a",
     ("measured", 100_001, 2**64 - 1, True):
-        "2bd3f71130edfb88273d04407196f285d78086681573eaaebbff5e310bd5f742",
-    ("ideal", 4097, 7, False): "f75254065fb15fe02fe15b6a8285d2d3563635ed8580d054fc55c1cf409c3984",
-    ("ideal", 4097, 7, True): "45184ed9849bcf189335cc1e5ba09406f8d32a07c7e9402b9a1ee2be1d7a53fd",
+        "8cae40b8042881cab268f94b7528f278fa4b24d52e829698d52e630ef4914f69",
+    ("ideal", 4097, 7, False): "a75f5b61d31a74d7da7bb236c777ce3239902ca9193c368612a89821b008d75c",
+    ("ideal", 4097, 7, True): "2bef6f178430fcf5a0fd4530170c29e09a43d352df422fd6ee804e963a7e3b50",
     ("empty", 100, 7, False): "bc832337a1262e992528ea0df6a18c6cdb4973a181f8a58d41f8192361fe9cb6",
     ("empty", 100, 7, True): "6b985a334b18090982d9b1c2a01325b3251717364d233b070b57a237e7bbdc42",
-    ("one_mode", 8193, 11, False): "93e6050c446a8b3ec0456a7d9964627dd5fea00301289219c06075a296d38e7e",
-    ("one_mode", 8193, 11, True): "e485acc2a0506e1f5509393c5932f09d340007d9acefa2518cd26277c9263cfd",
+    ("one_mode", 8193, 11, False): "e046f830cc20475de0de8e2546cbf0c930ab94f2dbcd27d590bbe3b1b9926284",
+    ("one_mode", 8193, 11, True): "407413f75f03165fc83a4258e90918793ffda5aa700c48ebc87d1ae27949a060",
     ("three_modes", 8193, 12, False):
-        "b463c01a0b805001f467d65ded81cb26fec123e5cefae6eb593fc2ffa4a0183f",
+        "fdfcd83544683394e2924c711237ffb00fddb05cc313ee9e385d8b05e9caf297",
     ("three_modes", 8193, 12, True):
-        "5ab63ca11e238d7f0e720cb61910fed9b11b0cc0c282970d4a47c9741ddd09e2",
+        "54ea4300989f8ed28d89fdc5198493e8e935d74d75cbd1388cbf51d9cdc43bce",
     ("lossy_homodyne", 8193, 13, False):
-        "bc289feeb0a387b6d1dbb34c32f28387a9203d18cc25f90bea07279a8ad79caf",
+        "64ffaf6962c7b2c481859028335b73d3ca43e1ab9977952bf49a08a6e3035e4b",
     ("lossy_homodyne", 8193, 13, True):
-        "bc27a0f8f4259930c207c4a9e49f1a0ad86eeb586d5d01d5d6f2fb3bb516eeb9",
+        "b1d4c40bd46103c717849c585785298627b72cebdb05a6c9004a65413dd813f6",
     ("no_homodyne", 8193, 14, False):
         "beea674db342ed013771f6941648e1aaf63abfcdec04ffd1a57db9e2b0749607",
     ("no_homodyne", 8193, 14, True):
@@ -444,12 +503,12 @@ class TestRecordedDigests:
         assert _digest(result) == RECORDED_DIGESTS[case, n, seed, keep_outcomes]
 
 
-def _ensemble_peak_bytes(keep_outcomes):
-    """tracemalloc peak of a 100k-shot ensemble of the ideal gate."""
-    circuit, state = default_gate(), gaussian.vacuum_state(2)
+def _ensemble_peak_bytes(circuit, state, n, keep_outcomes):
+    """tracemalloc peak of one ensemble, after a first one has imported what it needs."""
+    run_ensemble(circuit, state, 2, 5)
     tracemalloc.start()
     try:
-        run_ensemble(circuit, state, 100_000, 5, keep_outcomes=keep_outcomes)
+        run_ensemble(circuit, state, n, 5, keep_outcomes=keep_outcomes)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -644,6 +703,18 @@ class TestZScoreReport:
 
 
 class TestSubstreams:
+    @pytest.mark.parametrize("seed", [0, 2**63, 2**64 - 1])
+    def test_rekeyed_stream_is_the_block_substream(self, seed):
+        # one Philox re-keyed per block draws what a new Philox per block
+        # draws, whatever the last block left in its buffer
+        generator = np.random.Generator(np.random.Philox(0))
+        for block in (0, 1, 24):
+            generator.integers(0, 2**32, 3, dtype=np.uint32)  # leave a half-used buffer word
+            rekeyed, fresh = ensemble._rekey(generator, seed, block), trajectory_generator(seed, block)
+            assert repr(rekeyed.bit_generator.state) == repr(fresh.bit_generator.state)
+            got, want = (g.standard_normal(3 * SHOTS_PER_BLOCK + 1) for g in (rekeyed, fresh))
+            assert got.tobytes() == want.tobytes()
+
     def test_substreams_independent_of_order(self):
         a = trajectory_generator(5, 100).standard_normal(4)
         _ = trajectory_generator(5, 7).standard_normal(1000)
