@@ -181,13 +181,13 @@ def _sample(
     outcomes = np.empty((n, len(program.mean0) - n_out), order="F") if keep_outcomes else None
     upper = np.triu_indices(d)
 
-    # one block's draws, then their transpose and the upper triangle of their
-    # products, contiguous for a block of any length: the trees run along shots
+    # one allocation, which malloc keeps for the next ensemble; each part contiguous at any length
     generator = np.random.Generator(np.random.Philox(0))  # _rekey keys each block
-    block = np.empty((min(n, SHOTS_PER_BLOCK), d))
-    shots, products = np.empty(block.size), np.empty(len(upper[0]) * len(block))
+    rows, terms = min(n, SHOTS_PER_BLOCK), len(upper[0])
+    block, shots, products = np.split(np.empty((2 * d + terms) * rows), [d * rows, 2 * d * rows])
+    block = block.reshape(rows, d)  # a block's draws, then their transpose and triangle products
     # a row per block: its shot count, draw mean and the upper triangle of its scatter
-    moments = np.empty((-(-n // SHOTS_PER_BLOCK), 1 + d + len(upper[0])))
+    moments = np.empty((-(-n // SHOTS_PER_BLOCK), 1 + d + terms))
     for b, row in enumerate(moments):
         # filled in shot order: a partial last block draws a prefix of the full one
         drawn = block[: n - b * SHOTS_PER_BLOCK]
@@ -195,10 +195,10 @@ def _sample(
         if keep_outcomes:
             outcomes[b * SHOTS_PER_BLOCK : (b + 1) * SHOTS_PER_BLOCK] = program.run_means(drawn)[1]
         c = shots[: drawn.size].reshape(-1, len(drawn))
-        c[...] = drawn.T
+        c[...] = drawn.T  # the trees run along shots
         row[0], row[1 : 1 + d] = len(drawn), pairwise_tree_sum(c.T) / len(drawn)
         c -= row[1 : 1 + d, np.newaxis]
-        p, start = products[: len(upper[0]) * len(drawn)].reshape(-1, len(drawn)), 0
+        p, start = products[: terms * len(drawn)].reshape(-1, len(drawn)), 0
         for i in range(d):  # row i of the upper triangle: c_i c_j for j >= i
             np.multiply(c[i], c[i:], out=p[start : start + d - i])
             start += d - i
