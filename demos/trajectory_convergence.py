@@ -10,11 +10,9 @@ expected 1/sqrt(n) rate, bit-reproducibly.
 import numpy as np
 
 from qndsim import (
-    SHOTS_PER_BLOCK,
     GateParams,
     ImperfectionModel,
     build_qnd_gate,
-    compile_trajectory,
     displace,
     run_covariance,
     run_ensemble,
@@ -49,19 +47,20 @@ for n in (100, 1000, 10000, 100000):
 # Standard errors fall by sqrt(10) per decade while the standardized
 # deviations stay order one: the two execution routes agree.
 
-print("\nreproducibility: same seed, same aggregate")
-a = run_ensemble(circuit, state, 5000, master_seed=99)
-# an equal request would return the memoised result; keeping the readouts
-# makes another request, so the same shots are drawn and summed again
-b = run_ensemble(circuit, state, 5000, master_seed=99, keep_outcomes=True)
-print(f"  bit-identical means: {np.array_equal(a.mean, b.mean)}")
-print(f"  bit-identical covs:  {np.array_equal(a.cov, b.cov)}")
+print("\nreproducibility: same seed, same shot")
+first, again = (run_trajectory(circuit, state, trajectory_generator(99, 0)) for _ in range(2))
+print(f"  bit-identical readouts: {np.array_equal(first[1], again[1])}")
+print(f"  bit-identical means:    {np.array_equal(first[0].mean, again[0].mean)}")
 
-print("\ntrajectory 17 of the ensemble equals a standalone run on its block's substream:")
+print("\nan ensemble of 20 shots is the statistics of 20 standalone runs:")
 # shot i draws row i % SHOTS_PER_BLOCK of block i // SHOTS_PER_BLOCK, so the
-# standalone run skips the draws of the 17 shots before it in block 0
-rng = trajectory_generator(99, 17 // SHOTS_PER_BLOCK)
-rng.standard_normal((17 % SHOTS_PER_BLOCK) * compile_trajectory(circuit, state).draws_per_shot)
-solo, solo_log = run_trajectory(circuit, state, rng)
-batch = run_ensemble(circuit, state, 20, master_seed=99, keep_outcomes=True)
-print(f"  readouts equal: {np.array_equal(batch.outcomes[17], solo_log)}")
+# 20 shots are block 0's first 20, run in order on its substream
+rng = trajectory_generator(99, 0)
+shots = np.array([run_trajectory(circuit, state, rng)[0].mean for _ in range(20)])
+batch = run_ensemble(circuit, state, 20, master_seed=99)
+same = [
+    np.allclose(got, want, rtol=0.0, atol=1e-12)
+    for got, want in ((batch.mean, shots.mean(axis=0)), (batch.mean_scatter, np.cov(shots.T)))
+]
+print(f"  shots' mean equals the ensemble mean:             {same[0]}")
+print(f"  shots' covariance equals the ensemble's scatter: {same[1]}")

@@ -542,7 +542,7 @@ def run_covariance(
 
 
 # --------------------------------------------------------------------------
-# single-shot and batched stochastic execution
+# single-shot stochastic execution
 
 
 @dataclass
@@ -563,29 +563,19 @@ class TrajectoryProgram:
     draws_per_shot: int
 
     def run_means(self, draws: np.ndarray):
-        """Propagate trajectory means for ``draws`` of shape (n, draws_per_shot).
+        """Propagate one shot's means for its ``draws``, of shape (draws_per_shot,).
 
-        Returns ``(means, outcomes)`` where ``means`` is (n, 2*n_output_modes)
-        and ``outcomes`` the electronic readouts, one column per homodyne;
-        both are column-major.  A row does not depend on the batch it runs
-        in, which is what lets ``run_ensemble`` call this once per block.  A
-        program cut to its first ``2*n_output_modes`` rows propagates the
-        means alone and returns no readout columns.
+        Returns ``(means, outcomes)``, one row each: the 2*n_output_modes
+        output means and the electronic readouts, one column per homodyne.
         """
-        draws = np.atleast_2d(np.asarray(draws, dtype=float))
-        if draws.shape[1] != self.draws_per_shot:
-            raise ValueError(
-                f"need {self.draws_per_shot} draws per shot, got {draws.shape[1]}"
-            )
-        # ((mean0 + g0 d0) + g1 d1) + ..., one draw column at a time so that
-        # a row's arithmetic does not depend on how many rows share the
-        # batch; the shots run along the contiguous axis of the values and
-        # of the transposed draws
-        values, step = np.empty((2, len(self.mean0), draws.shape[0]))
-        values[...] = self.mean0[:, np.newaxis]
-        for gain, column in zip(self.gains.T, draws.T.copy()):
-            values += np.multiply(gain[:, np.newaxis], column, out=step)
-        return values[: 2 * self.n_output_modes].T, values[2 * self.n_output_modes :].T
+        draws = np.asarray(draws, dtype=float)
+        if draws.shape != (self.draws_per_shot,):
+            raise ValueError(f"need {self.draws_per_shot} draws per shot, got shape {draws.shape}")
+        # ((mean0 + g0 d0) + g1 d1) + ..., one draw at a time
+        values = self.mean0.copy()
+        for gain, draw in zip(self.gains.T, draws):
+            values += gain * draw
+        return np.split(values[np.newaxis], [2 * self.n_output_modes], axis=1)
 
 
 def compile_trajectory(circuit: Circuit, state: GaussianState) -> TrajectoryProgram:
@@ -627,10 +617,8 @@ def run_trajectory(
     regardless of how it is scheduled.
     """
     program = compile_trajectory(circuit, state)
-    draws = rng.standard_normal(program.draws_per_shot)
-    means, outcomes = program.run_means(draws[np.newaxis, :])
-    final = GaussianState(program.n_output_modes, means[0], program.final_cov.copy())
-    return final, outcomes[0]
+    means, outcomes = program.run_means(rng.standard_normal(program.draws_per_shot))
+    return GaussianState(program.n_output_modes, means[0], program.final_cov.copy()), outcomes[0]
 
 
 # --------------------------------------------------------------------------

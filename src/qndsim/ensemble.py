@@ -19,13 +19,12 @@ reduced to its shot count, its draws' mean and the upper triangle of their
 centred scatter, each a fixed pairwise tree over the block's shots, and the
 blocks' moments merge in the same tree by the pairwise update of Chan, Golub
 and LeVeque (Am. Stat. 37, 242 (1983)).  The summation order is thus part of
-the contract, and memory is one block whatever the shot count.  The shots'
-readouts are propagated only when the outcomes are kept.
+the contract, and memory is one block whatever the shot count.
 
 A result is a pure function of the circuit's row stack, the input state, the
-shot count, the seed and ``keep_outcomes``, so equal requests share one
-read-only result from a bounded memo keyed on those inputs' bytes: the
-vacuum-input ensemble that ``transfer`` draws also serves ``conditional``.
+shot count and the seed, so equal requests share one read-only result from a
+bounded memo keyed on those inputs' bytes: the vacuum-input ensemble that
+``transfer`` draws also serves ``conditional``.
 """
 
 from __future__ import annotations
@@ -114,43 +113,36 @@ class EnsembleResult:
     conditional_cov: np.ndarray  # outcome-independent final covariance
     se_mean: np.ndarray
     se_cov: np.ndarray
-    outcomes: np.ndarray | None = None
 
 
 def run_ensemble(
-    circuit: Circuit, state: GaussianState, n: int, master_seed: int, keep_outcomes: bool = False
+    circuit: Circuit, state: GaussianState, n: int, master_seed: int
 ) -> EnsembleResult:
     """Run ``n`` independent trajectories and aggregate their statistics.
 
     Each block's draws are reduced to their count, mean and scatter, and
     the blocks' moments merged; the output means and their scatter are the
-    merged moments mapped through the output gains.  Memory is one block,
-    and the (n, homodynes) readouts only with ``keep_outcomes``, which must
-    be a ``bool`` or ``numpy.bool_``; only then does ``run_means`` propagate
-    any shot.
+    merged moments mapped through the output gains.  Memory is one block.
 
     The seed, ``n`` and the input-mode count are checked on every call.  The
     last ``MEMO_ENTRIES`` results are memoised on the bytes of the circuit's
     matrix, the state's mean and covariance, the circuit's columns and
-    counts, ``n``, the seed and ``keep_outcomes``: bytes, not float equality,
-    so states or circuits differing only in the sign of a zero never share
-    a result.  An equal request returns the same read-only result without
-    drawing again.  The memo holds a few kB per result, plus the readouts
-    (``n`` times 8 bytes per homodyne) of results kept with ``keep_outcomes``.
+    counts, ``n`` and the seed: bytes, not float equality, so states or
+    circuits differing only in the sign of a zero never share a result.  An
+    equal request returns the same read-only result without drawing again.
+    The memo holds a few kB per result.
     """
     check_master_seed(master_seed)
     if n < 2:
         raise ValueError("an ensemble needs at least two trajectories")
     if state.n_modes != circuit.n_input_modes:
         raise ValueError(f"circuit expects {circuit.n_input_modes} input modes, got {state.n_modes}")
-    if not isinstance(keep_outcomes, (bool, np.bool_)):
-        raise TypeError(f"keep_outcomes must be a bool, got {keep_outcomes!r}")
-    n, master_seed, keep_outcomes = operator.index(n), int(master_seed), bool(keep_outcomes)
+    n, master_seed = operator.index(n), int(master_seed)
     key = (
         *map(_bits, (circuit.matrix, state.mean, state.cov)),
-        circuit.columns, circuit.n_output_modes, circuit.n_readouts, n, master_seed, keep_outcomes,
+        circuit.columns, circuit.n_output_modes, circuit.n_readouts, n, master_seed,
     )
-    return _memoised(_Request(key, (circuit, state, n, master_seed, keep_outcomes)))
+    return _memoised(_Request(key, (circuit, state, n, master_seed)))
 
 
 def _bits(array) -> tuple:
@@ -172,13 +164,10 @@ def _memoised(request: _Request) -> EnsembleResult:
     return _sample(*request.args)
 
 
-def _sample(
-    circuit: Circuit, state: GaussianState, n: int, master_seed: int, keep_outcomes: bool
-) -> EnsembleResult:
+def _sample(circuit: Circuit, state: GaussianState, n: int, master_seed: int) -> EnsembleResult:
     """The one pass of ``run_ensemble``, on arguments it has checked."""
     program = compile_trajectory(circuit, state)
     n_out, d = 2 * program.n_output_modes, program.draws_per_shot
-    outcomes = np.empty((n, len(program.mean0) - n_out), order="F") if keep_outcomes else None
     upper = np.triu_indices(d)
 
     # one allocation, which malloc keeps for the next ensemble; each part contiguous at any length
@@ -192,8 +181,6 @@ def _sample(
         # filled in shot order: a partial last block draws a prefix of the full one
         drawn = block[: n - b * SHOTS_PER_BLOCK]
         _rekey(generator, master_seed, b).standard_normal(out=drawn)
-        if keep_outcomes:
-            outcomes[b * SHOTS_PER_BLOCK : (b + 1) * SHOTS_PER_BLOCK] = program.run_means(drawn)[1]
         c = shots[: drawn.size].reshape(-1, len(drawn))
         c[...] = drawn.T  # the trees run along shots
         row[0], row[1 : 1 + d] = len(drawn), pairwise_tree_sum(c.T) / len(drawn)
@@ -230,7 +217,7 @@ def _sample(
     result = EnsembleResult(
         n_trajectories=n, master_seed=master_seed, mean=mean, cov=program.final_cov + scatter,
         mean_scatter=scatter, conditional_cov=program.final_cov.copy(), se_mean=np.sqrt(diag / n),
-        se_cov=np.sqrt((np.outer(diag, diag) + scatter**2) / (n - 1)), outcomes=outcomes,
+        se_cov=np.sqrt((np.outer(diag, diag) + scatter**2) / (n - 1)),
     )
     # every caller of an equal request shares these arrays
     for f in fields(result):

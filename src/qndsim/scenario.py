@@ -24,6 +24,8 @@ from . import gaussian
 from .circuit import GateParams, ImperfectionModel, reflectivity_from_gain
 from .ensemble import check_master_seed
 
+MAX_G_POINTS = 100_000  # the most g values a scan may take: 250 times the default 401
+
 
 @dataclass
 class RunSpec:
@@ -45,6 +47,9 @@ class RunSpec:
             raise ValueError("g_grid step must be positive")
         if self.g_min > self.g_max:
             raise ValueError(f"g_grid min {self.g_min} exceeds max {self.g_max}")
+        # the length np.arange gives g_grid, counted without allocating it
+        if (points := np.ceil((self.g_max + 1e-9 - self.g_min) / self.g_step)) > MAX_G_POINTS:
+            raise ValueError(f"g_grid has {points:.12g} points, more than {MAX_G_POINTS}")
         check_master_seed(self.master_seed)
 
     def g_grid(self) -> np.ndarray:

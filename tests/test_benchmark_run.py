@@ -30,7 +30,7 @@ def test_every_workload_runs_and_is_correct():
 def test_traced_trajectories_run_propagates_no_shot():
     # the traced mode wraps the package's functions from outside; an
     # ensemble aggregates its draws' moments, so no shot's means are
-    # propagated when no outcomes are kept
+    # propagated
     run = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", "trajectories", "--seed", "1",
          "--seconds", "1", "--trace", "1"],

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -35,6 +36,7 @@ from qndsim.cli import (
 from qndsim.ensemble import SHOTS_PER_BLOCK, run_ensemble
 from qndsim.quadexpr import QuadratureMap
 from qndsim.scenario import (
+    MAX_G_POINTS,
     OutputSpec,
     RunSpec,
     ScenarioConfig,
@@ -136,6 +138,30 @@ class TestScenarioConfig:
         path.write_text(json.dumps({"run": {"g_grid": {"min": 0.5, "max": 0.5}}}))
         assert main(["conditional", "--config", str(path)]) == 0
         assert "scan over g: best margin" in capsys.readouterr().out
+
+    def test_huge_g_grid_rejected_before_any_grid_exists(self, tmp_path):
+        # 2e9 points, a 14.9 GiB grid: rejected at load, and transfer, which
+        # never scans g, no longer reaches a MemoryError
+        grid = {"min": -1e6, "max": 1e6, "step": 1e-3}
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="g_grid has 2000000001 points, more than 100000"):
+                scenario_from_dict({"run": {"g_grid": grid}})
+            assert tracemalloc.get_traced_memory()[1] < 100_000
+        finally:
+            tracemalloc.stop()
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({"run": {"g_grid": grid}}))
+        with pytest.raises(ValueError, match="g_grid has 2000000001 points"):
+            main(["transfer", "--config", str(path)])
+
+    def test_g_grid_bound_counts_as_arange_does(self):
+        # the largest accepted grid has exactly MAX_G_POINTS points; one step more is rejected
+        assert len(RunSpec(g_min=0.0, g_max=999.99, g_step=0.01).g_grid()) == MAX_G_POINTS
+        with pytest.raises(ValueError, match=f"g_grid has {MAX_G_POINTS + 1} points"):
+            RunSpec(g_min=0.0, g_max=1000.0, g_step=0.01)
+        with pytest.raises(ValueError, match="g_grid has inf points"):
+            RunSpec(g_min=-1e308, g_max=1e308, g_step=1.0)
 
     @pytest.mark.parametrize("command", ["vacuum-spectra", "transfer", "conditional", "reproduce-table"])
     def test_inputs_section_rejected(self, tmp_path, command):

@@ -15,7 +15,7 @@ STDOUT_SHA256 = {
     "conditional_variance": "52be99c6e995f177745049f8f662c75f02f8b8cad1cd744a884ccbd80e12fd58",
     "heisenberg_relations": "d1a24bfceb843943c51f7e015fbc160a76771d4024a95708207d337c06412a91",
     "measurement_induced_squeezing": "c5c6e344a27529c318d8de341383765efc6deac2220ab0851c86def679e7a849",
-    "trajectory_convergence": "644d5f24a4495c37dfd58506778e3e001ed1aaa246aa195282aeef5bd84d1a7f",
+    "trajectory_convergence": "4038cc011d1bac083105fc8e39dc7356c6c76b248f1e86dcb7f9bb7d6d1c4875",
     "vacuum_spectra": "895f9cea3c4abf521bf613b14455f9eac099f0435db71def665386c59b228bc4",
 }
 
@@ -35,4 +35,6 @@ def test_demo_runs(path, capsys):
 
 def test_trajectory_demo_reproduces_a_shot(capsys):
     runpy.run_path(str(DEMO_DIR / "trajectory_convergence.py"), run_name="__main__")
-    assert "readouts equal: True" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "shots' mean equals the ensemble mean:             True" in out
+    assert "shots' covariance equals the ensemble's scatter: True" in out

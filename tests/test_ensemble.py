@@ -148,14 +148,15 @@ def _draws(program, n, master_seed):
 
 
 def _propagate(program, draws):
-    """Every shot's output means and readouts: one affine propagation of all rows."""
-    values = np.tile(program.mean0, (len(draws), 1))
+    """Every shot's output means: one affine propagation of all rows."""
+    n_out = 2 * program.n_output_modes
+    values = np.tile(program.mean0[:n_out], (len(draws), 1))
     for j in range(program.draws_per_shot):
-        values += np.outer(draws[:, j], program.gains[:, j])
-    return np.split(values, [2 * program.n_output_modes], axis=1)
+        values += np.outer(draws[:, j], program.gains[:n_out, j])
+    return values
 
 
-def _result(n, master_seed, program, mean, scatter, outcomes):
+def _result(n, master_seed, program, mean, scatter):
     diag = np.diag(scatter)
     return EnsembleResult(
         n_trajectories=n,
@@ -166,7 +167,6 @@ def _result(n, master_seed, program, mean, scatter, outcomes):
         conditional_cov=program.final_cov.copy(),
         se_mean=np.sqrt(diag / n),
         se_cov=np.sqrt((np.outer(diag, diag) + scatter**2) / (n - 1)),
-        outcomes=outcomes,
     )
 
 
@@ -205,22 +205,28 @@ def _block_moment_ensemble(circuit, state, n, master_seed):
     lower = np.tril_indices(len(scatter), -1)
     scatter[lower] = scatter.T[lower]
     mean = program.mean0[: len(gains)] + gains @ draw_mean
-    return _result(n, master_seed, program, mean, scatter, _propagate(program, draws)[1])
+    return _result(n, master_seed, program, mean, scatter)
+
+
+def _shot_moments(means):
+    """The sample mean and covariance of the shots' ``means``, one row per shot.
+
+    One tree over all rows of the means and of their centred outer products.
+    It sums in another order than the merged block moments do, so
+    ``run_ensemble`` agrees with it to rounding, not bit for bit.
+    """
+    means = np.asarray(means)
+    mean = pairwise_tree_sum(means) / len(means)
+    centered = means - mean
+    outer = centered[:, :, np.newaxis] * centered[:, np.newaxis, :]
+    return mean, pairwise_tree_sum(outer) / (len(means) - 1)
 
 
 def _per_shot_ensemble(circuit, state, n, master_seed):
-    """Independent reference: every shot's means propagated, then their moments.
-
-    One tree over all ``n`` rows of the means and of their centred outer
-    products.  It sums in another order than the merged block moments do,
-    so ``run_ensemble`` agrees with it to rounding, not bit for bit.
-    """
+    """Independent reference: every shot's means propagated, then their moments."""
     program = compile_trajectory(circuit, state)
-    means, outcomes = _propagate(program, _draws(program, n, master_seed))
-    mean = pairwise_tree_sum(means) / n
-    centered = means - mean
-    scatter = pairwise_tree_sum(centered[:, :, np.newaxis] * centered[:, np.newaxis, :]) / (n - 1)
-    return _result(n, master_seed, program, mean, scatter, outcomes)
+    mean, scatter = _shot_moments(_propagate(program, _draws(program, n, master_seed)))
+    return _result(n, master_seed, program, mean, scatter)
 
 
 # (case, seed) of the reference checks: the two-mode gates with 4 or 2 draws
@@ -311,13 +317,12 @@ class TestRunEnsemble:
     def test_same_seed_bit_identical(self):
         circuit = build_qnd_gate(GateParams.from_gain(1.0), ImperfectionModel())
         state = gaussian.displace(gaussian.vacuum_state(2), 0, 1.0, 0.0)
-        a = run_ensemble(circuit, state, 500, 42, keep_outcomes=True)
+        a = run_ensemble(circuit, state, 500, 42)
         ensemble._memoised.cache_clear()
-        b = run_ensemble(circuit, state, 500, 42, keep_outcomes=True)
+        b = run_ensemble(circuit, state, 500, 42)
         assert b is not a
         assert np.array_equal(a.mean, b.mean)
         assert np.array_equal(a.cov, b.cov)
-        assert np.array_equal(a.outcomes, b.outcomes)
 
     def test_different_seed_differs(self):
         circuit = default_gate()
@@ -325,27 +330,28 @@ class TestRunEnsemble:
         b = run_ensemble(circuit, gaussian.vacuum_state(2), 500, 2)
         assert not np.array_equal(a.mean, b.mean)
 
-    def test_rows_match_single_trajectories(self):
+    @pytest.mark.parametrize("n", [2, 17, SHOTS_PER_BLOCK + 5])
+    def test_moments_of_single_trajectories(self, n):
         # shot i is a run_trajectory on block i // SHOTS_PER_BLOCK's
-        # substream after the rows of the shots before it in that block
-        circuit = build_qnd_gate(GateParams.from_gain(1.5), ImperfectionModel())
-        state = gaussian.vacuum_state(2)
-        draws_per_shot = compile_trajectory(circuit, state).draws_per_shot
-        n = 2 * SHOTS_PER_BLOCK + 9
-        result = run_ensemble(circuit, state, n, 314, keep_outcomes=True)
-        for i in (0, 3, SHOTS_PER_BLOCK - 1, SHOTS_PER_BLOCK, n - 1):
-            rng = trajectory_generator(314, i // SHOTS_PER_BLOCK)
-            rng.standard_normal((i % SHOTS_PER_BLOCK) * draws_per_shot)
-            _, log = run_trajectory(circuit, state, rng)
-            assert np.array_equal(result.outcomes[i], log)
+        # substream after the shots before it in that block, so the shots'
+        # moments are the ensemble's to the rounding (and the 4 eps bound)
+        # of test_agrees_with_per_shot_ensemble
+        circuit, state = CASES["measured"]()
+        means = []
+        for start in range(0, n, SHOTS_PER_BLOCK):
+            rng = trajectory_generator(314, start // SHOTS_PER_BLOCK)
+            for _ in range(min(n - start, SHOTS_PER_BLOCK)):
+                means.append(run_trajectory(circuit, state, rng)[0].mean)
+        result = run_ensemble(circuit, state, n, 314)
+        bound = 4 * np.finfo(float).eps * np.max(np.abs(result.cov))
+        for got, want in zip((result.mean, result.mean_scatter), _shot_moments(means)):
+            assert np.max(np.abs(got - want)) <= bound
 
-    def test_ensemble_is_prefix_of_larger_ensemble(self):
-        # a shot's draws depend on its index, not on the ensemble size
-        circuit = build_qnd_gate(GateParams.from_gain(1.5), ImperfectionModel())
-        state = gaussian.vacuum_state(2)
-        small = run_ensemble(circuit, state, SHOTS_PER_BLOCK + 5, 8, keep_outcomes=True)
-        large = run_ensemble(circuit, state, 3 * SHOTS_PER_BLOCK + 1, 8, keep_outcomes=True)
-        assert np.array_equal(small.outcomes, large.outcomes[: SHOTS_PER_BLOCK + 5])
+    def test_run_means_takes_one_shot(self):
+        program = compile_trajectory(*CASES["measured"]())
+        for shape in ((program.draws_per_shot + 1,), (3, program.draws_per_shot)):
+            with pytest.raises(ValueError, match="draws per shot"):
+                program.run_means(np.zeros(shape))
 
     @pytest.mark.parametrize("seed", [1.5, 2**64, -1, True, "7"])
     def test_invalid_master_seed_rejected(self, seed):
@@ -364,18 +370,6 @@ class TestRunEnsemble:
         b = run_ensemble(default_gate(), state, 10, 2**63 + 1)
         assert not np.array_equal(a.mean, b.mean)
 
-    def test_batch_rows_equal_single_rows(self):
-        # a shot's means and readouts do not depend on the batch it runs in
-        circuit = build_qnd_gate(GateParams.from_gain(1.5), ImperfectionModel())
-        state = gaussian.displace(gaussian.vacuum_state(2), 0, 2.0, 0.0)
-        program = compile_trajectory(circuit, state)
-        draws = np.random.default_rng(0).standard_normal((1000, program.draws_per_shot))
-        means, outcomes = program.run_means(draws)
-        for i in (0, 1, 500, 999):
-            mean, outcome = program.run_means(draws[i])
-            assert np.array_equal(mean[0], means[i])
-            assert np.array_equal(outcome[0], outcomes[i])
-
     def test_dark_noise_at_shot_level_matches_covariance(self):
         # anti-squeezed ancillas leave the measured quadratures below the
         # readout noise; conditioning on the optical value must still give
@@ -392,32 +386,19 @@ class TestRunEnsemble:
         for case, seed in REFERENCE_REQUESTS:
             circuit, state = CASES[case]()
             reference = _block_moment_ensemble(circuit, state, n, seed)
-            results = [run_ensemble(circuit, state, n, seed, keep_outcomes=keep) for keep in (False, True)]
-            for keep_outcomes, result in zip((False, True), results):
-                for field in fields(EnsembleResult):
-                    got, want = getattr(result, field.name), getattr(reference, field.name)
-                    if field.name == "outcomes" and not keep_outcomes:
-                        assert got is None
-                    else:
-                        got, want = np.asarray(got), np.asarray(want)
-                        assert (got.shape, got.tobytes()) == (want.shape, want.tobytes()), (
-                            field.name, case, keep_outcomes
-                        )
-            # propagating the readouts leaves the moments' bits alone
-            lean, full = results
-            for name in ("mean", "cov", "mean_scatter"):
-                assert getattr(lean, name).tobytes() == getattr(full, name).tobytes(), name
+            result = run_ensemble(circuit, state, n, seed)
+            for field in fields(EnsembleResult):
+                got, want = (np.asarray(getattr(r, field.name)) for r in (result, reference))
+                assert (got.shape, got.tobytes()) == (want.shape, want.tobytes()), (field.name, case)
 
     @settings(max_examples=12, deadline=None, derandomize=True)
     @given(n=st.integers(2, 12 * SHOTS_PER_BLOCK), case=st.sampled_from(["measured", "one_mode"]))
     def test_bit_identical_to_block_moment_ensemble_at_any_size(self, n, case):
         circuit, state = CASES[case]()
         reference = _block_moment_ensemble(circuit, state, n, 5)
-        for keep_outcomes in (False, True):
-            ensemble._memoised.cache_clear()
-            result = run_ensemble(circuit, state, n, 5, keep_outcomes=keep_outcomes)
-            for name in ("mean", "cov", "mean_scatter", "se_mean", "se_cov"):
-                assert getattr(result, name).tobytes() == getattr(reference, name).tobytes(), name
+        result = run_ensemble(circuit, state, n, 5)
+        for name in ("mean", "cov", "mean_scatter", "se_mean", "se_cov"):
+            assert getattr(result, name).tobytes() == getattr(reference, name).tobytes(), name
 
     @pytest.mark.parametrize("n", ENSEMBLE_SIZES)
     def test_agrees_with_per_shot_ensemble(self, n):
@@ -425,32 +406,25 @@ class TestRunEnsemble:
         # worst deviation over these requests and fields measures 2.71e-16
         # of the largest |cov| entry (1.22 eps), in three_modes' cov at
         # n = 4096, and the bound of 4 eps leaves 3.3x above it.  The
-        # readouts are the same run_means rows, so they and the conditional
-        # covariance match bit for bit
+        # conditional covariance matches bit for bit
         for case, seed in REFERENCE_REQUESTS:
             circuit, state = CASES[case]()
             reference = _per_shot_ensemble(circuit, state, n, seed)
-            result = run_ensemble(circuit, state, n, seed, keep_outcomes=True)
+            result = run_ensemble(circuit, state, n, seed)
             bound = 4 * np.finfo(float).eps * np.max(np.abs(reference.cov))
             for name in ("mean", "cov", "mean_scatter", "se_mean", "se_cov"):
                 got, want = getattr(result, name), getattr(reference, name)
                 assert np.max(np.abs(got - want), initial=0.0) <= bound, (name, case)
-            for name in ("outcomes", "conditional_cov"):
-                assert getattr(result, name).tobytes() == getattr(reference, name).tobytes(), name
+            assert result.conditional_cov.tobytes() == reference.conditional_cov.tobytes()
 
     def test_peak_memory_is_one_block_whatever_the_shot_count(self):
         # the measured gate draws 4 numbers per shot: one block's draws,
         # their transpose, the 10 products per shot and the tree's first
         # levels, about 0.85 MB at either size.  Holding the (n, 4) draws
         # would add 3.2 MB at n = 1e5 and 32 MB at n = 1e6
-        peaks = [_ensemble_peak_bytes(*CASES["measured"](), n, False) for n in (100_000, 1_000_000)]
+        peaks = [_ensemble_peak_bytes(*CASES["measured"](), n) for n in (100_000, 1_000_000)]
         assert max(peaks) < 1.0e6
         assert max(peaks) < 1.1 * min(peaks)
-
-    def test_peak_memory_with_kept_outcomes(self):
-        # the ideal gate's (n, 2) readouts add 1.6 MB, written in place: the
-        # peak measures 2.30 MB, and holding them twice would add 1.6 MB
-        assert _ensemble_peak_bytes(default_gate(), gaussian.vacuum_state(2), 100_000, True) < 2.6e6
 
     def test_se_scaling_with_n(self):
         circuit = default_gate()
@@ -461,54 +435,39 @@ class TestRunEnsemble:
         assert np.sqrt(2.0) * 0.85 < ratio < np.sqrt(2.0) * 1.15
 
 
-# sha256 of ``_digest`` for (case, n, seed, keep_outcomes), recorded with the
-# kernel that reduces each block to its draws' moments, merges the blocks'
-# moments and maps them through the output gains.  The two cases without
-# draws kept the digests of the kernel that propagated every shot's means;
-# the other ten were re-recorded when the blocks' moments came to be merged
-# instead of summed over all shots at once.  ``_block_moment_ensemble``
-# shares the generator and tree with ``run_ensemble``, so these pin the
-# contract from outside both
+# sha256 of ``_digest`` for (case, n, seed), recorded with the kernel that
+# reduces each block to its draws' moments, merges the blocks' moments and
+# maps them through the output gains.  They were re-recorded when the
+# ``outcomes`` field went; hashing the remaining fields of the previous
+# kernel's results gives the same values.  ``_block_moment_ensemble`` shares
+# the generator and tree with ``run_ensemble``, so these pin the contract
+# from outside both
 RECORDED_DIGESTS = {
-    ("measured", 100_001, 2**64 - 1, False):
-        "bc20134760bf7a8d083fa7aa5544e6aebed8841aaf4ff2343085eba1802ba91a",
-    ("measured", 100_001, 2**64 - 1, True):
-        "8cae40b8042881cab268f94b7528f278fa4b24d52e829698d52e630ef4914f69",
-    ("ideal", 4097, 7, False): "a75f5b61d31a74d7da7bb236c777ce3239902ca9193c368612a89821b008d75c",
-    ("ideal", 4097, 7, True): "2bef6f178430fcf5a0fd4530170c29e09a43d352df422fd6ee804e963a7e3b50",
-    ("empty", 100, 7, False): "bc832337a1262e992528ea0df6a18c6cdb4973a181f8a58d41f8192361fe9cb6",
-    ("empty", 100, 7, True): "6b985a334b18090982d9b1c2a01325b3251717364d233b070b57a237e7bbdc42",
-    ("one_mode", 8193, 11, False): "e046f830cc20475de0de8e2546cbf0c930ab94f2dbcd27d590bbe3b1b9926284",
-    ("one_mode", 8193, 11, True): "407413f75f03165fc83a4258e90918793ffda5aa700c48ebc87d1ae27949a060",
-    ("three_modes", 8193, 12, False):
-        "fdfcd83544683394e2924c711237ffb00fddb05cc313ee9e385d8b05e9caf297",
-    ("three_modes", 8193, 12, True):
-        "54ea4300989f8ed28d89fdc5198493e8e935d74d75cbd1388cbf51d9cdc43bce",
-    ("lossy_homodyne", 8193, 13, False):
-        "64ffaf6962c7b2c481859028335b73d3ca43e1ab9977952bf49a08a6e3035e4b",
-    ("lossy_homodyne", 8193, 13, True):
-        "b1d4c40bd46103c717849c585785298627b72cebdb05a6c9004a65413dd813f6",
-    ("no_homodyne", 8193, 14, False):
-        "beea674db342ed013771f6941648e1aaf63abfcdec04ffd1a57db9e2b0749607",
-    ("no_homodyne", 8193, 14, True):
-        "feea43326df2d450363f2e676b6470de9c9cd499f2ddfa8964d4e076e95d100a",
+    ("measured", 100_001, 2**64 - 1):
+        "040b738a9f1e99bce51806ac3963d52e99bd9377da1c89869e40bc8f99c344e1",
+    ("ideal", 4097, 7): "3336c219a6ac771ef1008c783791dd3721df91d263b4322a69617075fb2b69a8",
+    ("empty", 100, 7): "aa7ead29ead9cdade9372556f8a75fe958244c1081038fe83ead1b33faea7014",
+    ("one_mode", 8193, 11): "7364a723da33d27eebce41bbc23dcc4620152d9aeb3cd333d9ef5a59ae56d30b",
+    ("three_modes", 8193, 12): "f0974354d1d167dc85f6c749c5eb4bd642e8f96ac3a7a41e64b435f341734dff",
+    ("lossy_homodyne", 8193, 13):
+        "e3c63490f166216a2d1dfbbd2a9f9ba6bf579d6889db1a8c85dfa711478ad657",
+    ("no_homodyne", 8193, 14): "789631193643a6b9390f51518ad652a15b54a348a4188b31ba005f63d75fdc23",
 }
 
 
 class TestRecordedDigests:
-    @pytest.mark.parametrize("case, n, seed, keep_outcomes", sorted(RECORDED_DIGESTS))
-    def test_result_matches_recorded_digest(self, case, n, seed, keep_outcomes):
+    @pytest.mark.parametrize("case, n, seed", sorted(RECORDED_DIGESTS))
+    def test_result_matches_recorded_digest(self, case, n, seed):
         circuit, state = CASES[case]()
-        result = run_ensemble(circuit, state, n, seed, keep_outcomes=keep_outcomes)
-        assert _digest(result) == RECORDED_DIGESTS[case, n, seed, keep_outcomes]
+        assert _digest(run_ensemble(circuit, state, n, seed)) == RECORDED_DIGESTS[case, n, seed]
 
 
-def _ensemble_peak_bytes(circuit, state, n, keep_outcomes):
+def _ensemble_peak_bytes(circuit, state, n):
     """tracemalloc peak of one ensemble, after a first one has imported what it needs."""
     run_ensemble(circuit, state, 2, 5)
     tracemalloc.start()
     try:
-        run_ensemble(circuit, state, n, 5, keep_outcomes=keep_outcomes)
+        run_ensemble(circuit, state, n, 5)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -527,41 +486,38 @@ def _same_bits(a, b) -> bool:
     return True
 
 
-def _assert_rejected_before_lookup(n, seed, modes, keep_outcomes, error):
+def _assert_rejected_before_lookup(n, seed, modes, error):
     """The call raises ``error`` and neither reads nor changes the memo.
 
     An equal valid request is memoised first: seed True and 5.0 equal the
-    valid seeds 1 and 5 as Python values, keep_outcomes 0 and 1 equal False
-    and True, and a state whose mode count disagrees with its arrays has the
-    vacuum's bytes.
+    valid seeds 1 and 5 as Python values, and a state whose mode count
+    disagrees with its arrays has the vacuum's bytes.
     """
     circuit = default_gate()
-    for valid_seed, valid_keep in ((1, False), (5, False), (1, True)):
-        run_ensemble(circuit, gaussian.vacuum_state(2), 10, valid_seed, keep_outcomes=valid_keep)
+    for valid_seed in (1, 5):
+        run_ensemble(circuit, gaussian.vacuum_state(2), 10, valid_seed)
     state = gaussian.vacuum_state(2)
     state.n_modes = modes
     before = ensemble._memoised.cache_info()
     with pytest.raises(error):
-        run_ensemble(circuit, state, n, seed, keep_outcomes=keep_outcomes)
+        run_ensemble(circuit, state, n, seed)
     after = ensemble._memoised.cache_info()
     assert (after.hits, after.currsize) == (before.hits, before.currsize)
 
 
 class TestMemo:
     @pytest.mark.parametrize("n", [2, SHOTS_PER_BLOCK + 1, 100_001])
-    @pytest.mark.parametrize("keep_outcomes", [False, True])
-    def test_hit_equals_fresh_computation(self, n, keep_outcomes):
+    def test_hit_equals_fresh_computation(self, n):
         displaced = gaussian.displace(gaussian.vacuum_state(2), 0, 2.0, -1.0)
         measured = build_qnd_gate(GateParams.from_gain(1.5), ImperfectionModel())
         for circuit, state in ((default_gate(), gaussian.vacuum_state(2)), (measured, displaced)):
-            first = run_ensemble(circuit, state, n, 3, keep_outcomes=keep_outcomes)
-            hit = run_ensemble(circuit, state.copy(), n, 3, keep_outcomes=keep_outcomes)
+            first = run_ensemble(circuit, state, n, 3)
+            hit = run_ensemble(circuit, state.copy(), n, 3)
             assert hit is first
             ensemble._memoised.cache_clear()
-            fresh = run_ensemble(circuit, state, n, 3, keep_outcomes=keep_outcomes)
+            fresh = run_ensemble(circuit, state, n, 3)
             assert fresh is not hit
             assert _same_bits(hit, fresh)
-            assert (hit.outcomes is None) is not keep_outcomes
 
     def test_numpy_scalars_share_the_python_integer_request(self):
         state = gaussian.vacuum_state(2)
@@ -586,14 +542,14 @@ class TestMemo:
         assert ancilla[0].matrix.tobytes() != ancilla[1].matrix.tobytes()
         for pairs in (((gate, plus), (gate, minus)), ((ancilla[0], plus), (ancilla[1], plus))):
             ensemble._memoised.cache_clear()
-            shared = [run_ensemble(c, s, 5000, 8, keep_outcomes=True) for c, s in pairs]
+            shared = [run_ensemble(c, s, 5000, 8) for c, s in pairs]
             assert shared[0] is not shared[1]
             for (circuit, state), result in zip(pairs, shared):
                 ensemble._memoised.cache_clear()
-                assert _same_bits(result, run_ensemble(circuit, state, 5000, 8, keep_outcomes=True))
+                assert _same_bits(result, run_ensemble(circuit, state, 5000, 8))
 
     def test_results_cannot_change(self):
-        result = run_ensemble(default_gate(), gaussian.vacuum_state(2), 100, 4, keep_outcomes=True)
+        result = run_ensemble(default_gate(), gaussian.vacuum_state(2), 100, 4)
         for field in fields(EnsembleResult):
             value = getattr(result, field.name)
             if isinstance(value, np.ndarray):
@@ -615,19 +571,7 @@ class TestMemo:
         ],
     )
     def test_checks_run_before_the_lookup(self, n, seed, modes, error):
-        _assert_rejected_before_lookup(n, seed, modes, False, error)
-
-    @pytest.mark.parametrize("keep_outcomes", ["no", 0, 1, None])
-    def test_keep_outcomes_checked_before_the_lookup(self, keep_outcomes):
-        # bool("no") and bool(None) are an equal valid request's True and False
-        _assert_rejected_before_lookup(10, 1, 2, keep_outcomes, TypeError)
-
-    def test_numpy_bool_shares_the_python_bool_request(self):
-        state = gaussian.vacuum_state(2)
-        for keep_outcomes in (False, True):
-            first = run_ensemble(default_gate(), state, 10, 3, keep_outcomes=keep_outcomes)
-            again = run_ensemble(default_gate(), state, 10, 3, keep_outcomes=np.bool_(keep_outcomes))
-            assert again is first
+        _assert_rejected_before_lookup(n, seed, modes, error)
 
     def test_memo_is_bounded(self):
         circuit, state = default_gate(), gaussian.vacuum_state(2)
