@@ -65,7 +65,6 @@ from .metrics import (
     vacuum_noise_report,
 )
 from .ensemble import (
-    SHOTS_PER_BLOCK,
     EnsembleResult,
     ZScoreReport,
     pairwise_tree_sum,

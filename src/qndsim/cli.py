@@ -53,9 +53,11 @@ def _vacuum_output(config: ScenarioConfig, circuit) -> tuple:
     """The circuit's output mean and covariance for the two-mode vacuum input.
 
     Covariance mode propagates them; trajectory mode reads both from the
-    ``run.n``-shot ensemble.  ``transfer`` and ``conditional`` on one
-    scenario make the same request, so ``run_ensemble``'s memo serves the
-    second.
+    ``run.n``-shot ensemble, whose sample moments ``run_ensemble`` draws from
+    their exact law (Anderson, *An Introduction to Multivariate Statistical
+    Analysis*, chs. 3 and 7) at a cost that does not grow with ``run.n``.
+    ``transfer`` and ``conditional`` on one scenario make the same request,
+    so ``run_ensemble``'s memo serves the second.
     """
     vacuum = gaussian.vacuum_state(2)
     if config.run.mode == "trajectories":
@@ -356,7 +358,9 @@ def _reject_ignored(command: str, config: ScenarioConfig, fit: bool) -> None:
 
     if command in ("vacuum-spectra", "reproduce-table") and config.run != default.run:
         reject("run", "it propagates covariances once and sweeps no rescaling gain g")
-    if command == "transfer" and not np.array_equal(config.run.g_grid(), default.run.g_grid()):
+    # the grid's fields, not its points: transfer builds no grid to reject one
+    grid = (config.run.g_min, config.run.g_max, config.run.g_step)
+    if command == "transfer" and grid != (default.run.g_min, default.run.g_max, default.run.g_step):
         reject("run", "only conditional sweeps the rescaling gain g")
     ensemble = (config.run.n, config.run.master_seed)
     if config.run.mode == "covariance" and ensemble != (default.run.n, default.run.master_seed):

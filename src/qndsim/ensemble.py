@@ -1,25 +1,19 @@
 """Seeded Monte Carlo ensembles of homodyne-feedforward trajectories.
 
 Validates the deterministic covariance propagation against sampled shots.
-Shots are grouped into blocks of ``SHOTS_PER_BLOCK``; block ``b`` draws from
-the counter-based Philox substream keyed on ``(master_seed, b)``, one row of
-``draws_per_shot`` standard normals per shot, filled in shot order.  Shot
-``i`` is therefore row ``i % SHOTS_PER_BLOCK`` of block
-``i // SHOTS_PER_BLOCK``, and its numbers depend only on ``(master_seed, i,
-draws_per_shot)``: an ensemble of ``n`` shots is the first ``n`` shots of any
-larger one with the same seed, and the result does not depend on scheduling.
-
-Each shot's output means are affine in its draws, ``mean0 + G d`` with the
-program's output gains ``G``, so the sample mean and covariance of the
-per-shot means are exactly ``mean0 + G m`` and ``G S G^T``, where ``m`` and
-``S`` are the sample mean and covariance of the draws (the linear-Gaussian
-map of Weedbrook et al., Rev. Mod. Phys. 84, 621 (2012)).  An ensemble
-therefore aggregates its draws, never its shots' means.  Each block is
-reduced to its shot count, its draws' mean and the upper triangle of their
-centred scatter, each a fixed pairwise tree over the block's shots, and the
-blocks' moments merge in the same tree by the pairwise update of Chan, Golub
-and LeVeque (Am. Stat. 37, 242 (1983)).  The summation order is thus part of
-the contract, and memory is one block whatever the shot count.
+Each shot's output means are ``mean0 + G z`` for its ``d`` standard-normal
+draws ``z`` and the program's output gains ``G`` (the linear-Gaussian map of
+Weedbrook et al., Rev. Mod. Phys. 84, 621 (2012)), so the sample mean and
+covariance of ``n`` shots' means are exactly ``mean0 + G m`` and ``G S G^T``,
+with ``m`` and ``S`` those of the draws.  An ensemble draws ``(m, S)`` from
+their joint law and runs no shot: ``m ~ N(0, I/n)``, independent of
+``(n - 1) S ~ Wishart_d(I, n - 1)`` (Anderson, *An Introduction to
+Multivariate Statistical Analysis*, chs. 3 and 7).  With ``k = n - 1``,
+``(n - 1) S = R^T R`` for the upper-trapezoidal Bartlett factor ``R`` of
+``min(k, d)`` rows, with standard normals above its diagonal and
+``R[i, i]^2 ~ chi^2(k - i)`` on it: the triangular factor of the QR
+decomposition of a ``k x d`` Gaussian matrix.  The draw is therefore exact
+for every ``n >= 2``, ``k < d`` included, and costs O(d^2) whatever ``n``.
 
 A result is a pure function of the circuit's row stack, the input state, the
 shot count and the seed, so equal requests share one read-only result from a
@@ -40,30 +34,26 @@ from .circuit import Circuit, compile_trajectory
 from .gaussian import GaussianState
 
 
-SHOTS_PER_BLOCK = 4096
 # results the memo holds; transfer then conditional on one working point needs one
 MEMO_ENTRIES = 4
+# the largest shot count: float64 holds every integer up to it exactly
+MAX_SHOTS = 2**53
 
 
-def trajectory_generator(master_seed: int, block: int) -> np.random.Generator:
-    """The substream that draws the shots of one block of one ensemble."""
-    # an explicit uint64 key: a list holding a seed >= 2**63 would go through float64
-    key = np.array([master_seed, block], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+def trajectory_generator(master_seed: int, stream: int) -> np.random.Generator:
+    """The Philox stream keyed on ``(master_seed, stream)``, from counter 0.
 
-
-def _rekey(generator: np.random.Generator, master_seed: int, block: int) -> np.random.Generator:
-    """Restart a Philox ``generator`` on ``trajectory_generator(master_seed, block)``'s stream.
-
-    Unlike a new Philox, which seeds itself from OS entropy before its key
-    replaces it, this reads none.  An empty buffer: the next draw runs counter 0.
+    Set as the state of a ``Philox(0)``, so it reads no OS entropy, which a
+    Philox built with a ``key`` reads to seed itself before the key replaces it.
     """
-    key = np.array([master_seed, block], dtype=np.uint64)
-    generator.bit_generator.state = {
+    bit_generator = np.random.Philox(0)
+    # an explicit uint64 key: a list holding a seed >= 2**63 would go through float64
+    key = np.array([master_seed, stream], dtype=np.uint64)
+    bit_generator.state = {
         "bit_generator": "Philox", "state": {"counter": np.zeros(4, np.uint64), "key": key},
         "buffer": np.zeros(4, np.uint64), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
     }
-    return generator
+    return np.random.Generator(bit_generator)
 
 
 def check_master_seed(master_seed) -> None:
@@ -72,6 +62,12 @@ def check_master_seed(master_seed) -> None:
         raise ValueError(f"master seed must be an integer, got {master_seed!r}")
     if not 0 <= master_seed < 2**64:
         raise ValueError(f"master seed must lie in [0, 2**64), got {master_seed}")
+
+
+def check_shot_count(n) -> None:
+    """Reject shot counts above ``MAX_SHOTS``, where ``n`` is no longer exact in float64."""
+    if n > MAX_SHOTS:
+        raise ValueError(f"run n must be at most 2**53, got {n}")
 
 
 def pairwise_tree_sum(values: np.ndarray) -> np.ndarray:
@@ -118,23 +114,24 @@ class EnsembleResult:
 def run_ensemble(
     circuit: Circuit, state: GaussianState, n: int, master_seed: int
 ) -> EnsembleResult:
-    """Run ``n`` independent trajectories and aggregate their statistics.
+    """The statistics of ``n`` independent trajectories, drawn from their exact law.
 
-    Each block's draws are reduced to their count, mean and scatter, and
-    the blocks' moments merged; the output means and their scatter are the
-    merged moments mapped through the output gains.  Memory is one block.
+    Bartlett's decomposition of the Wishart law (Anderson, *An Introduction
+    to Multivariate Statistical Analysis*, ch. 7) draws the shots' sample
+    mean and scatter at once, so time and memory do not grow with ``n``.
 
-    The seed, ``n`` and the input-mode count are checked on every call.  The
-    last ``MEMO_ENTRIES`` results are memoised on the bytes of the circuit's
-    matrix, the state's mean and covariance, the circuit's columns and
-    counts, ``n`` and the seed: bytes, not float equality, so states or
-    circuits differing only in the sign of a zero never share a result.  An
-    equal request returns the same read-only result without drawing again.
-    The memo holds a few kB per result.
+    The seed, ``n`` (from 2 to ``MAX_SHOTS``) and the input-mode count are
+    checked on every call.  The last ``MEMO_ENTRIES`` results are memoised
+    on the bytes of the circuit's matrix, the state's mean and covariance,
+    the circuit's columns and counts, ``n`` and the seed: bytes, not float
+    equality, so states or circuits differing only in the sign of a zero
+    never share a result.  An equal request returns the same read-only
+    result without drawing again.  The memo holds a few kB per result.
     """
     check_master_seed(master_seed)
     if n < 2:
         raise ValueError("an ensemble needs at least two trajectories")
+    check_shot_count(n)
     if state.n_modes != circuit.n_input_modes:
         raise ValueError(f"circuit expects {circuit.n_input_modes} input modes, got {state.n_modes}")
     n, master_seed = operator.index(n), int(master_seed)
@@ -164,54 +161,30 @@ def _memoised(request: _Request) -> EnsembleResult:
     return _sample(*request.args)
 
 
+def _draw_moments(master_seed: int, n: int, d: int) -> tuple:
+    """The sample mean ``m`` and covariance ``S`` of ``n`` iid standard-normal ``d``-vectors.
+
+    Drawn on ``trajectory_generator(master_seed, 0)``: normals whose upper part
+    is the Bartlett factor's, then the factor's chi-square diagonal, then ``m``.
+    """
+    generator, k = trajectory_generator(master_seed, 0), n - 1
+    factor = np.triu(generator.standard_normal((min(k, d), d)), 1)  # min(k, d) rows
+    factor[np.diag_indices(len(factor))] = np.sqrt(generator.chisquare(k - np.arange(len(factor))))
+    return generator.standard_normal(d) / np.sqrt(n), _mirrored(factor.T @ factor / k)
+
+
+def _mirrored(matrix: np.ndarray) -> np.ndarray:
+    """``matrix`` with its lower triangle replaced by its upper one's mirror image."""
+    return np.where(np.tri(len(matrix), k=-1, dtype=bool), matrix.T, matrix)
+
+
 def _sample(circuit: Circuit, state: GaussianState, n: int, master_seed: int) -> EnsembleResult:
-    """The one pass of ``run_ensemble``, on arguments it has checked."""
+    """The one draw of ``run_ensemble``, on arguments it has checked."""
     program = compile_trajectory(circuit, state)
-    n_out, d = 2 * program.n_output_modes, program.draws_per_shot
-    upper = np.triu_indices(d)
-
-    # one allocation, which malloc keeps for the next ensemble; each part contiguous at any length
-    generator = np.random.Generator(np.random.Philox(0))  # _rekey keys each block
-    rows, terms = min(n, SHOTS_PER_BLOCK), len(upper[0])
-    block, shots, products = np.split(np.empty((2 * d + terms) * rows), [d * rows, 2 * d * rows])
-    block = block.reshape(rows, d)  # a block's draws, then their transpose and triangle products
-    # a row per block: its shot count, draw mean and the upper triangle of its scatter
-    moments = np.empty((-(-n // SHOTS_PER_BLOCK), 1 + d + terms))
-    for b, row in enumerate(moments):
-        # filled in shot order: a partial last block draws a prefix of the full one
-        drawn = block[: n - b * SHOTS_PER_BLOCK]
-        _rekey(generator, master_seed, b).standard_normal(out=drawn)
-        c = shots[: drawn.size].reshape(-1, len(drawn))
-        c[...] = drawn.T  # the trees run along shots
-        row[0], row[1 : 1 + d] = len(drawn), pairwise_tree_sum(c.T) / len(drawn)
-        c -= row[1 : 1 + d, np.newaxis]
-        p, start = products[: terms * len(drawn)].reshape(-1, len(drawn)), 0
-        for i in range(d):  # row i of the upper triangle: c_i c_j for j >= i
-            np.multiply(c[i], c[i:], out=p[start : start + d - i])
-            start += d - i
-        # c_i c_j and c_j c_i are one IEEE product: the upper triangle, mirrored, is the full one
-        row[1 + d :] = pairwise_tree_sum(p.T)
-
-    # merge neighbouring blocks as pairwise_tree_sum pairs rows (Chan, Golub and LeVeque)
-    while len(moments) > 1:
-        half = len(moments) // 2
-        pairs = moments[: 2 * half].reshape(half, 2, -1)
-        (na, ma, sa), (nb, mb, sb) = (np.split(pairs[:, k], [1, 1 + d], axis=1) for k in (0, 1))
-        count, delta = na + nb, mb - ma
-        scatter_ab = sa + sb + delta[:, upper[0]] * delta[:, upper[1]] * (na * nb / count)
-        merged = np.hstack([count, ma + delta * (nb / count), scatter_ab])
-        moments = np.concatenate([merged, moments[2 * half :]])
-    draw_cov = np.empty((d, d))
-    draw_cov[upper] = draw_cov.T[upper] = moments[0, 1 + d :] / (n - 1)
-
-    # each shot's output means are mean0 + G draws, so their sample mean and
-    # covariance are the draws' through G; the lower triangle is mirrored,
-    # so the scatter is exactly symmetric
-    gains = program.gains[:n_out]
-    mean = program.mean0[:n_out] + gains @ moments[0, 1 : 1 + d]
-    scatter = gains @ draw_cov @ gains.T
-    lower = np.tril_indices(n_out, -1)
-    scatter[lower] = scatter.T[lower]
+    draw_mean, draw_cov = _draw_moments(master_seed, n, program.draws_per_shot)
+    gains = program.gains[: 2 * program.n_output_modes]
+    mean = program.mean0[: len(gains)] + gains @ draw_mean
+    scatter = _mirrored(gains @ draw_cov @ gains.T)
 
     diag = np.diag(scatter)
     result = EnsembleResult(

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import gaussian
 from .circuit import GateParams, ImperfectionModel, reflectivity_from_gain
-from .ensemble import check_master_seed
+from .ensemble import check_master_seed, check_shot_count
 
 MAX_G_POINTS = 100_000  # the most g values a scan may take: 250 times the default 401
 
@@ -41,6 +41,7 @@ class RunSpec:
             raise ValueError(f"unknown run mode {self.mode!r}")
         if isinstance(self.n, bool) or not isinstance(self.n, Integral) or self.n < 2:
             raise ValueError(f"run n must be an integer of at least 2, got {self.n!r}")
+        check_shot_count(self.n)
         if not np.all(np.isfinite((self.g_min, self.g_max, self.g_step))):
             raise ValueError("g_grid min, max and step must be finite")
         if self.g_step <= 0.0:

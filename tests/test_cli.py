@@ -33,7 +33,7 @@ from qndsim.cli import (
     cmd_vacuum_spectra,
     main,
 )
-from qndsim.ensemble import SHOTS_PER_BLOCK, run_ensemble
+from qndsim.ensemble import run_ensemble
 from qndsim.quadexpr import QuadratureMap
 from qndsim.scenario import (
     MAX_G_POINTS,
@@ -88,6 +88,17 @@ class TestScenarioConfig:
             RunSpec(n=n)
         with pytest.raises(ValueError, match="at least 2"):
             scenario_from_dict({"run": {"n": n}})
+
+    def test_shot_count_bounded_at_2_to_the_53(self):
+        # float64 holds every shot count up to 2**53 exactly
+        assert RunSpec(n=2**53).n == scenario_from_dict({"run": {"n": 2**53}}).run.n == 2**53
+        message = r"run n must be at most 2\*\*53, got 9007199254740993"
+        with pytest.raises(ValueError, match=message):
+            RunSpec(n=2**53 + 1)
+        with pytest.raises(ValueError, match=message):
+            scenario_from_dict({"run": {"n": 2**53 + 1}})
+        with pytest.raises(ValueError, match=message):
+            main(["conditional", "--trajectories", str(2**53 + 1)])
 
     def test_empty_document_is_the_default_scenario(self):
         assert scenario_from_dict({}) == ScenarioConfig()
@@ -154,6 +165,19 @@ class TestScenarioConfig:
         path.write_text(json.dumps({"run": {"g_grid": grid}}))
         with pytest.raises(ValueError, match="g_grid has 2000000001 points"):
             main(["transfer", "--config", str(path)])
+
+    def test_transfer_rejects_a_grid_without_building_it(self, tmp_path):
+        # transfer tells a scenario's grid from the default one by its min,
+        # max and step, so a grid at the point bound is never allocated
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({"run": {"g_grid": {"min": 0.0, "max": 999.99, "step": 0.01}}}))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="transfer ignores the scenario's run section"):
+                main(["transfer", "--config", str(path)])
+            assert tracemalloc.get_traced_memory()[1] < 100_000
+        finally:
+            tracemalloc.stop()
 
     def test_g_grid_bound_counts_as_arange_does(self):
         # the largest accepted grid has exactly MAX_G_POINTS points; one step more is rejected
@@ -653,50 +677,45 @@ class TestConditional:
 
 
 class TestSharedEnsemble:
-    def test_transfer_and_conditional_draw_each_block_once(self, monkeypatch):
-        # conditional makes transfer's request and reads its ensemble back;
-        # an ensemble starts each block by re-keying its generator
+    def test_transfer_and_conditional_draw_once(self, monkeypatch):
+        # conditional makes transfer's request and reads its ensemble back
         drawn = []
-        rekey = ensemble._rekey
+        sample = ensemble._sample
 
-        def counted(generator, master_seed, block):
-            drawn.append((master_seed, block))
-            return rekey(generator, master_seed, block)
+        def counted(circuit, state, n, master_seed):
+            drawn.append((n, master_seed))
+            return sample(circuit, state, n, master_seed)
 
-        monkeypatch.setattr(ensemble, "_rekey", counted)
+        monkeypatch.setattr(ensemble, "_sample", counted)
         ensemble._memoised.cache_clear()
-        n = 3 * SHOTS_PER_BLOCK + 5
-        config = ScenarioConfig(run=RunSpec(mode="trajectories", n=n, master_seed=23))
+        config = ScenarioConfig(run=RunSpec(mode="trajectories", n=12293, master_seed=23))
         cmd_transfer(config)
         cmd_conditional(config)
-        blocks = [(23, b) for b in range(math.ceil(n / SHOTS_PER_BLOCK))]
-        assert drawn == blocks
+        assert drawn == [(12293, 23)]
 
 
-# sha256 of (stdout, CSV) per trajectory-mode (command, case).  The
-# conditional entries were recorded before ensembles were memoised; the
-# transfer entries when its T_S and T_P came to be read from the ensemble
-# covariance, which left its means lines and rows unchanged
+# sha256 of (stdout, CSV) per trajectory-mode (command, case), recorded
+# when ensembles came to draw their statistics from the exact law
 TRAJECTORY_SHA256 = {
     ("transfer", "seed-3"): (
-        "fc146a3c14e44476d8b40d1d77918b36f4db0aa86e6daef8d73d18ff7ec95e1f",
-        "9ceacdbe9bca18729471c215fcd4493dd5bdf925ee6bf8da48fa8a99f8051f8b",
+        "5374449ff75236db0a8a114b65d3d59d264ca89983e8bbe82288354d2f5bc77f",
+        "cd503a12d13700abf89c7212b4656c1a561760ec6f7d9596df54772b16ad702c",
     ),
     ("conditional", "seed-3"): (
-        "710f79213aa3c9ac87cd776ec13a4ffc19fd23a04981f5ad4be2d073277a254b",
-        "8c1947617e24e15fc2e8831c4e9dc15a648e64a09ccd97dafec9768de0bbbacc",
+        "183c2d8021e9040ddabfa035b034765a9b5796890fac7740b2d46b0eeb3d6300",
+        "a6f354b673e595250504d7bf7e39dbd847c6f3f04a87b986ab96d0c89ee08305",
     ),
     ("transfer", "gain-1.5"): (
-        "69dd0bacfeb2a21f0b30f7c28ecf3d90f4b94d9b0a0d43dd51e287d65261f6c7",
-        "1aaeea732d710d583906611eaf09491b8edb588ae946b8863b552b01495b7e08",
+        "cc62cff5ae36744c01a24228a2768f20cc5b7709843c9c41d0fe2371d449b003",
+        "8c3d2c80a0c008d823a6415f23569e511942116f415097acf9677f183fd3062f",
     ),
     ("conditional", "gain-1.5"): (
-        "90bdcc8688c092a70f34dcf2571c6f0dcbfdcc2a9b622c91df168a8908df3d1c",
-        "388ab293def6978216cdda2a66489b0bfcb9b7b839a26bf19a22a12de19851d8",
+        "e7fd54c203c59093574a0060e210b992e7d98c23e5d00cd8a0c88afc21d88744",
+        "0d7d9b1f10dcfd132ed73dea6b27c8c55bcf365f267c3a3b29da3d2eeaa985be",
     ),
     ("conditional", "config"): (
-        "9263121daedd78c4a5c2356c42b6ec21c49f6dd49703fd3e3c6b1b7b43d64d4a",
-        "ea6f6fff7e9f4987873e4d8b4e895c530a019a0fd3d116a75918fee27c36ef16",
+        "c9c28db684ac57ac4699cfc26bd8b14916eb5be18da81f6cbbb3565912fcbc45",
+        "0ac311d438b73a67fb86aca1ba4180053456f49fcda0f6c6b373008b822eec21",
     ),
 }
 
@@ -957,6 +976,23 @@ class TestClosedPipe:
         proc.stderr.close()
         assert proc.wait(timeout=60) == 1
         assert stderr == ""
+
+
+class TestModuleEntryPoint:
+    def test_python_m_qndsim_runs_the_qndsim_command(self):
+        # ``python -m qndsim`` prints what the ``qndsim`` script, cli.main, prints
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        script = "import sys; from qndsim.cli import main; sys.exit(main())"
+        runs = [
+            subprocess.run([sys.executable, *launch, "oracle-check"], capture_output=True, env=env,
+                           timeout=120)
+            for launch in (["-m", "qndsim"], ["-c", script])
+        ]
+        for run in runs:
+            assert (run.returncode, run.stderr) == (0, b"")
+        assert runs[0].stdout == runs[1].stdout
+        assert runs[0].stdout.decode().endswith("PASS\n")
 
 
 class TestScenarioFileHonoured:
