@@ -16,16 +16,14 @@ decomposition of a ``k x d`` Gaussian matrix.  The draw is therefore exact
 for every ``n >= 2``, ``k < d`` included, and costs O(d^2) whatever ``n``.
 
 A result is a pure function of the circuit's row stack, the input state, the
-shot count and the seed, so equal requests share one read-only result from a
-bounded memo keyed on those inputs' bytes: the vacuum-input ensemble that
-``transfer`` draws also serves ``conditional``.
+shot count and the seed: ``run_ensemble`` keeps no state and draws on every
+call.  Its arrays are read-only, so a caller may share one result.
 """
 
 from __future__ import annotations
 
-import functools
 import operator
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from numbers import Integral
 
 import numpy as np
@@ -34,8 +32,6 @@ from .circuit import Circuit, compile_trajectory
 from .gaussian import GaussianState
 
 
-# results the memo holds; transfer then conditional on one working point needs one
-MEMO_ENTRIES = 4
 # the largest shot count: float64 holds every integer up to it exactly
 MAX_SHOTS = 2**53
 
@@ -98,7 +94,7 @@ class EnsembleResult:
     conditional covariance of the shots plus the scatter of the conditional
     means.  Standard errors come from the mean scatter, which is the only
     stochastic ingredient.  ``run_ensemble`` returns its arrays read-only,
-    since equal requests share one result.
+    so callers that share one result cannot change what another reads.
     """
 
     n_trajectories: int
@@ -119,14 +115,8 @@ def run_ensemble(
     Bartlett's decomposition of the Wishart law (Anderson, *An Introduction
     to Multivariate Statistical Analysis*, ch. 7) draws the shots' sample
     mean and scatter at once, so time and memory do not grow with ``n``.
-
     The seed, ``n`` (from 2 to ``MAX_SHOTS``) and the input-mode count are
-    checked on every call.  The last ``MEMO_ENTRIES`` results are memoised
-    on the bytes of the circuit's matrix, the state's mean and covariance,
-    the circuit's columns and counts, ``n`` and the seed: bytes, not float
-    equality, so states or circuits differing only in the sign of a zero
-    never share a result.  An equal request returns the same read-only
-    result without drawing again.  The memo holds a few kB per result.
+    checked on every call, and every call draws.
     """
     check_master_seed(master_seed)
     if n < 2:
@@ -135,30 +125,23 @@ def run_ensemble(
     if state.n_modes != circuit.n_input_modes:
         raise ValueError(f"circuit expects {circuit.n_input_modes} input modes, got {state.n_modes}")
     n, master_seed = operator.index(n), int(master_seed)
-    key = (
-        *map(_bits, (circuit.matrix, state.mean, state.cov)),
-        circuit.columns, circuit.n_output_modes, circuit.n_readouts, n, master_seed,
+    program = compile_trajectory(circuit, state)
+    draw_mean, draw_cov = _draw_moments(master_seed, n, program.draws_per_shot)
+    gains = program.gains[: 2 * program.n_output_modes]
+    mean = program.mean0[: len(gains)] + gains @ draw_mean
+    scatter = _mirrored(gains @ draw_cov @ gains.T)
+
+    diag = np.diag(scatter)
+    result = EnsembleResult(
+        n_trajectories=n, master_seed=master_seed, mean=mean, cov=program.final_cov + scatter,
+        mean_scatter=scatter, conditional_cov=program.final_cov.copy(), se_mean=np.sqrt(diag / n),
+        se_cov=np.sqrt((np.outer(diag, diag) + scatter**2) / (n - 1)),
     )
-    return _memoised(_Request(key, (circuit, state, n, master_seed)))
-
-
-def _bits(array) -> tuple:
-    """An array's dtype, shape and bytes: equal only when every bit is."""
-    array = np.asarray(array)
-    return array.dtype.str, array.shape, array.tobytes()
-
-
-@dataclass(frozen=True)
-class _Request:
-    """A checked ``run_ensemble`` call, equal to another when its ``key`` is."""
-
-    key: tuple
-    args: tuple = field(compare=False)
-
-
-@functools.lru_cache(maxsize=MEMO_ENTRIES)
-def _memoised(request: _Request) -> EnsembleResult:
-    return _sample(*request.args)
+    # a caller that shares the result shares these arrays
+    for f in fields(result):
+        if isinstance(value := getattr(result, f.name), np.ndarray):
+            value.flags.writeable = False
+    return result
 
 
 def _draw_moments(master_seed: int, n: int, d: int) -> tuple:
@@ -176,27 +159,6 @@ def _draw_moments(master_seed: int, n: int, d: int) -> tuple:
 def _mirrored(matrix: np.ndarray) -> np.ndarray:
     """``matrix`` with its lower triangle replaced by its upper one's mirror image."""
     return np.where(np.tri(len(matrix), k=-1, dtype=bool), matrix.T, matrix)
-
-
-def _sample(circuit: Circuit, state: GaussianState, n: int, master_seed: int) -> EnsembleResult:
-    """The one draw of ``run_ensemble``, on arguments it has checked."""
-    program = compile_trajectory(circuit, state)
-    draw_mean, draw_cov = _draw_moments(master_seed, n, program.draws_per_shot)
-    gains = program.gains[: 2 * program.n_output_modes]
-    mean = program.mean0[: len(gains)] + gains @ draw_mean
-    scatter = _mirrored(gains @ draw_cov @ gains.T)
-
-    diag = np.diag(scatter)
-    result = EnsembleResult(
-        n_trajectories=n, master_seed=master_seed, mean=mean, cov=program.final_cov + scatter,
-        mean_scatter=scatter, conditional_cov=program.final_cov.copy(), se_mean=np.sqrt(diag / n),
-        se_cov=np.sqrt((np.outer(diag, diag) + scatter**2) / (n - 1)),
-    )
-    # every caller of an equal request shares these arrays
-    for f in fields(result):
-        if isinstance(value := getattr(result, f.name), np.ndarray):
-            value.flags.writeable = False
-    return result
 
 
 @dataclass

@@ -25,6 +25,9 @@ from .circuit import GateParams, ImperfectionModel, reflectivity_from_gain
 from .ensemble import check_master_seed, check_shot_count
 
 MAX_G_POINTS = 100_000  # the most g values a scan may take: 250 times the default 401
+# the deepest ancilla squeezing oracle-check verifies: deeper, the oracle's
+# absolute 1e-9 tolerance fails on rounding of coefficients of size e^r
+MIN_SQUEEZING_DB = -60.0
 
 
 @dataclass
@@ -84,6 +87,11 @@ class ScenarioConfig:
             db = getattr(self, name)
             if not (np.isfinite(db) and db <= 0.0):
                 raise ValueError(f"{name} = {db} must be finite and at most 0 dB")
+            if db < MIN_SQUEEZING_DB:
+                raise ValueError(
+                    f"{name} = {db} is below {MIN_SQUEEZING_DB:g} dB, "
+                    "the deepest squeezing oracle-check verifies"
+                )
         # the gate is checked at load too, not first when a command builds it
         self.gate_params()
 

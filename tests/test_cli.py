@@ -13,11 +13,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qndsim import cli, ensemble, gaussian, metrics
+from qndsim import cli, gaussian, metrics
 from qndsim import circuit as circuit_module
 from qndsim.circuit import (
     Circuit,
     Displacement,
+    GateParams,
     ImperfectionModel,
     build_qnd_gate,
     circuit_quadrature_map,
@@ -372,6 +373,17 @@ class TestScenarioConfig:
             main(["vacuum-spectra", "--config", str(path)])
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("name", ["squeezing_dB_A", "squeezing_dB_B"])
+    def test_squeezing_beyond_the_oracle_grid_rejected(self, name):
+        # -60 dB, the deepest point oracle-check verifies, still loads
+        assert scenario_from_dict({"gate": {name: -60.0}}).gate_params() is not None
+        for db in (-60.000001, -200.0):
+            message = f"{name} = {db} is below -60 dB, the deepest squeezing oracle-check verifies"
+            with pytest.raises(ValueError, match=message):
+                scenario_from_dict({"gate": {name: db}})
+            with pytest.raises(ValueError, match=message):
+                ScenarioConfig(**{name: db})
+
     def test_vacuum_ancillas_accepted(self):
         assert ScenarioConfig(squeezing_dB_A=0.0, squeezing_dB_B=-0.0).gate_params().r_a == 0.0
 
@@ -450,6 +462,7 @@ class TestTransfer:
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, counted(name, fn))
         run = RunSpec(mode="trajectories", n=2000, master_seed=5) if mode == "trajectories" else RunSpec()
+        cli._vacuum_ensemble.cache_clear()
         cmd_transfer(ScenarioConfig(run=run))
         propagated = mode == "covariance"
         assert calls == {
@@ -655,8 +668,8 @@ class TestConditional:
         config = ScenarioConfig(run=RunSpec(mode=mode, n=2000, master_seed=17))
         path = tmp_path / "sweep.csv"
         text = cmd_conditional(config)
-        # each run samples its own ensemble rather than reading the memo
-        ensemble._memoised.cache_clear()
+        # each run draws its own ensemble rather than reading the cached one
+        cli._vacuum_ensemble.cache_clear()
         assert text == cmd_conditional(replace(config, output=OutputSpec(str(path))))
 
         circuit = build_qnd_gate(config.gate_params(), config.imperfections)
@@ -664,7 +677,6 @@ class TestConditional:
         if mode == "covariance":
             cov = run_covariance(circuit, state).cov
         else:
-            ensemble._memoised.cache_clear()
             cov = run_ensemble(circuit, state, 2000, 17).cov
         grid = config.run.g_grid()
         rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
@@ -676,22 +688,107 @@ class TestConditional:
             assert [row[2] for row in sector_rows] == [f"{v:.9f}" for v in simulated]
 
 
+def trajectory_config(**kwargs):
+    run = {"mode": "trajectories", "n": 12293, "master_seed": 23, **kwargs.pop("run", {})}
+    return ScenarioConfig(run=RunSpec(**run), **kwargs)
+
+
 class TestSharedEnsemble:
-    def test_transfer_and_conditional_draw_once(self, monkeypatch):
-        # conditional makes transfer's request and reads its ensemble back
+    @pytest.fixture
+    def draws(self, monkeypatch):
+        """The (n, master_seed) of every ensemble the CLI draws, from an empty cache."""
         drawn = []
-        sample = ensemble._sample
 
         def counted(circuit, state, n, master_seed):
             drawn.append((n, master_seed))
-            return sample(circuit, state, n, master_seed)
+            return run_ensemble(circuit, state, n, master_seed)
 
-        monkeypatch.setattr(ensemble, "_sample", counted)
-        ensemble._memoised.cache_clear()
-        config = ScenarioConfig(run=RunSpec(mode="trajectories", n=12293, master_seed=23))
-        cmd_transfer(config)
-        cmd_conditional(config)
-        assert drawn == [(12293, 23)]
+        monkeypatch.setattr(cli, "run_ensemble", counted)
+        cli._vacuum_ensemble.cache_clear()
+        return drawn
+
+    def test_transfer_and_conditional_draw_once(self, draws, monkeypatch):
+        # conditional makes transfer's request and reads its ensemble back,
+        # and each command builds its gate once
+        builds = []
+
+        def counted(*args):
+            builds.append(args)
+            return build_qnd_gate(*args)
+
+        monkeypatch.setattr(cli, "build_qnd_gate", counted)
+        cmd_transfer(trajectory_config())
+        cmd_conditional(trajectory_config())
+        assert draws == [(12293, 23)]
+        assert len(builds) == 2
+
+    def test_equal_working_point_shares_one_result(self, draws):
+        # two scenarios built apart, equal in every field
+        config = trajectory_config(squeezing_dB_A=-4.0)
+        circuit = build_qnd_gate(config.gate_params(), config.imperfections)
+        first = _vacuum_output(config, circuit)
+        again = _vacuum_output(trajectory_config(squeezing_dB_A=-4.0), circuit)
+        assert draws == [(12293, 23)]
+        assert all(a is b for a, b in zip(first, again))
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"run": {"n": 12294}},
+            {"run": {"master_seed": 24}},
+            {"gate_G": 1.5},
+            {"squeezing_dB_B": -4.0},
+            {"imperfections": ImperfectionModel(visibility=0.97)},
+            {"imperfections": ImperfectionModel(loss_placement="pre_entry")},
+        ],
+        ids=["n", "seed", "gain", "squeezing", "visibility", "placement"],
+    )
+    def test_other_working_point_draws_its_own(self, draws, change):
+        base = trajectory_config()
+        _vacuum_output(base, build_qnd_gate(base.gate_params(), base.imperfections))
+        config = trajectory_config(**change)
+        circuit = build_qnd_gate(config.gate_params(), config.imperfections)
+        mean, cov = _vacuum_output(config, circuit)
+        assert len(draws) == 2
+        fresh = run_ensemble(circuit, gaussian.vacuum_state(2), config.run.n, config.run.master_seed)
+        assert mean.tobytes() == fresh.mean.tobytes() and cov.tobytes() == fresh.cov.tobytes()
+
+    def test_cache_is_bounded(self, draws):
+        maxsize = cli._vacuum_ensemble.cache_info().maxsize
+        assert maxsize is not None
+        config = trajectory_config()
+        circuit = build_qnd_gate(config.gate_params(), config.imperfections)
+        for seed in range(maxsize + 3):
+            _vacuum_output(trajectory_config(run={"master_seed": seed}), circuit)
+            assert cli._vacuum_ensemble.cache_info().currsize == min(seed + 1, maxsize)
+        # the newest working points are held, the oldest drawn again
+        _vacuum_output(trajectory_config(run={"master_seed": maxsize + 2}), circuit)
+        assert len(draws) == maxsize + 3
+        _vacuum_output(trajectory_config(run={"master_seed": 0}), circuit)
+        assert len(draws) == maxsize + 4
+
+    @pytest.mark.parametrize("placement", ["post_exit", "pre_entry", "in_arms"])
+    def test_zero_signs_build_identical_bytes(self, placement):
+        # the cache keys on (params, imperfections), whose fields compare
+        # 0.0 equal to -0.0: both signs must lower to the same matrix bytes
+        def matrix(params, imperfections):
+            # built afresh, not read from the gate cache
+            return Circuit(circuit_module._gate_elements(params, imperfections)).matrix.tobytes()
+
+        base = ImperfectionModel(loss_placement=placement)
+        for R in (0.3, 1.0):
+            for db_a, db_b in ((-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0)):
+                params = GateParams(R, squeezing_db_a=db_a, squeezing_db_b=db_b)
+                plus = GateParams(R, squeezing_db_a=0.0, squeezing_db_b=0.0)
+                assert params == plus
+                assert matrix(params, base) == matrix(plus, base)
+            for name in ("propagation_loss_per_main_mode", "dark_noise_dB_below_shot",
+                         "displacement_coupler_loss", "feedforward_electronic_gain_error",
+                         "extra_in_loop_loss"):
+                minus = replace(base, **{name: -0.0})
+                assert minus == replace(base, **{name: 0.0})
+                params = GateParams(R)
+                assert matrix(params, minus) == matrix(params, replace(base, **{name: 0.0}))
 
 
 # sha256 of (stdout, CSV) per trajectory-mode (command, case), recorded
@@ -728,8 +825,8 @@ class TestTrajectoryOutputPinned:
     )
     def test_stdout_and_csv_digests(self, order, tmp_path, capsys):
         # each command runs twice in one process, so the second run of every
-        # request reads the memoised ensemble
-        ensemble._memoised.cache_clear()
+        # working point reads the cached ensemble
+        cli._vacuum_ensemble.cache_clear()
         scenario = tmp_path / "scenario.json"
         scenario.write_text(json.dumps(self.SCENARIO))
         cases = {
@@ -843,6 +940,26 @@ class TestOracleCheckCommand:
         assert main(["oracle-check"]) == 1
         assert capsys.readouterr().out.rstrip().endswith("FAIL")
 
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    def test_nan_oracle_fails(self, warm, monkeypatch, capsys):
+        # a NaN at one grid point is the worst error, named, and fails;
+        # every other point passes
+        real = circuit_module.finite_squeezing_map
+
+        def poisoned(R, r_a, r_b):
+            qmap = real(R, r_a, r_b)
+            if (R, r_a) == (0.5, gaussian.squeeze_parameter_from_db(-5.0)):
+                return QuadratureMap(qmap.columns, np.full_like(qmap.matrix, np.nan))
+            return qmap
+
+        if warm:
+            assert main(["oracle-check"]) == 0
+            capsys.readouterr()
+        monkeypatch.setattr(circuit_module, "finite_squeezing_map", poisoned)
+        assert main(["oracle-check"]) == 1
+        lines = capsys.readouterr().out.rstrip().splitlines()
+        assert lines[1:] == ["max coefficient error: nan at R=0.5, -5 dB", "FAIL"]
+
 
 class TestMainEntry:
     def test_oracle_check_exit_code(self, capsys):
@@ -859,6 +976,18 @@ class TestMainEntry:
         with pytest.raises(ValueError, match="squeezing_dB_A = .* must be finite and at most 0 dB"):
             main(["vacuum-spectra", f"--squeezing-db={db}"])
         assert capsys.readouterr().out == ""
+
+    def test_squeezing_flag_beyond_the_oracle_grid_rejected(self, tmp_path, capsys):
+        message = "squeezing_dB_A = -200.0 is below -60 dB"
+        with pytest.raises(ValueError, match=message):
+            main(["conditional", "--squeezing-db", "-200"])
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({"gate": {"squeezing_dB_A": -200.0}}))
+        with pytest.raises(ValueError, match=message):
+            main(["conditional", "--config", str(path)])
+        assert capsys.readouterr().out == ""
+        assert main(["conditional", "--squeezing-db", "-60"]) == 0
+        assert "entangled" in capsys.readouterr().out
 
     @pytest.mark.parametrize("source", ["flag-inf", "flag-nan", "file-infinity"])
     def test_non_finite_gain_named(self, source, tmp_path, capsys):
@@ -1156,7 +1285,7 @@ class TestScenarioFileHonoured:
         so into the run's own directory), except when that key is the one
         under test.  ``loss_placement`` ``"in_arms"`` is a value, not a key:
         it builds the ``"post_exit"`` circuit, and stays until the benchmark's
-        pools are re-recorded without it (ROADMAP item 8).
+        pools are re-recorded without it (ROADMAP item 13).
         """
         base = {} if key == ("output", "path") else {"output": {"path": "out.csv"}}
         doc = dict(base)

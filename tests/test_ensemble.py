@@ -26,19 +26,12 @@ from qndsim.circuit import (
 )
 from qndsim.ensemble import (
     MAX_SHOTS,
-    MEMO_ENTRIES,
     EnsembleResult,
     pairwise_tree_sum,
     run_ensemble,
     trajectory_generator,
     z_score_report,
 )
-
-
-@pytest.fixture(autouse=True)
-def fresh_memo():
-    # a test that compares two runs must compute both, not read one back
-    ensemble._memoised.cache_clear()
 
 
 def default_gate():
@@ -249,7 +242,6 @@ class TestRunEnsemble:
         circuit = build_qnd_gate(GateParams.from_gain(1.0), ImperfectionModel())
         state = gaussian.displace(gaussian.vacuum_state(2), 0, 1.0, 0.0)
         a = run_ensemble(circuit, state, 500, 42)
-        ensemble._memoised.cache_clear()
         b = run_ensemble(circuit, state, 500, 42)
         assert b is not a
         assert np.array_equal(a.mean, b.mean)
@@ -359,16 +351,23 @@ class TestExactLaw:
         # entry of mean and mean_scatter that a draw reaches agree at z < 5,
         # and every other entry is one constant on both paths.  These circuits
         # draw d = 1 to 4 numbers per shot, so k = n - 1 runs below, at and
-        # above d
+        # above d.  The program is compiled once and each shot runs as
+        # run_trajectory runs it, on the same generators in the same order
         circuit, state = CASES[case]()
+        program = compile_trajectory(circuit, state)
         drawn, shots = [], []
         for seed in TestExactLaw.SEEDS:
             result = run_ensemble(circuit, state, n, seed)
             upper = np.triu_indices(len(result.mean))
             drawn.append(np.concatenate([result.mean, result.mean_scatter[upper]]))
             rng = trajectory_generator(seed + len(TestExactLaw.SEEDS), 0)
-            mean, scatter = _shot_moments([run_trajectory(circuit, state, rng)[0].mean
-                                           for _ in range(n)])
+            means = [program.run_means(rng.standard_normal(program.draws_per_shot))[0][0]
+                     for _ in range(n)]
+            if seed == TestExactLaw.SEEDS[0]:
+                rng = trajectory_generator(seed + len(TestExactLaw.SEEDS), 0)
+                replayed = [run_trajectory(circuit, state, rng)[0].mean for _ in range(n)]
+                assert np.array(means).tobytes() == np.array(replayed).tobytes()
+            mean, scatter = _shot_moments(means)
             shots.append(np.concatenate([mean, scatter[upper]]))
         drawn, shots = np.array(drawn), np.array(shots)
         # an entry that no draw reaches holds one value on both paths
@@ -426,67 +425,23 @@ def _same_bits(a, b) -> bool:
     return True
 
 
-def _assert_rejected_before_lookup(n, seed, modes, error):
-    """The call raises ``error`` and neither reads nor changes the memo.
-
-    An equal valid request is memoised first: seed True and 5.0 equal the
-    valid seeds 1 and 5 as Python values, and a state whose mode count
-    disagrees with its arrays has the vacuum's bytes.
-    """
-    circuit = default_gate()
-    for valid_seed in (1, 5):
-        run_ensemble(circuit, gaussian.vacuum_state(2), 10, valid_seed)
-    state = gaussian.vacuum_state(2)
-    state.n_modes = modes
-    before = ensemble._memoised.cache_info()
-    with pytest.raises(error):
-        run_ensemble(circuit, state, n, seed)
-    after = ensemble._memoised.cache_info()
-    assert (after.hits, after.currsize) == (before.hits, before.currsize)
-
-
-class TestMemo:
+class TestPureFunction:
     @pytest.mark.parametrize("n", [2, 5, 100_001])
-    def test_hit_equals_fresh_computation(self, n):
+    def test_every_call_draws_the_same_bits(self, n):
         displaced = gaussian.displace(gaussian.vacuum_state(2), 0, 2.0, -1.0)
         measured = build_qnd_gate(GateParams.from_gain(1.5), ImperfectionModel())
         for circuit, state in ((default_gate(), gaussian.vacuum_state(2)), (measured, displaced)):
             first = run_ensemble(circuit, state, n, 3)
-            hit = run_ensemble(circuit, state.copy(), n, 3)
-            assert hit is first
-            ensemble._memoised.cache_clear()
-            fresh = run_ensemble(circuit, state, n, 3)
-            assert fresh is not hit
-            assert _same_bits(hit, fresh)
+            again = run_ensemble(circuit, state.copy(), n, 3)
+            assert again is not first
+            assert _same_bits(again, first)
 
-    def test_numpy_scalars_share_the_python_integer_request(self):
+    def test_numpy_scalars_give_python_integers(self):
         state = gaussian.vacuum_state(2)
         first = run_ensemble(default_gate(), state, 10, 2**64 - 1)
-        assert run_ensemble(default_gate(), state, np.int64(10), np.uint64(2**64 - 1)) is first
-        assert type(first.n_trajectories) is int and type(first.master_seed) is int
-
-    def test_zero_signs_are_not_shared(self):
-        # equal in value, not in bits: each gets its own result, the one a
-        # fresh computation gives
-        plus = gaussian.vacuum_state(2)
-        minus = gaussian.vacuum_state(2)
-        minus.mean[:] = -0.0
-        gate = build_qnd_gate(GateParams.from_gain(1.0), ImperfectionModel())
-        # with excess noise, angle 0.0 writes -0.0 into the x row's excess
-        # column and angle -0.0 writes +0.0
-        ancilla = [
-            Circuit((AncillaInjection(0.5, angle, "A", antisqueeze_excess=1.2),))
-            for angle in (0.0, -0.0)
-        ]
-        assert ancilla[0] == ancilla[1]
-        assert ancilla[0].matrix.tobytes() != ancilla[1].matrix.tobytes()
-        for pairs in (((gate, plus), (gate, minus)), ((ancilla[0], plus), (ancilla[1], plus))):
-            ensemble._memoised.cache_clear()
-            shared = [run_ensemble(c, s, 5000, 8) for c, s in pairs]
-            assert shared[0] is not shared[1]
-            for (circuit, state), result in zip(pairs, shared):
-                ensemble._memoised.cache_clear()
-                assert _same_bits(result, run_ensemble(circuit, state, 5000, 8))
+        numpy = run_ensemble(default_gate(), state, np.int64(10), np.uint64(2**64 - 1))
+        assert _same_bits(numpy, first)
+        assert type(numpy.n_trajectories) is int and type(numpy.master_seed) is int
 
     def test_results_cannot_change(self):
         result = run_ensemble(default_gate(), gaussian.vacuum_state(2), 100, 4)
@@ -511,20 +466,14 @@ class TestMemo:
             (2**53 + 1, 1, 2, ValueError),
         ],
     )
-    def test_checks_run_before_the_lookup(self, n, seed, modes, error):
-        _assert_rejected_before_lookup(n, seed, modes, error)
-
-    def test_memo_is_bounded(self):
-        circuit, state = default_gate(), gaussian.vacuum_state(2)
-        results = []
-        for seed in range(MEMO_ENTRIES + 3):
-            results.append(run_ensemble(circuit, state, 10, seed))
-            assert ensemble._memoised.cache_info().currsize == min(seed + 1, MEMO_ENTRIES)
-        # the newest requests are held, the oldest recomputed
-        assert run_ensemble(circuit, state, 10, MEMO_ENTRIES + 2) is results[-1]
-        again = run_ensemble(circuit, state, 10, 0)
-        assert again is not results[0] and _same_bits(again, results[0])
-        assert ensemble._memoised.cache_info().currsize == MEMO_ENTRIES
+    def test_bad_arguments_rejected(self, n, seed, modes, error):
+        # seed True and 5.0 equal the valid seeds 1 and 5 as Python values,
+        # and a state whose mode count disagrees with its arrays has the
+        # vacuum's arrays
+        state = gaussian.vacuum_state(2)
+        state.n_modes = modes
+        with pytest.raises(error):
+            run_ensemble(default_gate(), state, n, seed)
 
 
 class TestZScoreReport:
