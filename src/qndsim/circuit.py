@@ -9,8 +9,9 @@ gain ``G = 1/sqrt(R) - sqrt(R)``.
 
 The builder chooses beam-splitter signs and feedforward gains so that the
 lossless compiled circuit reproduces ``quadexpr.finite_squeezing_map``
-coefficient-by-coefficient; this equivalence is checked at build time and
-construction fails loudly if it does not hold.
+coefficient-by-coefficient.  Every build checks the circuit it returns, with
+its whole noise budget, against the closed form
+``quadexpr.gate_budget_map``, and construction fails loudly if they differ.
 
 Each ``Circuit`` is lowered once, at construction, by ``_lower``, the only
 reader of element kinds, and holds the one Heisenberg-picture row stack that
@@ -39,7 +40,7 @@ import numpy as np
 
 from . import gaussian
 from .gaussian import GaussianState
-from .quadexpr import QuadratureMap, finite_squeezing_map
+from .quadexpr import QuadratureMap, finite_squeezing_map, gate_budget_map
 
 ORACLE_MATCH_TOL = 1e-9
 
@@ -400,7 +401,7 @@ def _moments(circuit: "Circuit", state: GaussianState, n_rows: int | None = None
 
 
 class CircuitConstructionError(RuntimeError):
-    """Raised when the compiled gate fails its oracle self-check."""
+    """Raised when the compiled gate fails its closed-form self-check."""
 
 
 # --------------------------------------------------------------------------
@@ -425,42 +426,48 @@ def build_qnd_gate(
 
     A single beam-splitter stage can only cancel the ancilla's anti-squeezed
     quadrature by measuring the quadrature conjugate to the squeezed one, so
-    the x-sector arm homodynes p and vice versa.  Every build checks the
-    lossless element list against ``finite_squeezing_map`` by
-    ``oracle_error`` and raises a ``CircuitConstructionError`` beyond 1e-9
-    coefficient error.  Circuits, not verdicts, are memoised in a bounded
-    cache keyed on the frozen ``(params, imperfections)``, so equal inputs
-    return the same ``Circuit`` with its read-only matrix, and an ideal
-    budget reuses the oracle's lossless circuit.
+    the x-sector arm homodynes p and vice versa.  Every call checks the
+    circuit it returns against ``quadexpr.gate_budget_map``, the closed form
+    of its output rows over the whole budget, and raises a
+    ``CircuitConstructionError`` beyond 1e-9 coefficient error.  Circuits,
+    not verdicts, are memoised in a bounded cache keyed on the frozen
+    ``(params, imperfections)``, so equal inputs return the same ``Circuit``
+    with its read-only matrix, and each distinct gate is lowered once.
     """
     imp = imperfections or _IDEAL
-    err = oracle_error(params)
+    circuit = _gate(params, imp)
+    err = _coefficient_error(circuit, *gate_budget_map(params, imp))
     # written so that a NaN error fails too
     if not err <= ORACLE_MATCH_TOL:
         raise CircuitConstructionError(
             f"compiled gate deviates from the input-output relations: "
             f"coefficient error {err:.3e}"
         )
-    return _gate(params, imp)
+    return circuit
 
 
 def oracle_error(params: GateParams) -> float:
-    """Largest coefficient error of the lossless compiled gate.
+    """Largest coefficient error of the lossless compiled gate against ``finite_squeezing_map``.
 
-    The first four rows of the gate lowered without imperfections are compared
-    with ``finite_squeezing_map`` by column index: ``unit`` is ignored, a label
-    only one side has counts as its |coefficient|, and a NaN anywhere gives NaN.
-    The lossless circuit comes from the bounded memo that ``build_qnd_gate``
-    shares; the comparison itself runs on every call and is never cached.
+    It is the build check's comparison on the memoised lossless circuit, run
+    on every call and never cached.
     """
-    lossless = _gate(params, _IDEAL)
     oracle = finite_squeezing_map(params.R, params.r_a, params.r_b)
-    index = dict(zip(lossless.columns, range(width := len(lossless.columns))))
-    # the circuit's columns, ``unit`` zeroed, then one per oracle label it lacks
-    diff = np.zeros((4, width + len(oracle.columns)))
-    diff[:, :width] = lossless.matrix[:4]
+    return _coefficient_error(_gate(params, _IDEAL), oracle.columns, oracle.matrix)
+
+
+def _coefficient_error(circuit: Circuit, columns: tuple, matrix: np.ndarray) -> float:
+    """Largest |difference| between the circuit's four output rows and ``matrix``.
+
+    Columns are matched by label: ``unit`` is ignored, a label only one side
+    has counts as its |coefficient|, and a NaN anywhere gives NaN.
+    """
+    index = dict(zip(circuit.columns, range(width := len(circuit.columns))))
+    # the circuit's columns, ``unit`` zeroed, then one per label it lacks
+    diff = np.zeros((4, width + len(columns)))
+    diff[:, :width] = circuit.matrix[:4]
     diff[:, index.pop("unit")] = 0.0
-    diff[:, [index.get(label, width + j) for j, label in enumerate(oracle.columns)]] -= oracle.matrix
+    diff[:, [index.get(label, width + j) for j, label in enumerate(columns)]] -= matrix
     # numpy's max, not Python's: max(1.0, nan) is 1.0
     return float(np.abs(diff).max())
 

@@ -3,9 +3,10 @@
 This module is the analytic ground truth for the gate: the textbook
 input-output relations of the offline-squeezed sum gate are written down
 directly as coefficient matrices, and exact output moments follow from
-``X m`` and ``X X^T``.  The compiled optical circuit is required to reproduce
-these coefficients, which pins down every beam-splitter sign and feedforward
-gain.
+``X m`` and ``X X^T``.  ``gate_budget_map`` extends the finite-squeezing
+relations to the whole noise budget in closed form, and every built circuit,
+lossy or not, is required to reproduce its coefficients, which pins down
+every beam-splitter sign, feedforward gain and loss channel.
 
 A ``QuadratureMap`` holds a ``(4, len(columns))`` matrix: row ``i`` is the
 output quadrature ``OUTPUT_ORDER[i]`` and column ``j`` the coefficient of the
@@ -31,6 +32,7 @@ computed in units of ``i``, so the canonical value is ``2.0``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,6 +127,88 @@ def finite_squeezing_map(R: float, r_a: float, r_b: float) -> QuadratureMap:
         [0.0, 0.0, 0.0, 1.0, 0.0, c_b],
     ]
     return QuadratureMap(INPUT_COLUMNS + ("xA0", "pB0"), matrix)
+
+
+def gate_budget_map(params, imp) -> tuple:
+    """The built gate's output rows over its whole noise budget, in closed form.
+
+    Extends ``finite_squeezing_map`` to the apparatus ``circuit.build_qnd_gate``
+    builds for a ``GateParams`` and an ``ImperfectionModel``: ancilla impurity,
+    main-mode transmission ``eta_p`` (after the exit beam splitter, or before
+    the entry one), coupler transmission ``eta_c`` and homodyne efficiency
+    ``eta_d`` in each arm, dark noise, the feedforward gain error and the
+    in-loop knob transmission ``eta_k``.  With ``n = 1/sqrt(1+R)``,
+    ``c = sqrt((1-R)/(1+R))``, the feedforward gain
+    ``f = sqrt((1-R)/R)(1 + gain_error)`` and the anti-squeezing leak
+    ``L = sqrt(eta_d)(1 + gain_error) - sqrt(eta_c)``, the x sector before the
+    knob's ``sqrt(eta_k)`` and the main losses reads::
+
+        x1_out = a x1_in + d x2_in - sqrt(eta_c) c e^-rA xA0 - sqrt(R) c L e^rB (xB0 - e excessB)
+                 - n v xv_couplerA - sqrt(R) n v xv_couplerB - sqrt(R) n f (w xv_detB + s dark2)
+        x2_out = G b x1_in + a x2_in + sqrt(R eta_c) c e^-rA xA0 - c L e^rB (xB0 - e excessB)
+                 + sqrt(R) n v xv_couplerA - n v xv_couplerB - n f (w xv_detB + s dark2)
+
+    and the p sector mirrors it (``p1_out`` from ``p1_in, -p2_in``, ancilla B
+    squeezed and A leaking).  Here ``a = sqrt(eta_c) + (1-R) L/(1+R)``,
+    ``b = sqrt(eta_c) + L/(1+R)``, ``d = sqrt(R)(1-R) L/(1+R)``, ``e``, ``v``,
+    ``w`` and ``s`` are the square roots of ``ancilla_excess - 1``,
+    ``1 - eta_c``, ``1 - eta_d`` and the dark variance, and ``G`` is the gain.
+    ``L = 0`` on the ideal budget, which leaves ``finite_squeezing_map`` and
+    zeros.  ``"in_arms"`` losses are the ``"post_exit"`` channel.
+
+    Returns ``(columns, matrix)``, a ``(4, len(columns))`` array in
+    ``OUTPUT_ORDER`` over the circuit's own source labels, whose detector
+    vacua are numbered ``det<k>`` by the losses before them.  Only the gate
+    self-check reads it, so nothing is validated here.
+    """
+    R, eta_coupler, eta_det = params.R, 1.0 - imp.displacement_coupler_loss, imp.homodyne_efficiency
+    # transmissions as the builder forms them, so a loss it drops reads 0 here
+    eta_prop, eta_extra = 1.0 - imp.propagation_loss_per_main_mode, 1.0 - imp.extra_in_loop_loss
+    pre_entry = imp.loss_placement == "pre_entry"
+    root_r, n = math.sqrt(R), 1.0 / math.sqrt(1.0 + R)
+    c, gain = math.sqrt((1.0 - R) / (1.0 + R)), (1.0 - R) / root_r
+    amp = 1.0 + imp.feedforward_electronic_gain_error
+    f = math.sqrt((1.0 - R) / R) * amp
+    coupled = math.sqrt(eta_coupler)
+    leak = math.sqrt(eta_det) * amp - coupled
+    a, gb = coupled + (1.0 - R) * leak / (1.0 + R), gain * (coupled + leak / (1.0 + R))
+    d = root_r * (1.0 - R) * leak / (1.0 + R)
+    k, t, vac = math.sqrt(eta_extra), math.sqrt(eta_prop), math.sqrt(1.0 - eta_prop)
+    if pre_entry:
+        # each main mode's vacuum enters beside its input quadratures, so only they lose t
+        m = k * vac
+        mains = ((m * a, 0.0, m * d, 0.0), (0.0, m * a, 0.0, -m * gb),
+                 (m * gb, 0.0, m * a, 0.0), (0.0, -m * d, 0.0, m * a))
+        core, arm = k, math.sqrt(1.0 - eta_extra) * n
+    else:
+        mains = ((vac, 0.0, 0.0, 0.0), (0.0, vac, 0.0, 0.0), (0.0, 0.0, vac, 0.0), (0.0, 0.0, 0.0, vac))
+        core, arm = k * t, math.sqrt(1.0 - eta_extra) * n * t
+    a, gb, d = k * t * a, k * t * gb, k * t * d
+    e = math.sqrt(params.ancilla_excess - 1.0)
+    sq_a, sq_b = core * coupled * c * math.exp(-params.r_a), core * coupled * c * math.exp(-params.r_b)
+    leak_a, leak_b = core * c * leak * math.exp(params.r_a), core * c * leak * math.exp(params.r_b)
+    nv = core * n * math.sqrt(1.0 - eta_coupler)
+    nw, ns = core * n * f * math.sqrt(1.0 - eta_det), core * n * f * math.sqrt(imp.dark_variance)
+    # the lowering tags a homodyne's loss det<k>, k the losses before it
+    first, couplers = (2 if pre_entry and eta_prop < 1.0 else 0), int(eta_coupler < 1.0)
+    det_a, det_b = f"det{first + couplers}", f"det{first + 2 * couplers + 1}"
+    columns = (
+        "x1_in", "x2_in", "xA0", "xB0", "excessB", "xv_couplerA", "xv_couplerB", f"xv_{det_b}", "dark2",
+        "p1_in", "p2_in", "pB0", "pA0", "excessA", "pv_couplerA", "pv_couplerB", f"pv_{det_a}", "dark1",
+        "xv_armA", "pv_armA", "xv_armB", "pv_armB", "xv_main1", "pv_main1", "xv_main2", "pv_main2",
+    )
+    zero = (0.0,) * 9
+    x1 = (a, d, -sq_a, -root_r * leak_b, e * root_r * leak_b, -nv, -root_r * nv, -root_r * nw, -root_r * ns)
+    x2 = (gb, a, root_r * sq_a, -leak_b, e * leak_b, root_r * nv, -nv, -nw, -ns)
+    p1 = (a, -gb, root_r * sq_b, leak_a, e * leak_a, -nv, -root_r * nv, nw, ns)
+    p2 = (-d, a, sq_b, -root_r * leak_a, -e * root_r * leak_a, root_r * nv, -nv, -root_r * nw, -root_r * ns)
+    matrix = np.array([
+        x1 + zero + (-arm, 0.0, -root_r * arm, 0.0) + mains[0],
+        zero + p1 + (0.0, -arm, 0.0, -root_r * arm) + mains[1],
+        x2 + zero + (root_r * arm, 0.0, -arm, 0.0) + mains[2],
+        zero + p2 + (0.0, root_r * arm, 0.0, -arm) + mains[3],
+    ])
+    return columns, matrix
 
 
 def moments_from_map(qmap: QuadratureMap, means: dict | None = None):

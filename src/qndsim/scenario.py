@@ -25,8 +25,8 @@ from .circuit import GateParams, ImperfectionModel, reflectivity_from_gain
 from .ensemble import check_master_seed, check_shot_count
 
 MAX_G_POINTS = 100_000  # the most g values a scan may take: 250 times the default 401
-# the deepest ancilla squeezing oracle-check verifies: deeper, the oracle's
-# absolute 1e-9 tolerance fails on rounding of coefficients of size e^r
+# the deepest ancilla squeezing oracle-check verifies: deeper, the absolute 1e-9
+# tolerance of it and of each build's check fails on rounding of e^r coefficients
 MIN_SQUEEZING_DB = -60.0
 
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from qndsim import circuit as circuit_module
 from qndsim import gaussian
+from qndsim.cli import ORACLE_DB_GRID, ORACLE_R_GRID
 from qndsim.circuit import (
     AncillaInjection,
     BeamSplitter,
@@ -35,6 +36,7 @@ from qndsim.quadexpr import (
     QuadratureMap,
     commutator_check,
     finite_squeezing_map,
+    gate_budget_map,
     max_coefficient_difference,
     moments_from_map,
 )
@@ -210,24 +212,32 @@ class TestBuilderOracleEquivalence:
 
     @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
     def test_oracle_mismatch_raises(self, warm, monkeypatch):
-        def skewed(R, r_a, r_b):
-            qmap = finite_squeezing_map(R, r_a, r_b)
-            matrix = qmap.matrix.copy()
-            matrix[2, qmap.columns.index("x1_in")] += 1e-6
-            return QuadratureMap(qmap.columns, matrix)
+        real = circuit_module.gate_budget_map
+
+        def skewed(*args, **kwargs):
+            columns, matrix = real(*args, **kwargs)
+            matrix[2, columns.index("x1_in")] += 1e-6
+            return columns, matrix
 
         if warm:
             # the memo holds lowerings, not verdicts: an earlier passing
             # build of the same gate must not excuse the next one's check
             build_qnd_gate(GateParams(0.25), ImperfectionModel())
-        monkeypatch.setattr(circuit_module, "finite_squeezing_map", skewed)
+        monkeypatch.setattr(circuit_module, "gate_budget_map", skewed)
         with pytest.raises(CircuitConstructionError, match=r"coefficient error 1\.000e-06"):
             build_qnd_gate(GateParams(0.25), ImperfectionModel())
 
     def test_nan_oracle_error_raises(self, monkeypatch):
         # a NaN coefficient error compares false against the tolerance, so
         # the gate must fail unless the error is known to be within it
-        monkeypatch.setattr(circuit_module, "oracle_error", lambda params: math.nan)
+        real = circuit_module.gate_budget_map
+
+        def poisoned(*args, **kwargs):
+            columns, matrix = real(*args, **kwargs)
+            matrix[0, columns.index("x1_in")] = math.nan
+            return columns, matrix
+
+        monkeypatch.setattr(circuit_module, "gate_budget_map", poisoned)
         with pytest.raises(CircuitConstructionError, match="coefficient error nan"):
             build_qnd_gate(GateParams(0.25), ImperfectionModel())
 
@@ -754,8 +764,24 @@ _ORACLE_SKEWS = {
 }
 
 
+def _budget_map_with(label, value):
+    """``gate_budget_map`` with one label added, its coefficient in x2_out."""
+    real = circuit_module.gate_budget_map
+
+    def skewed(*args, **kwargs):
+        columns, matrix = real(*args, **kwargs)
+        column = np.zeros((4, 1))
+        column[2, 0] = value
+        return columns + (label,), np.hstack([matrix, column])
+
+    return skewed
+
+
 class TestOracleComparison:
-    """``oracle_error`` compares rows by column index; the map route is the reference."""
+    """``oracle_error`` and the build check share one comparison by column index.
+
+    The map route is the reference.
+    """
 
     @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
     def test_label_only_the_oracle_has_counts_in_full(self, warm, monkeypatch):
@@ -765,6 +791,7 @@ class TestOracleComparison:
             build_qnd_gate(params, imp)
         monkeypatch.setattr(circuit_module, "finite_squeezing_map", _ORACLE_SKEWS["extra label"])
         assert circuit_module.oracle_error(params) == 0.25
+        monkeypatch.setattr(circuit_module, "gate_budget_map", _budget_map_with("xZ0", 0.25))
         with pytest.raises(CircuitConstructionError, match=r"coefficient error 2\.500e-01"):
             build_qnd_gate(params, imp)
 
@@ -777,6 +804,7 @@ class TestOracleComparison:
             build_qnd_gate(params, imp)
         monkeypatch.setattr(circuit_module, "finite_squeezing_map", _ORACLE_SKEWS["nan label"])
         assert math.isnan(circuit_module.oracle_error(params))
+        monkeypatch.setattr(circuit_module, "gate_budget_map", _budget_map_with("xZ0", math.nan))
         with pytest.raises(CircuitConstructionError, match="coefficient error nan"):
             build_qnd_gate(params, imp)
 
@@ -806,6 +834,130 @@ class TestOracleComparison:
             got = circuit_module.oracle_error(params)
         assert type(got) is float
         assert got.hex() == want.hex()
+
+
+_DEEP_GATES = st.builds(
+    GateParams,
+    # below about 1e-6 the lowering's own entry beam splitter, sqrt(1 - 1/(1+R)),
+    # rounds beyond 1e-12 of the row scale, so the floor keeps the pin on the map
+    R=st.floats(1e-6, 1.0),
+    squeezing_db_a=st.floats(-60.0, 0.0),
+    squeezing_db_b=st.floats(-60.0, 0.0),
+    ancilla_excess=st.floats(1.0, 10.0),
+)
+
+_ELEMENTS = circuit_module._gate_elements
+
+# lossy-only defects: the lossless gate of each is the real one
+_LOSSY_MUTANTS = {
+    "couplerA loss dropped": lambda params, imp: [
+        el for el in _ELEMENTS(params, imp) if not (type(el) is Loss and el.tag == "couplerA")
+    ],
+    "gain error sign flipped": lambda params, imp: _ELEMENTS(
+        params, replace(imp, feedforward_electronic_gain_error=-imp.feedforward_electronic_gain_error)
+    ),
+    "main1 loss on mode 1": lambda params, imp: [
+        replace(el, mode=1) if type(el) is Loss and el.tag == "main1" else el
+        for el in _ELEMENTS(params, imp)
+    ],
+    "detector efficiency without visibility": lambda params, imp: [
+        replace(el, efficiency=imp.detector_quantum_efficiency)
+        if type(el) is HomodyneFeedforward else el
+        for el in _ELEMENTS(params, imp)
+    ],
+}
+
+
+@pytest.fixture
+def fresh_gates():
+    """An empty gate memo before and after, so no altered circuit outlives its test."""
+    circuit_module._gate.cache_clear()
+    yield
+    circuit_module._gate.cache_clear()
+
+
+class TestBudgetMap:
+    """``quadexpr.gate_budget_map`` against the lowering it checks."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(params=_DEEP_GATES, imp=_BUDGETS)
+    @example(params=GateParams(1.0, -60.0, -60.0, 3.0), imp=ImperfectionModel())
+    @example(params=GateParams(1.0), imp=ImperfectionModel(loss_placement="pre_entry"))
+    def test_matches_the_lowering(self, params, imp):
+        lowered = Circuit(_ELEMENTS(params, imp))
+        columns, matrix = gate_budget_map(params, imp)
+        index = [lowered.columns.index(label) for label in columns if label in lowered.columns]
+        # a label the circuit lacks belongs to an element the budget leaves out
+        absent = [j for j, label in enumerate(columns) if label not in lowered.columns]
+        assert not matrix[:, absent].any()
+        rows = lowered.matrix[:4]
+        expected = np.zeros_like(rows)
+        expected[:, index] = np.delete(matrix, absent, axis=1)
+        scale = np.abs(rows).max(axis=1, keepdims=True)
+        assert np.all(np.abs(rows - expected) <= 1e-12 * scale)
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(params=_DEEP_GATES)
+    @example(params=GateParams(1.0, -60.0, -60.0, 3.0))
+    def test_ideal_budget_is_the_finite_squeezing_map(self, params):
+        columns, matrix = gate_budget_map(params, ImperfectionModel.ideal())
+        oracle = finite_squeezing_map(params.R, params.r_a, params.r_b)
+        index = [columns.index(label) for label in oracle.columns]
+        np.testing.assert_allclose(matrix[:, index], oracle.matrix, rtol=1e-15, atol=0.0)
+        assert not np.delete(matrix, index, axis=1).any()
+
+    def test_every_grid_build_passes_on_random_budgets(self):
+        # every field drawn in range, all three placements
+        rng = np.random.default_rng(37)
+        budgets = [ImperfectionModel.ideal(), ImperfectionModel()] + [
+            ImperfectionModel(
+                propagation_loss_per_main_mode=rng.uniform(0.0, 0.9),
+                detector_quantum_efficiency=rng.uniform(0.1, 1.0),
+                visibility=rng.uniform(0.1, 1.0),
+                dark_noise_dB_below_shot=math.inf if rng.random() < 0.2 else rng.uniform(0.0, 40.0),
+                displacement_coupler_loss=rng.uniform(0.0, 0.9),
+                feedforward_electronic_gain_error=rng.uniform(-0.5, 0.5),
+                extra_in_loop_loss=rng.uniform(0.0, 0.9),
+                loss_placement=str(rng.choice(["post_exit", "pre_entry", "in_arms"])),
+            )
+            for _ in range(50)
+        ]
+        for R in ORACLE_R_GRID:
+            for db in ORACLE_DB_GRID:
+                params = GateParams(R, squeezing_db_a=db, squeezing_db_b=db)
+                for imp in budgets:
+                    build_qnd_gate(params, imp)
+
+    def test_a_cold_lossy_build_lowers_once_and_every_call_checks(self, fresh_gates, monkeypatch):
+        calls = {"_lower": 0, "_coefficient_error": 0}
+
+        def counted(name):
+            function = getattr(circuit_module, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return function(*args)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(circuit_module, name, counted(name))
+        params = GateParams.from_gain(1.3, squeezing_db_a=-6.0, squeezing_db_b=-4.0)
+        first = build_qnd_gate(params, ImperfectionModel())
+        assert calls == {"_lower": 1, "_coefficient_error": 1}
+        # a memo hit lowers nothing and is checked again
+        assert build_qnd_gate(params, ImperfectionModel()) is first
+        assert calls == {"_lower": 1, "_coefficient_error": 2}
+
+    @pytest.mark.parametrize("mutant", list(_LOSSY_MUTANTS))
+    def test_lossy_defect_fails_the_build(self, mutant, fresh_gates, monkeypatch):
+        imp = ImperfectionModel()
+        if mutant == "gain error sign flipped":
+            # the default budget's gain error is 0, whose sign cannot show
+            imp = replace(imp, feedforward_electronic_gain_error=0.02)
+        monkeypatch.setattr(circuit_module, "_gate_elements", _LOSSY_MUTANTS[mutant])
+        with pytest.raises(CircuitConstructionError, match="coefficient error"):
+            build_qnd_gate(GateParams.from_gain(1.0), imp)
 
 
 # --------------------------------------------------------------------------

@@ -876,7 +876,7 @@ class TestReproduceTable:
         assert len(builds) == 2
 
     @pytest.mark.parametrize(
-        "fit, builds, evaluations, lowerings", [(True, 3, 1, 4), (False, 3, 1, 4)]
+        "fit, builds, evaluations, lowerings", [(True, 3, 1, 3), (False, 3, 1, 3)]
     )
     def test_one_evaluation_per_reported_gate(
         self, fit, builds, evaluations, lowerings, monkeypatch
@@ -884,9 +884,9 @@ class TestReproduceTable:
         # the fit builds each gain once, at knob 0, and reads the fitted
         # knob's table off that scan; without it the same scan runs at the
         # budget's own knob alone.  Only the lossless row is evaluated.  Each
-        # distinct gate is lowered once: both gains at knob 0 and lossless make
-        # 4 circuits, and the lossless row reuses the oracle's lowering.  No
-        # report's witness is read, so no gain grid is scanned
+        # distinct gate is lowered once, and its check lowers nothing: both
+        # gains at knob 0 and lossless make 3 circuits.  No report's witness
+        # is read, so no gain grid is scanned
         calls = {"build_qnd_gate": 0, "evaluate_gate": 0, "_lower": 0, "duan_simon": 0}
 
         def counted(name, function):
