@@ -9,9 +9,10 @@ gain ``G = 1/sqrt(R) - sqrt(R)``.
 
 The builder chooses beam-splitter signs and feedforward gains so that the
 lossless compiled circuit reproduces ``quadexpr.finite_squeezing_map``
-coefficient-by-coefficient.  Every build checks the circuit it returns, with
-its whole noise budget, against the closed form
-``quadexpr.gate_budget_map``, and construction fails loudly if they differ.
+coefficient-by-coefficient.  Every build compares the circuit it returns,
+with its whole noise budget, against the closed form
+``quadexpr.gate_budget_map`` by ``quadexpr.max_coefficient_difference``, and
+construction fails loudly if they differ.
 
 Each ``Circuit`` is lowered once, at construction, by ``_lower``, the only
 reader of element kinds, and holds the one Heisenberg-picture row stack that
@@ -40,7 +41,7 @@ import numpy as np
 
 from . import gaussian
 from .gaussian import GaussianState
-from .quadexpr import QuadratureMap, finite_squeezing_map, gate_budget_map
+from .quadexpr import QuadratureMap, finite_squeezing_map, gate_budget_map, max_coefficient_difference
 
 ORACLE_MATCH_TOL = 1e-9
 
@@ -426,17 +427,18 @@ def build_qnd_gate(
 
     A single beam-splitter stage can only cancel the ancilla's anti-squeezed
     quadrature by measuring the quadrature conjugate to the squeezed one, so
-    the x-sector arm homodynes p and vice versa.  Every call checks the
-    circuit it returns against ``quadexpr.gate_budget_map``, the closed form
-    of its output rows over the whole budget, and raises a
-    ``CircuitConstructionError`` beyond 1e-9 coefficient error.  Circuits,
-    not verdicts, are memoised in a bounded cache keyed on the frozen
-    ``(params, imperfections)``, so equal inputs return the same ``Circuit``
-    with its read-only matrix, and each distinct gate is lowered once.
+    the x-sector arm homodynes p and vice versa.  Every call compares the
+    circuit's map with ``quadexpr.gate_budget_map``, the closed form of its
+    output rows over the whole budget, by ``max_coefficient_difference``,
+    and raises a ``CircuitConstructionError`` beyond 1e-9 coefficient error.
+    Circuits, not verdicts, are memoised in a bounded cache keyed on the
+    frozen ``(params, imperfections)``, so equal inputs return the same
+    ``Circuit`` with its read-only matrix, and each distinct gate is lowered
+    once.
     """
     imp = imperfections or _IDEAL
     circuit = _gate(params, imp)
-    err = _coefficient_error(circuit, *gate_budget_map(params, imp))
+    err = max_coefficient_difference(circuit_quadrature_map(circuit), gate_budget_map(params, imp))
     # written so that a NaN error fails too
     if not err <= ORACLE_MATCH_TOL:
         raise CircuitConstructionError(
@@ -449,27 +451,13 @@ def build_qnd_gate(
 def oracle_error(params: GateParams) -> float:
     """Largest coefficient error of the lossless compiled gate against ``finite_squeezing_map``.
 
-    It is the build check's comparison on the memoised lossless circuit, run
-    on every call and never cached.
+    The build check's comparison on the memoised lossless circuit, run on
+    every call and never cached.
     """
-    oracle = finite_squeezing_map(params.R, params.r_a, params.r_b)
-    return _coefficient_error(_gate(params, _IDEAL), oracle.columns, oracle.matrix)
-
-
-def _coefficient_error(circuit: Circuit, columns: tuple, matrix: np.ndarray) -> float:
-    """Largest |difference| between the circuit's four output rows and ``matrix``.
-
-    Columns are matched by label: ``unit`` is ignored, a label only one side
-    has counts as its |coefficient|, and a NaN anywhere gives NaN.
-    """
-    index = dict(zip(circuit.columns, range(width := len(circuit.columns))))
-    # the circuit's columns, ``unit`` zeroed, then one per label it lacks
-    diff = np.zeros((4, width + len(columns)))
-    diff[:, :width] = circuit.matrix[:4]
-    diff[:, index.pop("unit")] = 0.0
-    diff[:, [index.get(label, width + j) for j, label in enumerate(columns)]] -= matrix
-    # numpy's max, not Python's: max(1.0, nan) is 1.0
-    return float(np.abs(diff).max())
+    return max_coefficient_difference(
+        circuit_quadrature_map(_gate(params, _IDEAL)),
+        finite_squeezing_map(params.R, params.r_a, params.r_b),
+    )
 
 
 @functools.lru_cache
@@ -641,12 +629,8 @@ def circuit_quadrature_map(circuit: Circuit) -> QuadratureMap:
     The ``unit`` column of displacements is dropped.  The circuit must end
     with exactly two modes.
     """
-    if circuit.n_input_modes != 2:
-        raise ValueError("coefficient extraction is defined for two-mode circuits")
-    if circuit.n_output_modes != 2:
-        raise ValueError("circuit does not end with two modes")
-    unit = circuit.columns.index("unit")
-    return QuadratureMap(
-        circuit.columns[:unit] + circuit.columns[unit + 1 :],
-        np.delete(circuit.matrix[:4], unit, axis=1),
-    )
+    if circuit.n_input_modes != 2 or circuit.n_output_modes != 2:
+        raise ValueError("coefficient extraction is defined for two-mode circuits ending with two modes")
+    rows, columns = circuit.matrix[:4], circuit.columns
+    # ``_lower`` puts ``unit`` after the four input quadratures
+    return QuadratureMap(columns[:4] + columns[5:], np.concatenate((rows[:, :4], rows[:, 5:]), axis=1))

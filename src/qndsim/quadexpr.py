@@ -4,9 +4,10 @@ This module is the analytic ground truth for the gate: the textbook
 input-output relations of the offline-squeezed sum gate are written down
 directly as coefficient matrices, and exact output moments follow from
 ``X m`` and ``X X^T``.  ``gate_budget_map`` extends the finite-squeezing
-relations to the whole noise budget in closed form, and every built circuit,
-lossy or not, is required to reproduce its coefficients, which pins down
-every beam-splitter sign, feedforward gain and loss channel.
+relations to the whole noise budget in closed form.  Every built circuit,
+lossy or not, must reproduce its coefficients under
+``max_coefficient_difference``, the one comparison of two maps, which pins
+down every beam-splitter sign, feedforward gain and loss channel.
 
 A ``QuadratureMap`` holds a ``(4, len(columns))`` matrix: row ``i`` is the
 output quadrature ``OUTPUT_ORDER[i]`` and column ``j`` the coefficient of the
@@ -32,6 +33,7 @@ computed in units of ``i``, so the canonical value is ``2.0``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -60,7 +62,8 @@ class QuadratureMap:
                 f"matrix, got {self.matrix.shape}"
             )
         if len(set(self.columns)) != len(self.columns):
-            raise ValueError(f"quadrature map has repeated columns: {self.columns}")
+            repeated = sorted({c for c in self.columns if self.columns.count(c) > 1})
+            raise ValueError(f"quadrature map has repeated columns {repeated}: {self.columns}")
 
     def pretty(self) -> str:
         """Human-readable algebra, one output quadrature per line."""
@@ -73,15 +76,27 @@ class QuadratureMap:
 
 
 def max_coefficient_difference(a: QuadratureMap, b: QuadratureMap) -> float:
-    """Largest |coefficient difference| over all outputs and labels."""
-    # a's labels in order, then those only b has
-    index = dict(zip(a.columns, range(len(a.columns))))
-    for label in b.columns:
-        index.setdefault(label, len(index))
-    diff = np.zeros((len(OUTPUT_ORDER), len(index)))
+    """Largest |coefficient difference| over all outputs and labels, matched by label.
+
+    A label only one map has counts as its |coefficient|, and a NaN anywhere
+    gives NaN.  Label alignments are memoised; the difference is taken anew.
+    """
+    width, index = _alignment(a.columns, b.columns)
+    diff = np.zeros((len(OUTPUT_ORDER), width))
     diff[:, : len(a.columns)] = a.matrix
-    diff[:, [index[label] for label in b.columns]] -= b.matrix
+    diff[:, index] -= b.matrix
+    # numpy's max, not Python's: max(1.0, nan) is 1.0
     return float(np.abs(diff).max())
+
+
+# one entry per pair of column layouts; a gate budget switches few losses on or off
+@functools.lru_cache(maxsize=64)
+def _alignment(a_columns: tuple, b_columns: tuple) -> tuple:
+    """The width of a's labels then those only b has, and b's read-only column indices there."""
+    position = {label: j for j, label in enumerate(dict.fromkeys(a_columns + b_columns))}
+    index = np.array([position[label] for label in b_columns], dtype=np.intp)
+    index.flags.writeable = False
+    return len(position), index
 
 
 def ideal_qnd_map(gain: float) -> QuadratureMap:
@@ -129,7 +144,7 @@ def finite_squeezing_map(R: float, r_a: float, r_b: float) -> QuadratureMap:
     return QuadratureMap(INPUT_COLUMNS + ("xA0", "pB0"), matrix)
 
 
-def gate_budget_map(params, imp) -> tuple:
+def gate_budget_map(params, imp) -> QuadratureMap:
     """The built gate's output rows over its whole noise budget, in closed form.
 
     Extends ``finite_squeezing_map`` to the apparatus ``circuit.build_qnd_gate``
@@ -156,10 +171,9 @@ def gate_budget_map(params, imp) -> tuple:
     ``L = 0`` on the ideal budget, which leaves ``finite_squeezing_map`` and
     zeros.  ``"in_arms"`` losses are the ``"post_exit"`` channel.
 
-    Returns ``(columns, matrix)``, a ``(4, len(columns))`` array in
-    ``OUTPUT_ORDER`` over the circuit's own source labels, whose detector
-    vacua are numbered ``det<k>`` by the losses before them.  Only the gate
-    self-check reads it, so nothing is validated here.
+    The map's columns are the circuit's own source labels, whose detector
+    vacua are numbered ``det<k>`` by the losses before them; a label the
+    budget leaves out of the circuit has coefficient 0 here.
     """
     R, eta_coupler, eta_det = params.R, 1.0 - imp.displacement_coupler_loss, imp.homodyne_efficiency
     # transmissions as the builder forms them, so a loss it drops reads 0 here
@@ -202,13 +216,13 @@ def gate_budget_map(params, imp) -> tuple:
     x2 = (gb, a, root_r * sq_a, -leak_b, e * leak_b, root_r * nv, -nv, -nw, -ns)
     p1 = (a, -gb, root_r * sq_b, leak_a, e * leak_a, -nv, -root_r * nv, nw, ns)
     p2 = (-d, a, sq_b, -root_r * leak_a, -e * root_r * leak_a, root_r * nv, -nv, -root_r * nw, -root_r * ns)
-    matrix = np.array([
+    matrix = [
         x1 + zero + (-arm, 0.0, -root_r * arm, 0.0) + mains[0],
         zero + p1 + (0.0, -arm, 0.0, -root_r * arm) + mains[1],
         x2 + zero + (root_r * arm, 0.0, -arm, 0.0) + mains[2],
         zero + p2 + (0.0, root_r * arm, 0.0, -arm) + mains[3],
-    ])
-    return columns, matrix
+    ]
+    return QuadratureMap(columns, matrix)
 
 
 def moments_from_map(qmap: QuadratureMap, means: dict | None = None):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from qndsim import circuit as circuit_module
 from qndsim import gaussian
+from qndsim import quadexpr as quadexpr_module
 from qndsim.cli import ORACLE_DB_GRID, ORACLE_R_GRID
 from qndsim.circuit import (
     AncillaInjection,
@@ -215,9 +216,9 @@ class TestBuilderOracleEquivalence:
         real = circuit_module.gate_budget_map
 
         def skewed(*args, **kwargs):
-            columns, matrix = real(*args, **kwargs)
-            matrix[2, columns.index("x1_in")] += 1e-6
-            return columns, matrix
+            qmap = real(*args, **kwargs)
+            qmap.matrix[2, qmap.columns.index("x1_in")] += 1e-6
+            return qmap
 
         if warm:
             # the memo holds lowerings, not verdicts: an earlier passing
@@ -233,9 +234,9 @@ class TestBuilderOracleEquivalence:
         real = circuit_module.gate_budget_map
 
         def poisoned(*args, **kwargs):
-            columns, matrix = real(*args, **kwargs)
-            matrix[0, columns.index("x1_in")] = math.nan
-            return columns, matrix
+            qmap = real(*args, **kwargs)
+            qmap.matrix[0, qmap.columns.index("x1_in")] = math.nan
+            return qmap
 
         monkeypatch.setattr(circuit_module, "gate_budget_map", poisoned)
         with pytest.raises(CircuitConstructionError, match="coefficient error nan"):
@@ -769,18 +770,20 @@ def _budget_map_with(label, value):
     real = circuit_module.gate_budget_map
 
     def skewed(*args, **kwargs):
-        columns, matrix = real(*args, **kwargs)
+        qmap = real(*args, **kwargs)
         column = np.zeros((4, 1))
         column[2, 0] = value
-        return columns + (label,), np.hstack([matrix, column])
+        return QuadratureMap(qmap.columns + (label,), np.hstack([qmap.matrix, column]))
 
     return skewed
 
 
 class TestOracleComparison:
-    """``oracle_error`` and the build check share one comparison by column index.
+    """``oracle_error`` and the build check are one comparison of validated maps.
 
-    The map route is the reference.
+    Both are ``max_coefficient_difference`` of the circuit's map against a
+    closed form: ``finite_squeezing_map`` for the oracle, ``gate_budget_map``
+    for the build.
     """
 
     @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
@@ -821,6 +824,16 @@ class TestOracleComparison:
         finally:
             circuit_module._gate.cache_clear()
 
+    def test_map_drops_only_the_unit_column(self):
+        circuit = Circuit((Displacement(1, 0.5, -1.5), Loss(0, 0.8, "a"), BeamSplitter(0, 1, 0.3)))
+        qmap = circuit_quadrature_map(circuit)
+        keep = [j for j, label in enumerate(circuit.columns) if label != "unit"]
+        assert qmap.columns == tuple(circuit.columns[j] for j in keep)
+        assert np.array_equal(qmap.matrix, circuit.matrix[:4, keep])
+        for other in (Circuit((), n_input_modes=1), Circuit((AncillaInjection(0.3, 0.0, "A"),))):
+            with pytest.raises(ValueError, match="two-mode circuits ending with two modes"):
+                circuit_quadrature_map(other)
+
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(params=_GATES, skew=st.sampled_from(sorted(_ORACLE_SKEWS)))
     def test_matches_the_map_route_bit_for_bit(self, params, skew):
@@ -834,6 +847,69 @@ class TestOracleComparison:
             got = circuit_module.oracle_error(params)
         assert type(got) is float
         assert got.hex() == want.hex()
+
+    def test_repeated_label_in_the_budget_map_fails(self, fresh_gates, monkeypatch):
+        # a matrix indexed by a repeated label would drop one copy from the
+        # comparison, so the map itself must refuse it
+        real = circuit_module.gate_budget_map
+
+        def doubled(*args):
+            qmap = real(*args)
+            garbage = np.zeros((4, 1))
+            garbage[0, 0] = 7.0
+            return QuadratureMap(("x1_in",) + qmap.columns, np.hstack([garbage, qmap.matrix]))
+
+        monkeypatch.setattr(circuit_module, "gate_budget_map", doubled)
+        with pytest.raises(ValueError, match=r"repeated columns \['x1_in'\]"):
+            build_qnd_gate(GateParams(0.25), ImperfectionModel())
+
+
+class TestAlignmentMemo:
+    """``max_coefficient_difference`` memoises label alignments, never differences."""
+
+    def test_is_bounded(self):
+        assert quadexpr_module._alignment.cache_info().maxsize == 64
+
+    def test_one_entry_per_layout_pair_and_repeat_builds_hit(self):
+        quadexpr_module._alignment.cache_clear()
+        budgets = [ImperfectionModel.ideal()] + [
+            replace(ImperfectionModel(), loss_placement=p) for p in ("post_exit", "in_arms", "pre_entry")
+        ]
+
+        def check_all() -> set:
+            pairs = set()
+            for R in ORACLE_R_GRID:
+                for db in ORACLE_DB_GRID:
+                    params = GateParams(R, squeezing_db_a=db, squeezing_db_b=db)
+                    maps = [circuit_quadrature_map(build_qnd_gate(params, imp)) for imp in budgets]
+                    for qmap, imp in zip(maps, budgets):
+                        pairs.add((qmap.columns, gate_budget_map(params, imp).columns))
+                    circuit_module.oracle_error(params)
+                    # budgets[0] is the ideal one, whose circuit the oracle checks
+                    pairs.add((maps[0].columns, finite_squeezing_map(R, params.r_a, params.r_b).columns))
+            return pairs
+
+        pairs = check_all()
+        first = quadexpr_module._alignment.cache_info()
+        assert first.currsize == first.misses == len(pairs) <= 4
+        n_checks = len(ORACLE_R_GRID) * len(ORACLE_DB_GRID) * (len(budgets) + 1)
+        assert first.hits == n_checks - len(pairs)
+        check_all()
+        again = quadexpr_module._alignment.cache_info()
+        assert (again.currsize, again.misses) == (first.currsize, first.misses)
+        assert again.hits == first.hits + n_checks
+
+    def test_index_is_read_only_and_places_each_label(self):
+        a = circuit_quadrature_map(build_qnd_gate(GateParams(0.25), ImperfectionModel()))
+        b = finite_squeezing_map(0.25, 0.3, 0.4)
+        b = QuadratureMap(b.columns + ("xZ0",), np.hstack([b.matrix, np.ones((4, 1))]))
+        width, index = quadexpr_module._alignment(a.columns, b.columns)
+        labels = a.columns + ("xZ0",)
+        assert width == len(labels)
+        assert [labels[j] for j in index] == list(b.columns)
+        assert not index.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            index[0] = 0
 
 
 _DEEP_GATES = st.builds(
@@ -885,7 +961,8 @@ class TestBudgetMap:
     @example(params=GateParams(1.0), imp=ImperfectionModel(loss_placement="pre_entry"))
     def test_matches_the_lowering(self, params, imp):
         lowered = Circuit(_ELEMENTS(params, imp))
-        columns, matrix = gate_budget_map(params, imp)
+        qmap = gate_budget_map(params, imp)
+        columns, matrix = qmap.columns, qmap.matrix
         index = [lowered.columns.index(label) for label in columns if label in lowered.columns]
         # a label the circuit lacks belongs to an element the budget leaves out
         absent = [j for j, label in enumerate(columns) if label not in lowered.columns]
@@ -900,7 +977,8 @@ class TestBudgetMap:
     @given(params=_DEEP_GATES)
     @example(params=GateParams(1.0, -60.0, -60.0, 3.0))
     def test_ideal_budget_is_the_finite_squeezing_map(self, params):
-        columns, matrix = gate_budget_map(params, ImperfectionModel.ideal())
+        qmap = gate_budget_map(params, ImperfectionModel.ideal())
+        columns, matrix = qmap.columns, qmap.matrix
         oracle = finite_squeezing_map(params.R, params.r_a, params.r_b)
         index = [columns.index(label) for label in oracle.columns]
         np.testing.assert_allclose(matrix[:, index], oracle.matrix, rtol=1e-15, atol=0.0)
@@ -929,7 +1007,7 @@ class TestBudgetMap:
                     build_qnd_gate(params, imp)
 
     def test_a_cold_lossy_build_lowers_once_and_every_call_checks(self, fresh_gates, monkeypatch):
-        calls = {"_lower": 0, "_coefficient_error": 0}
+        calls = {"_lower": 0, "max_coefficient_difference": 0}
 
         def counted(name):
             function = getattr(circuit_module, name)
@@ -944,10 +1022,10 @@ class TestBudgetMap:
             monkeypatch.setattr(circuit_module, name, counted(name))
         params = GateParams.from_gain(1.3, squeezing_db_a=-6.0, squeezing_db_b=-4.0)
         first = build_qnd_gate(params, ImperfectionModel())
-        assert calls == {"_lower": 1, "_coefficient_error": 1}
+        assert calls == {"_lower": 1, "max_coefficient_difference": 1}
         # a memo hit lowers nothing and is checked again
         assert build_qnd_gate(params, ImperfectionModel()) is first
-        assert calls == {"_lower": 1, "_coefficient_error": 2}
+        assert calls == {"_lower": 1, "max_coefficient_difference": 2}
 
     @pytest.mark.parametrize("mutant", list(_LOSSY_MUTANTS))
     def test_lossy_defect_fails_the_build(self, mutant, fresh_gates, monkeypatch):

@@ -179,6 +179,9 @@ class TestQuadratureMap:
         # the same labels in another column order are the same map
         reordered = QuadratureMap(b.columns[::-1], b.matrix[:, ::-1])
         assert max_coefficient_difference(b, reordered) == 0.0
+        # a map without columns is zero everywhere
+        empty = QuadratureMap((), np.zeros((4, 0)))
+        assert max_coefficient_difference(a, empty) == max_coefficient_difference(empty, a) == 1.5
 
     @pytest.mark.parametrize("R", R_GRID)
     def test_moments_equal_written_out_sums(self, R):
