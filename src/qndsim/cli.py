@@ -251,12 +251,8 @@ def cmd_reproduce_table(config: ScenarioConfig, fit: bool = True) -> str:
             "residuals are reported above (a symmetric model cannot reproduce the "
             "published x/p asymmetry)"
         )
-    # lossless comparison row demonstrating that losses are required
-    params = metrics._reference_params(1.0, config.squeezing_dB_A)
-    lossless = metrics.evaluate_gate(build_qnd_gate(params, ImperfectionModel.ideal()), params)
-    t_sum = next(
-        c for c in metrics._banded(1.0, lossless.sectors) if (c.metric, c.sector) == ("T_sum", "x")
-    )
+    # the lossless reference, read off the gate's relations, shows that losses are required
+    t_sum = comparison.lossless
     lines.append(
         f"lossless reference: T_sum(G=1.0)={t_sum.simulated:.5f} "
         f"({'out-of-band high' if t_sum.simulated > t_sum.high else 'in band'}; "

@@ -356,6 +356,7 @@ class TableComparison:
     reports: dict          # gain -> QndReport
     checks: list           # BandCheck entries for the banded metrics
     objective: float       # sum of squared residuals in bar units
+    lossless: BandCheck    # T_sum(G = 1, x) of the lossless relations at the table's squeezing
 
     def out_of_band(self):
         return [c for c in self.checks if not c.within]
@@ -464,4 +465,7 @@ def _comparison(rows: dict, i: int, knob: float, fitted: bool, objective) -> Tab
         for gain, (params, sectors, cov) in rows.items()
     }
     checks = [check for gain, report in reports.items() for check in _banded(gain, report.sectors)]
-    return TableComparison(knob, fitted, reports, checks, float(objective))
+    p = reports[1.0].params  # the lossless row builds no gate; its T_sum, x is banded first
+    qmap = finite_squeezing_map(p.R, p.r_a, p.r_b)
+    lossless = next(_banded(1.0, _sector_metrics(qmap, moments_from_map(qmap)[1])))
+    return TableComparison(knob, fitted, reports, checks, float(objective), lossless)

@@ -25,9 +25,20 @@ from .circuit import GateParams, ImperfectionModel, reflectivity_from_gain
 from .ensemble import check_master_seed, check_shot_count
 
 MAX_G_POINTS = 100_000  # the most g values a scan may take: 250 times the default 401
+# the largest |g| a scan may reach: from about 1.7e7 the grid's 1e-9 end allowance is under
+# half the float spacing, so a one-point grid there is empty, and from about 1e150 g**2 times
+# a variance overflows
+MAX_ABS_G = 1e6
 # the deepest ancilla squeezing oracle-check verifies: deeper, the absolute 1e-9
 # tolerance of it and of each build's check fails on rounding of e^r coefficients
 MIN_SQUEEZING_DB = -60.0
+# the largest gain G a scenario may give, as G or as R >= reflectivity_from_gain(MAX_GAIN),
+# about 1e-6: up to it the lowering keeps 6e-14 of each row's scale and every build passes
+# the absolute 1e-9 check, which correct gates fail from G of about 4.5e3
+MAX_GAIN = 1000.0
+# the largest |feedforward_electronic_gain_error|: up to it every budget at the bounds above
+# builds, and a feedforward off (-1) or doubled (+1) covers any realistic electronics
+MAX_GAIN_ERROR = 1.0
 
 
 @dataclass
@@ -54,6 +65,11 @@ class RunSpec:
         # the length np.arange gives g_grid, counted without allocating it
         if (points := np.ceil((self.g_max + 1e-9 - self.g_min) / self.g_step)) > MAX_G_POINTS:
             raise ValueError(f"g_grid has {points:.12g} points, more than {MAX_G_POINTS}")
+        if max(-self.g_min, self.g_max) > MAX_ABS_G:
+            raise ValueError(
+                f"g_grid min {self.g_min} and max {self.g_max} must lie in "
+                f"[{-MAX_ABS_G:g}, {MAX_ABS_G:g}]"
+            )
         check_master_seed(self.master_seed)
 
     def g_grid(self) -> np.ndarray:
@@ -92,8 +108,24 @@ class ScenarioConfig:
                     f"{name} = {db} is below {MIN_SQUEEZING_DB:g} dB, "
                     "the deepest squeezing oracle-check verifies"
                 )
+        # the gain is bounded before it becomes R, which rounds to 0 from G of about 1.4e8
+        if self.gate_G is not None and MAX_GAIN < self.gate_G < math.inf:
+            raise ValueError(
+                f"gain G = {self.gate_G} is above {MAX_GAIN:g}, the largest a scenario may give"
+            )
         # the gate is checked at load too, not first when a command builds it
         self.gate_params()
+        if self.gate_R is not None and self.gate_R < (low := reflectivity_from_gain(MAX_GAIN)):
+            raise ValueError(
+                f"R = {self.gate_R} is below {low:.6g}: its gain G is above {MAX_GAIN:g}, "
+                "the largest a scenario may give"
+            )
+        gain_error = self.imperfections.feedforward_electronic_gain_error
+        if abs(gain_error) > MAX_GAIN_ERROR:
+            raise ValueError(
+                f"feedforward_electronic_gain_error = {gain_error} outside "
+                f"[-{MAX_GAIN_ERROR:g}, {MAX_GAIN_ERROR:g}]"
+            )
 
     def gate_params(self) -> GateParams:
         R = self.gate_R if self.gate_R is not None else reflectivity_from_gain(self.gate_G)

@@ -847,6 +847,21 @@ class TestTrajectoryOutputPinned:
                 assert digests == TRAJECTORY_SHA256[command, case], (command, case)
 
 
+# sha256 of (stdout, CSV) of ``reproduce-table --squeezing-db -60`` with and
+# without the fit, recorded while the lossless row still came from a built
+# lossless gate: at -60 dB that gate and the relations differ most (1.084e-13)
+DEEPEST_TABLE_SHA256 = {
+    "fit": (
+        "9e7e9579a1938a8cd387eb90542fffcc00a797caa4f31dcb0a601cd5a1a9cfff",
+        "43fe756e20241d212fef1dfa53edb5ea48ab243b649fb4d886070aff56866b9d",
+    ),
+    "no-fit": (
+        "95c792911ca11b3dd9d186165559c2492f44ae382187d56302b02623d327a261",
+        "722c0743ee4963acaa5df9ff081de26687a23ab6acb3657727d1937356427ad6",
+    ),
+}
+
+
 class TestReproduceTable:
     def test_fit_reported_and_honest(self):
         text = cmd_reproduce_table(ScenarioConfig())
@@ -866,7 +881,7 @@ class TestReproduceTable:
 
     def test_fit_builds_few_gates(self, monkeypatch):
         # the fit scans its knob grid in closed form from one build per gain
-        # and prints the scan's row (the lossless row is built in the command)
+        # and prints the scan's row (the lossless row reads the relations)
         builds = []
         original = metrics.build_qnd_gate
         monkeypatch.setattr(
@@ -876,17 +891,17 @@ class TestReproduceTable:
         assert len(builds) == 2
 
     @pytest.mark.parametrize(
-        "fit, builds, evaluations, lowerings", [(True, 3, 1, 3), (False, 3, 1, 3)]
+        "fit, builds, evaluations, lowerings", [(True, 2, 0, 2), (False, 2, 0, 2)]
     )
     def test_one_evaluation_per_reported_gate(
         self, fit, builds, evaluations, lowerings, monkeypatch
     ):
         # the fit builds each gain once, at knob 0, and reads the fitted
         # knob's table off that scan; without it the same scan runs at the
-        # budget's own knob alone.  Only the lossless row is evaluated.  Each
-        # distinct gate is lowered once, and its check lowers nothing: both
-        # gains at knob 0 and lossless make 3 circuits.  No report's witness
-        # is read, so no gain grid is scanned
+        # budget's own knob alone.  The lossless row reads the gate's
+        # relations, so nothing is evaluated.  Each distinct gate is lowered
+        # once, and its check lowers nothing: both gains at knob 0 make 2
+        # circuits.  No report's witness is read, so no gain grid is scanned
         calls = {"build_qnd_gate": 0, "evaluate_gate": 0, "_lower": 0, "duan_simon": 0}
 
         def counted(name, function):
@@ -909,6 +924,17 @@ class TestReproduceTable:
             "_lower": lowerings,
             "duan_simon": 0,
         }
+
+    @pytest.mark.parametrize("case", sorted(DEEPEST_TABLE_SHA256))
+    def test_deepest_squeezing_digests(self, case, tmp_path, capsys):
+        csv = tmp_path / "table.csv"
+        flags = ["--no-fit"] if case == "no-fit" else []
+        assert main(["reproduce-table", "--squeezing-db", "-60", *flags, "--csv", str(csv)]) == 0
+        digests = tuple(
+            hashlib.sha256(data).hexdigest()
+            for data in (capsys.readouterr().out.encode("utf-8"), csv.read_bytes())
+        )
+        assert digests == DEEPEST_TABLE_SHA256[case]
 
     def test_csv_written(self, tmp_path):
         path = tmp_path / "table.csv"
