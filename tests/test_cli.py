@@ -605,6 +605,18 @@ G,metric,sector,simulated,published,bar,verdict,residual_bars
 1.5,V_SP,p,0.637911928,0.63,0.01,PASS,0.7912
 """,
 }
+# sha256 of (text, CSV) of covariance-mode ``conditional``, 401 g values per
+# sector, recorded before the commands split into a result and its renderers
+CONDITIONAL_SHA256 = {
+    "default": (
+        "95e2fa9cdda445dacfd6fe82ec4cc05b6e22a5b582e717fa660a6a021bb74055",
+        "ee03365cebfc9e3ffd8d1b69fa031b0b51ba28e0e5405da5b0b1411fdfb768cb",
+    ),
+    "gain-1.5-budget": (
+        "3fd5f91394c5b3725a1bdd0a5976a70485e4ec4b7175bf27eabf3371447907e8",
+        "c1eb076219eb8f76a9d8c02a3708a26214f7e41e860482815c9732737c0f5972",
+    ),
+}
 
 
 class TestCsvBytes:
@@ -622,6 +634,16 @@ class TestCsvBytes:
         text = run(replace(config, output=OutputSpec(str(path))))
         assert path.read_bytes() == GOLDEN_CSV[command, scenario].encode("utf-8")
         assert run(config) == text
+
+    @pytest.mark.parametrize("scenario", sorted(CONDITIONAL_SHA256))
+    def test_conditional_digests(self, scenario, tmp_path):
+        path = tmp_path / "sweep.csv"
+        text = cmd_conditional(replace(_CSV_SCENARIOS[scenario], output=OutputSpec(str(path))))
+        digests = tuple(
+            hashlib.sha256(data).hexdigest() for data in (text.encode("utf-8"), path.read_bytes())
+        )
+        assert digests == CONDITIONAL_SHA256[scenario]
+
 
 class TestConditional:
     def test_verdicts_and_minima(self):
