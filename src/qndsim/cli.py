@@ -9,6 +9,10 @@ gate plus the reference-table comparison and the oracle self-check:
 * ``reproduce-table``  simulated vs published values for G = 1.0 and 1.5
 * ``oracle-check``     compiled-circuit vs analytic-relation equivalence
 
+Each subcommand computes one result, the figures it prints or writes, and
+renders it as stdout lines and lazy CSV rows, which ``_emit`` writes only
+for a scenario with an ``output.path``; ``oracle-check`` exits on its verdict.
+
 Covariance-mode output is deterministic and byte-identical across runs.
 In trajectory mode ``transfer`` and ``conditional`` read every figure they
 print, means, T_S and T_P, V_SP and the witness, from one seeded
@@ -20,9 +24,11 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import os
 import sys
 from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,13 +47,17 @@ from .scenario import MIN_SQUEEZING_DB, OutputSpec, ScenarioConfig, load_scenari
 
 ORACLE_R_GRID = (0.1, 0.25, 0.381966011250105, 0.5, 0.75, 1.0)
 ORACLE_DB_GRID = (0.0, -3.0, -5.0, -10.0, MIN_SQUEEZING_DB)
+_QUADS = ("x1", "p1", "x2", "p2")
 
 
-def _write_csv(path: str, header, rows) -> None:
-    lines = [",".join(header)]
-    lines += [",".join(str(v) for v in row) for row in rows]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+def _emit(config: ScenarioConfig, lines, header: str, csv_rows) -> str:
+    """Join ``lines`` into stdout text; write ``header`` and the lazy ``csv_rows``
+    (one line each) to ``output.path`` only when the scenario names one."""
+    if config.output.path is not None:
+        text = "\n".join([header, *csv_rows]) + "\n"
+        with open(config.output.path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    return "\n".join(lines)
 
 
 def _vacuum_output(config: ScenarioConfig, circuit) -> tuple:
@@ -82,151 +92,145 @@ def _vacuum_ensemble(params, imperfections, n, master_seed, circuit):
 
 
 def cmd_vacuum_spectra(config: ScenarioConfig) -> str:
-    csv_path = config.output.path  # checked non-empty by OutputSpec
     params = config.gate_params()
-    circuit = build_qnd_gate(params, config.imperfections)
-    rows = metrics.vacuum_noise_report(circuit, params)
-    quads = ("x1", "p1", "x2", "p2")
+    rows = metrics.vacuum_noise_report(build_qnd_gate(params, config.imperfections), params)
+    return _emit(config, *_spectra_views(params, rows))
+
+
+def _spectra_views(params: GateParams, rows: dict) -> tuple:
     lines = [
         f"vacuum-input output spectra, G={params.gain:.4f} (R={params.R:.6f}), "
-        f"squeezing {config.squeezing_dB_A:g}/{config.squeezing_dB_B:g} dB",
-        f"{'family':>26} " + " ".join(f"{q + ' [dB]':>12}" for q in quads),
+        f"squeezing {params.squeezing_db_a:g}/{params.squeezing_db_b:g} dB",
+        f"{'family':>26} " + " ".join(f"{q + ' [dB]':>12}" for q in _QUADS),
     ]
-    for family, row in rows.items():
-        lines.append(
-            f"{family:>26} " + " ".join(f"{row[q]['dB']:>12.4f}" for q in quads)
-        )
-    if csv_path is not None:
-        csv_rows = [
-            [family, q, f"{row[q]['variance']:.9f}", f"{row[q]['dB']:.9f}"]
-            for family, row in rows.items() for q in quads
-        ]
-        _write_csv(csv_path, ["family", "quadrature", "variance", "dB"], csv_rows)
-    return "\n".join(lines)
+    lines += [
+        f"{family:>26} " + " ".join(f"{row[q]['dB']:>12.4f}" for q in _QUADS)
+        for family, row in rows.items()
+    ]
+    csv_rows = (
+        f"{family},{q},{row[q]['variance']:.9f},{row[q]['dB']:.9f}"
+        for family, row in rows.items() for q in _QUADS
+    )
+    return lines, "family,quadrature,variance,dB", csv_rows
 
 
 # (case, excited input quadrature)
 _EXCITATION_CASES = (("a", "x1"), ("b", "x2"), ("c", "p1"), ("d", "p2"))
 
 
+class _Transfer(NamedTuple):
+    params: GateParams
+    cases: tuple         # per case: (case, excited input, output means, carrying quadratures)
+    coefficients: dict   # sector -> (T_S, T_P)
+
+
 def cmd_transfer(config: ScenarioConfig) -> str:
-    csv_path = config.output.path  # checked non-empty by OutputSpec
+    return _emit(config, *_transfer_views(_transfer(config)))
+
+
+def _transfer(config: ScenarioConfig) -> _Transfer:
     params = config.gate_params()
     circuit = build_qnd_gate(params, config.imperfections)
     amplitude = metrics.DEFAULT_PROBE_AMPLITUDE
-    quads = ("x1", "p1", "x2", "p2")
-    lines = [
-        f"coherent-excitation routing, G={params.gain:.4f}, "
-        f"input amplitude {amplitude:g} (mean^2 = {amplitude**2:g} x shot)"
-    ]
-    csv_rows = []  # filled only when a CSV is written
     # one vacuum output and one map serve the four cases and both sectors:
     # exciting input quadrature j by amplitude adds amplitude times the map's
     # column j to the vacuum output mean and leaves the covariance alone
     vacuum_mean, cov = _vacuum_output(config, circuit)
     qmap = circuit_quadrature_map(circuit)
+    # covariance mode is exact; trajectory mode carries Monte Carlo noise
+    floor = 1e-6 if config.run.mode == "covariance" else 0.1
+    cases = []
     for case, label in _EXCITATION_CASES:
         mean = vacuum_mean + amplitude * qmap.matrix[:, qmap.columns.index(f"{label}_in")]
         # snap float noise to zero so reports are stable across R/G round trips
-        mean = np.where(np.abs(mean) < 1e-12, 0.0, mean)
-        # covariance mode is exact; trajectory mode carries Monte Carlo noise
-        floor = 1e-6 if config.run.mode == "covariance" else 0.1
-        carried = [q for q, m in zip(quads, mean) if abs(m) > floor * amplitude]
-        lines.append(
-            f"({case}) excite {label}: output means "
-            + " ".join(f"{q}={m:+.4f}" for q, m in zip(quads, mean))
-            + f"  -> carried by {', '.join(carried) if carried else 'none'}"
-        )
-        if csv_path is not None:
-            csv_rows.append([case, label] + [f"{m:.9f}" for m in mean])
-    for sector in ("x", "p"):
-        t_s, t_p = metrics.transfer_coefficients(qmap, cov, sector)
-        lines.append(f"sector {sector}: T_S={t_s:.5f} T_P={t_p:.5f} T_sum={t_s + t_p:.5f}")
-        if csv_path is not None:
-            csv_rows.append([f"T_{sector}", "", f"{t_s:.9f}", f"{t_p:.9f}", f"{t_s + t_p:.9f}", ""])
-    if csv_path is not None:
-        _write_csv(
-            csv_path,
-            ["case", "excited", "mean_x1", "mean_p1", "mean_x2", "mean_p2"],
-            csv_rows,
-        )
-    return "\n".join(lines)
+        mean = np.where(np.abs(mean) < 1e-12, 0.0, mean).tolist()
+        carried = tuple(q for q, m in zip(_QUADS, mean) if abs(m) > floor * amplitude)
+        cases.append((case, label, mean, carried))
+    coefficients = {s: metrics.transfer_coefficients(qmap, cov, s) for s in ("x", "p")}
+    return _Transfer(params, tuple(cases), coefficients)
+
+
+def _transfer_views(result: _Transfer) -> tuple:
+    amplitude = metrics.DEFAULT_PROBE_AMPLITUDE
+    lines = [
+        f"coherent-excitation routing, G={result.params.gain:.4f}, "
+        f"input amplitude {amplitude:g} (mean^2 = {amplitude**2:g} x shot)"
+    ]
+    lines += [
+        f"({case}) excite {label}: output means x1={x1:+.4f} p1={p1:+.4f} x2={x2:+.4f} p2={p2:+.4f}"
+        f"  -> carried by {', '.join(carried) if carried else 'none'}"
+        for case, label, (x1, p1, x2, p2), carried in result.cases
+    ]
+    sectors = result.coefficients.items()
+    lines += [f"sector {s}: T_S={t_s:.5f} T_P={t_p:.5f} T_sum={t_s + t_p:.5f}" for s, (t_s, t_p) in sectors]
+    csv_rows = itertools.chain(
+        (f"{case},{label},{x1:.9f},{p1:.9f},{x2:.9f},{p2:.9f}" for case, label, (x1, p1, x2, p2), _ in result.cases),
+        (f"T_{s},,{t_s:.9f},{t_p:.9f},{t_s + t_p:.9f}," for s, (t_s, t_p) in sectors),
+    )
+    return lines, "case,excited,mean_x1,mean_p1,mean_x2,mean_p2", csv_rows
+
+
+class _Conditional(NamedTuple):
+    params: GateParams
+    cov: np.ndarray      # vacuum-input output covariance, which the CSV's sweep reads
+    grid: np.ndarray     # the rescaling gains g the CSV sweeps
+    optima: dict         # sector -> (V_SP, g_opt)
+    duan: metrics.DuanResult
 
 
 def cmd_conditional(config: ScenarioConfig) -> str:
-    csv_path = config.output.path  # checked non-empty by OutputSpec
-    params = config.gate_params()
-    circuit = build_qnd_gate(params, config.imperfections)
-    _, cov = _vacuum_output(config, circuit)
-    grid = config.run.g_grid()
+    return _emit(config, *_conditional_views(_conditional(config)))
 
-    lines = [f"conditional-variance sweep, G={params.gain:.4f}"]
-    optima = {}
-    for sector in ("x", "p"):
-        v, g_opt = optima[sector] = metrics.conditional_variance(cov, sector)
-        lines.append(f"sector {sector}: V_SP={v:.5f} at g_opt={g_opt:.5f}")
-    duan = metrics.duan_simon(cov, optima["x"][1], grid)
-    lines.append(
+
+def _conditional(config: ScenarioConfig) -> _Conditional:
+    params = config.gate_params()
+    _, cov = _vacuum_output(config, build_qnd_gate(params, config.imperfections))
+    grid = config.run.g_grid()
+    optima = {sector: metrics.conditional_variance(cov, sector) for sector in ("x", "p")}
+    return _Conditional(params, cov, grid, optima, metrics.duan_simon(cov, optima["x"][1], grid))
+
+
+def _conditional_views(result: _Conditional) -> tuple:
+    duan = result.duan
+    lines = [f"conditional-variance sweep, G={result.params.gain:.4f}"]
+    lines += [f"sector {s}: V_SP={v:.5f} at g_opt={g:.5f}" for s, (v, g) in result.optima.items()]
+    lines += [
         f"witness at g={duan.g:.5f}: sum={duan.combined_sum:.5f} vs bound={duan.bound:.5f}"
-        f" -> {'entangled' if duan.entangled else 'not certified'}"
-    )
-    lines.append(
+        f" -> {'entangled' if duan.entangled else 'not certified'}",
         f"scan over g: best margin {duan.scan_best_margin:+.5f} at g={duan.scan_best_g:.4f}"
-        f" -> {'entangled' if duan.scan_entangled else 'not certified'}"
-    )
-    # the reference curves and the measured sweep go only into the CSV
-    if csv_path is not None:
-        csv_rows = []
-        for sector in ("x", "p"):
-            refs = metrics.reference_sweeps(params, sector, grid)
-            measured = metrics.cv_sweep(cov, sector, grid)
-            for g, m, ci, cii, ciii, bound in zip(
-                grid, measured, refs.ideal, refs.finite_squeezing, refs.vacuum_ancilla,
-                refs.witness_bound,
-            ):
-                csv_rows.append(
-                    [
-                        sector,
-                        f"{g:.4f}",
-                        f"{m:.9f}",
-                        f"{gaussian.variance_to_db(m):.9f}",
-                        f"{ci:.9f}",
-                        f"{cii:.9f}",
-                        f"{ciii:.9f}",
-                        f"{bound:.9f}",
-                    ]
-                )
-        _write_csv(
-            csv_path,
-            ["sector", "g", "simulated", "simulated_dB", "ideal", "finite_squeezing",
-             "vacuum_ancilla", "witness_bound_per_sector"],
-            csv_rows,
-        )
-    return "\n".join(lines)
+        f" -> {'entangled' if duan.scan_entangled else 'not certified'}",
+    ]
+    header = ("sector,g,simulated,simulated_dB,ideal,finite_squeezing,vacuum_ancilla,"
+              "witness_bound_per_sector")
+    return lines, header, _conditional_rows(result)
+
+
+def _conditional_rows(result: _Conditional):
+    """The measured sweep and the three lossless reference curves, which only the CSV shows."""
+    grid = result.grid
+    for sector in ("x", "p"):
+        refs = metrics.reference_sweeps(result.params, sector, grid)
+        measured = metrics.cv_sweep(result.cov, sector, grid)
+        columns = (grid, measured, gaussian.variance_to_db(measured), refs.ideal,
+                   refs.finite_squeezing, refs.vacuum_ancilla, refs.witness_bound)
+        for g, m, db, ci, cii, ciii, bound in zip(*(column.tolist() for column in columns)):
+            yield f"{sector},{g:.4f},{m:.9f},{db:.9f},{ci:.9f},{cii:.9f},{ciii:.9f},{bound:.9f}"
 
 
 def cmd_reproduce_table(config: ScenarioConfig, fit: bool = True) -> str:
-    csv_path = config.output.path  # checked non-empty by OutputSpec
-    base = config.imperfections
-    if fit:
-        comparison = metrics.fit_extra_in_loop_loss(base, squeezing_db=config.squeezing_dB_A)
-    else:
-        comparison = metrics.compare_to_reference(base, squeezing_db=config.squeezing_dB_A)
+    table = metrics.fit_extra_in_loop_loss if fit else metrics.compare_to_reference
+    comparison = table(config.imperfections, squeezing_db=config.squeezing_dB_A)
+    return _emit(config, *_table_views(comparison))
 
-    lines = ["simulated vs published gate characterization"]
-    if comparison.fitted:
-        lines.append(
-            f"fitted extra in-loop loss: {comparison.extra_in_loop_loss:.4f} "
-            f"(single calibration knob, grid search)"
-        )
-    else:
-        lines.append("no calibration fit applied")
-    lines.append(
-        f"objective (sum of squared deviations in bar units): {comparison.objective:.3f}"
-    )
 
-    header = f"{'G':>4} {'metric':>6} {'sector':>6} {'simulated':>10} {'published':>12} {'band(2x)':>16} {'verdict':>8} {'resid/bar':>10}"
-    lines.append(header)
+def _table_views(comparison: metrics.TableComparison) -> tuple:
+    lines = [
+        "simulated vs published gate characterization",
+        f"fitted extra in-loop loss: {comparison.extra_in_loop_loss:.4f} "
+        "(single calibration knob, grid search)" if comparison.fitted else "no calibration fit applied",
+        f"objective (sum of squared deviations in bar units): {comparison.objective:.3f}",
+        f"{'G':>4} {'metric':>6} {'sector':>6} {'simulated':>10} {'published':>12} {'band(2x)':>16} {'verdict':>8} {'resid/bar':>10}",
+    ]
     verdicts = ["PASS" if check.within else "FAIL" for check in comparison.checks]
     for check, verdict in zip(comparison.checks, verdicts):
         lines.append(
@@ -258,23 +262,26 @@ def cmd_reproduce_table(config: ScenarioConfig, fit: bool = True) -> str:
         f"({'out-of-band high' if t_sum.simulated > t_sum.high else 'in band'}; "
         "imperfections are required to match)"
     )
-    if csv_path is not None:
-        csv_rows = [
-            [f"{c.gain:.1f}", c.metric, c.sector, f"{c.simulated:.9f}", f"{c.reference:.2f}",
-             f"{c.bar:.2f}", verdict, f"{c.residual_bars:.4f}"]
-            for c, verdict in zip(comparison.checks, verdicts)
-        ]
-        _write_csv(
-            csv_path,
-            ["G", "metric", "sector", "simulated", "published", "bar", "verdict",
-             "residual_bars"],
-            csv_rows,
-        )
-    return "\n".join(lines)
+    csv_rows = (
+        f"{c.gain:.1f},{c.metric},{c.sector},{c.simulated:.9f},{c.reference:.2f},{c.bar:.2f},"
+        f"{verdict},{c.residual_bars:.4f}"
+        for c, verdict in zip(comparison.checks, verdicts)
+    )
+    return lines, "G,metric,sector,simulated,published,bar,verdict,residual_bars", csv_rows
+
+
+class _Oracle(NamedTuple):
+    worst: float         # the largest coefficient error over the grid; NaN beats any number
+    worst_case: tuple    # its (R, dB), or None
+    passed: bool
 
 
 def cmd_oracle_check() -> str:
     """Equivalence of the compiled lossless circuit and the analytic relations."""
+    return _oracle_text(_oracle_check())
+
+
+def _oracle_check() -> _Oracle:
     worst = 0.0
     worst_case = None
     for R in ORACLE_R_GRID:
@@ -283,14 +290,18 @@ def cmd_oracle_check() -> str:
             # a NaN is worse than any number, and the first one is named
             if err > worst or (np.isnan(err) and not np.isnan(worst)):
                 worst, worst_case = err, (R, db)
-    lines = [
+    # written so that a NaN error fails too
+    return _Oracle(worst, worst_case, worst <= ORACLE_MATCH_TOL)
+
+
+def _oracle_text(result: _Oracle) -> str:
+    case = result.worst_case
+    return "\n".join([
         f"oracle equivalence over {len(ORACLE_R_GRID)} x {len(ORACLE_DB_GRID)} grid points",
-        f"max coefficient error: {worst:.3e}"
-        + (f" at R={worst_case[0]:g}, {worst_case[1]:g} dB" if worst_case else ""),
-        # written so that a NaN error fails too
-        "PASS" if worst <= ORACLE_MATCH_TOL else "FAIL",
-    ]
-    return "\n".join(lines)
+        f"max coefficient error: {result.worst:.3e}"
+        + (f" at R={case[0]:g}, {case[1]:g} dB" if case else ""),
+        "PASS" if result.passed else "FAIL",
+    ])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -309,12 +320,8 @@ def build_parser() -> argparse.ArgumentParser:
             group = p.add_mutually_exclusive_group()
             group.add_argument("--gain", type=float, help="interaction gain G")
             group.add_argument("--reflectivity", type=float, help="beam-splitter parameter R")
-        p.add_argument(
-            "--squeezing-db", type=float, help="ancilla squeezing in dB (both ancillas)"
-        )
-        p.add_argument(
-            "--no-imperfections", action="store_true", help="disable every imperfection"
-        )
+        p.add_argument("--squeezing-db", type=float, help="ancilla squeezing in dB (both ancillas)")
+        p.add_argument("--no-imperfections", action="store_true", help="disable every imperfection")
         if name in ("transfer", "conditional"):
             p.add_argument(
                 "--trajectories", type=int, metavar="N",
@@ -324,35 +331,29 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--csv", metavar="PATH", help="also write CSV output to PATH")
         if name == "reproduce-table":
             p.add_argument(
-                "--no-fit", action="store_true",
-                help="skip the single-knob in-loop loss calibration",
+                "--no-fit", action="store_true", help="skip the single-knob in-loop loss calibration"
             )
     sub.add_parser("oracle-check")
     return parser
 
 
 def _config_from_args(args) -> ScenarioConfig:
-    if args.config:
-        config = load_scenario(args.config)
-    else:
-        config = ScenarioConfig()
-    # replace() re-runs the scenario's and RunSpec's checks on the flag values
+    config = load_scenario(args.config) if args.config else ScenarioConfig()
+    # every flag goes through replace(), which re-runs the scenario's and RunSpec's checks
     if args.reflectivity is not None:
         config = replace(config, gate_R=args.reflectivity, gate_G=None)
     elif args.gain is not None:
         config = replace(config, gate_R=None, gate_G=args.gain)
     if args.squeezing_db is not None:
-        config = replace(
-            config, squeezing_dB_A=args.squeezing_db, squeezing_dB_B=args.squeezing_db
-        )
+        config = replace(config, squeezing_dB_A=args.squeezing_db, squeezing_dB_B=args.squeezing_db)
     if args.no_imperfections:
-        config.imperfections = ImperfectionModel.ideal()
+        config = replace(config, imperfections=ImperfectionModel.ideal())
     if args.trajectories is not None:
-        config.run = replace(config.run, mode="trajectories", n=args.trajectories)
+        config = replace(config, run=replace(config.run, mode="trajectories", n=args.trajectories))
     if args.seed is not None:
-        config.run = replace(config.run, master_seed=args.seed)
+        config = replace(config, run=replace(config.run, master_seed=args.seed))
     if args.csv is not None:
-        config.output = OutputSpec(args.csv)
+        config = replace(config, output=OutputSpec(args.csv))
     return config
 
 
@@ -389,18 +390,15 @@ def _reject_ignored(command: str, config: ScenarioConfig, fit: bool) -> None:
 def _command_output(args) -> tuple:
     """The subcommand's stdout text and exit status."""
     if args.command == "oracle-check":
-        text = cmd_oracle_check()
-        return text, 0 if text.endswith("PASS") else 1
+        result = _oracle_check()
+        return _oracle_text(result), 0 if result.passed else 1
     config = _config_from_args(args)
     fit = args.command == "reproduce-table" and not args.no_fit
     _reject_ignored(args.command, config, fit)
-    if args.command == "vacuum-spectra":
-        return cmd_vacuum_spectra(config), 0
-    if args.command == "transfer":
-        return cmd_transfer(config), 0
-    if args.command == "conditional":
-        return cmd_conditional(config), 0
-    return cmd_reproduce_table(config, fit=fit), 0
+    if args.command == "reproduce-table":
+        return cmd_reproduce_table(config, fit=fit), 0
+    run = {"vacuum-spectra": cmd_vacuum_spectra, "transfer": cmd_transfer, "conditional": cmd_conditional}
+    return run[args.command](config), 0
 
 
 def main(argv=None) -> int:

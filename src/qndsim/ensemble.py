@@ -55,9 +55,9 @@ def trajectory_generator(master_seed: int, stream: int) -> np.random.Generator:
 def check_master_seed(master_seed) -> None:
     """Reject seeds that are not an integer in [0, 2**64), the Philox key word."""
     if isinstance(master_seed, bool) or not isinstance(master_seed, Integral):
-        raise ValueError(f"master seed must be an integer, got {master_seed!r}")
+        raise ValueError(f"master_seed must be an integer, got {master_seed!r}")
     if not 0 <= master_seed < 2**64:
-        raise ValueError(f"master seed must lie in [0, 2**64), got {master_seed}")
+        raise ValueError(f"master_seed must lie in [0, 2**64), got {master_seed}")
 
 
 def check_shot_count(n) -> None:

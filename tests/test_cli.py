@@ -334,11 +334,16 @@ class TestScenarioConfig:
             scenario_from_dict(doc)
 
     @pytest.mark.parametrize("seed", [1.5, 2**64, -1, True])
-    def test_invalid_master_seed_rejected(self, seed):
-        with pytest.raises(ValueError):
+    def test_invalid_master_seed_rejected(self, seed, tmp_path):
+        # every way in names the key as a scenario file writes it
+        with pytest.raises(ValueError, match="master_seed"):
             RunSpec(master_seed=seed)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="master_seed"):
             scenario_from_dict({"run": {"master_seed": seed}})
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({"run": {"master_seed": seed}}))
+        with pytest.raises(ValueError, match="master_seed"):
+            main(["transfer", "--config", str(path)])
 
     def test_both_r_and_g_rejected(self):
         with pytest.raises(ValueError):
