@@ -610,6 +610,7 @@ G,metric,sector,simulated,published,bar,verdict,residual_bars
 1.5,V_SP,p,0.637911928,0.63,0.01,PASS,0.7912
 """,
 }
+
 # sha256 of (text, CSV) of covariance-mode ``conditional``, 401 g values per
 # sector, recorded before the commands split into a result and its renderers
 CONDITIONAL_SHA256 = {
