@@ -1,5 +1,6 @@
 """Tests for gate compilation and circuit execution."""
 
+import hashlib
 import math
 from dataclasses import replace
 from numbers import Integral
@@ -564,6 +565,47 @@ AncillaInjection r=0.3 angle=0.25 label=C antisqueeze_excess=2.5
 BeamSplitter i=0 j=2 reflectivity=0.4 signs=(1,1,-1,1)
 Loss mode=1 eta=0.9 tag=
 HomodyneFeedforward measured_mode=2 angle=0.5 target_mode=1 target_quadrature=p gain=-0.75 efficiency=0.95 dark_variance=0.01"""
+
+
+# the builder's element lists over gains, unequal squeezings (0 dB among
+# them), ancilla purities and budgets, pinned by the sha256 of their repr:
+# exact floats, where the golden texts print 12 digits
+_PINNED_GATES = [
+    GateParams.from_gain(gain, squeezing_db_a=db_a, squeezing_db_b=db_b, ancilla_excess=excess)
+    for gain in (0.0, 0.5, 1.0, 1.5, 2.5)
+    for db_a, db_b in ((-7.0, -3.0), (0.0, -10.0), (-5.0, 0.0))
+    for excess in (1.0, 1.8)
+]
+_PINNED_BUDGETS = {
+    "ideal": ImperfectionModel.ideal(),
+    "default": ImperfectionModel(),
+    "pre_entry": ImperfectionModel(loss_placement="pre_entry"),
+    "in_arms": ImperfectionModel(loss_placement="in_arms"),
+    "coupler loss 0": ImperfectionModel(displacement_coupler_loss=0.0),
+    "dark noise inf": ImperfectionModel(dark_noise_dB_below_shot=math.inf),
+    "gain error +0.02": ImperfectionModel(feedforward_electronic_gain_error=0.02),
+    "gain error -0.02": ImperfectionModel(feedforward_electronic_gain_error=-0.02),
+    "in-loop loss 0.03": ImperfectionModel(extra_in_loop_loss=0.03),
+}
+GATE_ELEMENTS_SHA256 = {
+    "ideal": "5b625cfc00f09940fba288b0efea7cffae87fd350aaf08c8e65a135855291938",
+    "default": "448d27a0efbae318be87b451bb5942e2d7967d6eaf97394ac9efe3b7f9b224f2",
+    "pre_entry": "c3be296f37e2604c5946391d70bf5486c1b6c583c7f29f2bfe3d732547fdcf17",
+    # "in_arms" builds the post-exit circuit, the default budget's
+    "in_arms": "448d27a0efbae318be87b451bb5942e2d7967d6eaf97394ac9efe3b7f9b224f2",
+    "coupler loss 0": "21ec0fcb8b9a3378c478074fc6de2bc6b2cfc15cb34458f15f2eb45a2a0b20d1",
+    "dark noise inf": "8b619095e9b779b0421037cfa80d4f939c369ccb2fb3df47ea7a9c32b4f4d312",
+    "gain error +0.02": "f0fdef43c3602f0ea964bc728343e6b802b44c3969aa53e354e2047564e58545",
+    "gain error -0.02": "69fa37a27216adb7412836897564d17366d6231e659dc38f9199d7e52d74f760",
+    "in-loop loss 0.03": "030288af0125ca9f9535f60dd8085d71a1b9d4edcaea7ee79c9f43397387e2f0",
+}
+
+
+@pytest.mark.parametrize("budget", list(_PINNED_BUDGETS))
+def test_gate_element_lists_are_pinned(budget):
+    imp = _PINNED_BUDGETS[budget]
+    text = "\n".join(repr(circuit_module._gate_elements(params, imp)) for params in _PINNED_GATES)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GATE_ELEMENTS_SHA256[budget]
 
 
 class TestSerialization:
