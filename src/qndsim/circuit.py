@@ -2,10 +2,12 @@
 
 A gate circuit is a Mach-Zehnder interferometer with one measurement-induced
 squeezing stage per arm: inject a squeezed ancilla, mix it with the arm beam,
-homodyne one output port and feed the scaled outcome forward as a
-displacement on the other.  The free parameter ``R`` fixes the four
-beam-splitter reflectivities ``1/(1+R), R, R, R/(1+R)`` and the interaction
-gain ``G = 1/sqrt(R) - sqrt(R)``.
+homodyne one output port and feed the scaled outcome forward as a displacement
+on the other.  The builder writes that measurement-induced squeezer once,
+``_squeezer_elements``, and calls it per arm; a test composes its lowered map
+with the outer beam splitters into ``finite_squeezing_map``.  The parameter
+``R`` fixes the beam-splitter reflectivities ``1/(1+R), R, R, R/(1+R)`` and the
+interaction gain ``G = 1/sqrt(R) - sqrt(R)``.
 
 The builder chooses beam-splitter signs and feedforward gains so that the
 lossless compiled circuit reproduces ``quadexpr.finite_squeezing_map``
@@ -418,10 +420,10 @@ def build_qnd_gate(
     Layout (modes 0 and 1 are the two gate modes):
 
     1. entry beam splitter, reflectivity ``1/(1+R)``;
-    2. arm A: ancilla squeezed in x, beam splitter of reflectivity ``R``,
-       homodyne of the p quadrature fed forward onto the arm's p;
-    3. arm B: the mirror arrangement acting on the p sector (ancilla squeezed
-       in p, x homodyne, x feedforward);
+    2. arm A, the gadget ``_squeezer_elements("x", ...)``: ancilla squeezed
+       in x, beam splitter of reflectivity ``R``, p homodyne, p feedforward;
+    3. arm B, the same gadget on the p sector (ancilla squeezed in p, x
+       homodyne, x feedforward);
     4. exit beam splitter, reflectivity ``R/(1+R)``;
     5. loss and detector imperfections per ``imperfections``.
 
@@ -466,46 +468,44 @@ def _gate(params: GateParams, imp: ImperfectionModel) -> Circuit:
     return Circuit(_gate_elements(params, imp))
 
 
+# squeezed quadrature -> ancilla angle, arm signs, homodyne angle, fed-forward quadrature, gain sign
+_SQUEEZERS = {"x": (0.0, (1, -1, 1, 1), math.pi / 2, "p", -1.0), "p": (math.pi / 2, (-1, -1, 1, -1), 0.0, "x", 1.0)}
+
+
+def _squeezer_elements(
+    quadrature: str, ancilla: int, label: str, r: float, excess: float, R: float, imp: ImperfectionModel
+) -> list:
+    """One arm: squeeze ``quadrature`` of mode 0 by ``sqrt(R)``, measuring mode 0 itself.
+
+    The ancilla ``label``, appended at index ``ancilla``, carries the squeezed output.
+    """
+    angle, signs, measured, target, sign = _SQUEEZERS[quadrature]
+    eta = 1.0 - imp.displacement_coupler_loss
+    gain = sign * math.sqrt((1.0 - R) / R) * (1.0 + imp.feedforward_electronic_gain_error)
+    coupler = [Loss(ancilla, eta, f"coupler{label}")] if eta < 1.0 else []
+    return [
+        AncillaInjection(r, angle, label, excess),
+        BeamSplitter(ancilla, 0, R, signs),
+        *coupler,
+        HomodyneFeedforward(0, measured, ancilla, target, gain, imp.homodyne_efficiency, imp.dark_variance),
+    ]
+
+
 def _gate_elements(params: GateParams, imp: ImperfectionModel) -> list:
-    R = params.R
     eta_prop = 1.0 - imp.propagation_loss_per_main_mode
     main_losses = [Loss(0, eta_prop, "main1"), Loss(1, eta_prop, "main2")] if eta_prop < 1.0 else []
     entry_r, arm_r, _, exit_r = params.reflectivities
-    ff_gain = math.sqrt((1.0 - R) / R) * (1.0 + imp.feedforward_electronic_gain_error)
-    eta_det = imp.homodyne_efficiency
-    dark = imp.dark_variance
-    eta_coupler = 1.0 - imp.displacement_coupler_loss
     eta_extra = 1.0 - imp.extra_in_loop_loss
-
-    elements = []
-    if imp.loss_placement == "pre_entry":
-        elements += main_losses
-
-    elements.append(BeamSplitter(0, 1, entry_r, signs=(1, -1, 1, 1)))
-
-    # arm A: measurement-induced x squeezer on the mode-0 path
-    elements.append(AncillaInjection(params.r_a, 0.0, "A", params.ancilla_excess))
-    elements.append(BeamSplitter(2, 0, arm_r, signs=(1, -1, 1, 1)))
-    if eta_coupler < 1.0:
-        elements.append(Loss(2, eta_coupler, "couplerA"))
-    elements.append(HomodyneFeedforward(0, math.pi / 2, 2, "p", -ff_gain, eta_det, dark))
-
-    # arm B: the p-sector mirror on the mode-1 path
-    elements.append(AncillaInjection(params.r_b, math.pi / 2, "B", params.ancilla_excess))
-    elements.append(BeamSplitter(2, 0, arm_r, signs=(-1, -1, 1, -1)))
-    if eta_coupler < 1.0:
-        elements.append(Loss(2, eta_coupler, "couplerB"))
-    elements.append(HomodyneFeedforward(0, 0.0, 2, "x", ff_gain, eta_det, dark))
-
+    pre, post = (main_losses, []) if imp.loss_placement == "pre_entry" else ([], main_losses)
+    elements = [*pre, BeamSplitter(0, 1, entry_r, signs=(1, -1, 1, 1))]
+    # arm A squeezes x on the mode-0 path; its homodyne removes that path, so
+    # arm B's p squeezer finds the mode-1 path at index 0
+    elements += _squeezer_elements("x", 2, "A", params.r_a, params.ancilla_excess, arm_r, imp)
+    elements += _squeezer_elements("p", 2, "B", params.r_b, params.ancilla_excess, arm_r, imp)
     # after the two stages the arm outputs sit in slots (0, 1) again
     if eta_extra < 1.0:
         elements += [Loss(0, eta_extra, "armA"), Loss(1, eta_extra, "armB")]
-
-    elements.append(BeamSplitter(0, 1, exit_r, signs=(-1, -1, 1, -1)))
-
-    if imp.loss_placement != "pre_entry":
-        elements += main_losses
-    return elements
+    return [*elements, BeamSplitter(0, 1, exit_r, signs=(-1, -1, 1, -1)), *post]
 
 
 # --------------------------------------------------------------------------

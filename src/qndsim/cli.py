@@ -139,15 +139,16 @@ def _transfer(config: ScenarioConfig) -> _Transfer:
     qmap = circuit_quadrature_map(circuit)
     # covariance mode is exact; trajectory mode carries Monte Carlo noise
     floor = 1e-6 if config.run.mode == "covariance" else 0.1
-    cases = []
-    for case, label in _EXCITATION_CASES:
-        mean = vacuum_mean + amplitude * qmap.matrix[:, qmap.columns.index(f"{label}_in")]
-        # snap float noise to zero so reports are stable across R/G round trips
-        mean = np.where(np.abs(mean) < 1e-12, 0.0, mean).tolist()
-        carried = tuple(q for q, m in zip(_QUADS, mean) if abs(m) > floor * amplitude)
-        cases.append((case, label, mean, carried))
+    columns = [qmap.columns.index(f"{label}_in") for _, label in _EXCITATION_CASES]
+    means = vacuum_mean + amplitude * qmap.matrix[:, columns].T  # one row per case
+    # snap float noise to zero so reports are stable across R/G round trips
+    means = np.where(np.abs(means) < 1e-12, 0.0, means).tolist()
+    cases = tuple(
+        (case, label, mean, tuple(q for q, m in zip(_QUADS, mean) if abs(m) > floor * amplitude))
+        for (case, label), mean in zip(_EXCITATION_CASES, means)
+    )
     coefficients = {s: metrics.transfer_coefficients(qmap, cov, s) for s in ("x", "p")}
-    return _Transfer(params, tuple(cases), coefficients)
+    return _Transfer(params, cases, coefficients)
 
 
 def _transfer_views(result: _Transfer) -> tuple:
@@ -187,6 +188,8 @@ def _conditional(config: ScenarioConfig) -> _Conditional:
     _, cov = _vacuum_output(config, build_qnd_gate(params, config.imperfections))
     grid = config.run.g_grid()
     optima = {sector: metrics.conditional_variance(cov, sector) for sector in ("x", "p")}
+    # snap float noise to zero, as transfer does: a lossy G = 0 gate gives g_opt near -2e-19
+    optima = {s: (v, 0.0 if abs(g) < 1e-12 else g) for s, (v, g) in optima.items()}
     return _Conditional(params, cov, grid, optima, metrics.duan_simon(cov, optima["x"][1], grid))
 
 

@@ -100,7 +100,7 @@ def conditional_variance(cov: np.ndarray, sector: str):
     if any(floor.flat):
         # a noiseless probe carries no information: V_SP = V_S at g = 0
         var_p = np.where(floor, np.inf, var_p)
-    g_opt = -sign * c / var_p
+    g_opt = -sign * c / var_p + 0.0  # turns -0.0, which prints as "-0.00000", into +0.0
     value = var_s - c * c / var_p
     if cov.ndim == 2:
         return float(value), float(g_opt)
@@ -272,23 +272,19 @@ def vacuum_noise_report(circuit: Circuit, params: GateParams) -> dict:
     0 dB input reference, the infinite-squeezing prediction, the circuit as
     configured, and the same circuit with vacuum (0 dB) ancillas.
     """
-    quads = ("x1", "p1", "x2", "p2")
-    rows = {}
-
-    def entry(variances):
-        return {
-            q: {"variance": float(v), "dB": float(gaussian.variance_to_db(v))}
-            for q, v in zip(quads, variances)
-        }
-
-    rows["input"] = entry(np.ones(4))
-    _, ideal_cov = moments_from_map(ideal_qnd_map(params.gain))
-    rows["infinite_squeezing"] = entry(np.diag(ideal_cov))
-    out = run_covariance(circuit, gaussian.vacuum_state(2))
-    rows["configured"] = entry(np.diag(out.cov))
-    vac_map = finite_squeezing_map(params.R, 0.0, 0.0)
-    rows["vacuum_ancilla_reference"] = entry(np.diag(moments_from_map(vac_map)[1]))
-    return rows
+    covs = {
+        "input": np.eye(4),
+        "infinite_squeezing": moments_from_map(ideal_qnd_map(params.gain))[1],
+        "configured": run_covariance(circuit, gaussian.vacuum_state(2)).cov,
+        "vacuum_ancilla_reference": moments_from_map(finite_squeezing_map(params.R, 0.0, 0.0))[1],
+    }
+    # one (4, 4) array of variances, one family per row, converted to dB at once
+    variances = np.array([np.diag(cov) for cov in covs.values()])
+    db = gaussian.variance_to_db(variances).tolist()
+    return {
+        family: {q: {"variance": v, "dB": d} for q, v, d in zip(("x1", "p1", "x2", "p2"), vs, ds)}
+        for family, vs, ds in zip(covs, variances.tolist(), db)
+    }
 
 
 # --------------------------------------------------------------------------

@@ -73,7 +73,8 @@ class RunSpec:
         check_master_seed(self.master_seed)
 
     def g_grid(self) -> np.ndarray:
-        return np.round(np.arange(self.g_min, self.g_max + 1e-9, self.g_step), 10)
+        # adding 0.0 turns the -0.0 that rounding leaves of arange's noise into +0.0
+        return np.round(np.arange(self.g_min, self.g_max + 1e-9, self.g_step), 10) + 0.0
 
 
 @dataclass

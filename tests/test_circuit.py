@@ -1081,6 +1081,80 @@ class TestBudgetMap:
 
 
 # --------------------------------------------------------------------------
+# the builder's one gadget, the measurement-induced squeezer of one arm
+
+
+def _arm(quadrature: str, R: float, r: float) -> Circuit:
+    """The lossless gadget alone on one input mode, its ancilla appended at index 1."""
+    label = {"x": "A", "p": "B"}[quadrature]
+    elements = circuit_module._squeezer_elements(quadrature, 1, label, r, 1.0, R, ImperfectionModel.ideal())
+    arm = Circuit(elements, n_input_modes=1)
+    assert arm.columns == ("x1_in", "p1_in", "unit", f"x{label}0", f"p{label}0")
+    assert arm.n_output_modes == 1
+    return arm
+
+
+def _composed_gate_map(R: float, r_a: float, r_b: float) -> QuadratureMap:
+    """The lossless gate from its parts, without the builder: entry beam splitter,
+    the x squeezer on path 1 and the p squeezer on path 2, exit beam splitter."""
+
+    def splitter(reflectivity, signs):
+        return Circuit((BeamSplitter(0, 1, reflectivity, signs),)).matrix[:, :4]
+
+    # block-diagonal arms: each path's rows over the inputs, then over its ancilla
+    paths, ancillas = np.zeros((4, 4)), np.zeros((4, 4))
+    for k, (quadrature, r) in enumerate((("x", r_a), ("p", r_b))):
+        rows = _arm(quadrature, R, r).matrix[:2]
+        paths[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = rows[:, :2]
+        ancillas[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = rows[:, 3:]
+    entry = splitter(1.0 / (1.0 + R), (1, -1, 1, 1))
+    exit_ = splitter(R / (1.0 + R), (-1, -1, 1, -1))
+    columns = ("x1_in", "p1_in", "x2_in", "p2_in", "xA0", "pA0", "xB0", "pB0")
+    return QuadratureMap(columns, exit_ @ np.hstack([paths @ entry, ancillas]))
+
+
+# below about 1e-6 the lowered entry beam splitter, sqrt(1 - 1/(1+R)), rounds
+# beyond 1e-12, as for _DEEP_GATES; the gadget alone takes any R
+_ARM_R = st.floats(1e-6, 1.0)
+_ARM_DB = st.floats(-60.0, 0.0)
+
+
+class TestSqueezerGadget:
+    """``_squeezer_elements`` alone, and the gate's closed form derived from it."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(quadrature=st.sampled_from("xp"), R=_ARM_R, db=_ARM_DB)
+    @example(quadrature="x", R=1.0, db=-60.0)
+    @example(quadrature="p", R=1.0, db=0.0)
+    @example(quadrature="x", R=0.3, db=-6.080122746645525)  # r = 0.7
+    def test_one_arm_squeezes_its_quadrature_by_sqrt_r(self, quadrature, R, db):
+        r = gaussian.squeeze_parameter_from_db(db)
+        u, v = math.sqrt(R), math.sqrt(1.0 - R) * math.exp(-r)
+        # rows x, p over x_in, p_in, unit and the ancilla's x0, p0
+        want = {
+            "x": [[-u, 0.0, 0.0, v, 0.0], [0.0, -1.0 / u, 0.0, 0.0, 0.0]],
+            "p": [[-1.0 / u, 0.0, 0.0, 0.0, 0.0], [0.0, -u, 0.0, 0.0, -v]],
+        }[quadrature]
+        assert np.abs(_arm(quadrature, R, r).matrix[:2] - want).max() <= 1e-12
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(R=_ARM_R, db_a=_ARM_DB, db_b=_ARM_DB)
+    @example(R=1.0, db_a=-60.0, db_b=0.0)
+    @example(R=0.3, db_a=-6.080122746645525, db_b=-3.474355855226014)  # r = 0.7 and 0.4
+    def test_composed_arms_are_the_gate_relations(self, R, db_a, db_b):
+        r_a, r_b = (gaussian.squeeze_parameter_from_db(db) for db in (db_a, db_b))
+        with pytest.MonkeyPatch.context() as patch:
+            # the full builder takes no part
+            for name in ("_gate_elements", "build_qnd_gate"):
+                patch.setattr(circuit_module, name, None)
+            composed = _composed_gate_map(R, r_a, r_b)
+        oracle = finite_squeezing_map(R, r_a, r_b)
+        # to 1e-12 of the largest coefficient, G = 1/sqrt(R) - sqrt(R), or of 1
+        scale = max(1.0, np.abs(oracle.matrix).max())
+        assert max_coefficient_difference(composed, oracle) <= 1e-12 * scale
+
+
+# --------------------------------------------------------------------------
 # the lowering before its per-call trimming: the trimmed ``_lower`` must give
 # the same columns, counts and matrix bytes, or raise the same error
 

@@ -676,6 +676,28 @@ class TestConditional:
         ]
         assert len(lines) == 1 + 2 * 5  # both sectors, five grid points
 
+    def test_zero_of_a_grid_through_zero_prints_unsigned(self, tmp_path):
+        # np.round takes arange's noise near 0 to -0.0, which wrote "x,-0.0000,..."
+        run = RunSpec(g_min=-1.0, g_max=1.0, g_step=0.1)
+        grid = run.g_grid()
+        assert grid[10] == 0.0 and not np.signbit(grid[10])
+        path = tmp_path / "sweep.csv"
+        cmd_conditional(ScenarioConfig(run=run, output=OutputSpec(str(path))))
+        lines = path.read_text().splitlines()
+        assert lines[11].startswith("x,0.0000,") and lines[32].startswith("p,0.0000,")
+        assert not [line for line in lines if line.split(",")[1] == "-0.0000"]
+
+    @pytest.mark.parametrize("flags", [[], ["--no-imperfections"]], ids=["default", "ideal"])
+    def test_zero_gain_optima_print_unsigned(self, capsys, flags):
+        # the ideal budget's p-sector g_opt was -0.0 and the default budget's
+        # x-sector one about -2e-19; both printed as "-0.00000"
+        assert main(["conditional", "--gain", "0", *flags]) == 0
+        out = capsys.readouterr().out
+        assert "sector x: V_SP=1.00000 at g_opt=0.00000" in out
+        assert "sector p: V_SP=1.00000 at g_opt=0.00000" in out
+        assert "witness at g=0.00000:" in out
+        assert "-0.00000" not in out
+
     def test_reference_curves_only_for_csv(self, monkeypatch, tmp_path):
         # the lossless reference maps feed only the CSV rows
         calls = []

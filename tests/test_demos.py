@@ -6,6 +6,8 @@ import runpy
 
 import pytest
 
+from qndsim import circuit
+
 DEMO_DIR = Path(__file__).resolve().parent.parent / "demos"
 DEMOS = sorted(DEMO_DIR.glob("*.py"))
 
@@ -38,3 +40,14 @@ def test_trajectory_demo_errors_match_the_spread_over_seeds(capsys):
     out = capsys.readouterr().out
     assert "bit-identical means:    True" in out
     assert "every SE within 30% of its spread: True" in out
+
+
+def test_squeezing_stage_is_the_gate_arm(capsys):
+    # the demo says its hand-built stage is the gate's arm A on one input mode
+    demo = runpy.run_path(str(DEMO_DIR / "measurement_induced_squeezing.py"), run_name="__main__")
+    capsys.readouterr()
+    stage, R = demo["stage"], demo["R"]
+    assert R == 0.25 and stage.n_input_modes == 1
+    r = stage.elements[0].r  # the demo's -5 dB ancilla
+    arm = circuit._squeezer_elements("x", 1, "A", r, 1.0, R, circuit.ImperfectionModel.ideal())
+    assert list(stage.elements) == arm

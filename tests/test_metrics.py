@@ -196,6 +196,14 @@ class TestConditionalVariance:
         assert v == 1.3
         assert g_opt == 0.0
 
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_uncorrelated_optimum_is_an_unsigned_zero(self, stacked):
+        # -sign * 0.0 is -0.0 in one sector, which printed as "-0.00000"
+        cov = np.stack([np.eye(4)] * 3) if stacked else np.eye(4)
+        for sector in ("x", "p"):
+            _, g_opt = conditional_variance(cov, sector)
+            assert not np.signbit(g_opt).any()
+
     def test_stacked_covariances(self):
         # each entry of a stack, the degenerate probe included, equals its own call
         _, circuit = lossless_gate()
