@@ -1113,8 +1113,8 @@ def _composed_gate_map(R: float, r_a: float, r_b: float) -> QuadratureMap:
     return QuadratureMap(columns, exit_ @ np.hstack([paths @ entry, ancillas]))
 
 
-# below about 1e-6 the lowered entry beam splitter, sqrt(1 - 1/(1+R)), rounds
-# beyond 1e-12, as for _DEEP_GATES; the gadget alone takes any R
+# R from 1e-6, as for _DEEP_GATES: below it the lowered entry beam splitter,
+# sqrt(1 - 1/(1+R)), rounds beyond 1e-12
 _ARM_R = st.floats(1e-6, 1.0)
 _ARM_DB = st.floats(-60.0, 0.0)
 
