@@ -68,25 +68,22 @@ def _vacuum_output(config: ScenarioConfig, circuit) -> tuple:
     their exact law (Anderson, *An Introduction to Multivariate Statistical
     Analysis*, chs. 3 and 7) at a cost that does not grow with ``run.n``.
     ``circuit`` is the one ``build_qnd_gate`` gives for the scenario's gate
-    and budget.
+    and budget, and ``compile_trajectory`` checks its input-mode count.
     """
-    run = config.run
-    if run.mode == "trajectories":
-        working_point = (config.gate_params(), config.imperfections, run.n, run.master_seed)
-        out = _vacuum_ensemble(*working_point, circuit)
-    else:
+    if config.run.mode == "covariance":
         out = run_covariance(circuit, gaussian.vacuum_state(2))
+    else:
+        out = _vacuum_ensemble(circuit, config.run.n, config.run.master_seed)
     return out.mean, out.cov
 
 
 @functools.lru_cache(maxsize=4)
-def _vacuum_ensemble(params, imperfections, n, master_seed, circuit):
-    """The vacuum-input ensemble of one working point, drawn once.
+def _vacuum_ensemble(circuit, n, master_seed):
+    """The vacuum-input ensemble of one circuit, ``n`` and seed, drawn once.
 
-    ``transfer`` then ``conditional`` on one scenario share it.  The frozen
-    ``(params, imperfections)`` give bit-identical circuits, zero signs
-    included, as ``circuit._gate`` trusts, so ``circuit`` adds nothing to the
-    key; the result's arrays are read-only.
+    ``transfer`` then ``conditional`` on one scenario share it.  Circuits
+    compare 0.0 equal to -0.0, and both signs lower to the same matrix bytes,
+    so equal circuits draw equal ensembles; the result's arrays are read-only.
     """
     return run_ensemble(circuit, gaussian.vacuum_state(2), n, master_seed)
 
@@ -277,11 +274,6 @@ class _Oracle(NamedTuple):
     worst: float         # the largest coefficient error over the grid; NaN beats any number
     worst_case: tuple    # its (R, dB), or None
     passed: bool
-
-
-def cmd_oracle_check() -> str:
-    """Equivalence of the compiled lossless circuit and the analytic relations."""
-    return _oracle_text(_oracle_check())
 
 
 def _oracle_check() -> _Oracle:

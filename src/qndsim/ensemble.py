@@ -115,15 +115,13 @@ def run_ensemble(
     Bartlett's decomposition of the Wishart law (Anderson, *An Introduction
     to Multivariate Statistical Analysis*, ch. 7) draws the shots' sample
     mean and scatter at once, so time and memory do not grow with ``n``.
-    The seed, ``n`` (from 2 to ``MAX_SHOTS``) and the input-mode count are
-    checked on every call, and every call draws.
+    The seed and ``n`` (from 2 to ``MAX_SHOTS``) are checked on every call,
+    ``compile_trajectory`` the input-mode count, and every call draws.
     """
     check_master_seed(master_seed)
     if n < 2:
         raise ValueError("an ensemble needs at least two trajectories")
     check_shot_count(n)
-    if state.n_modes != circuit.n_input_modes:
-        raise ValueError(f"circuit expects {circuit.n_input_modes} input modes, got {state.n_modes}")
     n, master_seed = operator.index(n), int(master_seed)
     program = compile_trajectory(circuit, state)
     draw_mean, draw_cov = _draw_moments(master_seed, n, program.draws_per_shot)

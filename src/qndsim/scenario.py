@@ -41,7 +41,7 @@ MAX_GAIN = 1000.0
 MAX_GAIN_ERROR = 1.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunSpec:
     mode: str = "covariance"   # "covariance" or "trajectories"
     n: int = 100000
@@ -77,7 +77,7 @@ class RunSpec:
         return np.round(np.arange(self.g_min, self.g_max + 1e-9, self.g_step), 10) + 0.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class OutputSpec:
     path: str | None = None    # also write the CSV here
 

@@ -7,7 +7,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import fields, replace
+from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -26,9 +26,10 @@ from qndsim.circuit import (
 )
 from qndsim.cli import (
     _EXCITATION_CASES,
+    _oracle_check,
+    _oracle_text,
     _vacuum_output,
     cmd_conditional,
-    cmd_oracle_check,
     cmd_reproduce_table,
     cmd_transfer,
     cmd_vacuum_spectra,
@@ -217,20 +218,35 @@ class TestScenarioConfig:
     )
     def test_library_route_reads_the_checked_output_path(self, tmp_path, monkeypatch, command):
         # a command has no path argument of its own: it writes to the
-        # scenario's output path, which cannot be empty, and an empty path
-        # set past that check fails instead of writing nothing
+        # scenario's output path, which cannot be empty and cannot be set
         monkeypatch.chdir(tmp_path)
         with pytest.raises(TypeError):
             command(ScenarioConfig(), csv_path="")
         with pytest.raises(ValueError, match="output.path must not be empty"):
             replace(ScenarioConfig(), output=OutputSpec(""))
         config = ScenarioConfig()
-        config.output.path = ""
-        with pytest.raises(FileNotFoundError):
-            command(config)
+        with pytest.raises(FrozenInstanceError):
+            config.output.path = ""
+        command(config)
         assert list(tmp_path.iterdir()) == []
         command(replace(config, output=OutputSpec("out.csv")))
         assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+    @pytest.mark.parametrize(
+        "assign",
+        [
+            lambda config: setattr(config.run, "g_step", -0.5),
+            lambda config: setattr(config.run, "g_min", 3.0),
+            lambda config: setattr(config.output, "path", ""),
+        ],
+        ids=["g_step", "g_min", "path"],
+    )
+    def test_run_and_output_fields_cannot_be_set_past_their_checks(self, assign):
+        # the checks run at construction only: an assignment would leave conditional an empty grid
+        config = ScenarioConfig()
+        with pytest.raises(FrozenInstanceError):
+            assign(config)
+        assert config == ScenarioConfig()
 
     def test_csv_output_section_writes_the_csv(self, tmp_path, capsys):
         csv = tmp_path / "out.csv"
@@ -666,9 +682,8 @@ class TestConditional:
 
     def test_csv_columns(self, tmp_path):
         path = tmp_path / "sweep.csv"
-        config = ScenarioConfig()
-        config.run.g_min, config.run.g_max, config.run.g_step = -1.0, 1.0, 0.5
-        cmd_conditional(replace(config, output=OutputSpec(str(path))))
+        run = RunSpec(g_min=-1.0, g_max=1.0, g_step=0.5)
+        cmd_conditional(replace(ScenarioConfig(), run=run, output=OutputSpec(str(path))))
         lines = path.read_text().splitlines()
         assert lines[0].split(",") == [
             "sector", "g", "simulated", "simulated_dB", "ideal", "finite_squeezing",
@@ -817,10 +832,24 @@ class TestSharedEnsemble:
         _vacuum_output(trajectory_config(run={"master_seed": 0}), circuit)
         assert len(draws) == maxsize + 4
 
+    def test_budgets_with_equal_circuits_share_one_draw(self, draws):
+        # in_arms builds post_exit's element list: the cache keys on the circuit
+        outputs = []
+        for placement in ("in_arms", "post_exit"):
+            config = trajectory_config(imperfections=ImperfectionModel(loss_placement=placement))
+            circuit = build_qnd_gate(config.gate_params(), config.imperfections)
+            outputs.append((circuit, _vacuum_output(config, circuit)))
+        assert outputs[0][0] == outputs[1][0]
+        assert draws == [(12293, 23)]
+        for circuit, (mean, cov) in outputs:
+            fresh = run_ensemble(circuit, gaussian.vacuum_state(2), 12293, 23)
+            assert mean.tobytes() == fresh.mean.tobytes() and cov.tobytes() == fresh.cov.tobytes()
+
     @pytest.mark.parametrize("placement", ["post_exit", "pre_entry", "in_arms"])
     def test_zero_signs_build_identical_bytes(self, placement):
-        # the cache keys on (params, imperfections), whose fields compare
-        # 0.0 equal to -0.0: both signs must lower to the same matrix bytes
+        # the gate cache keys on (params, imperfections) and the ensemble cache
+        # on the circuit, whose fields compare 0.0 equal to -0.0: both signs
+        # must lower to the same matrix bytes
         def matrix(params, imperfections):
             # built afresh, not read from the gate cache
             return Circuit(circuit_module._gate_elements(params, imperfections)).matrix.tobytes()
@@ -996,7 +1025,7 @@ class TestReproduceTable:
 
 class TestOracleCheckCommand:
     def test_passes(self):
-        text = cmd_oracle_check()
+        text = _oracle_text(_oracle_check())
         assert text.endswith("PASS")
         assert "max coefficient error" in text
 
