@@ -9,9 +9,11 @@ gate plus the reference-table comparison and the oracle self-check:
 * ``reproduce-table``  simulated vs published values for G = 1.0 and 1.5
 * ``oracle-check``     compiled-circuit vs analytic-relation equivalence
 
-Each subcommand computes one result, the figures it prints or writes, and
-renders it as stdout lines and lazy CSV rows, which ``_emit`` writes only
-for a scenario with an ``output.path``; ``oracle-check`` exits on its verdict.
+``_READS`` is the one place that declares what each subcommand reads of a
+scenario; its flags and the rejection of values it leaves unread derive from
+it.  Each subcommand computes one result, the figures it prints or writes, and
+renders it as stdout lines and lazy CSV rows, which ``_emit`` writes only for
+a scenario with an ``output.path``; ``oracle-check`` exits on its verdict.
 
 Covariance-mode output is deterministic and byte-identical across runs.
 In trajectory mode ``transfer`` and ``conditional`` read every figure they
@@ -299,25 +301,33 @@ def _oracle_text(result: _Oracle) -> str:
     ])
 
 
+# what each subcommand reads of a scenario beyond squeezing_dB_A, the budget
+# and output.path: "gate" is R or G and squeezing_dB_B, "ensemble" is run.mode,
+# n and master_seed, and "g_grid" is the rescaling gains' grid
+_READS = {
+    "vacuum-spectra": ("gate",),
+    "transfer": ("gate", "ensemble"),
+    "conditional": ("gate", "ensemble", "g_grid"),
+    "reproduce-table": (),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qndsim",
         description="Simulate and characterize the offline-squeezed QND sum gate.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("vacuum-spectra", "transfer", "conditional", "reproduce-table"):
+    for name, reads in _READS.items():
         p = sub.add_parser(name)
-        # flags a subcommand does not declare read as unset
-        p.set_defaults(gain=None, reflectivity=None, trajectories=None, seed=None)
         p.add_argument("--config", help="scenario JSON file")
-        # reproduce-table always runs the two reference gains
-        if name != "reproduce-table":
+        if "gate" in reads:
             group = p.add_mutually_exclusive_group()
             group.add_argument("--gain", type=float, help="interaction gain G")
             group.add_argument("--reflectivity", type=float, help="beam-splitter parameter R")
         p.add_argument("--squeezing-db", type=float, help="ancilla squeezing in dB (both ancillas)")
         p.add_argument("--no-imperfections", action="store_true", help="disable every imperfection")
-        if name in ("transfer", "conditional"):
+        if "ensemble" in reads:
             p.add_argument(
                 "--trajectories", type=int, metavar="N",
                 help="run N stochastic trajectories instead of covariance propagation",
@@ -333,19 +343,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args) -> ScenarioConfig:
+    reads = _READS[args.command]
     config = load_scenario(args.config) if args.config else ScenarioConfig()
     # every flag goes through replace(), which re-runs the scenario's and RunSpec's checks
-    if args.reflectivity is not None:
+    if "gate" in reads and args.reflectivity is not None:
         config = replace(config, gate_R=args.reflectivity, gate_G=None)
-    elif args.gain is not None:
+    elif "gate" in reads and args.gain is not None:
         config = replace(config, gate_R=None, gate_G=args.gain)
     if args.squeezing_db is not None:
         config = replace(config, squeezing_dB_A=args.squeezing_db, squeezing_dB_B=args.squeezing_db)
     if args.no_imperfections:
         config = replace(config, imperfections=ImperfectionModel.ideal())
-    if args.trajectories is not None:
+    if "ensemble" in reads and args.trajectories is not None:
         config = replace(config, run=replace(config.run, mode="trajectories", n=args.trajectories))
-    if args.seed is not None:
+    if "ensemble" in reads and args.seed is not None:
         config = replace(config, run=replace(config.run, master_seed=args.seed))
     if args.csv is not None:
         config = replace(config, output=OutputSpec(args.csv))
@@ -355,31 +366,31 @@ def _config_from_args(args) -> ScenarioConfig:
 def _reject_ignored(command: str, config: ScenarioConfig, fit: bool) -> None:
     """Raise for scenario values that ``command`` would otherwise ignore.
 
-    A part of the scenario the command does not read must equal that part
-    of ``ScenarioConfig()``.  ``fit`` says that ``reproduce-table`` fits the
-    calibration knob, and so overwrites the scenario's.
+    A part of the scenario the command does not read, by ``_READS``, must equal
+    that part of ``ScenarioConfig()``.  ``fit`` says that ``reproduce-table`` fits
+    the calibration knob, and so overwrites the scenario's.
     """
     default = ScenarioConfig()
+    run, base, reads = config.run, default.run, _READS[command]
 
     def reject(section: str, why: str):
         raise ValueError(f"{command} ignores the scenario's {section} section: {why}")
 
-    if command in ("vacuum-spectra", "reproduce-table") and config.run != default.run:
-        reject("run", "it propagates covariances once and sweeps no rescaling gain g")
     # the grid's fields, not its points: transfer builds no grid to reject one
-    grid = (config.run.g_min, config.run.g_max, config.run.g_step)
-    if command == "transfer" and grid != (default.run.g_min, default.run.g_max, default.run.g_step):
-        reject("run", "only conditional sweeps the rescaling gain g")
-    ensemble = (config.run.n, config.run.master_seed)
-    if config.run.mode == "covariance" and ensemble != (default.run.n, default.run.master_seed):
+    changed = {"ensemble": (run.mode, run.n, run.master_seed) != (base.mode, base.n, base.master_seed),
+               "g_grid": (run.g_min, run.g_max, run.g_step) != (base.g_min, base.g_max, base.g_step)}
+    if any(changed[part] for part in changed.keys() - reads):
+        reject("run", "only conditional sweeps the rescaling gain g" if "ensemble" in reads
+               else "it propagates covariances once and sweeps no rescaling gain g")
+    if run.mode == "covariance" and (run.n, run.master_seed) != (base.n, base.master_seed):
         reject("run", "in covariance mode it runs no ensemble, so n and master_seed go unread")
-    if command == "reproduce-table":
+    if "gate" not in reads:
         if (config.gate_R, config.gate_G) != (default.gate_R, default.gate_G):
             reject("gate", "it always runs the reference gains 1.0 and 1.5")
         if config.squeezing_dB_B != config.squeezing_dB_A:
             reject("gate", "it gives both ancillas squeezing_dB_A")
-        if fit and config.imperfections.extra_in_loop_loss != 0.0:
-            reject("imperfections", "the fit overwrites extra_in_loop_loss; --no-fit runs it")
+    if fit and config.imperfections.extra_in_loop_loss != 0.0:
+        reject("imperfections", "the fit overwrites extra_in_loop_loss; --no-fit runs it")
 
 
 def _command_output(args) -> tuple:

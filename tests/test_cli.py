@@ -1,5 +1,6 @@
 """Tests for the command-line front end and scenario configuration."""
 
+import argparse
 import hashlib
 import json
 import math
@@ -49,6 +50,16 @@ from qndsim.scenario import (
 
 def lossless_config(**kwargs):
     return ScenarioConfig(imperfections=ImperfectionModel.ideal(), **kwargs)
+
+
+def declared_flags():
+    """(subcommand, flag) for each flag that a subparser of ``build_parser()`` declares, help aside."""
+    (subparsers,) = (a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return [
+        (name, action.option_strings[0])
+        for name, parser in subparsers.choices.items()
+        for action in parser._actions if not isinstance(action, argparse._HelpAction)
+    ]
 
 
 class TestScenarioConfig:
@@ -674,9 +685,7 @@ class TestConditional:
         assert "-> entangled" in text
 
     def test_vacuum_ancillas_not_certified(self):
-        config = lossless_config()
-        config.squeezing_dB_A = 0.0
-        config.squeezing_dB_B = 0.0
+        config = replace(lossless_config(), squeezing_dB_A=0.0, squeezing_dB_B=0.0)
         text = cmd_conditional(config)
         assert "not certified" in text
 
@@ -1172,6 +1181,45 @@ class TestMainEntry:
             main(argv)
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    # one valid non-default value per declared flag; a new flag needs one here
+    FLAG_VALUES = {
+        "--config": ["scenario.json"],  # the file sets a visibility of 0.9
+        "--gain": ["1.5"],
+        "--reflectivity": ["0.25"],
+        "--squeezing-db": ["-4"],
+        "--no-imperfections": [],
+        "--trajectories": ["500"],
+        "--seed": ["3"],
+        "--csv": ["out.csv"],
+        "--no-fit": [],
+    }
+
+    @pytest.mark.parametrize("command, flag", declared_flags())
+    def test_every_declared_flag_has_a_reader(self, tmp_path, monkeypatch, capsys, command, flag):
+        """A non-default value of any declared flag changes stdout or the CSV, or is rejected as unread.
+
+        Both runs write their CSV to ``out.csv`` in their own directory,
+        except when ``--csv`` is the flag under test.
+        """
+        base = [command] if flag == "--csv" else [command, "--csv", "out.csv"]
+
+        def outputs(name, argv):
+            """stdout and the bytes of ``out.csv``, if written, run in ``name``."""
+            (tmp_path / name).mkdir()
+            monkeypatch.chdir(tmp_path / name)
+            (tmp_path / name / "scenario.json").write_text(json.dumps({"imperfections": {"visibility": 0.9}}))
+            main(argv)
+            csv = tmp_path / name / "out.csv"
+            return capsys.readouterr().out, csv.read_bytes() if csv.exists() else None
+
+        try:
+            changed = outputs("changed", [*base, flag, *self.FLAG_VALUES[flag]])
+        except ValueError as error:
+            # a seed alone runs no ensemble, so it is refused, not dropped
+            assert f"{command} ignores the scenario's run section" in str(error)
+            return
+        assert changed != outputs("default", base)
 
     @pytest.mark.parametrize("command", ["transfer", "conditional"])
     def test_seed_without_trajectories_rejected(self, command, capsys):

@@ -1,10 +1,13 @@
-"""The README's library tour runs as written."""
+"""The README's library tour runs as written, and its flag list is the parser's."""
 
+import argparse
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+from qndsim.cli import build_parser
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -24,3 +27,19 @@ def test_library_tour_runs():
     assert done.returncode == 0, done.stderr
     assert "qnd=PASS" in done.stdout
     assert "max |z|" in done.stdout
+
+
+def test_flag_list_names_each_subcommand_and_exactly_its_flags():
+    """Each ``* `subcommand`:`` line under ``## Command line`` lists the flags its subparser declares."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    listed = {
+        match.group(1): set(re.findall(r"`(--[a-z-]+)", match.group(2)))
+        for match in re.finditer(r"^\* `([a-z-]+)`: (.*)$", section, re.MULTILINE)
+    }
+    (subparsers,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    declared = {
+        name: {a.option_strings[0] for a in parser._actions if not isinstance(a, argparse._HelpAction)}
+        for name, parser in subparsers.choices.items()
+    }
+    assert listed == declared
