@@ -608,6 +608,32 @@ def test_gate_element_lists_are_pinned(budget):
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GATE_ELEMENTS_SHA256[budget]
 
 
+# the same builds' lowered matrices, shape and bytes: a refactor of the
+# element model or the lowering must leave every one of them unchanged
+GATE_MATRIX_SHA256 = {
+    "ideal": "f16caac9711ee69acf506418f28857ac5b296761d75d6e76975005e389bfe060",
+    "default": "0028a3bfb69b3a07d3e644cd49c3a9a38a2a15b21d2145d78ce6ee342efbbbdf",
+    "pre_entry": "a7235cc38bc73dda83ed04200e2a03121597ccf82d15c27f9012a23f51decc27",
+    # the post-exit circuit again
+    "in_arms": "0028a3bfb69b3a07d3e644cd49c3a9a38a2a15b21d2145d78ce6ee342efbbbdf",
+    "coupler loss 0": "d00778e1099f27df3a52960412f71d1b357d7011762617da595b9ad521c7c57a",
+    "dark noise inf": "7e8fbb54e19c3793eaa3c80eb3731ad3a503878728013418b0b33de3b9fbbcfe",
+    "gain error +0.02": "d695f8f6ce8db826dd43f9c3aba3bee3c8b6505bcfab468f228e7d532a4dd5f0",
+    "gain error -0.02": "f2b42787e9c02202a36b31616270222a7877d4a03ecf48ce142199f65d06dc02",
+    "in-loop loss 0.03": "ffcc321b9f1a3f43e8182274ccde6b0cecce2c6326d6dcbc59dd3d5303efeff3",
+}
+
+
+@pytest.mark.parametrize("budget", list(_PINNED_BUDGETS))
+def test_gate_matrices_are_pinned(budget):
+    digest = hashlib.sha256()
+    for params in _PINNED_GATES:
+        matrix = build_qnd_gate(params, _PINNED_BUDGETS[budget]).matrix
+        digest.update(repr(matrix.shape).encode("utf-8"))
+        digest.update(matrix.tobytes())
+    assert digest.hexdigest() == GATE_MATRIX_SHA256[budget]
+
+
 class TestSerialization:
     def test_golden_text(self):
         circuit = build_qnd_gate(GateParams(0.25), ImperfectionModel.ideal())
