@@ -203,6 +203,8 @@ class BeamSplitter:
 
 @dataclass(frozen=True)
 class Loss:
+    """Transmission ``eta`` in [0, 1]; the k-th loss, if untagged, adds vacuum ``xv_<k>, pv_<k>``."""
+
     mode: int
     eta: float
     tag: str = ""
@@ -213,9 +215,10 @@ class HomodyneFeedforward:
     """Homodyne one mode, displace a target quadrature by gain * readout.
 
     The measured mode is removed; ``target_mode`` is indexed before removal.
-    ``efficiency`` acts as loss on the measured mode before projection and
-    ``dark_variance`` is classical noise on the electronic readout.  With
-    ``gain = 0`` the element is a pure measurement.
+    The detector is ideal: an inefficient one is a ``Loss`` on the measured
+    mode just before it.  ``dark_variance``, keyword-only, is classical noise
+    on the electronic readout.  With ``gain = 0`` the element is a pure
+    measurement.
     """
 
     measured_mode: int
@@ -223,8 +226,7 @@ class HomodyneFeedforward:
     target_mode: int
     target_quadrature: str  # "x" or "p"
     gain: float
-    efficiency: float = 1.0
-    dark_variance: float = 0.0
+    dark_variance: float = field(default=0.0, kw_only=True)
 
 
 @dataclass(frozen=True)
@@ -316,15 +318,6 @@ def _lower(elements: tuple, n_input_modes: int) -> tuple:
             columns[label] = None
         return len(columns) - len(labels)
 
-    def lossy(rows, eta, tag):
-        nonlocal losses
-        losses += 1
-        suffix = tag or str(losses)
-        k = sources(f"xv_{suffix}", f"pv_{suffix}")
-        out = math.sqrt(eta) * rows
-        out[0, k] = out[1, k + 1] = math.sqrt(1.0 - eta)
-        return out
-
     for pos, el in enumerate(elements):
         n = len(modes)
         kind = type(el)
@@ -353,18 +346,17 @@ def _lower(elements: tuple, n_input_modes: int) -> tuple:
             modes[el.i] = s1 * t * a + s2 * r * b
             modes[el.j] = s3 * r * a + s4 * t * b
         elif kind is Loss:
-            _require(0 <= el.mode < n and 0.0 < el.eta <= 1.0, pos, el)
-            modes[el.mode] = lossy(modes[el.mode], el.eta, el.tag)
+            _require(0 <= el.mode < n and 0.0 <= el.eta <= 1.0, pos, el)
+            losses += 1
+            k = sources(f"xv_{el.tag or losses}", f"pv_{el.tag or losses}")
+            rows = math.sqrt(el.eta) * modes[el.mode]
+            rows[0, k] = rows[1, k + 1] = math.sqrt(1.0 - el.eta)
+            modes[el.mode] = rows
         elif kind is HomodyneFeedforward:
             _require(0 <= el.measured_mode < n and 0 <= el.target_mode < n, pos, el)
             _require(el.target_mode != el.measured_mode, pos, el)
             _require(el.target_quadrature in ("x", "p") and math.isfinite(el.gain), pos, el)
-            _require(math.isfinite(el.angle) and 0.0 <= el.efficiency <= 1.0, pos, el)
-            _require(0.0 <= el.dark_variance < math.inf, pos, el)
-            if el.efficiency < 1.0:
-                modes[el.measured_mode] = lossy(
-                    modes[el.measured_mode], el.efficiency, f"det{losses}"
-                )
+            _require(math.isfinite(el.angle) and 0.0 <= el.dark_variance < math.inf, pos, el)
             measured = modes[el.measured_mode]
             optical = math.cos(el.angle) * measured[0:1] + math.sin(el.angle) * measured[1:2]
             readout = optical
@@ -480,14 +472,16 @@ def _squeezer_elements(
     The ancilla ``label``, appended at index ``ancilla``, carries the squeezed output.
     """
     angle, signs, measured, target, sign = _SQUEEZERS[quadrature]
-    eta = 1.0 - imp.displacement_coupler_loss
+    eta, eta_det = 1.0 - imp.displacement_coupler_loss, imp.homodyne_efficiency
     gain = sign * math.sqrt((1.0 - R) / R) * (1.0 + imp.feedforward_electronic_gain_error)
     coupler = [Loss(ancilla, eta, f"coupler{label}")] if eta < 1.0 else []
+    detector = [Loss(0, eta_det, f"det{label}")] if eta_det < 1.0 else []
     return [
         AncillaInjection(r, angle, label, excess),
         BeamSplitter(ancilla, 0, R, signs),
         *coupler,
-        HomodyneFeedforward(0, measured, ancilla, target, gain, imp.homodyne_efficiency, imp.dark_variance),
+        *detector,
+        HomodyneFeedforward(0, measured, ancilla, target, gain, dark_variance=imp.dark_variance),
     ]
 
 
@@ -589,9 +583,7 @@ def compile_trajectory(circuit: Circuit, state: GaussianState) -> TrajectoryProg
     draws = len(mean) - kept
     gains = np.zeros((kept, draws))
     for j in range(draws):
-        e = np.zeros(len(mean))
-        e[kept + j] = 1.0
-        var, gain, cov = gaussian._condition(cov, e)
+        var, gain, cov = gaussian._condition(cov, kept + j)
         gains[:, j] = math.sqrt(max(var, 0.0)) * gain[:kept]
     return TrajectoryProgram(mean[:kept], gains, cov[:n_out, :n_out], n_out // 2, draws)
 

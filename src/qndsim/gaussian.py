@@ -231,16 +231,16 @@ def loss_channel(state: GaussianState, mode: int, eta: float) -> GaussianState:
     return out
 
 
-def _condition(cov: np.ndarray, e: np.ndarray):
-    """Condition a Gaussian on the value of the linear functional ``e . q``.
+def _condition(cov: np.ndarray, i: int):
+    """Condition a Gaussian on the value of its ``i``-th variable.
 
-    Returns ``(var, gain, cov_given)``: the prior variance of ``e . q``, the
-    column mapping its observed deviation onto the mean, and the Schur
+    Returns ``(var, gain, cov_given)``: the prior variance of that variable,
+    the column mapping its observed deviation onto the mean, and the Schur
     complement.  Dividing by ``max(var, VARIANCE_FLOOR)`` keeps a perfectly
     squeezed quadrature finite.
     """
-    col = cov @ e
-    var = float(e @ col)
+    col = cov[:, i]
+    var = float(col[i])
     denom = max(var, VARIANCE_FLOOR)
     return var, col / denom, cov - np.outer(col, col) / denom
 

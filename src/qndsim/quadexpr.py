@@ -150,7 +150,7 @@ def gate_budget_map(params, imp) -> QuadratureMap:
     Extends ``finite_squeezing_map`` to the apparatus ``circuit.build_qnd_gate``
     builds for a ``GateParams`` and an ``ImperfectionModel``: ancilla impurity,
     main-mode transmission ``eta_p`` (after the exit beam splitter, or before
-    the entry one), coupler transmission ``eta_c`` and homodyne efficiency
+    the entry one), coupler and detector-loss transmissions ``eta_c`` and
     ``eta_d`` in each arm, dark noise, the feedforward gain error and the
     in-loop knob transmission ``eta_k``.  With ``n = 1/sqrt(1+R)``,
     ``c = sqrt((1-R)/(1+R))``, the feedforward gain
@@ -171,14 +171,14 @@ def gate_budget_map(params, imp) -> QuadratureMap:
     ``L = 0`` on the ideal budget, which leaves ``finite_squeezing_map`` and
     zeros.  ``"in_arms"`` losses are the ``"post_exit"`` channel.
 
-    The map's columns are the circuit's own source labels, whose detector
-    vacua are numbered ``det<k>`` by the losses before them; a label the
-    budget leaves out of the circuit has coefficient 0 here.
+    The map's columns are the circuit's own source labels and the same for
+    every budget: each loss is tagged by its place, the detector losses
+    ``detA`` and ``detB`` by their arm.  A label the budget leaves out of the
+    circuit has coefficient 0 here.
     """
     R, eta_coupler, eta_det = params.R, 1.0 - imp.displacement_coupler_loss, imp.homodyne_efficiency
     # transmissions as the builder forms them, so a loss it drops reads 0 here
     eta_prop, eta_extra = 1.0 - imp.propagation_loss_per_main_mode, 1.0 - imp.extra_in_loop_loss
-    pre_entry = imp.loss_placement == "pre_entry"
     root_r, n = math.sqrt(R), 1.0 / math.sqrt(1.0 + R)
     c, gain = math.sqrt((1.0 - R) / (1.0 + R)), (1.0 - R) / root_r
     amp = 1.0 + imp.feedforward_electronic_gain_error
@@ -188,7 +188,7 @@ def gate_budget_map(params, imp) -> QuadratureMap:
     a, gb = coupled + (1.0 - R) * leak / (1.0 + R), gain * (coupled + leak / (1.0 + R))
     d = root_r * (1.0 - R) * leak / (1.0 + R)
     k, t, vac = math.sqrt(eta_extra), math.sqrt(eta_prop), math.sqrt(1.0 - eta_prop)
-    if pre_entry:
+    if imp.loss_placement == "pre_entry":
         # each main mode's vacuum enters beside its input quadratures, so only they lose t
         m = k * vac
         mains = ((m * a, 0.0, m * d, 0.0), (0.0, m * a, 0.0, -m * gb),
@@ -203,12 +203,9 @@ def gate_budget_map(params, imp) -> QuadratureMap:
     leak_a, leak_b = core * c * leak * math.exp(params.r_a), core * c * leak * math.exp(params.r_b)
     nv = core * n * math.sqrt(1.0 - eta_coupler)
     nw, ns = core * n * f * math.sqrt(1.0 - eta_det), core * n * f * math.sqrt(imp.dark_variance)
-    # the lowering tags a homodyne's loss det<k>, k the losses before it
-    first, couplers = (2 if pre_entry and eta_prop < 1.0 else 0), int(eta_coupler < 1.0)
-    det_a, det_b = f"det{first + couplers}", f"det{first + 2 * couplers + 1}"
     columns = (
-        "x1_in", "x2_in", "xA0", "xB0", "excessB", "xv_couplerA", "xv_couplerB", f"xv_{det_b}", "dark2",
-        "p1_in", "p2_in", "pB0", "pA0", "excessA", "pv_couplerA", "pv_couplerB", f"pv_{det_a}", "dark1",
+        "x1_in", "x2_in", "xA0", "xB0", "excessB", "xv_couplerA", "xv_couplerB", "xv_detB", "dark2",
+        "p1_in", "p2_in", "pB0", "pA0", "excessA", "pv_couplerA", "pv_couplerB", "pv_detA", "dark1",
         "xv_armA", "pv_armA", "xv_armB", "pv_armB", "xv_main1", "pv_main1", "xv_main2", "pv_main2",
     )
     zero = (0.0,) * 9

@@ -436,11 +436,26 @@ class TestCircuitValidation:
         with pytest.raises(ValueError):
             Circuit(elements=(BeamSplitter(0, 1, 0.5, signs=(1, 1, 1, 1)),))
 
-    @pytest.mark.parametrize("field,value", [("efficiency", 1.5), ("dark_variance", -0.1)])
-    def test_bad_detector_rejected(self, field, value):
-        kwargs = {"efficiency": 1.0, "dark_variance": 0.0, field: value}
+    @pytest.mark.parametrize(
+        "elements",
+        [(Loss(0, 1.5, "det"), HomodyneFeedforward(0, 0.0, 1, "x", 1.0)),
+         (HomodyneFeedforward(0, 0.0, 1, "x", 1.0, dark_variance=-0.1),)],
+    )
+    def test_bad_detector_rejected(self, elements):
         with pytest.raises(ValueError):
-            Circuit(elements=(HomodyneFeedforward(0, 0.0, 1, "x", 1.0, **kwargs),))
+            Circuit(elements=elements)
+
+    def test_dark_variance_is_keyword_only(self):
+        # an efficiency passed in the old sixth place must not become dark noise
+        with pytest.raises(TypeError):
+            HomodyneFeedforward(0, 0.0, 1, "x", 1.0, 0.5)
+
+    def test_total_loss_leaves_vacuum(self):
+        state = gaussian.squeeze(gaussian.displace(gaussian.vacuum_state(2), 0, 1.5, -0.5), 0, 0.8)
+        out = run_covariance(Circuit((Loss(0, 0.0),)), state, validate=True)
+        assert np.array_equal(out.mean[:2], [0.0, 0.0])
+        assert np.array_equal(out.cov[:2, :2], np.eye(2))
+        np.testing.assert_array_equal(out.cov[2:, 2:], state.cov[2:, 2:])
 
     @pytest.mark.parametrize(
         "field,value",
@@ -492,10 +507,10 @@ Circuit n_input_modes=2
 BeamSplitter i=0 j=1 reflectivity=0.8 signs=(1,-1,1,1)
 AncillaInjection r=0.575646273249 angle=0 label=A antisqueeze_excess=1
 BeamSplitter i=2 j=0 reflectivity=0.25 signs=(1,-1,1,1)
-HomodyneFeedforward measured_mode=0 angle=1.57079632679 target_mode=2 target_quadrature=p gain=-1.73205080757 efficiency=1 dark_variance=0
+HomodyneFeedforward measured_mode=0 angle=1.57079632679 target_mode=2 target_quadrature=p gain=-1.73205080757 dark_variance=0
 AncillaInjection r=0.575646273249 angle=1.57079632679 label=B antisqueeze_excess=1
 BeamSplitter i=2 j=0 reflectivity=0.25 signs=(-1,-1,1,-1)
-HomodyneFeedforward measured_mode=0 angle=0 target_mode=2 target_quadrature=x gain=1.73205080757 efficiency=1 dark_variance=0
+HomodyneFeedforward measured_mode=0 angle=0 target_mode=2 target_quadrature=x gain=1.73205080757 dark_variance=0
 BeamSplitter i=0 j=1 reflectivity=0.2 signs=(-1,-1,1,-1)"""
 
 
@@ -510,11 +525,13 @@ BeamSplitter i=0 j=1 reflectivity=0.8 signs=(1,-1,1,1)
 AncillaInjection r=0.575646273249 angle=0 label=A antisqueeze_excess=1
 BeamSplitter i=2 j=0 reflectivity=0.25 signs=(1,-1,1,1)
 Loss mode=2 eta=0.99 tag=couplerA
-HomodyneFeedforward measured_mode=0 angle=1.57079632679 target_mode=2 target_quadrature=p gain=-1.73205080757 efficiency=0.950796 dark_variance=0.0199526231497
+Loss mode=0 eta=0.950796 tag=detA
+HomodyneFeedforward measured_mode=0 angle=1.57079632679 target_mode=2 target_quadrature=p gain=-1.73205080757 dark_variance=0.0199526231497
 AncillaInjection r=0.575646273249 angle=1.57079632679 label=B antisqueeze_excess=1
 BeamSplitter i=2 j=0 reflectivity=0.25 signs=(-1,-1,1,-1)
 Loss mode=2 eta=0.99 tag=couplerB
-HomodyneFeedforward measured_mode=0 angle=0 target_mode=2 target_quadrature=x gain=1.73205080757 efficiency=0.950796 dark_variance=0.0199526231497
+Loss mode=0 eta=0.950796 tag=detB
+HomodyneFeedforward measured_mode=0 angle=0 target_mode=2 target_quadrature=x gain=1.73205080757 dark_variance=0.0199526231497
 BeamSplitter i=0 j=1 reflectivity=0.2 signs=(-1,-1,1,-1)""",
     "post_exit": """\
 Circuit n_input_modes=2
@@ -522,11 +539,13 @@ BeamSplitter i=0 j=1 reflectivity=0.8 signs=(1,-1,1,1)
 AncillaInjection r=0.575646273249 angle=0 label=A antisqueeze_excess=1
 BeamSplitter i=2 j=0 reflectivity=0.25 signs=(1,-1,1,1)
 Loss mode=2 eta=0.99 tag=couplerA
-HomodyneFeedforward measured_mode=0 angle=1.57079632679 target_mode=2 target_quadrature=p gain=-1.73205080757 efficiency=0.950796 dark_variance=0.0199526231497
+Loss mode=0 eta=0.950796 tag=detA
+HomodyneFeedforward measured_mode=0 angle=1.57079632679 target_mode=2 target_quadrature=p gain=-1.73205080757 dark_variance=0.0199526231497
 AncillaInjection r=0.575646273249 angle=1.57079632679 label=B antisqueeze_excess=1
 BeamSplitter i=2 j=0 reflectivity=0.25 signs=(-1,-1,1,-1)
 Loss mode=2 eta=0.99 tag=couplerB
-HomodyneFeedforward measured_mode=0 angle=0 target_mode=2 target_quadrature=x gain=1.73205080757 efficiency=0.950796 dark_variance=0.0199526231497
+Loss mode=0 eta=0.950796 tag=detB
+HomodyneFeedforward measured_mode=0 angle=0 target_mode=2 target_quadrature=x gain=1.73205080757 dark_variance=0.0199526231497
 BeamSplitter i=0 j=1 reflectivity=0.2 signs=(-1,-1,1,-1)
 Loss mode=0 eta=0.93 tag=main1
 Loss mode=1 eta=0.93 tag=main2""",
@@ -540,22 +559,26 @@ BeamSplitter i=0 j=1 reflectivity=0.5 signs=(1,-1,1,1)
 AncillaInjection r=0.575646273249 angle=0 label=A antisqueeze_excess=1
 BeamSplitter i=2 j=0 reflectivity=1 signs=(1,-1,1,1)
 Loss mode=2 eta=0.99 tag=couplerA
-HomodyneFeedforward measured_mode=0 angle=1.57079632679 target_mode=2 target_quadrature=p gain=-0 efficiency=0.950796 dark_variance=0.0199526231497
+Loss mode=0 eta=0.950796 tag=detA
+HomodyneFeedforward measured_mode=0 angle=1.57079632679 target_mode=2 target_quadrature=p gain=-0 dark_variance=0.0199526231497
 AncillaInjection r=0.575646273249 angle=1.57079632679 label=B antisqueeze_excess=1
 BeamSplitter i=2 j=0 reflectivity=1 signs=(-1,-1,1,-1)
 Loss mode=2 eta=0.99 tag=couplerB
-HomodyneFeedforward measured_mode=0 angle=0 target_mode=2 target_quadrature=x gain=0 efficiency=0.950796 dark_variance=0.0199526231497
+Loss mode=0 eta=0.950796 tag=detB
+HomodyneFeedforward measured_mode=0 angle=0 target_mode=2 target_quadrature=x gain=0 dark_variance=0.0199526231497
 BeamSplitter i=0 j=1 reflectivity=0.5 signs=(-1,-1,1,-1)
 Loss mode=0 eta=0.93 tag=main1
 Loss mode=1 eta=0.93 tag=main2"""
 
-# all five element kinds, an impure ancilla and an auto-tagged loss
+# all five element kinds, an impure ancilla, an auto-tagged loss and a
+# detector loss before the homodyne
 EVERY_KIND = (
     Displacement(0, 1.5, -0.25),
     AncillaInjection(0.3, 0.25, "C", 2.5),
     BeamSplitter(0, 2, 0.4),
     Loss(1, 0.9),
-    HomodyneFeedforward(2, 0.5, 1, "p", -0.75, 0.95, 0.01),
+    Loss(2, 0.95, "det"),
+    HomodyneFeedforward(2, 0.5, 1, "p", -0.75, dark_variance=0.01),
 )
 
 GOLDEN_EVERY_KIND_TEXT = """\
@@ -564,7 +587,8 @@ Displacement mode=0 dx=1.5 dp=-0.25
 AncillaInjection r=0.3 angle=0.25 label=C antisqueeze_excess=2.5
 BeamSplitter i=0 j=2 reflectivity=0.4 signs=(1,1,-1,1)
 Loss mode=1 eta=0.9 tag=
-HomodyneFeedforward measured_mode=2 angle=0.5 target_mode=1 target_quadrature=p gain=-0.75 efficiency=0.95 dark_variance=0.01"""
+Loss mode=2 eta=0.95 tag=det
+HomodyneFeedforward measured_mode=2 angle=0.5 target_mode=1 target_quadrature=p gain=-0.75 dark_variance=0.01"""
 
 
 # the builder's element lists over gains, unequal squeezings (0 dB among
@@ -588,16 +612,16 @@ _PINNED_BUDGETS = {
     "in-loop loss 0.03": ImperfectionModel(extra_in_loop_loss=0.03),
 }
 GATE_ELEMENTS_SHA256 = {
-    "ideal": "5b625cfc00f09940fba288b0efea7cffae87fd350aaf08c8e65a135855291938",
-    "default": "448d27a0efbae318be87b451bb5942e2d7967d6eaf97394ac9efe3b7f9b224f2",
-    "pre_entry": "c3be296f37e2604c5946391d70bf5486c1b6c583c7f29f2bfe3d732547fdcf17",
+    "ideal": "85216a84067adbf3f16fb8acafda896bf234fc95419981f2dedccfd1ecb16894",
+    "default": "ec52157c253cd82e1223af5d321adf822e18238effed64ce530362b3a43f7dda",
+    "pre_entry": "855e7898765cdcf84b447edf85650d315846b687cd46d11ed041756de199fdf3",
     # "in_arms" builds the post-exit circuit, the default budget's
-    "in_arms": "448d27a0efbae318be87b451bb5942e2d7967d6eaf97394ac9efe3b7f9b224f2",
-    "coupler loss 0": "21ec0fcb8b9a3378c478074fc6de2bc6b2cfc15cb34458f15f2eb45a2a0b20d1",
-    "dark noise inf": "8b619095e9b779b0421037cfa80d4f939c369ccb2fb3df47ea7a9c32b4f4d312",
-    "gain error +0.02": "f0fdef43c3602f0ea964bc728343e6b802b44c3969aa53e354e2047564e58545",
-    "gain error -0.02": "69fa37a27216adb7412836897564d17366d6231e659dc38f9199d7e52d74f760",
-    "in-loop loss 0.03": "030288af0125ca9f9535f60dd8085d71a1b9d4edcaea7ee79c9f43397387e2f0",
+    "in_arms": "ec52157c253cd82e1223af5d321adf822e18238effed64ce530362b3a43f7dda",
+    "coupler loss 0": "3301daeb633e7385ad64c20e89ebc29abf66aeb8d3908a0285b948c35dad0323",
+    "dark noise inf": "995c2efb427e7a55cf9ebe0392c7a0fce657af8b33c6f37fd09dfb06bee4863d",
+    "gain error +0.02": "2efae5eaa12a0ff45c53e6f84c7103a51f3f24dbe177f186667f4a92a3381770",
+    "gain error -0.02": "5eef46a3ddc7c22755a55d04db3bab7b4ab4a131e4a47fc72b8a6e24718aa403",
+    "in-loop loss 0.03": "47d6b9e7de9fe8b0fb4ed740d72cc0bc6b78a249218f0dbb63a3f8cea8b3ebe4",
 }
 
 
@@ -1005,8 +1029,8 @@ _LOSSY_MUTANTS = {
         for el in _ELEMENTS(params, imp)
     ],
     "detector efficiency without visibility": lambda params, imp: [
-        replace(el, efficiency=imp.detector_quantum_efficiency)
-        if type(el) is HomodyneFeedforward else el
+        replace(el, eta=imp.detector_quantum_efficiency)
+        if type(el) is Loss and el.tag in ("detA", "detB") else el
         for el in _ELEMENTS(params, imp)
     ],
 }
@@ -1040,6 +1064,22 @@ class TestBudgetMap:
         expected[:, index] = np.delete(matrix, absent, axis=1)
         scale = np.abs(rows).max(axis=1, keepdims=True)
         assert np.all(np.abs(rows - expected) <= 1e-12 * scale)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(params=_GATES, imp=_BUDGETS)
+    @example(params=GateParams(0.25), imp=ImperfectionModel(displacement_coupler_loss=0.0))
+    @example(params=GateParams(0.25), imp=ImperfectionModel(detector_quantum_efficiency=1.0, visibility=1.0))
+    @example(params=GateParams(0.25), imp=ImperfectionModel(loss_placement="post_exit"))
+    @example(params=GateParams(0.25), imp=ImperfectionModel(loss_placement="pre_entry"))
+    @example(params=GateParams(0.25), imp=ImperfectionModel(loss_placement="in_arms"))
+    def test_source_labels_do_not_depend_on_the_budget(self, params, imp):
+        columns = gate_budget_map(params, imp).columns
+        assert columns == gate_budget_map(GateParams(0.25), ImperfectionModel()).columns
+        # a detector loss's vacuum in the quadrature its homodyne discards never
+        # reaches the outputs, so the map names only its partner: pv_detA, xv_detB
+        partners = {"xp"[label[0] == "x"] + label[1:] for label in columns if label[0] in "xp"}
+        circuit = build_qnd_gate(params, imp)
+        assert set(circuit.columns) <= {*quadexpr_module.INPUT_COLUMNS, "unit", *columns, *partners}
 
     @settings(max_examples=50, deadline=None, derandomize=True)
     @given(params=_DEEP_GATES)
@@ -1186,7 +1226,7 @@ class TestSqueezerGadget:
 
 
 def _reference_lower(elements: tuple, n_input_modes: int) -> tuple:
-    """``circuit._lower`` before its per-call trimming, kept verbatim as the reference."""
+    """``circuit._lower`` before its per-call trimming, kept as the reference."""
     if isinstance(n_input_modes, bool) or not isinstance(n_input_modes, Integral) or n_input_modes < 1:
         raise ValueError(f"n_input_modes must be a positive integer, got {n_input_modes!r}")
     # every element adds at most three source columns
@@ -1203,15 +1243,6 @@ def _reference_lower(elements: tuple, n_input_modes: int) -> tuple:
                 raise ValueError(f"repeated source label {label!r}")
             columns.append(label)
         return len(columns) - len(labels)
-
-    def lossy(rows, eta, tag):
-        nonlocal losses
-        losses += 1
-        suffix = tag or str(losses)
-        k = sources(f"xv_{suffix}", f"pv_{suffix}")
-        out = math.sqrt(eta) * rows
-        out[0, k] = out[1, k + 1] = math.sqrt(1.0 - eta)
-        return out
 
     for pos, el in enumerate(elements):
         n = len(modes)
@@ -1238,18 +1269,18 @@ def _reference_lower(elements: tuple, n_input_modes: int) -> tuple:
             modes[el.i] = s1 * t * a + s2 * r * b
             modes[el.j] = s3 * r * a + s4 * t * b
         elif isinstance(el, Loss):
-            _require(0 <= el.mode < n and 0.0 < el.eta <= 1.0, pos, el)
-            modes[el.mode] = lossy(modes[el.mode], el.eta, el.tag)
+            _require(0 <= el.mode < n and 0.0 <= el.eta <= 1.0, pos, el)
+            losses += 1
+            suffix = el.tag or str(losses)
+            k = sources(f"xv_{suffix}", f"pv_{suffix}")
+            out = math.sqrt(el.eta) * modes[el.mode]
+            out[0, k] = out[1, k + 1] = math.sqrt(1.0 - el.eta)
+            modes[el.mode] = out
         elif isinstance(el, HomodyneFeedforward):
             _require(0 <= el.measured_mode < n and 0 <= el.target_mode < n, pos, el)
             _require(el.target_mode != el.measured_mode, pos, el)
             _require(el.target_quadrature in ("x", "p") and math.isfinite(el.gain), pos, el)
-            _require(math.isfinite(el.angle) and 0.0 <= el.efficiency <= 1.0, pos, el)
-            _require(0.0 <= el.dark_variance < math.inf, pos, el)
-            if el.efficiency < 1.0:
-                modes[el.measured_mode] = lossy(
-                    modes[el.measured_mode], el.efficiency, f"det{losses}"
-                )
+            _require(math.isfinite(el.angle) and 0.0 <= el.dark_variance < math.inf, pos, el)
             x, p = modes[el.measured_mode]
             optical = math.cos(el.angle) * x + math.sin(el.angle) * p
             readout = optical
@@ -1280,6 +1311,9 @@ def _reference_lower(elements: tuple, n_input_modes: int) -> tuple:
 
 _ANGLES = st.sampled_from([0.0, -0.0, math.pi / 2, -math.pi / 2, math.pi]) | st.floats(-7.0, 7.0)
 _SIGN = st.sampled_from([-1, 1])
+# total loss, eta = 0, included
+_ETA = st.just(0.0) | st.floats(0.0, 1.0)
+_TAG = st.sampled_from(["", "", "", "", "", "a", "2", "detA"])
 # elements that fail validation or overflow, placed at a drawn position
 _BAD_ELEMENTS = st.sampled_from(
     [
@@ -1290,7 +1324,7 @@ _BAD_ELEMENTS = st.sampled_from(
         BeamSplitter(0, 1, 1.5),
         BeamSplitter(0, 1, 0.5, signs=(1, 1, 1, 1)),
         BeamSplitter(0, 1, 0.5, signs=(1, 1)),
-        Loss(0, 0.0),
+        Loss(0, 1.5),
         Loss(7, 0.5),
         HomodyneFeedforward(0, 0.0, 0, "x", 1.0),
         HomodyneFeedforward(0, 0.0, 1, "q", 1.0),
@@ -1303,7 +1337,10 @@ _BAD_ELEMENTS = st.sampled_from(
 
 @st.composite
 def _element_lists(draw):
-    """1-4 input modes and up to 12 elements of all five kinds, mostly valid."""
+    """1-4 input modes and up to 12 elements of all five kinds, mostly valid.
+
+    A homodyne drawn with an efficiency below 1 comes after its detector loss.
+    """
     n_input_modes = draw(st.integers(1, 4))
     n = n_input_modes
     bad_at = draw(st.none() | st.integers(0, 11))
@@ -1328,15 +1365,16 @@ def _element_lists(draw):
             s1, s2, s3 = draw(_SIGN), draw(_SIGN), draw(_SIGN)
             elements.append(BeamSplitter(i, j, draw(st.floats(0.0, 1.0)), (s1, s2, s3, -s1 * s2 * s3)))
         elif kind == "loss":
-            tag = st.sampled_from(["", "", "", "", "", "a", "2", "det1"])
-            elements.append(Loss(draw(mode), draw(st.floats(0.0, 1.0, exclude_min=True)), draw(tag)))
+            elements.append(Loss(draw(mode), draw(_ETA), draw(_TAG)))
         elif kind == "homodyne":
             measured, target = draw(pair)
-            efficiency = st.just(1.0) | st.floats(0.0, 1.0)
+            efficiency = draw(st.just(1.0) | _ETA)
+            if efficiency < 1.0:
+                elements.append(Loss(measured, efficiency, draw(_TAG)))
             dark = st.just(0.0) | st.floats(0.0, 2.0)
             elements.append(HomodyneFeedforward(
                 measured, draw(_ANGLES), target, draw(st.sampled_from("xp")),
-                draw(st.floats(-3.0, 3.0)), draw(efficiency), draw(dark),
+                draw(st.floats(-3.0, 3.0)), dark_variance=draw(dark),
             ))
             n -= 1
         else:
@@ -1348,22 +1386,24 @@ class TestLoweringBitIdentity:
     @settings(max_examples=400, deadline=None, derandomize=True)
     @given(case=_element_lists())
     @example(case=(EVERY_KIND, 2))
-    # i > j, angles off 0 and pi/2, dark noise, efficiency < 1, an impure
+    # i > j, angles off 0 and pi/2, dark noise, detector losses, an impure
     # ancilla and displacements after the feedforward, on three input modes
     @example(case=(
         (
             AncillaInjection(0.7, 2.0, "A", 1.8),
             BeamSplitter(3, 1, 0.3, (-1, 1, 1, 1)),
-            HomodyneFeedforward(1, -0.4, 3, "x", 1.25, 0.8, 0.05),
+            Loss(1, 0.8),
+            HomodyneFeedforward(1, -0.4, 3, "x", 1.25, dark_variance=0.05),
             Displacement(2, -1.0, 0.5),
             Loss(0, 0.6, "arm"),
-            HomodyneFeedforward(2, math.pi, 0, "p", -0.5, 0.9, 0.0),
+            Loss(2, 0.9, "det"),
+            HomodyneFeedforward(2, math.pi, 0, "p", -0.5),
             Displacement(0, 0.25, 3.0),
         ),
         3,
     ))
-    # a repeated label: the detector loss takes the automatic tag "det1"
-    @example(case=((Loss(0, 0.9, "det1"), HomodyneFeedforward(0, 0.0, 1, "x", 1.0, 0.5)), 2))
+    # a repeated label: two detector losses under one user tag
+    @example(case=((Loss(0, 0.9, "det"), Loss(0, 0.5, "det"), HomodyneFeedforward(0, 0.0, 1, "x", 1.0)), 2))
     @example(case=((AncillaInjection(0.2, 0.0, "A"), AncillaInjection(0.2, 1.0, "A")), 1))
     def test_lowering_matches_reference_bit_for_bit(self, case):
         elements, n_input_modes = case

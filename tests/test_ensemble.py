@@ -64,11 +64,11 @@ CASES = {
         ),
         gaussian.displace(gaussian.vacuum_state(2), 0, 2.0, -1.0),
     ),
-    # an inefficient homodyne with dark noise: 2 draws per shot
+    # a detector loss, then a homodyne with dark noise: 2 draws per shot
     "lossy_homodyne": lambda: (
         Circuit(
-            (AncillaInjection(0.5, 0.0, "A"), BeamSplitter(0, 2, 0.35),
-             HomodyneFeedforward(2, 0.0, 1, "p", -0.8, efficiency=0.8, dark_variance=0.3)),
+            (AncillaInjection(0.5, 0.0, "A"), BeamSplitter(0, 2, 0.35), Loss(2, 0.8, "det"),
+             HomodyneFeedforward(2, 0.0, 1, "p", -0.8, dark_variance=0.3)),
         ),
         gaussian.displace(gaussian.vacuum_state(2), 0, 2.0, -1.0),
     ),
@@ -83,8 +83,8 @@ CASES = {
         Circuit(
             (AncillaInjection(0.5, 0.0, "A"), AncillaInjection(0.6, np.pi / 2, "B"),
              BeamSplitter(0, 1, 0.3), BeamSplitter(0, 2, 0.4),
-             HomodyneFeedforward(2, 0.0, 0, "p", 0.5, efficiency=0.9, dark_variance=0.2),
-             HomodyneFeedforward(1, np.pi / 2, 0, "x", -0.4, efficiency=0.8, dark_variance=0.3)),
+             Loss(2, 0.9, "detA"), HomodyneFeedforward(2, 0.0, 0, "p", 0.5, dark_variance=0.2),
+             Loss(1, 0.8, "detB"), HomodyneFeedforward(1, np.pi / 2, 0, "x", -0.4, dark_variance=0.3)),
             n_input_modes=1,
         ),
         gaussian.displace(gaussian.vacuum_state(1), 0, 0.5, 1.0),

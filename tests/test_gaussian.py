@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qndsim import gaussian
-from qndsim.circuit import Circuit, HomodyneFeedforward, run_trajectory
+from qndsim.circuit import Circuit, HomodyneFeedforward, Loss, run_trajectory
 from qndsim.gaussian import (
     SymplecticMatrix,
     beam_splitter,
@@ -184,10 +184,11 @@ Outcome = namedtuple("Outcome", "value reduced_state")
 
 
 def homodyne(state, mode, angle, rng, efficiency=1.0, dark_variance=0.0):
-    """Measure one mode with the circuit's homodyne element at gain 0."""
+    """Measure one mode with the circuit's homodyne element at gain 0, behind its detector loss."""
     target = 1 if mode == 0 else 0
-    element = HomodyneFeedforward(mode, angle, target, "x", 0.0, efficiency, dark_variance)
-    reduced, readouts = run_trajectory(Circuit([element], state.n_modes), state, rng)
+    detector = [Loss(mode, efficiency)] if efficiency < 1.0 else []
+    element = HomodyneFeedforward(mode, angle, target, "x", 0.0, dark_variance=dark_variance)
+    reduced, readouts = run_trajectory(Circuit([*detector, element], state.n_modes), state, rng)
     return Outcome(readouts[0], reduced)
 
 
