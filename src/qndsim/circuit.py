@@ -21,8 +21,17 @@ reader of element kinds, and holds the one Heisenberg-picture row stack that
 results: every output quadrature, every homodyne's electronic readout and the
 rows a shot is conditioned on, as linear combinations of the input
 quadratures, a ``unit`` column for displacements and labelled unit-variance
-noise sources.  No per-element state is kept.  The executors read the
-circuit's ``matrix``:
+noise sources.  No per-element state is kept.  The circuit is a linear
+Gaussian map, so every entry of that stack is a sum of products of
+per-element scalars (a beam splitter's signed transmission, a loss's root
+transmission, a homodyne's cosine and gain, ...).  ``_lower`` validates the
+elements and collects their scalars in one pass; which products sum to which
+entry depends only on the circuit's layout and is recorded once per layout
+by ``_plan``.  Gate builds share a handful of layouts, one per set of
+imperfections present, so nearly every build is lowered by a gather, a
+product and a ``bincount``.  Angles are read exactly at quarter
+turns, so the gate's x and p sectors decouple bit for bit.  The executors
+read the circuit's ``matrix``:
 
 * ``run_covariance`` - ensemble average, ``X m + u`` and ``X V X^T + N N^T``;
   ``validate=True`` checks the output of every prefix of the element list;
@@ -289,25 +298,40 @@ def _require(ok: bool, position: int, element) -> None:
         raise ValueError(f"invalid circuit element at position {position}: {element!r}")
 
 
+# (cos, sin) at the quarter turns of one full turn either way; math.cos(pi/2) is 6.1e-17
+_QUARTER_TURNS = {float(k): ((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0))[k % 4] for k in range(-4, 5)}
+
+
+def _cos_sin(angle: float) -> tuple:
+    """``(cos(angle), sin(angle))``, exact at the multiples of pi/2 in [-2 pi, 2 pi]."""
+    return _QUARTER_TURNS.get(angle / (math.pi / 2)) or (math.cos(angle), math.sin(angle))
+
+
 # --------------------------------------------------------------------------
 # lowering
 
 
 def _lower(elements: tuple, n_input_modes: int) -> tuple:
-    """Validate the element list and lower it in one walk: the one reader of element kinds.
+    """Validate the element list and lower it: the one reader of element kinds.
 
     Returns the ``Circuit`` layout ``(columns, matrix, n_output_modes, n_readouts)``.
 
-    The cost is numpy's per-call floor on ``(2, width)`` rows, not arithmetic, so
-    each element makes few calls; every float operation and its order is kept.
+    One pass over the elements checks each in order, so the first invalid
+    element or repeated source label raises, and names the source columns.
+    It appends each element's scalars, with signs folded in, to a flat
+    vector and its step to the layout key: kind, scalar offset, modes, source
+    columns, and whether it has dark noise or ancilla excess; never a value
+    or a label.  ``_plan`` records, once per layout, which products of those
+    scalars sum to each matrix entry; the matrix is then a gather, a product
+    and a ``bincount`` away.  Its entries agree with a numeric walk over the
+    elements to rounding, not bit for bit: the sums run in the plan's order.
     """
     if isinstance(n_input_modes, bool) or not isinstance(n_input_modes, Integral) or n_input_modes < 1:
         raise ValueError(f"n_input_modes must be a positive integer, got {n_input_modes!r}")
-    # every element adds at most three source columns
-    width = 2 * n_input_modes + 1 + 3 * len(elements)
     columns = dict.fromkeys([f"{q}{k + 1}_in" for k in range(n_input_modes) for q in "xp"] + ["unit"])
-    modes = list(np.eye(2 * n_input_modes, width).reshape(n_input_modes, 2, width))
-    readouts, observed = [], []  # (1, width) rows, stacked by one concatenate
+    scalars = [1.0]  # scalars[0] is the empty product
+    layout = [n_input_modes]
+    n = n_input_modes
     losses = darks = 0
 
     def sources(*labels) -> int:
@@ -319,70 +343,163 @@ def _lower(elements: tuple, n_input_modes: int) -> tuple:
         return len(columns) - len(labels)
 
     for pos, el in enumerate(elements):
-        n = len(modes)
-        kind = type(el)
+        kind, k = type(el), len(scalars)
         if kind is AncillaInjection:
-            _require(math.isfinite(el.r) and math.isfinite(el.angle), pos, el)
-            _require(1.0 <= el.antisqueeze_excess < math.inf, pos, el)
-            c, s = math.cos(el.angle), math.sin(el.angle)
+            _require(
+                math.isfinite(el.r) and math.isfinite(el.angle) and 1.0 <= el.antisqueeze_excess < math.inf, pos, el
+            )
+            c, s = _cos_sin(el.angle)
+            col = sources(f"x{el.label}0", f"p{el.label}0")
             squeezed, anti = math.exp(-el.r), math.exp(el.r)
-            rows = np.zeros((2, width))
-            k = sources(f"x{el.label}0", f"p{el.label}0")
-            # rot.T @ diag(e^-r, e^r) @ rot, the first product written out
-            scaled = np.array([[c * squeezed, -s * anti], [s * squeezed, c * anti]])
-            rows[:, k : k + 2] = scaled @ np.array([[c, s], [-s, c]])
+            # rot.T @ diag(e^-r, e^r) @ rot, rot = [[c, s], [-s, c]]
+            cross = c * s * (squeezed - anti)
+            scalars += (c * c * squeezed + s * s * anti, cross, cross, s * s * squeezed + c * c * anti)
+            excess = None
             if el.antisqueeze_excess > 1.0:
                 # impurity: classical noise along the anti-squeezed axis
                 extra = math.sqrt(el.antisqueeze_excess - 1.0) * anti
-                rows[:, sources(f"excess{el.label}")] = (-s * extra, c * extra)
-            modes.append(rows)
+                excess = sources(f"excess{el.label}")
+                scalars += (-s * extra, c * extra)
+            layout.append((kind, k, col, excess))
+            n += 1
         elif kind is BeamSplitter:
             s1, s2, s3, s4 = el.signs
-            _require(el.i != el.j and 0 <= el.i < n and 0 <= el.j < n, pos, el)
-            _require(0.0 <= el.reflectivity <= 1.0, pos, el)
-            _require(set(el.signs) <= {-1, 1} and s1 * s2 == -s3 * s4, pos, el)
+            _require(
+                el.i != el.j and 0 <= el.i < n and 0 <= el.j < n and 0.0 <= el.reflectivity <= 1.0
+                and set(el.signs) <= {-1, 1} and s1 * s2 == -s3 * s4,
+                pos, el,
+            )
             t, r = math.sqrt(1.0 - el.reflectivity), math.sqrt(el.reflectivity)
-            a, b = modes[el.i], modes[el.j]
-            modes[el.i] = s1 * t * a + s2 * r * b
-            modes[el.j] = s3 * r * a + s4 * t * b
+            scalars += (s1 * t, s2 * r, s3 * r, s4 * t)
+            layout.append((kind, k, el.i, el.j))
         elif kind is Loss:
             _require(0 <= el.mode < n and 0.0 <= el.eta <= 1.0, pos, el)
             losses += 1
-            k = sources(f"xv_{el.tag or losses}", f"pv_{el.tag or losses}")
-            rows = math.sqrt(el.eta) * modes[el.mode]
-            rows[0, k] = rows[1, k + 1] = math.sqrt(1.0 - el.eta)
-            modes[el.mode] = rows
+            suffix = el.tag or losses
+            col = sources(f"xv_{suffix}", f"pv_{suffix}")
+            scalars += (math.sqrt(el.eta), math.sqrt(1.0 - el.eta))
+            layout.append((kind, k, el.mode, col))
         elif kind is HomodyneFeedforward:
-            _require(0 <= el.measured_mode < n and 0 <= el.target_mode < n, pos, el)
-            _require(el.target_mode != el.measured_mode, pos, el)
-            _require(el.target_quadrature in ("x", "p") and math.isfinite(el.gain), pos, el)
-            _require(math.isfinite(el.angle) and 0.0 <= el.dark_variance < math.inf, pos, el)
-            measured = modes[el.measured_mode]
-            optical = math.cos(el.angle) * measured[0:1] + math.sin(el.angle) * measured[1:2]
-            readout = optical
-            observed.append(optical)
+            _require(
+                0 <= el.measured_mode < n and 0 <= el.target_mode < n and el.target_mode != el.measured_mode
+                and el.target_quadrature in ("x", "p") and math.isfinite(el.gain)
+                and math.isfinite(el.angle) and 0.0 <= el.dark_variance < math.inf,
+                pos, el,
+            )
+            scalars += (*_cos_sin(el.angle), el.gain)
+            dark = None
             if el.dark_variance > 0.0:
                 darks += 1
-                k = sources(f"dark{darks}")
-                # the observed optical row stays free of dark noise
-                readout = optical.copy()
-                readout[0, k] = math.sqrt(el.dark_variance)
-                source = np.zeros((1, width))
-                source[0, k] = 1.0
-                observed.append(source)
-            modes[el.target_mode][0 if el.target_quadrature == "x" else 1] += el.gain * readout[0]
-            del modes[el.measured_mode]
-            readouts.append(readout)
+                dark = sources(f"dark{darks}")
+                scalars.append(math.sqrt(el.dark_variance))
+            layout.append((kind, k, el.measured_mode, el.target_mode, el.target_quadrature == "p", dark))
+            n -= 1
         elif kind is Displacement:
             _require(0 <= el.mode < n and math.isfinite(el.dx) and math.isfinite(el.dp), pos, el)
-            modes[el.mode][:, 2 * n_input_modes] += (el.dx, el.dp)
+            scalars += (el.dx, el.dp)
+            layout.append((kind, k, el.mode))
         else:
             raise TypeError(f"unknown circuit element {el!r}")
 
-    matrix = np.concatenate([*modes, *readouts, *observed])[:, : len(columns)]
+    stages, shape, n_readouts = _plan(tuple(layout), len(columns), len(scalars))
+    values = np.fromiter(scalars, float, len(scalars))
+    for factors, entries, size in stages:
+        sums = np.bincount(entries, np.multiply.reduce(values[factors]), size)
+        # a stage's sums are scalars of the stages after it
+        values = np.concatenate((values, sums))
+    matrix = sums.reshape(shape)
     # equal gate builds share one circuit, so its matrix must not change under them
     matrix.flags.writeable = False
-    return tuple(columns), matrix, len(modes), len(readouts)
+    return tuple(columns), matrix, n, n_readouts
+
+
+# a stage ends where the live rows hold more products than this per nonzero entry
+_PRODUCTS_PER_ENTRY = 4
+
+
+@functools.lru_cache
+def _plan(layout: tuple, width: int, n_scalars: int) -> tuple:
+    """The Heisenberg-picture walk over one layout, run on scalar indices instead of values.
+
+    A row is a list of ``(column, factors)`` products: its entry in a column
+    is the sum of the products of the scalars that the index tuples name.
+    Mixing the same modes again and again doubles the products each time, so
+    where the live mode rows hold more than ``_PRODUCTS_PER_ENTRY`` products
+    per nonzero entry, their sums are taken in a stage of their own and read
+    as new scalars, indexed from ``n_scalars`` on.  The gate's layouts need
+    one stage.
+
+    Returns ``(stages, shape, n_readouts)``.  Each stage is ``(factors,
+    entries, size)``: one column of scalar indices per product (index 0, the
+    scalar 1, pads), the sum each product adds to, and the number of sums.
+    The last stage's sums are the matrix, of ``shape``.  Its rows are the
+    output quadratures, one readout per homodyne in element order, then the
+    observed rows: per homodyne its optical quadrature, then the unit row of
+    its ``dark<k>`` source when it has dark noise.
+    """
+
+    def scaled(row: list, k: int) -> list:
+        return [(col, f + (k,)) for col, f in row]
+
+    def stage(products: list, size: int) -> tuple:
+        # ``products`` holds (sum index, factors) pairs
+        degree = max(len(f) for _, f in products)
+        padded = [f + (0,) * (degree - len(f)) for _, f in products]
+        factors = np.ascontiguousarray(np.array(padded, dtype=np.intp).T)
+        entries = np.array([entry for entry, _ in products], dtype=np.intp)
+        for array in (factors, entries):
+            array.flags.writeable = False
+        return factors, entries, size
+
+    n_input_modes, *steps = layout
+    unit = 2 * n_input_modes
+    modes = [[[(2 * m, ())], [(2 * m + 1, ())]] for m in range(n_input_modes)]
+    readouts, observed, stages = [], [], []
+    for kind, k, *args in steps:
+        if kind is AncillaInjection:
+            col, excess = args
+            x, p = [(col, (k,)), (col + 1, (k + 1,))], [(col, (k + 2,)), (col + 1, (k + 3,))]
+            if excess is not None:
+                x, p = x + [(excess, (k + 4,))], p + [(excess, (k + 5,))]
+            modes.append([x, p])
+        elif kind is BeamSplitter:
+            i, j = args
+            a, b = modes[i], modes[j]
+            modes[i] = [scaled(qa, k) + scaled(qb, k + 1) for qa, qb in zip(a, b)]
+            modes[j] = [scaled(qa, k + 2) + scaled(qb, k + 3) for qa, qb in zip(a, b)]
+        elif kind is Loss:
+            mode, col = args
+            x, p = modes[mode]
+            modes[mode] = [scaled(x, k) + [(col, (k + 1,))], scaled(p, k) + [(col + 1, (k + 1,))]]
+        elif kind is HomodyneFeedforward:
+            measured, target, quadrature, dark = args
+            x, p = modes[measured]
+            optical = readout = scaled(x, k) + scaled(p, k + 1)
+            observed.append(optical)
+            if dark is not None:
+                # the observed optical row stays free of dark noise
+                readout = optical + [(dark, (k + 3,))]
+                observed.append([(dark, ())])
+            modes[target][quadrature] = modes[target][quadrature] + scaled(readout, k + 2)
+            del modes[measured]
+            readouts.append(readout)
+        else:
+            (mode,) = args
+            modes[mode] = [q + [(unit, (k + d,))] for d, q in enumerate(modes[mode])]
+        live = [q for quadratures in modes for q in quadratures]
+        if sum(map(len, live)) > _PRODUCTS_PER_ENTRY * sum(len({col for col, _ in q}) for q in live):
+            slots = {}  # (row, column) -> index of its sum
+            products = [(slots.setdefault((r, col), len(slots)), f) for r, row in enumerate(live) for col, f in row]
+            stages.append(stage(products, len(slots)))
+            summed = [[] for _ in live]
+            for (r, col), slot in slots.items():
+                summed[r].append((col, (n_scalars + slot,)))
+            modes = [summed[2 * m : 2 * m + 2] for m in range(len(modes))]
+            n_scalars += len(slots)
+
+    rows = [q for quadratures in modes for q in quadratures] + readouts + observed
+    stages.append(stage([(r * width + col, f) for r, row in enumerate(rows) for col, f in row], len(rows) * width))
+    return tuple(stages), (len(rows), width), len(readouts)
 
 
 def _moments(circuit: "Circuit", state: GaussianState, n_rows: int | None = None):

@@ -218,8 +218,9 @@ def loss_channel(state: GaussianState, mode: int, eta: float) -> GaussianState:
     ``eta*V + (1 - eta)*I`` and cross blocks scale by sqrt(eta).
     """
     _check_mode(state, mode)
-    if not 0.0 < eta <= 1.0:
-        raise ValueError(f"transmissivity {eta} outside (0, 1]")
+    # eta = 0 is total loss: the mode is replaced by vacuum, as a circuit ``Loss`` allows
+    if not 0.0 <= eta <= 1.0:
+        raise ValueError(f"transmissivity {eta} outside [0, 1]")
     out = state.copy()
     idx = [2 * mode, 2 * mode + 1]
     root = np.sqrt(eta)

@@ -632,19 +632,20 @@ def test_gate_element_lists_are_pinned(budget):
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GATE_ELEMENTS_SHA256[budget]
 
 
-# the same builds' lowered matrices, shape and bytes: a refactor of the
-# element model or the lowering must leave every one of them unchanged
+# the same builds' lowered matrices, shape and bytes, as the per-layout plan
+# sums them with quarter turns read exactly: a refactor of the element model
+# or the lowering must leave every one of them unchanged
 GATE_MATRIX_SHA256 = {
-    "ideal": "f16caac9711ee69acf506418f28857ac5b296761d75d6e76975005e389bfe060",
-    "default": "0028a3bfb69b3a07d3e644cd49c3a9a38a2a15b21d2145d78ce6ee342efbbbdf",
-    "pre_entry": "a7235cc38bc73dda83ed04200e2a03121597ccf82d15c27f9012a23f51decc27",
+    "ideal": "7d0df6863e1b94ea4183b05fa30f0d0fff7e3a7a8b71c8a664127ca92a0f250d",
+    "default": "241abb964ffd3ff5fc768a06384012527b25d8840250f8598c727a259eb3a6a1",
+    "pre_entry": "79d2d494b52e2c2bec366daaf34ebb3a2c96fe7a5b6589990ad4ea5bb0e92ae3",
     # the post-exit circuit again
-    "in_arms": "0028a3bfb69b3a07d3e644cd49c3a9a38a2a15b21d2145d78ce6ee342efbbbdf",
-    "coupler loss 0": "d00778e1099f27df3a52960412f71d1b357d7011762617da595b9ad521c7c57a",
-    "dark noise inf": "7e8fbb54e19c3793eaa3c80eb3731ad3a503878728013418b0b33de3b9fbbcfe",
-    "gain error +0.02": "d695f8f6ce8db826dd43f9c3aba3bee3c8b6505bcfab468f228e7d532a4dd5f0",
-    "gain error -0.02": "f2b42787e9c02202a36b31616270222a7877d4a03ecf48ce142199f65d06dc02",
-    "in-loop loss 0.03": "ffcc321b9f1a3f43e8182274ccde6b0cecce2c6326d6dcbc59dd3d5303efeff3",
+    "in_arms": "241abb964ffd3ff5fc768a06384012527b25d8840250f8598c727a259eb3a6a1",
+    "coupler loss 0": "4f99b06110d99f40444dc97f94269450d26dded2a28687a03c063dfa0c6209c6",
+    "dark noise inf": "b2794714a278e83377f77fe6c6ef310ecfe7c972e8f0595f8e03defdc9cdc72a",
+    "gain error +0.02": "bf4d67a0cb371cd9ac5514ee28fac4a96c3124d0ef4febc708f8c63cbc4b4c1e",
+    "gain error -0.02": "18ac1f880a372de7adbcebcdbdec6dea856cf82b2d2107a4d4c164f8c8949ead",
+    "in-loop loss 0.03": "a6ecf8635f798ea1e971b2015d53569a70d695f393c1b67de0085d9a50f18b3d",
 }
 
 
@@ -656,6 +657,32 @@ def test_gate_matrices_are_pinned(budget):
         digest.update(repr(matrix.shape).encode("utf-8"))
         digest.update(matrix.tobytes())
     assert digest.hexdigest() == GATE_MATRIX_SHA256[budget]
+
+
+def _reach(linked: np.ndarray, columns: list) -> np.ndarray:
+    """The columns joined to ``columns`` through rows with nonzero entries in both, transitively."""
+    reached = np.isin(np.arange(linked.shape[1]), columns)
+    while True:
+        grown = reached | linked[linked[:, reached].any(axis=1)].any(axis=0)
+        if (grown == reached).all():
+            return reached
+        reached = grown
+
+
+@pytest.mark.parametrize("budget", list(_PINNED_BUDGETS))
+def test_gate_quadratures_decouple_bit_for_bit(budget):
+    # the gate acts on x and p separately: no row, output, readout or observed,
+    # joins an x input to a p input, not even by a rounding error, so the
+    # sources fall into two disjoint sectors
+    for params in _PINNED_GATES:
+        circuit = build_qnd_gate(params, _PINNED_BUDGETS[budget])
+        linked = circuit.matrix != 0.0
+        x_sector, p_sector = _reach(linked, [0, 2]), _reach(linked, [1, 3])
+        assert not (x_sector & p_sector).any()
+        # dark noise and ancilla impurity, labelled by neither, fall on either side
+        names = np.array(circuit.columns)
+        assert not any(name.startswith("p") for name in names[x_sector])
+        assert not any(name.startswith("x") for name in names[p_sector])
 
 
 class TestSerialization:
@@ -1221,12 +1248,14 @@ class TestSqueezerGadget:
 
 
 # --------------------------------------------------------------------------
-# the lowering before its per-call trimming: the trimmed ``_lower`` must give
-# the same columns, counts and matrix bytes, or raise the same error
+# the numeric walk that ``_lower`` replaced by its per-layout plan: the plan
+# must give the same columns and counts and, since it sums the same products
+# in its own order, the same matrix to 1e-15 of each row's largest entry; an
+# invalid list must raise the same error, the first in element order
 
 
 def _reference_lower(elements: tuple, n_input_modes: int) -> tuple:
-    """``circuit._lower`` before its per-call trimming, kept as the reference."""
+    """``circuit._lower`` as one numeric walk, reading angles through ``_cos_sin``, kept as the reference."""
     if isinstance(n_input_modes, bool) or not isinstance(n_input_modes, Integral) or n_input_modes < 1:
         raise ValueError(f"n_input_modes must be a positive integer, got {n_input_modes!r}")
     # every element adds at most three source columns
@@ -1249,7 +1278,7 @@ def _reference_lower(elements: tuple, n_input_modes: int) -> tuple:
         if isinstance(el, AncillaInjection):
             _require(math.isfinite(el.r) and math.isfinite(el.angle), pos, el)
             _require(1.0 <= el.antisqueeze_excess < math.inf, pos, el)
-            c, s = math.cos(el.angle), math.sin(el.angle)
+            c, s = circuit_module._cos_sin(el.angle)
             rot = np.array([[c, s], [-s, c]])
             rows = np.zeros((2, width))
             k = sources(f"x{el.label}0", f"p{el.label}0")
@@ -1282,7 +1311,8 @@ def _reference_lower(elements: tuple, n_input_modes: int) -> tuple:
             _require(el.target_quadrature in ("x", "p") and math.isfinite(el.gain), pos, el)
             _require(math.isfinite(el.angle) and 0.0 <= el.dark_variance < math.inf, pos, el)
             x, p = modes[el.measured_mode]
-            optical = math.cos(el.angle) * x + math.sin(el.angle) * p
+            c, s = circuit_module._cos_sin(el.angle)
+            optical = c * x + s * p
             readout = optical
             observed.append(optical)
             if el.dark_variance > 0.0:
@@ -1405,6 +1435,17 @@ class TestLoweringBitIdentity:
     # a repeated label: two detector losses under one user tag
     @example(case=((Loss(0, 0.9, "det"), Loss(0, 0.5, "det"), HomodyneFeedforward(0, 0.0, 1, "x", 1.0)), 2))
     @example(case=((AncillaInjection(0.2, 0.0, "A"), AncillaInjection(0.2, 1.0, "A")), 1))
+    # the first error in element order wins: an invalid element before a
+    # repeated label, a repeated label before a later invalid element, before
+    # a signs tuple that does not unpack, and before an overflowing squeezer
+    @example(case=((BeamSplitter(0, 1, 1.5), Loss(0, 0.9, "a"), Loss(0, 0.5, "a")), 2))
+    @example(case=((Loss(0, 0.9, "a"), Loss(1, 0.5, "a"), Loss(7, 0.5)), 2))
+    @example(case=((Loss(0, 0.9, "2"), Loss(0, 0.5), BeamSplitter(0, 1, 0.5, signs=(1, 1))), 2))
+    @example(case=((AncillaInjection(0.2, 0.0, "A"), AncillaInjection(800.0, 0.0, "A")), 1))
+    # quarter turns, exact in both, and a chain of mixings long enough that
+    # the plan sums it in more than one stage
+    @example(case=((AncillaInjection(0.5, math.pi / 2, "A"), HomodyneFeedforward(0, -math.pi, 1, "x", 1.5)), 1))
+    @example(case=(tuple(BeamSplitter(k % 2, 1 - k % 2, 0.1 * (k % 9) + 0.05) for k in range(12)), 2))
     def test_lowering_matches_reference_bit_for_bit(self, case):
         elements, n_input_modes = case
         try:
@@ -1419,6 +1460,30 @@ class TestLoweringBitIdentity:
         assert columns == want_columns
         assert counts == want_counts
         assert matrix.shape == want_matrix.shape
-        # bytes compare the sign of zero too
-        assert matrix.tobytes() == want_matrix.tobytes()
+        # the plan sums the walk's products in its own order and reads quarter
+        # turns exactly: each row agrees to 1e-15 of its largest entry
+        scale = np.abs(want_matrix).max(axis=1, keepdims=True)
+        assert np.all(np.abs(matrix - want_matrix) <= 1e-15 * scale)
         assert not matrix.flags.writeable
+
+
+class TestLoweringPlan:
+    def test_matrix_bytes_do_not_depend_on_the_plan_cache(self):
+        params = GateParams.from_gain(1.3, squeezing_db_a=-6.0)
+        elements = tuple(circuit_module._gate_elements(params, ImperfectionModel()))
+        plan = circuit_module._plan
+        plan.cache_clear()
+        try:
+            recorded = circuit_module._lower(elements, 2)[1].tobytes()
+            assert plan.cache_info().misses == 1
+            assert circuit_module._lower(elements, 2)[1].tobytes() == recorded
+            assert plan.cache_info().hits == 1
+            # k displacements are one more layout each, enough to evict the gate's
+            maxsize = plan.cache_info().maxsize
+            for k in range(maxsize + 1):
+                circuit_module._lower((Displacement(0, 0.5, -0.5),) * k, 1)
+            assert plan.cache_info().currsize == maxsize
+            assert circuit_module._lower(elements, 2)[1].tobytes() == recorded
+            assert plan.cache_info().misses == maxsize + 3
+        finally:
+            plan.cache_clear()

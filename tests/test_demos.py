@@ -17,7 +17,7 @@ STDOUT_SHA256 = {
     "conditional_variance": "52be99c6e995f177745049f8f662c75f02f8b8cad1cd744a884ccbd80e12fd58",
     "heisenberg_relations": "d1a24bfceb843943c51f7e015fbc160a76771d4024a95708207d337c06412a91",
     "measurement_induced_squeezing": "c5c6e344a27529c318d8de341383765efc6deac2220ab0851c86def679e7a849",
-    "trajectory_convergence": "1f78b3c959635dc5064e00a2bcf8ceb48a3ca183b07e2b5356655b83d9f92f66",
+    "trajectory_convergence": "810cd1b7be7065a0c12d2e02de36ddf8d93a1d5b56b628d58a699e2c12a21b3a",
     "vacuum_spectra": "895f9cea3c4abf521bf613b14455f9eac099f0435db71def665386c59b228bc4",
 }
 

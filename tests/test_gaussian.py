@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qndsim import gaussian
-from qndsim.circuit import Circuit, HomodyneFeedforward, Loss, run_trajectory
+from qndsim.circuit import Circuit, HomodyneFeedforward, Loss, run_covariance, run_trajectory
 from qndsim.gaussian import (
     SymplecticMatrix,
     beam_splitter,
@@ -154,10 +154,20 @@ class TestLossChannel:
         state = loss_channel(vacuum_state(2), 1, eta)
         assert np.allclose(state.cov, np.eye(4), atol=TOL)
 
-    @pytest.mark.parametrize("eta", [0.0, -0.2, 1.2])
+    @pytest.mark.parametrize("eta", [np.nan, -0.2, 1.2])
     def test_rejects_bad_transmission(self, eta):
         with pytest.raises(ValueError):
             loss_channel(vacuum_state(1), 0, eta)
+
+    @pytest.mark.parametrize("eta", [0.0, 0.3])
+    def test_is_the_circuit_loss(self, eta):
+        # total loss included: the channel accepts every eta a circuit ``Loss`` does
+        state = squeeze(displace(vacuum_state(2), 0, 1.5, -0.5), 0, 0.8)
+        state = beam_splitter(state, 0, 1, 0.4)
+        want = run_covariance(Circuit((Loss(0, eta),)), state)
+        got = loss_channel(state, 0, eta)
+        np.testing.assert_allclose(got.mean, want.mean, rtol=0.0, atol=TOL)
+        np.testing.assert_allclose(got.cov, want.cov, rtol=0.0, atol=TOL)
 
     def test_mean_scaling(self):
         state = loss_channel(displace(vacuum_state(1), 0, 2.0, -1.0), 0, 0.64)
