@@ -29,9 +29,9 @@ elements and collects their scalars in one pass; which products sum to which
 entry depends only on the circuit's layout and is recorded once per layout
 by ``_plan``.  Gate builds share a handful of layouts, one per set of
 imperfections present, so nearly every build is lowered by a gather, a
-product and a ``bincount``.  Angles are read exactly at quarter
-turns, so the gate's x and p sectors decouple bit for bit.  The executors
-read the circuit's ``matrix``:
+product and a ``bincount``.  Angles are read exactly at quarter turns, so
+the gate's x and p sectors decouple bit for bit.  The executors read the
+circuit's ``matrix``:
 
 * ``run_covariance`` - ensemble average, ``X m + u`` and ``X V X^T + N N^T``;
   ``validate=True`` checks the output of every prefix of the element list;
@@ -316,10 +316,10 @@ def _lower(elements: tuple, n_input_modes: int) -> tuple:
 
     Returns the ``Circuit`` layout ``(columns, matrix, n_output_modes, n_readouts)``.
 
-    One pass over the elements checks each in order, so the first invalid
-    element or repeated source label raises, and names the source columns.
-    It appends each element's scalars, with signs folded in, to a flat
-    vector and its step to the layout key: kind, scalar offset, modes, source
+    One pass over the elements checks each in order and names its source
+    columns, so the first invalid element or repeated label raises.  It
+    appends each element's scalars, with signs folded in, to a flat vector
+    and its step to the layout key: kind, scalar offset, modes, source
     columns, and whether it has dark noise or ancilla excess; never a value
     or a label.  ``_plan`` records, once per layout, which products of those
     scalars sum to each matrix entry; the matrix is then a gather, a product
