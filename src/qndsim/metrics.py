@@ -41,20 +41,17 @@ from .quadexpr import (
     ideal_qnd_map,
     moments_from_map,
 )
-from .scenario import RunSpec
+from .scenario import VACUUM_INPUT, RunSpec
 
-# flat covariance indices in (x1, p1, x2, p2) ordering; a sector's signal
-# input is the quadrature ``INPUT_COLUMNS[signal]``
-_SECTOR = {
-    "x": {"signal": 0, "probe": 2, "sign": -1.0},
-    "p": {"signal": 3, "probe": 1, "sign": +1.0},
-}
+# (signal, probe, sign): flat covariance indices in (x1, p1, x2, p2) ordering, and the
+# probe's sign in the combination; a sector's signal input is ``INPUT_COLUMNS[signal]``
+_SECTOR = {"x": (0, 2, -1.0), "p": (3, 1, +1.0)}
 
 DEFAULT_PROBE_AMPLITUDE = 10.0  # mean**2 = 100 x shot noise (20 dB)
 DEFAULT_G_GRID = RunSpec().g_grid()
 
 
-def _check_sector(sector: str) -> dict:
+def _check_sector(sector: str) -> tuple:
     if sector not in _SECTOR:
         raise ValueError(f"sector must be 'x' or 'p', got {sector!r}")
     return _SECTOR[sector]
@@ -69,8 +66,8 @@ def transfer_coefficients(qmap: QuadratureMap, cov: np.ndarray, sector: str):
     ``X[i, j]**2 / cov[i, i]`` at every amplitude.  A (4, 4) ``cov`` gives
     floats, a stack of shape (n, 4, 4) arrays.
     """
-    spec = _check_sector(sector)
-    column = qmap.matrix[:, qmap.columns.index(INPUT_COLUMNS[spec["signal"]])]
+    signal, probe, _ = _check_sector(sector)
+    column = qmap.matrix[:, qmap.columns.index(INPUT_COLUMNS[signal])]
     moments = cov.T  # moments[j, i] is cov[..., i, j]: a scalar, or one per stacked cov
 
     def snr_ratio(idx: int):
@@ -80,7 +77,7 @@ def transfer_coefficients(qmap: QuadratureMap, cov: np.ndarray, sector: str):
         ratio = column[idx] ** 2 / variance
         return float(ratio) if cov.ndim == 2 else ratio
 
-    return snr_ratio(spec["signal"]), snr_ratio(spec["probe"])
+    return snr_ratio(signal), snr_ratio(probe)
 
 
 def conditional_variance(cov: np.ndarray, sector: str):
@@ -91,9 +88,8 @@ def conditional_variance(cov: np.ndarray, sector: str):
     or ``Var(p2 + g*p1)`` (p sector).  A (4, 4) covariance gives two floats,
     a stack of shape (n, 4, 4) two arrays of length n.
     """
-    spec = _check_sector(sector)
+    s, p, sign = _check_sector(sector)
     cov = np.asarray(cov, dtype=float)
-    s, p, sign = spec["signal"], spec["probe"], spec["sign"]
     moments = cov.T  # moments[j, i] is cov[..., i, j]: a scalar, or one per stacked cov
     var_s, var_p, c = moments[s, s], moments[p, p], moments[p, s]
     floor = var_p <= gaussian.VARIANCE_FLOOR
@@ -109,10 +105,9 @@ def conditional_variance(cov: np.ndarray, sector: str):
 
 def cv_sweep(cov: np.ndarray, sector: str, g_grid) -> np.ndarray:
     """Combined-quadrature variance along a grid of rescaling gains."""
-    spec = _check_sector(sector)
+    s, p, sign = _check_sector(sector)
     cov = np.asarray(cov, dtype=float)
     g = np.asarray(g_grid, dtype=float)
-    s, p, sign = spec["signal"], spec["probe"], spec["sign"]
     return cov[s, s] + 2.0 * sign * g * cov[s, p] + g * g * cov[p, p]
 
 
@@ -152,8 +147,10 @@ class DuanResult:
 
 
 def duan_sum(cov: np.ndarray, g: float) -> float:
-    """``Var(x1 - g*x2) + Var(p2 + g*p1)`` from an output covariance."""
-    return float(cv_sweep(cov, "x", g) + cv_sweep(cov, "p", g))
+    """``Var(x1 - g*x2) + Var(p2 + g*p1)`` from an output covariance, by ``cv_sweep``'s arithmetic on floats."""
+    c, g = np.asarray(cov, dtype=float).tolist(), float(g)
+    x, p = (c[s][s] + 2.0 * sign * g * c[s][q] + g * g * c[q][q] for s, q, sign in _SECTOR.values())
+    return x + p
 
 
 def duan_simon(cov: np.ndarray, g: float, g_grid=None) -> DuanResult:
@@ -261,7 +258,7 @@ def evaluate_gate(circuit: Circuit, params: GateParams) -> QndReport:
     One vacuum-input propagation and one quadrature map give both sectors'
     metrics; the report's witness is scanned only when ``duan`` is read.
     """
-    cov = run_covariance(circuit, gaussian.vacuum_state(2)).cov
+    cov = run_covariance(circuit, VACUUM_INPUT).cov
     return QndReport(params, _sector_metrics(circuit_quadrature_map(circuit), cov), cov)
 
 
@@ -270,20 +267,19 @@ def vacuum_noise_report(circuit: Circuit, params: GateParams) -> dict:
 
     Returns the four curve families of a vacuum-input power spectrum: the
     0 dB input reference, the infinite-squeezing prediction, the circuit as
-    configured, and the same circuit with vacuum (0 dB) ancillas.
+    configured, and the same circuit with vacuum (0 dB) ancillas.  Only the
+    variances are computed: the two lossless families are the row sums of
+    squares of their maps, bit for bit the diagonal of ``moments_from_map``.
     """
-    covs = {
-        "input": np.eye(4),
-        "infinite_squeezing": moments_from_map(ideal_qnd_map(params.gain))[1],
-        "configured": run_covariance(circuit, gaussian.vacuum_state(2)).cov,
-        "vacuum_ancilla_reference": moments_from_map(finite_squeezing_map(params.R, 0.0, 0.0))[1],
-    }
+    ideal, vacuum = ((m.matrix * m.matrix).sum(axis=1)
+                     for m in (ideal_qnd_map(params.gain), finite_squeezing_map(params.R, 0.0, 0.0)))
     # one (4, 4) array of variances, one family per row, converted to dB at once
-    variances = np.array([np.diag(cov) for cov in covs.values()])
+    variances = np.stack((np.ones(4), ideal, np.diag(run_covariance(circuit, VACUUM_INPUT).cov), vacuum))
     db = gaussian.variance_to_db(variances).tolist()
+    families = ("input", "infinite_squeezing", "configured", "vacuum_ancilla_reference")
     return {
         family: {q: {"variance": v, "dB": d} for q, v, d in zip(("x1", "p1", "x2", "p2"), vs, ds)}
-        for family, vs, ds in zip(covs, variances.tolist(), db)
+        for family, vs, ds in zip(families, variances.tolist(), db)
     }
 
 
@@ -404,7 +400,7 @@ def _knob_scan(base: ImperfectionModel, squeezing_db: float, knobs: np.ndarray):
     for gain in REFERENCE_TABLE:
         params = _reference_params(gain, squeezing_db)
         circuit = build_qnd_gate(params, base)
-        cov0 = run_covariance(circuit, gaussian.vacuum_state(2)).cov
+        cov0 = run_covariance(circuit, VACUUM_INPUT).cov
         cov = cov0 + knobs[:, None, None] * (np.eye(4) - cov0)
         # the signal coefficients at knob k are sqrt(1 - k) times knob 0's
         sectors = _sector_metrics(circuit_quadrature_map(circuit), cov, 1.0 - knobs)

@@ -12,6 +12,7 @@ the input mean.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import asdict, dataclass, field
@@ -21,7 +22,7 @@ from typing import get_type_hints
 import numpy as np
 
 from . import gaussian
-from .circuit import GateParams, ImperfectionModel, reflectivity_from_gain
+from .circuit import MIN_SQUEEZING_DB, GateParams, ImperfectionModel, reflectivity_from_gain
 from .ensemble import check_master_seed, check_shot_count
 
 MAX_G_POINTS = 100_000  # the most g values a scan may take: 250 times the default 401
@@ -29,9 +30,6 @@ MAX_G_POINTS = 100_000  # the most g values a scan may take: 250 times the defau
 # half the float spacing, so a one-point grid there is empty, and from about 1e150 g**2 times
 # a variance overflows
 MAX_ABS_G = 1e6
-# the deepest ancilla squeezing oracle-check verifies: deeper, the absolute 1e-9
-# tolerance of it and of each build's check fails on rounding of e^r coefficients
-MIN_SQUEEZING_DB = -60.0
 # the largest gain G a scenario may give, as G or as R >= reflectivity_from_gain(MAX_GAIN),
 # about 1e-6: up to it the lowering keeps 6e-14 of each row's scale and every build passes
 # the absolute 1e-9 check, which correct gates fail from G of about 4.5e3
@@ -39,6 +37,9 @@ MAX_GAIN = 1000.0
 # the largest |feedforward_electronic_gain_error|: up to it every budget at the bounds above
 # builds, and a feedforward off (-1) or doubled (+1) covers any realistic electronics
 MAX_GAIN_ERROR = 1.0
+# every subcommand's input, shared: the executors only read it, and its arrays are read-only
+VACUUM_INPUT = gaussian.vacuum_state(2)
+VACUUM_INPUT.mean.flags.writeable = VACUUM_INPUT.cov.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -73,8 +74,16 @@ class RunSpec:
         check_master_seed(self.master_seed)
 
     def g_grid(self) -> np.ndarray:
-        # adding 0.0 turns the -0.0 that rounding leaves of arange's noise into +0.0
-        return np.round(np.arange(self.g_min, self.g_max + 1e-9, self.g_step), 10) + 0.0
+        """The rescaling gains, read-only and built once per ``(g_min, g_max, g_step)`` in a bounded memo."""
+        return _g_grid(self.g_min, self.g_max, self.g_step)
+
+
+@functools.lru_cache(maxsize=8)  # an entry holds at most MAX_G_POINTS floats, 0.8 MB
+def _g_grid(g_min: float, g_max: float, g_step: float) -> np.ndarray:
+    # adding 0.0 turns the -0.0 that rounding leaves of arange's noise, or of a -0.0 end, into +0.0
+    grid = np.round(np.arange(g_min, g_max + 1e-9, g_step), 10) + 0.0
+    grid.flags.writeable = False
+    return grid
 
 
 @dataclass(frozen=True)
@@ -135,8 +144,8 @@ class ScenarioConfig:
         )
 
     def input_state(self) -> gaussian.GaussianState:
-        """The gate's input: the two-mode vacuum."""
-        return gaussian.vacuum_state(2)
+        """The gate's input: the two-mode vacuum, the shared read-only ``VACUUM_INPUT``."""
+        return VACUUM_INPUT
 
     def to_json(self) -> str:
         """The scenario as strict JSON: no dark noise (inf dB) is written as null."""

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from qndsim import circuit as circuit_module
 from qndsim import gaussian
 from qndsim import quadexpr as quadexpr_module
+from qndsim import scenario as scenario_module
 from qndsim.cli import ORACLE_DB_GRID, ORACLE_R_GRID
 from qndsim.circuit import (
     AncillaInjection,
@@ -23,6 +24,7 @@ from qndsim.circuit import (
     GateParams,
     HomodyneFeedforward,
     ImperfectionModel,
+    MIN_SQUEEZING_DB,
     Loss,
     _require,
     build_qnd_gate,
@@ -126,6 +128,17 @@ class TestGateParams:
     def test_non_finite_squeezing_rejected(self, name, db):
         with pytest.raises(ValueError, match=f"{name} = {db} is not finite"):
             GateParams(0.5, **{name: db})
+
+    @pytest.mark.parametrize("name", ["squeezing_db_a", "squeezing_db_b"])
+    def test_squeezing_below_the_checked_bound_rejected(self, name):
+        # deeper, correct gates failed the absolute 1e-9 build check: -140 dB raised a
+        # CircuitConstructionError on the default budget at G = 1, -200 dB on the ideal one
+        for imp in (ImperfectionModel(), ImperfectionModel.ideal()):
+            build_qnd_gate(GateParams.from_gain(1.0, **{name: MIN_SQUEEZING_DB}), imp)
+        for db in (-60.000001, -140.0, -200.0):
+            with pytest.raises(ValueError, match=rf"^{name} = {db} is below -60 dB"):
+                GateParams(0.5, **{name: db})
+        assert scenario_module.MIN_SQUEEZING_DB is MIN_SQUEEZING_DB == -60.0
 
     def test_nan_ancilla_excess_rejected(self):
         with pytest.raises(ValueError, match="ancilla_excess"):

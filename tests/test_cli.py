@@ -38,8 +38,10 @@ from qndsim.cli import (
 )
 from qndsim.ensemble import run_ensemble
 from qndsim.quadexpr import QuadratureMap
+from qndsim import scenario as scenario_module
 from qndsim.scenario import (
     MAX_G_POINTS,
+    VACUUM_INPUT,
     OutputSpec,
     RunSpec,
     ScenarioConfig,
@@ -1468,3 +1470,63 @@ class TestScenarioFileHonoured:
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(doc))
         assert main(["reproduce-table", "--no-fit", "--config", str(path), "--squeezing-db", "-4"]) == 0
+
+
+class TestPerOpConstants:
+    """The g-grid memo and the shared vacuum input: equal to what they replace, and read-only."""
+
+    @staticmethod
+    def _arange_grid(spec: RunSpec) -> np.ndarray:
+        return np.round(np.arange(spec.g_min, spec.g_max + 1e-9, spec.g_step), 10) + 0.0
+
+    def test_grid_is_read_only(self):
+        grid = RunSpec().g_grid()
+        assert not grid.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            grid[0] = 1.0
+
+    @pytest.mark.parametrize(
+        "spec",
+        [RunSpec(), RunSpec(g_min=0.5, g_max=0.5), RunSpec(g_min=-1.0, g_max=1.0, g_step=0.1)],
+        ids=["default", "one point", "through zero"],
+    )
+    def test_grid_is_the_arange_grid_bit_for_bit(self, spec):
+        scenario_module._g_grid.cache_clear()
+        for _ in range(2):  # the build, then the memo hit
+            got, want = spec.g_grid(), self._arange_grid(spec)
+            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+    @pytest.mark.parametrize("first", [0.0, -0.0], ids=["+0.0 first", "-0.0 first"])
+    @pytest.mark.parametrize("end", ["g_min", "g_max"])
+    def test_a_negative_zero_end_shares_the_entry_of_positive_zero(self, first, end):
+        # -0.0 and 0.0 are one memo key, so both ends must give the same bytes
+        scenario_module._g_grid.cache_clear()
+        other = {"g_min": -1.0, "g_max": 1.0}["g_max" if end == "g_min" else "g_min"]
+        specs = [RunSpec(g_step=0.25, **{end: zero, ("g_max" if end == "g_min" else "g_min"): other})
+                 for zero in (first, -first)]
+        grids = [spec.g_grid() for spec in specs]
+        assert grids[0] is grids[1]
+        for spec, grid in zip(specs, grids):
+            assert grid.tobytes() == self._arange_grid(spec).tobytes()
+            assert not np.signbit(grid[grid == 0.0]).any()
+
+    def test_equal_grids_share_one_bounded_entry(self):
+        scenario_module._g_grid.cache_clear()
+        first = RunSpec().g_grid()
+        assert RunSpec(mode="trajectories", n=7, master_seed=3).g_grid() is first
+        assert scenario_module._g_grid.cache_info().currsize == 1
+        maxsize = scenario_module._g_grid.cache_info().maxsize
+        assert maxsize == 8
+        for k in range(maxsize + 3):
+            RunSpec(g_min=-1.0, g_max=1.0, g_step=0.5 / (k + 1)).g_grid()
+        assert scenario_module._g_grid.cache_info().currsize == maxsize
+
+    def test_shared_vacuum_input_is_the_read_only_vacuum(self):
+        want = gaussian.vacuum_state(2)
+        assert VACUUM_INPUT.n_modes == 2
+        for got, array in ((VACUUM_INPUT.mean, want.mean), (VACUUM_INPUT.cov, want.cov)):
+            assert got.tobytes() == array.tobytes() and got.shape == array.shape
+            assert not got.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                got[0] = 1.0
+        assert ScenarioConfig().input_state() is VACUUM_INPUT

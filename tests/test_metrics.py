@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qndsim import gaussian
@@ -20,7 +20,7 @@ from qndsim.circuit import (
 )
 from qndsim.cli import cmd_reproduce_table, cmd_transfer
 from qndsim.gaussian import vacuum_state
-from qndsim.quadexpr import INPUT_COLUMNS
+from qndsim.quadexpr import INPUT_COLUMNS, finite_squeezing_map, ideal_qnd_map, moments_from_map
 from qndsim import metrics
 from qndsim.metrics import (
     compare_to_reference,
@@ -615,3 +615,68 @@ class TestKnobFit:
         loop_text = cmd_reproduce_table(replace(config, output=OutputSpec(str(loop))))
         assert text == loop_text
         assert closed_form.read_bytes() == loop.read_bytes()
+
+
+# working points and budgets over the sweep's ranges and beyond, and rescaling gains
+_POINTS = st.builds(
+    GateParams.from_gain,
+    st.floats(0.0, 10.0),
+    squeezing_db_a=st.floats(-60.0, 0.0),
+    squeezing_db_b=st.floats(-60.0, 0.0),
+    ancilla_excess=st.floats(1.0, 4.0),
+)
+_BUDGETS = st.just(ImperfectionModel.ideal()) | st.builds(
+    ImperfectionModel,
+    propagation_loss_per_main_mode=st.floats(0.0, 0.5),
+    detector_quantum_efficiency=st.floats(0.5, 1.0),
+    visibility=st.floats(0.5, 1.0),
+    dark_noise_dB_below_shot=st.floats(0.0, 40.0) | st.just(math.inf),
+    displacement_coupler_loss=st.floats(0.0, 0.5),
+    feedforward_electronic_gain_error=st.floats(-0.5, 0.5),
+    extra_in_loop_loss=st.floats(0.0, 0.5),
+    loss_placement=st.sampled_from(["post_exit", "pre_entry", "in_arms"]),
+)
+
+
+class TestPrintedFiguresBitForBit:
+    """The figures computed without full moments equal, byte for byte, those read off the moments."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(params=_POINTS, imp=_BUDGETS)
+    @example(params=GateParams(1.0), imp=ImperfectionModel.ideal())
+    @example(params=GateParams.from_gain(1.0, squeezing_db_a=-60.0, squeezing_db_b=-60.0), imp=ImperfectionModel())
+    def test_vacuum_noise_families_are_the_moment_diagonals(self, params, imp):
+        circuit = build_qnd_gate(params, imp)
+        want = {
+            "input": np.diag(np.eye(4)),
+            "infinite_squeezing": np.diag(moments_from_map(ideal_qnd_map(params.gain))[1]),
+            "configured": np.diag(run_covariance(circuit, vacuum_state(2)).cov),
+            "vacuum_ancilla_reference": np.diag(moments_from_map(finite_squeezing_map(params.R, 0.0, 0.0))[1]),
+        }
+        rows = vacuum_noise_report(circuit, params)
+        assert list(rows) == list(want)
+        for family, variances in want.items():
+            got = np.array([rows[family][q]["variance"] for q in ("x1", "p1", "x2", "p2")])
+            assert got.tobytes() == variances.tobytes()
+            db = np.array([rows[family][q]["dB"] for q in ("x1", "p1", "x2", "p2")])
+            assert db.tobytes() == gaussian.variance_to_db(variances).tobytes()
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(params=_POINTS, imp=_BUDGETS, g=st.floats(-5.0, 5.0))
+    @example(params=GateParams.from_gain(1.0), imp=ImperfectionModel(), g=0.0)
+    @example(params=GateParams.from_gain(1.0), imp=ImperfectionModel(), g=-0.0)
+    @example(params=GateParams.from_gain(1.5), imp=ImperfectionModel.ideal(), g=-0.4443)
+    def test_duan_sum_is_the_cv_sweep_sum(self, params, imp, g):
+        cov = run_covariance(build_qnd_gate(params, imp), vacuum_state(2)).cov
+        got = duan_sum(cov, g)
+        assert type(got) is float
+        assert got.hex() == float(cv_sweep(cov, "x", g) + cv_sweep(cov, "p", g)).hex()
+
+    def test_duan_sum_on_random_covariances(self):
+        rng = np.random.default_rng(20080901)
+        for _ in range(2000):
+            a = rng.standard_normal((4, 4)) * rng.uniform(0.1, 10.0)
+            cov, g = a @ a.T, float(rng.uniform(-3.0, 3.0))
+            for value in (g, -g, np.float64(g)):
+                want = float(cv_sweep(cov, "x", value) + cv_sweep(cov, "p", value))
+                assert duan_sum(cov, value).hex() == want.hex()
