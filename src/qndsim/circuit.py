@@ -55,8 +55,7 @@ from .gaussian import GaussianState
 from .quadexpr import QuadratureMap, finite_squeezing_map, gate_budget_map, max_coefficient_difference
 
 ORACLE_MATCH_TOL = 1e-9
-# the deepest ancilla squeezing a gate may take and oracle-check verifies: deeper, the absolute
-# 1e-9 tolerance of it and of each build's check fails on rounding of e^r coefficients
+# the deepest ancilla squeezing oracle-check verifies: deeper, e^r rounding fails the absolute 1e-9 checks
 MIN_SQUEEZING_DB = -60.0
 
 
@@ -303,7 +302,6 @@ def _require(ok: bool, position: int, element) -> None:
         raise ValueError(f"invalid circuit element at position {position}: {element!r}")
 
 
-_SIGNS = frozenset((-1, 1))  # a beam splitter's sign entries
 # (cos, sin) at the quarter turns of one full turn either way; math.cos(pi/2) is 6.1e-17
 _QUARTER_TURNS = {float(k): ((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0))[k % 4] for k in range(-4, 5)}
 
@@ -322,19 +320,19 @@ def _lower(elements: tuple, n_input_modes: int) -> tuple:
 
     Returns the ``Circuit`` layout ``(columns, matrix, n_output_modes, n_readouts)``.
 
-    One pass over the elements checks each in order and names its source
-    columns inline, in a label dict, so the first invalid element or repeated
-    label raises.  It appends each element's scalars, with signs folded in, to a flat vector
-    and its step to the layout key: kind, scalar offset, modes, source
-    columns, and whether it has dark noise or ancilla excess; never a value
-    or a label.  ``_plan`` records, once per layout, which products of those
-    scalars sum to each matrix entry; the matrix is then a gather, a product
-    and a ``bincount`` away.  Its entries agree with a numeric walk over the
-    elements to rounding, not bit for bit: the sums run in the plan's order.
+    One pass over the elements checks each in order and registers its source
+    labels in a label-to-column dict, so the first invalid element or
+    repeated label raises.  It appends each element's scalars, with signs
+    folded in, to a flat vector and its step to the layout key: kind, scalar
+    offset, modes, source columns, and whether it has dark noise or ancilla
+    excess; never a value or a label.  ``_plan`` records, once per layout,
+    which products of those scalars sum to each matrix entry; the matrix is
+    then a gather, a product and a ``bincount`` away.  Its entries agree with
+    a numeric walk over the elements to rounding, not bit for bit: the sums
+    run in the plan's order.
     """
     if isinstance(n_input_modes, bool) or not isinstance(n_input_modes, Integral) or n_input_modes < 1:
         raise ValueError(f"n_input_modes must be a positive integer, got {n_input_modes!r}")
-    exp, sqrt, isfinite, inf = math.exp, math.sqrt, math.isfinite, math.inf
     # label -> column; ``setdefault`` finds a repeat (excess<label> follows a new x<label>0, dark<k> counts)
     columns = {c: j for j, c in enumerate([f"{q}{k + 1}_in" for k in range(n_input_modes) for q in "xp"] + ["unit"])}
     scalars = [1.0]  # scalars[0] is the empty product
@@ -344,19 +342,21 @@ def _lower(elements: tuple, n_input_modes: int) -> tuple:
     for pos, el in enumerate(elements):
         kind, k = type(el), len(scalars)
         if kind is AncillaInjection:
-            _require(isfinite(el.r) and isfinite(el.angle) and 1.0 <= el.antisqueeze_excess < inf, pos, el)
+            _require(
+                math.isfinite(el.r) and math.isfinite(el.angle) and 1.0 <= el.antisqueeze_excess < math.inf, pos, el
+            )
             c, s = _cos_sin(el.angle)
             x, p, col = f"x{el.label}0", f"p{el.label}0", len(columns)
             if columns.setdefault(x, col) != col or columns.setdefault(p, col + 1) != col + 1:
                 raise ValueError(f"repeated source label {x if columns[x] != col else p!r}")
-            squeezed, anti = exp(-el.r), exp(el.r)
+            squeezed, anti = math.exp(-el.r), math.exp(el.r)
             # rot.T @ diag(e^-r, e^r) @ rot, rot = [[c, s], [-s, c]]
             cross = c * s * (squeezed - anti)
             scalars += (c * c * squeezed + s * s * anti, cross, cross, s * s * squeezed + c * c * anti)
             excess = None
             if el.antisqueeze_excess > 1.0:
                 # impurity: classical noise along the anti-squeezed axis
-                extra = sqrt(el.antisqueeze_excess - 1.0) * anti
+                extra = math.sqrt(el.antisqueeze_excess - 1.0) * anti
                 excess = columns.setdefault(f"excess{el.label}", len(columns))
                 scalars += (-s * extra, c * extra)
             layout.append((kind, k, col, excess))
@@ -365,10 +365,10 @@ def _lower(elements: tuple, n_input_modes: int) -> tuple:
             s1, s2, s3, s4 = el.signs
             _require(
                 el.i != el.j and 0 <= el.i < n and 0 <= el.j < n and 0.0 <= el.reflectivity <= 1.0
-                and set(el.signs) <= _SIGNS and s1 * s2 == -s3 * s4,
+                and set(el.signs) <= {-1, 1} and s1 * s2 == -s3 * s4,
                 pos, el,
             )
-            t, r = sqrt(1.0 - el.reflectivity), sqrt(el.reflectivity)
+            t, r = math.sqrt(1.0 - el.reflectivity), math.sqrt(el.reflectivity)
             scalars += (s1 * t, s2 * r, s3 * r, s4 * t)
             layout.append((kind, k, el.i, el.j))
         elif kind is Loss:
@@ -378,13 +378,13 @@ def _lower(elements: tuple, n_input_modes: int) -> tuple:
             x, p, col = f"xv_{suffix}", f"pv_{suffix}", len(columns)
             if columns.setdefault(x, col) != col or columns.setdefault(p, col + 1) != col + 1:
                 raise ValueError(f"repeated source label {x if columns[x] != col else p!r}")
-            scalars += (sqrt(el.eta), sqrt(1.0 - el.eta))
+            scalars += (math.sqrt(el.eta), math.sqrt(1.0 - el.eta))
             layout.append((kind, k, el.mode, col))
         elif kind is HomodyneFeedforward:
             _require(
                 0 <= el.measured_mode < n and 0 <= el.target_mode < n and el.target_mode != el.measured_mode
-                and el.target_quadrature in ("x", "p") and isfinite(el.gain)
-                and isfinite(el.angle) and 0.0 <= el.dark_variance < inf,
+                and el.target_quadrature in ("x", "p") and math.isfinite(el.gain)
+                and math.isfinite(el.angle) and 0.0 <= el.dark_variance < math.inf,
                 pos, el,
             )
             scalars += (*_cos_sin(el.angle), el.gain)
@@ -392,11 +392,11 @@ def _lower(elements: tuple, n_input_modes: int) -> tuple:
             if el.dark_variance > 0.0:
                 darks += 1
                 dark = columns.setdefault(f"dark{darks}", len(columns))
-                scalars.append(sqrt(el.dark_variance))
+                scalars.append(math.sqrt(el.dark_variance))
             layout.append((kind, k, el.measured_mode, el.target_mode, el.target_quadrature == "p", dark))
             n -= 1
         elif kind is Displacement:
-            _require(0 <= el.mode < n and isfinite(el.dx) and isfinite(el.dp), pos, el)
+            _require(0 <= el.mode < n and math.isfinite(el.dx) and math.isfinite(el.dp), pos, el)
             scalars += (el.dx, el.dp)
             layout.append((kind, k, el.mode))
         else:
@@ -404,11 +404,11 @@ def _lower(elements: tuple, n_input_modes: int) -> tuple:
 
     stages, shape, n_readouts = _plan(tuple(layout), len(columns), len(scalars))
     values = np.fromiter(scalars, float, len(scalars))
-    for factors, entries, size in stages[:-1]:
+    for factors, entries, size in stages:
+        sums = np.bincount(entries, np.multiply.reduce(values[factors]), size)
         # a stage's sums are scalars of the stages after it
-        values = np.concatenate((values, np.bincount(entries, np.multiply.reduce(values[factors]), size)))
-    factors, entries, size = stages[-1]
-    matrix = np.bincount(entries, np.multiply.reduce(values[factors]), size).reshape(shape)
+        values = np.concatenate((values, sums))
+    matrix = sums.reshape(shape)
     # equal gate builds share one circuit, so its matrix must not change under them
     matrix.flags.writeable = False
     return tuple(columns), matrix, n, n_readouts
@@ -583,15 +583,15 @@ _SQUEEZERS = {"x": (0.0, (1, -1, 1, 1), math.pi / 2, "p", -1.0), "p": (math.pi /
 
 
 def _squeezer_elements(
-    quadrature: str, ancilla: int, label: str, r: float, excess: float, R: float, imp: ImperfectionModel, budget=()
+    quadrature: str, ancilla: int, label: str, r: float, excess: float, R: float, imp: ImperfectionModel
 ) -> list:
     """One arm: squeeze ``quadrature`` of mode 0 by ``sqrt(R)``, measuring mode 0 itself.
 
     The ancilla ``label``, appended at index ``ancilla``, carries the squeezed output.
-    ``budget`` is ``_arm_budget(R, imp)``, which a gate reads once for both arms.
     """
     angle, signs, measured, target, sign = _SQUEEZERS[quadrature]
-    eta, eta_det, gain, dark = budget or _arm_budget(R, imp)
+    eta, eta_det = 1.0 - imp.displacement_coupler_loss, imp.homodyne_efficiency
+    gain = sign * math.sqrt((1.0 - R) / R) * (1.0 + imp.feedforward_electronic_gain_error)
     coupler = [Loss(ancilla, eta, f"coupler{label}")] if eta < 1.0 else []
     detector = [Loss(0, eta_det, f"det{label}")] if eta_det < 1.0 else []
     return [
@@ -599,14 +599,8 @@ def _squeezer_elements(
         BeamSplitter(ancilla, 0, R, signs),
         *coupler,
         *detector,
-        HomodyneFeedforward(0, measured, ancilla, target, sign * gain, dark_variance=dark),
+        HomodyneFeedforward(0, measured, ancilla, target, gain, dark_variance=imp.dark_variance),
     ]
-
-
-def _arm_budget(R: float, imp: ImperfectionModel) -> tuple:
-    """An arm's coupler and detector transmissions, feedforward gain magnitude and dark variance."""
-    gain = math.sqrt((1.0 - R) / R) * (1.0 + imp.feedforward_electronic_gain_error)
-    return 1.0 - imp.displacement_coupler_loss, imp.homodyne_efficiency, gain, imp.dark_variance
 
 
 def _gate_elements(params: GateParams, imp: ImperfectionModel) -> list:
@@ -617,10 +611,9 @@ def _gate_elements(params: GateParams, imp: ImperfectionModel) -> list:
     pre, post = (main_losses, []) if imp.loss_placement == "pre_entry" else ([], main_losses)
     elements = [*pre, BeamSplitter(0, 1, entry_r, signs=(1, -1, 1, 1))]
     # arm A squeezes x on the mode-0 path; its homodyne removes that path, so
-    # arm B's p squeezer finds the mode-1 path at index 0; both read the budget once
-    budget = _arm_budget(arm_r, imp)
-    elements += _squeezer_elements("x", 2, "A", params.r_a, params.ancilla_excess, arm_r, imp, budget)
-    elements += _squeezer_elements("p", 2, "B", params.r_b, params.ancilla_excess, arm_r, imp, budget)
+    # arm B's p squeezer finds the mode-1 path at index 0
+    elements += _squeezer_elements("x", 2, "A", params.r_a, params.ancilla_excess, arm_r, imp)
+    elements += _squeezer_elements("p", 2, "B", params.r_b, params.ancilla_excess, arm_r, imp)
     # after the two stages the arm outputs sit in slots (0, 1) again
     if eta_extra < 1.0:
         elements += [Loss(0, eta_extra, "armA"), Loss(1, eta_extra, "armB")]

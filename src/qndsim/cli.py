@@ -45,7 +45,7 @@ from .circuit import (
     run_covariance,
 )
 from .ensemble import run_ensemble
-from .scenario import MIN_SQUEEZING_DB, VACUUM_INPUT, OutputSpec, ScenarioConfig, load_scenario
+from .scenario import MIN_SQUEEZING_DB, OutputSpec, ScenarioConfig, load_scenario
 
 ORACLE_R_GRID = (0.1, 0.25, 0.381966011250105, 0.5, 0.75, 1.0)
 ORACLE_DB_GRID = (0.0, -3.0, -5.0, -10.0, MIN_SQUEEZING_DB)
@@ -73,7 +73,7 @@ def _vacuum_output(config: ScenarioConfig, circuit) -> tuple:
     and budget, and ``compile_trajectory`` checks its input-mode count.
     """
     if config.run.mode == "covariance":
-        out = run_covariance(circuit, VACUUM_INPUT)
+        out = run_covariance(circuit, metrics._VACUUM_INPUT)
     else:
         out = _vacuum_ensemble(circuit, config.run.n, config.run.master_seed)
     return out.mean, out.cov
@@ -87,7 +87,7 @@ def _vacuum_ensemble(circuit, n, master_seed):
     compare 0.0 equal to -0.0, and both signs lower to the same matrix bytes,
     so equal circuits draw equal ensembles; the result's arrays are read-only.
     """
-    return run_ensemble(circuit, VACUUM_INPUT, n, master_seed)
+    return run_ensemble(circuit, metrics._VACUUM_INPUT, n, master_seed)
 
 
 def cmd_vacuum_spectra(config: ScenarioConfig) -> str:

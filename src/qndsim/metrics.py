@@ -41,14 +41,15 @@ from .quadexpr import (
     ideal_qnd_map,
     moments_from_map,
 )
-from .scenario import VACUUM_INPUT, RunSpec
+from .scenario import RunSpec
 
-# (signal, probe, sign): flat covariance indices in (x1, p1, x2, p2) ordering, and the
-# probe's sign in the combination; a sector's signal input is ``INPUT_COLUMNS[signal]``
+# (signal, probe, probe sign): (x1, p1, x2, p2) indices; the signal input is INPUT_COLUMNS[signal]
 _SECTOR = {"x": (0, 2, -1.0), "p": (3, 1, +1.0)}
 
 DEFAULT_PROBE_AMPLITUDE = 10.0  # mean**2 = 100 x shot noise (20 dB)
 DEFAULT_G_GRID = RunSpec().g_grid()
+_VACUUM_INPUT = gaussian.vacuum_state(2)  # every vacuum-input run's, here and in ``cli``; only read
+_VACUUM_INPUT.mean.flags.writeable = _VACUUM_INPUT.cov.flags.writeable = False
 
 
 def _check_sector(sector: str) -> tuple:
@@ -147,10 +148,8 @@ class DuanResult:
 
 
 def duan_sum(cov: np.ndarray, g: float) -> float:
-    """``Var(x1 - g*x2) + Var(p2 + g*p1)`` from an output covariance, by ``cv_sweep``'s arithmetic on floats."""
-    c, g = np.asarray(cov, dtype=float).tolist(), float(g)
-    x, p = (c[s][s] + 2.0 * sign * g * c[s][q] + g * g * c[q][q] for s, q, sign in _SECTOR.values())
-    return x + p
+    """``Var(x1 - g*x2) + Var(p2 + g*p1)`` from an output covariance."""
+    return float(cv_sweep(cov, "x", g) + cv_sweep(cov, "p", g))
 
 
 def duan_simon(cov: np.ndarray, g: float, g_grid=None) -> DuanResult:
@@ -258,7 +257,7 @@ def evaluate_gate(circuit: Circuit, params: GateParams) -> QndReport:
     One vacuum-input propagation and one quadrature map give both sectors'
     metrics; the report's witness is scanned only when ``duan`` is read.
     """
-    cov = run_covariance(circuit, VACUUM_INPUT).cov
+    cov = run_covariance(circuit, _VACUUM_INPUT).cov
     return QndReport(params, _sector_metrics(circuit_quadrature_map(circuit), cov), cov)
 
 
@@ -267,14 +266,13 @@ def vacuum_noise_report(circuit: Circuit, params: GateParams) -> dict:
 
     Returns the four curve families of a vacuum-input power spectrum: the
     0 dB input reference, the infinite-squeezing prediction, the circuit as
-    configured, and the same circuit with vacuum (0 dB) ancillas.  Only the
-    variances are computed: the two lossless families are the row sums of
-    squares of their maps, bit for bit the diagonal of ``moments_from_map``.
+    configured, and the same circuit with vacuum (0 dB) ancillas.  The lossless two are their
+    maps' row sums of squares, bit for bit the diagonal of ``moments_from_map``.
     """
     ideal, vacuum = ((m.matrix * m.matrix).sum(axis=1)
                      for m in (ideal_qnd_map(params.gain), finite_squeezing_map(params.R, 0.0, 0.0)))
     # one (4, 4) array of variances, one family per row, converted to dB at once
-    variances = np.stack((np.ones(4), ideal, np.diag(run_covariance(circuit, VACUUM_INPUT).cov), vacuum))
+    variances = np.stack((np.ones(4), ideal, np.diag(run_covariance(circuit, _VACUUM_INPUT).cov), vacuum))
     db = gaussian.variance_to_db(variances).tolist()
     families = ("input", "infinite_squeezing", "configured", "vacuum_ancilla_reference")
     return {
@@ -400,7 +398,7 @@ def _knob_scan(base: ImperfectionModel, squeezing_db: float, knobs: np.ndarray):
     for gain in REFERENCE_TABLE:
         params = _reference_params(gain, squeezing_db)
         circuit = build_qnd_gate(params, base)
-        cov0 = run_covariance(circuit, VACUUM_INPUT).cov
+        cov0 = run_covariance(circuit, _VACUUM_INPUT).cov
         cov = cov0 + knobs[:, None, None] * (np.eye(4) - cov0)
         # the signal coefficients at knob k are sqrt(1 - k) times knob 0's
         sectors = _sector_metrics(circuit_quadrature_map(circuit), cov, 1.0 - knobs)

@@ -48,7 +48,7 @@ INPUT_COLUMNS = ("x1_in", "p1_in", "x2_in", "p2_in")
 
 @dataclass(frozen=True)
 class QuadratureMap:
-    """Each output quadrature as a row of coefficients over distinct ``columns``, scanned once per tuple."""
+    """Each output quadrature as a row of coefficients over ``columns``."""
 
     columns: tuple
     matrix: np.ndarray
@@ -61,8 +61,9 @@ class QuadratureMap:
                 f"quadrature map needs a {len(OUTPUT_ORDER)} x {len(self.columns)} "
                 f"matrix, got {self.matrix.shape}"
             )
-        if repeated := _repeated(self.columns):
-            raise ValueError(f"quadrature map has repeated columns {list(repeated)}: {self.columns}")
+        if len(set(self.columns)) != len(self.columns):
+            repeated = sorted({c for c in self.columns if self.columns.count(c) > 1})
+            raise ValueError(f"quadrature map has repeated columns {repeated}: {self.columns}")
 
     def pretty(self) -> str:
         """Human-readable algebra, one output quadrature per line."""
@@ -81,10 +82,9 @@ def max_coefficient_difference(a: QuadratureMap, b: QuadratureMap) -> float:
     gives NaN.  Label alignments are memoised; the difference is taken anew.
     """
     width, index = _alignment(a.columns, b.columns)
-    # b placed, a subtracted in place: one fancy store, no fancy load; |b - a| is |a - b|
     diff = np.zeros((len(OUTPUT_ORDER), width))
-    diff[:, index] = b.matrix
-    diff[:, : len(a.columns)] -= a.matrix
+    diff[:, : len(a.columns)] = a.matrix
+    diff[:, index] -= b.matrix
     # numpy's max, not Python's: max(1.0, nan) is 1.0
     return float(np.abs(diff).max())
 
@@ -97,11 +97,6 @@ def _alignment(a_columns: tuple, b_columns: tuple) -> tuple:
     index = np.array([position[label] for label in b_columns], dtype=np.intp)
     index.flags.writeable = False
     return len(position), index
-
-
-@functools.lru_cache(maxsize=64)  # gate layouts and reference maps share a handful of column tuples
-def _repeated(columns: tuple) -> tuple:
-    return tuple(sorted({c for c in columns if columns.count(c) > 1}))
 
 
 def ideal_qnd_map(gain: float) -> QuadratureMap:

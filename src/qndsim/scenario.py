@@ -37,9 +37,6 @@ MAX_GAIN = 1000.0
 # the largest |feedforward_electronic_gain_error|: up to it every budget at the bounds above
 # builds, and a feedforward off (-1) or doubled (+1) covers any realistic electronics
 MAX_GAIN_ERROR = 1.0
-# every subcommand's input, shared: the executors only read it, and its arrays are read-only
-VACUUM_INPUT = gaussian.vacuum_state(2)
-VACUUM_INPUT.mean.flags.writeable = VACUUM_INPUT.cov.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -80,8 +77,7 @@ class RunSpec:
 
 @functools.lru_cache(maxsize=8)  # an entry holds at most MAX_G_POINTS floats, 0.8 MB
 def _g_grid(g_min: float, g_max: float, g_step: float) -> np.ndarray:
-    # adding 0.0 turns the -0.0 that rounding leaves of arange's noise, or of a -0.0 end, into +0.0
-    grid = np.round(np.arange(g_min, g_max + 1e-9, g_step), 10) + 0.0
+    grid = np.round(np.arange(g_min, g_max + 1e-9, g_step), 10) + 0.0  # + 0.0: rounding's or an end's -0.0 is +0.0
     grid.flags.writeable = False
     return grid
 
@@ -144,8 +140,8 @@ class ScenarioConfig:
         )
 
     def input_state(self) -> gaussian.GaussianState:
-        """The gate's input: the two-mode vacuum, the shared read-only ``VACUUM_INPUT``."""
-        return VACUUM_INPUT
+        """The gate's input: the two-mode vacuum."""
+        return gaussian.vacuum_state(2)
 
     def to_json(self) -> str:
         """The scenario as strict JSON: no dark noise (inf dB) is written as null."""

@@ -41,7 +41,6 @@ from qndsim.quadexpr import QuadratureMap
 from qndsim import scenario as scenario_module
 from qndsim.scenario import (
     MAX_G_POINTS,
-    VACUUM_INPUT,
     OutputSpec,
     RunSpec,
     ScenarioConfig,
@@ -1522,11 +1521,17 @@ class TestPerOpConstants:
         assert scenario_module._g_grid.cache_info().currsize == maxsize
 
     def test_shared_vacuum_input_is_the_read_only_vacuum(self):
-        want = gaussian.vacuum_state(2)
-        assert VACUUM_INPUT.n_modes == 2
-        for got, array in ((VACUUM_INPUT.mean, want.mean), (VACUUM_INPUT.cov, want.cov)):
+        want, shared = gaussian.vacuum_state(2), metrics._VACUUM_INPUT
+        assert shared.n_modes == 2
+        for got, array in ((shared.mean, want.mean), (shared.cov, want.cov)):
             assert got.tobytes() == array.tobytes() and got.shape == array.shape
             assert not got.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 got[0] = 1.0
-        assert ScenarioConfig().input_state() is VACUUM_INPUT
+
+    def test_input_state_is_a_new_state_on_every_call(self):
+        # a caller that reassigns the returned state's fields must not change another's input
+        config = ScenarioConfig()
+        first = config.input_state()
+        assert first is not config.input_state() and first is not metrics._VACUUM_INPUT
+        assert first.cov.flags.writeable
