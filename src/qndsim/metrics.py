@@ -48,7 +48,7 @@ _SECTOR = {"x": (0, 2, -1.0), "p": (3, 1, +1.0)}
 
 DEFAULT_PROBE_AMPLITUDE = 10.0  # mean**2 = 100 x shot noise (20 dB)
 DEFAULT_G_GRID = RunSpec().g_grid()
-_VACUUM_INPUT = gaussian.vacuum_state(2)  # every vacuum-input run's, here and in ``cli``; only read
+_VACUUM_INPUT = gaussian.vacuum_state(2)  # shared by every vacuum run here and in ``cli``; executors only read it
 _VACUUM_INPUT.mean.flags.writeable = _VACUUM_INPUT.cov.flags.writeable = False
 
 
