@@ -23,7 +23,7 @@ params = GateParams.from_gain(1.0)
 grid = np.round(np.arange(0.0, 1.2001, 0.1), 10)
 
 print("reference parabolas Var(x1 - g*x2), lossless:")
-refs = reference_sweeps(params, "x", grid)
+refs = reference_sweeps(params, grid)["x"]
 print(f"{'g':>5} {'ideal':>9} {'-5 dB':>9} {'vacuum':>9} {'2|g| line':>10}")
 for g, a, b, c, w in zip(grid, refs.ideal, refs.finite_squeezing,
                          refs.vacuum_ancilla, refs.witness_bound):

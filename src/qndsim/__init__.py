@@ -11,11 +11,9 @@ witness.
 from .gaussian import (
     GaussianState,
     SymplecticMatrix,
-    assert_physical,
     beam_splitter,
     displace,
     loss_channel,
-    min_uncertainty_eigenvalue,
     omega,
     squeeze,
     squeeze_parameter_from_db,
@@ -35,7 +33,6 @@ from .circuit import (
     BeamSplitter,
     Circuit,
     CircuitConstructionError,
-    Displacement,
     GateParams,
     HomodyneFeedforward,
     ImperfectionModel,

@@ -20,25 +20,24 @@ Each ``Circuit`` is lowered once, at construction, by ``_lower``, the only
 reader of element kinds, and holds the one Heisenberg-picture row stack that
 results: every output quadrature, every homodyne's electronic readout and the
 rows a shot is conditioned on, as linear combinations of the input
-quadratures, a ``unit`` column for displacements and labelled unit-variance
-noise sources.  No per-element state is kept.  The circuit is a linear
-Gaussian map, so every entry of that stack is a sum of products of
-per-element scalars (a beam splitter's signed transmission, a loss's root
-transmission, a homodyne's cosine and gain, ...).  ``_lower`` validates the
-elements and collects their scalars in one pass; which products sum to which
-entry depends only on the circuit's layout and is recorded once per layout
-by ``_plan``.  Gate builds share a handful of layouts, one per set of
+quadratures and labelled unit-variance noise sources.  No per-element state
+is kept.  The circuit is a linear Gaussian map with no constant term, so
+every entry of that stack is a sum of products of per-element scalars (a
+beam splitter's signed transmission, a loss's root transmission, a
+homodyne's cosine and gain, ...).  ``_lower`` validates the elements and
+collects their scalars in one pass; which products sum to which entry
+depends only on the circuit's layout and is recorded once per layout by
+``_plan``.  Gate builds share a handful of layouts, one per set of
 imperfections present, so nearly every build is lowered by a gather, a
 product and a ``bincount``.  Angles are read exactly at quarter turns, so
 the gate's x and p sectors decouple bit for bit.  The executors read the
 circuit's ``matrix``:
 
-* ``run_covariance`` - ensemble average, ``X m + u`` and ``X V X^T + N N^T``;
-  ``validate=True`` checks the output of every prefix of the element list;
+* ``run_covariance`` - ensemble average, ``X m`` and ``X V X^T + N N^T``;
 * ``compile_trajectory`` / ``run_trajectory`` - the outputs and readouts
   conditioned on the observed rows (each homodyne's optical quadrature, then
   its dark noise), affine in the draws;
-* ``circuit_quadrature_map`` - the output rows as labelled coefficients.
+* ``circuit_quadrature_map`` - the output rows under ``columns``, as they stand.
 """
 
 from __future__ import annotations
@@ -243,30 +242,23 @@ class HomodyneFeedforward:
 
 
 @dataclass(frozen=True)
-class Displacement:
-    mode: int
-    dx: float
-    dp: float
-
-
-@dataclass(frozen=True)
 class Circuit:
     """Ordered element list acting on ``n_input_modes`` initial modes, and its lowering.
 
     ``_lower`` runs once, at construction, and the circuit holds one
     Heisenberg-picture coefficient matrix.  Each row of ``matrix`` is a
     quadrature written as a linear combination of ``columns``: the input
-    quadratures ``x1_in, p1_in, ...``, the constant ``unit`` (displacements)
-    and independent unit-variance sources (ancilla vacua ``xA0, pA0``,
-    impurity ``excessA``, loss vacua ``xv_<tag>, pv_<tag>``, dark noise
-    ``dark<k>``).  The rows are stacked in three blocks: the
-    ``2*n_output_modes`` output quadratures; ``n_readouts`` rows, one per
-    homodyne in element order, holding its electronic readout (the optical
-    quadrature it measures plus its dark noise, the value it feeds forward);
-    then the observed rows a shot is conditioned on, in draw order: per
-    homodyne its optical quadrature, then the unit row of its ``dark<k>``
-    source when it has dark noise.  No per-element state is kept.  Equality,
-    hashing and ``repr`` cover ``elements`` and ``n_input_modes`` only.
+    quadratures ``x1_in, p1_in, ...`` and independent unit-variance sources
+    (ancilla vacua ``xA0, pA0``, impurity ``excessA``, loss vacua
+    ``xv_<tag>, pv_<tag>``, dark noise ``dark<k>``), with no constant.  The
+    rows are stacked in three blocks: the ``2*n_output_modes`` output
+    quadratures; ``n_readouts`` rows, one per homodyne in element order,
+    holding its electronic readout (the optical quadrature it measures plus
+    its dark noise, the value it feeds forward); then the observed rows a
+    shot is conditioned on, in draw order: per homodyne its optical
+    quadrature, then the unit row of its ``dark<k>`` source when it has dark
+    noise.  No per-element state is kept.  Equality, hashing and ``repr``
+    cover ``elements`` and ``n_input_modes`` only.
     """
 
     elements: tuple
@@ -334,7 +326,7 @@ def _lower(elements: tuple, n_input_modes: int) -> tuple:
     if isinstance(n_input_modes, bool) or not isinstance(n_input_modes, Integral) or n_input_modes < 1:
         raise ValueError(f"n_input_modes must be a positive integer, got {n_input_modes!r}")
     # label -> column; ``setdefault`` finds a repeat (excess<label> follows a new x<label>0, dark<k> counts)
-    columns = {c: j for j, c in enumerate([f"{q}{k + 1}_in" for k in range(n_input_modes) for q in "xp"] + ["unit"])}
+    columns = {c: j for j, c in enumerate(f"{q}{k + 1}_in" for k in range(n_input_modes) for q in "xp")}
     scalars = [1.0]  # scalars[0] is the empty product
     layout = [n_input_modes]
     n = n_input_modes
@@ -395,10 +387,6 @@ def _lower(elements: tuple, n_input_modes: int) -> tuple:
                 scalars.append(math.sqrt(el.dark_variance))
             layout.append((kind, k, el.measured_mode, el.target_mode, el.target_quadrature == "p", dark))
             n -= 1
-        elif kind is Displacement:
-            _require(0 <= el.mode < n and math.isfinite(el.dx) and math.isfinite(el.dp), pos, el)
-            scalars += (el.dx, el.dp)
-            layout.append((kind, k, el.mode))
         else:
             raise TypeError(f"unknown circuit element {el!r}")
 
@@ -453,7 +441,6 @@ def _plan(layout: tuple, width: int, n_scalars: int) -> tuple:
         return factors, entries, size
 
     n_input_modes, *steps = layout
-    unit = 2 * n_input_modes
     modes = [[[(2 * m, ())], [(2 * m + 1, ())]] for m in range(n_input_modes)]
     readouts, observed, stages = [], [], []
     for kind, k, *args in steps:
@@ -472,7 +459,7 @@ def _plan(layout: tuple, width: int, n_scalars: int) -> tuple:
             mode, col = args
             x, p = modes[mode]
             modes[mode] = [scaled(x, k) + [(col, (k + 1,))], scaled(p, k) + [(col + 1, (k + 1,))]]
-        elif kind is HomodyneFeedforward:
+        else:  # HomodyneFeedforward
             measured, target, quadrature, dark = args
             x, p = modes[measured]
             optical = readout = scaled(x, k) + scaled(p, k + 1)
@@ -484,9 +471,6 @@ def _plan(layout: tuple, width: int, n_scalars: int) -> tuple:
             modes[target][quadrature] = modes[target][quadrature] + scaled(readout, k + 2)
             del modes[measured]
             readouts.append(readout)
-        else:
-            (mode,) = args
-            modes[mode] = [q + [(unit, (k + d,))] for d, q in enumerate(modes[mode])]
         live = [q for quadratures in modes for q in quadratures]
         if sum(map(len, live)) > _PRODUCTS_PER_ENTRY * sum(len({col for col, _ in q}) for q in live):
             slots = {}  # (row, column) -> index of its sum
@@ -509,8 +493,8 @@ def _moments(circuit: "Circuit", state: GaussianState, n_rows: int | None = None
         raise ValueError(f"circuit expects {circuit.n_input_modes} input modes, got {state.n_modes}")
     rows = circuit.matrix[:n_rows]
     k = 2 * state.n_modes
-    x, noise = rows[:, :k], rows[:, k + 1 :]
-    return x @ state.mean + rows[:, k], x @ state.cov @ x.T + noise @ noise.T
+    x, noise = rows[:, :k], rows[:, k:]
+    return x @ state.mean, x @ state.cov @ x.T + noise @ noise.T
 
 
 class CircuitConstructionError(RuntimeError):
@@ -624,28 +608,15 @@ def _gate_elements(params: GateParams, imp: ImperfectionModel) -> list:
 # deterministic (ensemble-average) execution
 
 
-def run_covariance(
-    circuit: Circuit,
-    state: GaussianState,
-    validate: bool = False,
-) -> GaussianState:
+def run_covariance(circuit: Circuit, state: GaussianState) -> GaussianState:
     """Execute a circuit on the ensemble level; consumes no randomness.
 
-    The lowered outputs give ``mean = X m + u`` and ``cov = X V X^T + N N^T``:
+    The lowered outputs give ``mean = X m`` and ``cov = X V X^T + N N^T``:
     homodyne feedforward enters as its outcome average, the target quadrature
-    gaining ``gain`` times the measured quadrature with readout noise.  With
-    ``validate`` the input and the state after every element are checked for
-    physicality; the state after element ``k`` is the output of the prefix
-    circuit ``elements[:k]``.
+    gaining ``gain`` times the measured quadrature with readout noise.
     """
     n = circuit.n_output_modes
-    out = GaussianState(n, *_moments(circuit, state, 2 * n))
-    if validate:
-        for k in range(len(circuit.elements)):
-            prefix = Circuit(circuit.elements[:k], circuit.n_input_modes)
-            gaussian.assert_physical(run_covariance(prefix, state))
-        gaussian.assert_physical(out)
-    return out
+    return GaussianState(n, *_moments(circuit, state, 2 * n))
 
 
 # --------------------------------------------------------------------------
@@ -736,11 +707,10 @@ def circuit_quadrature_map(circuit: Circuit) -> QuadratureMap:
     The two input modes carry labels ``x1_in, p1_in, x2_in, p2_in``; ancilla
     injections contribute pre-squeezing vacuum labels such as ``xA0``, loss
     channels add fresh vacuum labels and dark noise adds classical labels.
-    The ``unit`` column of displacements is dropped.  The circuit must end
-    with exactly two modes.
+    The map reads the circuit's ``columns`` and its first four rows as they
+    stand, so its matrix is a read-only view.  The circuit must end with
+    exactly two modes.
     """
     if circuit.n_input_modes != 2 or circuit.n_output_modes != 2:
         raise ValueError("coefficient extraction is defined for two-mode circuits ending with two modes")
-    rows, columns = circuit.matrix[:4], circuit.columns
-    # ``_lower`` puts ``unit`` after the four input quadratures
-    return QuadratureMap(columns[:4] + columns[5:], np.concatenate((rows[:, :4], rows[:, 5:]), axis=1))
+    return QuadratureMap(circuit.columns, circuit.matrix[:4])

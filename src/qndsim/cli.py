@@ -210,8 +210,7 @@ def _conditional_views(result: _Conditional) -> tuple:
 def _conditional_rows(result: _Conditional):
     """The measured sweep and the three lossless reference curves, which only the CSV shows."""
     grid = result.grid
-    for sector in ("x", "p"):
-        refs = metrics.reference_sweeps(result.params, sector, grid)
+    for sector, refs in metrics.reference_sweeps(result.params, grid).items():
         measured = metrics.cv_sweep(result.cov, sector, grid)
         columns = (grid, measured, gaussian.variance_to_db(measured), refs.ideal,
                    refs.finite_squeezing, refs.vacuum_ancilla, refs.witness_bound)

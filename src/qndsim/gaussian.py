@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 SYMPLECTIC_TOL = 1e-12
-PHYSICALITY_TOL = 1e-9
 # smallest admissible variance in a conditional-update denominator
 VARIANCE_FLOOR = 1e-12
 _LN10 = float(np.log(10.0))  # scalar arithmetic on it makes no numpy call
@@ -79,26 +78,6 @@ def vacuum_state(n_modes: int) -> GaussianState:
     if n_modes < 1:
         raise ValueError("need at least one mode")
     return GaussianState(n_modes, np.zeros(2 * n_modes), np.eye(2 * n_modes))
-
-
-def min_uncertainty_eigenvalue(state: GaussianState) -> float:
-    """Smallest eigenvalue of the Hermitian matrix ``cov + i*Omega``.
-
-    Non-negative (up to numerical tolerance) for physical states; exactly
-    zero for pure states such as vacuum.
-    """
-    herm = state.cov + 1j * omega(state.n_modes)
-    return float(np.linalg.eigvalsh(herm)[0].real)
-
-
-def assert_physical(state: GaussianState, tol: float = PHYSICALITY_TOL) -> None:
-    asym = np.abs(state.cov - state.cov.T).max()
-    scale = max(1.0, np.abs(state.cov).max())
-    if asym > 1e-12 * scale:
-        raise ValueError(f"covariance not symmetric (max asymmetry {asym:.3e})")
-    ev = min_uncertainty_eigenvalue(state)
-    if ev < -tol:
-        raise ValueError(f"covariance violates cov + i*Omega >= 0 (min eig {ev:.3e})")
 
 
 class SymplecticMatrix:

@@ -122,16 +122,16 @@ class ReferenceSweeps:
     witness_bound: np.ndarray     # 2*|g| per sector (both sectors sum to 4|g|)
 
 
-def reference_sweeps(params: GateParams, sector: str, g_grid) -> ReferenceSweeps:
-    """The three lossless reference curves against which runs are plotted."""
+def reference_sweeps(params: GateParams, g_grid) -> dict:
+    """Each sector's three lossless reference curves, ``{"x": ..., "p": ...}``, from one build of each map."""
     g = np.asarray(g_grid, dtype=float)
     maps = (
         ideal_qnd_map(params.gain),
         finite_squeezing_map(params.R, params.r_a, params.r_b),
         finite_squeezing_map(params.R, 0.0, 0.0),
     )
-    curves = [cv_sweep(moments_from_map(m)[1], sector, g) for m in maps]
-    return ReferenceSweeps(*curves, 2.0 * np.abs(g))
+    covs = [moments_from_map(m)[1] for m in maps]
+    return {s: ReferenceSweeps(*(cv_sweep(cov, s, g) for cov in covs), 2.0 * np.abs(g)) for s in ("x", "p")}
 
 
 @dataclass

@@ -16,6 +16,9 @@ zero.
 
 Basis labels
 ------------
+A two-mode circuit's ``columns`` are these labels and nothing else, so
+``circuit.circuit_quadrature_map`` reads them as they stand.
+
 ``x1_in, p1_in, x2_in, p2_in``
     quadratures of the two input modes,
 ``xA0, pA0, xB0, pB0``

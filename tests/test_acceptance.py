@@ -30,6 +30,8 @@ from qndsim.quadexpr import (
 )
 from qndsim.scenario import ScenarioConfig
 
+from physicality import run_covariance_checked
+
 R_GRID = (0.1, 0.25, 0.3819660112501051, 0.5, 0.75, 1.0)
 DB_GRID = (0.0, -3.0, -5.0, -10.0, -60.0)
 
@@ -281,7 +283,7 @@ def test_criterion_9_physicality_suite():
          ImperfectionModel(), vacuum_state(2)),
     ]
     for params, imp, state in scenarios:
-        run_covariance(build_qnd_gate(params, imp), state, validate=True)
+        run_covariance_checked(build_qnd_gate(params, imp), state)
 
     # every constructed mixing/squeezing operation is symplectic to 1e-12
     worst = 0.0

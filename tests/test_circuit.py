@@ -20,7 +20,6 @@ from qndsim.circuit import (
     BeamSplitter,
     Circuit,
     CircuitConstructionError,
-    Displacement,
     GateParams,
     HomodyneFeedforward,
     ImperfectionModel,
@@ -44,6 +43,9 @@ from qndsim.quadexpr import (
     max_coefficient_difference,
     moments_from_map,
 )
+
+import physicality
+from physicality import run_covariance_checked
 
 R_GOLDEN = 0.3819660112501051
 R_GRID = (0.1, 0.25, R_GOLDEN, 0.5, 0.75, 1.0)
@@ -332,16 +334,16 @@ class TestRunCovariance:
         assert np.allclose(out.mean, mean, atol=1e-10)
         assert np.allclose(out.cov, cov, atol=1e-10)
 
-    def test_validate_mode_checks_each_step(self):
+    def test_checked_run_checks_each_step(self):
         circuit = build_qnd_gate(GateParams.from_gain(1.0), ImperfectionModel())
-        out = run_covariance(circuit, gaussian.vacuum_state(2), validate=True)
-        gaussian.assert_physical(out)
+        out = run_covariance_checked(circuit, gaussian.vacuum_state(2))
+        physicality.assert_physical(out)
 
-    def test_validate_evaluates_every_intermediate_state(self, monkeypatch):
+    def test_checked_run_evaluates_every_intermediate_state(self, monkeypatch):
         circuit = build_qnd_gate(GateParams.from_gain(1.0), ImperfectionModel())
         checked = []
-        monkeypatch.setattr(gaussian, "assert_physical", lambda s: checked.append(s.n_modes))
-        run_covariance(circuit, gaussian.vacuum_state(2), validate=True)
+        monkeypatch.setattr(physicality, "assert_physical", lambda s: checked.append(s.n_modes))
+        run_covariance_checked(circuit, gaussian.vacuum_state(2))
         # the input, then one state per element; ancillas show as a third mode
         assert len(checked) == len(circuit.elements) + 1
         assert checked[0] == checked[-1] == 2
@@ -388,7 +390,6 @@ class TestRunTrajectory:
             elements=(
                 BeamSplitter(0, 1, 0.3),
                 Loss(0, 0.9),
-                Displacement(1, 0.5, -0.5),
             )
         )
         state = gaussian.displace(gaussian.vacuum_state(2), 0, 2.0, 1.0)
@@ -465,7 +466,7 @@ class TestCircuitValidation:
 
     def test_total_loss_leaves_vacuum(self):
         state = gaussian.squeeze(gaussian.displace(gaussian.vacuum_state(2), 0, 1.5, -0.5), 0, 0.8)
-        out = run_covariance(Circuit((Loss(0, 0.0),)), state, validate=True)
+        out = run_covariance_checked(Circuit((Loss(0, 0.0),)), state)
         assert np.array_equal(out.mean[:2], [0.0, 0.0])
         assert np.array_equal(out.cov[:2, :2], np.eye(2))
         np.testing.assert_array_equal(out.cov[2:, 2:], state.cov[2:, 2:])
@@ -486,11 +487,6 @@ class TestCircuitValidation:
         with pytest.raises(ValueError, match="position 0"):
             Circuit(elements=(HomodyneFeedforward(0, target_mode=1, target_quadrature="x",
                                                   gain=1.0, **kwargs),))
-
-    @pytest.mark.parametrize("dx,dp", [(math.nan, 0.0), (0.0, math.inf)])
-    def test_non_finite_displacement_rejected(self, dx, dp):
-        with pytest.raises(ValueError, match="position 0"):
-            Circuit(elements=(Displacement(0, dx, dp),))
 
     @pytest.mark.parametrize("n", [0, -1, True, 2.0])
     def test_bad_input_mode_count_rejected(self, n):
@@ -583,10 +579,9 @@ BeamSplitter i=0 j=1 reflectivity=0.5 signs=(-1,-1,1,-1)
 Loss mode=0 eta=0.93 tag=main1
 Loss mode=1 eta=0.93 tag=main2"""
 
-# all five element kinds, an impure ancilla, an auto-tagged loss and a
+# all four element kinds, an impure ancilla, an auto-tagged loss and a
 # detector loss before the homodyne
 EVERY_KIND = (
-    Displacement(0, 1.5, -0.25),
     AncillaInjection(0.3, 0.25, "C", 2.5),
     BeamSplitter(0, 2, 0.4),
     Loss(1, 0.9),
@@ -596,7 +591,6 @@ EVERY_KIND = (
 
 GOLDEN_EVERY_KIND_TEXT = """\
 Circuit n_input_modes=2
-Displacement mode=0 dx=1.5 dp=-0.25
 AncillaInjection r=0.3 angle=0.25 label=C antisqueeze_excess=2.5
 BeamSplitter i=0 j=2 reflectivity=0.4 signs=(1,1,-1,1)
 Loss mode=1 eta=0.9 tag=
@@ -647,18 +641,20 @@ def test_gate_element_lists_are_pinned(budget):
 
 # the same builds' lowered matrices, shape and bytes, as the per-layout plan
 # sums them with quarter turns read exactly: a refactor of the element model
-# or the lowering must leave every one of them unchanged
+# or the lowering must leave every one of them unchanged.  Recorded again when
+# the all-zero ``unit`` column went: each matrix is the one before with that
+# column deleted, byte for byte
 GATE_MATRIX_SHA256 = {
-    "ideal": "7d0df6863e1b94ea4183b05fa30f0d0fff7e3a7a8b71c8a664127ca92a0f250d",
-    "default": "241abb964ffd3ff5fc768a06384012527b25d8840250f8598c727a259eb3a6a1",
-    "pre_entry": "79d2d494b52e2c2bec366daaf34ebb3a2c96fe7a5b6589990ad4ea5bb0e92ae3",
+    "ideal": "5a063452386078d289e996ebb5b48f75a72010a17a4efec0c3eaf08f17a8110d",
+    "default": "cb95364b1cd494d0ce3207eb6273179b4f5735e840915b3d1de757468211ec85",
+    "pre_entry": "a26650f9b5d97c1a949b22b315c1635758a8e44fec39afd5013a6229156225e6",
     # the post-exit circuit again
-    "in_arms": "241abb964ffd3ff5fc768a06384012527b25d8840250f8598c727a259eb3a6a1",
-    "coupler loss 0": "4f99b06110d99f40444dc97f94269450d26dded2a28687a03c063dfa0c6209c6",
-    "dark noise inf": "b2794714a278e83377f77fe6c6ef310ecfe7c972e8f0595f8e03defdc9cdc72a",
-    "gain error +0.02": "bf4d67a0cb371cd9ac5514ee28fac4a96c3124d0ef4febc708f8c63cbc4b4c1e",
-    "gain error -0.02": "18ac1f880a372de7adbcebcdbdec6dea856cf82b2d2107a4d4c164f8c8949ead",
-    "in-loop loss 0.03": "a6ecf8635f798ea1e971b2015d53569a70d695f393c1b67de0085d9a50f18b3d",
+    "in_arms": "cb95364b1cd494d0ce3207eb6273179b4f5735e840915b3d1de757468211ec85",
+    "coupler loss 0": "a8cc901b44c79029e1f3825b9afc2121e8abc7cc1096fb719e56202658b6e3ea",
+    "dark noise inf": "7762b8cc9bba818fd8037d85acc8a0aa1b4df9d8abdc3ba8115579b3200ae2e9",
+    "gain error +0.02": "791fd7d0b6e979c5ade04a33dd5c062f329e8b26c77bbc15573e1efc0641ca80",
+    "gain error -0.02": "cbf431af3ec09703810d1e77e5122d96ed62d5314f9f58214602eeeca3b87400",
+    "in-loop loss 0.03": "d43c922b6e0832dc6c61a72e823d9692ef59ad5afec1c265cc6b0abfad33ae42",
 }
 
 
@@ -670,6 +666,19 @@ def test_gate_matrices_are_pinned(budget):
         digest.update(repr(matrix.shape).encode("utf-8"))
         digest.update(matrix.tobytes())
     assert digest.hexdigest() == GATE_MATRIX_SHA256[budget]
+
+
+@pytest.mark.parametrize("budget", list(_PINNED_BUDGETS))
+def test_gate_map_is_the_lowering_as_it_stands(budget):
+    # the lowering is linear, with no constant column, so the coefficient map
+    # is the circuit's own columns and first four rows
+    for params in _PINNED_GATES:
+        circuit = build_qnd_gate(params, _PINNED_BUDGETS[budget])
+        assert "unit" not in circuit.columns
+        assert circuit.columns[:4] == quadexpr_module.INPUT_COLUMNS
+        qmap, want = circuit_quadrature_map(circuit), QuadratureMap(circuit.columns, circuit.matrix[:4])
+        assert qmap.columns == want.columns
+        assert qmap.matrix.tobytes() == want.matrix.tobytes()
 
 
 def _reach(linked: np.ndarray, columns: list) -> np.ndarray:
@@ -790,7 +799,7 @@ class TestLossPlacement:
     def test_placements_execute(self, placement):
         imp = replace(ImperfectionModel(), loss_placement=placement)
         circuit = build_qnd_gate(GateParams.from_gain(1.0), imp)
-        out = run_covariance(circuit, gaussian.vacuum_state(2), validate=True)
+        out = run_covariance_checked(circuit, gaussian.vacuum_state(2))
         assert out.n_modes == 2
 
     def test_placements_differ(self):
@@ -943,25 +952,11 @@ class TestOracleComparison:
         with pytest.raises(CircuitConstructionError, match="coefficient error nan"):
             build_qnd_gate(params, imp)
 
-    def test_unit_column_is_ignored(self, monkeypatch):
-        # a displacement moves only the unit column, which the oracle lacks
-        elements = circuit_module._gate_elements
-        monkeypatch.setattr(
-            circuit_module, "_gate_elements",
-            lambda params, imp: elements(params, imp) + [Displacement(0, 3.0, -2.0)],
-        )
-        circuit_module._gate.cache_clear()
-        try:
-            assert circuit_module.oracle_error(GateParams(0.25)) < 1e-12
-        finally:
-            circuit_module._gate.cache_clear()
-
-    def test_map_drops_only_the_unit_column(self):
-        circuit = Circuit((Displacement(1, 0.5, -1.5), Loss(0, 0.8, "a"), BeamSplitter(0, 1, 0.3)))
+    def test_map_is_the_circuit_columns_and_output_rows(self):
+        circuit = Circuit((Loss(0, 0.8, "a"), BeamSplitter(0, 1, 0.3)))
         qmap = circuit_quadrature_map(circuit)
-        keep = [j for j, label in enumerate(circuit.columns) if label != "unit"]
-        assert qmap.columns == tuple(circuit.columns[j] for j in keep)
-        assert np.array_equal(qmap.matrix, circuit.matrix[:4, keep])
+        assert qmap.columns == circuit.columns == ("x1_in", "p1_in", "x2_in", "p2_in", "xv_a", "pv_a")
+        assert qmap.matrix.tobytes() == circuit.matrix[:4].tobytes()
         for other in (Circuit((), n_input_modes=1), Circuit((AncillaInjection(0.3, 0.0, "A"),))):
             with pytest.raises(ValueError, match="two-mode circuits ending with two modes"):
                 circuit_quadrature_map(other)
@@ -1119,7 +1114,7 @@ class TestBudgetMap:
         # reaches the outputs, so the map names only its partner: pv_detA, xv_detB
         partners = {"xp"[label[0] == "x"] + label[1:] for label in columns if label[0] in "xp"}
         circuit = build_qnd_gate(params, imp)
-        assert set(circuit.columns) <= {*quadexpr_module.INPUT_COLUMNS, "unit", *columns, *partners}
+        assert set(circuit.columns) <= {*quadexpr_module.INPUT_COLUMNS, *columns, *partners}
 
     @settings(max_examples=50, deadline=None, derandomize=True)
     @given(params=_DEEP_GATES)
@@ -1195,7 +1190,7 @@ def _arm(quadrature: str, R: float, r: float) -> Circuit:
     label = {"x": "A", "p": "B"}[quadrature]
     elements = circuit_module._squeezer_elements(quadrature, 1, label, r, 1.0, R, ImperfectionModel.ideal())
     arm = Circuit(elements, n_input_modes=1)
-    assert arm.columns == ("x1_in", "p1_in", "unit", f"x{label}0", f"p{label}0")
+    assert arm.columns == ("x1_in", "p1_in", f"x{label}0", f"p{label}0")
     assert arm.n_output_modes == 1
     return arm
 
@@ -1205,14 +1200,14 @@ def _composed_gate_map(R: float, r_a: float, r_b: float) -> QuadratureMap:
     the x squeezer on path 1 and the p squeezer on path 2, exit beam splitter."""
 
     def splitter(reflectivity, signs):
-        return Circuit((BeamSplitter(0, 1, reflectivity, signs),)).matrix[:, :4]
+        return Circuit((BeamSplitter(0, 1, reflectivity, signs),)).matrix
 
     # block-diagonal arms: each path's rows over the inputs, then over its ancilla
     paths, ancillas = np.zeros((4, 4)), np.zeros((4, 4))
     for k, (quadrature, r) in enumerate((("x", r_a), ("p", r_b))):
         rows = _arm(quadrature, R, r).matrix[:2]
         paths[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = rows[:, :2]
-        ancillas[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = rows[:, 3:]
+        ancillas[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = rows[:, 2:]
     entry = splitter(1.0 / (1.0 + R), (1, -1, 1, 1))
     exit_ = splitter(R / (1.0 + R), (-1, -1, 1, -1))
     columns = ("x1_in", "p1_in", "x2_in", "p2_in", "xA0", "pA0", "xB0", "pB0")
@@ -1236,10 +1231,10 @@ class TestSqueezerGadget:
     def test_one_arm_squeezes_its_quadrature_by_sqrt_r(self, quadrature, R, db):
         r = gaussian.squeeze_parameter_from_db(db)
         u, v = math.sqrt(R), math.sqrt(1.0 - R) * math.exp(-r)
-        # rows x, p over x_in, p_in, unit and the ancilla's x0, p0
+        # rows x, p over x_in, p_in and the ancilla's x0, p0
         want = {
-            "x": [[-u, 0.0, 0.0, v, 0.0], [0.0, -1.0 / u, 0.0, 0.0, 0.0]],
-            "p": [[-1.0 / u, 0.0, 0.0, 0.0, 0.0], [0.0, -u, 0.0, 0.0, -v]],
+            "x": [[-u, 0.0, v, 0.0], [0.0, -1.0 / u, 0.0, 0.0]],
+            "p": [[-1.0 / u, 0.0, 0.0, 0.0], [0.0, -u, 0.0, -v]],
         }[quadrature]
         assert np.abs(_arm(quadrature, R, r).matrix[:2] - want).max() <= 1e-12
 
@@ -1272,8 +1267,8 @@ def _reference_lower(elements: tuple, n_input_modes: int) -> tuple:
     if isinstance(n_input_modes, bool) or not isinstance(n_input_modes, Integral) or n_input_modes < 1:
         raise ValueError(f"n_input_modes must be a positive integer, got {n_input_modes!r}")
     # every element adds at most three source columns
-    width = 2 * n_input_modes + 1 + 3 * len(elements)
-    columns = [f"{q}{k + 1}_in" for k in range(n_input_modes) for q in "xp"] + ["unit"]
+    width = 2 * n_input_modes + 3 * len(elements)
+    columns = [f"{q}{k + 1}_in" for k in range(n_input_modes) for q in "xp"]
     eye = np.eye(2 * n_input_modes, width)
     modes = [eye[2 * k : 2 * k + 2] for k in range(n_input_modes)]
     readouts, observed = [], []
@@ -1340,9 +1335,6 @@ def _reference_lower(elements: tuple, n_input_modes: int) -> tuple:
             modes[el.target_mode][0 if el.target_quadrature == "x" else 1] += el.gain * readout
             del modes[el.measured_mode]
             readouts.append(readout)
-        elif isinstance(el, Displacement):
-            _require(0 <= el.mode < n and math.isfinite(el.dx) and math.isfinite(el.dp), pos, el)
-            modes[el.mode][:, 2 * n_input_modes] += (el.dx, el.dp)
         else:
             raise TypeError(f"unknown circuit element {el!r}")
 
@@ -1372,7 +1364,6 @@ _BAD_ELEMENTS = st.sampled_from(
         HomodyneFeedforward(0, 0.0, 0, "x", 1.0),
         HomodyneFeedforward(0, 0.0, 1, "q", 1.0),
         HomodyneFeedforward(0, 0.0, 1, "x", 1.0, dark_variance=math.inf),
-        Displacement(0, math.nan, 0.0),
         "not an element",
     ]
 )
@@ -1380,7 +1371,7 @@ _BAD_ELEMENTS = st.sampled_from(
 
 @st.composite
 def _element_lists(draw):
-    """1-4 input modes and up to 12 elements of all five kinds, mostly valid.
+    """1-4 input modes and up to 12 elements of all four kinds, mostly valid.
 
     A homodyne drawn with an efficiency below 1 comes after its detector loss.
     """
@@ -1394,7 +1385,7 @@ def _element_lists(draw):
             continue
         mode = st.integers(0, n - 1)
         pair = st.lists(mode, min_size=2, max_size=2, unique=True)
-        kinds = ["ancilla", "loss", "displacement"] + (["beam splitter", "homodyne"] if n > 1 else [])
+        kinds = ["ancilla", "loss"] + (["beam splitter", "homodyne"] if n > 1 else [])
         kind = draw(st.sampled_from(kinds))
         if kind == "ancilla":
             # labels repeat only through the loss tags and the examples
@@ -1420,8 +1411,6 @@ def _element_lists(draw):
                 draw(st.floats(-3.0, 3.0)), dark_variance=draw(dark),
             ))
             n -= 1
-        else:
-            elements.append(Displacement(draw(mode), draw(st.floats(-5.0, 5.0)), draw(st.floats(-5.0, 5.0))))
     return tuple(elements), n_input_modes
 
 
@@ -1429,19 +1418,17 @@ class TestLoweringBitIdentity:
     @settings(max_examples=400, deadline=None, derandomize=True)
     @given(case=_element_lists())
     @example(case=(EVERY_KIND, 2))
-    # i > j, angles off 0 and pi/2, dark noise, detector losses, an impure
-    # ancilla and displacements after the feedforward, on three input modes
+    # i > j, angles off 0 and pi/2, dark noise, detector losses and an impure
+    # ancilla, on three input modes
     @example(case=(
         (
             AncillaInjection(0.7, 2.0, "A", 1.8),
             BeamSplitter(3, 1, 0.3, (-1, 1, 1, 1)),
             Loss(1, 0.8),
             HomodyneFeedforward(1, -0.4, 3, "x", 1.25, dark_variance=0.05),
-            Displacement(2, -1.0, 0.5),
             Loss(0, 0.6, "arm"),
             Loss(2, 0.9, "det"),
             HomodyneFeedforward(2, math.pi, 0, "p", -0.5),
-            Displacement(0, 0.25, 3.0),
         ),
         3,
     ))
@@ -1491,10 +1478,10 @@ class TestLoweringPlan:
             assert plan.cache_info().misses == 1
             assert circuit_module._lower(elements, 2)[1].tobytes() == recorded
             assert plan.cache_info().hits == 1
-            # k displacements are one more layout each, enough to evict the gate's
+            # k losses are one more layout each, enough to evict the gate's
             maxsize = plan.cache_info().maxsize
             for k in range(maxsize + 1):
-                circuit_module._lower((Displacement(0, 0.5, -0.5),) * k, 1)
+                circuit_module._lower((Loss(0, 0.5),) * k, 1)
             assert plan.cache_info().currsize == maxsize
             assert circuit_module._lower(elements, 2)[1].tobytes() == recorded
             assert plan.cache_info().misses == maxsize + 3

@@ -12,11 +12,12 @@ from qndsim.gaussian import (
     beam_splitter,
     displace,
     loss_channel,
-    min_uncertainty_eigenvalue,
     omega,
     squeeze,
     vacuum_state,
 )
+
+from physicality import assert_physical, min_uncertainty_eigenvalue
 
 TOL = 1e-12
 MINUS_5_DB = 10.0 ** (-0.5)  # 0.31623, squeezed variance 5 dB below shot
@@ -180,7 +181,7 @@ class TestLossChannel:
         state = beam_splitter(state, 0, 1, 0.5)
         lossy = loss_channel(state, 0, eta)
         assert min_uncertainty_eigenvalue(lossy) >= -1e-9
-        gaussian.assert_physical(lossy)
+        assert_physical(lossy)
 
 
 def _epr_pair(r):
@@ -275,7 +276,7 @@ class TestHomodyne:
         state = squeeze(vacuum_state(2), 0, 20.0)
         out = homodyne(state, 0, 0.0, rng(8))
         assert np.isfinite(out.value)
-        gaussian.assert_physical(out.reduced_state, tol=1e-6)
+        assert_physical(out.reduced_state, tol=1e-6)
 
     def test_single_mode_rejected(self):
         with pytest.raises(ValueError):
@@ -306,13 +307,13 @@ class TestPhysicality:
         state = vacuum_state(1)
         state.cov[0, 1] = 0.5
         with pytest.raises(ValueError):
-            gaussian.assert_physical(state)
+            assert_physical(state)
 
     def test_unphysical_cov_rejected(self):
         state = vacuum_state(1)
         state.cov = np.diag([0.1, 0.1])  # violates the uncertainty bound
         with pytest.raises(ValueError):
-            gaussian.assert_physical(state)
+            assert_physical(state)
 
     def test_db_conversions_roundtrip(self):
         for db in (-10.0, -5.0, 0.0, 3.01):
