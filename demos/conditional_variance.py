@@ -12,11 +12,8 @@ from qndsim import (
     GateParams,
     ImperfectionModel,
     build_qnd_gate,
-    conditional_variance,
-    duan_simon,
+    evaluate_gate,
     reference_sweeps,
-    run_covariance,
-    vacuum_state,
 )
 
 params = GateParams.from_gain(1.0)
@@ -33,12 +30,10 @@ for g, a, b, c, w in zip(grid, refs.ideal, refs.finite_squeezing,
 
 for db, label in ((-5.0, "squeezed (-5 dB)"), (0.0, "vacuum ancillas")):
     p = GateParams.from_gain(1.0, squeezing_db_a=db, squeezing_db_b=db)
-    circuit = build_qnd_gate(p, ImperfectionModel.ideal())
-    cov = run_covariance(circuit, vacuum_state(2)).cov
-    v, g_opt = conditional_variance(cov, "x")
-    witness = duan_simon(cov, g_opt)
+    report = evaluate_gate(build_qnd_gate(p, ImperfectionModel.ideal()), p)
+    m, witness = report.sectors["x"], report.duan
     print(f"\n{label}:")
-    print(f"  V_SP = {v:.5f} at g_opt = {g_opt:.5f} (both sectors, by symmetry)")
+    print(f"  V_SP = {m.v_conditional:.5f} at g_opt = {m.g_opt:.5f} (both sectors, by symmetry)")
     print(
         f"  witness at g_opt: {witness.combined_sum:.4f} vs 4|g| = {witness.bound:.4f}"
         f" -> {'entangled' if witness.entangled else 'not certified'}"
@@ -55,11 +50,9 @@ for db, label in ((-5.0, "squeezed (-5 dB)"), (0.0, "vacuum ancillas")):
 # entangle them at any rescaling gain.
 
 print("\nwith the measured loss budget the verdict survives:")
-circuit = build_qnd_gate(params, ImperfectionModel())
-cov = run_covariance(circuit, vacuum_state(2)).cov
-v, g_opt = conditional_variance(cov, "x")
-witness = duan_simon(cov, g_opt)
+report = evaluate_gate(build_qnd_gate(params, ImperfectionModel()), params)
+witness = report.duan
 print(
-    f"  V_SP = {v:.5f}, witness {witness.combined_sum:.4f} < {witness.bound:.4f}"
+    f"  V_SP = {report.sectors['x'].v_conditional:.5f}, witness {witness.combined_sum:.4f} < {witness.bound:.4f}"
     f" -> entangled = {witness.entangled}"
 )

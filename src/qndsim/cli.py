@@ -14,6 +14,9 @@ scenario; its flags and the rejection of values it leaves unread derive from
 it.  Each subcommand computes one result, the figures it prints or writes, and
 renders it as stdout lines and lazy CSV rows, which ``_emit`` writes only for
 a scenario with an ``output.path``; ``oracle-check`` exits on its verdict.
+``transfer`` and ``conditional`` render the ``metrics.evaluate_gate``
+``QndReport`` of their vacuum output, the result ``reproduce-table`` reads too;
+``transfer`` adds its four excitation cases.
 
 Covariance-mode output is deterministic and byte-identical across runs.
 In trajectory mode ``transfer`` and ``conditional`` read every figure they
@@ -40,7 +43,6 @@ from .circuit import (
     GateParams,
     ImperfectionModel,
     build_qnd_gate,
-    circuit_quadrature_map,
     oracle_error,
     run_covariance,
 )
@@ -118,9 +120,8 @@ _EXCITATION_CASES = (("a", "x1"), ("b", "x2"), ("c", "p1"), ("d", "p2"))
 
 
 class _Transfer(NamedTuple):
-    params: GateParams
+    report: metrics.QndReport
     cases: tuple         # per case: (case, excited input, output means, carrying quadratures)
-    coefficients: dict   # sector -> (T_S, T_P)
 
 
 def cmd_transfer(config: ScenarioConfig) -> str:
@@ -131,29 +132,27 @@ def _transfer(config: ScenarioConfig) -> _Transfer:
     params = config.gate_params()
     circuit = build_qnd_gate(params, config.imperfections)
     amplitude = metrics.DEFAULT_PROBE_AMPLITUDE
-    # one vacuum output and one map serve the four cases and both sectors:
-    # exciting input quadrature j by amplitude adds amplitude times the map's
-    # column j to the vacuum output mean and leaves the covariance alone
+    # one vacuum output serves the four cases and both sectors: exciting input
+    # quadrature j by amplitude adds amplitude times column j of the output rows
+    # (the quadrature map) to the vacuum output mean and leaves the covariance alone
     vacuum_mean, cov = _vacuum_output(config, circuit)
-    qmap = circuit_quadrature_map(circuit)
     # covariance mode is exact; trajectory mode carries Monte Carlo noise
     floor = 1e-6 if config.run.mode == "covariance" else 0.1
-    columns = [qmap.columns.index(f"{label}_in") for _, label in _EXCITATION_CASES]
-    means = vacuum_mean + amplitude * qmap.matrix[:, columns].T  # one row per case
+    columns = [circuit.columns.index(f"{label}_in") for _, label in _EXCITATION_CASES]
+    means = vacuum_mean + amplitude * circuit.matrix[:4, columns].T  # one row per case
     # snap float noise to zero so reports are stable across R/G round trips
     means = np.where(np.abs(means) < 1e-12, 0.0, means).tolist()
     cases = tuple(
         (case, label, mean, tuple(q for q, m in zip(_QUADS, mean) if abs(m) > floor * amplitude))
         for (case, label), mean in zip(_EXCITATION_CASES, means)
     )
-    coefficients = {s: metrics.transfer_coefficients(qmap, cov, s) for s in ("x", "p")}
-    return _Transfer(params, cases, coefficients)
+    return _Transfer(metrics.evaluate_gate(circuit, params, cov), cases)
 
 
 def _transfer_views(result: _Transfer) -> tuple:
     amplitude = metrics.DEFAULT_PROBE_AMPLITUDE
     lines = [
-        f"coherent-excitation routing, G={result.params.gain:.4f}, "
+        f"coherent-excitation routing, G={result.report.params.gain:.4f}, "
         f"input amplitude {amplitude:g} (mean^2 = {amplitude**2:g} x shot)"
     ]
     lines += [
@@ -161,41 +160,30 @@ def _transfer_views(result: _Transfer) -> tuple:
         f"  -> carried by {', '.join(carried) if carried else 'none'}"
         for case, label, (x1, p1, x2, p2), carried in result.cases
     ]
-    sectors = result.coefficients.items()
-    lines += [f"sector {s}: T_S={t_s:.5f} T_P={t_p:.5f} T_sum={t_s + t_p:.5f}" for s, (t_s, t_p) in sectors]
+    sectors = result.report.sectors.items()
+    lines += [f"sector {s}: T_S={m.t_signal:.5f} T_P={m.t_probe:.5f} T_sum={m.t_sum:.5f}" for s, m in sectors]
     csv_rows = itertools.chain(
         (f"{case},{label},{x1:.9f},{p1:.9f},{x2:.9f},{p2:.9f}" for case, label, (x1, p1, x2, p2), _ in result.cases),
-        (f"T_{s},,{t_s:.9f},{t_p:.9f},{t_s + t_p:.9f}," for s, (t_s, t_p) in sectors),
+        (f"T_{s},,{m.t_signal:.9f},{m.t_probe:.9f},{m.t_sum:.9f}," for s, m in sectors),
     )
     return lines, "case,excited,mean_x1,mean_p1,mean_x2,mean_p2", csv_rows
-
-
-class _Conditional(NamedTuple):
-    params: GateParams
-    cov: np.ndarray      # vacuum-input output covariance, which the CSV's sweep reads
-    grid: np.ndarray     # the rescaling gains g the CSV sweeps
-    optima: dict         # sector -> (V_SP, g_opt)
-    duan: metrics.DuanResult
 
 
 def cmd_conditional(config: ScenarioConfig) -> str:
     return _emit(config, *_conditional_views(_conditional(config)))
 
 
-def _conditional(config: ScenarioConfig) -> _Conditional:
+def _conditional(config: ScenarioConfig) -> metrics.QndReport:
     params = config.gate_params()
-    _, cov = _vacuum_output(config, build_qnd_gate(params, config.imperfections))
-    grid = config.run.g_grid()
-    optima = {sector: metrics.conditional_variance(cov, sector) for sector in ("x", "p")}
-    # snap float noise to zero, as transfer does: a lossy G = 0 gate gives g_opt near -2e-19
-    optima = {s: (v, 0.0 if abs(g) < 1e-12 else g) for s, (v, g) in optima.items()}
-    return _Conditional(params, cov, grid, optima, metrics.duan_simon(cov, optima["x"][1], grid))
+    circuit = build_qnd_gate(params, config.imperfections)
+    _, cov = _vacuum_output(config, circuit)
+    return metrics.evaluate_gate(circuit, params, cov, config.run.g_grid())
 
 
-def _conditional_views(result: _Conditional) -> tuple:
-    duan = result.duan
-    lines = [f"conditional-variance sweep, G={result.params.gain:.4f}"]
-    lines += [f"sector {s}: V_SP={v:.5f} at g_opt={g:.5f}" for s, (v, g) in result.optima.items()]
+def _conditional_views(report: metrics.QndReport) -> tuple:
+    duan = report.duan
+    lines = [f"conditional-variance sweep, G={report.params.gain:.4f}"]
+    lines += [f"sector {s}: V_SP={m.v_conditional:.5f} at g_opt={m.g_opt:.5f}" for s, m in report.sectors.items()]
     lines += [
         f"witness at g={duan.g:.5f}: sum={duan.combined_sum:.5f} vs bound={duan.bound:.5f}"
         f" -> {'entangled' if duan.entangled else 'not certified'}",
@@ -204,14 +192,14 @@ def _conditional_views(result: _Conditional) -> tuple:
     ]
     header = ("sector,g,simulated,simulated_dB,ideal,finite_squeezing,vacuum_ancilla,"
               "witness_bound_per_sector")
-    return lines, header, _conditional_rows(result)
+    return lines, header, _conditional_rows(report)
 
 
-def _conditional_rows(result: _Conditional):
+def _conditional_rows(report: metrics.QndReport):
     """The measured sweep and the three lossless reference curves, which only the CSV shows."""
-    grid = result.grid
-    for sector, refs in metrics.reference_sweeps(result.params, grid).items():
-        measured = metrics.cv_sweep(result.cov, sector, grid)
+    grid = report.g_grid
+    for sector, refs in metrics.reference_sweeps(report.params, grid).items():
+        measured = metrics.cv_sweep(report.cov, sector, grid)
         columns = (grid, measured, gaussian.variance_to_db(measured), refs.ideal,
                    refs.finite_squeezing, refs.vacuum_ancilla, refs.witness_bound)
         for g, m, db, ci, cii, ciii, bound in zip(*(column.tolist() for column in columns)):

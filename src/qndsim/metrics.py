@@ -86,8 +86,9 @@ def conditional_variance(cov: np.ndarray, sector: str):
 
     Returns ``(V_SP, g_opt)``; closed form ``V_S * (1 - C**2)`` with
     ``g_opt`` the minimizing rescaling gain of ``Var(x1 - g*x2)`` (x sector)
-    or ``Var(p2 + g*p1)`` (p sector).  A (4, 4) covariance gives two floats,
-    a stack of shape (n, 4, 4) two arrays of length n.
+    or ``Var(p2 + g*p1)`` (p sector), and a ``|g_opt|`` below 1e-12 read as
+    +0.0.  A (4, 4) covariance gives two floats, a stack of shape (n, 4, 4)
+    two arrays of length n, snapped entry by entry.
     """
     s, p, sign = _check_sector(sector)
     cov = np.asarray(cov, dtype=float)
@@ -97,11 +98,13 @@ def conditional_variance(cov: np.ndarray, sector: str):
     if any(floor.flat):
         # a noiseless probe carries no information: V_SP = V_S at g = 0
         var_p = np.where(floor, np.inf, var_p)
-    g_opt = -sign * c / var_p + 0.0  # turns -0.0, which prints as "-0.00000", into +0.0
+    g_opt = -sign * c / var_p
     value = var_s - c * c / var_p
     if cov.ndim == 2:
-        return float(value), float(g_opt)
-    return value, g_opt
+        value, g_opt = float(value), float(g_opt)
+    # zero float noise (a lossy G = 0 gate gives about -2e-19) and -0.0, which
+    # print as "-0.00000": a product, as np.where takes 2 us on a float
+    return value, g_opt * (abs(g_opt) >= 1e-12) + 0.0
 
 
 def cv_sweep(cov: np.ndarray, sector: str, g_grid) -> np.ndarray:
@@ -200,17 +203,18 @@ class QndReport:
     ``cov`` is the vacuum-input output covariance the sector metrics were
     read from.  The witness ``duan`` is evaluated from it the first time it
     is read, so a caller that prints only the sector metrics scans no gain
-    grid.
+    grid; ``g_grid`` is the grid it scans, ``DEFAULT_G_GRID`` when None.
     """
 
     params: GateParams
     sectors: dict  # "x"/"p" -> SectorMetrics
     cov: np.ndarray = field(repr=False, compare=False)
+    g_grid: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @cached_property
     def duan(self) -> DuanResult:
-        """The witness at the x sector's ``g_opt``, scanned over ``DEFAULT_G_GRID``."""
-        return duan_simon(self.cov, self.sectors["x"].g_opt)
+        """The witness at the x sector's ``g_opt``, scanned over ``g_grid``; computed on first read."""
+        return duan_simon(self.cov, self.sectors["x"].g_opt, self.g_grid)
 
     @property
     def entangled(self) -> bool:
@@ -251,14 +255,18 @@ def _sector_metrics(qmap: QuadratureMap, cov: np.ndarray, signal_scale=1.0) -> d
     return sectors
 
 
-def evaluate_gate(circuit: Circuit, params: GateParams) -> QndReport:
+def evaluate_gate(circuit: Circuit, params: GateParams, cov=None, g_grid=None) -> QndReport:
     """Run the standard characterization of a compiled gate circuit.
 
-    One vacuum-input propagation and one quadrature map give both sectors'
-    metrics; the report's witness is scanned only when ``duan`` is read.
+    ``cov`` is the circuit's vacuum-input output covariance, propagated
+    when None; a sampled one, such as an ensemble's, gives sampled figures.
+    It and one quadrature map give both sectors' metrics.  The report's
+    witness is scanned over ``g_grid`` (``DEFAULT_G_GRID`` when None) only
+    when ``duan`` is read.
     """
-    cov = run_covariance(circuit, _VACUUM_INPUT).cov
-    return QndReport(params, _sector_metrics(circuit_quadrature_map(circuit), cov), cov)
+    if cov is None:
+        cov = run_covariance(circuit, _VACUUM_INPUT).cov
+    return QndReport(params, _sector_metrics(circuit_quadrature_map(circuit), cov), cov, g_grid)
 
 
 def vacuum_noise_report(circuit: Circuit, params: GateParams) -> dict:

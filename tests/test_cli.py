@@ -776,6 +776,48 @@ class TestConditional:
             assert [row[2] for row in sector_rows] == [f"{v:.9f}" for v in simulated]
 
 
+@pytest.fixture
+def evaluations(monkeypatch):
+    """Every report ``metrics.evaluate_gate`` returns and every grid ``metrics.duan_simon`` scans."""
+    seen = {"reports": [], "grids": []}
+    evaluate_gate, duan_simon = metrics.evaluate_gate, metrics.duan_simon
+
+    def evaluated(*args, **kwargs):
+        seen["reports"].append(evaluate_gate(*args, **kwargs))
+        return seen["reports"][-1]
+
+    def scanned(cov, g, g_grid=None):
+        seen["grids"].append(g_grid)
+        return duan_simon(cov, g, g_grid)
+
+    monkeypatch.setattr(metrics, "evaluate_gate", evaluated)
+    monkeypatch.setattr(metrics, "duan_simon", scanned)
+    return seen
+
+
+class TestOneRoute:
+    """``transfer`` and ``conditional`` print the figures of one ``evaluate_gate`` report each."""
+
+    @pytest.mark.parametrize("mode", ["covariance", "trajectories"])
+    def test_one_report_per_command(self, evaluations, mode):
+        # on a grid other than the default, conditional scans the witness once,
+        # on the run's grid, and transfer, which prints no witness, scans none
+        run = RunSpec(mode=mode, n=3000, master_seed=13, g_min=-1.0, g_max=1.0, g_step=0.05)
+        config = ScenarioConfig(run=run)
+        cli._vacuum_ensemble.cache_clear()
+        cmd_transfer(config)
+        assert len(evaluations["reports"]) == 1 and evaluations["grids"] == []
+        cmd_conditional(config)
+        assert len(evaluations["reports"]) == 2
+        (grid,) = evaluations["grids"]
+        assert np.array_equal(grid, run.g_grid())
+        assert not np.array_equal(grid, metrics.DEFAULT_G_GRID)
+        if mode == "covariance":
+            circuit = build_qnd_gate(config.gate_params(), config.imperfections)
+            want = run_covariance(circuit, gaussian.vacuum_state(2)).cov
+            assert all(np.array_equal(report.cov, want) for report in evaluations["reports"])
+
+
 def trajectory_config(**kwargs):
     run = {"mode": "trajectories", "n": 12293, "master_seed": 23, **kwargs.pop("run", {})}
     return ScenarioConfig(run=RunSpec(**run), **kwargs)
@@ -809,6 +851,16 @@ class TestSharedEnsemble:
         cmd_conditional(trajectory_config())
         assert draws == [(12293, 23)]
         assert len(builds) == 2
+
+    def test_both_reports_read_the_shared_ensemble(self, draws, evaluations):
+        # each command's report holds the cached ensemble's covariance itself
+        cmd_transfer(trajectory_config())
+        cmd_conditional(trajectory_config())
+        assert draws == [(12293, 23)]
+        config = trajectory_config()
+        circuit = build_qnd_gate(config.gate_params(), config.imperfections)
+        shared = cli._vacuum_ensemble(circuit, 12293, 23)
+        assert [report.cov is shared.cov for report in evaluations["reports"]] == [True, True]
 
     def test_equal_working_point_shares_one_result(self, draws):
         # two scenarios built apart, equal in every field

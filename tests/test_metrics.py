@@ -17,6 +17,7 @@ from qndsim.circuit import (
     run_covariance,
 )
 from qndsim.cli import cmd_reproduce_table, cmd_transfer
+from qndsim.ensemble import run_ensemble
 from qndsim.gaussian import vacuum_state
 from qndsim.quadexpr import INPUT_COLUMNS, finite_squeezing_map, ideal_qnd_map, moments_from_map
 from qndsim import metrics
@@ -32,7 +33,7 @@ from qndsim.metrics import (
     transfer_coefficients,
     vacuum_noise_report,
 )
-from qndsim.scenario import OutputSpec, ScenarioConfig
+from qndsim.scenario import OutputSpec, RunSpec, ScenarioConfig
 
 
 def lossless_gate(gain=1.0, db=-5.0):
@@ -367,6 +368,44 @@ class TestEvaluateGate:
         assert report.duan == duan_simon(cov, report.sectors["x"].g_opt)
         assert "witness: sum=" in report.to_text() and report.entangled
         assert len(calls) == 1
+
+    def test_given_covariance_and_grid(self, monkeypatch):
+        # a sampled covariance and a non-default grid: nothing is propagated,
+        # the sectors are read off the given covariance and the witness scans
+        # the given grid
+        params, circuit = lossless_gate()
+        cov = run_ensemble(circuit, vacuum_state(2), 3000, 29).cov
+        grid = RunSpec(g_min=-1.0, g_max=1.0, g_step=0.05).g_grid()
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return run_covariance(*args, **kwargs)
+
+        monkeypatch.setattr(metrics, "run_covariance", counted)
+        report = evaluate_gate(circuit, params, cov, grid)
+        assert report.cov is cov and report.g_grid is grid
+        # repr tells -0.0 from 0.0 and prints each float exactly
+        assert repr(report.sectors) == repr(metrics._sector_metrics(circuit_quadrature_map(circuit), cov))
+        assert report.duan == duan_simon(cov, report.sectors["x"].g_opt, grid)
+        assert report.duan != duan_simon(cov, report.sectors["x"].g_opt)
+        assert calls == []
+
+    def test_zero_gain_optima_are_unsigned_zeros(self):
+        # on the default budget the x-sector g_opt of a G = 0 gate was about
+        # -1.9e-19, and to_text printed "g_opt=-0.00000" and "at g=-0.00000"
+        params = GateParams.from_gain(0.0)
+        report = evaluate_gate(build_qnd_gate(params, ImperfectionModel()), params)
+        for g in (report.sectors["x"].g_opt, report.sectors["p"].g_opt, report.duan.g):
+            assert g == 0.0 and not np.signbit(g)
+        assert "-0.00000" not in report.to_text()
+        # stacked with a correlated covariance, only the noise entry is snapped
+        _, circuit = lossless_gate()
+        stack = np.stack([report.cov, run_covariance(circuit, vacuum_state(2)).cov])
+        for sector in ("x", "p"):
+            _, g_opt = conditional_variance(stack, sector)
+            assert g_opt[0] == 0.0 and not np.signbit(g_opt[0])
+            assert g_opt[1] == conditional_variance(stack[1], sector)[1] > 0.4
 
     def test_report_verdicts_recomputed(self):
         params, circuit = lossless_gate()
