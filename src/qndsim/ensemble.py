@@ -88,21 +88,18 @@ def pairwise_tree_sum(values: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EnsembleResult:
-    """Empirical ensemble statistics with standard errors.
+    """The ensemble's output ``mean`` and ``cov`` with their standard errors.
 
-    ``cov`` estimates the ensemble-average state's covariance: the common
-    conditional covariance of the shots plus the scatter of the conditional
-    means.  Standard errors come from the mean scatter, which is the only
-    stochastic ingredient.  ``run_ensemble`` returns its arrays read-only,
-    so callers that share one result cannot change what another reads.
+    ``cov`` estimates the ensemble-average state's covariance: the program's
+    outcome-independent ``final_cov`` plus the sample covariance of the
+    per-shot means, ``G S G^T``.  That scatter is the only stochastic part,
+    and the standard errors come from it.  ``run_ensemble`` returns the
+    arrays read-only, so callers that share one result cannot change what
+    another reads.
     """
 
-    n_trajectories: int
-    master_seed: int
     mean: np.ndarray
     cov: np.ndarray
-    mean_scatter: np.ndarray     # sample covariance of the per-shot means, G S G^T
-    conditional_cov: np.ndarray  # outcome-independent final covariance
     se_mean: np.ndarray
     se_cov: np.ndarray
 
@@ -131,8 +128,7 @@ def run_ensemble(
 
     diag = np.diag(scatter)
     result = EnsembleResult(
-        n_trajectories=n, master_seed=master_seed, mean=mean, cov=program.final_cov + scatter,
-        mean_scatter=scatter, conditional_cov=program.final_cov.copy(), se_mean=np.sqrt(diag / n),
+        mean=mean, cov=program.final_cov + scatter, se_mean=np.sqrt(diag / n),
         se_cov=np.sqrt((np.outer(diag, diag) + scatter**2) / (n - 1)),
     )
     # a caller that shares the result shares these arrays
@@ -163,8 +159,6 @@ def _mirrored(matrix: np.ndarray) -> np.ndarray:
 class ZScoreReport:
     max_z: float
     worst_entry: str
-    z_mean: np.ndarray
-    z_cov: np.ndarray
 
     def __str__(self):
         return f"max |z| = {self.max_z:.3f} at {self.worst_entry}"
@@ -200,4 +194,4 @@ def z_score_report(
     names += [f"cov[{labels[i]},{labels[j]}]" for i, j in zip(rows, cols)]
     best = int(np.argmax(z_all))
     max_z, worst = (float(z_all[best]), names[best]) if z_all[best] > 0.0 else (0.0, "none")
-    return ZScoreReport(max_z=max_z, worst_entry=worst, z_mean=z_mean, z_cov=z_cov)
+    return ZScoreReport(max_z=max_z, worst_entry=worst)

@@ -93,7 +93,8 @@ class SymplecticMatrix:
         self.n_modes = matrix.shape[0] // 2
         om = omega(self.n_modes)
         defect = np.abs(matrix @ om @ matrix.T - om).max()
-        if defect > SYMPLECTIC_TOL * max(1.0, np.abs(matrix).max() ** 2):
+        # written so that a NaN defect fails too
+        if not defect <= SYMPLECTIC_TOL * max(1.0, np.abs(matrix).max() ** 2):
             raise ValueError(f"matrix is not symplectic (defect {defect:.3e})")
         self.matrix = matrix
 
@@ -169,8 +170,10 @@ def squeeze(state: GaussianState, mode: int, r: float, angle: float = 0.0) -> Ga
 
 
 def displace(state: GaussianState, mode: int, dx: float, dp: float) -> GaussianState:
-    """Shift one mode's mean by ``(dx, dp)``; covariance unchanged."""
+    """Shift one mode's mean by ``(dx, dp)``, both finite; covariance unchanged."""
     _check_mode(state, mode)
+    if not (-np.inf < dx < np.inf and -np.inf < dp < np.inf):
+        raise ValueError(f"displacement ({dx}, {dp}) must be finite")
     out = state.copy()
     out.mean[2 * mode] += dx
     out.mean[2 * mode + 1] += dp

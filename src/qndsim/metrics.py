@@ -133,7 +133,7 @@ def reference_sweeps(params: GateParams, g_grid) -> dict:
         finite_squeezing_map(params.R, params.r_a, params.r_b),
         finite_squeezing_map(params.R, 0.0, 0.0),
     )
-    covs = [moments_from_map(m)[1] for m in maps]
+    covs = [moments_from_map(m) for m in maps]
     return {s: ReferenceSweeps(*(cv_sweep(cov, s, g) for cov in covs), 2.0 * np.abs(g)) for s in ("x", "p")}
 
 
@@ -215,10 +215,6 @@ class QndReport:
     def duan(self) -> DuanResult:
         """The witness at the x sector's ``g_opt``, scanned over ``g_grid``; computed on first read."""
         return duan_simon(self.cov, self.sectors["x"].g_opt, self.g_grid)
-
-    @property
-    def entangled(self) -> bool:
-        return self.duan.scan_entangled
 
     @property
     def qnd_criteria_pass(self) -> bool:
@@ -465,5 +461,5 @@ def _comparison(rows: dict, i: int, knob: float, fitted: bool, objective) -> Tab
     checks = [check for gain, report in reports.items() for check in _banded(gain, report.sectors)]
     p = reports[1.0].params  # the lossless row builds no gate; its T_sum, x is banded first
     qmap = finite_squeezing_map(p.R, p.r_a, p.r_b)
-    lossless = next(_banded(1.0, _sector_metrics(qmap, moments_from_map(qmap)[1])))
+    lossless = next(_banded(1.0, _sector_metrics(qmap, moments_from_map(qmap))))
     return TableComparison(knob, fitted, reports, checks, float(objective), lossless)

@@ -72,6 +72,12 @@ class TestSqueeze:
         assert p_sq.cov[1, 1] == pytest.approx(x_sq.cov[0, 0], abs=1e-12)
         assert p_sq.cov[0, 0] == pytest.approx(x_sq.cov[1, 1], abs=1e-12)
 
+    @pytest.mark.parametrize("r, angle", [(np.nan, 0.0), (0.5, np.inf), (0.5, np.nan)])
+    def test_non_finite_squeezing_rejected(self, r, angle):
+        # a NaN squeezer once passed the symplectic check and returned a NaN state
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="not symplectic"):
+            squeeze(vacuum_state(1), 0, r, angle)
+
 
 class TestDisplace:
     def test_mean_shift(self):
@@ -91,6 +97,11 @@ class TestDisplace:
         power_db = 10 * np.log10(state.mean[0] ** 2 + state.cov[0, 0])
         assert power_db > 0.0
         assert np.allclose(np.diag(state.cov), 1.0)
+
+    @pytest.mark.parametrize("dx, dp", [(np.nan, 0.0), (0.0, np.nan), (np.inf, 0.0), (0.0, -np.inf)])
+    def test_non_finite_shift_rejected(self, dx, dp):
+        with pytest.raises(ValueError, match="must be finite"):
+            displace(vacuum_state(2), 1, dx, dp)
 
 
 class TestBeamSplitter:
@@ -300,6 +311,11 @@ class TestSymplecticMatrix:
     def test_rejects_non_symplectic(self):
         with pytest.raises(ValueError):
             SymplecticMatrix(np.diag([2.0, 1.0, 1.0, 1.0]))
+
+    def test_rejects_nan_matrix(self):
+        # its NaN defect once compared as within tolerance
+        with pytest.raises(ValueError, match="not symplectic"):
+            SymplecticMatrix(np.full((2, 2), np.nan))
 
 
 class TestPhysicality:

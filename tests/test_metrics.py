@@ -366,7 +366,7 @@ class TestEvaluateGate:
         assert calls == []
         cov = run_covariance(circuit, vacuum_state(2)).cov
         assert report.duan == duan_simon(cov, report.sectors["x"].g_opt)
-        assert "witness: sum=" in report.to_text() and report.entangled
+        assert "witness: sum=" in report.to_text() and report.duan.scan_entangled
         assert len(calls) == 1
 
     def test_given_covariance_and_grid(self, monkeypatch):
@@ -411,7 +411,7 @@ class TestEvaluateGate:
         params, circuit = lossless_gate()
         report = evaluate_gate(circuit, params)
         assert report.qnd_criteria_pass
-        assert report.entangled
+        assert report.duan.scan_entangled
         m = report.sectors["x"]
         assert m.t_sum == m.t_signal + m.t_probe
 
@@ -419,7 +419,7 @@ class TestEvaluateGate:
         params, circuit = lossless_gate(db=0.0)
         report = evaluate_gate(circuit, params)
         assert not report.qnd_criteria_pass
-        assert not report.entangled
+        assert not report.duan.scan_entangled
 
     def test_text_and_csv_outputs(self):
         params, circuit = lossless_gate()
@@ -679,9 +679,9 @@ class TestPrintedFiguresBitForBit:
         circuit = build_qnd_gate(params, imp)
         want = {
             "input": np.diag(np.eye(4)),
-            "infinite_squeezing": np.diag(moments_from_map(ideal_qnd_map(params.gain))[1]),
+            "infinite_squeezing": np.diag(moments_from_map(ideal_qnd_map(params.gain))),
             "configured": np.diag(run_covariance(circuit, vacuum_state(2)).cov),
-            "vacuum_ancilla_reference": np.diag(moments_from_map(finite_squeezing_map(params.R, 0.0, 0.0))[1]),
+            "vacuum_ancilla_reference": np.diag(moments_from_map(finite_squeezing_map(params.R, 0.0, 0.0))),
         }
         rows = vacuum_noise_report(circuit, params)
         assert list(rows) == list(want)

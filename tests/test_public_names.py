@@ -4,8 +4,12 @@ A name in ``qndsim.__all__``, or a public top-level ``def`` or ``class`` of a
 package module, counts as read when it occurs in the package modules, the
 demos, the benchmark harness or the README more often than it is defined
 there with ``def`` or ``class``.  ``__init__``'s export lines do not count.
+Each field of a public dataclass of a package module counts as read when
+``.field`` occurs in the same texts.
 """
 
+import dataclasses
+import importlib
 import re
 import types
 from pathlib import Path
@@ -46,4 +50,17 @@ def test_every_public_module_definition_has_a_reader():
         if len(re.findall(rf"\b{name}\b", text))
         <= len(re.findall(rf"^\s*(?:def|class)\s+{name}\b", package, re.MULTILINE))
     ]
+    assert unread == []
+
+
+def test_every_public_dataclass_field_has_a_reader():
+    text = _text(MODULES + READERS + [ROOT / "README.md"])
+    unread = []
+    for path in MODULES:
+        module = importlib.import_module(f"qndsim.{path.stem}")
+        classes = [(name, value) for name, value in vars(module).items()
+                   if isinstance(value, type) and dataclasses.is_dataclass(value)
+                   and not name.startswith("_") and value.__module__ == module.__name__]
+        unread += [f"{name}.{f.name}" for name, value in classes for f in dataclasses.fields(value)
+                   if not re.search(rf"\.{f.name}\b", text)]
     assert unread == []

@@ -106,26 +106,18 @@ class TestFiniteSqueezingMap:
 
 class TestMoments:
     def test_ideal_unit_gain_probe_variance(self):
-        _, cov = moments_from_map(ideal_qnd_map(1.0))
+        cov = moments_from_map(ideal_qnd_map(1.0))
         assert cov[2, 2] == pytest.approx(2.0, abs=1e-12)  # +3.01 dB
 
     def test_finite_squeezing_signal_variance(self):
         qmap = finite_squeezing_map(R_GOLDEN, MINUS_5_DB_R, MINUS_5_DB_R)
-        _, cov = moments_from_map(qmap)
+        cov = moments_from_map(qmap)
         assert cov[0, 0] == pytest.approx(1.1414213562373095, abs=1e-9)
 
     def test_vacuum_ancilla_probe_variance(self):
         qmap = finite_squeezing_map(R_GOLDEN, 0.0, 0.0)
-        _, cov = moments_from_map(qmap)
+        cov = moments_from_map(qmap)
         assert cov[2, 2] == pytest.approx(2.1708203932499368, abs=1e-9)
-
-    def test_coherent_means_leave_variances(self):
-        qmap = ideal_qnd_map(1.5)
-        mean, cov = moments_from_map(qmap, means={"x1_in": 4.0, "p2_in": -2.0})
-        _, cov0 = moments_from_map(qmap)
-        assert np.allclose(cov, cov0, atol=1e-12)
-        # mean ordering (x1, p1, x2, p2)
-        assert np.allclose(mean, [4.0, 3.0, 6.0, -2.0], atol=1e-12)
 
 
 class TestCommutatorCheck:
@@ -147,9 +139,19 @@ class TestCommutatorCheck:
         assert not commutator_check(bad).passed
 
     def test_commutator_values(self):
-        details = commutator_check(finite_squeezing_map(0.5, 0.2, 0.9)).details
-        assert details["[x1_out, p1_out]"] == pytest.approx(2.0, abs=1e-12)
-        assert details["[x1_out, p2_out]"] == pytest.approx(0.0, abs=1e-12)
+        assert commutator_check(finite_squeezing_map(0.5, 0.2, 0.9)).worst_defect < 1e-12
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_coefficient_fails(self, value):
+        # an inf coefficient gives NaN where it meets a zero; Python's
+        # max(0.0, nan) is 0.0, which once let such a map pass
+        qmap = finite_squeezing_map(0.25, 0.5, 0.5)
+        matrix = qmap.matrix.copy()
+        matrix[OUTPUT_ORDER.index("x2_out"), qmap.columns.index("xA0")] = value
+        with np.errstate(invalid="ignore"):
+            report = commutator_check(QuadratureMap(qmap.columns, matrix))
+        assert not report.passed
+        assert math.isnan(report.worst_defect)
 
 
 class TestPrettyPrinter:
@@ -195,13 +197,10 @@ class TestQuadratureMap:
     @pytest.mark.parametrize("R", R_GRID)
     def test_moments_equal_written_out_sums(self, R):
         qmap = finite_squeezing_map(R, 0.3, -0.2)
-        means = {"x1_in": 2.0, "p2_in": -1.0, "xA0": 0.5}
-        mean, cov = moments_from_map(qmap, means)
+        cov = moments_from_map(qmap)
+        assert cov.shape == (4, 4)
         rows = qmap.matrix.tolist()
         for i, ri in enumerate(rows):
-            assert mean[i] == pytest.approx(
-                sum(c * means.get(k, 0.0) for k, c in zip(qmap.columns, ri)), abs=1e-12
-            )
             for j, rj in enumerate(rows):
                 # bit for bit: the reference curves depend on this summation order
                 total = 0.0
