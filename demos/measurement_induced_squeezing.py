@@ -2,9 +2,12 @@
 
 Walks through the primitive operations: squeezed-state preparation, loss,
 homodyne conditioning, and a single measurement-induced squeezing stage --
-the building block that the gate uses once per interferometer arm.  Every
-measurement runs as a ``HomodyneFeedforward`` circuit element, the same
-conditioning the gate executes; a pure measurement is one with gain 0.
+the building block that the gate uses once per interferometer arm.  Each
+state is a circuit's output: ``run_covariance`` runs a one-mode vacuum
+through ``AncillaInjection``, ``Loss`` and ``BeamSplitter`` elements, and the
+demo reads the appended modes by index.  Every measurement runs as a
+``HomodyneFeedforward`` circuit element, the same conditioning the gate
+executes; a pure measurement is one with gain 0.
 """
 
 import numpy as np
@@ -13,33 +16,43 @@ from qndsim import (
     AncillaInjection,
     BeamSplitter,
     Circuit,
+    GaussianState,
     HomodyneFeedforward,
-    beam_splitter,
+    Loss,
     displace,
-    loss_channel,
+    run_covariance,
     run_trajectory,
-    squeeze,
     vacuum_state,
     variance_to_db,
 )
 
 rng = np.random.default_rng(7)
 
+
+def prepare(*elements) -> GaussianState:
+    """The modes that ``elements`` append to a one-mode vacuum, mode 0 dropped."""
+    out = run_covariance(Circuit(elements, n_input_modes=1), vacuum_state(1))
+    return GaussianState(out.n_modes - 1, out.mean[2:], out.cov[2:, 2:])
+
+
 print("== squeezed vacuum ==")
-state = squeeze(vacuum_state(1), 0, 0.5756462732485114)  # -5 dB in x
+squeezer = AncillaInjection(0.5756462732485114, 0.0, "s")  # -5 dB in x, appended as mode 1
+state = prepare(squeezer)
 print(f"Var(x) = {state.cov[0, 0]:.5f} ({variance_to_db(state.cov[0, 0]):+.2f} dB)")
 print(f"Var(p) = {state.cov[1, 1]:.5f} (pure state: product of variances = "
       f"{state.cov[0, 0] * state.cov[1, 1]:.5f})")
 
 print("\n== loss degrades squeezing ==")
-lossy = loss_channel(state, 0, 0.93)
+lossy = prepare(squeezer, Loss(1, 0.93))
 print(f"after 7% loss: Var(x) = {lossy.cov[0, 0]:.5f} "
       f"({variance_to_db(lossy.cov[0, 0]):+.2f} dB)")
 
 print("\n== homodyne conditioning on an entangled pair ==")
-pair = squeeze(vacuum_state(2), 0, 0.5756, angle=0.0)
-pair = squeeze(pair, 1, 0.5756, angle=np.pi / 2)
-pair = beam_splitter(pair, 0, 1, 0.5)
+pair = prepare(
+    AncillaInjection(0.5756, 0.0, "a"),
+    AncillaInjection(0.5756, np.pi / 2, "b"),
+    BeamSplitter(1, 2, 0.5),
+)
 print(f"joint Var(x of kept mode) before measuring: {pair.cov[2, 2]:.5f}")
 # measure x of mode 0 and feed nothing forward
 measure = Circuit([HomodyneFeedforward(0, 0.0, 1, "x", 0.0)])

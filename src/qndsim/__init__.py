@@ -10,12 +10,8 @@ witness.
 
 from .gaussian import (
     GaussianState,
-    SymplecticMatrix,
-    beam_splitter,
     displace,
-    loss_channel,
     omega,
-    squeeze,
     squeeze_parameter_from_db,
     vacuum_state,
     variance_to_db,
@@ -64,7 +60,6 @@ from .metrics import (
 from .ensemble import (
     EnsembleResult,
     ZScoreReport,
-    pairwise_tree_sum,
     run_ensemble,
     trajectory_generator,
     z_score_report,

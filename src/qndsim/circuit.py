@@ -505,10 +505,7 @@ class CircuitConstructionError(RuntimeError):
 # builder
 
 
-def build_qnd_gate(
-    params: GateParams,
-    imperfections: ImperfectionModel | None = None,
-) -> Circuit:
+def build_qnd_gate(params: GateParams, imperfections: ImperfectionModel) -> Circuit:
     """Compile the sum-gate apparatus for the given working point.
 
     Layout (modes 0 and 1 are the two gate modes):
@@ -532,9 +529,8 @@ def build_qnd_gate(
     ``Circuit`` with its read-only matrix, and each distinct gate is lowered
     once.
     """
-    imp = imperfections or _IDEAL
-    circuit = _gate(params, imp)
-    err = max_coefficient_difference(circuit_quadrature_map(circuit), gate_budget_map(params, imp))
+    circuit = _gate(params, imperfections)
+    err = max_coefficient_difference(circuit_quadrature_map(circuit), gate_budget_map(params, imperfections))
     # written so that a NaN error fails too
     if not err <= ORACLE_MATCH_TOL:
         raise CircuitConstructionError(

@@ -83,7 +83,8 @@ def vacuum_state(n_modes: int) -> GaussianState:
 class SymplecticMatrix:
     """A linear canonical transformation on ``n_modes`` modes.
 
-    Validated at construction: ``S @ Omega @ S.T == Omega`` to 1e-12.
+    Validated at construction: ``S @ Omega @ S.T == Omega`` to 1e-12 of
+    ``max(1, max|S|**2)``, a bound that must itself be finite.
     """
 
     def __init__(self, matrix: np.ndarray):
@@ -92,9 +93,14 @@ class SymplecticMatrix:
             raise ValueError("symplectic matrix must be square with even dimension")
         self.n_modes = matrix.shape[0] // 2
         om = omega(self.n_modes)
-        defect = np.abs(matrix @ om @ matrix.T - om).max()
+        with np.errstate(over="ignore"):
+            defect = np.abs(matrix @ om @ matrix.T - om).max()
+            bound = SYMPLECTIC_TOL * max(1.0, np.abs(matrix).max() ** 2)
+        if bound == np.inf:
+            # S S^T, the vacuum's image, would overflow too
+            raise ValueError("matrix is not symplectic in float64: max |S|**2 overflows")
         # written so that a NaN defect fails too
-        if not defect <= SYMPLECTIC_TOL * max(1.0, np.abs(matrix).max() ** 2):
+        if not defect <= bound:
             raise ValueError(f"matrix is not symplectic (defect {defect:.3e})")
         self.matrix = matrix
 
@@ -107,56 +113,13 @@ class SymplecticMatrix:
             self.matrix @ state.cov @ self.matrix.T,
         )
 
-    @staticmethod
-    def _embed(n_modes: int, block: np.ndarray, modes: tuple) -> np.ndarray:
-        full = np.eye(2 * n_modes)
-        idx = []
-        for m in modes:
-            idx.extend([2 * m, 2 * m + 1])
-        full[np.ix_(idx, idx)] = block
-        return full
 
-    @classmethod
-    def squeezer(cls, n_modes: int, mode: int, r: float, angle: float = 0.0) -> "SymplecticMatrix":
-        """Single-mode squeezer; ``angle = 0`` squeezes x by ``e**(-r)``."""
-        c, s = np.cos(angle), np.sin(angle)
-        rot = np.array([[c, s], [-s, c]])
-        block = rot.T @ np.diag([np.exp(-r), np.exp(r)]) @ rot
-        return cls(cls._embed(n_modes, block, (mode,)))
-
-    @classmethod
-    def beam_splitter(
-        cls,
-        n_modes: int,
-        i: int,
-        j: int,
-        reflectivity: float,
-        signs: tuple = (1, 1, -1, 1),
-    ) -> "SymplecticMatrix":
-        """Mode mixing acting identically on the x and p quadrature pairs.
-
-        The 2x2 mixing matrix on modes ``(i, j)`` is::
-
-            [ s1*sqrt(T)  s2*sqrt(R) ]
-            [ s3*sqrt(R)  s4*sqrt(T) ]
-
-        with ``T = 1 - reflectivity`` and ``signs = (s1, s2, s3, s4)``.  The
-        default sign convention is ``(sqrt(T), sqrt(R); -sqrt(R), sqrt(T))``;
-        any sign choice with ``s1*s2 == -s3*s4`` is an orthogonal mixing and
-        therefore symplectic.
-        """
-        if i == j:
-            raise ValueError("beam splitter needs two distinct modes")
-        if not 0.0 <= reflectivity <= 1.0:
-            raise ValueError(f"reflectivity {reflectivity} outside [0, 1]")
-        s1, s2, s3, s4 = signs
-        if any(s not in (-1, 1) for s in signs) or s1 * s2 != -s3 * s4:
-            raise ValueError(f"signs {signs} do not give an orthogonal mixing")
-        t = np.sqrt(1.0 - reflectivity)
-        r = np.sqrt(reflectivity)
-        mix = np.array([[s1 * t, s2 * r], [s3 * r, s4 * t]])
-        block = np.kron(mix, np.eye(2))
-        return cls(cls._embed(n_modes, block, (i, j)))
+def _apply_block(state: GaussianState, block: np.ndarray, modes: tuple) -> GaussianState:
+    """Apply ``block`` to the quadratures of ``modes``, through a checked ``SymplecticMatrix``."""
+    full = np.eye(2 * state.n_modes)
+    idx = [k for m in modes for k in (2 * m, 2 * m + 1)]
+    full[np.ix_(idx, idx)] = block
+    return SymplecticMatrix(full).apply(state)
 
 
 def squeeze(state: GaussianState, mode: int, r: float, angle: float = 0.0) -> GaussianState:
@@ -166,7 +129,9 @@ def squeeze(state: GaussianState, mode: int, r: float, angle: float = 0.0) -> Ga
     axis: the quadrature ``cos(angle)*x + sin(angle)*p`` is the squeezed one.
     """
     _check_mode(state, mode)
-    return SymplecticMatrix.squeezer(state.n_modes, mode, r, angle).apply(state)
+    c, s = np.cos(angle), np.sin(angle)
+    rot = np.array([[c, s], [-s, c]])
+    return _apply_block(state, rot.T @ np.diag([np.exp(-r), np.exp(r)]) @ rot, (mode,))
 
 
 def displace(state: GaussianState, mode: int, dx: float, dp: float) -> GaussianState:
@@ -187,10 +152,31 @@ def beam_splitter(
     reflectivity: float,
     signs: tuple = (1, 1, -1, 1),
 ) -> GaussianState:
-    """Mix modes ``i`` and ``j`` on a beam splitter of given reflectivity."""
+    """Mix modes ``i`` and ``j``, acting identically on the x and p quadrature pairs.
+
+    The 2x2 mixing matrix on modes ``(i, j)`` is::
+
+        [ s1*sqrt(T)  s2*sqrt(R) ]
+        [ s3*sqrt(R)  s4*sqrt(T) ]
+
+    with ``T = 1 - reflectivity`` and ``signs = (s1, s2, s3, s4)``.  The
+    default sign convention is ``(sqrt(T), sqrt(R); -sqrt(R), sqrt(T))``;
+    any sign choice with ``s1*s2 == -s3*s4`` is an orthogonal mixing and
+    therefore symplectic.
+    """
     _check_mode(state, i)
     _check_mode(state, j)
-    return SymplecticMatrix.beam_splitter(state.n_modes, i, j, reflectivity, signs).apply(state)
+    if i == j:
+        raise ValueError("beam splitter needs two distinct modes")
+    if not 0.0 <= reflectivity <= 1.0:
+        raise ValueError(f"reflectivity {reflectivity} outside [0, 1]")
+    s1, s2, s3, s4 = signs
+    if any(s not in (-1, 1) for s in signs) or s1 * s2 != -s3 * s4:
+        raise ValueError(f"signs {signs} do not give an orthogonal mixing")
+    t = np.sqrt(1.0 - reflectivity)
+    r = np.sqrt(reflectivity)
+    mix = np.array([[s1 * t, s2 * r], [s3 * r, s4 * t]])
+    return _apply_block(state, np.kron(mix, np.eye(2)), (i, j))
 
 
 def loss_channel(state: GaussianState, mode: int, eta: float) -> GaussianState:

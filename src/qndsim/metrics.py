@@ -412,10 +412,7 @@ def _knob_scan(base: ImperfectionModel, squeezing_db: float, knobs: np.ndarray):
     return objective, rows
 
 
-def fit_extra_in_loop_loss(
-    imperfections: ImperfectionModel | None = None,
-    squeezing_db: float = -5.0,
-) -> TableComparison:
+def fit_extra_in_loop_loss(imperfections: ImperfectionModel, squeezing_db: float = -5.0) -> TableComparison:
     """Grid-fit the single in-loop loss knob against the reference table.
 
     Minimizes the summed squared deviation (in error-bar units) of the banded
@@ -439,7 +436,7 @@ def fit_extra_in_loop_loss(
     objective is the scan's.  At knob 0 the metrics are bit-identical to
     ``compare_to_reference``; at other knobs they agree to 1e-12 relative.
     """
-    base = replace(imperfections or ImperfectionModel(), extra_in_loop_loss=0.0)
+    base = replace(imperfections, extra_in_loop_loss=0.0)
     objective, rows = _knob_scan(base, squeezing_db, DEFAULT_KNOB_GRID)
     best = int(np.argmin(objective))
     return _comparison(rows, best, float(DEFAULT_KNOB_GRID[best]), True, objective[best])

@@ -3,7 +3,9 @@
 A covariance ``V`` in shot-noise units is physical when it is symmetric and
 ``V + i*Omega >= 0`` (``gaussian.omega``).  ``run_covariance_checked`` runs a
 circuit and checks its input and the state after every element, each read
-as the output of the prefix circuit ``elements[:k]``.
+as the output of the prefix circuit ``elements[:k]``.  ``symplectic_defect``
+reads a linear state map's matrix off its outputs and measures how far it is
+from preserving ``Omega``.
 """
 
 import numpy as np
@@ -41,3 +43,14 @@ def run_covariance_checked(circuit: Circuit, state: GaussianState) -> GaussianSt
     out = run_covariance(circuit, state)
     assert_physical(out)
     return out
+
+
+def symplectic_defect(operation, n_modes: int) -> float:
+    """``max |S Omega S^T - Omega|`` of the linear state map ``S`` that ``operation`` applies.
+
+    Column k of ``S`` is the output mean of a vacuum displaced by the k-th unit vector.
+    """
+    unit = np.eye(2 * n_modes)
+    s = np.column_stack([operation(GaussianState(n_modes, e, unit)).mean for e in unit])
+    om = omega(n_modes)
+    return float(np.abs(s @ om @ s.T - om).max())

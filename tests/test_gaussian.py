@@ -13,11 +13,12 @@ from qndsim.gaussian import (
     displace,
     loss_channel,
     omega,
+    remove_mode,
     squeeze,
     vacuum_state,
 )
 
-from physicality import assert_physical, min_uncertainty_eigenvalue
+from physicality import assert_physical, min_uncertainty_eigenvalue, symplectic_defect
 
 TOL = 1e-12
 MINUS_5_DB = 10.0 ** (-0.5)  # 0.31623, squeezed variance 5 dB below shot
@@ -72,11 +73,24 @@ class TestSqueeze:
         assert p_sq.cov[1, 1] == pytest.approx(x_sq.cov[0, 0], abs=1e-12)
         assert p_sq.cov[0, 0] == pytest.approx(x_sq.cov[1, 1], abs=1e-12)
 
-    @pytest.mark.parametrize("r, angle", [(np.nan, 0.0), (0.5, np.inf), (0.5, np.nan)])
+    @pytest.mark.parametrize(
+        "r, angle", [(np.nan, 0.0), (0.5, np.inf), (0.5, np.nan), (400.0, 0.0), (-400.0, 0.0)]
+    )
     def test_non_finite_squeezing_rejected(self, r, angle):
-        # a NaN squeezer once passed the symplectic check and returned a NaN state
+        # a NaN squeezer once passed the symplectic check and returned a NaN state, and one
+        # whose e**(2r) overflows returned an infinite variance with only an overflow warning
         with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="not symplectic"):
             squeeze(vacuum_state(1), 0, r, angle)
+
+    def test_deep_squeezing_stays_finite(self):
+        state = squeeze(vacuum_state(1), 0, 200.0)
+        assert np.all(np.isfinite(state.cov))
+        assert state.cov[1, 1] == pytest.approx(np.exp(400.0), rel=1e-12)
+
+    @pytest.mark.parametrize("mode", [-1, 2])
+    def test_mode_out_of_range_rejected(self, mode):
+        with pytest.raises(ValueError, match=f"mode {mode} out of range for 2-mode state"):
+            squeeze(vacuum_state(2), mode, 0.5)
 
 
 class TestDisplace:
@@ -131,6 +145,14 @@ class TestBeamSplitter:
     def test_rejects_bad_signs(self):
         with pytest.raises(ValueError):
             beam_splitter(vacuum_state(2), 0, 1, 0.5, signs=(1, 1, 1, 1))
+
+    def test_rejects_one_mode_twice(self):
+        with pytest.raises(ValueError, match="two distinct modes"):
+            beam_splitter(vacuum_state(2), 1, 1, 0.5)
+
+    def test_mode_out_of_range_named_before_repeated_mode(self):
+        with pytest.raises(ValueError, match="mode 2 out of range"):
+            beam_splitter(vacuum_state(2), 2, 2, 0.5)
 
     def test_composition_inverse(self):
         base = displace(squeeze(vacuum_state(2), 0, 0.8), 0, 1.5, -0.5)
@@ -296,17 +318,15 @@ class TestHomodyne:
 
 class TestSymplecticMatrix:
     @pytest.mark.parametrize(
-        "builder",
+        "operation, n_modes",
         [
-            lambda: SymplecticMatrix.squeezer(2, 1, 0.9, 0.3),
-            lambda: SymplecticMatrix.beam_splitter(2, 0, 1, 0.3),
-            lambda: SymplecticMatrix.beam_splitter(3, 2, 0, 0.8, signs=(-1, -1, 1, -1)),
+            (lambda state: squeeze(state, 1, 0.9, 0.3), 2),
+            (lambda state: beam_splitter(state, 0, 1, 0.3), 2),
+            (lambda state: beam_splitter(state, 2, 0, 0.8, signs=(-1, -1, 1, -1)), 3),
         ],
     )
-    def test_constructions_are_symplectic(self, builder):
-        s = builder()
-        om = omega(s.n_modes)
-        assert np.abs(s.matrix @ om @ s.matrix.T - om).max() < 1e-12
+    def test_constructions_are_symplectic(self, operation, n_modes):
+        assert symplectic_defect(operation, n_modes) < 1e-12
 
     def test_rejects_non_symplectic(self):
         with pytest.raises(ValueError):
@@ -316,6 +336,31 @@ class TestSymplecticMatrix:
         # its NaN defect once compared as within tolerance
         with pytest.raises(ValueError, match="not symplectic"):
             SymplecticMatrix(np.full((2, 2), np.nan))
+
+    def test_rejects_overflowing_matrix(self):
+        # its defect and its tolerance once both overflowed to inf, and compared as within it
+        with pytest.raises(ValueError, match="not symplectic"):
+            SymplecticMatrix(np.diag([1e200, 1e200]))
+
+    @pytest.mark.parametrize("shape", [(3, 3), (2, 4), (4,)])
+    def test_rejects_bad_shape(self, shape):
+        with pytest.raises(ValueError, match="square with even dimension"):
+            SymplecticMatrix(np.ones(shape))
+
+    def test_apply_rejects_mode_count_mismatch(self):
+        with pytest.raises(ValueError, match="mode-count mismatch"):
+            SymplecticMatrix(np.eye(4)).apply(vacuum_state(1))
+
+
+class TestRemoveMode:
+    def test_drops_the_mode_and_keeps_the_rest(self):
+        state = displace(squeeze(vacuum_state(3), 0, 0.6), 2, 1.5, -0.5)
+        state = beam_splitter(beam_splitter(state, 0, 1, 0.3), 1, 2, 0.6)
+        reduced = remove_mode(state, 1)
+        keep = [0, 1, 4, 5]
+        assert reduced.n_modes == 2
+        assert np.array_equal(reduced.mean, state.mean[keep])
+        assert np.array_equal(reduced.cov, state.cov[np.ix_(keep, keep)])
 
 
 class TestPhysicality:

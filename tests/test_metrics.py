@@ -457,7 +457,7 @@ class TestReferenceComparison:
         assert t_sum > 1.20 + 2 * 0.05
 
     def test_fit_reports_knob(self):
-        comp = fit_extra_in_loop_loss()
+        comp = fit_extra_in_loop_loss(ImperfectionModel())
         assert comp.fitted
         assert comp.extra_in_loop_loss in metrics.DEFAULT_KNOB_GRID
         # the fit minimizes the stated objective over the grid
