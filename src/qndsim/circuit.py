@@ -84,9 +84,6 @@ class GateParams:
     R: float
     squeezing_db_a: float = -5.0
     squeezing_db_b: float = -5.0
-    # variance multiplier on the anti-squeezed ancilla quadratures;
-    # 1.0 means pure squeezed vacuum
-    ancilla_excess: float = 1.0
 
     def __post_init__(self):
         if not 0.0 < self.R <= 1.0:
@@ -97,8 +94,6 @@ class GateParams:
                 raise ValueError(f"{name} = {db} is not finite")
             if db < MIN_SQUEEZING_DB:
                 raise ValueError(f"{name} = {db} is below {MIN_SQUEEZING_DB:g} dB, the deepest a build's check verifies")
-        if not 1.0 <= self.ancilla_excess < math.inf:
-            raise ValueError(f"ancilla_excess = {self.ancilla_excess} outside [1, inf)")
 
     @classmethod
     def from_gain(cls, gain: float, **kwargs) -> "GateParams":
@@ -202,7 +197,6 @@ class AncillaInjection:
     r: float
     angle: float
     label: str
-    antisqueeze_excess: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -249,16 +243,15 @@ class Circuit:
     Heisenberg-picture coefficient matrix.  Each row of ``matrix`` is a
     quadrature written as a linear combination of ``columns``: the input
     quadratures ``x1_in, p1_in, ...`` and independent unit-variance sources
-    (ancilla vacua ``xA0, pA0``, impurity ``excessA``, loss vacua
-    ``xv_<tag>, pv_<tag>``, dark noise ``dark<k>``), with no constant.  The
-    rows are stacked in three blocks: the ``2*n_output_modes`` output
-    quadratures; ``n_readouts`` rows, one per homodyne in element order,
-    holding its electronic readout (the optical quadrature it measures plus
-    its dark noise, the value it feeds forward); then the observed rows a
-    shot is conditioned on, in draw order: per homodyne its optical
-    quadrature, then the unit row of its ``dark<k>`` source when it has dark
-    noise.  No per-element state is kept.  Equality, hashing and ``repr``
-    cover ``elements`` and ``n_input_modes`` only.
+    (ancilla vacua ``xA0, pA0``, loss vacua ``xv_<tag>, pv_<tag>``, dark noise
+    ``dark<k>``), with no constant.  The rows are stacked in three blocks: the
+    ``2*n_output_modes`` output quadratures; ``n_readouts`` rows, one per
+    homodyne in element order, holding its electronic readout (the optical
+    quadrature it measures plus its dark noise, the value it feeds forward);
+    then the observed rows a shot is conditioned on, in draw order: per
+    homodyne its optical quadrature, then the unit row of its ``dark<k>``
+    source when it has dark noise.  No per-element state is kept.  Equality,
+    hashing and ``repr`` cover ``elements`` and ``n_input_modes`` only.
     """
 
     elements: tuple
@@ -313,19 +306,18 @@ def _lower(elements: tuple, n_input_modes: int) -> tuple:
     Returns the ``Circuit`` layout ``(columns, matrix, n_output_modes, n_readouts)``.
 
     One pass over the elements checks each in order and registers its source
-    labels in a label-to-column dict, so the first invalid element or
-    repeated label raises.  It appends each element's scalars, with signs
-    folded in, to a flat vector and its step to the layout key: kind, scalar
-    offset, modes, source columns, and whether it has dark noise or ancilla
-    excess; never a value or a label.  ``_plan`` records, once per layout,
-    which products of those scalars sum to each matrix entry; the matrix is
-    then a gather, a product and a ``bincount`` away.  Its entries agree with
-    a numeric walk over the elements to rounding, not bit for bit: the sums
-    run in the plan's order.
+    labels in a label-to-column dict, so the first invalid element or repeated
+    label raises.  It appends each element's scalars, with signs folded in, to
+    a flat vector and its step to the layout key: kind, scalar offset, modes,
+    source columns, and whether it has dark noise; never a value or a label.
+    ``_plan`` records, once per layout, which products of those scalars sum to
+    each matrix entry; the matrix is then a gather, a product and a
+    ``bincount`` away.  Its entries agree with a numeric walk over the elements
+    to rounding, not bit for bit: the sums run in the plan's order.
     """
     if isinstance(n_input_modes, bool) or not isinstance(n_input_modes, Integral) or n_input_modes < 1:
         raise ValueError(f"n_input_modes must be a positive integer, got {n_input_modes!r}")
-    # label -> column; ``setdefault`` finds a repeat (excess<label> follows a new x<label>0, dark<k> counts)
+    # label -> column; ``setdefault`` finds a repeat (dark<k> counts, so it never repeats)
     columns = {c: j for j, c in enumerate(f"{q}{k + 1}_in" for k in range(n_input_modes) for q in "xp")}
     scalars = [1.0]  # scalars[0] is the empty product
     layout = [n_input_modes]
@@ -334,9 +326,7 @@ def _lower(elements: tuple, n_input_modes: int) -> tuple:
     for pos, el in enumerate(elements):
         kind, k = type(el), len(scalars)
         if kind is AncillaInjection:
-            _require(
-                math.isfinite(el.r) and math.isfinite(el.angle) and 1.0 <= el.antisqueeze_excess < math.inf, pos, el
-            )
+            _require(abs(el.r) <= gaussian.MAX_SQUEEZE_PARAMETER and math.isfinite(el.angle), pos, el)
             c, s = _cos_sin(el.angle)
             x, p, col = f"x{el.label}0", f"p{el.label}0", len(columns)
             if columns.setdefault(x, col) != col or columns.setdefault(p, col + 1) != col + 1:
@@ -345,13 +335,7 @@ def _lower(elements: tuple, n_input_modes: int) -> tuple:
             # rot.T @ diag(e^-r, e^r) @ rot, rot = [[c, s], [-s, c]]
             cross = c * s * (squeezed - anti)
             scalars += (c * c * squeezed + s * s * anti, cross, cross, s * s * squeezed + c * c * anti)
-            excess = None
-            if el.antisqueeze_excess > 1.0:
-                # impurity: classical noise along the anti-squeezed axis
-                extra = math.sqrt(el.antisqueeze_excess - 1.0) * anti
-                excess = columns.setdefault(f"excess{el.label}", len(columns))
-                scalars += (-s * extra, c * extra)
-            layout.append((kind, k, col, excess))
+            layout.append((kind, k, col))
             n += 1
         elif kind is BeamSplitter:
             s1, s2, s3, s4 = el.signs
@@ -445,11 +429,8 @@ def _plan(layout: tuple, width: int, n_scalars: int) -> tuple:
     readouts, observed, stages = [], [], []
     for kind, k, *args in steps:
         if kind is AncillaInjection:
-            col, excess = args
-            x, p = [(col, (k,)), (col + 1, (k + 1,))], [(col, (k + 2,)), (col + 1, (k + 3,))]
-            if excess is not None:
-                x, p = x + [(excess, (k + 4,))], p + [(excess, (k + 5,))]
-            modes.append([x, p])
+            (col,) = args
+            modes.append([[(col, (k,)), (col + 1, (k + 1,))], [(col, (k + 2,)), (col + 1, (k + 3,))]])
         elif kind is BeamSplitter:
             i, j = args
             a, b = modes[i], modes[j]
@@ -562,9 +543,7 @@ def _gate(params: GateParams, imp: ImperfectionModel) -> Circuit:
 _SQUEEZERS = {"x": (0.0, (1, -1, 1, 1), math.pi / 2, "p", -1.0), "p": (math.pi / 2, (-1, -1, 1, -1), 0.0, "x", 1.0)}
 
 
-def _squeezer_elements(
-    quadrature: str, ancilla: int, label: str, r: float, excess: float, R: float, imp: ImperfectionModel
-) -> list:
+def _squeezer_elements(quadrature: str, ancilla: int, label: str, r: float, R: float, imp: ImperfectionModel) -> list:
     """One arm: squeeze ``quadrature`` of mode 0 by ``sqrt(R)``, measuring mode 0 itself.
 
     The ancilla ``label``, appended at index ``ancilla``, carries the squeezed output.
@@ -575,7 +554,7 @@ def _squeezer_elements(
     coupler = [Loss(ancilla, eta, f"coupler{label}")] if eta < 1.0 else []
     detector = [Loss(0, eta_det, f"det{label}")] if eta_det < 1.0 else []
     return [
-        AncillaInjection(r, angle, label, excess),
+        AncillaInjection(r, angle, label),
         BeamSplitter(ancilla, 0, R, signs),
         *coupler,
         *detector,
@@ -592,8 +571,8 @@ def _gate_elements(params: GateParams, imp: ImperfectionModel) -> list:
     elements = [*pre, BeamSplitter(0, 1, entry_r, signs=(1, -1, 1, 1))]
     # arm A squeezes x on the mode-0 path; its homodyne removes that path, so
     # arm B's p squeezer finds the mode-1 path at index 0
-    elements += _squeezer_elements("x", 2, "A", params.r_a, params.ancilla_excess, arm_r, imp)
-    elements += _squeezer_elements("p", 2, "B", params.r_b, params.ancilla_excess, arm_r, imp)
+    elements += _squeezer_elements("x", 2, "A", params.r_a, arm_r, imp)
+    elements += _squeezer_elements("p", 2, "B", params.r_b, arm_r, imp)
     # after the two stages the arm outputs sit in slots (0, 1) again
     if eta_extra < 1.0:
         elements += [Loss(0, eta_extra, "armA"), Loss(1, eta_extra, "armB")]

@@ -24,6 +24,8 @@ SYMPLECTIC_TOL = 1e-12
 # smallest admissible variance in a conditional-update denominator
 VARIANCE_FLOOR = 1e-12
 _LN10 = float(np.log(10.0))  # scalar arithmetic on it makes no numpy call
+# the largest |r| whose anti-squeezed variance e**(2|r|) is finite in float64, about 354.9
+MAX_SQUEEZE_PARAMETER = float(np.log(np.finfo(float).max)) / 2.0
 
 
 def omega(n_modes: int) -> np.ndarray:
@@ -129,6 +131,9 @@ def squeeze(state: GaussianState, mode: int, r: float, angle: float = 0.0) -> Ga
     axis: the quadrature ``cos(angle)*x + sin(angle)*p`` is the squeezed one.
     """
     _check_mode(state, mode)
+    # at angle 0 the block's max |S|**2 is e**(2|r|); past |r| = 709 exp itself overflows, with a warning
+    if abs(r) > MAX_SQUEEZE_PARAMETER:
+        raise ValueError("matrix is not symplectic in float64: max |S|**2 overflows")
     c, s = np.cos(angle), np.sin(angle)
     rot = np.array([[c, s], [-s, c]])
     return _apply_block(state, rot.T @ np.diag([np.exp(-r), np.exp(r)]) @ rot, (mode,))

@@ -73,7 +73,8 @@ def transfer_coefficients(qmap: QuadratureMap, cov: np.ndarray, sector: str):
 
     def snr_ratio(idx: int):
         variance = moments[idx, idx]
-        if any((variance <= 0.0).flat):
+        # written so that a NaN variance fails too
+        if not all((variance > 0.0).flat):
             raise ValueError("non-positive output variance")
         ratio = column[idx] ** 2 / variance
         return float(ratio) if cov.ndim == 2 else ratio

@@ -27,7 +27,7 @@ A two-mode circuit's ``columns`` are these labels and nothing else, so
     unit variance),
 ``xv*, pv*``
     fresh vacuum labels introduced by loss channels,
-``dark*``, ``excess*``
+``dark*``
     classical noise labels (no conjugate partner).
 
 A conjugate pair ``(x<tag>, p<tag>)`` obeys ``[x, p] = 2i``; commutators are
@@ -153,26 +153,26 @@ def gate_budget_map(params, imp) -> QuadratureMap:
     """The built gate's output rows over its whole noise budget, in closed form.
 
     Extends ``finite_squeezing_map`` to the apparatus ``circuit.build_qnd_gate``
-    builds for a ``GateParams`` and an ``ImperfectionModel``: ancilla impurity,
-    main-mode transmission ``eta_p`` (after the exit beam splitter, or before
-    the entry one), coupler and detector-loss transmissions ``eta_c`` and
-    ``eta_d`` in each arm, dark noise, the feedforward gain error and the
-    in-loop knob transmission ``eta_k``.  With ``n = 1/sqrt(1+R)``,
+    builds for a ``GateParams`` and an ``ImperfectionModel``: main-mode
+    transmission ``eta_p`` (after the exit beam splitter, or before the entry
+    one), coupler and detector-loss transmissions ``eta_c`` and ``eta_d`` in
+    each arm, dark noise, the feedforward gain error and the in-loop knob
+    transmission ``eta_k``.  With ``n = 1/sqrt(1+R)``,
     ``c = sqrt((1-R)/(1+R))``, the feedforward gain
     ``f = sqrt((1-R)/R)(1 + gain_error)`` and the anti-squeezing leak
     ``L = sqrt(eta_d)(1 + gain_error) - sqrt(eta_c)``, the x sector before the
     knob's ``sqrt(eta_k)`` and the main losses reads::
 
-        x1_out = a x1_in + d x2_in - sqrt(eta_c) c e^-rA xA0 - sqrt(R) c L e^rB (xB0 - e excessB)
+        x1_out = a x1_in + d x2_in - sqrt(eta_c) c e^-rA xA0 - sqrt(R) c L e^rB xB0
                  - n v xv_couplerA - sqrt(R) n v xv_couplerB - sqrt(R) n f (w xv_detB + s dark2)
-        x2_out = G b x1_in + a x2_in + sqrt(R eta_c) c e^-rA xA0 - c L e^rB (xB0 - e excessB)
+        x2_out = G b x1_in + a x2_in + sqrt(R eta_c) c e^-rA xA0 - c L e^rB xB0
                  + sqrt(R) n v xv_couplerA - n v xv_couplerB - n f (w xv_detB + s dark2)
 
     and the p sector mirrors it (``p1_out`` from ``p1_in, -p2_in``, ancilla B
     squeezed and A leaking).  Here ``a = sqrt(eta_c) + (1-R) L/(1+R)``,
-    ``b = sqrt(eta_c) + L/(1+R)``, ``d = sqrt(R)(1-R) L/(1+R)``, ``e``, ``v``,
-    ``w`` and ``s`` are the square roots of ``ancilla_excess - 1``,
-    ``1 - eta_c``, ``1 - eta_d`` and the dark variance, and ``G`` is the gain.
+    ``b = sqrt(eta_c) + L/(1+R)``, ``d = sqrt(R)(1-R) L/(1+R)``, ``v``, ``w``
+    and ``s`` are the square roots of ``1 - eta_c``, ``1 - eta_d`` and the dark
+    variance, and ``G`` is the gain.
     ``L = 0`` on the ideal budget, which leaves ``finite_squeezing_map`` and
     zeros.  ``"in_arms"`` losses are the ``"post_exit"`` channel.
 
@@ -203,21 +203,20 @@ def gate_budget_map(params, imp) -> QuadratureMap:
         mains = ((vac, 0.0, 0.0, 0.0), (0.0, vac, 0.0, 0.0), (0.0, 0.0, vac, 0.0), (0.0, 0.0, 0.0, vac))
         core, arm = k * t, math.sqrt(1.0 - eta_extra) * n * t
     a, gb, d = k * t * a, k * t * gb, k * t * d
-    e = math.sqrt(params.ancilla_excess - 1.0)
     sq_a, sq_b = core * coupled * c * math.exp(-params.r_a), core * coupled * c * math.exp(-params.r_b)
     leak_a, leak_b = core * c * leak * math.exp(params.r_a), core * c * leak * math.exp(params.r_b)
     nv = core * n * math.sqrt(1.0 - eta_coupler)
     nw, ns = core * n * f * math.sqrt(1.0 - eta_det), core * n * f * math.sqrt(imp.dark_variance)
     columns = (
-        "x1_in", "x2_in", "xA0", "xB0", "excessB", "xv_couplerA", "xv_couplerB", "xv_detB", "dark2",
-        "p1_in", "p2_in", "pB0", "pA0", "excessA", "pv_couplerA", "pv_couplerB", "pv_detA", "dark1",
+        "x1_in", "x2_in", "xA0", "xB0", "xv_couplerA", "xv_couplerB", "xv_detB", "dark2",
+        "p1_in", "p2_in", "pB0", "pA0", "pv_couplerA", "pv_couplerB", "pv_detA", "dark1",
         "xv_armA", "pv_armA", "xv_armB", "pv_armB", "xv_main1", "pv_main1", "xv_main2", "pv_main2",
     )
-    zero = (0.0,) * 9
-    x1 = (a, d, -sq_a, -root_r * leak_b, e * root_r * leak_b, -nv, -root_r * nv, -root_r * nw, -root_r * ns)
-    x2 = (gb, a, root_r * sq_a, -leak_b, e * leak_b, root_r * nv, -nv, -nw, -ns)
-    p1 = (a, -gb, root_r * sq_b, leak_a, e * leak_a, -nv, -root_r * nv, nw, ns)
-    p2 = (-d, a, sq_b, -root_r * leak_a, -e * root_r * leak_a, root_r * nv, -nv, -root_r * nw, -root_r * ns)
+    zero = (0.0,) * 8
+    x1 = (a, d, -sq_a, -root_r * leak_b, -nv, -root_r * nv, -root_r * nw, -root_r * ns)
+    x2 = (gb, a, root_r * sq_a, -leak_b, root_r * nv, -nv, -nw, -ns)
+    p1 = (a, -gb, root_r * sq_b, leak_a, -nv, -root_r * nv, nw, ns)
+    p2 = (-d, a, sq_b, -root_r * leak_a, root_r * nv, -nv, -root_r * nw, -root_r * ns)
     matrix = [
         x1 + zero + (-arm, 0.0, -root_r * arm, 0.0) + mains[0],
         zero + p1 + (0.0, -arm, 0.0, -root_r * arm) + mains[1],

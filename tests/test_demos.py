@@ -49,5 +49,5 @@ def test_squeezing_stage_is_the_gate_arm(capsys):
     stage, R = demo["stage"], demo["R"]
     assert R == 0.25 and stage.n_input_modes == 1
     r = stage.elements[0].r  # the demo's -5 dB ancilla
-    arm = circuit._squeezer_elements("x", 1, "A", r, 1.0, R, circuit.ImperfectionModel.ideal())
+    arm = circuit._squeezer_elements("x", 1, "A", r, R, circuit.ImperfectionModel.ideal())
     assert list(stage.elements) == arm

@@ -74,11 +74,13 @@ class TestSqueeze:
         assert p_sq.cov[0, 0] == pytest.approx(x_sq.cov[1, 1], abs=1e-12)
 
     @pytest.mark.parametrize(
-        "r, angle", [(np.nan, 0.0), (0.5, np.inf), (0.5, np.nan), (400.0, 0.0), (-400.0, 0.0)]
+        "r, angle",
+        [(np.nan, 0.0), (0.5, np.inf), (0.5, np.nan), (400.0, 0.0), (-400.0, 0.0), (710.0, 0.0), (-1000.0, 0.0)],
     )
     def test_non_finite_squeezing_rejected(self, r, angle):
         # a NaN squeezer once passed the symplectic check and returned a NaN state, and one
-        # whose e**(2r) overflows returned an infinite variance with only an overflow warning
+        # whose e**(2r) overflows returned an infinite variance with only an overflow warning;
+        # past |r| = 709 its own exp warned first
         with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="not symplectic"):
             squeeze(vacuum_state(1), 0, r, angle)
 

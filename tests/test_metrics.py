@@ -103,6 +103,17 @@ class TestTransferCoefficients:
         with pytest.raises(ValueError, match="non-positive output variance"):
             transfer_coefficients(qmap, stack, "x")
 
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_nan_variance_rejected(self, stacked):
+        # NaN <= 0 is False, so a NaN variance once gave a NaN coefficient
+        _, circuit = lossless_gate()
+        qmap = metrics.circuit_quadrature_map(circuit)
+        cov = run_covariance(circuit, vacuum_state(2)).cov
+        cov = np.stack([cov, cov]) if stacked else cov.copy()
+        cov[..., 0, 0].flat[-1] = np.nan
+        with pytest.raises(ValueError, match="non-positive output variance"):
+            transfer_coefficients(qmap, cov, "x")
+
     @pytest.mark.parametrize("placement", ["post_exit", "pre_entry", "in_arms"])
     @pytest.mark.parametrize("gain", [0.0, 0.3, 1.0, 2.4])
     def test_equals_propagated_excitation_snr(self, gain, placement):
@@ -535,12 +546,9 @@ class TestKnobIsAnOutputLoss:
         base=_FIT_BUDGETS,
         gain=st.floats(0.0, 2.5),
         squeezing=st.tuples(st.floats(-10.0, 0.0), st.floats(-10.0, 0.0)),
-        excess=st.just(1.0) | st.floats(1.0, 3.0),
     )
-    def test_covariance_and_signal_columns(self, base, gain, squeezing, excess):
-        params = GateParams.from_gain(
-            gain, squeezing_db_a=squeezing[0], squeezing_db_b=squeezing[1], ancilla_excess=excess
-        )
+    def test_covariance_and_signal_columns(self, base, gain, squeezing):
+        params = GateParams.from_gain(gain, squeezing_db_a=squeezing[0], squeezing_db_b=squeezing[1])
 
         def outputs(knob):
             circuit = build_qnd_gate(params, replace(base, extra_in_loop_loss=float(knob)))
@@ -653,7 +661,6 @@ _POINTS = st.builds(
     st.floats(0.0, 10.0),
     squeezing_db_a=st.floats(-60.0, 0.0),
     squeezing_db_b=st.floats(-60.0, 0.0),
-    ancilla_excess=st.floats(1.0, 4.0),
 )
 _BUDGETS = st.just(ImperfectionModel.ideal()) | st.builds(
     ImperfectionModel,
