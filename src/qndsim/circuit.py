@@ -381,6 +381,9 @@ def _lower(elements: tuple, n_input_modes: int) -> tuple:
         # a stage's sums are scalars of the stages after it
         values = np.concatenate((values, sums))
     matrix = sums.reshape(shape)
+    # each row's squared norm is its vacuum variance; the finite total, when it is, bounds them all
+    if not (math.isfinite(np.vdot(matrix, matrix)) or math.isfinite(np.einsum("ij,ij->i", matrix, matrix).max())):
+        raise ValueError("the circuit overflows: a row of its lowered matrix has an infinite vacuum variance")
     # equal gate builds share one circuit, so its matrix must not change under them
     matrix.flags.writeable = False
     return tuple(columns), matrix, n, n_readouts
@@ -618,8 +621,8 @@ class TrajectoryProgram:
     def run_means(self, draws: np.ndarray):
         """Propagate one shot's means for its ``draws``, of shape (draws_per_shot,).
 
-        Returns ``(means, outcomes)``, one row each: the 2*n_output_modes
-        output means and the electronic readouts, one column per homodyne.
+        Returns ``(means, outcomes)``: the 2*n_output_modes output means and
+        the electronic readouts, one per homodyne.
         """
         draws = np.asarray(draws, dtype=float)
         if draws.shape != (self.draws_per_shot,):
@@ -628,7 +631,7 @@ class TrajectoryProgram:
         values = self.mean0.copy()
         for gain, draw in zip(self.gains.T, draws):
             values += gain * draw
-        return np.split(values[np.newaxis], [2 * self.n_output_modes], axis=1)
+        return values[: 2 * self.n_output_modes], values[2 * self.n_output_modes :]
 
 
 def compile_trajectory(circuit: Circuit, state: GaussianState) -> TrajectoryProgram:
@@ -669,7 +672,7 @@ def run_trajectory(
     """
     program = compile_trajectory(circuit, state)
     means, outcomes = program.run_means(rng.standard_normal(program.draws_per_shot))
-    return GaussianState(program.n_output_modes, means[0], program.final_cov.copy()), outcomes[0]
+    return GaussianState(program.n_output_modes, means, program.final_cov.copy()), outcomes
 
 
 # --------------------------------------------------------------------------

@@ -140,7 +140,7 @@ def _transfer(config: ScenarioConfig) -> _Transfer:
     floor = 1e-6 if config.run.mode == "covariance" else 0.1
     columns = [circuit.columns.index(f"{label}_in") for _, label in _EXCITATION_CASES]
     means = vacuum_mean + amplitude * circuit.matrix[:4, columns].T  # one row per case
-    # snap float noise to zero so reports are stable across R/G round trips
+    # snap float noise to zero, so that no zero mean prints as -0.0000
     means = np.where(np.abs(means) < 1e-12, 0.0, means).tolist()
     cases = tuple(
         (case, label, mean, tuple(q for q, m in zip(_QUADS, mean) if abs(m) > floor * amplitude))
@@ -289,7 +289,7 @@ def _oracle_text(result: _Oracle) -> str:
 
 
 # what each subcommand reads of a scenario beyond squeezing_dB_A, the budget
-# and output.path: "gate" is R or G and squeezing_dB_B, "ensemble" is run.mode,
+# and output.path: "gate" is G and squeezing_dB_B, "ensemble" is run.mode,
 # n and master_seed, and "g_grid" is the rescaling gains' grid
 _READS = {
     "vacuum-spectra": ("gate",),
@@ -309,9 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", help="scenario JSON file")
         if "gate" in reads:
-            group = p.add_mutually_exclusive_group()
-            group.add_argument("--gain", type=float, help="interaction gain G")
-            group.add_argument("--reflectivity", type=float, help="beam-splitter parameter R")
+            p.add_argument("--gain", type=float, help="interaction gain G")
         p.add_argument("--squeezing-db", type=float, help="ancilla squeezing in dB (both ancillas)")
         p.add_argument("--no-imperfections", action="store_true", help="disable every imperfection")
         if "ensemble" in reads:
@@ -333,10 +331,8 @@ def _config_from_args(args) -> ScenarioConfig:
     reads = _READS[args.command]
     config = load_scenario(args.config) if args.config else ScenarioConfig()
     # every flag goes through replace(), which re-runs the scenario's and RunSpec's checks
-    if "gate" in reads and args.reflectivity is not None:
-        config = replace(config, gate_R=args.reflectivity, gate_G=None)
-    elif "gate" in reads and args.gain is not None:
-        config = replace(config, gate_R=None, gate_G=args.gain)
+    if "gate" in reads and args.gain is not None:
+        config = replace(config, gate_G=args.gain)
     if args.squeezing_db is not None:
         config = replace(config, squeezing_dB_A=args.squeezing_db, squeezing_dB_B=args.squeezing_db)
     if args.no_imperfections:
@@ -372,7 +368,7 @@ def _reject_ignored(command: str, config: ScenarioConfig, fit: bool) -> None:
     if run.mode == "covariance" and (run.n, run.master_seed) != (base.n, base.master_seed):
         reject("run", "in covariance mode it runs no ensemble, so n and master_seed go unread")
     if "gate" not in reads:
-        if (config.gate_R, config.gate_G) != (default.gate_R, default.gate_G):
+        if config.gate_G != default.gate_G:
             reject("gate", "it always runs the reference gains 1.0 and 1.5")
         if config.squeezing_dB_B != config.squeezing_dB_A:
             reject("gate", "it gives both ancillas squeezing_dB_A")

@@ -22,7 +22,7 @@ from typing import get_type_hints
 import numpy as np
 
 from . import gaussian
-from .circuit import MIN_SQUEEZING_DB, GateParams, ImperfectionModel, reflectivity_from_gain
+from .circuit import MIN_SQUEEZING_DB, GateParams, ImperfectionModel
 from .ensemble import check_master_seed, check_shot_count
 
 MAX_G_POINTS = 100_000  # the most g values a scan may take: 250 times the default 401
@@ -30,9 +30,9 @@ MAX_G_POINTS = 100_000  # the most g values a scan may take: 250 times the defau
 # half the float spacing, so a one-point grid there is empty, and from about 1e150 g**2 times
 # a variance overflows
 MAX_ABS_G = 1e6
-# the largest gain G a scenario may give, as G or as R >= reflectivity_from_gain(MAX_GAIN),
-# about 1e-6: up to it the lowering keeps 6e-14 of each row's scale and every build passes
-# the absolute 1e-9 check, which correct gates fail from G of about 4.5e3
+# the largest gain G a scenario may give, R = reflectivity_from_gain(MAX_GAIN) of about 1e-6:
+# up to it the lowering keeps 6e-14 of each row's scale and every build passes the absolute
+# 1e-9 check, which correct gates fail from G of about 4.5e3
 MAX_GAIN = 1000.0
 # the largest |feedforward_electronic_gain_error|: up to it every budget at the bounds above
 # builds, and a feedforward off (-1) or doubled (+1) covers any realistic electronics
@@ -93,8 +93,7 @@ class OutputSpec:
 
 @dataclass
 class ScenarioConfig:
-    gate_R: float | None = None
-    gate_G: float | None = 1.0
+    gate_G: float = 1.0
     squeezing_dB_A: float = -5.0
     squeezing_dB_B: float = -5.0
     imperfections: ImperfectionModel = field(default_factory=ImperfectionModel)
@@ -102,8 +101,6 @@ class ScenarioConfig:
     output: OutputSpec = field(default_factory=OutputSpec)
 
     def __post_init__(self):
-        if (self.gate_R is None) == (self.gate_G is None):
-            raise ValueError("specify exactly one of gate R and gate G")
         # the gate's measurement-induced squeezing needs squeezed (or vacuum) ancillas
         for name in ("squeezing_dB_A", "squeezing_dB_B"):
             db = getattr(self, name)
@@ -115,17 +112,12 @@ class ScenarioConfig:
                     "the deepest squeezing oracle-check verifies"
                 )
         # the gain is bounded before it becomes R, which rounds to 0 from G of about 1.4e8
-        if self.gate_G is not None and MAX_GAIN < self.gate_G < math.inf:
+        if MAX_GAIN < self.gate_G < math.inf:
             raise ValueError(
                 f"gain G = {self.gate_G} is above {MAX_GAIN:g}, the largest a scenario may give"
             )
         # the gate is checked at load too, not first when a command builds it
         self.gate_params()
-        if self.gate_R is not None and self.gate_R < (low := reflectivity_from_gain(MAX_GAIN)):
-            raise ValueError(
-                f"R = {self.gate_R} is below {low:.6g}: its gain G is above {MAX_GAIN:g}, "
-                "the largest a scenario may give"
-            )
         gain_error = self.imperfections.feedforward_electronic_gain_error
         if abs(gain_error) > MAX_GAIN_ERROR:
             raise ValueError(
@@ -134,9 +126,8 @@ class ScenarioConfig:
             )
 
     def gate_params(self) -> GateParams:
-        R = self.gate_R if self.gate_R is not None else reflectivity_from_gain(self.gate_G)
-        return GateParams(
-            R, squeezing_db_a=self.squeezing_dB_A, squeezing_db_b=self.squeezing_dB_B
+        return GateParams.from_gain(
+            self.gate_G, squeezing_db_a=self.squeezing_dB_A, squeezing_db_b=self.squeezing_dB_B
         )
 
     def input_state(self) -> gaussian.GaussianState:
@@ -152,6 +143,7 @@ class ScenarioConfig:
             "gate": {
                 "squeezing_dB_A": self.squeezing_dB_A,
                 "squeezing_dB_B": self.squeezing_dB_B,
+                "G": self.gate_G,
             },
             "imperfections": imperfections,
             "run": {
@@ -162,10 +154,6 @@ class ScenarioConfig:
             },
             "output": asdict(self.output),
         }
-        if self.gate_R is not None:
-            doc["gate"]["R"] = self.gate_R
-        else:
-            doc["gate"]["G"] = self.gate_G
         return json.dumps(doc, indent=2, allow_nan=False)
 
 
@@ -175,7 +163,7 @@ _DARK_NOISE = "dark_noise_dB_below_shot"
 _JSON_TYPES = {float: ((int, float), "a number"), str: (str, "a string"), dict: (dict, "an object"),
                str | None: ((str, type(None)), "a string or null")}
 _SCENARIO_KEYS = {"gate": dict, "imperfections": dict, "run": dict, "output": dict}
-_GATE_KEYS = dict.fromkeys(("R", "G", "squeezing_dB_A", "squeezing_dB_B"), float)
+_GATE_KEYS = dict.fromkeys(("G", "squeezing_dB_A", "squeezing_dB_B"), float)
 # a key typed ``object`` is left to the constructor: RunSpec checks n and master_seed
 _RUN_KEYS = {"mode": str, "n": object, "master_seed": object, "g_grid": dict}
 
@@ -203,8 +191,8 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
     _checked("scenario", doc, _SCENARIO_KEYS)
     gate = _checked("gate", doc.get("gate", {}), _GATE_KEYS)
     given = {name: float(gate[name]) for name in gate.keys() & {"squeezing_dB_A", "squeezing_dB_B"}}
-    if gate.keys() & {"R", "G"}:
-        given.update(gate_R=gate.get("R"), gate_G=gate.get("G"))
+    if "G" in gate:
+        given["gate_G"] = gate["G"]
     if "imperfections" in doc:
         imperfections = doc["imperfections"]
         if isinstance(imperfections, dict) and imperfections.get(_DARK_NOISE, 0.0) is None:

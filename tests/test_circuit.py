@@ -478,6 +478,18 @@ class TestCircuitValidation:
         assert np.all(np.isfinite(out.cov))
         assert out.cov[3, 3] == pytest.approx(math.exp(708.0), rel=1e-12)
 
+    def test_overflowing_row_rejected(self):
+        # every element is in bounds, but feeding the anti-squeezed readout forward with gain 3
+        # gives mode 0 a p variance of 9 e**708, past the float range
+        with pytest.raises(ValueError, match="infinite vacuum variance"):
+            Circuit(OVERFLOWING_ROW, 1)
+
+    def test_rows_are_bounded_one_at_a_time(self):
+        # each row's squared norm is 7.5e307, but their total is not finite
+        circuit = Circuit(FINITE_ROWS, 1)
+        assert not math.isfinite(np.vdot(circuit.matrix, circuit.matrix))
+        assert np.all(np.isfinite(run_covariance(circuit, gaussian.vacuum_state(1)).cov))
+
     @pytest.mark.parametrize("field,value", [("angle", math.nan), ("dark_variance", math.inf)])
     def test_non_finite_homodyne_rejected(self, field, value):
         kwargs = {"angle": 0.0, "dark_variance": 0.0, field: value}
@@ -505,7 +517,7 @@ class TestCircuitValidation:
         assert circuit.n_output_modes == 2
         program = compile_trajectory(circuit, gaussian.vacuum_state(2))
         _, readouts = program.run_means(np.zeros(program.draws_per_shot))
-        assert readouts.shape[1] == 2
+        assert readouts.shape == (2,)
 
 
 GOLDEN_TEXT = """\
@@ -585,6 +597,12 @@ EVERY_KIND = (
     Loss(2, 0.95, "det"),
     HomodyneFeedforward(2, 0.5, 1, "p", -0.75, dark_variance=0.01),
 )
+
+# on one input mode: an ancilla near the squeezing bound whose anti-squeezed readout is fed
+# forward with gain 3, and one mixed into three rows whose squared norms, 7.5e307 each, sum
+# past the float range
+OVERFLOWING_ROW = (AncillaInjection(354.0, 0.0, "A"), HomodyneFeedforward(1, math.pi / 2, 0, "p", 3.0))
+FINITE_ROWS = (AncillaInjection(354.8, math.pi / 2, "A"), BeamSplitter(0, 1, 0.5), HomodyneFeedforward(1, 0.0, 0, "x", 0.0))
 
 GOLDEN_EVERY_KIND_TEXT = """\
 Circuit n_input_modes=2
@@ -1296,6 +1314,9 @@ def _reference_lower(elements: tuple, n_input_modes: int) -> tuple:
             raise TypeError(f"unknown circuit element {el!r}")
 
     matrix = np.vstack([*modes, *readouts, *observed])[:, : len(columns)]
+    # a row's squared norm is its vacuum variance
+    if not np.all(np.isfinite(np.einsum("ij,ij->i", matrix, matrix))):
+        raise ValueError("the circuit overflows: a row of its lowered matrix has an infinite vacuum variance")
     # equal gate builds share one lowering, so it must not change under them
     matrix.flags.writeable = False
     return tuple(columns), matrix, len(modes), len(readouts)
@@ -1401,6 +1422,9 @@ class TestLoweringBitIdentity:
     # the plan sums it in more than one stage
     @example(case=((AncillaInjection(0.5, math.pi / 2, "A"), HomodyneFeedforward(0, -math.pi, 1, "x", 1.5)), 1))
     @example(case=(tuple(BeamSplitter(k % 2, 1 - k % 2, 0.1 * (k % 9) + 0.05) for k in range(12)), 2))
+    # a row whose vacuum variance overflows, and rows that are each finite with an infinite total
+    @example(case=(OVERFLOWING_ROW, 1))
+    @example(case=(FINITE_ROWS, 1))
     def test_lowering_matches_reference_bit_for_bit(self, case):
         elements, n_input_modes = case
         try:

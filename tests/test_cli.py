@@ -22,6 +22,7 @@ from qndsim.circuit import (
     ImperfectionModel,
     build_qnd_gate,
     circuit_quadrature_map,
+    gain_from_reflectivity,
     run_covariance,
 )
 from qndsim.cli import (
@@ -70,22 +71,12 @@ class TestScenarioConfig:
         assert config.imperfections.propagation_loss_per_main_mode == 0.07
         assert config.imperfections.visibility == 0.98
 
-    def test_exactly_one_of_r_and_g(self):
-        with pytest.raises(ValueError):
-            ScenarioConfig(gate_R=0.25, gate_G=1.5)
-        with pytest.raises(ValueError):
-            ScenarioConfig(gate_R=None, gate_G=None)
-
     def test_round_trip_through_json(self, tmp_path):
-        config = ScenarioConfig(
-            gate_R=0.25,
-            gate_G=None,
-            run=RunSpec(mode="trajectories", n=500, master_seed=7),
-        )
+        config = ScenarioConfig(gate_G=1.5, run=RunSpec(mode="trajectories", n=500, master_seed=7))
         path = tmp_path / "scenario.json"
         path.write_text(config.to_json())
         loaded = load_scenario(str(path))
-        assert loaded.gate_R == 0.25
+        assert loaded.gate_G == 1.5
         assert loaded.run.n == 500
         assert loaded.run.master_seed == 7
 
@@ -119,7 +110,6 @@ class TestScenarioConfig:
     @pytest.mark.parametrize(
         "doc, expected",
         [
-            ({"gate": {"R": 0.25}}, ScenarioConfig(gate_R=0.25, gate_G=None)),
             ({"gate": {"G": 1.5}}, ScenarioConfig(gate_G=1.5)),
             ({"gate": {"squeezing_dB_B": -3}}, ScenarioConfig(squeezing_dB_B=-3.0)),
             ({"imperfections": {"visibility": 0.9}},
@@ -128,7 +118,7 @@ class TestScenarioConfig:
             ({"run": {"g_grid": {"max": 1}}}, ScenarioConfig(run=RunSpec(g_max=1.0))),
             ({"output": {"path": "out.csv"}}, ScenarioConfig(output=OutputSpec("out.csv"))),
         ],
-        ids=["R", "G", "squeezing", "imperfection", "n", "g_grid", "output"],
+        ids=["G", "squeezing", "imperfection", "n", "g_grid", "output"],
     )
     def test_one_key_keeps_every_other_default(self, doc, expected):
         assert scenario_from_dict(doc) == expected
@@ -333,7 +323,7 @@ class TestScenarioConfig:
         "doc, message",
         [
             # JSON booleans and numeric strings are not numbers
-            ({"gate": {"R": True}}, "gate key 'R' must be a number, got True"),
+            ({"gate": {"G": "1.5"}}, "gate key 'G' must be a number, got '1.5'"),
             ({"gate": {"G": True}}, "gate key 'G' must be a number, got True"),
             ({"gate": {"squeezing_dB_A": "-3"}}, "gate key 'squeezing_dB_A' must be a number, got '-3'"),
             ({"imperfections": {"visibility": True}}, "imperfection key 'visibility' must be a number"),
@@ -372,9 +362,28 @@ class TestScenarioConfig:
         with pytest.raises(ValueError, match="master_seed"):
             main(["transfer", "--config", str(path)])
 
+    @pytest.mark.parametrize("command", ["vacuum-spectra", "transfer", "conditional", "reproduce-table"])
+    def test_reflectivity_key_rejected(self, tmp_path, capsys, command):
+        # the gate is named by its gain alone: R = 0.25 is G = 1.5
+        doc = {"gate": {"R": 0.25}}
+        with pytest.raises(ValueError, match=r"unknown gate keys: \['R'\]"):
+            scenario_from_dict(doc)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=r"unknown gate keys: \['R'\]"):
+            main([command, "--config", str(path)])
+        assert capsys.readouterr().out == ""
+
     def test_both_r_and_g_rejected(self):
-        with pytest.raises(ValueError):
+        # a G beside it does not let the loader drop the R
+        with pytest.raises(ValueError, match=r"unknown gate keys: \['R'\]"):
             scenario_from_dict({"gate": {"R": 0.25, "G": 1.0}})
+
+    @pytest.mark.parametrize("name", ["gate_G", "squeezing_dB_B"])
+    def test_missing_gate_value_is_a_type_error(self, name):
+        # with one gate field there is no exactly-one rule: None is not a number
+        with pytest.raises(TypeError):
+            ScenarioConfig(**{name: None})
 
     @pytest.mark.parametrize("name", ["squeezing_dB_A", "squeezing_dB_B"])
     @pytest.mark.parametrize("db", [6.0, 1e-9, float("nan"), float("inf"), float("-inf")])
@@ -387,9 +396,8 @@ class TestScenarioConfig:
         [
             ({"G": -1.0}, "gain G = -1.0 must be finite and non-negative"),
             ({"G": math.nan}, "gain G = nan must be finite and non-negative"),
-            ({"R": 1.5}, r"R = 1.5 outside \(0, 1\]"),
         ],
-        ids=["negative-G", "nan-G", "R-above-1"],
+        ids=["negative-G", "nan-G"],
     )
     def test_bad_gate_fails_at_load(self, gate, message, tmp_path, monkeypatch, capsys):
         with pytest.raises(ValueError, match=message):
@@ -443,7 +451,8 @@ class TestVacuumSpectra:
         assert "0.5745" in row  # 10*log10(1.14142)
 
     def test_r_one_all_zero(self):
-        config = lossless_config(gate_R=1.0, gate_G=None)
+        # G = 0 is R = 1
+        config = lossless_config(gate_G=0.0)
         text = cmd_vacuum_spectra(config)
         for line in text.splitlines()[2:]:
             for token in line.split()[1:]:
@@ -562,7 +571,7 @@ _CSV_BUDGET = ImperfectionModel(
 )
 _CSV_SCENARIOS = {
     "default": ScenarioConfig(),
-    "gain-1.5-budget": ScenarioConfig(gate_R=None, gate_G=1.5, imperfections=_CSV_BUDGET),
+    "gain-1.5-budget": ScenarioConfig(gate_G=1.5, imperfections=_CSV_BUDGET),
 }
 GOLDEN_CSV = {
     ("vacuum-spectra", "default"): """\
@@ -1181,14 +1190,6 @@ class TestMainEntry:
             main(["transfer", *argv])
         assert capsys.readouterr().out == ""
 
-    def test_reflectivity_flag(self, capsys):
-        assert main(["vacuum-spectra", "--reflectivity", "1.0"]) == 0
-        assert "R=1.000000" in capsys.readouterr().out
-
-    def test_gain_reflectivity_mutually_exclusive(self):
-        with pytest.raises(SystemExit):
-            main(["transfer", "--gain", "1.0", "--reflectivity", "0.25"])
-
     def test_config_file(self, tmp_path, capsys):
         doc = {
             "gate": {"G": 1.5, "squeezing_dB_A": -5.0, "squeezing_dB_B": -5.0},
@@ -1207,16 +1208,19 @@ class TestMainEntry:
         out = capsys.readouterr().out
         assert "V_SP=0.59097" in out
 
+    def test_zero_gain_is_unit_reflectivity(self, capsys):
+        assert main(["vacuum-spectra", "--gain", "0"]) == 0
+        assert "G=0.0000 (R=1.000000)" in capsys.readouterr().out
+
     def test_gain_echo_round_trip(self, capsys):
-        # running with G, reading back R, and re-running with that R gives
-        # the identical report
-        assert main(["transfer", "--gain", "1.0", "--no-imperfections"]) == 0
+        # running with G, reading back R, and re-running with the gain of that R
+        # gives the identical report
+        assert main(["vacuum-spectra", "--gain", "1.0", "--no-imperfections"]) == 0
         first = capsys.readouterr().out
-        assert main(
-            ["transfer", "--reflectivity", "0.3819660112501051", "--no-imperfections"]
-        ) == 0
-        second = capsys.readouterr().out
-        assert first == second
+        assert "R=0.381966" in first
+        gain = gain_from_reflectivity(0.3819660112501051)
+        assert main(["vacuum-spectra", "--gain", repr(gain), "--no-imperfections"]) == 0
+        assert capsys.readouterr().out == first
 
     @pytest.mark.parametrize("command", ["vacuum-spectra", "transfer"])
     def test_invalid_seed_flag_rejected(self, command):
@@ -1231,7 +1235,8 @@ class TestMainEntry:
             ["vacuum-spectra", "--trajectories", "10"],
             ["vacuum-spectra", "--seed", "1"],
             ["reproduce-table", "--gain", "1.0"],
-            ["reproduce-table", "--reflectivity", "0.25"],
+            # the gate is named by --gain alone: R = 0.25 is --gain 1.5
+            *([command, "--reflectivity", "0.25"] for command in cli._READS),
             ["reproduce-table", "--trajectories", "10"],
             ["reproduce-table", "--seed", "1"],
             ["oracle-check", "--gain", "7"],
@@ -1239,6 +1244,7 @@ class TestMainEntry:
             ["oracle-check", "--csv", "x.csv"],
             ["oracle-check", "--config", "x.json"],
             ["oracle-check", "--no-imperfections"],
+            ["oracle-check", "--reflectivity", "0.25"],
         ],
         ids=lambda argv: argv[0] + argv[1],
     )
@@ -1252,7 +1258,6 @@ class TestMainEntry:
     FLAG_VALUES = {
         "--config": ["scenario.json"],  # the file sets a visibility of 0.9
         "--gain": ["1.5"],
-        "--reflectivity": ["0.25"],
         "--squeezing-db": ["-4"],
         "--no-imperfections": [],
         "--trajectories": ["500"],
@@ -1361,7 +1366,6 @@ class TestScenarioFileHonoured:
             ("vacuum-spectra", TRAJECTORIES, "run"),
             ("reproduce-table", TRAJECTORIES, "run"),
             ("reproduce-table", {"gate": {"G": 2.0}}, "gate"),
-            ("reproduce-table", {"gate": {"R": 0.25}}, "gate"),
             ("reproduce-table", {"gate": {"squeezing_dB_A": -5.0, "squeezing_dB_B": -3.0}}, "gate"),
             ("vacuum-spectra", G_GRID, "run"),
             ("transfer", G_GRID, "run"),
@@ -1374,7 +1378,6 @@ class TestScenarioFileHonoured:
             "vacuum-spectra-trajectories",
             "reproduce-table-trajectories",
             "reproduce-table-G",
-            "reproduce-table-R",
             "reproduce-table-unequal-squeezing",
             "vacuum-spectra-g-grid",
             "transfer-g-grid",
@@ -1423,7 +1426,7 @@ class TestScenarioFileHonoured:
     NON_DEFAULT = {
         "mode": "trajectories", "n": 500, "master_seed": 3,
         "g_min": -1.0, "g_max": 1.0, "g_step": 0.1,
-        "gate_R": 0.25, "gate_G": 1.5, "squeezing_dB_B": -3.0,
+        "gate_G": 1.5, "squeezing_dB_B": -3.0,
     }
     RUN_FIELDS = tuple(f.name for f in fields(RunSpec))
     UNREAD = (
@@ -1431,7 +1434,7 @@ class TestScenarioFileHonoured:
         + [("reproduce-table", "run", name) for name in RUN_FIELDS]
         + [("transfer", "run", name) for name in ("n", "master_seed", "g_min", "g_max", "g_step")]
         + [("conditional", "run", name) for name in ("n", "master_seed")]
-        + [("reproduce-table", "gate", name) for name in ("gate_R", "gate_G", "squeezing_dB_B")]
+        + [("reproduce-table", "gate", name) for name in ("gate_G", "squeezing_dB_B")]
     )
 
     @classmethod
@@ -1440,8 +1443,6 @@ class TestScenarioFileHonoured:
         value = cls.NON_DEFAULT[name]
         if name in cls.RUN_FIELDS:
             return ScenarioConfig(run=RunSpec(**{name: value}))
-        if name == "gate_R":
-            return ScenarioConfig(gate_R=value, gate_G=None)
         return ScenarioConfig(**{name: value})
 
     @pytest.mark.parametrize(
@@ -1455,7 +1456,6 @@ class TestScenarioFileHonoured:
 
     # one valid non-default value per key of the scenario document
     DOCUMENT_VALUES = {
-        ("gate", "R"): NON_DEFAULT["gate_R"],
         ("gate", "G"): NON_DEFAULT["gate_G"],
         ("gate", "squeezing_dB_A"): NON_DEFAULT["squeezing_dB_B"],
         ("gate", "squeezing_dB_B"): NON_DEFAULT["squeezing_dB_B"],
@@ -1491,8 +1491,7 @@ class TestScenarioFileHonoured:
                 else:
                     yield prefix + (key,)
 
-        # the default document gives the gain as G, so R is added by hand
-        document = set(keys(json.loads(ScenarioConfig().to_json()))) | {("gate", "R")}
+        document = set(keys(json.loads(ScenarioConfig().to_json())))
         assert document == set(self.DOCUMENT_VALUES)
 
     @pytest.mark.parametrize("command", COMMANDS)

@@ -359,7 +359,7 @@ class TestExactLaw:
             upper = np.triu_indices(len(result.mean))
             drawn.append(np.concatenate([result.mean, (result.cov - program.final_cov)[upper]]))
             rng = trajectory_generator(seed + len(TestExactLaw.SEEDS), 0)
-            means = [program.run_means(rng.standard_normal(program.draws_per_shot))[0][0]
+            means = [program.run_means(rng.standard_normal(program.draws_per_shot))[0]
                      for _ in range(n)]
             if seed == TestExactLaw.SEEDS[0]:
                 rng = trajectory_generator(seed + len(TestExactLaw.SEEDS), 0)

@@ -21,12 +21,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qndsim.circuit import (
-    GateParams,
-    ImperfectionModel,
-    build_qnd_gate,
-    reflectivity_from_gain,
-)
+from qndsim.circuit import GateParams, ImperfectionModel, build_qnd_gate, gain_from_reflectivity
 from qndsim.cli import main
 from qndsim.scenario import (
     MAX_ABS_G,
@@ -36,8 +31,6 @@ from qndsim.scenario import (
     ScenarioConfig,
     scenario_from_dict,
 )
-
-R_AT_BOUND = reflectivity_from_gain(MAX_GAIN)
 
 
 def _scenario_file(directory, doc) -> str:
@@ -53,9 +46,10 @@ class TestGainBound:
         [
             ({"G": 1e5}, "gain G = 100000.0 is above 1000, the largest a scenario may give"),
             ({"G": 1e9}, "gain G = 1000000000.0 is above 1000, the largest a scenario may give"),
-            ({"R": 1e-12}, r"R = 1e-12 is below 9.99998e-07: its gain G is above 1000"),
+            ({"G": math.nextafter(MAX_GAIN, math.inf)},
+             "gain G = 1000.0000000000001 is above 1000, the largest a scenario may give"),
         ],
-        ids=["G-1e5", "G-1e9", "R-1e-12"],
+        ids=["G-1e5", "G-1e9", "G-next-above"],
     )
     def test_file_beyond_the_bound_names_its_key(self, gate, message, tmp_path, capsys):
         # G = 1e9 would become R = 0.0, so the error must name G before R exists
@@ -71,21 +65,25 @@ class TestGainBound:
         [
             (["--gain", "1e5"], "gain G = 100000.0 is above 1000"),
             (["--gain", "1e9"], "gain G = 1000000000.0 is above 1000"),
-            (["--reflectivity", "1e-12"], "R = 1e-12 is below 9.99998e-07"),
+            (["--gain", "1000.0000000000001"], "gain G = 1000.0000000000001 is above 1000"),
         ],
-        ids=["G-1e5", "G-1e9", "R-1e-12"],
+        ids=["G-1e5", "G-1e9", "G-next-above"],
     )
     def test_flag_beyond_the_bound_names_its_key(self, argv, message, capsys):
         with pytest.raises(ValueError, match=message):
             main(["transfer", *argv])
         assert capsys.readouterr().out == ""
 
-    def test_the_bound_itself_loads_by_either_key(self, capsys):
-        by_gain = ScenarioConfig(gate_G=MAX_GAIN).gate_params()
-        by_r = ScenarioConfig(gate_R=R_AT_BOUND, gate_G=None).gate_params()
-        assert by_gain == by_r
+    def test_the_bound_itself_loads(self, capsys):
+        assert scenario_from_dict({"gate": {"G": MAX_GAIN}}) == ScenarioConfig(gate_G=MAX_GAIN)
         assert main(["transfer", "--gain", "1000"]) == 0
         assert "G=1000.0000" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("R", [0.01, 0.1, 0.25, 0.3819660112501051, 0.5, 0.99, 1.0])
+    def test_a_reflectivity_is_named_by_its_gain(self, R):
+        # gain_from_reflectivity carries a working point given as R onto the G key
+        params = scenario_from_dict({"gate": {"G": gain_from_reflectivity(R)}}).gate_params()
+        assert params.R == pytest.approx(R, rel=0, abs=1e-15)
 
     def test_gate_params_stay_unbounded(self):
         # the library may go past the scenario bound, as it may for squeezing
@@ -105,11 +103,10 @@ class TestGainBound:
                 loss_placement=str(rng.choice(["post_exit", "pre_entry", "in_arms"])),
             )
             db_a, db_b = rng.uniform(MIN_SQUEEZING_DB, 0.0, size=2)
-            for gate in ({"gate_G": MAX_GAIN}, {"gate_R": R_AT_BOUND, "gate_G": None}):
-                config = ScenarioConfig(
-                    **gate, squeezing_dB_A=db_a, squeezing_dB_B=db_b, imperfections=imp
-                )
-                build_qnd_gate(config.gate_params(), config.imperfections)
+            config = ScenarioConfig(
+                gate_G=MAX_GAIN, squeezing_dB_A=db_a, squeezing_dB_B=db_b, imperfections=imp
+            )
+            build_qnd_gate(config.gate_params(), config.imperfections)
 
 
 class TestGainErrorBound:
@@ -130,14 +127,14 @@ class TestGainErrorBound:
         loss = (0.0, below_one)
         efficiency = (above_zero, 1.0)
         corners = itertools.product(
-            (R_AT_BOUND, 1.0), (MIN_SQUEEZING_DB, 0.0), (MIN_SQUEEZING_DB, 0.0),
+            (MAX_GAIN, 0.0), (MIN_SQUEEZING_DB, 0.0), (MIN_SQUEEZING_DB, 0.0),
             loss, efficiency, efficiency, (0.0, math.inf), loss,
             (-MAX_GAIN_ERROR, MAX_GAIN_ERROR), loss, ("post_exit", "pre_entry", "in_arms"),
         )
         built = 0
-        for R, db_a, db_b, *budget in corners:
+        for gain, db_a, db_b, *budget in corners:
             config = ScenarioConfig(
-                gate_R=R, gate_G=None, squeezing_dB_A=db_a, squeezing_dB_B=db_b,
+                gate_G=gain, squeezing_dB_A=db_a, squeezing_dB_B=db_b,
                 imperfections=ImperfectionModel(*budget),
             )
             build_qnd_gate(config.gate_params(), config.imperfections)
@@ -189,7 +186,6 @@ _LOSS = _value(st.floats(0.0, 0.99), [0.0, -0.0, float(np.nextafter(1.0, 0.0))],
 _EFFICIENCY = _value(st.floats(0.01, 1.0), [1.0, 5e-324], [0.0, 1.0000001])
 _DB = _value(st.floats(MIN_SQUEEZING_DB, 0.0), [MIN_SQUEEZING_DB, 0.0, -0.0], [-60.0001, 3.0])
 _GATE = {
-    "R": _value(st.floats(R_AT_BOUND, 1.0), [R_AT_BOUND, 1.0], [0.0, 1e-12, 1.5]),
     "G": _value(st.floats(0.0, MAX_GAIN), [0.0, MAX_GAIN], [1e5, 1e9, -1.0]),
     "squeezing_dB_A": _DB,
     "squeezing_dB_B": _DB,
@@ -254,9 +250,10 @@ def _run(argv) -> str:
 
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
 @given(doc=_DOCUMENTS)
-# holes the load bounds close: the first two loaded, then every build raised;
-# G = 1e9 became R = 0.0, and the load error named R
+# a gate named by R, which only G names: it fails as an unknown key
 @example(doc={"gate": {"R": 1e-12}})
+# holes the load bounds close: the first loaded, then every build raised;
+# G = 1e9 became R = 0.0, and the load error named R
 @example(doc={"imperfections": {"feedforward_electronic_gain_error": -1e300}})
 @example(doc={"gate": {"G": 1e9}})
 @example(doc={"run": {"mode": "trajectories", "n": 2**53}, "output": {"path": CSV}})
