@@ -50,7 +50,6 @@ from .metrics import (
     conditional_variance,
     cv_sweep,
     duan_simon,
-    duan_sum,
     evaluate_gate,
     fit_extra_in_loop_loss,
     reference_sweeps,

@@ -177,7 +177,7 @@ def _conditional(config: ScenarioConfig) -> metrics.QndReport:
     params = config.gate_params()
     circuit = build_qnd_gate(params, config.imperfections)
     _, cov = _vacuum_output(config, circuit)
-    return metrics.evaluate_gate(circuit, params, cov, config.run.g_grid())
+    return metrics.evaluate_gate(circuit, params, cov)
 
 
 def _conditional_views(report: metrics.QndReport) -> tuple:
@@ -197,7 +197,7 @@ def _conditional_views(report: metrics.QndReport) -> tuple:
 
 def _conditional_rows(report: metrics.QndReport):
     """The measured sweep and the three lossless reference curves, which only the CSV shows."""
-    grid = report.g_grid
+    grid = metrics.DEFAULT_G_GRID
     for sector, refs in metrics.reference_sweeps(report.params, grid).items():
         measured = metrics.cv_sweep(report.cov, sector, grid)
         columns = (grid, measured, gaussian.variance_to_db(measured), refs.ideal,
@@ -289,12 +289,12 @@ def _oracle_text(result: _Oracle) -> str:
 
 
 # what each subcommand reads of a scenario beyond squeezing_dB_A, the budget
-# and output.path: "gate" is G and squeezing_dB_B, "ensemble" is run.mode,
-# n and master_seed, and "g_grid" is the rescaling gains' grid
+# and output.path: "gate" is G and squeezing_dB_B, and "ensemble" is the run
+# section (mode, n and master_seed)
 _READS = {
     "vacuum-spectra": ("gate",),
     "transfer": ("gate", "ensemble"),
-    "conditional": ("gate", "ensemble", "g_grid"),
+    "conditional": ("gate", "ensemble"),
     "reproduce-table": (),
 }
 
@@ -359,12 +359,8 @@ def _reject_ignored(command: str, config: ScenarioConfig, fit: bool) -> None:
     def reject(section: str, why: str):
         raise ValueError(f"{command} ignores the scenario's {section} section: {why}")
 
-    # the grid's fields, not its points: transfer builds no grid to reject one
-    changed = {"ensemble": (run.mode, run.n, run.master_seed) != (base.mode, base.n, base.master_seed),
-               "g_grid": (run.g_min, run.g_max, run.g_step) != (base.g_min, base.g_max, base.g_step)}
-    if any(changed[part] for part in changed.keys() - reads):
-        reject("run", "only conditional sweeps the rescaling gain g" if "ensemble" in reads
-               else "it propagates covariances once and sweeps no rescaling gain g")
+    if "ensemble" not in reads and run != base:
+        reject("run", "it propagates covariances once and sweeps no rescaling gain g")
     if run.mode == "covariance" and (run.n, run.master_seed) != (base.n, base.master_seed):
         reject("run", "in covariance mode it runs no ensemble, so n and master_seed go unread")
     if "gate" not in reads:

@@ -41,13 +41,15 @@ from .quadexpr import (
     ideal_qnd_map,
     moments_from_map,
 )
-from .scenario import RunSpec
 
 # (signal, probe, probe sign): (x1, p1, x2, p2) indices; the signal input is INPUT_COLUMNS[signal]
 _SECTOR = {"x": (0, 2, -1.0), "p": (3, 1, +1.0)}
 
 DEFAULT_PROBE_AMPLITUDE = 10.0  # mean**2 = 100 x shot noise (20 dB)
-DEFAULT_G_GRID = RunSpec().g_grid()
+# the rescaling gains every witness scan and conditional CSV reads, read-only; + 0.0 makes
+# rounding's -0.0 at g = 0 print unsigned
+DEFAULT_G_GRID = np.round(np.arange(-2.0, 2.0 + 1e-9, 0.01), 10) + 0.0
+DEFAULT_G_GRID.flags.writeable = False
 _VACUUM_INPUT = gaussian.vacuum_state(2)  # shared by every vacuum run here and in ``cli``; executors only read it
 _VACUUM_INPUT.mean.flags.writeable = _VACUUM_INPUT.cov.flags.writeable = False
 
@@ -151,20 +153,15 @@ class DuanResult:
     scan_best_margin: float  # min over the grid of (sum - bound); < 0 certifies
 
 
-def duan_sum(cov: np.ndarray, g: float) -> float:
-    """``Var(x1 - g*x2) + Var(p2 + g*p1)`` from an output covariance."""
-    return float(cv_sweep(cov, "x", g) + cv_sweep(cov, "p", g))
+def duan_simon(cov: np.ndarray, g: float) -> DuanResult:
+    """Evaluate the entanglement witness at ``g`` and scan ``DEFAULT_G_GRID``.
 
-
-def duan_simon(cov: np.ndarray, g: float, g_grid=None) -> DuanResult:
-    """Evaluate the entanglement witness at ``g`` and scan a gain grid.
-
-    The state is certified entangled when the combined-quadrature sum drops
-    below ``4*|g|``; both sectors enter at the same ``g``, so the scan looks
-    for a simultaneous dip.
+    The state is certified entangled when the combined-quadrature sum
+    ``Var(x1 - g*x2) + Var(p2 + g*p1)`` drops below ``4*|g|``; both sectors
+    enter at the same ``g``, so the scan looks for a simultaneous dip.
     """
-    grid = np.asarray(DEFAULT_G_GRID if g_grid is None else g_grid, dtype=float)
-    value = duan_sum(cov, g)
+    grid = DEFAULT_G_GRID
+    value = float(cv_sweep(cov, "x", g) + cv_sweep(cov, "p", g))
     bound = 4.0 * abs(g)
     sums = cv_sweep(cov, "x", grid) + cv_sweep(cov, "p", grid)
     margins = sums - 4.0 * np.abs(grid)
@@ -204,18 +201,17 @@ class QndReport:
     ``cov`` is the vacuum-input output covariance the sector metrics were
     read from.  The witness ``duan`` is evaluated from it the first time it
     is read, so a caller that prints only the sector metrics scans no gain
-    grid; ``g_grid`` is the grid it scans, ``DEFAULT_G_GRID`` when None.
+    grid.
     """
 
     params: GateParams
     sectors: dict  # "x"/"p" -> SectorMetrics
     cov: np.ndarray = field(repr=False, compare=False)
-    g_grid: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @cached_property
     def duan(self) -> DuanResult:
-        """The witness at the x sector's ``g_opt``, scanned over ``g_grid``; computed on first read."""
-        return duan_simon(self.cov, self.sectors["x"].g_opt, self.g_grid)
+        """The witness at the x sector's ``g_opt``, scanned over ``DEFAULT_G_GRID``; computed on first read."""
+        return duan_simon(self.cov, self.sectors["x"].g_opt)
 
     @property
     def qnd_criteria_pass(self) -> bool:
@@ -252,18 +248,17 @@ def _sector_metrics(qmap: QuadratureMap, cov: np.ndarray, signal_scale=1.0) -> d
     return sectors
 
 
-def evaluate_gate(circuit: Circuit, params: GateParams, cov=None, g_grid=None) -> QndReport:
+def evaluate_gate(circuit: Circuit, params: GateParams, cov=None) -> QndReport:
     """Run the standard characterization of a compiled gate circuit.
 
     ``cov`` is the circuit's vacuum-input output covariance, propagated
     when None; a sampled one, such as an ensemble's, gives sampled figures.
     It and one quadrature map give both sectors' metrics.  The report's
-    witness is scanned over ``g_grid`` (``DEFAULT_G_GRID`` when None) only
-    when ``duan`` is read.
+    witness is scanned only when ``duan`` is read.
     """
     if cov is None:
         cov = run_covariance(circuit, _VACUUM_INPUT).cov
-    return QndReport(params, _sector_metrics(circuit_quadrature_map(circuit), cov), cov, g_grid)
+    return QndReport(params, _sector_metrics(circuit_quadrature_map(circuit), cov), cov)
 
 
 def vacuum_noise_report(circuit: Circuit, params: GateParams) -> dict:

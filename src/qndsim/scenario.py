@@ -12,7 +12,6 @@ the input mean.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import asdict, dataclass, field
@@ -25,11 +24,6 @@ from . import gaussian
 from .circuit import MIN_SQUEEZING_DB, GateParams, ImperfectionModel
 from .ensemble import check_master_seed, check_shot_count
 
-MAX_G_POINTS = 100_000  # the most g values a scan may take: 250 times the default 401
-# the largest |g| a scan may reach: from about 1.7e7 the grid's 1e-9 end allowance is under
-# half the float spacing, so a one-point grid there is empty, and from about 1e150 g**2 times
-# a variance overflows
-MAX_ABS_G = 1e6
 # the largest gain G a scenario may give, R = reflectivity_from_gain(MAX_GAIN) of about 1e-6:
 # up to it the lowering keeps 6e-14 of each row's scale and every build passes the absolute
 # 1e-9 check, which correct gates fail from G of about 4.5e3
@@ -44,9 +38,6 @@ class RunSpec:
     mode: str = "covariance"   # "covariance" or "trajectories"
     n: int = 100000
     master_seed: int = 20080901
-    g_min: float = -2.0
-    g_max: float = 2.0
-    g_step: float = 0.01
 
     def __post_init__(self):
         if self.mode not in ("covariance", "trajectories"):
@@ -54,32 +45,7 @@ class RunSpec:
         if isinstance(self.n, bool) or not isinstance(self.n, Integral) or self.n < 2:
             raise ValueError(f"run n must be an integer of at least 2, got {self.n!r}")
         check_shot_count(self.n)
-        if not np.all(np.isfinite((self.g_min, self.g_max, self.g_step))):
-            raise ValueError("g_grid min, max and step must be finite")
-        if self.g_step <= 0.0:
-            raise ValueError("g_grid step must be positive")
-        if self.g_min > self.g_max:
-            raise ValueError(f"g_grid min {self.g_min} exceeds max {self.g_max}")
-        # the length np.arange gives g_grid, counted without allocating it
-        if (points := np.ceil((self.g_max + 1e-9 - self.g_min) / self.g_step)) > MAX_G_POINTS:
-            raise ValueError(f"g_grid has {points:.12g} points, more than {MAX_G_POINTS}")
-        if max(-self.g_min, self.g_max) > MAX_ABS_G:
-            raise ValueError(
-                f"g_grid min {self.g_min} and max {self.g_max} must lie in "
-                f"[{-MAX_ABS_G:g}, {MAX_ABS_G:g}]"
-            )
         check_master_seed(self.master_seed)
-
-    def g_grid(self) -> np.ndarray:
-        """The rescaling gains, read-only and built once per ``(g_min, g_max, g_step)`` in a bounded memo."""
-        return _g_grid(self.g_min, self.g_max, self.g_step)
-
-
-@functools.lru_cache(maxsize=8)  # an entry holds at most MAX_G_POINTS floats, 0.8 MB
-def _g_grid(g_min: float, g_max: float, g_step: float) -> np.ndarray:
-    grid = np.round(np.arange(g_min, g_max + 1e-9, g_step), 10) + 0.0  # + 0.0: rounding's or an end's -0.0 is +0.0
-    grid.flags.writeable = False
-    return grid
 
 
 @dataclass(frozen=True)
@@ -150,7 +116,6 @@ class ScenarioConfig:
                 "mode": self.run.mode,
                 "n": int(self.run.n),
                 "master_seed": int(self.run.master_seed),
-                "g_grid": {"min": self.run.g_min, "max": self.run.g_max, "step": self.run.g_step},
             },
             "output": asdict(self.output),
         }
@@ -165,7 +130,7 @@ _JSON_TYPES = {float: ((int, float), "a number"), str: (str, "a string"), dict: 
 _SCENARIO_KEYS = {"gate": dict, "imperfections": dict, "run": dict, "output": dict}
 _GATE_KEYS = dict.fromkeys(("G", "squeezing_dB_A", "squeezing_dB_B"), float)
 # a key typed ``object`` is left to the constructor: RunSpec checks n and master_seed
-_RUN_KEYS = {"mode": str, "n": object, "master_seed": object, "g_grid": dict}
+_RUN_KEYS = {"mode": str, "n": object, "master_seed": object}
 
 
 def _checked(section: str, doc, types: dict) -> dict:
@@ -199,9 +164,7 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
             imperfections = {**imperfections, _DARK_NOISE: math.inf}
         given["imperfections"] = _section(ImperfectionModel, "imperfection", imperfections)
     if "run" in doc:
-        run = dict(_checked("run", doc["run"], _RUN_KEYS))
-        grid = _checked("g_grid", run.pop("g_grid", {}), dict.fromkeys(("min", "max", "step"), float))
-        given["run"] = RunSpec(**run, **{f"g_{key}": float(value) for key, value in grid.items()})
+        given["run"] = RunSpec(**_checked("run", doc["run"], _RUN_KEYS))
     if "output" in doc:
         given["output"] = _section(OutputSpec, "output", doc["output"])
     return ScenarioConfig(**given)

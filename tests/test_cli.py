@@ -7,7 +7,6 @@ import math
 import os
 import subprocess
 import sys
-import tracemalloc
 from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
@@ -38,9 +37,7 @@ from qndsim.cli import (
 )
 from qndsim.ensemble import run_ensemble
 from qndsim.quadexpr import QuadratureMap
-from qndsim import scenario as scenario_module
 from qndsim.scenario import (
-    MAX_G_POINTS,
     OutputSpec,
     RunSpec,
     ScenarioConfig,
@@ -115,80 +112,16 @@ class TestScenarioConfig:
             ({"imperfections": {"visibility": 0.9}},
              ScenarioConfig(imperfections=ImperfectionModel(visibility=0.9))),
             ({"run": {"n": 500}}, ScenarioConfig(run=RunSpec(n=500))),
-            ({"run": {"g_grid": {"max": 1}}}, ScenarioConfig(run=RunSpec(g_max=1.0))),
             ({"output": {"path": "out.csv"}}, ScenarioConfig(output=OutputSpec("out.csv"))),
         ],
-        ids=["G", "squeezing", "imperfection", "n", "g_grid", "output"],
+        ids=["G", "squeezing", "imperfection", "n", "output"],
     )
     def test_one_key_keeps_every_other_default(self, doc, expected):
         assert scenario_from_dict(doc) == expected
 
-    def test_given_squeezing_and_grid_values_become_floats(self):
-        config = scenario_from_dict({"gate": {"squeezing_dB_A": -3}, "run": {"g_grid": {"step": 1}}})
-        assert type(config.squeezing_dB_A) is float and type(config.run.g_step) is float
-
-    @pytest.mark.parametrize(
-        "grid",
-        [
-            {"min": 1.0, "max": -1.0},
-            {"max": float("nan")},
-            {"min": float("-inf")},
-            {"step": float("nan")},
-            {"step": float("inf")},
-        ],
-        ids=["min-above-max", "nan-max", "infinite-min", "nan-step", "infinite-step"],
-    )
-    def test_bad_g_grid_rejected(self, tmp_path, grid):
-        with pytest.raises(ValueError, match="g_grid"):
-            scenario_from_dict({"run": {"g_grid": grid}})
-        path = tmp_path / "scenario.json"
-        path.write_text(json.dumps({"run": {"g_grid": grid}}))
-        with pytest.raises(ValueError, match="g_grid"):
-            main(["conditional", "--config", str(path)])
-
-    def test_one_point_g_grid_accepted(self, capsys, tmp_path):
-        assert np.array_equal(RunSpec(g_min=0.5, g_max=0.5).g_grid(), [0.5])
-        path = tmp_path / "scenario.json"
-        path.write_text(json.dumps({"run": {"g_grid": {"min": 0.5, "max": 0.5}}}))
-        assert main(["conditional", "--config", str(path)]) == 0
-        assert "scan over g: best margin" in capsys.readouterr().out
-
-    def test_huge_g_grid_rejected_before_any_grid_exists(self, tmp_path):
-        # 2e9 points, a 14.9 GiB grid: rejected at load, and transfer, which
-        # never scans g, no longer reaches a MemoryError
-        grid = {"min": -1e6, "max": 1e6, "step": 1e-3}
-        tracemalloc.start()
-        try:
-            with pytest.raises(ValueError, match="g_grid has 2000000001 points, more than 100000"):
-                scenario_from_dict({"run": {"g_grid": grid}})
-            assert tracemalloc.get_traced_memory()[1] < 100_000
-        finally:
-            tracemalloc.stop()
-        path = tmp_path / "scenario.json"
-        path.write_text(json.dumps({"run": {"g_grid": grid}}))
-        with pytest.raises(ValueError, match="g_grid has 2000000001 points"):
-            main(["transfer", "--config", str(path)])
-
-    def test_transfer_rejects_a_grid_without_building_it(self, tmp_path):
-        # transfer tells a scenario's grid from the default one by its min,
-        # max and step, so a grid at the point bound is never allocated
-        path = tmp_path / "scenario.json"
-        path.write_text(json.dumps({"run": {"g_grid": {"min": 0.0, "max": 999.99, "step": 0.01}}}))
-        tracemalloc.start()
-        try:
-            with pytest.raises(ValueError, match="transfer ignores the scenario's run section"):
-                main(["transfer", "--config", str(path)])
-            assert tracemalloc.get_traced_memory()[1] < 100_000
-        finally:
-            tracemalloc.stop()
-
-    def test_g_grid_bound_counts_as_arange_does(self):
-        # the largest accepted grid has exactly MAX_G_POINTS points; one step more is rejected
-        assert len(RunSpec(g_min=0.0, g_max=999.99, g_step=0.01).g_grid()) == MAX_G_POINTS
-        with pytest.raises(ValueError, match=f"g_grid has {MAX_G_POINTS + 1} points"):
-            RunSpec(g_min=0.0, g_max=1000.0, g_step=0.01)
-        with pytest.raises(ValueError, match="g_grid has inf points"):
-            RunSpec(g_min=-1e308, g_max=1e308, g_step=1.0)
+    def test_given_squeezing_values_become_floats(self):
+        config = scenario_from_dict({"gate": {"squeezing_dB_A": -3}})
+        assert type(config.squeezing_dB_A) is float
 
     @pytest.mark.parametrize("command", ["vacuum-spectra", "transfer", "conditional", "reproduce-table"])
     def test_inputs_section_rejected(self, tmp_path, command):
@@ -236,14 +169,14 @@ class TestScenarioConfig:
     @pytest.mark.parametrize(
         "assign",
         [
-            lambda config: setattr(config.run, "g_step", -0.5),
-            lambda config: setattr(config.run, "g_min", 3.0),
+            lambda config: setattr(config.run, "mode", "ensemble"),
+            lambda config: setattr(config.run, "n", 1),
             lambda config: setattr(config.output, "path", ""),
         ],
-        ids=["g_step", "g_min", "path"],
+        ids=["mode", "n", "path"],
     )
     def test_run_and_output_fields_cannot_be_set_past_their_checks(self, assign):
-        # the checks run at construction only: an assignment would leave conditional an empty grid
+        # the checks run at construction only: an assignment would skip them
         config = ScenarioConfig()
         with pytest.raises(FrozenInstanceError):
             assign(config)
@@ -255,10 +188,6 @@ class TestScenarioConfig:
         path.write_text(json.dumps({"output": {"path": str(csv)}}))
         assert main(["transfer", "--config", str(path)]) == 0
         assert csv.read_text().startswith("case,excited,")
-
-    def test_bad_step_rejected(self):
-        with pytest.raises(ValueError):
-            scenario_from_dict({"run": {"g_grid": {"step": 0.0}}})
 
     def test_unknown_imperfection_key_rejected(self):
         with pytest.raises(ValueError):
@@ -309,7 +238,7 @@ class TestScenarioConfig:
             {"bogus": 1},
             {"gate": {"squeezing_db_A": -9}},
             {"run": {"modee": "trajectories"}},
-            {"run": {"g_grid": {"stop": 1.0}}},
+            {"run": {"seed": 3}},
             {"inputs": [{"kind": "vacuum", "phase": 0.0}, {}]},
             {"output": {"fmt": "csv"}},
             {"output": {"format": "csv", "path": "out.csv"}},
@@ -332,15 +261,15 @@ class TestScenarioConfig:
             ({"gate": {"squeezing_dB_B": True}}, "gate key 'squeezing_dB_B' must be a number, got True"),
             ({"imperfections": {"loss_placement": 3}},
              "imperfection key 'loss_placement' must be a string, got 3"),
-            ({"run": {"g_grid": {"max": True}}}, "g_grid key 'max' must be a number, got True"),
-            ({"run": {"g_grid": {"min": "-1"}}}, "g_grid key 'min' must be a number, got '-1'"),
+            ({"run": {"mode": True}}, "run key 'mode' must be a string, got True"),
+            ({"output": {"path": False}}, "output key 'path' must be a string or null, got False"),
             ({"output": {"path": 7}}, "output key 'path' must be a string or null, got 7"),
             # a document and each section are objects
             ([], "scenario must be a JSON object"),
             ({"gate": 5}, "scenario key 'gate' must be an object, got 5"),
             ({"gate": "R"}, "scenario key 'gate' must be an object, got 'R'"),
             ({"imperfections": []}, "scenario key 'imperfections' must be an object"),
-            ({"run": {"g_grid": 5}}, "run key 'g_grid' must be an object, got 5"),
+            ({"run": {"mode": None}}, "run key 'mode' must be a string, got None"),
             ({"run": []}, "scenario key 'run' must be an object, got \\[\\]"),
             ({"output": "out.csv"}, "scenario key 'output' must be an object, got 'out.csv'"),
             ({"run": {"mode": 1}}, "run key 'mode' must be a string, got 1"),
@@ -373,6 +302,67 @@ class TestScenarioConfig:
         with pytest.raises(ValueError, match=r"unknown gate keys: \['R'\]"):
             main([command, "--config", str(path)])
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("command", ["vacuum-spectra", "transfer", "conditional", "reproduce-table"])
+    def test_g_grid_key_rejected(self, tmp_path, capsys, command):
+        # the rescaling gains are metrics.DEFAULT_G_GRID, which no scenario sets
+        doc = {"run": {"g_grid": {"min": -1.0, "max": 1.0, "step": 0.1}}}
+        with pytest.raises(ValueError, match=r"unknown run keys: \['g_grid'\]"):
+            scenario_from_dict(doc)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=r"unknown run keys: \['g_grid'\]"):
+            main([command, "--config", str(path)])
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            {"min": -2.0, "max": 2.0, "step": 0.01},
+            {"min": 0.5, "max": 0.5, "step": 0.1},
+            {"min": -0.0, "max": 1.0, "step": 0.5},
+            {"min": -1.0, "max": 1.0, "step": math.nan},
+            {"min": -1.0, "max": math.nan, "step": 0.1},
+            {"min": -math.inf, "max": 1.0, "step": 0.1},
+            {"min": -1.0, "max": 1.0, "step": math.inf},
+            {"min": 1.0, "max": -1.0, "step": 0.1},
+            {"min": -1.0, "max": 1.0, "step": 0.0},
+            {"min": -1.0, "max": 1.0, "step": -0.1},
+            {"min": -1e200, "max": 1e200, "step": 1e-200},
+            {"max": 1.0},
+            {},
+            5,
+            None,
+            {"min": "-1"},
+            {"max": True},
+        ],
+        ids=[
+            "as-written-by-to_json", "one-point", "through-minus-zero", "nan-step", "nan-max",
+            "infinite-min", "infinite-step", "min-above-max", "zero-step", "negative-step",
+            "huge", "partial", "empty", "not-an-object", "null", "string-bound", "bool-bound",
+        ],
+    )
+    def test_every_g_grid_value_fails_as_an_unknown_key(self, value):
+        # the key is refused before its value is read: no grid is built, no
+        # bound or type message stands in for the one naming the key
+        with pytest.raises(ValueError, match=r"^unknown run keys: \['g_grid'\]$"):
+            scenario_from_dict({"run": {"mode": "covariance", "g_grid": value}})
+
+    @pytest.mark.parametrize("name", ["g_min", "g_max", "g_step"])
+    def test_retired_grid_fields_are_not_run_fields(self, name):
+        with pytest.raises(TypeError, match=name):
+            RunSpec(**{name: 0.1})
+        with pytest.raises(TypeError, match=name):
+            replace(RunSpec(), **{name: 0.1})
+        assert not hasattr(RunSpec(), name)
+
+    def test_run_is_mode_shots_and_seed(self):
+        assert [f.name for f in fields(RunSpec)] == ["mode", "n", "master_seed"]
+        with pytest.raises(TypeError):
+            RunSpec(g_step=0.1)
+        assert json.loads(ScenarioConfig().to_json())["run"] == {
+            "mode": "covariance", "n": 100000, "master_seed": 20080901,
+        }
 
     def test_both_r_and_g_rejected(self):
         # a G beside it does not let the loader drop the R
@@ -696,24 +686,22 @@ class TestConditional:
 
     def test_csv_columns(self, tmp_path):
         path = tmp_path / "sweep.csv"
-        run = RunSpec(g_min=-1.0, g_max=1.0, g_step=0.5)
-        cmd_conditional(replace(ScenarioConfig(), run=run, output=OutputSpec(str(path))))
+        cmd_conditional(replace(ScenarioConfig(), output=OutputSpec(str(path))))
         lines = path.read_text().splitlines()
         assert lines[0].split(",") == [
             "sector", "g", "simulated", "simulated_dB", "ideal", "finite_squeezing",
             "vacuum_ancilla", "witness_bound_per_sector",
         ]
-        assert len(lines) == 1 + 2 * 5  # both sectors, five grid points
+        assert len(lines) == 1 + 2 * 401  # both sectors, 401 grid points
 
     def test_zero_of_a_grid_through_zero_prints_unsigned(self, tmp_path):
         # np.round takes arange's noise near 0 to -0.0, which wrote "x,-0.0000,..."
-        run = RunSpec(g_min=-1.0, g_max=1.0, g_step=0.1)
-        grid = run.g_grid()
-        assert grid[10] == 0.0 and not np.signbit(grid[10])
+        grid = metrics.DEFAULT_G_GRID
+        assert grid[200] == 0.0 and not np.signbit(grid[200])
         path = tmp_path / "sweep.csv"
-        cmd_conditional(ScenarioConfig(run=run, output=OutputSpec(str(path))))
+        cmd_conditional(ScenarioConfig(output=OutputSpec(str(path))))
         lines = path.read_text().splitlines()
-        assert lines[11].startswith("x,0.0000,") and lines[32].startswith("p,0.0000,")
+        assert lines[201].startswith("x,0.0000,") and lines[602].startswith("p,0.0000,")
         assert not [line for line in lines if line.split(",")[1] == "-0.0000"]
 
     @pytest.mark.parametrize("flags", [[], ["--no-imperfections"]], ids=["default", "ideal"])
@@ -775,7 +763,7 @@ class TestConditional:
             cov = run_covariance(circuit, state).cov
         else:
             cov = run_ensemble(circuit, state, 2000, 17).cov
-        grid = config.run.g_grid()
+        grid = metrics.DEFAULT_G_GRID
         rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
         assert len(rows) == 2 * len(grid)
         for k, sector in enumerate(("x", "p")):
@@ -784,20 +772,30 @@ class TestConditional:
             assert [row[0] for row in sector_rows] == [sector] * len(grid)
             assert [row[2] for row in sector_rows] == [f"{v:.9f}" for v in simulated]
 
+    @pytest.mark.parametrize("mode", ["covariance", "trajectories"])
+    def test_csv_g_column_is_the_constant_grid(self, tmp_path, mode):
+        # both routes write each sector's rows at DEFAULT_G_GRID's 401 gains
+        config = ScenarioConfig(run=RunSpec(mode=mode, n=2000, master_seed=17))
+        path = tmp_path / "sweep.csv"
+        cmd_conditional(replace(config, output=OutputSpec(str(path))))
+        rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+        want = [f"{g:.4f}" for g in metrics.DEFAULT_G_GRID]
+        assert [row[1] for row in rows] == want + want
+
 
 @pytest.fixture
 def evaluations(monkeypatch):
-    """Every report ``metrics.evaluate_gate`` returns and every grid ``metrics.duan_simon`` scans."""
-    seen = {"reports": [], "grids": []}
+    """Every report ``metrics.evaluate_gate`` returns and the gain of every ``metrics.duan_simon`` scan."""
+    seen = {"reports": [], "scans": []}
     evaluate_gate, duan_simon = metrics.evaluate_gate, metrics.duan_simon
 
     def evaluated(*args, **kwargs):
         seen["reports"].append(evaluate_gate(*args, **kwargs))
         return seen["reports"][-1]
 
-    def scanned(cov, g, g_grid=None):
-        seen["grids"].append(g_grid)
-        return duan_simon(cov, g, g_grid)
+    def scanned(cov, g):
+        seen["scans"].append(g)
+        return duan_simon(cov, g)
 
     monkeypatch.setattr(metrics, "evaluate_gate", evaluated)
     monkeypatch.setattr(metrics, "duan_simon", scanned)
@@ -809,18 +807,15 @@ class TestOneRoute:
 
     @pytest.mark.parametrize("mode", ["covariance", "trajectories"])
     def test_one_report_per_command(self, evaluations, mode):
-        # on a grid other than the default, conditional scans the witness once,
-        # on the run's grid, and transfer, which prints no witness, scans none
-        run = RunSpec(mode=mode, n=3000, master_seed=13, g_min=-1.0, g_max=1.0, g_step=0.05)
-        config = ScenarioConfig(run=run)
+        # conditional scans the witness once, at its report's x-sector g_opt,
+        # and transfer, which prints no witness, scans none
+        config = ScenarioConfig(run=RunSpec(mode=mode, n=3000, master_seed=13))
         cli._vacuum_ensemble.cache_clear()
         cmd_transfer(config)
-        assert len(evaluations["reports"]) == 1 and evaluations["grids"] == []
+        assert len(evaluations["reports"]) == 1 and evaluations["scans"] == []
         cmd_conditional(config)
         assert len(evaluations["reports"]) == 2
-        (grid,) = evaluations["grids"]
-        assert np.array_equal(grid, run.g_grid())
-        assert not np.array_equal(grid, metrics.DEFAULT_G_GRID)
+        assert evaluations["scans"] == [evaluations["reports"][1].sectors["x"].g_opt]
         if mode == "covariance":
             circuit = build_qnd_gate(config.gate_params(), config.imperfections)
             want = run_covariance(circuit, gaussian.vacuum_state(2)).cov
@@ -1198,8 +1193,7 @@ class TestMainEntry:
                               "visibility": 1.0,
                               "dark_noise_dB_below_shot": 170.0,
                               "displacement_coupler_loss": 0.0},
-            "run": {"mode": "covariance",
-                    "g_grid": {"min": -2.0, "max": 2.0, "step": 0.01}},
+            "run": {"mode": "covariance"},
             "output": {"path": None},
         }
         path = tmp_path / "scenario.json"
@@ -1350,7 +1344,6 @@ class TestModuleEntryPoint:
 
 class TestScenarioFileHonoured:
     TRAJECTORIES = {"run": {"mode": "trajectories", "n": 500}}
-    G_GRID = {"run": {"g_grid": {"min": -0.5, "max": 0.5, "step": 0.25}}}
 
     KNOB = {"imperfections": {"extra_in_loop_loss": 0.05}}
 
@@ -1367,9 +1360,6 @@ class TestScenarioFileHonoured:
             ("reproduce-table", TRAJECTORIES, "run"),
             ("reproduce-table", {"gate": {"G": 2.0}}, "gate"),
             ("reproduce-table", {"gate": {"squeezing_dB_A": -5.0, "squeezing_dB_B": -3.0}}, "gate"),
-            ("vacuum-spectra", G_GRID, "run"),
-            ("transfer", G_GRID, "run"),
-            ("reproduce-table", G_GRID, "run"),
             ("transfer", {"run": {"master_seed": 1}}, "run"),
             ("conditional", {"run": {"n": 500}}, "run"),
             ("reproduce-table", KNOB, "imperfections"),
@@ -1379,9 +1369,6 @@ class TestScenarioFileHonoured:
             "reproduce-table-trajectories",
             "reproduce-table-G",
             "reproduce-table-unequal-squeezing",
-            "vacuum-spectra-g-grid",
-            "transfer-g-grid",
-            "reproduce-table-g-grid",
             "transfer-covariance-seed",
             "conditional-covariance-n",
             "reproduce-table-fitted-knob",
@@ -1396,7 +1383,6 @@ class TestScenarioFileHonoured:
         [
             ("transfer", TRAJECTORIES, ()),
             ("conditional", TRAJECTORIES, ()),
-            ("conditional", G_GRID, ()),
             (
                 "reproduce-table",
                 {"gate": {"G": 1.0, "squeezing_dB_A": -4.0, "squeezing_dB_B": -4.0}},
@@ -1407,7 +1393,6 @@ class TestScenarioFileHonoured:
         ids=[
             "transfer-trajectories",
             "conditional-trajectories",
-            "conditional-g-grid",
             "reproduce-table-default-gate",
             "reproduce-table-unfitted-knob",
         ],
@@ -1425,14 +1410,13 @@ class TestScenarioFileHonoured:
     # one valid non-default value per scenario field that some subcommand does not read
     NON_DEFAULT = {
         "mode": "trajectories", "n": 500, "master_seed": 3,
-        "g_min": -1.0, "g_max": 1.0, "g_step": 0.1,
         "gate_G": 1.5, "squeezing_dB_B": -3.0,
     }
     RUN_FIELDS = tuple(f.name for f in fields(RunSpec))
     UNREAD = (
         [("vacuum-spectra", "run", name) for name in RUN_FIELDS]
         + [("reproduce-table", "run", name) for name in RUN_FIELDS]
-        + [("transfer", "run", name) for name in ("n", "master_seed", "g_min", "g_max", "g_step")]
+        + [("transfer", "run", name) for name in ("n", "master_seed")]
         + [("conditional", "run", name) for name in ("n", "master_seed")]
         + [("reproduce-table", "gate", name) for name in ("gate_G", "squeezing_dB_B")]
     )
@@ -1470,9 +1454,6 @@ class TestScenarioFileHonoured:
         ("run", "mode"): NON_DEFAULT["mode"],
         ("run", "n"): NON_DEFAULT["n"],
         ("run", "master_seed"): NON_DEFAULT["master_seed"],
-        ("run", "g_grid", "min"): NON_DEFAULT["g_min"],
-        ("run", "g_grid", "max"): NON_DEFAULT["g_max"],
-        ("run", "g_grid", "step"): NON_DEFAULT["g_step"],
         ("output", "path"): "out.csv",
     }
     COMMANDS = {
@@ -1536,53 +1517,23 @@ class TestScenarioFileHonoured:
 
 
 class TestPerOpConstants:
-    """The g-grid memo and the shared vacuum input: equal to what they replace, and read-only."""
-
-    @staticmethod
-    def _arange_grid(spec: RunSpec) -> np.ndarray:
-        return np.round(np.arange(spec.g_min, spec.g_max + 1e-9, spec.g_step), 10) + 0.0
+    """The g grid and the shared vacuum input: equal to what they replace, and read-only."""
 
     def test_grid_is_read_only(self):
-        grid = RunSpec().g_grid()
+        grid = metrics.DEFAULT_G_GRID
         assert not grid.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             grid[0] = 1.0
 
-    @pytest.mark.parametrize(
-        "spec",
-        [RunSpec(), RunSpec(g_min=0.5, g_max=0.5), RunSpec(g_min=-1.0, g_max=1.0, g_step=0.1)],
-        ids=["default", "one point", "through zero"],
-    )
-    def test_grid_is_the_arange_grid_bit_for_bit(self, spec):
-        scenario_module._g_grid.cache_clear()
-        for _ in range(2):  # the build, then the memo hit
-            got, want = spec.g_grid(), self._arange_grid(spec)
-            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+    def test_grid_is_the_arange_grid_bit_for_bit(self):
+        got, want = metrics.DEFAULT_G_GRID, np.round(np.arange(-2.0, 2.0 + 1e-9, 0.01), 10) + 0.0
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+        assert (got[0], got[-1], len(got)) == (-2.0, 2.0, 401)
 
-    @pytest.mark.parametrize("first", [0.0, -0.0], ids=["+0.0 first", "-0.0 first"])
-    @pytest.mark.parametrize("end", ["g_min", "g_max"])
-    def test_a_negative_zero_end_shares_the_entry_of_positive_zero(self, first, end):
-        # -0.0 and 0.0 are one memo key, so both ends must give the same bytes
-        scenario_module._g_grid.cache_clear()
-        other = {"g_min": -1.0, "g_max": 1.0}["g_max" if end == "g_min" else "g_min"]
-        specs = [RunSpec(g_step=0.25, **{end: zero, ("g_max" if end == "g_min" else "g_min"): other})
-                 for zero in (first, -first)]
-        grids = [spec.g_grid() for spec in specs]
-        assert grids[0] is grids[1]
-        for spec, grid in zip(specs, grids):
-            assert grid.tobytes() == self._arange_grid(spec).tobytes()
-            assert not np.signbit(grid[grid == 0.0]).any()
-
-    def test_equal_grids_share_one_bounded_entry(self):
-        scenario_module._g_grid.cache_clear()
-        first = RunSpec().g_grid()
-        assert RunSpec(mode="trajectories", n=7, master_seed=3).g_grid() is first
-        assert scenario_module._g_grid.cache_info().currsize == 1
-        maxsize = scenario_module._g_grid.cache_info().maxsize
-        assert maxsize == 8
-        for k in range(maxsize + 3):
-            RunSpec(g_min=-1.0, g_max=1.0, g_step=0.5 / (k + 1)).g_grid()
-        assert scenario_module._g_grid.cache_info().currsize == maxsize
+    def test_grid_zero_is_positive_zero(self):
+        grid = metrics.DEFAULT_G_GRID
+        assert np.count_nonzero(grid == 0.0) == 1
+        assert not np.signbit(grid[grid == 0.0]).any()
 
     def test_shared_vacuum_input_is_the_read_only_vacuum(self):
         want, shared = gaussian.vacuum_state(2), metrics._VACUUM_INPUT

@@ -1,7 +1,10 @@
 """Tests for transfer coefficients, conditional variance and the witness."""
 
+import ast
+import importlib
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,7 +29,6 @@ from qndsim.metrics import (
     conditional_variance,
     cv_sweep,
     duan_simon,
-    duan_sum,
     evaluate_gate,
     fit_extra_in_loop_loss,
     reference_sweeps,
@@ -45,6 +47,20 @@ def propagated_transfer(circuit, sector):
     """``(T_S, T_P)`` of ``circuit`` from its map and its vacuum-input covariance."""
     cov = run_covariance(circuit, vacuum_state(2)).cov
     return transfer_coefficients(circuit_quadrature_map(circuit), cov, sector)
+
+
+def optima_outside_the_grid(report) -> list:
+    """Each sector's g_opt and the exact witness minimiser that fall outside DEFAULT_G_GRID's ends.
+
+    The witness margin a + 2bg + cg^2 - 4|g| is least at 0 or at g = (2 sgn g - b) / c.
+    """
+    lo, hi = metrics.DEFAULT_G_GRID[[0, -1]]
+    cov = report.cov
+    outside = [(s, m.g_opt) for s, m in report.sectors.items() if not lo <= m.g_opt <= hi]
+    a, b, c = cov[0, 0] + cov[3, 3], cov[3, 1] - cov[0, 2], cov[1, 1] + cov[2, 2]
+    candidates = [0.0] + [g for sign in (1.0, -1.0) if (g := (2.0 * sign - b) / c) * sign > 0.0]
+    best = min(candidates, key=lambda g: a + 2.0 * b * g + c * g * g - 4.0 * abs(g))
+    return outside + ([("witness", best)] if not lo <= best <= hi else [])
 
 
 def ideal_output_cov(gain=1.0):
@@ -302,8 +318,8 @@ class TestDuanSimon:
         flip = np.diag([1.0, 1.0, -1.0, -1.0])  # mode 2 rotated by pi
         flipped = flip @ out.cov @ flip
         for g in (0.3, 0.4443, 1.0):
-            assert duan_sum(out.cov, g) == pytest.approx(
-                duan_sum(flipped, -g), abs=1e-10
+            assert duan_simon(out.cov, g).combined_sum == pytest.approx(
+                duan_simon(flipped, -g).combined_sum, abs=1e-10
             )
 
     def test_imperfect_gate_still_entangles(self):
@@ -315,15 +331,46 @@ class TestDuanSimon:
     @pytest.mark.parametrize("gain", [0.3, 1.0, 2.2])
     def test_scan_equals_per_point_loop(self, gain):
         # the vectorised scan does each grid point's float operations in the
-        # same order as duan_sum, so it must agree bit for bit
+        # same order as the witness at one gain, so it must agree bit for bit
         params = GateParams.from_gain(gain, squeezing_db_a=-7.0, squeezing_db_b=-3.0)
         cov = run_covariance(build_qnd_gate(params, ImperfectionModel()), vacuum_state(2)).cov
         grid = metrics.DEFAULT_G_GRID
-        margins = [duan_sum(cov, g) - 4.0 * abs(g) for g in grid]
+        margins = [duan_simon(cov, g).combined_sum - 4.0 * abs(g) for g in grid]
         best = int(np.argmin(margins))
         result = duan_simon(cov, 0.5)
         assert result.scan_best_margin == margins[best]
         assert result.scan_best_g == grid[best]
+
+    @pytest.mark.parametrize("imp", [ImperfectionModel.ideal(), ImperfectionModel()], ids=["ideal", "default"])
+    @pytest.mark.parametrize("db", [0.0, -5.0, -20.0, -60.0])
+    def test_every_optimum_lies_inside_the_grid(self, imp, db):
+        # why one grid serves every scenario: over gains from 0 to the scenario
+        # bound, each sector's g_opt and the exact witness minimiser stay in
+        # [-2, 2] (at most 0.906 and 1.206 were read)
+        for gain in np.concatenate(([0.0], np.geomspace(1e-3, 1000.0, 60))):
+            params = GateParams.from_gain(gain, squeezing_db_a=db, squeezing_db_b=db)
+            assert optima_outside_the_grid(evaluate_gate(build_qnd_gate(params, imp), params)) == [], gain
+
+    @pytest.mark.parametrize("pool", ["sweep", "calibrate"])
+    def test_every_recorded_pool_optimum_lies_inside_the_grid(self, monkeypatch, pool):
+        # the benchmark's working points, drawn budgets and unequal squeezing
+        # included; a calibrate point is read at both of the paper's gains
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent))
+        from perfbench import workloads
+
+        points = workloads.load_pool(pool)["points"]
+        gains = (None,) if pool == "sweep" else (1.0, 1.5)
+        outside = []
+        for index, entry in enumerate(points):
+            config = workloads.scenario(entry["point"])
+            for gain in gains:
+                if gain is not None:
+                    config = replace(config, gate_G=gain)
+                params = config.gate_params()
+                report = evaluate_gate(build_qnd_gate(params, config.imperfections), params)
+                outside += [(index, gain, *where) for where in optima_outside_the_grid(report)]
+        assert len(points) == {"sweep": 1024, "calibrate": 96}[pool]
+        assert outside == []
 
 
 class TestVacuumNoiseReport:
@@ -381,12 +428,10 @@ class TestEvaluateGate:
         assert len(calls) == 1
 
     def test_given_covariance_and_grid(self, monkeypatch):
-        # a sampled covariance and a non-default grid: nothing is propagated,
-        # the sectors are read off the given covariance and the witness scans
-        # the given grid
+        # a sampled covariance: nothing is propagated, the sectors are read off
+        # the given covariance and the witness scans DEFAULT_G_GRID
         params, circuit = lossless_gate()
         cov = run_ensemble(circuit, vacuum_state(2), 3000, 29).cov
-        grid = RunSpec(g_min=-1.0, g_max=1.0, g_step=0.05).g_grid()
         calls = []
 
         def counted(*args, **kwargs):
@@ -394,13 +439,48 @@ class TestEvaluateGate:
             return run_covariance(*args, **kwargs)
 
         monkeypatch.setattr(metrics, "run_covariance", counted)
-        report = evaluate_gate(circuit, params, cov, grid)
-        assert report.cov is cov and report.g_grid is grid
+        report = evaluate_gate(circuit, params, cov)
+        assert report.cov is cov
         # repr tells -0.0 from 0.0 and prints each float exactly
         assert repr(report.sectors) == repr(metrics._sector_metrics(circuit_quadrature_map(circuit), cov))
-        assert report.duan == duan_simon(cov, report.sectors["x"].g_opt, grid)
-        assert report.duan != duan_simon(cov, report.sectors["x"].g_opt)
+        assert report.duan == duan_simon(cov, report.sectors["x"].g_opt)
         assert calls == []
+
+    def test_no_grid_is_taken(self):
+        # the witness grid is DEFAULT_G_GRID: neither entry point nor the report takes another
+        params, circuit = lossless_gate()
+        cov = run_covariance(circuit, vacuum_state(2)).cov
+        with pytest.raises(TypeError):
+            evaluate_gate(circuit, params, cov, metrics.DEFAULT_G_GRID)
+        with pytest.raises(TypeError, match="g_grid"):
+            evaluate_gate(circuit, params, g_grid=metrics.DEFAULT_G_GRID)
+        with pytest.raises(TypeError):
+            duan_simon(cov, 0.5, metrics.DEFAULT_G_GRID)
+        assert [f.name for f in fields(metrics.QndReport)] == ["params", "sectors", "cov"]
+
+    def test_metrics_does_not_import_the_scenario_layer(self):
+        tree = ast.parse(Path(metrics.__file__).read_text(encoding="utf-8"))
+        imported = [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+        assert "scenario" not in imported and "qndsim.scenario" not in imported
+        assert not hasattr(metrics, "RunSpec")
+
+    @pytest.mark.parametrize(
+        "module, name",
+        [
+            ("qndsim.scenario", "MAX_G_POINTS"),
+            ("qndsim.scenario", "MAX_ABS_G"),
+            ("qndsim.scenario", "_g_grid"),
+            ("qndsim.scenario", "functools"),
+            ("qndsim.metrics", "duan_sum"),
+            ("qndsim", "duan_sum"),
+        ],
+    )
+    def test_retired_names_are_gone(self, module, name):
+        assert not hasattr(importlib.import_module(module), name)
+        assert name not in getattr(importlib.import_module(module), "__all__", [])
+
+    def test_run_spec_has_no_grid_method(self):
+        assert not hasattr(RunSpec, "g_grid")
 
     def test_zero_gain_optima_are_unsigned_zeros(self):
         # on the default budget the x-sector g_opt of a G = 0 gate was about
@@ -708,6 +788,6 @@ class TestDuanSum:
         # Var(x1 - g*x2) + Var(p2 + g*p1) as quadratic forms of the output covariance
         cov = run_covariance(build_qnd_gate(params, imp), vacuum_state(2)).cov
         x, p = np.array([1.0, 0.0, -g, 0.0]), np.array([0.0, g, 0.0, 1.0])
-        got = duan_sum(cov, g)
+        got = duan_simon(cov, g).combined_sum
         assert type(got) is float
         assert got == pytest.approx(x @ cov @ x + p @ cov @ p, rel=1e-12, abs=1e-12)
