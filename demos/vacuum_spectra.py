@@ -17,8 +17,8 @@ circuit = build_qnd_gate(params, ImperfectionModel.ideal())
 rows = vacuum_noise_report(circuit, params)
 quads = ("x1", "p1", "x2", "p2")
 print(f"{'family':>26} " + " ".join(f"{q:>9}" for q in quads) + "   [dB]")
-for family, row in rows.items():
-    print(f"{family:>26} " + " ".join(f"{row[q]['dB']:>9.4f}" for q in quads))
+for family, (_, levels) in rows.items():
+    print(f"{family:>26} " + " ".join(f"{d:>9.4f}" for d in levels))
 
 # The probe quadratures carry 1 + G^2 = 2 units of noise (+3.01 dB) in the
 # ideal limit; the -5 dB ancillas add 10*log10(2.054/2) = 0.12 dB on top of
@@ -27,8 +27,8 @@ for family, row in rows.items():
 print("\n=== with the measured loss budget ===")
 circuit = build_qnd_gate(params, ImperfectionModel())
 rows = vacuum_noise_report(circuit, params)
-for family, row in rows.items():
-    print(f"{family:>26} " + " ".join(f"{row[q]['dB']:>9.4f}" for q in quads))
+for family, (_, levels) in rows.items():
+    print(f"{family:>26} " + " ".join(f"{d:>9.4f}" for d in levels))
 
 # Loss pulls every variance toward shot noise, so the imperfect apparatus
 # shows slightly *less* output noise than the lossless theory -- the price
@@ -38,8 +38,8 @@ print("\n=== squeezing dependence of the signal-output penalty ===")
 for db in (0.0, -3.0, -5.0, -10.0, -60.0):
     p = GateParams.from_gain(1.0, squeezing_db_a=db, squeezing_db_b=db)
     c = build_qnd_gate(p, ImperfectionModel.ideal())
-    row = vacuum_noise_report(c, p)["configured"]
+    variances, levels = vacuum_noise_report(c, p)["configured"]  # (x1, p1, x2, p2)
     print(
-        f"ancillas {db:>6.1f} dB -> Var(x1) = {row['x1']['variance']:.5f}"
-        f" ({row['x1']['dB']:+.3f} dB), Var(x2) = {row['x2']['variance']:.5f}"
+        f"ancillas {db:>6.1f} dB -> Var(x1) = {variances[0]:.5f}"
+        f" ({levels[0]:+.3f} dB), Var(x2) = {variances[2]:.5f}"
     )

@@ -6,23 +6,19 @@ shot-noise units), checks the compiled optical circuit against the analytic
 input-output relations, and evaluates the standard QND figures of merit:
 transfer coefficients, conditional variance and the two-mode entanglement
 witness.
+
+The package namespace holds the classes and the functions that the README's
+library tour and the demos read through it; every other function is read at
+its module (``qndsim.metrics.duan_simon``, ``qndsim.scenario.load_scenario``).
 """
 
-from .gaussian import (
-    GaussianState,
-    displace,
-    omega,
-    squeeze_parameter_from_db,
-    vacuum_state,
-    variance_to_db,
-)
+from .gaussian import GaussianState, displace, vacuum_state, variance_to_db
 from .quadexpr import (
     QuadratureMap,
     commutator_check,
     finite_squeezing_map,
     ideal_qnd_map,
     max_coefficient_difference,
-    moments_from_map,
 )
 from .circuit import (
     AncillaInjection,
@@ -35,9 +31,6 @@ from .circuit import (
     Loss,
     build_qnd_gate,
     circuit_quadrature_map,
-    compile_trajectory,
-    gain_from_reflectivity,
-    reflectivity_from_gain,
     run_covariance,
     run_trajectory,
 )
@@ -46,14 +39,8 @@ from .metrics import (
     QndReport,
     SectorMetrics,
     TableComparison,
-    compare_to_reference,
-    conditional_variance,
-    cv_sweep,
-    duan_simon,
     evaluate_gate,
-    fit_extra_in_loop_loss,
     reference_sweeps,
-    transfer_coefficients,
     vacuum_noise_report,
 )
 from .ensemble import (
@@ -63,7 +50,7 @@ from .ensemble import (
     trajectory_generator,
     z_score_report,
 )
-from .scenario import OutputSpec, RunSpec, ScenarioConfig, load_scenario
+from .scenario import OutputSpec, RunSpec, ScenarioConfig
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -104,13 +104,10 @@ def _spectra_views(params: GateParams, rows: dict) -> tuple:
         f"squeezing {params.squeezing_db_a:g}/{params.squeezing_db_b:g} dB",
         f"{'family':>26} " + " ".join(f"{q + ' [dB]':>12}" for q in _QUADS),
     ]
-    lines += [
-        f"{family:>26} " + " ".join(f"{row[q]['dB']:>12.4f}" for q in _QUADS)
-        for family, row in rows.items()
-    ]
+    lines += [f"{family:>26} " + " ".join(f"{d:>12.4f}" for d in db) for family, (_, db) in rows.items()]
     csv_rows = (
-        f"{family},{q},{row[q]['variance']:.9f},{row[q]['dB']:.9f}"
-        for family, row in rows.items() for q in _QUADS
+        f"{family},{q},{v:.9f},{d:.9f}"
+        for family, (variances, db) in rows.items() for q, v, d in zip(_QUADS, variances, db)
     )
     return lines, "family,quadrature,variance,dB", csv_rows
 
@@ -237,10 +234,10 @@ def _table_views(comparison: metrics.TableComparison) -> tuple:
                 f"T_P={m.t_probe:.5f} (pub {targets['T_P'][sector][0]:.2f}) "
                 f"T_sum={m.t_sum:.5f} V_SP={m.v_conditional:.5f}"
             )
-    misses = comparison.out_of_band()
+    misses = verdicts.count("FAIL")
     if misses:
         lines.append(
-            f"{len(misses)}/{len(comparison.checks)} banded values outside 2x bars; "
+            f"{misses}/{len(comparison.checks)} banded values outside 2x bars; "
             "residuals are reported above (a symmetric model cannot reproduce the "
             "published x/p asymmetry)"
         )

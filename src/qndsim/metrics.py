@@ -264,10 +264,13 @@ def evaluate_gate(circuit: Circuit, params: GateParams, cov=None) -> QndReport:
 def vacuum_noise_report(circuit: Circuit, params: GateParams) -> dict:
     """Output quadrature variances (linear and dB) for vacuum inputs.
 
-    Returns the four curve families of a vacuum-input power spectrum: the
-    0 dB input reference, the infinite-squeezing prediction, the circuit as
-    configured, and the same circuit with vacuum (0 dB) ancillas.  The lossless two are their
-    maps' row sums of squares, bit for bit the diagonal of ``moments_from_map``.
+    Returns the four curve families of a vacuum-input power spectrum, in this
+    order: the 0 dB ``"input"`` reference, the ``"infinite_squeezing"``
+    prediction, the circuit as ``"configured"``, and the same circuit with
+    vacuum (0 dB) ancillas, ``"vacuum_ancilla_reference"``.  Each maps to
+    ``(variances, dB)``, two lists in (x1, p1, x2, p2) order.  The lossless two
+    are their maps' row sums of squares, bit for bit the diagonal of
+    ``moments_from_map``.
     """
     ideal, vacuum = ((m.matrix * m.matrix).sum(axis=1)
                      for m in (ideal_qnd_map(params.gain), finite_squeezing_map(params.R, 0.0, 0.0)))
@@ -275,10 +278,7 @@ def vacuum_noise_report(circuit: Circuit, params: GateParams) -> dict:
     variances = np.stack((np.ones(4), ideal, np.diag(run_covariance(circuit, _VACUUM_INPUT).cov), vacuum))
     db = gaussian.variance_to_db(variances).tolist()
     families = ("input", "infinite_squeezing", "configured", "vacuum_ancilla_reference")
-    return {
-        family: {q: {"variance": v, "dB": d} for q, v, d in zip(("x1", "p1", "x2", "p2"), vs, ds)}
-        for family, vs, ds in zip(families, variances.tolist(), db)
-    }
+    return dict(zip(families, zip(variances.tolist(), db)))
 
 
 # --------------------------------------------------------------------------
@@ -347,9 +347,6 @@ class TableComparison:
     checks: list           # BandCheck entries for the banded metrics
     objective: float       # sum of squared residuals in bar units
     lossless: BandCheck    # T_sum(G = 1, x) of the lossless relations at the table's squeezing
-
-    def out_of_band(self):
-        return [c for c in self.checks if not c.within]
 
 
 def compare_to_reference(

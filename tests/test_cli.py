@@ -243,6 +243,8 @@ class TestScenarioConfig:
             {"output": {"fmt": "csv"}},
             {"output": {"format": "csv", "path": "out.csv"}},
         ],
+        ids=["scenario-bogus", "gate-squeezing_db_A", "run-modee", "run-seed", "scenario-inputs",
+             "output-fmt", "output-format"],
     )
     def test_unknown_keys_rejected(self, doc):
         with pytest.raises(ValueError, match="unknown"):
@@ -273,6 +275,13 @@ class TestScenarioConfig:
             ({"run": []}, "scenario key 'run' must be an object, got \\[\\]"),
             ({"output": "out.csv"}, "scenario key 'output' must be an object, got 'out.csv'"),
             ({"run": {"mode": 1}}, "run key 'mode' must be a string, got 1"),
+        ],
+        ids=[
+            "gate-G-string", "gate-G-bool", "gate-squeezing_dB_A-string", "imperfections-visibility-bool",
+            "imperfections-feedforward_electronic_gain_error-bool", "gate-squeezing_dB_B-bool",
+            "imperfections-loss_placement-int", "run-mode-bool", "output-path-bool", "output-path-int",
+            "scenario-list", "scenario-gate-int", "scenario-gate-string", "scenario-imperfections-list",
+            "run-mode-null", "scenario-run-list", "scenario-output-string", "run-mode-int",
         ],
     )
     def test_wrong_json_type_names_section_and_key(self, doc, message):

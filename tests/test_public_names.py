@@ -8,6 +8,12 @@ An export's readers leave out ``perfbench/trace.py``: its ``TRACED`` table
 names module attributes such as ``qndsim.gaussian.squeeze``, never the
 package's exports.  Each field of a public dataclass of a package module
 counts as read when ``.field`` occurs in the same texts.
+
+An exported function must also be read through the package by the README
+or a demo: as ``q.<name>``, as ``qndsim.<name>`` or in a ``from qndsim
+import`` list.  Every other function is read at its module.  Exported
+classes keep the first rule alone, since they type what the exported
+functions return or raise.
 """
 
 import dataclasses
@@ -41,6 +47,16 @@ def test_every_export_has_a_reader():
         if uses <= definitions:
             unread.append(name)
     assert unread == []
+
+
+def test_every_exported_function_is_read_through_the_package():
+    text = _text(sorted((ROOT / "demos").glob("*.py")) + [ROOT / "README.md"])
+    read = set(re.findall(r"\b(?:q|qndsim)\.(\w+)", text))
+    for names in re.findall(r"^from qndsim import (\([^)]*\)|.*)", text, re.MULTILINE):
+        read.update(re.findall(r"\w+", names))
+    functions = [name for name in qndsim.__all__
+                 if not isinstance(getattr(qndsim, name), (type, types.ModuleType))]
+    assert [name for name in functions if name not in read] == []
 
 
 def test_every_public_module_definition_has_a_reader():
