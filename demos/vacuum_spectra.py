@@ -4,8 +4,8 @@ With both inputs in vacuum, the gate writes the signal variables onto the
 probe variables, so the probe outputs (x2, p1) sit above shot noise while
 the signal outputs (x1, p2) stay at 0 dB up to the finite-squeezing penalty.
 This script prints the four curve families: the 0 dB input reference, the
-infinite-squeezing prediction, the apparatus as configured, and the same
-apparatus with the ancilla squeezing switched off.
+infinite-squeezing prediction, the apparatus as configured, and the lossless
+relations with vacuum (0 dB) ancillas, which no loss budget changes.
 """
 
 from qndsim import GateParams, ImperfectionModel, build_qnd_gate, vacuum_noise_report

@@ -58,25 +58,6 @@ ORACLE_MATCH_TOL = 1e-9
 MIN_SQUEEZING_DB = -60.0
 
 
-def gain_from_reflectivity(R: float) -> float:
-    """Interaction gain ``G = 1/sqrt(R) - sqrt(R)`` for ``R`` in (0, 1]."""
-    if not 0.0 < R <= 1.0:
-        raise ValueError(f"R = {R} outside (0, 1]")
-    return 1.0 / math.sqrt(R) - math.sqrt(R)
-
-
-def reflectivity_from_gain(gain: float) -> float:
-    """Inverse of ``gain_from_reflectivity``.
-
-    Solves ``u**2 + G*u - 1 = 0`` for ``u = sqrt(R)``, taking the positive
-    root, which lies in (0, 1] for any ``G >= 0``.
-    """
-    if not 0.0 <= gain < math.inf:
-        raise ValueError(f"gain G = {gain} must be finite and non-negative")
-    u = (-gain + math.sqrt(gain * gain + 4.0)) / 2.0
-    return u * u
-
-
 @dataclass(frozen=True)
 class GateParams:
     """Gate working point: beam-splitter parameter and ancilla squeezing."""
@@ -97,11 +78,16 @@ class GateParams:
 
     @classmethod
     def from_gain(cls, gain: float, **kwargs) -> "GateParams":
-        return cls(R=reflectivity_from_gain(gain), **kwargs)
+        """The working point of gain ``G``: ``R = u**2`` for the positive root of ``u**2 + G*u - 1 = 0``."""
+        if not 0.0 <= gain < math.inf:
+            raise ValueError(f"gain G = {gain} must be finite and non-negative")
+        u = (-gain + math.sqrt(gain * gain + 4.0)) / 2.0
+        return cls(R=u * u, **kwargs)
 
     @property
     def gain(self) -> float:
-        return gain_from_reflectivity(self.R)
+        """Interaction gain ``G = 1/sqrt(R) - sqrt(R)``."""
+        return 1.0 / math.sqrt(self.R) - math.sqrt(self.R)
 
     @property
     def r_a(self) -> float:
@@ -110,12 +96,6 @@ class GateParams:
     @property
     def r_b(self) -> float:
         return gaussian.squeeze_parameter_from_db(self.squeezing_db_b)
-
-    @property
-    def reflectivities(self) -> tuple:
-        """The four beam-splitter reflectivities (entry, arm, arm, exit)."""
-        R = self.R
-        return (1.0 / (1.0 + R), R, R, R / (1.0 + R))
 
 
 @dataclass(frozen=True)
@@ -180,10 +160,6 @@ class ImperfectionModel:
         if math.isinf(self.dark_noise_dB_below_shot):
             return 0.0
         return 10.0 ** (-self.dark_noise_dB_below_shot / 10.0)
-
-
-# built and checked once; equal to every ``ideal()``, so memo keys do not change
-_IDEAL = ImperfectionModel.ideal()
 
 
 # --------------------------------------------------------------------------
@@ -531,7 +507,7 @@ def oracle_error(params: GateParams) -> float:
     every call and never cached.
     """
     return max_coefficient_difference(
-        circuit_quadrature_map(_gate(params, _IDEAL)),
+        circuit_quadrature_map(_gate(params, ImperfectionModel.ideal())),
         finite_squeezing_map(params.R, params.r_a, params.r_b),
     )
 
@@ -568,18 +544,18 @@ def _squeezer_elements(quadrature: str, ancilla: int, label: str, r: float, R: f
 def _gate_elements(params: GateParams, imp: ImperfectionModel) -> list:
     eta_prop = 1.0 - imp.propagation_loss_per_main_mode
     main_losses = [Loss(0, eta_prop, "main1"), Loss(1, eta_prop, "main2")] if eta_prop < 1.0 else []
-    entry_r, arm_r, _, exit_r = params.reflectivities
+    R = params.R
     eta_extra = 1.0 - imp.extra_in_loop_loss
     pre, post = (main_losses, []) if imp.loss_placement == "pre_entry" else ([], main_losses)
-    elements = [*pre, BeamSplitter(0, 1, entry_r, signs=(1, -1, 1, 1))]
+    elements = [*pre, BeamSplitter(0, 1, 1.0 / (1.0 + R), signs=(1, -1, 1, 1))]
     # arm A squeezes x on the mode-0 path; its homodyne removes that path, so
     # arm B's p squeezer finds the mode-1 path at index 0
-    elements += _squeezer_elements("x", 2, "A", params.r_a, arm_r, imp)
-    elements += _squeezer_elements("p", 2, "B", params.r_b, arm_r, imp)
+    elements += _squeezer_elements("x", 2, "A", params.r_a, R, imp)
+    elements += _squeezer_elements("p", 2, "B", params.r_b, R, imp)
     # after the two stages the arm outputs sit in slots (0, 1) again
     if eta_extra < 1.0:
         elements += [Loss(0, eta_extra, "armA"), Loss(1, eta_extra, "armB")]
-    return [*elements, BeamSplitter(0, 1, exit_r, signs=(-1, -1, 1, -1)), *post]
+    return [*elements, BeamSplitter(0, 1, R / (1.0 + R), signs=(-1, -1, 1, -1)), *post]
 
 
 # --------------------------------------------------------------------------
@@ -607,31 +583,31 @@ class TrajectoryProgram:
 
     The conditional covariance is outcome-independent, so it is computed once;
     each shot's output means and readouts are affine in its standard-normal
-    draws, ``mean0 + gains @ draws``.  ``draws_per_shot`` draws are consumed
-    per trajectory, in element order (optical draw, then dark draw when dark
-    noise is configured).
+    draws, ``mean0 + gains @ draws``.  A trajectory consumes ``gains.shape[1]``
+    draws, in element order (optical draw, then dark draw when dark noise is
+    configured), and the first ``len(final_cov)`` entries of ``mean0`` are
+    its output means.
     """
 
     mean0: np.ndarray  # output means, then the readouts, at zero draws
-    gains: np.ndarray  # (len(mean0), draws_per_shot)
+    gains: np.ndarray  # (len(mean0), draws per shot)
     final_cov: np.ndarray
-    n_output_modes: int
-    draws_per_shot: int
 
     def run_means(self, draws: np.ndarray):
-        """Propagate one shot's means for its ``draws``, of shape (draws_per_shot,).
+        """Propagate one shot's means for its ``draws``, of shape ``(gains.shape[1],)``.
 
-        Returns ``(means, outcomes)``: the 2*n_output_modes output means and
+        Returns ``(means, outcomes)``: the ``len(final_cov)`` output means and
         the electronic readouts, one per homodyne.
         """
         draws = np.asarray(draws, dtype=float)
-        if draws.shape != (self.draws_per_shot,):
-            raise ValueError(f"need {self.draws_per_shot} draws per shot, got shape {draws.shape}")
+        if draws.shape != self.gains.shape[1:]:
+            raise ValueError(f"need {self.gains.shape[1]} draws per shot, got shape {draws.shape}")
         # ((mean0 + g0 d0) + g1 d1) + ..., one draw at a time
         values = self.mean0.copy()
         for gain, draw in zip(self.gains.T, draws):
             values += gain * draw
-        return values[: 2 * self.n_output_modes], values[2 * self.n_output_modes :]
+        n_out = len(self.final_cov)
+        return values[:n_out], values[n_out:]
 
 
 def compile_trajectory(circuit: Circuit, state: GaussianState) -> TrajectoryProgram:
@@ -652,7 +628,7 @@ def compile_trajectory(circuit: Circuit, state: GaussianState) -> TrajectoryProg
     for j in range(draws):
         var, gain, cov = gaussian._condition(cov, kept + j)
         gains[:, j] = math.sqrt(max(var, 0.0)) * gain[:kept]
-    return TrajectoryProgram(mean[:kept], gains, cov[:n_out, :n_out], n_out // 2, draws)
+    return TrajectoryProgram(mean[:kept], gains, cov[:n_out, :n_out])
 
 
 def run_trajectory(
@@ -671,8 +647,8 @@ def run_trajectory(
     regardless of how it is scheduled.
     """
     program = compile_trajectory(circuit, state)
-    means, outcomes = program.run_means(rng.standard_normal(program.draws_per_shot))
-    return GaussianState(program.n_output_modes, means, program.final_cov.copy()), outcomes
+    means, outcomes = program.run_means(rng.standard_normal(program.gains.shape[1]))
+    return GaussianState(len(means) // 2, means, program.final_cov.copy()), outcomes
 
 
 # --------------------------------------------------------------------------

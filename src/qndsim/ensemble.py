@@ -121,8 +121,8 @@ def run_ensemble(
     check_shot_count(n)
     n, master_seed = operator.index(n), int(master_seed)
     program = compile_trajectory(circuit, state)
-    draw_mean, draw_cov = _draw_moments(master_seed, n, program.draws_per_shot)
-    gains = program.gains[: 2 * program.n_output_modes]
+    draw_mean, draw_cov = _draw_moments(master_seed, n, program.gains.shape[1])
+    gains = program.gains[: len(program.final_cov)]
     mean = program.mean0[: len(gains)] + gains @ draw_mean
     scatter = _mirrored(gains @ draw_cov @ gains.T)
 

@@ -266,11 +266,12 @@ def vacuum_noise_report(circuit: Circuit, params: GateParams) -> dict:
 
     Returns the four curve families of a vacuum-input power spectrum, in this
     order: the 0 dB ``"input"`` reference, the ``"infinite_squeezing"``
-    prediction, the circuit as ``"configured"``, and the same circuit with
-    vacuum (0 dB) ancillas, ``"vacuum_ancilla_reference"``.  Each maps to
-    ``(variances, dB)``, two lists in (x1, p1, x2, p2) order.  The lossless two
-    are their maps' row sums of squares, bit for bit the diagonal of
-    ``moments_from_map``.
+    prediction, the circuit as ``"configured"``, and the lossless relations
+    with vacuum (0 dB) ancillas, ``finite_squeezing_map(R, 0, 0)``, as
+    ``"vacuum_ancilla_reference"``.  Only ``"configured"`` reads the circuit's
+    noise budget.  Each maps to ``(variances, dB)``, two lists in (x1, p1, x2,
+    p2) order.  The lossless two are their maps' row sums of squares, bit for
+    bit the diagonal of ``moments_from_map``.
     """
     ideal, vacuum = ((m.matrix * m.matrix).sum(axis=1)
                      for m in (ideal_qnd_map(params.gain), finite_squeezing_map(params.R, 0.0, 0.0)))
@@ -363,11 +364,6 @@ def compare_to_reference(
     return _comparison(rows, 0, imperfections.extra_in_loop_loss, fitted, objective[0])
 
 
-def _reference_params(gain: float, squeezing_db: float) -> GateParams:
-    """A reference-table working point: both ancillas at ``squeezing_db``."""
-    return GateParams.from_gain(gain, squeezing_db_a=squeezing_db, squeezing_db_b=squeezing_db)
-
-
 def _banded(gain: float, sectors: dict):
     """A ``BandCheck`` for each banded value at one gain."""
     targets = REFERENCE_TABLE[gain]
@@ -377,7 +373,9 @@ def _banded(gain: float, sectors: dict):
             yield BandCheck(gain, metric, sector, getattr(sectors[sector], attribute), ref, bar)
 
 
+# the knobs every fit scans, read-only like ``DEFAULT_G_GRID``
 DEFAULT_KNOB_GRID = np.arange(0.0, 0.1001, 0.0025)
+DEFAULT_KNOB_GRID.flags.writeable = False
 
 
 def _knob_scan(base: ImperfectionModel, squeezing_db: float, knobs: np.ndarray):
@@ -393,7 +391,7 @@ def _knob_scan(base: ImperfectionModel, squeezing_db: float, knobs: np.ndarray):
     objective = np.zeros(len(knobs))
     rows = {}
     for gain in REFERENCE_TABLE:
-        params = _reference_params(gain, squeezing_db)
+        params = GateParams.from_gain(gain, squeezing_db_a=squeezing_db, squeezing_db_b=squeezing_db)
         circuit = build_qnd_gate(params, base)
         cov0 = run_covariance(circuit, _VACUUM_INPUT).cov
         cov = cov0 + knobs[:, None, None] * (np.eye(4) - cov0)

@@ -24,7 +24,7 @@ from . import gaussian
 from .circuit import MIN_SQUEEZING_DB, GateParams, ImperfectionModel
 from .ensemble import check_master_seed, check_shot_count
 
-# the largest gain G a scenario may give, R = reflectivity_from_gain(MAX_GAIN) of about 1e-6:
+# the largest gain G a scenario may give, R = GateParams.from_gain(MAX_GAIN).R of about 1e-6:
 # up to it the lowering keeps 6e-14 of each row's scale and every build passes the absolute
 # 1e-9 check, which correct gates fail from G of about 4.5e3
 MAX_GAIN = 1000.0

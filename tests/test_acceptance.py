@@ -15,8 +15,6 @@ from qndsim.circuit import (
     ImperfectionModel,
     build_qnd_gate,
     circuit_quadrature_map,
-    gain_from_reflectivity,
-    reflectivity_from_gain,
     run_covariance,
 )
 from qndsim.cli import cmd_reproduce_table
@@ -84,8 +82,8 @@ def test_criterion_2_ideal_limit():
 
 
 def test_criterion_3_gain_parametrization():
-    r_15 = reflectivity_from_gain(1.5)
-    g_back = gain_from_reflectivity(0.381966)
+    r_15 = GateParams.from_gain(1.5).R
+    g_back = GateParams(0.381966).gain
     ok = abs(r_15 - 0.25) < 1e-12 and abs(g_back - 1.0) < 1e-6
     report(
         "3 (gain parametrization)",

@@ -29,8 +29,6 @@ from qndsim.circuit import (
     build_qnd_gate,
     circuit_quadrature_map,
     compile_trajectory,
-    gain_from_reflectivity,
-    reflectivity_from_gain,
     run_covariance,
     run_trajectory,
 )
@@ -54,49 +52,43 @@ DB_GRID = (0.0, -3.0, -5.0, -10.0, -60.0)
 
 class TestGainParametrization:
     def test_r_one_zero_gain(self):
-        assert gain_from_reflectivity(1.0) == 0.0
+        assert GateParams(1.0).gain == 0.0
 
     def test_gain_15_quarter_reflectivity(self):
         # sqrt(R) solves u**2 + 1.5u - 1 = 0, i.e. u = 0.5
-        assert abs(reflectivity_from_gain(1.5) - 0.25) < 1e-12
+        assert abs(GateParams.from_gain(1.5).R - 0.25) < 1e-12
 
     def test_unit_gain_golden_ratio(self):
-        assert reflectivity_from_gain(1.0) == pytest.approx(R_GOLDEN, abs=1e-12)
-        assert gain_from_reflectivity(0.381966) == pytest.approx(1.0, abs=1e-6)
+        assert GateParams.from_gain(1.0).R == pytest.approx(R_GOLDEN, abs=1e-12)
+        assert GateParams(0.381966).gain == pytest.approx(1.0, abs=1e-6)
 
     @pytest.mark.parametrize("R", [0.01, 0.1, 0.3819660112501051, 0.5, 0.99, 1.0])
     def test_round_trip(self, R):
-        assert reflectivity_from_gain(gain_from_reflectivity(R)) == pytest.approx(
-            R, abs=1e-12
-        )
+        assert GateParams.from_gain(GateParams(R).gain).R == pytest.approx(R, abs=1e-12)
 
     @pytest.mark.parametrize("R", [0.0, -0.5, 1.5])
     def test_rejects_bad_reflectivity(self, R):
-        with pytest.raises(ValueError):
-            gain_from_reflectivity(R)
+        with pytest.raises(ValueError, match="outside"):
+            GateParams(R)
 
     def test_rejects_negative_gain(self):
-        with pytest.raises(ValueError):
-            reflectivity_from_gain(-0.1)
+        with pytest.raises(ValueError, match="must be finite and non-negative"):
+            GateParams.from_gain(-0.1)
 
     @pytest.mark.parametrize("gain", [math.inf, math.nan, -math.inf])
     def test_rejects_non_finite_gain_by_name(self, gain):
         # NaN compares false with 0 and inf maps to R = nan; the error names the gain
         with pytest.raises(ValueError, match=f"gain G = {gain} must be finite and non-negative"):
-            reflectivity_from_gain(gain)
+            GateParams.from_gain(gain)
 
 
 class TestGateParams:
-    def test_reflectivities_layout(self):
-        params = GateParams(0.25)
-        entry, arm1, arm2, exit_ = params.reflectivities
-        assert entry == pytest.approx(0.8)
-        assert arm1 == arm2 == 0.25
-        assert exit_ == pytest.approx(0.2)
-
     @pytest.mark.parametrize("R", [0.05, 0.25, 0.9, 1.0])
     def test_reflectivities_in_range(self, R):
-        for r in GateParams(R).reflectivities:
+        circuit = build_qnd_gate(GateParams(R), ImperfectionModel.ideal())
+        values = [el.reflectivity for el in circuit.elements if isinstance(el, BeamSplitter)]
+        assert len(values) == 4
+        for r in values:
             assert 0.0 < r <= 1.0
 
     def test_from_gain(self):
@@ -516,7 +508,7 @@ class TestCircuitValidation:
         circuit = build_qnd_gate(GateParams.from_gain(1.0), ImperfectionModel())
         assert circuit.n_output_modes == 2
         program = compile_trajectory(circuit, gaussian.vacuum_state(2))
-        _, readouts = program.run_means(np.zeros(program.draws_per_shot))
+        _, readouts = program.run_means(np.zeros(program.gains.shape[1]))
         assert readouts.shape == (2,)
 
 

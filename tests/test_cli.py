@@ -21,7 +21,6 @@ from qndsim.circuit import (
     ImperfectionModel,
     build_qnd_gate,
     circuit_quadrature_map,
-    gain_from_reflectivity,
     run_covariance,
 )
 from qndsim.cli import (
@@ -1221,7 +1220,7 @@ class TestMainEntry:
         assert main(["vacuum-spectra", "--gain", "1.0", "--no-imperfections"]) == 0
         first = capsys.readouterr().out
         assert "R=0.381966" in first
-        gain = gain_from_reflectivity(0.3819660112501051)
+        gain = GateParams(0.3819660112501051).gain
         assert main(["vacuum-spectra", "--gain", repr(gain), "--no-imperfections"]) == 0
         assert capsys.readouterr().out == first
 
@@ -1526,13 +1525,22 @@ class TestScenarioFileHonoured:
 
 
 class TestPerOpConstants:
-    """The g grid and the shared vacuum input: equal to what they replace, and read-only."""
+    """The g and knob grids and the shared vacuum input: equal to what they replace, and read-only."""
 
     def test_grid_is_read_only(self):
         grid = metrics.DEFAULT_G_GRID
         assert not grid.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             grid[0] = 1.0
+
+    def test_knob_grid_is_read_only_and_the_arange_grid_bit_for_bit(self):
+        # a write would change the grid, and so the printed knob, of every later fit
+        got, want = metrics.DEFAULT_KNOB_GRID, np.arange(0.0, 0.1001, 0.0025)
+        assert not got.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            got[1] = 0.5
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+        assert (got[0], got[-1], len(got)) == (0.0, 0.1, 41)
 
     def test_grid_is_the_arange_grid_bit_for_bit(self):
         got, want = metrics.DEFAULT_G_GRID, np.round(np.arange(-2.0, 2.0 + 1e-9, 0.01), 10) + 0.0

@@ -254,7 +254,8 @@ class TestRunEnsemble:
 
     def test_run_means_takes_one_shot(self):
         program = compile_trajectory(*CASES["measured"]())
-        for shape in ((program.draws_per_shot + 1,), (3, program.draws_per_shot)):
+        d = program.gains.shape[1]
+        for shape in ((d + 1,), (3, d)):
             with pytest.raises(ValueError, match="draws per shot"):
                 program.run_means(np.zeros(shape))
 
@@ -359,7 +360,7 @@ class TestExactLaw:
             upper = np.triu_indices(len(result.mean))
             drawn.append(np.concatenate([result.mean, (result.cov - program.final_cov)[upper]]))
             rng = trajectory_generator(seed + len(TestExactLaw.SEEDS), 0)
-            means = [program.run_means(rng.standard_normal(program.draws_per_shot))[0]
+            means = [program.run_means(rng.standard_normal(program.gains.shape[1]))[0]
                      for _ in range(n)]
             if seed == TestExactLaw.SEEDS[0]:
                 rng = trajectory_generator(seed + len(TestExactLaw.SEEDS), 0)

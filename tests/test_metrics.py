@@ -390,6 +390,19 @@ class TestVacuumNoiseReport:
             10 * np.log10(2.1708204), abs=1e-4
         )
 
+    def test_vacuum_ancilla_reference_ignores_the_budget(self):
+        # the family is finite_squeezing_map(R, 0, 0), not the measured circuit rebuilt at 0 dB
+        params = GateParams.from_gain(1.0)
+        measured = vacuum_noise_report(build_qnd_gate(params, ImperfectionModel()), params)
+        lossless = vacuum_noise_report(build_qnd_gate(params, ImperfectionModel.ideal()), params)
+        assert measured["vacuum_ancilla_reference"] == lossless["vacuum_ancilla_reference"]
+        variances = measured["vacuum_ancilla_reference"][0]
+        assert variances[0] == pytest.approx(1.0 + (1.0 - params.R) / (1.0 + params.R), rel=1e-12)
+        assert variances[0] == pytest.approx(1.44721, abs=1e-5)
+        at_0db = GateParams.from_gain(1.0, squeezing_db_a=0.0, squeezing_db_b=0.0)
+        rebuilt = vacuum_noise_report(build_qnd_gate(at_0db, ImperfectionModel()), at_0db)["configured"]
+        assert rebuilt[0][0] == pytest.approx(1.42421, abs=1e-5)
+
     def test_r_one_all_zero(self):
         params = GateParams(1.0)
         circuit = build_qnd_gate(params, ImperfectionModel.ideal())
@@ -705,7 +718,7 @@ class TestKnobFit:
         assert comparison.extra_in_loop_loss == knob
         checks = []
         for gain, report in comparison.reports.items():
-            params = metrics._reference_params(gain, squeezing_db)
+            params = GateParams.from_gain(gain, squeezing_db_a=squeezing_db, squeezing_db_b=squeezing_db)
             built = evaluate_gate(build_qnd_gate(params, budget), params)
             assert report.params == built.params
             assert report.cov.tobytes() == built.cov.tobytes()

@@ -1,6 +1,7 @@
-"""The README's library tour runs as written, and its flag list is the parser's."""
+"""The README's library tour runs as written, its flag list is the parser's, and the module attributes it names exist."""
 
 import argparse
+import importlib
 import os
 import re
 import subprocess
@@ -43,3 +44,24 @@ def test_flag_list_names_each_subcommand_and_exactly_its_flags():
         for name, parser in subparsers.choices.items()
     }
     assert listed == declared
+
+
+def test_every_module_attribute_named_resolves():
+    """Each backticked ``qndsim.<module>.<attr...>`` or ``<module>.<attr...>`` is an attribute today."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    modules = "|".join(p.stem for p in (ROOT / "src" / "qndsim").glob("*.py") if not p.stem.startswith("_"))
+    spans = re.findall(r"`([^`\n]+)`", readme)
+    names = {name for span in spans
+             for name in re.findall(rf"(?<![\w.])(?:qndsim\.)?((?:{modules})(?:\.\w+)+)", span)}
+    names.discard("cli.py")  # the file, not an attribute
+    unresolved = []
+    for name in sorted(names):
+        module, *attributes = name.split(".")
+        value = importlib.import_module(f"qndsim.{module}")
+        for attribute in attributes:
+            if not hasattr(value, attribute):
+                unresolved.append(name)
+                break
+            value = getattr(value, attribute)
+    assert len(names) > 10
+    assert unresolved == []

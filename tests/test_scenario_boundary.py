@@ -21,7 +21,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qndsim.circuit import GateParams, ImperfectionModel, build_qnd_gate, gain_from_reflectivity
+from qndsim.circuit import GateParams, ImperfectionModel, build_qnd_gate
 from qndsim.cli import main
 from qndsim.scenario import (
     MAX_GAIN,
@@ -80,8 +80,8 @@ class TestGainBound:
 
     @pytest.mark.parametrize("R", [0.01, 0.1, 0.25, 0.3819660112501051, 0.5, 0.99, 1.0])
     def test_a_reflectivity_is_named_by_its_gain(self, R):
-        # gain_from_reflectivity carries a working point given as R onto the G key
-        params = scenario_from_dict({"gate": {"G": gain_from_reflectivity(R)}}).gate_params()
+        # GateParams(R).gain carries a working point given as R onto the G key
+        params = scenario_from_dict({"gate": {"G": GateParams(R).gain}}).gate_params()
         assert params.R == pytest.approx(R, rel=0, abs=1e-15)
 
     def test_gate_params_stay_unbounded(self):
